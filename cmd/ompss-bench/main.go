@@ -8,37 +8,12 @@
 //	ompss-bench -ablation granularity §4 h264dec task-granularity dilemma
 //	ompss-bench -ablation occupancy  §5 polling-runtime core occupancy
 //	ompss-bench -bench c-ray -cores 16   one cell, verbose
-//	ompss-bench -native -o BENCH_native.json   wall-clock native runs
-//	ompss-bench -native -tune        ... plus the grain ablation: TaskLoop
-//	    auto-chunking (WithTuning Grain: Auto) vs a swept static-chunk ladder
-//	ompss-bench -trend -candidate fresh.json   perf-trajectory gate: compare
-//	    a fresh -native report's policy and rename factors against the
-//	    committed baseline (±tol, regressions only; CI's bench-trend step)
-//	ompss-bench -dist -o BENCH_dist.json       two-process proof: run the
-//	    adapted suite workloads on the distributed backend at 1 and 2 worker
-//	    processes over each rendezvous transport (-dist-transport, default
-//	    unix,tcp), verify checksums against the sequential reference, and
-//	    record transfer/cache/chain/forwarding accounting plus the
-//	    2-over-1 speedup
-//	ompss-bench -serve-trend -serve-candidate fresh.json   service-runtime
-//	    trajectory gate: compare a fresh ompss-serve -load report against
-//	    the committed BENCH_serve.json (violations and errors always fail;
-//	    latency/throughput gate hard only on a comparable host)
+//	ompss-bench -usability           §2 per-variant implementation effort
 //
 // -small switches to the reduced test workloads; -cores overrides the core
-// list (comma-separated).
-//
-// -native leaves the simulator entirely: it runs the suite's small
-// instances on real goroutine workers (wall-clock timing, results verified
-// against the sequential reference) under the scheduling policy switched on
-// and off, plus the contended-throughput affinity ablation, and writes the
-// measurements to the JSON file named by -o. -cores then selects the native
-// worker counts, -iters the repetitions per cell, and -small the reduced
-// workloads (smoke scale: policy effects need the default workloads to rise
-// above host noise); -bench restricts the run to one benchmark. -trace FILE
-// additionally runs one instrumented repetition (recorder attached, outside
-// the measured cells) and exports it as Chrome trace-event JSON — see
-// cmd/ompss-trace for the full record/analyze/export pipeline.
+// list (comma-separated); -q suppresses per-cell progress. Wall-clock
+// measurement of the native, service and distributed runtimes is the
+// benchmark's job: go run -C benchmark . (see benchmark/README.md).
 package main
 
 import (
@@ -50,39 +25,17 @@ import (
 	"strings"
 
 	"ompssgo/internal/bench"
-	"ompssgo/internal/dist"
-	"ompssgo/internal/obs"
 	"ompssgo/internal/suite"
-	_ "ompssgo/internal/suite/distkern" // registers the distributed suite kernels
 )
 
 func main() {
-	// A child process spawned by the distributed backend diverts into the
-	// worker loop here and never reaches flag parsing.
-	dist.MaybeWorker()
 	var (
 		table1    = flag.Bool("table1", false, "reproduce Table 1 across the full suite")
 		withPaper = flag.Bool("paper", false, "interleave the paper's published numbers")
 		ablation  = flag.String("ablation", "", "run a mechanism ablation: barrier|locality|granularity|occupancy")
 		oneBench  = flag.String("bench", "", "measure a single benchmark")
 		usability = flag.Bool("usability", false, "report per-variant implementation effort (§2 usability)")
-		native    = flag.Bool("native", false, "measure wall-clock native execution and write BENCH_native.json")
-		tune      = flag.Bool("tune", false, "with -native: add the grain-ablation section (auto chunking vs best static chunk)")
-		trend     = flag.Bool("trend", false, "perf-trajectory gate: compare -candidate against -baseline")
-		baseline  = flag.String("baseline", "BENCH_native.json", "baseline report for -trend")
-		candidate = flag.String("candidate", "", "candidate report for -trend")
-		tol       = flag.Float64("tol", 0.30, "relative factor tolerance for -trend (0.30 = candidate factors may fall 30% below baseline)")
-		distRun   = flag.Bool("dist", false, "measure the distributed (multi-process) backend and write BENCH_dist.json")
-		distW     = flag.String("dist-workers", "1,2", "comma-separated worker-process counts for -dist")
-		distNet   = flag.String("dist-transport", "unix,tcp", "comma-separated rendezvous transports for -dist (unix, tcp)")
-		serveTr   = flag.Bool("serve-trend", false, "service trajectory gate: compare -serve-candidate against -serve-baseline")
-		serveBase = flag.String("serve-baseline", "BENCH_serve.json", "baseline serve report for -serve-trend")
-		serveCand = flag.String("serve-candidate", "", "candidate serve report for -serve-trend")
-		serveTol  = flag.Float64("serve-tol", 0.50, "relative tolerance for -serve-trend latency/throughput gates")
-		out       = flag.String("o", "BENCH_native.json", "output file for -native and -dist measurements")
-		traceOut  = flag.String("trace", "", "with -native: export a Chrome trace of one instrumented run to this file")
-		iters     = flag.Int("iters", 3, "repetitions per -native cell")
-		coresFlag = flag.String("cores", "", "comma-separated core counts (default 1,8,16,24,32; for -native: 1,2,NumCPU)")
+		coresFlag = flag.String("cores", "", "comma-separated core counts (default 1,8,16,24,32)")
 		small     = flag.Bool("small", false, "use the reduced test workloads")
 		quiet     = flag.Bool("q", false, "suppress per-cell progress")
 	)
@@ -92,8 +45,9 @@ func main() {
 	if *small {
 		scale = suite.Small
 	}
-	var cores []int
+	cores := bench.PaperCores
 	if *coresFlag != "" {
+		cores = nil
 		for _, tok := range strings.Split(*coresFlag, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(tok))
 			if err != nil || n < 1 {
@@ -101,8 +55,6 @@ func main() {
 			}
 			cores = append(cores, n)
 		}
-	} else if !*native {
-		cores = bench.PaperCores
 	}
 	var progress io.Writer
 	if !*quiet {
@@ -110,156 +62,6 @@ func main() {
 	}
 
 	switch {
-	case *distRun:
-		var dw []int
-		for _, tok := range strings.Split(*distW, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(tok))
-			if err != nil || n < 1 {
-				fatalf("bad -dist-workers value %q: want a positive integer", tok)
-			}
-			dw = append(dw, n)
-		}
-		var dnet []string
-		for _, tok := range strings.Split(*distNet, ",") {
-			tr := strings.TrimSpace(tok)
-			if tr != dist.TransportUnix && tr != dist.TransportTCP {
-				fatalf("bad -dist-transport value %q: want %s or %s", tr, dist.TransportUnix, dist.TransportTCP)
-			}
-			dnet = append(dnet, tr)
-		}
-		outPath := *out
-		if outPath == "BENCH_native.json" { // the -o default belongs to -native
-			outPath = "BENCH_dist.json"
-		}
-		rep, err := bench.RunDist(dw, *iters, scale, dnet, progress)
-		if err != nil {
-			fatalf("dist: %v", err)
-		}
-		f, err := os.Create(outPath)
-		if err != nil {
-			fatalf("dist: %v", err)
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			fatalf("dist: write %s: %v", outPath, err)
-		}
-		if err := f.Close(); err != nil {
-			fatalf("dist: close %s: %v", outPath, err)
-		}
-		fmt.Printf("distributed two-process proof (%s, %d CPUs) -> %s\n",
-			rep.GOARCH, rep.NumCPU, outPath)
-		rep.WriteTable(os.Stdout)
-	case *serveTr:
-		if *serveCand == "" {
-			fatalf("-serve-trend needs -serve-candidate (a fresh ompss-serve -load report)")
-		}
-		base, err := bench.LoadServeReport(*serveBase)
-		if err != nil {
-			fatalf("serve-trend: baseline: %v", err)
-		}
-		cand, err := bench.LoadServeReport(*serveCand)
-		if err != nil {
-			fatalf("serve-trend: candidate: %v", err)
-		}
-		res := bench.CompareServeTrend(base, cand, *serveTol)
-		fmt.Printf("serve-trend: compared %d metrics (%s -> %s, tolerance %.0f%%)\n",
-			res.Compared, *serveBase, *serveCand, *serveTol*100)
-		for _, w := range res.Warnings {
-			fmt.Printf("serve-trend warning: %s\n", w)
-		}
-		if !res.OK() {
-			for _, r := range res.Regressions {
-				fmt.Fprintf(os.Stderr, "serve-trend REGRESSION: %s\n", r)
-			}
-			os.Exit(1)
-		}
-		fmt.Println("serve-trend: OK — service trajectory holds")
-	case *trend:
-		if *candidate == "" {
-			fatalf("-trend needs -candidate (a freshly measured BENCH_native.json)")
-		}
-		base, err := bench.LoadNativeReport(*baseline)
-		if err != nil {
-			fatalf("trend: baseline: %v", err)
-		}
-		cand, err := bench.LoadNativeReport(*candidate)
-		if err != nil {
-			fatalf("trend: candidate: %v", err)
-		}
-		res := bench.CompareTrend(base, cand, *tol)
-		fmt.Printf("trend: compared %d factor pairs (%s -> %s, tolerance %.0f%%)\n",
-			res.Compared, *baseline, *candidate, *tol*100)
-		for _, w := range res.Warnings {
-			fmt.Printf("trend warning: %s\n", w)
-		}
-		if !res.OK() {
-			for _, r := range res.Regressions {
-				fmt.Fprintf(os.Stderr, "trend REGRESSION: %s\n", r)
-			}
-			os.Exit(1)
-		}
-		fmt.Println("trend: OK — performance trajectory holds")
-	case *native:
-		var names []string
-		if *oneBench != "" {
-			if _, err := suite.New(*oneBench, suite.Small); err != nil {
-				fatalf("%v\nvalid benchmarks: %s", err, strings.Join(suite.Names(), ", "))
-			}
-			names = []string{*oneBench}
-		}
-		rep, err := bench.RunNative(names, cores, *iters, scale, progress)
-		if err != nil {
-			fatalf("native: %v", err)
-		}
-		if *tune {
-			if rep.Autotune, err = bench.RunAutotune(cores, *iters, scale, progress); err != nil {
-				fatalf("native: autotune: %v", err)
-			}
-		}
-		f, err := os.Create(*out)
-		if err != nil {
-			fatalf("native: %v", err)
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			fatalf("native: write %s: %v", *out, err)
-		}
-		if err := f.Close(); err != nil {
-			fatalf("native: close %s: %v", *out, err)
-		}
-		fmt.Printf("native wall-clock measurements (%s, %d CPUs) -> %s\n",
-			rep.GOARCH, rep.NumCPU, *out)
-		rep.WriteTable(os.Stdout)
-		if *traceOut != "" {
-			// One extra instrumented repetition (outside the measured
-			// cells): the -bench selection if given, else the first suite
-			// app, at the largest requested worker count (harness default
-			// when -cores was not given).
-			name := suite.Names()[0]
-			if *oneBench != "" {
-				name = *oneBench
-			}
-			w := 0
-			for _, c := range cores {
-				if c > w {
-					w = c
-				}
-			}
-			tr, err := bench.RecordNativeTrace(name, w, scale)
-			if err != nil {
-				fatalf("trace: %v", err)
-			}
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fatalf("trace: %v", err)
-			}
-			if err := obs.WriteChromeTrace(f, tr); err != nil {
-				fatalf("trace: write %s: %v", *traceOut, err)
-			}
-			if err := f.Close(); err != nil {
-				fatalf("trace: close %s: %v", *traceOut, err)
-			}
-			fmt.Printf("chrome trace of %s (w=%d, %d events, %d dropped) -> %s\n",
-				name, tr.Workers, len(tr.Events), tr.TotalDropped(), *traceOut)
-		}
 	case *usability:
 		rows, err := bench.MeasureUsability("internal/suite")
 		if err != nil {

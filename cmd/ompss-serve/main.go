@@ -7,7 +7,7 @@
 //	    /v1/stats until interrupted; on SIGINT/SIGTERM the server drains —
 //	    new session-bearing requests answer 503, live sessions finish
 //	    (bounded by -drain-timeout), and the process exits 0
-//	ompss-serve -load -duration 5s -conc 8 -o BENCH_serve.json
+//	ompss-serve -load -duration 5s -conc 8 -o /tmp/load.json
 //	    drive the handler in-process with concurrent clients and record
 //	    p50/p90/p99 latency, requests/s, tasks/s, and the isolation
 //	    violation count; exits 1 on zero successful responses or any

@@ -5,8 +5,10 @@
 // against (package pthread), the simulated 4-socket cc-NUMA evaluation
 // machine (package machine over internal/vm), the paper's 10-benchmark
 // embedded/consumer suite (internal/suite), and the harness that
-// regenerates Table 1 and the §4/§5 mechanism analyses (internal/bench,
-// cmd/ompss-bench).
+// regenerates Table 1 and the §4/§5 mechanism analyses on that machine
+// (internal/bench, cmd/ompss-bench). Wall-clock measurement of the native,
+// service and distributed runtimes is the nested benchmark module's job
+// (benchmark/, declared by BENCHMARK.json).
 //
 // See README.md for a tour and quickstart, DESIGN.md for the system
 // inventory (including the first-class handle API: registered *Datum

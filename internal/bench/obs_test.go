@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"fmt"
 	"testing"
 
 	"ompssgo/internal/obs"
@@ -18,10 +17,8 @@ import (
 //     allocations to the submit hot path — its ceiling equals
 //     BenchmarkSubmitDatumPtr's.
 //
-// BenchmarkContendedThroughputTraced is the trace-on leg of the contended
-// throughput probe: compare its tasks/s against BenchmarkContendedThroughput
-// at the same worker count for the recorder-attached overhead
-// (EXPERIMENTS.md records the ≤5% measurement at w=2).
+// The recorder's time cost is the benchmark's obs.trace_overhead_pct
+// (benchmark/, every workload, traced pass vs untraced pass).
 
 // BenchmarkObsRecord measures one event emission into an attached
 // recorder, ring wraparound included (capacity far below b.N).
@@ -57,32 +54,4 @@ func BenchmarkSubmitDatumPtrObserved(b *testing.B) {
 		}
 	}
 	rt.Taskwait()
-}
-
-// BenchmarkContendedThroughputTraced is the recorder-attached leg of the
-// contended-throughput probe (same shape as BenchmarkContendedThroughput;
-// a fresh recorder per repetition, as a profiling run would attach one).
-func BenchmarkContendedThroughputTraced(b *testing.B) {
-	const (
-		chains = 64
-		tasks  = 20000
-		spin   = 120
-	)
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			var last ContentionResult
-			for i := 0; i < b.N; i++ {
-				rec := obs.NewRecorder()
-				last = MeasureContention(w, chains, tasks, spin, ompss.Observe(rec))
-				if last.Checksum != int64(last.Tasks) {
-					b.Fatalf("lost updates: %d != %d", last.Checksum, last.Tasks)
-				}
-				tr := rec.Snapshot()
-				if got := len(tr.Events) + int(tr.TotalDropped()); got < tasks {
-					b.Fatalf("trace accounts for %d events, want >= %d tasks", got, tasks)
-				}
-			}
-			b.ReportMetric(last.TasksPerSec(), "tasks/s")
-		})
-	}
 }

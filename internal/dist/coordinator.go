@@ -271,14 +271,15 @@ type taskInfo struct {
 }
 
 // send is one frame to transmit after the coordinator lock drops. kill is
-// the KillWorkerAfter fault hook, decided under the lock so transmit
-// touches no mutable worker state; gen guards the lost-worker path
+// the KillWorkerAfter fault hook — the process to kill after the send, nil
+// for none — captured under the lock so transmit touches no mutable worker
+// state (a respawn replaces w.cmd); gen guards the lost-worker path
 // against a connection replaced by a rejoin.
 type send struct {
 	w    *workerState
 	gen  int
 	f    *Frame
-	kill bool
+	kill *exec.Cmd
 }
 
 // RT is the coordinator runtime handed to the program function: Register
@@ -551,9 +552,9 @@ func (rt *RT) assignLocked(w *workerState, t *core.Task, info *taskInfo) send {
 			rt.rec.Emit(w.slot, obs.EvChain, t.ID, uint64(len(links)))
 		}
 	}
-	kill := false
+	var kill *exec.Cmd
 	if !rt.killFired && rt.cfg.killWorker == w.slot && w.sent >= rt.cfg.killAfter {
-		kill, rt.killFired = true, true
+		kill, rt.killFired = w.cmd, true
 	}
 	return send{w: w, gen: w.gen, f: f, kill: kill}
 }
@@ -732,8 +733,8 @@ func (rt *RT) transmit(sends []send) {
 			rt.workerLost(s.w, s.gen, fmt.Errorf("send: %w", err))
 			continue
 		}
-		if s.kill {
-			s.w.cmd.Process.Kill()
+		if s.kill != nil {
+			s.kill.Process.Kill()
 		}
 	}
 }

@@ -10,22 +10,27 @@ import (
 
 // --- worker-side task chains ---
 
-// TestDistChains: a linear fill→slow-inc→inc→inc dependence chain must
-// reach the worker in fewer dispatch frames than tasks — the slow link
-// holds its frame long enough that by the time any successor dispatches,
-// the rest of the chain is wired and rides along — while keeping the
-// exact transfer accounting of the unchained run. (The slow head makes
-// chain formation deterministic: a fast head can finish before its
-// successors are even submitted, legitimately leaving nothing to chain.)
+// TestDistChains: a linear fill→gated-inc→inc→inc dependence chain must
+// reach the worker in fewer dispatch frames than tasks — the gated link
+// holds its frame until the rest of the chain is submitted, so whenever a
+// successor dispatches the links behind it are wired and ride along —
+// while keeping the exact transfer accounting of the unchained run. (The
+// gate makes chain formation deterministic: a fast head can finish before
+// its successors are even submitted, legitimately leaving nothing to
+// chain.)
 func TestDistChains(t *testing.T) {
 	const n = 1 << 10
 	var final []byte
 	stats, err := Run(1, func(rt *RT) error {
 		d := rt.Register(make([]byte, n))
+		gate := newGate(t)
 		rt.Task("test.fill", []byte{7}, Out(d))
-		rt.Task("test.slow-inc", nil, InOut(d))
+		rt.Task("test.gated-inc", gate, InOut(d))
 		rt.Task("test.inc", nil, InOut(d))
 		rt.Task("test.inc", nil, InOut(d))
+		if err := openGate(gate); err != nil {
+			return err
+		}
 		if err := rt.Taskwait(); err != nil {
 			return err
 		}
@@ -77,11 +82,15 @@ func TestDistChainAbort(t *testing.T) {
 	stats, err := Run(1, func(rt *RT) error {
 		d := rt.Register(make([]byte, 64))
 		rt.Task("test.fill", []byte{1}, Out(d))
-		// The slow link pins a frame long enough that fail+inc are wired
-		// when the next dispatch happens, so a chain forms deterministically.
-		rt.Task("test.slow-inc", nil, InOut(d))
+		// The gated link pins a frame until fail+inc are wired, so a chain
+		// forms at the next dispatch.
+		gate := newGate(t)
+		rt.Task("test.gated-inc", gate, InOut(d))
 		hFail = rt.Task("test.fail", nil, InOut(d))
 		hDep = rt.Task("test.inc", nil, InOut(d))
+		if err := openGate(gate); err != nil {
+			return err
+		}
 		rt.Taskwait() // error expected; inspected via handles below
 		return nil
 	})
@@ -110,11 +119,16 @@ func TestDistWorkerLostMidChain(t *testing.T) {
 	var h1, h2 *Handle
 	_, err := Run(2, func(rt *RT) error {
 		d := rt.Register(make([]byte, 64))
-		// Frame 1 to worker 0 holds the lane for 300ms, so h1+h2 are both
-		// wired when it completes and ride frame 2 as one chain.
-		rt.Task("test.slow-inc", nil, InOut(d))
-		h1 = rt.Task("test.slow-inc", nil, InOut(d))
+		// Frame 1 to worker 0 holds the lane until h1+h2 are both wired, so
+		// they ride frame 2 as one chain; h1's own gate is never opened, so
+		// the kill after frame 2 lands while it runs.
+		gate := newGate(t)
+		rt.Task("test.gated-inc", gate, InOut(d))
+		h1 = rt.Task("test.gated-inc", newGate(t), InOut(d))
 		h2 = rt.Task("test.inc", nil, InOut(d)) // chains behind h1: frame 2
+		if err := openGate(gate); err != nil {
+			return err
+		}
 		rt.Taskwait()
 		return nil
 	}, KillWorkerAfter(0, 2))
@@ -137,6 +151,7 @@ func TestDistWorkerLostMidChain(t *testing.T) {
 // peer-to-peer instead of having the coordinator relay them.
 func TestDistForwarding(t *testing.T) {
 	const n = 1 << 12
+	gate := newGate(t)
 	var x, y []byte
 	stats, err := Run(2, func(rt *RT) error {
 		a := rt.Register(make([]byte, n))
@@ -146,8 +161,14 @@ func TestDistForwarding(t *testing.T) {
 		if err := rt.Taskwait(); err != nil { // a now resident on worker 0 only
 			return err
 		}
-		rt.Task("test.add", nil, In(a), In(a), Out(dx)) // worker 0 (affinity)
+		// Worker 0 (affinity) is held inside the first reader until the
+		// second has been placed — Task places a ready task before it
+		// returns — so the second cannot land on worker 0 too.
+		rt.Task("test.gated-add", gate, In(a), In(a), Out(dx))
 		rt.Task("test.add", nil, In(a), In(a), Out(dy)) // worker 1: a arrives by forward
+		if err := openGate(gate); err != nil {
+			return err
+		}
 		if err := rt.Taskwait(); err != nil {
 			return err
 		}
@@ -403,7 +424,7 @@ func TestDistRejoin(t *testing.T) {
 		}
 
 		b := rt.Register(make([]byte, n))
-		hVictim = rt.Task("test.slow-inc", nil, InOut(b)) // killed mid-sleep
+		hVictim = rt.Task("test.gated-inc", newGate(t), InOut(b)) // never opened: killed mid-task
 
 		y := rt.Register(make([]byte, n))
 		rt.Task("test.add", nil, In(a), In(a), Out(y)) // runs on the rejoined worker

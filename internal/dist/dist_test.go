@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -25,32 +26,60 @@ func init() {
 		}
 		return nil
 	})
-	RegisterKernel("test.add", func(args []byte, in, out [][]byte) error {
+	add := func(args []byte, in, out [][]byte) error {
 		for i := range out[0] {
 			out[0][i] = in[0][i] + in[1][i]
 		}
 		return nil
-	})
-	RegisterKernel("test.inc", func(args []byte, in, out [][]byte) error {
+	}
+	inc := func(args []byte, in, out [][]byte) error {
 		// InOut: out[0] arrives seeded with the read version.
 		for i := range out[0] {
 			out[0][i]++
 		}
 		return nil
-	})
-	RegisterKernel("test.slow-inc", func(args []byte, in, out [][]byte) error {
-		time.Sleep(300 * time.Millisecond)
-		for i := range out[0] {
-			out[0][i]++
+	}
+	RegisterKernel("test.add", add)
+	RegisterKernel("test.inc", inc)
+	// The gated kernels are held back until the file named by args exists
+	// (openGate): the test, not a sleep, decides how long the worker
+	// running one stays busy. A gate that is never opened holds the kernel
+	// until its worker is killed.
+	gated := func(k KernelFunc) KernelFunc {
+		return func(args []byte, in, out [][]byte) error {
+			if err := awaitGate(string(args)); err != nil {
+				return err
+			}
+			return k(nil, in, out)
 		}
-		return nil
-	})
+	}
+	RegisterKernel("test.gated-add", gated(add))
+	RegisterKernel("test.gated-inc", gated(inc))
 	RegisterKernel("test.fail", func(args []byte, in, out [][]byte) error {
 		return fmt.Errorf("deliberate failure")
 	})
 	RegisterKernel("test.panic", func(args []byte, in, out [][]byte) error {
 		panic("deliberate panic")
 	})
+}
+
+// newGate names a gate file for the test.gated-* kernels; it starts closed.
+func newGate(t *testing.T) []byte {
+	return []byte(filepath.Join(t.TempDir(), "gate"))
+}
+
+func openGate(gate []byte) error { return os.WriteFile(string(gate), nil, 0o600) }
+
+// awaitGate polls (worker side) until the gate file exists.
+func awaitGate(path string) error {
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, err := os.Stat(path); err == nil {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("gate %s never opened", path)
+		}
+	}
 }
 
 func TestDistBasic(t *testing.T) {
@@ -240,9 +269,9 @@ func TestDistWorkerKillConfinement(t *testing.T) {
 	stats, err := Run(2, func(rt *RT) error {
 		// First dispatch lands on worker 0 (all affinity scores are zero
 		// and slot order breaks ties); the kill hook fires right after
-		// that send, while the slow kernel is still asleep.
+		// that send, while the kernel waits on a gate nobody opens.
 		dv := rt.Register(make([]byte, n))
-		hVictim = rt.Task("test.slow-inc", nil, InOut(dv))
+		hVictim = rt.Task("test.gated-inc", newGate(t), InOut(dv))
 		hDep = rt.Task("test.inc", nil, InOut(dv))
 
 		ds := rt.Register(make([]byte, n))
@@ -283,7 +312,7 @@ func TestDistAllWorkersLost(t *testing.T) {
 	var hLate *Handle
 	_, err := Run(1, func(rt *RT) error {
 		d := rt.Register(make([]byte, 64))
-		rt.Task("test.slow-inc", nil, InOut(d))
+		rt.Task("test.gated-inc", newGate(t), InOut(d)) // never opened: killed mid-task
 		hLate = rt.Task("test.inc", nil, InOut(d))
 		rt.Taskwait()
 		return nil

@@ -11,11 +11,12 @@ import (
 	"time"
 )
 
-// The load generator is the serving counterpart of the bench harness: it
-// drives the kernel endpoints with concurrent closed-loop clients for a
-// fixed duration and folds the outcome into a ServeReport — request latency
-// percentiles (p50/p90/p99), request and task throughput, and the isolation
-// violation count — the numbers BENCH_serve.json and EXPERIMENTS.md record.
+// The load generator drives the kernel endpoints with concurrent
+// closed-loop clients for a fixed duration and folds the outcome into a
+// ServeReport — request latency percentiles (p50/p90/p99), request and task
+// throughput, and the isolation violation count. It is the only client
+// that reaches a booted server over real HTTP (-target); the measured
+// service numbers are the benchmark's serve-mix workload.
 
 // LoadOptions parameterizes one load run.
 type LoadOptions struct {
@@ -47,7 +48,7 @@ type EndpointLoad struct {
 	P99NS    int64  `json:"p99_ns"`
 }
 
-// ServeReport is the BENCH_serve.json document.
+// ServeReport is the document ompss-serve -load -o writes.
 type ServeReport struct {
 	Schema    string `json:"schema"`
 	GoVersion string `json:"go_version"`

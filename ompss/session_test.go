@@ -78,9 +78,11 @@ func TestSessionCloseSkipsPending(t *testing.T) {
 
 	closed := make(chan error, 1)
 	go func() { closed <- s.Close() }()
-	// Close is draining: it cancelled the pending chain and is waiting for
-	// the head. Release it.
-	time.Sleep(10 * time.Millisecond)
+	// Release the head only once Close has cancelled the pending chain and
+	// is draining, or the chain could run before the cancellation lands.
+	for s.CancelCause() == nil {
+		time.Sleep(50 * time.Microsecond)
+	}
 	close(release)
 	if err := <-closed; !errors.Is(err, ompss.ErrSessionClosed) {
 		t.Fatalf("Close = %v, want ErrSessionClosed cause (skipped children)", err)
