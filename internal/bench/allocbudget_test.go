@@ -12,8 +12,10 @@ import (
 // testdata/alloc_budget.json. Allocation counts on this path are
 // deterministic (no GOMAXPROCS or timing dependence at Workers(1)), so the
 // ceilings are exact: a one-allocation regression fails loudly in CI's
-// bench-smoke job instead of drowning in a benchmark log. When an
-// optimization lowers a count, ratchet the budget file down with it.
+// bench-smoke job instead of drowning in a benchmark log. The check is
+// two-sided — a count more than 1 below its ceiling fails too, naming the
+// number to commit — so an optimization has to ratchet the file down with
+// it and the ceilings never go stale.
 func TestSubmitAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-driven; skipped in -short")
@@ -70,11 +72,15 @@ func TestSubmitAllocBudget(t *testing.T) {
 			continue
 		}
 		res := testing.Benchmark(fn)
-		if got := res.AllocsPerOp(); got > budget {
+		switch got := res.AllocsPerOp(); {
+		case got > budget:
 			t.Errorf("%s: %d allocs/op exceeds budget %d (testdata/alloc_budget.json) — "+
 				"either fix the regression or justify raising the budget",
 				name, got, budget)
-		} else {
+		case got < budget-1:
+			t.Errorf("%s: %d allocs/op is well under its stale budget %d — "+
+				"lower it to %d in testdata/alloc_budget.json", name, got, budget, got)
+		default:
 			t.Logf("%s: %d allocs/op (budget %d)", name, got, budget)
 		}
 	}

@@ -41,15 +41,21 @@ func (m *miniExec) runAll() {
 			continue
 		}
 		m.g.MarkRunning(t, w)
-		var err error
-		if t.Body != nil {
-			err = t.Body()
-		}
+		err := runBody(t)
 		m.order = append(m.order, t)
 		for _, r := range m.g.Finish(t, err) {
 			m.s.PushReady(r, w)
 		}
 	}
+}
+
+// runBody plays the executor: these tests keep a task's body in Owner, the
+// opaque slot the engine carries for whoever dispatches the task.
+func runBody(t *Task) error {
+	if body, ok := t.Owner.(func() error); ok {
+		return body()
+	}
+	return nil
 }
 
 func pos(order []*Task, t *Task) int {
@@ -94,7 +100,7 @@ func TestRAWChainSerializes(t *testing.T) {
 		tk := &Task{
 			Label:    fmt.Sprint(i),
 			Accesses: []Access{{Key: x, Mode: InOut}},
-			Body: func() error {
+			Owner: func() error {
 				if val != i {
 					t.Errorf("task %d saw val=%d", i, val)
 				}
@@ -247,7 +253,7 @@ func TestPipelineCircularBuffer(t *testing.T) {
 			}
 			tk := &Task{
 				Label: fmt.Sprintf("s%d.i%d", s, k),
-				Body:  func() error { exec[s] = append(exec[s], k); return nil },
+				Owner: func() error { exec[s] = append(exec[s], k); return nil },
 			}
 			tk.Accesses = acc
 			all = append(all, tk)
@@ -426,7 +432,7 @@ func TestDataflowEquivalenceProperty(t *testing.T) {
 			tk.Accesses = spec.accesses
 			expected := spec.expect
 			accs := spec.accesses
-			tk.Body = func() error {
+			tk.Owner = func() error {
 				for _, a := range accs {
 					di := indexOf(keys, a.Key)
 					if a.Reads() && a.Mode != Concurrent {

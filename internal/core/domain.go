@@ -8,8 +8,8 @@ import "sync/atomic"
 // propagate along dependence edges only between tasks of the same domain,
 // and a domain cancellation induces skip-release only for its own tasks —
 // and one admission-accounting unit: the executor charges the domain before
-// submitting and Finish credits it, so InFlight is an exact
-// submitted-but-unfinished count usable as a backpressure budget.
+// submitting and Finish credits it, so InFlight (submitted − finished, never
+// an underestimate) is usable as a backpressure budget.
 //
 // The zero Domain is valid (no overrides, never cancelled). A nil Domain on
 // a task means "no domain": such tasks propagate failures to, and accept
@@ -35,8 +35,14 @@ type Domain struct {
 	Owner any
 
 	cancelled atomic.Pointer[errBox]
-	inflight  atomic.Int64
+
+	// Split by writer, like the graph's counters: submitted is written by
+	// the charging (submit) side only, the rest by Finish only, each group
+	// on a line of its own and apart from the read-mostly fields above.
+	// InFlight is derived.
+	_         [64]byte
 	submitted atomic.Uint64
+	_         [64]byte
 	finished  atomic.Uint64
 	failed    atomic.Uint64
 	skipped   atomic.Uint64
@@ -95,10 +101,8 @@ func (d *Domain) Charge() { d.ChargeN(1) }
 
 // ChargeN charges n tasks at once (batch submission).
 func (d *Domain) ChargeN(n int64) {
-	d.inflight.Add(n)
 	d.submitted.Add(uint64(n))
 	if d.Parent != nil {
-		d.Parent.inflight.Add(n)
 		d.Parent.submitted.Add(uint64(n))
 	}
 }
@@ -106,10 +110,8 @@ func (d *Domain) ChargeN(n int64) {
 // Uncharge rolls back a Charge whose task was never submitted (a rejected
 // batch).
 func (d *Domain) Uncharge(n int64) {
-	d.inflight.Add(-n)
 	d.submitted.Add(^uint64(n - 1))
 	if d.Parent != nil {
-		d.Parent.inflight.Add(-n)
 		d.Parent.submitted.Add(^uint64(n - 1))
 	}
 }
@@ -117,31 +119,38 @@ func (d *Domain) Uncharge(n int64) {
 // taskFinished credits the domain for one finished task (called by
 // Graph.Finish).
 func (d *Domain) taskFinished(err error, skipped bool) {
-	d.finished.Add(1)
 	if err != nil {
 		d.failed.Add(1)
 	}
 	if skipped {
 		d.skipped.Add(1)
 	}
-	d.inflight.Add(-1)
+	// Last: this is what drops InFlight, so whoever sees the domain drained
+	// also sees the failure counts above.
+	d.finished.Add(1)
 	if d.Parent != nil {
 		d.Parent.finished.Add(1)
-		d.Parent.inflight.Add(-1)
 	}
 }
 
-// InFlight returns the number of charged-but-unfinished tasks.
-func (d *Domain) InFlight() int64 { return d.inflight.Load() }
+// InFlight returns the number of charged-but-unfinished tasks. Finished is
+// read first, so under concurrency the estimate only errs high — the safe
+// side for an admission budget, and zero still means drained.
+func (d *Domain) InFlight() int64 {
+	fin := d.finished.Load()
+	return int64(d.submitted.Load() - fin)
+}
 
 // Stats returns a snapshot of the domain counters.
 func (d *Domain) Stats() DomainStats {
+	fin := d.finished.Load()
+	sub := d.submitted.Load()
 	return DomainStats{
-		Submitted: d.submitted.Load(),
-		Finished:  d.finished.Load(),
+		Submitted: sub,
+		Finished:  fin,
 		Failed:    d.failed.Load(),
 		Skipped:   d.skipped.Load(),
-		InFlight:  d.inflight.Load(),
+		InFlight:  int64(sub - fin),
 	}
 }
 

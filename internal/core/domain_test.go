@@ -108,7 +108,7 @@ func TestFinishConfinesFailureToDomain(t *testing.T) {
 	x := new(int)
 	boom := fmt.Errorf("boom")
 	head := &Task{Domain: domA, Accesses: []Access{{Key: x, Mode: Out}},
-		Body: func() error { return boom }}
+		Owner: func() error { return boom }}
 	sameDom := &Task{Domain: domA, Accesses: []Access{{Key: x, Mode: In}}}
 	crossDom := &Task{Domain: domB, Accesses: []Access{{Key: x, Mode: In}}}
 	m.submit(head)
@@ -124,46 +124,6 @@ func TestFinishConfinesFailureToDomain(t *testing.T) {
 	}
 	if pos(m.order, head) > pos(m.order, crossDom) {
 		t.Fatal("cross-domain edge did not order execution")
-	}
-}
-
-// TestTaskReset checks recycling hygiene: a task that went through a full
-// submit/run/finish cycle resets to a state indistinguishable from a fresh
-// record for every field the engine consults.
-func TestTaskReset(t *testing.T) {
-	dom := &Domain{ID: 3}
-	m := newMiniExec(2, true, 1)
-	x := new(int)
-	a := &Task{ID: 11, Label: "a", Domain: dom, Priority: 2,
-		Accesses: []Access{{Key: x, Mode: Out}},
-		Body:     func() error { return fmt.Errorf("boom") }}
-	b := &Task{ID: 12, Label: "b", Domain: dom,
-		Accesses: []Access{{Key: x, Mode: In}}}
-	m.submit(a)
-	m.submit(b)
-	m.runAll()
-	if a.Upstream() != nil || b.Upstream() == nil {
-		t.Fatal("setup: expected b to carry a's failure")
-	}
-
-	for _, tk := range []*Task{a, b} {
-		tk.MarkSkipped()
-		tk.Reset()
-		if tk.ID != 0 || tk.Label != "" || tk.Body != nil || tk.Accesses != nil ||
-			tk.Priority != 0 || tk.Domain != nil || tk.Parent != nil ||
-			tk.Preds != nil || tk.Upstream() != nil || tk.Skipped() || tk.Finished() {
-			t.Fatalf("Reset left state behind: %+v", tk)
-		}
-	}
-	// A recycled record must be submittable again.
-	m2 := newMiniExec(1, false, 2)
-	ran := false
-	a.Body = func() error { ran = true; return nil }
-	a.Accesses = []Access{{Key: x, Mode: InOut}}
-	m2.submit(a)
-	m2.runAll()
-	if !ran || !a.Finished() {
-		t.Fatal("recycled task did not run to completion")
 	}
 }
 

@@ -99,9 +99,7 @@ func (d *Datum) Region() Region { return d.region }
 // shards. The simulator drives the same code serialized, where every lock
 // is uncontended.
 type Graph struct {
-	shards     [numShards]gshard
-	nextID     atomic.Uint64
-	unfinished atomic.Int64 // submitted but not finished (all contexts)
+	shards [numShards]gshard
 
 	// Renaming policy (ConfigureRenaming): written once before the first
 	// submission, read under shard locks afterwards.
@@ -117,14 +115,20 @@ type Graph struct {
 	// cap check reads it so the cap can adapt online.
 	tun *Tunables
 
-	stSubmitted       atomic.Uint64
-	stFinished        atomic.Uint64
+	// The counters are split by writer so a submitter and a finisher never
+	// read-modify-write the same cache line: the first group is written on
+	// the submit side only, the second on the dispatch/finish side only.
+	// Submitted and Unfinished are derived (nextID, nextID − stFinished).
+	_                 [64]byte
+	nextID            atomic.Uint64 // also the submitted count: every ID is one Submit
 	stEdges           atomic.Uint64
 	stInlined         atomic.Uint64
-	stFailed          atomic.Uint64
-	stSkipped         atomic.Uint64
 	stRenamed         atomic.Uint64
 	stRenameFallbacks atomic.Uint64
+	_                 [64]byte
+	stFinished        atomic.Uint64
+	stFailed          atomic.Uint64
+	stSkipped         atomic.Uint64
 	stWritebacks      atomic.Uint64
 }
 
@@ -140,7 +144,7 @@ func NewGraph() *Graph {
 // Stats returns a snapshot of the graph counters.
 func (g *Graph) Stats() GraphStats {
 	return GraphStats{
-		Submitted:       g.stSubmitted.Load(),
+		Submitted:       g.nextID.Load(),
 		Finished:        g.stFinished.Load(),
 		Edges:           g.stEdges.Load(),
 		Inlined:         g.stInlined.Load(),
@@ -195,7 +199,12 @@ func (g *Graph) RegisterRegion(base any, lo, hi int64) *Datum {
 }
 
 // Unfinished returns the number of in-flight tasks across all contexts.
-func (g *Graph) Unfinished() int64 { return g.unfinished.Load() }
+// Finished is read first, so under concurrency the estimate only errs high:
+// zero means the graph really was drained at that instant.
+func (g *Graph) Unfinished() int64 {
+	fin := g.stFinished.Load()
+	return int64(g.nextID.Load() - fin)
+}
 
 // shardFor returns the shard index a dependence key hashes to; Region keys
 // shard by their base so all sections of one array share a shard.
@@ -278,19 +287,16 @@ func (g *Graph) SubmitBatch(ts []*Task) (ready []*Task) {
 	return ready
 }
 
-// initTask assigns t its ID and completion channel and charges the graph and
-// parent-context counters, leaving npred at 1 (the submission guard).
+// initTask assigns t its ID (which also counts it as submitted) and charges
+// the parent context, leaving npred at 1 (the submission guard).
 func (g *Graph) initTask(t *Task) {
 	t.ID = g.nextID.Add(1)
-	if t.done == nil {
-		t.done = make(chan struct{})
-	}
-	atomic.StoreInt32(&t.state, stateCreated)
 	// Submission guard: npred starts at 1 so concurrently finishing
 	// predecessors can never release t before its edges are fully wired.
 	atomic.StoreInt32(&t.npred, 1)
-	g.stSubmitted.Add(1)
-	g.unfinished.Add(1)
+	if t.Preds == nil {
+		t.Preds = t.predBuf[:0]
+	}
 	if t.Parent != nil {
 		t.Parent.add(1)
 	}
@@ -463,7 +469,10 @@ func wireExact(d *drec, t *Task, mode Mode, addPred func(*Task)) {
 			addPred(c)
 		}
 		d.lastWriter = t
-		d.readers = nil
+		// Truncate rather than drop: an InOut chain reuses the one-element
+		// backing array for every link instead of allocating it anew.
+		clear(d.readers)
+		d.readers = d.readers[:0]
 		d.commuters = nil
 		d.concurrents = nil
 		if mode == InOut {
@@ -479,13 +488,18 @@ func (g *Graph) MarkRunning(t *Task, worker int) {
 }
 
 // Finish completes t with the given outcome: records the error, closes the
-// done channel, credits its parent context, propagates a non-nil error to
-// every wired successor (first error wins — the skip-release path the
-// executor's failure policy consults at dispatch), and returns the
-// successors that became ready. The caller enqueues them. Safe concurrently
-// with Submits wiring edges from t — the per-task succ lock decides each
-// edge race, and the atomic npred decrement means exactly one finisher (or
-// the submitter) releases each successor.
+// done channel if one was handed out, credits its parent context, propagates
+// a non-nil error to every wired successor (first error wins — the
+// skip-release path the executor's failure policy consults at dispatch), and
+// returns the successors that became ready. The caller enqueues them. Safe
+// concurrently with Submits wiring edges from t — the per-task succ lock
+// decides each edge race, and the atomic npred decrement means exactly one
+// finisher (or the submitter) releases each successor.
+//
+// The result is t's detached successor list compacted in place — for a
+// single successor, the slot inside t itself. Consume it at once, and clear
+// it afterwards if t may stay reachable (a retained future), or t would pin
+// every task released behind it.
 func (g *Graph) Finish(t *Task, err error) (newlyReady []*Task) {
 	t.outcome = err
 	// Release version bindings (and run any resulting writeback) BEFORE
@@ -496,22 +510,26 @@ func (g *Graph) Finish(t *Task, err error) (newlyReady []*Task) {
 	if t.bindings != nil {
 		g.releaseBindings(t, err)
 	}
-	succs := t.takeSuccsAndFinish()
-	close(t.done)
-	g.stFinished.Add(1)
+	succs, done := t.takeSuccsAndFinish()
+	if done != nil {
+		close(done)
+	}
 	if err != nil {
 		g.stFailed.Add(1)
 		if t.Parent != nil {
 			t.Parent.NoteErr(err)
 		}
 	}
-	g.unfinished.Add(-1)
-	if t.Parent != nil {
-		t.Parent.add(-1)
-	}
+	g.stFinished.Add(1)
 	if t.Domain != nil {
 		t.Domain.taskFinished(err, t.Skipped())
 	}
+	// The parent context drops last: whoever a taskwait lets go finds the
+	// graph and domain counters above already settled.
+	if t.Parent != nil {
+		t.Parent.add(-1)
+	}
+	newlyReady = succs[:0]
 	for _, s := range succs {
 		if err != nil && sameDomain(t, s) {
 			// Publish the failure before dropping the predecessor count, so
@@ -525,6 +543,7 @@ func (g *Graph) Finish(t *Task, err error) (newlyReady []*Task) {
 			newlyReady = append(newlyReady, s)
 		}
 	}
+	clear(succs[len(newlyReady):]) // successors still waiting on someone else
 	return newlyReady
 }
 

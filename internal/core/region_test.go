@@ -149,7 +149,7 @@ func TestRegionElementOracleProperty(t *testing.T) {
 			lo2, hi2 := lo, hi
 			tk := &Task{
 				Accesses: []Access{{Key: reg(base, lo, hi), Mode: mode}},
-				Body: func() error {
+				Owner: func() error {
 					if mode == In || mode == InOut {
 						for i := lo2; i < hi2; i++ {
 							if data[i] != expect[i-lo2] {

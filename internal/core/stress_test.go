@@ -39,7 +39,7 @@ func TestEngineConcurrentStress(t *testing.T) {
 
 	runOne := func(tk *Task, lane int) {
 		g.MarkRunning(tk, lane)
-		tk.Body()
+		runBody(tk)
 		for _, r := range g.Finish(tk, nil) {
 			s.PushReady(r, lane)
 		}
@@ -85,7 +85,7 @@ func TestEngineConcurrentStress(t *testing.T) {
 					acc = append(acc, Access{Key: keys[di], Mode: modes[rng.Intn(len(modes))]})
 				}
 				tk := &Task{Accesses: acc}
-				tk.Body = func() error { runCount[id].Add(1); return nil }
+				tk.Owner = func() error { runCount[id].Add(1); return nil }
 				if g.Submit(tk) {
 					s.PushSubmit(tk)
 				}
@@ -130,7 +130,7 @@ func TestSubmitVsFinishRace(t *testing.T) {
 		x := new(int)
 		var ran0, ran1 atomic.Int32
 		t0 := &Task{Accesses: []Access{{Key: x, Mode: Out}}}
-		t0.Body = func() error { ran0.Add(1); return nil }
+		t0.Owner = func() error { ran0.Add(1); return nil }
 		if !g.Submit(t0) {
 			t.Fatal("t0 should be ready")
 		}
@@ -141,13 +141,13 @@ func TestSubmitVsFinishRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			g.MarkRunning(t0, 0)
-			t0.Body()
+			runBody(t0)
 			for _, r := range g.Finish(t0, nil) {
 				s.PushReady(r, 0)
 			}
 		}()
 		t1 := &Task{Accesses: []Access{{Key: x, Mode: In}}}
-		t1.Body = func() error { ran1.Add(1); return nil }
+		t1.Owner = func() error { ran1.Add(1); return nil }
 		ready := g.Submit(t1)
 		wg.Wait()
 
@@ -163,7 +163,7 @@ func TestSubmitVsFinishRace(t *testing.T) {
 			t.Fatalf("iter %d: popped %v, want t1", i, got)
 		}
 		g.MarkRunning(t1, 1)
-		t1.Body()
+		runBody(t1)
 		g.Finish(t1, nil)
 		if s.Pop(1) != nil {
 			t.Fatalf("iter %d: t1 enqueued twice", i)

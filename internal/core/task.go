@@ -102,69 +102,55 @@ func (a Access) Reads() bool {
 // Writes reports whether the access produces a new datum value.
 func (a Access) Writes() bool { return a.Mode == Out || a.Mode == InOut }
 
-// Task is one node of the dataflow graph.
+// Task is one node of the dataflow graph. The fields are grouped by who
+// touches them, so the lanes that dispatch and finish a task stay off the
+// cache lines only its submitter needs: first what dispatch and Finish read
+// and write, then what is written once at spawn for the wiring and traces.
 type Task struct {
-	ID    uint64
-	Label string
-	// Body executes the task and returns its outcome. A nil return is
-	// success; a non-nil error is recorded on the task (see Err) and, under
-	// the executor's failure policy, propagates along dependence edges to
-	// successors. The executor layer wraps user bodies so panics surface
-	// here as errors rather than unwinding the worker.
-	Body     func() error
-	Accesses []Access
-	// Priority biases dispatch order: higher-priority ready tasks are
-	// popped before FIFO-ordered peers.
-	Priority int
-	// affinity is the task's placement hint, encoded as home shard + 1 so
-	// the zero value (struct-literal construction) means "no hint". Set via
-	// SetAffinity; the scheduler reads it through AffinityShard.
-	affinity uint32
-	// CPUCost is the simulated execution cost hint in nanoseconds; the
-	// native executor ignores it.
-	CPUCost int64
-	// Iters is the number of loop iterations this task covers when it was
-	// spawned as one TaskLoop chunk (0 for ordinary tasks). The feedback
-	// controller divides measured execution time by it to learn per-
-	// iteration cost for the task's label.
-	Iters int
+	// Owner is an opaque executor backpointer: the spawn record this task is
+	// embedded in, which holds the body the executor runs at dispatch. The
+	// engine never touches it (a bare Task is a pure dependence node).
+	Owner any
 	// Parent is the context (spawning scope) whose taskwait covers this
 	// task.
 	Parent *Context
 	// Domain is the failure/cancellation/accounting domain this task belongs
 	// to (nil for domain-less tasks; see Domain). Set before submission.
 	Domain *Domain
+	// Priority biases dispatch order: higher-priority ready tasks are
+	// popped before FIFO-ordered peers.
+	Priority int
 	// Worker records where the task executed (set by the executor).
 	Worker int
 
-	// Preds records the IDs of the tasks this one had to wait for at
-	// submission (for tracing and DOT export; kept after they finish).
-	Preds []uint64
-
-	// bindings records the datum instances this task's accesses were wired
-	// against (renameable datums only — see rename.go). Appended under the
-	// owning shard lock during Submit, read by the body via PayloadFor,
-	// released by Finish.
-	bindings []verBinding
-
-	npred  int32      // atomic: unfinished predecessors (+1 submission guard while wiring)
-	succMu sync.Mutex // guards succs against the add-successor vs. finish race
-	succs  []*Task    // tasks waiting on this one
-	state  int32      // atomic taskState
-	done   chan struct{}
-
-	// outcome is the task's final error, written by Finish before the done
-	// channel closes (so any reader that observed Done/Finished sees it).
+	npred int32 // atomic: unfinished predecessors (+1 submission guard while wiring)
+	state int32 // atomic taskState
+	// affinity is the task's placement hint, encoded as home shard + 1 so
+	// the zero value (struct-literal construction) means "no hint". Set via
+	// SetAffinity; the scheduler reads it through AffinityShard.
+	affinity uint32
+	// skipped records that the executor released this task without running
+	// its body (failure policy or cancellation).
+	skipped atomic.Bool
+	succMu  sync.Mutex // guards succs and done against the add-successor/Done vs. finish race
+	succs   []*Task    // tasks waiting on this one; the first lives in succBuf
+	succBuf [1]*Task
+	// done is created by Done for a caller that actually selects on it; a
+	// task nobody waits on by channel never has one.
+	done chan struct{}
+	// outcome is the task's final error, written by Finish before the task
+	// turns finished (so any reader that observed Done/Finished sees it).
 	outcome error
 	// upstream is the first error that reached this task along a dependence
 	// edge from a failing predecessor, set by the predecessor's Finish
 	// before it drops this task's npred. The executor consults it at
 	// dispatch to decide whether to skip the body.
 	upstream atomic.Pointer[errBox]
-	// skipped records that the executor released this task without running
-	// its body (failure policy or cancellation).
-	skipped atomic.Bool
-
+	// bindings records the datum instances this task's accesses were wired
+	// against (renameable datums only — see rename.go). Appended under the
+	// owning shard lock during Submit, read by the body via PayloadFor,
+	// released by Finish.
+	bindings []verBinding
 	// renamed / renameFB attribute the graph's rename decisions to this
 	// task: a write-mode access received a fresh instance, or stalled only
 	// because the in-flight version cap was full. Written under the owning
@@ -173,6 +159,23 @@ type Task struct {
 	// atomics are needed.
 	renamed  bool
 	renameFB bool
+
+	ID       uint64
+	Label    string
+	Accesses []Access
+	// CPUCost is the simulated execution cost hint in nanoseconds; the
+	// native executor ignores it.
+	CPUCost int64
+	// Iters is the number of loop iterations this task covers when it was
+	// spawned as one TaskLoop chunk (0 for ordinary tasks). The feedback
+	// controller divides measured execution time by it to learn per-
+	// iteration cost for the task's label.
+	Iters int
+	// Preds records the IDs of the tasks this one had to wait for at
+	// submission (for tracing and DOT export; kept after they finish). The
+	// first two live in predBuf, so a chain task allocates nothing for them.
+	Preds   []uint64
+	predBuf [2]uint64
 }
 
 // Renamed reports whether any of the task's write-mode accesses received a
@@ -274,51 +277,25 @@ func (t *Task) addSucc(s *Task) bool {
 	if atomic.LoadInt32(&t.state) == stateFinished {
 		return false
 	}
+	if t.succs == nil {
+		t.succs = t.succBuf[:0]
+	}
 	t.succs = append(t.succs, s)
 	return true
 }
 
 // takeSuccsAndFinish atomically marks t finished and detaches its successor
-// list: after it returns, addSucc refuses new edges, so Finish decrements
-// exactly the successors that were wired.
-func (t *Task) takeSuccsAndFinish() []*Task {
+// list and completion channel: after it returns, addSucc refuses new edges,
+// so Finish decrements exactly the successors that were wired, and Done
+// answers with a closed channel of its own, so Finish closes exactly the
+// channel that was handed out.
+func (t *Task) takeSuccsAndFinish() (succs []*Task, done chan struct{}) {
 	t.succMu.Lock()
 	atomic.StoreInt32(&t.state, stateFinished)
-	succs := t.succs
+	succs, done = t.succs, t.done
 	t.succs = nil
 	t.succMu.Unlock()
-	return succs
-}
-
-// Reset returns a finished task to its zero state so the executor can pool
-// and reuse the object (request-scoped graph arenas recycle task records
-// wholesale). The caller must guarantee the task is finished and no longer
-// reachable — not held by a handle, a successor list, or a dependence
-// record (see Graph.Forget / Graph.Release). Field-by-field so the mutex
-// and atomics are never copied.
-func (t *Task) Reset() {
-	t.ID = 0
-	t.Label = ""
-	t.Body = nil
-	t.Accesses = nil
-	t.Priority = 0
-	t.affinity = 0
-	t.CPUCost = 0
-	t.Iters = 0
-	t.Parent = nil
-	t.Domain = nil
-	t.Worker = 0
-	t.Preds = nil
-	t.bindings = nil
-	atomic.StoreInt32(&t.npred, 0)
-	t.succs = nil
-	atomic.StoreInt32(&t.state, stateCreated)
-	t.done = nil
-	t.outcome = nil
-	t.upstream.Store(nil)
-	t.skipped.Store(false)
-	t.renamed = false
-	t.renameFB = false
+	return succs, done
 }
 
 type taskState int32
@@ -330,18 +307,27 @@ const (
 	stateFinished
 )
 
-// Done returns a channel closed when the task finishes. Used by native
-// TaskwaitOn waiters.
-func (t *Task) Done() <-chan struct{} { return t.done }
+// closedDone is what Done answers for a task that finished before anyone
+// asked for its channel.
+var closedDone = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
 
-// EnsureDone pre-creates the completion channel, so an executor layer can
-// hand out a live future for a task before it is submitted (batch
-// submission defers Graph.Submit, which otherwise creates the channel).
-// Call from the constructing goroutine only, before the task is published.
-func (t *Task) EnsureDone() {
+// Done returns a channel closed when the task finishes. The channel is
+// created on first use — before or after submission, from any goroutine —
+// so tasks nobody selects on never pay for one.
+func (t *Task) Done() <-chan struct{} {
+	t.succMu.Lock()
+	defer t.succMu.Unlock()
 	if t.done == nil {
+		if atomic.LoadInt32(&t.state) == stateFinished {
+			return closedDone
+		}
 		t.done = make(chan struct{})
 	}
+	return t.done
 }
 
 // Finished reports whether the task has completed. Safe without the engine

@@ -754,6 +754,7 @@ func (rt *RT) finishLocked(t *core.Task, err error) {
 		}
 		rt.ready = append(rt.ready, n)
 	}
+	clear(newly) // may be t's own successor slot; a kept Handle must not pin them
 	rt.cond.Broadcast()
 }
 

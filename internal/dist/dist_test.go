@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 )
@@ -332,5 +333,52 @@ func TestDistAllWorkersLost(t *testing.T) {
 func TestRunRejectsZeroWorkers(t *testing.T) {
 	if _, err := Run(0, func(rt *RT) error { return nil }); err == nil {
 		t.Fatal("Run(0) accepted")
+	}
+}
+
+// TestDistHandleErrWaitsOnLazyDone covers the one consumer of core's
+// completion channel outside ompss.Handle: dist's Handle.Err blocks on
+// <-t.Done(), which is created on first use. Several goroutines wait on a
+// gated task (and on its dependent, which the failure skips) before the
+// worker finishes it, others ask only afterwards; all see the outcome.
+func TestDistHandleErrWaitsOnLazyDone(t *testing.T) {
+	gate := newGate(t)
+	_, err := Run(1, func(rt *RT) error {
+		d := rt.Register(make([]byte, 64))
+		held := rt.Task("test.gated-inc", gate, InOut(d))
+		fail := rt.Task("test.fail", nil, InOut(d))
+		dep := rt.Task("test.inc", nil, InOut(d))
+
+		check := func() {
+			if err := held.Err(); err != nil {
+				t.Errorf("gated task: %v", err)
+			}
+			var re *RemoteError
+			if err := fail.Err(); !errors.As(err, &re) {
+				t.Errorf("failing task: %v, want a RemoteError", err)
+			}
+			var se *SkipError
+			if err := dep.Err(); !errors.As(err, &se) || !dep.Skipped() {
+				t.Errorf("dependent: %v, want a SkipError", err)
+			}
+		}
+		var wg sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				check() // blocks until the gate opens
+			}()
+		}
+		if err := openGate(gate); err != nil {
+			return err
+		}
+		wg.Wait()
+		rt.Taskwait() // the failure is expected; the handles carry it
+		check()       // channels asked for after the finish are closed too
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 }

@@ -5,7 +5,7 @@
 // body the batch harness measures, verifies the result against a cached
 // sequential reference, and closes the session. The checksum check doubles
 // as the isolation oracle: a foreign failure cascade, a leaked cancellation,
-// or a recycled-record mixup shows up as a wrong answer or a nonzero skip
+// or a dependence-record mixup shows up as a wrong answer or a nonzero skip
 // count in an innocent request, which the server counts as a violation.
 package serve
 
@@ -336,7 +336,7 @@ func (s *Server) handleFault(w http.ResponseWriter, req *http.Request) {
 	}
 	// TaskwaitCtx drains the session and reports the round's failure (a
 	// plain Taskwait would consume the round and leave Close nothing to
-	// return); Close then recycles a clean session.
+	// return); Close then releases a clean session.
 	err := sess.TaskwaitCtx(context.Background())
 	sess.Close()
 	st := sess.Stats()

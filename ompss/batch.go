@@ -47,23 +47,26 @@ func (rt *Runtime) SubmitBatch(fill func(b *Batch)) []*Handle {
 // unfinished. If(false) and final-context tasks execute inline immediately,
 // exactly as they would outside a batch.
 func (b *Batch) Task(body func(*TC), clauses ...Clause) *Handle {
-	return b.Go(func(c *TC) error { body(c); return nil }, clauses...)
+	r := b.tc.newRec(clauses)
+	r.body = body
+	return b.add(r)
 }
 
 // Go adds an error-returning task to the batch (see TC.Go) and returns its
 // Handle. The task is submitted when Submit flushes the batch.
 func (b *Batch) Go(body func(*TC) error, clauses ...Clause) *Handle {
-	spec := buildSpec(clauses)
-	if !spec.enabled || b.tc.final {
-		return b.tc.spawnInline(&spec, body)
+	r := b.tc.newRec(clauses)
+	r.bodyErr = body
+	return b.add(r)
+}
+
+func (b *Batch) add(r *taskRec) *Handle {
+	if !r.enabled || b.tc.final {
+		return b.tc.spawnInline(r)
 	}
-	ct := b.tc.buildDeferred(&spec, body)
-	// Pre-create the completion channel: the caller holds the future before
-	// Graph.Submit (which otherwise creates it) has run.
-	ct.EnsureDone()
-	b.tasks = append(b.tasks, ct)
-	b.handles = append(b.handles, &Handle{rt: b.tc.rt, t: ct})
-	return b.handles[len(b.handles)-1]
+	b.tasks = append(b.tasks, &r.t)
+	b.handles = append(b.handles, &r.h)
+	return &r.h
 }
 
 // Len returns the number of tasks accumulated and not yet flushed.

@@ -7,28 +7,9 @@ import (
 )
 
 // Clause annotates a task at spawn time, mirroring the OmpSs pragma clause
-// vocabulary (input/output/inout plus cost, priority, label, if).
-type Clause func(*taskSpec)
-
-type taskSpec struct {
-	accesses    []core.Access
-	cost        time.Duration
-	priority    int
-	label       string
-	enabled     bool
-	final       bool
-	affinity    uint32 // home shard of the Affinity hint
-	hasAffinity bool
-	iters       int // TaskLoop chunk's iteration count (0 for ordinary tasks)
-}
-
-func buildSpec(clauses []Clause) taskSpec {
-	s := taskSpec{enabled: true}
-	for _, c := range clauses {
-		c(&s)
-	}
-	return s
-}
+// vocabulary (input/output/inout plus cost, priority, label, if). A clause
+// writes straight into the spawn's task record (see taskRec).
+type Clause func(*taskRec)
 
 // access builds one core.Access from a dependence key, recognizing
 // registered *Datum handles: a handle contributes its pre-resolved shard
@@ -49,9 +30,9 @@ func access(k any, m core.Mode, bytes int64) core.Access {
 // declared, or a registered *Datum handle for the allocation-free fast
 // path.
 func In(keys ...any) Clause {
-	return func(s *taskSpec) {
+	return func(r *taskRec) {
 		for _, k := range keys {
-			s.accesses = append(s.accesses, access(k, core.In, 0))
+			r.t.Accesses = append(r.t.Accesses, access(k, core.In, 0))
 		}
 	}
 }
@@ -59,9 +40,9 @@ func In(keys ...any) Clause {
 // Out declares write (output) dependences on the given keys (raw keys or
 // *Datum handles).
 func Out(keys ...any) Clause {
-	return func(s *taskSpec) {
+	return func(r *taskRec) {
 		for _, k := range keys {
-			s.accesses = append(s.accesses, access(k, core.Out, 0))
+			r.t.Accesses = append(r.t.Accesses, access(k, core.Out, 0))
 		}
 	}
 }
@@ -69,9 +50,9 @@ func Out(keys ...any) Clause {
 // InOut declares read-write (inout) dependences on the given keys (raw keys
 // or *Datum handles).
 func InOut(keys ...any) Clause {
-	return func(s *taskSpec) {
+	return func(r *taskRec) {
 		for _, k := range keys {
-			s.accesses = append(s.accesses, access(k, core.InOut, 0))
+			r.t.Accesses = append(r.t.Accesses, access(k, core.InOut, 0))
 		}
 	}
 }
@@ -81,9 +62,9 @@ func InOut(keys ...any) Clause {
 // extension, for reductions guarded by their own synchronization). Keys may
 // be raw keys or *Datum handles.
 func Concurrent(keys ...any) Clause {
-	return func(s *taskSpec) {
+	return func(r *taskRec) {
 		for _, k := range keys {
-			s.accesses = append(s.accesses, access(k, core.Concurrent, 0))
+			r.t.Accesses = append(r.t.Accesses, access(k, core.Concurrent, 0))
 		}
 	}
 }
@@ -97,31 +78,32 @@ func Concurrent(keys ...any) Clause {
 // globally consistent order, so tasks listing the same keys in different
 // orders cannot deadlock.
 func Commutative(keys ...any) Clause {
-	return func(s *taskSpec) {
+	return func(r *taskRec) {
 		for _, k := range keys {
-			s.accesses = append(s.accesses, access(k, core.Commutative, 0))
+			r.t.Accesses = append(r.t.Accesses, access(k, core.Commutative, 0))
 		}
+		r.commutative = true
 	}
 }
 
 // InSized is In with a byte footprint for the simulated memory model.
 func InSized(key any, bytes int64) Clause {
-	return func(s *taskSpec) {
-		s.accesses = append(s.accesses, access(key, core.In, bytes))
+	return func(r *taskRec) {
+		r.t.Accesses = append(r.t.Accesses, access(key, core.In, bytes))
 	}
 }
 
 // OutSized is Out with a byte footprint for the simulated memory model.
 func OutSized(key any, bytes int64) Clause {
-	return func(s *taskSpec) {
-		s.accesses = append(s.accesses, access(key, core.Out, bytes))
+	return func(r *taskRec) {
+		r.t.Accesses = append(r.t.Accesses, access(key, core.Out, bytes))
 	}
 }
 
 // InOutSized is InOut with a byte footprint for the simulated memory model.
 func InOutSized(key any, bytes int64) Clause {
-	return func(s *taskSpec) {
-		s.accesses = append(s.accesses, access(key, core.InOut, bytes))
+	return func(r *taskRec) {
+		r.t.Accesses = append(r.t.Accesses, access(key, core.InOut, bytes))
 	}
 }
 
@@ -131,8 +113,8 @@ func InOutSized(key any, bytes int64) Clause {
 // overlap, so tasks over disjoint blocks run in parallel without manual
 // per-block keys.
 func InRegion(base any, lo, hi int64) Clause {
-	return func(s *taskSpec) {
-		s.accesses = append(s.accesses, core.Access{
+	return func(r *taskRec) {
+		r.t.Accesses = append(r.t.Accesses, core.Access{
 			Key: core.Region{Base: base, Lo: lo, Hi: hi}, Mode: core.In, Bytes: hi - lo,
 		})
 	}
@@ -140,8 +122,8 @@ func InRegion(base any, lo, hi int64) Clause {
 
 // OutRegion declares a write dependence on an array section.
 func OutRegion(base any, lo, hi int64) Clause {
-	return func(s *taskSpec) {
-		s.accesses = append(s.accesses, core.Access{
+	return func(r *taskRec) {
+		r.t.Accesses = append(r.t.Accesses, core.Access{
 			Key: core.Region{Base: base, Lo: lo, Hi: hi}, Mode: core.Out, Bytes: hi - lo,
 		})
 	}
@@ -149,8 +131,8 @@ func OutRegion(base any, lo, hi int64) Clause {
 
 // InOutRegion declares a read-write dependence on an array section.
 func InOutRegion(base any, lo, hi int64) Clause {
-	return func(s *taskSpec) {
-		s.accesses = append(s.accesses, core.Access{
+	return func(r *taskRec) {
+		r.t.Accesses = append(r.t.Accesses, core.Access{
 			Key: core.Region{Base: base, Lo: lo, Hi: hi}, Mode: core.InOut, Bytes: hi - lo,
 		})
 	}
@@ -164,14 +146,14 @@ func RegionKey(base any, lo, hi int64) any {
 
 // Cost declares the task's computational cost for the simulated machine
 // (native execution ignores it; the body's real work is the cost there).
-func Cost(d time.Duration) Clause { return func(s *taskSpec) { s.cost = d } }
+func Cost(d time.Duration) Clause { return func(r *taskRec) { r.t.CPUCost = int64(d) } }
 
 // Priority biases dispatch: ready tasks with higher priority are scheduled
 // before FIFO-ordered peers. On the native runtime, priority tasks released
 // by a finishing task land on that worker's high-priority LIFO lane and are
 // popped before everything else on the lane; priority tasks that are ready
 // at submission jump the global FIFO through a priority-ordered side queue.
-func Priority(p int) Clause { return func(s *taskSpec) { s.priority = p } }
+func Priority(p int) Clause { return func(r *taskRec) { r.t.Priority = p } }
 
 // Affinity hints that the task should execute near the home of the given
 // datum: the task is submitted to the mailbox of the lane its dependence
@@ -182,25 +164,24 @@ func Priority(p int) Clause { return func(s *taskSpec) { s.priority = p } }
 // overrides an earlier one. The hint never affects correctness, only
 // placement; it is ignored when AffinitySched(false) is set.
 func Affinity(key any) Clause {
-	return func(s *taskSpec) {
+	return func(r *taskRec) {
 		if d, ok := key.(*Datum); ok {
-			s.affinity = d.c.Shard()
+			r.t.SetAffinity(d.c.Shard())
 		} else {
-			s.affinity = core.ShardOf(key)
+			r.t.SetAffinity(core.ShardOf(key))
 		}
-		s.hasAffinity = true
 	}
 }
 
 // Label names the task for traces and DOT exports.
-func Label(l string) Clause { return func(s *taskSpec) { s.label = l } }
+func Label(l string) Clause { return func(r *taskRec) { r.t.Label = l } }
 
 // If controls deferral: If(false) executes the task undeferred in the
 // spawning thread (still honoring cost accounting), as in OmpSs. Use it to
 // collapse task granularity dynamically.
-func If(cond bool) Clause { return func(s *taskSpec) { s.enabled = s.enabled && cond } }
+func If(cond bool) Clause { return func(r *taskRec) { r.enabled = r.enabled && cond } }
 
 // Final marks the task final when cond holds (`final` clause): the task and
 // every task spawned inside it (transitively) execute undeferred, cutting
 // off nesting overhead below a depth or size threshold.
-func Final(cond bool) Clause { return func(s *taskSpec) { s.final = s.final || cond } }
+func Final(cond bool) Clause { return func(r *taskRec) { r.final = r.final || cond } }

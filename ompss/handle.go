@@ -3,7 +3,7 @@ package ompss
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"ompssgo/internal/core"
 )
@@ -54,9 +54,9 @@ func newDatum(c *core.Datum) *Datum {
 	accIn := core.Access{Key: c.Key, Mode: core.In, Bytes: bytes, Datum: c}
 	accOut := core.Access{Key: c.Key, Mode: core.Out, Bytes: bytes, Datum: c}
 	accInOut := core.Access{Key: c.Key, Mode: core.InOut, Bytes: bytes, Datum: c}
-	d.asIn = func(s *taskSpec) { s.accesses = append(s.accesses, accIn) }
-	d.asOut = func(s *taskSpec) { s.accesses = append(s.accesses, accOut) }
-	d.asInOut = func(s *taskSpec) { s.accesses = append(s.accesses, accInOut) }
+	d.asIn = func(r *taskRec) { r.t.Accesses = append(r.t.Accesses, accIn) }
+	d.asOut = func(r *taskRec) { r.t.Accesses = append(r.t.Accesses, accOut) }
+	d.asInOut = func(r *taskRec) { r.t.Accesses = append(r.t.Accesses, accInOut) }
 	return d
 }
 
@@ -128,89 +128,71 @@ func (d *Datum) Renameable() bool { return d.c.Renameable() }
 // running it (failure policy, cancellation, session close, or admission
 // rejection).
 //
-// Handles of a request session outlive the session: Close seals each one —
-// the outcome observed at that instant (a *SkipError wrapping
-// ErrSessionClosed for tasks the close cancelled) becomes the handle's
-// stable answer forever, detached from the recycled task record, so Err
-// after Close never races the arena.
+// A Handle is a view of the spawn's task record (it points into it), so it
+// stays valid for as long as anyone holds it: handles of a request session
+// outlive the session and keep reading their own finished record — for a
+// task the close cancelled, a *SkipError wrapping ErrSessionClosed.
 type Handle struct {
 	rt *Runtime
-	mu sync.Mutex
-	t  *core.Task // nil for undeferred (inline) tasks and after sealing
-	id uint64     // TaskID captured at seal
-	// inline outcome of an undeferred task (If(false)/final — the task
-	// already ran synchronously when the Handle was returned), or the
-	// sealed outcome once t is detached.
-	inlineErr error
+	t  *core.Task // nil for an undeferred (If(false)/final) task: it already ran
+	// settled is the outcome of a task that never entered the graph, set
+	// once: an inline task's failure, or the refusal of a spawn the session
+	// would not admit. It wins over t, which such a task never finishes.
+	settled atomic.Pointer[errRef]
 }
 
-// closedChan is the pre-closed Done channel of inline-executed tasks.
+// closedChan is the pre-closed Done channel of tasks that never entered the
+// graph.
 var closedChan = func() chan struct{} {
 	ch := make(chan struct{})
 	close(ch)
 	return ch
 }()
 
+// offGraph reports whether the task never entered the graph (inline or
+// refused): its Done is closed already and its outcome is in settled.
+func (h *Handle) offGraph() bool { return h.t == nil || h.settled.Load() != nil }
+
 // Done returns a channel closed when the task has finished (for inline and
-// sealed tasks it is closed already). Select on it together with a
+// refused tasks it is closed already). Select on it together with a
 // context's Done for per-task timeouts.
 func (h *Handle) Done() <-chan struct{} {
-	h.mu.Lock()
-	t := h.t
-	h.mu.Unlock()
-	if t == nil {
+	if h.offGraph() {
 		return closedChan
 	}
-	return t.Done()
+	return h.t.Done()
 }
 
 // Err returns the task's outcome: nil while the task is still in flight or
 // when it succeeded; otherwise the error described on Handle. Calling Err
 // counts as observing the runtime's failures (see Shutdown).
 func (h *Handle) Err() error {
-	if h.rt != nil {
-		h.rt.observed.Store(true)
+	h.rt.observed.Store(true)
+	if r := h.settled.Load(); r != nil {
+		return r.err
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.t == nil {
-		return h.inlineErr
+		return nil
 	}
 	return h.t.Err()
 }
 
-// Task returns the handle's graph task ID (0 for inline tasks), for
-// correlating with traces and DOT exports.
+// Task returns the handle's graph task ID (0 for inline and refused tasks),
+// for correlating with traces and DOT exports.
 func (h *Handle) TaskID() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.t == nil {
-		return h.id
+	if h.offGraph() {
+		return 0
 	}
 	return h.t.ID
 }
 
-// seal detaches the handle from its task record, capturing the task's ID
-// and outcome as the handle's permanent answer. Called by Session.Close
-// after the drain (every task finished), strictly before the records
-// recycle.
-func (h *Handle) seal() {
-	h.mu.Lock()
-	if h.t != nil {
-		h.id = h.t.ID
-		h.inlineErr = h.t.Err()
-		h.t = nil
+// settle records the outcome of a task that never entered the graph (nil
+// keeps an inline success) and returns h.
+func (h *Handle) settle(err error) *Handle {
+	if err != nil {
+		h.settled.Store(&errRef{err})
 	}
-	h.mu.Unlock()
-}
-
-// fail seals the handle with a refusal outcome (a batch the session would
-// not admit, or a flush after Close): the tasks never ran.
-func (h *Handle) fail(err error) {
-	h.mu.Lock()
-	h.t = nil
-	h.inlineErr = err
-	h.mu.Unlock()
+	return h
 }
 
 // ErrorPolicy selects what happens to the dependents of a failed task.

@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -481,5 +484,111 @@ func TestRunSimCtxCancellation(t *testing.T) {
 	}
 	if n := executed.Load(); n >= 200 || n < 4 {
 		t.Fatalf("executed %d bodies; cancellation should skip most of the chain", n)
+	}
+}
+
+// TestHandleDoneRace is the Handle-level leg of the lazy completion channel
+// battery (see core's TestLazyDoneRace): goroutines ask a handle for Done()
+// while a worker finishes the task, with the finish before, during and
+// after the first call. Every channel handed out closes, and Err after
+// <-Done() is the outcome. Meant for -race -count=10.
+func TestHandleDoneRace(t *testing.T) {
+	rt := New(Workers(2))
+	defer rt.Shutdown()
+
+	const callers = 6
+	boom := errors.New("boom")
+	for _, finish := range []string{"before", "during", "after"} {
+		for iter := 0; iter < 30; iter++ {
+			release := make(chan struct{})
+			h := rt.Go(func(*TC) error { <-release; return boom })
+
+			var asked, wg sync.WaitGroup
+			asked.Add(callers)
+			ask := func() {
+				for i := 0; i < callers; i++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						ch := h.Done()
+						asked.Done()
+						<-ch
+						if err := h.Err(); err != boom {
+							t.Errorf("%s: Err after <-Done() = %v, want %v", finish, err, boom)
+						}
+					}()
+				}
+			}
+			switch finish {
+			case "before":
+				close(release)
+				rt.Taskwait()
+				ask()
+			case "during":
+				ask()
+				close(release)
+			case "after":
+				ask()
+				asked.Wait() // every caller holds its channel already
+				close(release)
+			}
+			wg.Wait()
+			rt.Taskwait()
+			select {
+			case <-h.Done():
+			default:
+				t.Fatalf("%s: Done still open after the task finished", finish)
+			}
+		}
+	}
+}
+
+// TestRetainedHandleDoesNotPinChain guards the clear(ready) after Finish: a
+// finished task's inline successor slot must not keep pointing at the task
+// it released, or holding the first Handle of a long chain would keep every
+// later record alive.
+func TestRetainedHandleDoesNotPinChain(t *testing.T) {
+	rt := New(Workers(2))
+	defer rt.Shutdown()
+	var x int
+	d := rt.Register(&x)
+	body := func(*TC) { x++ }
+	liveObjects := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapObjects
+	}
+
+	rt.Task(body, d.AsInOut())
+	rt.Taskwait() // warm-up: queue nodes, deque arrays
+	base := liveObjects()
+	const n = 20000
+	// The head holds the chain back until every link is wired behind it, so
+	// each task really has its successor in the inline slot.
+	gate := make(chan struct{})
+	first := rt.Task(func(*TC) { <-gate; x++ }, d.AsInOut())
+	for i := 1; i < n; i++ {
+		rt.Task(body, d.AsInOut())
+	}
+	close(gate)
+	rt.Taskwait()
+	if after := liveObjects(); after > base+n/10 {
+		t.Fatalf("holding the chain head keeps %d objects alive (base %d): the chain is pinned", after, base)
+	}
+	if err := first.Err(); err != nil || x != n+1 {
+		t.Fatalf("first.Err = %v, x = %d", err, x)
+	}
+}
+
+// TestTaskRecordSizeClass keeps the spawn record within 512 bytes: up to
+// there the Go allocator describes an object's pointers with a bitmap in the
+// span, past it every record would pay for a malloc header and a slower
+// allocation path (and for the next size class, 576). A field added to
+// taskRec, TC, Handle, core.Task or core.Context has to fit or displace one.
+func TestTaskRecordSizeClass(t *testing.T) {
+	if size := reflect.TypeOf((*taskRec)(nil)).Elem().Size(); size > 512 {
+		t.Fatalf("taskRec is %d bytes, want <= 512", size)
 	}
 }

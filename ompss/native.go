@@ -229,8 +229,6 @@ func (b *nativeBackend) runTask(t *core.Task, lane int) {
 		rec.Emit(lane, obs.EvStart, t.ID, 0)
 	}
 	var err error
-	var t0 int64
-	skipped := false
 	if skip := b.rt.skipReason(t); skip != nil {
 		// Skip-release: the task finishes without running, its dependents
 		// still release (and inherit the error under SkipDependents), so
@@ -241,38 +239,34 @@ func (b *nativeBackend) runTask(t *core.Task, lane int) {
 			rec.Emit(lane, obs.EvSkip, t.ID, 0)
 		}
 		err = skip
-		skipped = true
+	} else if b.ctl == nil {
+		err = t.Owner.(*taskRec).run()
 	} else {
-		if b.ctl != nil {
-			t0 = int64(time.Since(b.epoch))
-		}
-		err = t.Body()
+		// Feed the controller with the task's measured execution time and
+		// rename attribution (settled at submission); every TickEvery-th
+		// call runs a control tick inline on this lane. Allocation-free
+		// (asserted by the alloc-budget suite) so tuning never perturbs
+		// what it measures — and ahead of Finish, so whoever a taskwait
+		// lets go already finds the task in the label aggregates.
+		t0 := time.Since(b.epoch)
+		err = t.Owner.(*taskRec).run()
+		b.ctl.TaskDone(t.Label, int64(time.Since(b.epoch)-t0), t.Iters, t.Renamed(), t.RenameFallback())
 	}
 	b.rt.noteTaskErr(t, err)
-	// Finish retires the task: a concurrently closing session may recycle it
-	// the moment its in-flight count drops, so everything the post-finish
-	// paths report is read out first.
-	id, label, iters := t.ID, t.Label, t.Iters
-	renamed, renameFallback := t.Renamed(), t.RenameFallback()
 	ready := b.graph.Finish(t, err)
-	if b.ctl != nil && !skipped {
-		// Feed the controller with the task's measured execution time and
-		// rename attribution; every TickEvery-th call runs a control tick
-		// inline on this lane. Allocation-free (asserted by the alloc-budget
-		// suite) so tuning never perturbs what it measures.
-		end := int64(time.Since(b.epoch))
-		b.ctl.TaskDone(label, end-t0, iters, renamed, renameFallback)
-	}
 	if rec != nil {
 		// The end event and the ready events of the released successors
 		// share the completion instant — one group, one clock read, one
 		// sequence fetch-add for the whole site. Muted (Observe(nil))
 		// sessions' tasks are filtered out before the group is sized.
-		obsFinish(rec, lane, id, quiet, ready)
+		obsFinish(rec, lane, t.ID, quiet, ready)
 	}
 	for _, r := range ready {
 		b.sched.PushReady(r, lane)
 	}
+	// ready may be t's own successor slot (see Graph.Finish): a retained
+	// Handle must not pin the tasks released behind it.
+	clear(ready)
 	if b.cfg.wait == Blocking {
 		// Wake idle workers for the released tasks and any taskwaiter
 		// whose context may have drained.

@@ -292,9 +292,13 @@ func TestZeroValueTracer(t *testing.T) {
 	var tr ompss.Tracer
 	rt := ompss.New(ompss.Workers(2), ompss.Trace(&tr))
 	d := rt.Register(new(int))
+	// The chain's head holds until every link is submitted: an edge is only
+	// recorded against a predecessor that has not finished yet.
+	submitted := make(chan struct{})
 	for i := 0; i < 10; i++ {
-		rt.Task(func(*ompss.TC) {}, ompss.InOut(d))
+		rt.Task(func(*ompss.TC) { <-submitted }, ompss.InOut(d))
 	}
+	close(submitted)
 	rt.Taskwait()
 	rt.Shutdown()
 	if s := tr.Summary(); s.Tasks != 10 || s.Edges != 9 {

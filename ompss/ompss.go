@@ -566,8 +566,8 @@ func (rt *Runtime) initMain(lane int) {
 	rt.sessID.Store(1)
 	def := &Session{rt: rt, cfg: rt.cfg}
 	def.dom = &core.Domain{ID: 1, Parent: rt.root, Owner: def}
-	rt.main = &TC{rt: rt, ctx: &core.Context{}, worker: lane, sess: def}
-	def.tc = rt.main
+	def.tc = def.masterTC(lane)
+	rt.main = def.tc
 	rt.def = def
 }
 
@@ -597,71 +597,67 @@ func (tc *TC) Runtime() *Runtime { return tc.rt }
 // Task spawns a nested task whose completion is covered by this context's
 // Taskwait, returning its Handle.
 func (tc *TC) Task(body func(*TC), clauses ...Clause) *Handle {
-	return tc.spawn(func(c *TC) error { body(c); return nil }, clauses)
+	r := tc.newRec(clauses)
+	r.body = body
+	return tc.spawn(r)
 }
 
 // Go spawns an error-returning nested task: the body's returned error
 // becomes the task's outcome (Handle.Err) and propagates to dependents
 // under the runtime's ErrorPolicy.
 func (tc *TC) Go(body func(*TC) error, clauses ...Clause) *Handle {
-	return tc.spawn(body, clauses)
+	r := tc.newRec(clauses)
+	r.bodyErr = body
+	return tc.spawn(r)
 }
 
-// spawn is the common deferred/undeferred spawn path behind Task and Go.
-func (tc *TC) spawn(body func(*TC) error, clauses []Clause) *Handle {
-	return tc.spawnIters(body, clauses, 0)
-}
-
-// spawnIters is spawn carrying the TaskLoop chunk's iteration count (0 for
-// ordinary tasks) into the task record, where the feedback controller reads
-// it to learn per-iteration cost.
-func (tc *TC) spawnIters(body func(*TC) error, clauses []Clause, iters int) *Handle {
-	spec := buildSpec(clauses)
-	spec.iters = iters
-	if !spec.enabled || tc.final {
-		return tc.spawnInline(&spec, body)
+// spawn is the common deferred/undeferred spawn path behind Task, Go and
+// TaskLoop.
+func (tc *TC) spawn(r *taskRec) *Handle {
+	if !r.enabled || tc.final {
+		return tc.spawnInline(r)
 	}
-	if s := tc.sess; s != nil && s.managed() {
+	s := tc.sess
+	if s != nil && s.managed() {
 		// Request sessions (and a globally limited default session) route
 		// through admission control and arena tracking.
-		return s.spawnManaged(tc, &spec, body)
+		return s.spawnManaged(tc, r)
 	}
-	ct := tc.buildDeferred(&spec, body)
-	if s := tc.sess; s != nil {
+	if s != nil {
 		s.dom.Charge()
 	}
-	tc.rt.be.submit(tc, ct)
-	return &Handle{rt: tc.rt, t: ct}
+	tc.rt.be.submit(tc, &r.t)
+	return &r.h
 }
 
 // spawnInline executes an If(false)/final task undeferred in the spawning
 // thread, as in OmpSs. Costs are charged to the current thread in
 // simulation. A panic propagates synchronously to the spawner (the body
 // runs on its stack); a returned error is recorded like any task failure.
-func (tc *TC) spawnInline(spec *taskSpec, body func(*TC) error) *Handle {
+func (tc *TC) spawnInline(r *taskRec) *Handle {
+	r.h.t = nil // never enters the graph: the handle answers from settled
 	if ce := tc.rt.cancelCause(); ce != nil {
-		err := &SkipError{Label: spec.label, Cause: ce}
+		err := &SkipError{Label: r.t.Label, Cause: ce}
 		tc.rt.noteErr(err)
 		tc.ctx.NoteErr(err)
-		return &Handle{rt: tc.rt, inlineErr: err}
+		return r.h.settle(err)
 	}
 	if s := tc.sess; s != nil {
 		if s.closedFlag.Load() {
-			return s.deadHandle(spec.label, ErrSessionClosed)
+			return r.refuse(ErrSessionClosed)
 		}
 		if ce := s.dom.CancelCause(); ce != nil {
-			err := &SkipError{Label: spec.label, Cause: ce}
+			err := &SkipError{Label: r.t.Label, Cause: ce}
 			tc.ctx.NoteErr(err)
-			return &Handle{rt: tc.rt, inlineErr: err}
+			return r.h.settle(err)
 		}
 	}
-	tc.rt.be.compute(tc, spec.cost)
-	for _, a := range spec.accesses {
+	tc.rt.be.compute(tc, time.Duration(r.t.CPUCost))
+	for _, a := range r.t.Accesses {
 		tc.rt.be.touch(tc, a.Key, a.Bytes, a.Writes())
 	}
-	child := &TC{rt: tc.rt, ctx: &core.Context{Depth: tc.ctx.Depth + 1},
-		sess: tc.sess, worker: tc.worker, final: tc.final || spec.final}
-	err := tc.runInline(child, body, spec.accesses)
+	r.tc.worker, r.tc.final = tc.worker, tc.final || r.final
+	err := r.exec()
 	if s := tc.sess; s != nil && s.ephemeral {
 		tc.rt.notePanic(err)
 	} else {
@@ -670,88 +666,7 @@ func (tc *TC) spawnInline(spec *taskSpec, body func(*TC) error) *Handle {
 	// Inline tasks never enter the graph, so record the failure on the
 	// spawning scope here — TaskwaitCtx reports it like any child's.
 	tc.ctx.NoteErr(err)
-	return &Handle{rt: tc.rt, inlineErr: err}
-}
-
-// buildDeferred constructs the core task of a deferred spawn — everything
-// but the submission, so Batch can accumulate tasks and submit them in one
-// atomic batch.
-func (tc *TC) buildDeferred(spec *taskSpec, body func(*TC) error) *core.Task {
-	ct := tc.allocTask()
-	ct.Label = spec.label
-	ct.Priority = spec.priority
-	ct.CPUCost = int64(spec.cost)
-	ct.Iters = spec.iters
-	ct.Accesses = spec.accesses
-	ct.Parent = tc.ctx
-	if s := tc.sess; s != nil {
-		// The session is the task's failure/cancellation/accounting domain,
-		// and its tenant class boosts the task onto the matching priority
-		// lane.
-		ct.Domain = s.dom
-		ct.Priority += s.cfg.tenant
-	}
-	if spec.hasAffinity {
-		ct.SetAffinity(spec.affinity)
-	}
-	child := &TC{rt: tc.rt, ctx: &core.Context{Depth: tc.ctx.Depth + 1},
-		task: ct, sess: tc.sess, final: spec.final}
-	label := spec.label
-	commKeys := commutativeKeys(spec.accesses)
-	ct.Body = func() (err error) {
-		child.worker = ct.Worker
-		defer func() {
-			if r := recover(); r != nil {
-				err = &TaskPanic{Label: label, Value: r}
-			}
-		}()
-		if len(commKeys) > 0 {
-			// Commutative mutual exclusion: the backend acquires the
-			// per-key locks in a globally consistent order (see the
-			// backend's commutative), so tasks declaring the same keys in
-			// different clause orders cannot deadlock.
-			tc.rt.be.commutative(child, commKeys, func() { err = body(child) })
-			return err
-		}
-		return body(child)
-	}
-	return ct
-}
-
-// allocTask produces the core task record of a deferred spawn: request
-// sessions draw from the arena pool (their Close resets and returns every
-// record), everything else allocates — the default session's tasks live
-// for the runtime and are never recycled.
-func (tc *TC) allocTask() *core.Task {
-	if s := tc.sess; s != nil && s.ephemeral {
-		return taskPool.Get().(*core.Task)
-	}
-	return new(core.Task)
-}
-
-// runInline executes an undeferred body, honoring commutative mutual
-// exclusion against deferred tasks on the same keys.
-func (tc *TC) runInline(child *TC, body func(*TC) error, accesses []core.Access) error {
-	if commKeys := commutativeKeys(accesses); len(commKeys) > 0 {
-		var err error
-		tc.rt.be.commutative(child, commKeys, func() { err = body(child) })
-		return err
-	}
-	return body(child)
-}
-
-// commutativeKeys collects the exact-key Commutative accesses of a spec
-// (region commutativity is handled by the dependence system itself).
-func commutativeKeys(accesses []core.Access) []any {
-	var keys []any
-	for _, a := range accesses {
-		if a.Mode == core.Commutative {
-			if _, isRegion := a.Key.(core.Region); !isRegion {
-				keys = append(keys, a.Key)
-			}
-		}
-	}
-	return keys
+	return r.h.settle(err)
 }
 
 // TaskLoop partitions the iteration space [0, n) into chunks of at most
@@ -783,7 +698,12 @@ func (tc *TC) TaskLoop(n, chunk int, body func(tc *TC, lo, hi int), clauses ...C
 			hi = n
 		}
 		lo, hi := lo, hi
-		hs = append(hs, tc.spawnIters(func(c *TC) error { body(c, lo, hi); return nil }, clauses, hi-lo))
+		r := tc.newRec(clauses)
+		r.body = func(c *TC) { body(c, lo, hi) }
+		// The feedback controller divides the chunk's measured time by its
+		// iteration count to learn per-iteration cost.
+		r.t.Iters = hi - lo
+		hs = append(hs, tc.spawn(r))
 	}
 	return hs
 }
@@ -800,8 +720,7 @@ func (tc *TC) autoChunk(n int, clauses []Clause) int {
 		return v
 	}
 	if ctl := tc.rt.be.tuner(); ctl != nil {
-		spec := buildSpec(clauses)
-		return ctl.ChunkFor(spec.label, n)
+		return ctl.ChunkFor(tc.newRec(clauses).t.Label, n)
 	}
 	w := cfg.workers
 	if w < 1 {

@@ -88,8 +88,9 @@ var (
 // Session is a request-scoped task graph on a shared runtime: it owns its
 // own spawning surface (Register/Task/Go/Batch/Taskwait...), its own
 // error and cancellation domain, its own admission budget and tenant
-// class, and a request-scoped arena — Close recycles the session's task
-// records, dependence-shard entries, and version chains wholesale.
+// class, and a request-scoped arena — Close drops the session's
+// dependence-shard entries and version chains wholesale (its task records
+// go to the garbage collector once no Handle points into them).
 //
 // Obtain one with Runtime.NewSession per request; the runtime hosts any
 // number of concurrent sessions. Failure isolation is structural: a
@@ -99,9 +100,9 @@ var (
 //
 // A session is safe for concurrent use by multiple spawning goroutines.
 // Close must not race in-flight spawns of the same session gratuitously —
-// it waits for them, cancels what has not started, drains, then seals
-// every Handle (Err becomes a stable ErrSessionClosed-wrapped outcome for
-// skipped tasks). Data registered or touched through a session is treated
+// it waits for them, cancels what has not started, and drains (Err of a
+// task the close skipped is a stable ErrSessionClosed-wrapped outcome).
+// Data registered or touched through a session is treated
 // as request-private: Close drops its dependence records, so sharing keys
 // across sessions forfeits ordering history at each Close.
 type Session struct {
@@ -109,10 +110,10 @@ type Session struct {
 	cfg config
 	dom *core.Domain
 	tc  *TC
-	// ephemeral marks NewSession sessions: their tasks come from a pool and
-	// are recycled at Close, and their handles/keys are tracked for sealing.
-	// The runtime's default session is not ephemeral — it never closes and
-	// pays none of the tracking.
+	// ephemeral marks NewSession sessions: the dependence keys they touch
+	// are tracked so Close can drop the records. The runtime's default
+	// session is not ephemeral — it never closes and pays none of the
+	// tracking.
 	ephemeral bool
 
 	closedFlag atomic.Bool
@@ -127,17 +128,10 @@ type Session struct {
 
 	// trmu guards the arena tracking below (appended by spawners, consumed
 	// by Close).
-	trmu    sync.Mutex
-	handles []*Handle
-	tasks   []*core.Task
-	keys    map[any]struct{}
-	regs    []*core.Datum
+	trmu sync.Mutex
+	keys map[any]struct{}
+	regs []*core.Datum
 }
-
-// taskPool recycles core.Task records across ephemeral sessions — the
-// request-scoped arena that takes task allocation off the steady-state
-// serving path.
-var taskPool = sync.Pool{New: func() any { return new(core.Task) }}
 
 // NewSession opens a request-scoped session. Session-relevant options —
 // OnError, WithTuning (and its single-knob wrappers WithRenaming and
@@ -182,13 +176,19 @@ func (rt *Runtime) NewSession(opts ...Option) *Session {
 		dom.RenameCap = capN
 	}
 	s.dom = dom
-	s.tc = &TC{rt: rt, ctx: &core.Context{}, worker: rt.main.worker, sess: s}
+	s.tc = s.masterTC(rt.main.worker)
 	return s
+}
+
+// masterTC builds the session's spawning surface: the context of a thread
+// that is outside any task (tasks get theirs from newRec).
+func (s *Session) masterTC(lane int) *TC {
+	return &TC{rt: s.rt, ctx: &core.Context{}, worker: lane, sess: s}
 }
 
 // DefaultSession returns the runtime's implicit session — the one every
 // Runtime-level call acts on (rt.Task ≡ rt.DefaultSession().Task). It is
-// never ephemeral: Close on it is a no-op, and its tasks are not pooled.
+// never ephemeral: Close on it is a no-op.
 func (rt *Runtime) DefaultSession() *Session { return rt.def }
 
 // ID returns the session's trace identity (the `sid` field of its submit
@@ -224,7 +224,7 @@ func (s *Session) Stats() SessionStats {
 }
 
 // Register interns key's dependence record on the shared runtime and — for
-// request sessions — tracks the handle so Close recycles its records. See
+// request sessions — tracks the handle so Close releases its records. See
 // Runtime.Register for handle semantics.
 func (s *Session) Register(key any) *Datum {
 	d := s.rt.Register(key)
@@ -239,7 +239,7 @@ func (s *Session) Register(key any) *Datum {
 }
 
 // RegisterRegion interns an array-section handle (see
-// Runtime.RegisterRegion), tracked for recycling at Close.
+// Runtime.RegisterRegion), tracked for release at Close.
 func (s *Session) RegisterRegion(base any, lo, hi int64) *Datum {
 	d := s.rt.RegisterRegion(base, lo, hi)
 	if s.ephemeral {
@@ -321,9 +321,9 @@ func (s *Session) cancelWith(cause error) {
 // Close ends the session: new spawns are refused (pre-failed handles
 // wrapping ErrSessionClosed), every task that has not started is cancelled
 // with ErrSessionClosed, the session drains (the closing thread helps
-// execute), every Handle is sealed so Err returns a stable outcome
-// forever, and the session's arena — task records, dependence-shard
-// entries, version chains — recycles wholesale. Returns the first failure
+// execute), and the session's arena — dependence-shard entries, version
+// chains — is dropped wholesale; handles stay valid and keep reporting
+// their task's final outcome. Returns the first failure
 // among the session's children (cancellation skips included), nil when
 // everything succeeded. Idempotent; call Taskwait first if remaining work
 // should complete rather than be cancelled. On the default session Close
@@ -343,15 +343,12 @@ func (s *Session) Close() error {
 	s.dom.Cancel(ErrSessionClosed)
 	s.rt.be.cancelWake()
 	s.rt.be.waitFor(s.tc, func() bool { return s.dom.InFlight() == 0 })
-	// Outcomes are consumed here (sealed handles, returned error): that
-	// counts as observing failures, like TaskwaitCtx.
+	// Outcomes are consumed here (the returned error): that counts as
+	// observing failures, like TaskwaitCtx.
 	s.rt.observed.Store(true)
+	// Drop the arena: the shard records are the last thing outside the
+	// handles that points at the session's task records.
 	s.trmu.Lock()
-	for _, h := range s.handles {
-		h.seal()
-	}
-	// Recycle the arena. Records first (they hold task pointers), then the
-	// task objects back to the pool.
 	g := s.rt.be.deps()
 	for k := range s.keys {
 		g.Forget(k)
@@ -359,11 +356,7 @@ func (s *Session) Close() error {
 	for _, d := range s.regs {
 		g.Release(d)
 	}
-	for _, t := range s.tasks {
-		t.Reset()
-		taskPool.Put(t)
-	}
-	s.handles, s.tasks, s.regs, s.keys = nil, nil, nil, nil
+	s.regs, s.keys = nil, nil
 	s.trmu.Unlock()
 	return s.tc.ctx.TakeErr()
 }
@@ -431,35 +424,22 @@ func (s *Session) admitN(tc *TC, n int64) (ok bool, cause error) {
 	}
 }
 
-// deadHandle returns the pre-failed handle of a refused spawn.
-func (s *Session) deadHandle(label string, cause error) *Handle {
-	return &Handle{rt: s.rt, inlineErr: &SkipError{Label: label, Cause: cause}}
-}
-
 // spawnManaged is the admission-controlled, arena-tracked spawn path of
 // managed sessions (TC.spawn routes here).
-func (s *Session) spawnManaged(tc *TC, spec *taskSpec, body func(*TC) error) *Handle {
+func (s *Session) spawnManaged(tc *TC, r *taskRec) *Handle {
 	if ok, cause := s.admitN(tc, 1); !ok {
-		return s.deadHandle(spec.label, cause)
+		return r.refuse(cause)
 	}
 	s.gate.RLock()
 	if s.closedFlag.Load() {
 		s.gate.RUnlock()
 		s.dom.Uncharge(1)
-		return s.deadHandle(spec.label, ErrSessionClosed)
+		return r.refuse(ErrSessionClosed)
 	}
-	ct := tc.buildDeferred(spec, body)
-	h := &Handle{rt: s.rt, t: ct}
-	if s.ephemeral {
-		s.trmu.Lock()
-		s.handles = append(s.handles, h)
-		s.tasks = append(s.tasks, ct)
-		s.noteAccessKeys(ct.Accesses)
-		s.trmu.Unlock()
-	}
-	s.rt.be.submit(tc, ct)
+	s.noteAccessKeys(&r.t)
+	s.rt.be.submit(tc, &r.t)
 	s.gate.RUnlock()
-	return h
+	return &r.h
 }
 
 // submitBatchManaged flushes a batch through admission and arena tracking
@@ -468,9 +448,8 @@ func (s *Session) submitBatchManaged(tc *TC, ts []*core.Task, hs []*Handle) []*H
 	n := int64(len(ts))
 	refuse := func(cause error) []*Handle {
 		for i, h := range hs {
-			h.fail(&SkipError{Label: ts[i].Label, Cause: cause})
+			h.settle(&SkipError{Label: ts[i].Label, Cause: cause})
 		}
-		s.recycle(ts)
 		return hs
 	}
 	if ok, cause := s.admitN(tc, n); !ok {
@@ -482,41 +461,28 @@ func (s *Session) submitBatchManaged(tc *TC, ts []*core.Task, hs []*Handle) []*H
 		s.dom.Uncharge(n)
 		return refuse(ErrSessionClosed)
 	}
-	if s.ephemeral {
-		s.trmu.Lock()
-		s.handles = append(s.handles, hs...)
-		s.tasks = append(s.tasks, ts...)
-		for _, t := range ts {
-			s.noteAccessKeys(t.Accesses)
-		}
-		s.trmu.Unlock()
-	}
+	s.noteAccessKeys(ts...)
 	s.rt.be.submitBatch(tc, ts)
 	s.gate.RUnlock()
 	return hs
 }
 
-// noteAccessKeys records every dependence key the session touched, so
-// Close can drop the shard records (which hold task pointers) before the
-// tasks recycle. Called with trmu held. Region accesses record their base
-// (Forget drops section records by base).
-func (s *Session) noteAccessKeys(accesses []core.Access) {
-	for i := range accesses {
-		k := accesses[i].Key
-		if r, ok := k.(core.Region); ok {
-			k = r.Base
-		}
-		s.keys[k] = struct{}{}
-	}
-}
-
-// recycle returns never-submitted tasks of a refused batch to the pool.
-func (s *Session) recycle(ts []*core.Task) {
+// noteAccessKeys records every dependence key the tasks touch, so a request
+// session's Close can drop the shard records. Region accesses record their
+// base (Forget drops section records by base).
+func (s *Session) noteAccessKeys(ts ...*core.Task) {
 	if !s.ephemeral {
 		return
 	}
+	s.trmu.Lock()
 	for _, t := range ts {
-		t.Reset()
-		taskPool.Put(t)
+		for i := range t.Accesses {
+			k := t.Accesses[i].Key
+			if r, ok := k.(core.Region); ok {
+				k = r.Base
+			}
+			s.keys[k] = struct{}{}
+		}
 	}
+	s.trmu.Unlock()
 }

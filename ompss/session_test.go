@@ -2,14 +2,15 @@ package ompss_test
 
 // Session-scoped runtime API tests: lifecycle, admission control, tenant
 // priority, per-session option overrides, cross-session isolation, and the
-// stability of sealed handles after Close. CI's race job runs this package
-// under -race, so the Close/spawn/Err interleavings here double as race
-// probes of the session arena.
+// stability of handles after Close. CI's race job runs this package under
+// -race, so the Close/spawn/Err interleavings here double as race probes of
+// the session arena.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -56,9 +57,9 @@ func TestSessionLifecycle(t *testing.T) {
 
 // TestSessionCloseSkipsPending closes a session while a dependence chain is
 // still queued behind a blocked head: the head finishes, the rest are
-// skipped with ErrSessionClosed, and every sealed Handle answers stably
-// afterwards — from many goroutines at once, which is the -race leg of the
-// handle-after-close fix.
+// skipped with ErrSessionClosed, and every Handle answers stably afterwards
+// — from many goroutines at once, which is the -race leg of the
+// handle-after-close contract.
 func TestSessionCloseSkipsPending(t *testing.T) {
 	rt := ompss.New(ompss.Workers(2))
 	defer rt.Shutdown()
@@ -91,7 +92,7 @@ func TestSessionCloseSkipsPending(t *testing.T) {
 	if err := head.Err(); err != nil {
 		t.Fatalf("head.Err = %v, want nil (it ran)", err)
 	}
-	// Sealed outcomes are stable and data-race-free after Close.
+	// Outcomes are stable and data-race-free after Close.
 	var wg sync.WaitGroup
 	for round := 0; round < 4; round++ {
 		wg.Add(1)
@@ -108,7 +109,7 @@ func TestSessionCloseSkipsPending(t *testing.T) {
 				select {
 				case <-h.Done():
 				default:
-					t.Error("sealed handle's Done not closed")
+					t.Error("Done still open after Close")
 				}
 			}
 		}()
@@ -120,7 +121,7 @@ func TestSessionCloseSkipsPending(t *testing.T) {
 }
 
 // TestSessionSpawnAfterClose checks that spawns and batch flushes after
-// Close return pre-failed handles instead of touching the recycled arena.
+// Close return pre-failed handles instead of touching the released arena.
 func TestSessionSpawnAfterClose(t *testing.T) {
 	rt := ompss.New(ompss.Workers(2))
 	defer rt.Shutdown()
@@ -436,6 +437,10 @@ func TestSessionRenamingOverride(t *testing.T) {
 		d := api.Register(&cell).EnableRenaming(nil,
 			func() any { return new(int64) },
 			func(dst, src any) { *dst.(*int64) = *src.(*int64) })
+		// Readers hold until every round is submitted, so each later writer
+		// meets unfinished readers (the WAR a rename removes) whatever the
+		// host's timing.
+		submitted := make(chan struct{})
 		for round := 0; round < 6; round++ {
 			api.Go(func(tc *ompss.TC) error {
 				*tc.Data(d).(*int64)++
@@ -443,11 +448,13 @@ func TestSessionRenamingOverride(t *testing.T) {
 			}, ompss.InOut(d))
 			for r := 0; r < 2; r++ {
 				api.Go(func(tc *ompss.TC) error {
+					<-submitted
 					_ = *tc.Data(d).(*int64)
 					return nil
 				}, ompss.In(d))
 			}
 		}
+		close(submitted)
 		api.Taskwait()
 		if cell != 6 {
 			t.Fatalf("final cell %d, want 6", cell)
@@ -640,7 +647,7 @@ func TestSessionsSim(t *testing.T) {
 // TestConcurrentSessionChurn opens, runs, and closes many sessions from
 // concurrent goroutines against one runtime — the server's steady state —
 // checking every session's private result and accounting. Run under -race
-// this exercises the arena recycling against concurrent spawns.
+// this exercises the arena release against concurrent spawns.
 func TestConcurrentSessionChurn(t *testing.T) {
 	rt := ompss.New(ompss.Workers(4))
 	defer rt.Shutdown()
@@ -673,4 +680,128 @@ func TestConcurrentSessionChurn(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestHandleOutlivesSession keeps handles across Close: a handle is a view
+// of its own task record, which is never recycled, so Err, TaskID and Done
+// keep answering with the task's final outcome — from several goroutines,
+// and however many later sessions churn through the runtime.
+func TestHandleOutlivesSession(t *testing.T) {
+	rt := ompss.New(ompss.Workers(2))
+	defer rt.Shutdown()
+
+	boom := errors.New("boom")
+	s := rt.NewSession()
+	var x int
+	d := s.Register(&x)
+	ok := s.Task(func(*ompss.TC) { x++ }, d.AsInOut())
+	bad := s.Go(func(*ompss.TC) error { return boom }, d.AsInOut())
+	dep := s.Task(func(*ompss.TC) { x++ }, d.AsInOut())
+	if err := s.TaskwaitCtx(context.Background()); !errors.Is(err, boom) {
+		t.Fatalf("TaskwaitCtx = %v, want the failing child's error", err)
+	}
+	ids := []uint64{ok.TaskID(), bad.TaskID(), dep.TaskID()}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close after a drained round: %v", err)
+	}
+
+	check := func() {
+		if err := ok.Err(); err != nil {
+			t.Errorf("ok.Err = %v", err)
+		}
+		if err := bad.Err(); err != boom {
+			t.Errorf("bad.Err = %v, want %v", err, boom)
+		}
+		if err := dep.Err(); !errors.Is(err, ompss.ErrSkipped) || !errors.Is(err, boom) {
+			t.Errorf("dep.Err = %v, want a skip caused by %v", err, boom)
+		}
+		for i, h := range []*ompss.Handle{ok, bad, dep} {
+			if id := h.TaskID(); id == 0 || id != ids[i] {
+				t.Errorf("handle %d: TaskID = %d after Close, was %d", i, id, ids[i])
+			}
+			select {
+			case <-h.Done():
+			default:
+				t.Errorf("handle %d: Done still open after Close", i)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			check()
+		}()
+	}
+	// Later sessions get fresh records; the kept handles must not notice.
+	for i := 0; i < 50; i++ {
+		s2 := rt.NewSession()
+		var y int
+		for j := 0; j < 8; j++ {
+			s2.Task(func(*ompss.TC) { y++ }, ompss.InOut(&y))
+		}
+		s2.Taskwait()
+		if err := s2.Close(); err != nil {
+			t.Fatalf("churn Close: %v", err)
+		}
+	}
+	wg.Wait()
+	check()
+}
+
+// heapObjects reads the live object count after two collections (the second
+// sweeps what the first one's finalizers and sweep left behind).
+func heapObjects() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapObjects
+}
+
+// TestSessionChurnReturnsMemory asserts what the deleted task pool used to
+// imply: open → spawn → wait → Close cycles with no handle retained leave
+// nothing behind — neither dependence records nor task records. 2,000
+// cycles of 50 tasks allocate 100,000 records; all of them must be garbage
+// afterwards, so the live object count stays within a small fixed margin.
+func TestSessionChurnReturnsMemory(t *testing.T) {
+	rt := ompss.New(ompss.Workers(2))
+	defer rt.Shutdown()
+
+	cycle := func() {
+		s := rt.NewSession()
+		var x int
+		d := s.Register(&x)
+		for i := 0; i < 50; i++ {
+			s.Task(func(*ompss.TC) { x++ }, d.AsInOut())
+		}
+		if err := s.TaskwaitCtx(context.Background()); err != nil {
+			t.Fatalf("TaskwaitCtx: %v", err)
+		}
+		if x != 50 {
+			t.Fatalf("x = %d, want 50", x)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	}
+	// Warm-up: queue growth and lazily built shard state are not a leak.
+	for i := 0; i < 50; i++ {
+		cycle()
+	}
+	baseDatums, baseRegions := rt.DepRecords()
+	base := heapObjects()
+	for i := 0; i < 2000; i++ {
+		cycle()
+	}
+	after := heapObjects()
+	if datums, regions := rt.DepRecords(); datums != baseDatums || regions != baseRegions {
+		t.Fatalf("dependence records grew across churn: (%d, %d) -> (%d, %d)", baseDatums, baseRegions, datums, regions)
+	}
+	const margin = 500 // objects; one leaked record per cycle would be 2,000
+	if after > base+margin {
+		t.Fatalf("heap objects grew across churn: %d -> %d (margin %d)", base, after, margin)
+	}
+	t.Logf("heap objects %d -> %d over 2000 sessions / 100000 tasks", base, after)
 }

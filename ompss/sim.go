@@ -261,14 +261,12 @@ func (b *simBackend) runTaskSim(vt *vm.Thread, t *core.Task, lane int) {
 		for _, a := range t.Accesses {
 			mem += vt.TouchCost(a.Key, a.Bytes, a.Writes())
 		}
-		err = t.Body() // real execution; may add Compute/Critical charges itself
+		err = t.Owner.(*taskRec).run() // real execution; may add Compute/Critical charges itself
 		vt.Compute(vm.Time(t.CPUCost) + mem)
 	}
 	b.rt.noteTaskErr(t, err)
 	vt.Charge(cm.TaskFinish)
 	vt.Flush()
-	id, label, iters := t.ID, t.Label, t.Iters
-	renamed, renameFallback := t.Renamed(), t.RenameFallback()
 	ready := b.graph.Finish(t, err)
 	if b.ctl != nil && !skipped {
 		// The flush above advanced the virtual clock past the task's modeled
@@ -276,13 +274,13 @@ func (b *simBackend) runTaskSim(vt *vm.Thread, t *core.Task, lane int) {
 		// time — the controller's decisions are deterministic under the
 		// serialized event loop.
 		end := int64(b.v.Now())
-		b.ctl.TaskDone(label, end-t0, iters, renamed, renameFallback)
+		b.ctl.TaskDone(t.Label, end-t0, t.Iters, t.Renamed(), t.RenameFallback())
 	}
 	if rec != nil {
 		// Stamped after the flush so End−Start covers the task's modeled
 		// compute/memory time (Finish adds no virtual time); end and the
 		// successors' ready events share the completion instant.
-		obsFinish(rec, lane, id, quiet, ready)
+		obsFinish(rec, lane, t.ID, quiet, ready)
 	}
 	for _, r := range ready {
 		b.sched.PushReady(r, lane)
@@ -291,6 +289,7 @@ func (b *simBackend) runTaskSim(vt *vm.Thread, t *core.Task, lane int) {
 		vt.Charge(cm.DepEdge * vm.Time(len(ready)))
 	}
 	b.afterFinish(t, len(ready))
+	clear(ready) // may be t's own successor slot (see Graph.Finish)
 }
 
 // afterFinish wakes whoever may be unblocked by t's completion: idle workers
