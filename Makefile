@@ -112,6 +112,7 @@ examples:
 # on PATH.
 lint:
 	$(GO) vet ./...
+	@! grep -rl --include='*.go' '"encoding/gob"' . || { echo "encoding/gob is imported above; the dist wire codec is hand-written (internal/dist/proto.go)" >&2; exit 1; }
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else \

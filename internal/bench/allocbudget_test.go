@@ -58,8 +58,11 @@ func TestSubmitAllocBudget(t *testing.T) {
 		"BenchmarkTuneRecord":          BenchmarkTuneRecord,
 		// Metrics-plane ceilings: every live increment/observation must
 		// stay allocation-free, so scraping a loaded server never perturbs
-		// it. The dist frame round-trip is pinned at its current cost so
-		// trace piggybacking cannot silently inflate the dispatch path.
+		// it. The dist frame round-trip is pinned at its current cost — the
+		// header buffer, the segment list, the frame's one read buffer and
+		// the decoded structs, never a copy of the payload — so neither
+		// trace piggybacking nor a reflective codec can silently inflate
+		// the dispatch path.
 		"BenchmarkMetricsCounterInc":       BenchmarkMetricsCounterInc,
 		"BenchmarkMetricsGaugeSet":         BenchmarkMetricsGaugeSet,
 		"BenchmarkMetricsHistogramObserve": BenchmarkMetricsHistogramObserve,
@@ -81,7 +84,7 @@ func TestSubmitAllocBudget(t *testing.T) {
 			t.Errorf("%s: %d allocs/op is well under its stale budget %d — "+
 				"lower it to %d in testdata/alloc_budget.json", name, got, budget, got)
 		default:
-			t.Logf("%s: %d allocs/op (budget %d)", name, got, budget)
+			t.Logf("%s: %d allocs/op (budget %d), %d B/op", name, got, budget, res.AllocedBytesPerOp())
 		}
 	}
 	// Every budgeted benchmark must still exist, so a rename cannot

@@ -33,6 +33,25 @@ func BenchmarkObsRecord(b *testing.B) {
 	}
 }
 
+// BenchmarkDrainSparse is the distributed worker's per-task drain: four
+// events in a default-capacity ring (two lanes, as a worker attaches). The
+// cost must follow the events recorded, not the 32,768 slots allocated.
+func BenchmarkDrainSparse(b *testing.B) {
+	rec := obs.NewRecorder()
+	var t int64
+	rec.Attach(1, "bench", false, func() int64 { t++; return t })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 4; j++ {
+			rec.Emit(0, obs.EvStart, uint64(i), 0)
+		}
+		if evs, _ := rec.Drain(); len(evs) != 4 {
+			b.Fatalf("drained %d events, want 4", len(evs))
+		}
+	}
+}
+
 // BenchmarkSubmitDatumPtrObserved is BenchmarkSubmitDatumPtr with a
 // recorder attached: the full submit-path event set (submit, edge, ready,
 // start, end) rides along on every task.

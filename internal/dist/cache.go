@@ -132,6 +132,17 @@ func (m *mirror) insert(k CacheKey, size int64) {
 // connections read entries concurrently with the task loop's inserts and
 // evictions. Payload slices are immutable once cached (kernels receive
 // them read-only), so handing them out under a read lock is safe.
+//
+// A shipped or fetched entry is a view into the frame it arrived in
+// (ReadFrame), so it keeps that frame's one buffer alive: its own bytes,
+// a few dozen bytes of header, and the other payloads shipped in the same
+// frame — the rest of one task's copy-in set, since only the first link of
+// a chain ships anything. The mirror charges each key its own size, so a
+// worker's real footprint can exceed the mirror's total by the evicted
+// frame-mates of entries still resident, at most one task's copy-in set
+// per resident shipped entry; frame-mates enter the LRU on consecutive
+// ticks and so normally leave together. Task outputs are the worker's own
+// buffers and pin nothing.
 type wcache struct {
 	mu      sync.RWMutex
 	entries map[CacheKey][]byte

@@ -51,7 +51,9 @@ type config struct {
 type Option func(*config)
 
 // CacheBytes sets the per-worker version-cache budget (a target, not a
-// hard wall: one task's own working set is always allowed to exceed it).
+// hard wall: one task's own working set is always allowed to exceed it,
+// and a resident entry that was shipped keeps the frame it arrived in
+// alive until its frame-mates are evicted too — see wcache).
 func CacheBytes(n int64) Option { return func(c *config) { c.cacheBytes = n } }
 
 // RenameCap bounds live renamed instances per version chain, as in the

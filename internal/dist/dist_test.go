@@ -40,6 +40,14 @@ func init() {
 		}
 		return nil
 	}
+	// lens reports what the kernel was handed: out[0][i] = 1 + len(in[i]),
+	// so a delivered zero-length In reads 1 and an undelivered one 0.
+	RegisterKernel("test.lens", func(args []byte, in, out [][]byte) error {
+		for i := 0; i < len(in) && i < len(out[0]); i++ {
+			out[0][i] = 1 + byte(len(in[i]))
+		}
+		return nil
+	})
 	RegisterKernel("test.add", add)
 	RegisterKernel("test.inc", inc)
 	// The gated kernels are held back until the file named by args exists
@@ -113,6 +121,67 @@ func TestDistBasic(t *testing.T) {
 	// home (producer-side caching at work).
 	if stats.BytesToWorkers != 0 || stats.BytesFromWorkers != 3*n || stats.TransfersAvoided != 2 {
 		t.Fatalf("transfer accounting off: %+v", stats)
+	}
+}
+
+// TestDistZeroLengthDatum: a 0-byte datum is a datum. Shipped as an In, as
+// an InOut seed and produced as an Out, in frames of their own and as links
+// of a chain, it must reach the kernel as an empty slice — the wire says
+// "shipped, zero bytes", which is not "already in your cache".
+func TestDistZeroLengthDatum(t *testing.T) {
+	var single, chained []byte
+	stats, err := Run(1, func(rt *RT) error {
+		full := rt.Register([]byte{1, 2, 3})
+		zIn, zSeed, zOut := rt.Register([]byte{}), rt.Register([]byte{}), rt.Register([]byte{})
+		res := rt.Register(make([]byte, 2))
+		rt.Task("test.lens", nil, In(zIn), In(full), Out(res))
+		rt.Task("test.inc", nil, InOut(zSeed))
+		rt.Task("test.fill", []byte{9}, Out(zOut))
+		if err := rt.Taskwait(); err != nil {
+			return err
+		}
+		single = rt.Read(res)
+		for _, z := range []*Datum{zIn, zSeed, zOut} {
+			if b := rt.Read(z); len(b) != 0 {
+				return fmt.Errorf("zero-length datum read back as %d bytes", len(b))
+			}
+		}
+
+		// The gated link holds the worker until the three behind it are
+		// wired: lens (a fresh 0-byte In shipped with it, a 0-byte Out)
+		// heads a frame, inc (0-byte seed produced in the frame) and lens
+		// (0-byte In produced in the frame) ride along.
+		hold := rt.Register(make([]byte, 8))
+		zFresh, zLink := rt.Register([]byte{}), rt.Register([]byte{})
+		res2 := rt.Register(make([]byte, 1))
+		gate := newGate(t)
+		rt.Task("test.gated-inc", gate, InOut(hold))
+		rt.Task("test.lens", nil, In(hold), In(zFresh), Out(zLink))
+		rt.Task("test.inc", nil, InOut(zLink))
+		rt.Task("test.lens", nil, In(zLink), Out(res2))
+		if err := openGate(gate); err != nil {
+			return err
+		}
+		if err := rt.Taskwait(); err != nil {
+			return err
+		}
+		chained = rt.Read(res2)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(single) != 2 || single[0] != 1 || single[1] != 4 {
+		t.Fatalf("single lens saw %v, want [1 4] (a delivered 0-byte In and a 3-byte one)", single)
+	}
+	if len(chained) != 1 || chained[0] != 1 {
+		t.Fatalf("chained lens saw %v, want [1]", chained)
+	}
+	if stats.Failed != 0 || stats.Skipped != 0 || stats.Tasks != 7 {
+		t.Fatalf("stats = %+v", stats)
+	}
+	if stats.Chains < 1 || stats.ChainedTasks < 2 {
+		t.Fatalf("the 0-byte links did not chain: %+v", stats)
 	}
 }
 

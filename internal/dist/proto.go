@@ -25,11 +25,12 @@
 package dist
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
+	"math"
+	"net"
 
 	"ompssgo/internal/obs"
 )
@@ -69,13 +70,15 @@ type Challenge struct {
 	Nonce []byte
 }
 
-// WireRef names one datum version a task observes. Bytes carries the
-// content on a cache miss; nil means the worker already holds the
-// (Datum, Ver) pair in its version cache (the coordinator mirrors every
-// worker's cache deterministically, so it knows). A non-empty From with
-// nil Bytes is a forwarding directive: the pair is resident on the peer
-// worker whose fetch address From names, and the worker should copy it
-// from there directly instead of having the coordinator relay the
+// WireRef names one datum version a task observes, in one of three modes
+// the wire carries explicitly (see the ref* constants): cached — Bytes nil
+// and From empty, the worker already holds the (Datum, Ver) pair in its
+// version cache (the coordinator mirrors every worker's cache
+// deterministically, so it knows); shipped — Bytes non-nil, the content
+// rides in this frame (a zero-length datum ships an empty, non-nil Bytes
+// and decodes as one); forward — From non-empty, the pair is resident on
+// the peer worker whose fetch address From names, and the worker should
+// copy it from there directly instead of having the coordinator relay the
 // payload. If the peer is gone or has since dropped the pair, the worker
 // falls back to a Fetch round-trip with the coordinator, which always
 // holds the content.
@@ -200,30 +203,509 @@ type Frame struct {
 	Shutdown  bool
 }
 
-// WriteFrame encodes f as one length-prefixed gob frame: a 4-byte
-// big-endian payload length followed by the gob bytes.
+// The wire format. A frame is a 4-byte big-endian length n (1..MaxFrame),
+// one tag byte naming which Frame field is set, and that message's fields
+// in declaration order, n-1 bytes in all: unsigned integers and counts as
+// uvarints, signed ones zig-zag (encoding/binary's varint), a bool as one
+// 0/1 byte, byte strings and strings as a uvarint length and the bytes, a
+// slice as a uvarint count and its elements. Nothing is self-describing
+// and nothing is optional, so both sides are straight-line code over the
+// nine message kinds.
+const (
+	tagHello byte = iota + 1
+	tagChallenge
+	tagTask
+	tagChain
+	tagFetch
+	tagData
+	tagDone
+	tagTrace
+	tagShutdown
+)
+
+// A WireRef's mode byte follows its Datum, Ver and Size: refShipped is
+// followed by the content, refForward by the peer's fetch address,
+// refCached by nothing.
+const (
+	refCached byte = iota
+	refShipped
+	refForward
+)
+
+// inlineMax is the largest payload WriteFrame copies into its header
+// buffer; anything longer is handed to the writer as its own segment.
+const inlineMax = 1 << 10
+
+// readChunk is the first allocation ReadFrame makes for a frame body; the
+// buffer doubles from there only once it is full of bytes that arrived.
+const readChunk = 64 << 10
+
+// Smallest encodings of the repeated elements: a decoder refuses a count
+// that could not fit in the bytes that remain before allocating for it.
+const (
+	minRef   = 4 // datum, ver, size, mode
+	minOut   = 4 // datum, ver, size, seed
+	minKey   = 2 // datum, ver
+	minBytes = 1 // length
+	minTask  = 7 // id, kernel, args, nin and three counts
+	minEvent = 8 // seq, at, task, arg, sess, worker, kind, label length
+)
+
+var (
+	errShort    = errors.New("field runs past the end of the frame")
+	errCount    = errors.New("count exceeds the bytes that remain")
+	errRange    = errors.New("integer out of range for its field")
+	errBool     = errors.New("bool is neither 0 nor 1")
+	errMode     = errors.New("unknown ref mode")
+	errTag      = errors.New("unknown frame tag")
+	errTrailing = errors.New("trailing bytes after the message")
+	errEmpty    = errors.New("no field of the frame is set")
+	errNilLink  = errors.New("nil task in a chain")
+)
+
+// cut marks a payload that follows buf[:at] on the wire without having
+// been copied into buf.
+type cut struct {
+	at int
+	p  []byte
+}
+
+// encoder gathers a frame: every small field is appended to buf, every
+// payload above inlineMax is remembered as a cut.
+type encoder struct {
+	buf  []byte
+	cuts []cut
+	ext  int // payload bytes held by cuts
+}
+
+func (e *encoder) byte(b byte)      { e.buf = append(e.buf, b) }
+func (e *encoder) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
+func (e *encoder) varint(v int64)   { e.buf = binary.AppendVarint(e.buf, v) }
+
+func (e *encoder) bool(b bool) {
+	if b {
+		e.byte(1)
+	} else {
+		e.byte(0)
+	}
+}
+
+func (e *encoder) str(s string) {
+	e.uvarint(uint64(len(s)))
+	e.buf = append(e.buf, s...)
+}
+
+func (e *encoder) bytes(p []byte) {
+	e.uvarint(uint64(len(p)))
+	if len(p) <= inlineMax {
+		e.buf = append(e.buf, p...)
+		return
+	}
+	e.cuts = append(e.cuts, cut{at: len(e.buf), p: p})
+	e.ext += len(p)
+}
+
+func (e *encoder) events(evs []obs.Event) {
+	e.uvarint(uint64(len(evs)))
+	for i := range evs {
+		ev := &evs[i]
+		e.uvarint(ev.Seq)
+		e.varint(ev.At)
+		e.uvarint(ev.Task)
+		e.uvarint(ev.Arg)
+		e.uvarint(ev.Sess)
+		e.varint(int64(ev.Worker))
+		e.byte(byte(ev.Kind))
+		e.str(ev.Label)
+	}
+}
+
+func (e *encoder) task(m *TaskMsg) {
+	e.uvarint(m.ID)
+	e.str(m.Kernel)
+	e.bytes(m.Args)
+	e.varint(int64(m.NIn))
+	e.uvarint(uint64(len(m.Reads)))
+	for i := range m.Reads {
+		r := &m.Reads[i]
+		e.uvarint(r.Datum)
+		e.uvarint(r.Ver)
+		e.varint(r.Size)
+		switch { // the order the worker resolves a ref in
+		case r.Bytes != nil:
+			e.byte(refShipped)
+			e.bytes(r.Bytes)
+		case r.From != "":
+			e.byte(refForward)
+			e.str(r.From)
+		default:
+			e.byte(refCached)
+		}
+	}
+	e.uvarint(uint64(len(m.Writes)))
+	for _, w := range m.Writes {
+		e.uvarint(w.Datum)
+		e.uvarint(w.Ver)
+		e.varint(w.Size)
+		e.varint(int64(w.SeedFrom))
+	}
+	e.uvarint(uint64(len(m.Evict)))
+	for _, k := range m.Evict {
+		e.uvarint(k.Datum)
+		e.uvarint(k.Ver)
+	}
+}
+
+func (e *encoder) frame(f *Frame) error {
+	switch {
+	case f.Hello != nil:
+		m := f.Hello
+		e.byte(tagHello)
+		e.varint(int64(m.Worker))
+		e.varint(int64(m.PID))
+		e.bytes(m.MAC)
+		e.str(m.FetchAddr)
+		e.varint(m.Now)
+	case f.Challenge != nil:
+		e.byte(tagChallenge)
+		e.bytes(f.Challenge.Nonce)
+	case f.Task != nil:
+		e.byte(tagTask)
+		e.task(f.Task)
+	case f.Chain != nil:
+		e.byte(tagChain)
+		e.uvarint(uint64(len(f.Chain.Tasks)))
+		for _, m := range f.Chain.Tasks {
+			if m == nil {
+				return errNilLink
+			}
+			e.task(m)
+		}
+	case f.Fetch != nil:
+		e.byte(tagFetch)
+		e.uvarint(f.Fetch.Datum)
+		e.uvarint(f.Fetch.Ver)
+	case f.Data != nil:
+		m := f.Data
+		e.byte(tagData)
+		e.uvarint(m.Datum)
+		e.uvarint(m.Ver)
+		e.bool(m.Found)
+		e.bytes(m.Bytes)
+	case f.Done != nil:
+		m := f.Done
+		e.byte(tagDone)
+		e.uvarint(m.ID)
+		e.str(m.Err)
+		e.bool(m.Panic)
+		e.uvarint(uint64(len(m.Outputs)))
+		for _, o := range m.Outputs {
+			e.bytes(o)
+		}
+		e.varint(int64(m.Fetches))
+		e.varint(m.FetchedBytes)
+		e.varint(int64(m.FetchFallbacks))
+		e.events(m.Events)
+		e.uvarint(m.EventsDropped)
+	case f.Trace != nil:
+		m := f.Trace
+		e.byte(tagTrace)
+		e.varint(int64(m.Slot))
+		e.events(m.Events)
+		e.uvarint(m.Dropped)
+	case f.Shutdown:
+		e.byte(tagShutdown)
+	default:
+		return errEmpty
+	}
+	return nil
+}
+
+// WriteFrame encodes f as one frame and writes it to w. The small fields
+// are gathered into one header buffer; every payload above inlineMax goes
+// to the writer as its own segment, uncopied — one writev on a socket
+// (net.Buffers), consecutive Writes on anything else, so callers whose
+// frames may interleave serialise WriteFrame themselves (conn.sendMu).
+// Nothing is written when f does not encode or exceeds MaxFrame.
 func WriteFrame(w io.Writer, f *Frame) error {
-	var buf bytes.Buffer
-	buf.Write([]byte{0, 0, 0, 0}) // length backpatched below
-	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
+	e := encoder{buf: make([]byte, 4, 256)} // length backpatched below
+	if err := e.frame(f); err != nil {
 		return fmt.Errorf("dist: encode frame: %w", err)
 	}
-	n := buf.Len() - 4
+	n := len(e.buf) - 4 + e.ext
 	if n > MaxFrame {
 		return fmt.Errorf("dist: frame of %d bytes exceeds MaxFrame (%d)", n, MaxFrame)
 	}
-	b := buf.Bytes()
-	binary.BigEndian.PutUint32(b[:4], uint32(n))
-	_, err := w.Write(b)
+	binary.BigEndian.PutUint32(e.buf, uint32(n))
+	if len(e.cuts) == 0 {
+		_, err := w.Write(e.buf)
+		return err
+	}
+	segs := make(net.Buffers, 0, 2*len(e.cuts)+1)
+	at := 0
+	for _, c := range e.cuts {
+		segs = append(segs, e.buf[at:c.at], c.p)
+		at = c.at
+	}
+	segs = append(segs, e.buf[at:])
+	_, err := segs.WriteTo(w)
 	return err
+}
+
+// decoder consumes one frame body front to back. The first malformed
+// field sets err and empties b, after which every read yields zero.
+type decoder struct {
+	b   []byte
+	err error
+}
+
+func (d *decoder) fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+	d.b = nil
+}
+
+func (d *decoder) byte() byte {
+	if len(d.b) == 0 {
+		d.fail(errShort)
+		return 0
+	}
+	b := d.b[0]
+	d.b = d.b[1:]
+	return b
+}
+
+func (d *decoder) bool() bool {
+	b := d.byte()
+	if b > 1 {
+		d.fail(errBool)
+	}
+	return b == 1
+}
+
+func (d *decoder) uvarint() uint64 {
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 {
+		d.fail(errShort)
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *decoder) varint() int64 {
+	v, n := binary.Varint(d.b)
+	if n <= 0 {
+		d.fail(errShort)
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+// int is a varint that must fit the platform's int.
+func (d *decoder) int() int {
+	v := d.varint()
+	if int64(int(v)) != v {
+		d.fail(errRange)
+		return 0
+	}
+	return int(v)
+}
+
+// view returns the next length-prefixed byte string as a slice of the
+// frame's own buffer, capacity clipped to its length so that an append
+// through it reallocates instead of running into the next field.
+func (d *decoder) view() []byte {
+	n := d.uvarint()
+	if n > uint64(len(d.b)) {
+		d.fail(errShort)
+		return nil
+	}
+	v := d.b[:n:n]
+	d.b = d.b[n:]
+	return v
+}
+
+// bytes is view with the empty string decoded as nil, the form every
+// byte-string field but a shipped WireRef.Bytes takes.
+func (d *decoder) bytes() []byte {
+	if v := d.view(); len(v) > 0 {
+		return v
+	}
+	return nil
+}
+
+func (d *decoder) str() string { return string(d.view()) }
+
+// count reads an element count and refuses one whose elements, at min
+// bytes apiece, could not fit in what is left of the frame.
+func (d *decoder) count(min int) int {
+	n := d.uvarint()
+	if n > uint64(len(d.b)/min) {
+		d.fail(errCount)
+		return 0
+	}
+	return int(n)
+}
+
+func (d *decoder) events() []obs.Event {
+	n := d.count(minEvent)
+	if n == 0 {
+		return nil
+	}
+	evs := make([]obs.Event, n)
+	for i := range evs {
+		ev := &evs[i]
+		ev.Seq = d.uvarint()
+		ev.At = d.varint()
+		ev.Task = d.uvarint()
+		ev.Arg = d.uvarint()
+		ev.Sess = d.uvarint()
+		w := d.varint()
+		if w < math.MinInt32 || w > math.MaxInt32 {
+			d.fail(errRange)
+		}
+		ev.Worker = int32(w)
+		ev.Kind = obs.Kind(d.byte())
+		ev.Label = d.str()
+		if d.err != nil {
+			return nil
+		}
+	}
+	return evs
+}
+
+func (d *decoder) task() *TaskMsg {
+	m := &TaskMsg{
+		ID:     d.uvarint(),
+		Kernel: d.str(),
+		Args:   d.bytes(),
+		NIn:    d.int(),
+	}
+	if n := d.count(minRef); n > 0 {
+		m.Reads = make([]WireRef, n)
+		for i := range m.Reads {
+			r := &m.Reads[i]
+			r.Datum = d.uvarint()
+			r.Ver = d.uvarint()
+			r.Size = d.varint()
+			switch d.byte() {
+			case refCached:
+			case refShipped:
+				r.Bytes = d.view()
+			case refForward:
+				r.From = d.str()
+			default:
+				d.fail(errMode)
+			}
+			if d.err != nil {
+				return nil
+			}
+		}
+	}
+	if n := d.count(minOut); n > 0 {
+		m.Writes = make([]WireOut, n)
+		for i := range m.Writes {
+			m.Writes[i] = WireOut{Datum: d.uvarint(), Ver: d.uvarint(), Size: d.varint(), SeedFrom: d.int()}
+		}
+	}
+	if n := d.count(minKey); n > 0 {
+		m.Evict = make([]CacheKey, n)
+		for i := range m.Evict {
+			m.Evict[i] = CacheKey{Datum: d.uvarint(), Ver: d.uvarint()}
+		}
+	}
+	return m
+}
+
+// decodeFrame decodes one frame body (tag byte onwards). Byte-string
+// fields of the result are views into b.
+func decodeFrame(b []byte) (*Frame, error) {
+	d := decoder{b: b}
+	f := &Frame{}
+	switch d.byte() {
+	case tagHello:
+		f.Hello = &Hello{Worker: d.int(), PID: d.int(), MAC: d.bytes(), FetchAddr: d.str(), Now: d.varint()}
+	case tagChallenge:
+		f.Challenge = &Challenge{Nonce: d.bytes()}
+	case tagTask:
+		f.Task = d.task()
+	case tagChain:
+		m := &ChainMsg{}
+		if n := d.count(minTask); n > 0 {
+			m.Tasks = make([]*TaskMsg, n)
+			for i := range m.Tasks {
+				if m.Tasks[i] = d.task(); d.err != nil {
+					break
+				}
+			}
+		}
+		f.Chain = m
+	case tagFetch:
+		f.Fetch = &FetchMsg{Datum: d.uvarint(), Ver: d.uvarint()}
+	case tagData:
+		f.Data = &DataMsg{Datum: d.uvarint(), Ver: d.uvarint(), Found: d.bool(), Bytes: d.bytes()}
+	case tagDone:
+		m := &DoneMsg{ID: d.uvarint(), Err: d.str(), Panic: d.bool()}
+		if n := d.count(minBytes); n > 0 {
+			m.Outputs = make([][]byte, n)
+			for i := range m.Outputs {
+				m.Outputs[i] = d.bytes()
+			}
+		}
+		m.Fetches = d.int()
+		m.FetchedBytes = d.varint()
+		m.FetchFallbacks = d.int()
+		m.Events = d.events()
+		m.EventsDropped = d.uvarint()
+		f.Done = m
+	case tagTrace:
+		f.Trace = &TraceMsg{Slot: d.int(), Events: d.events(), Dropped: d.uvarint()}
+	case tagShutdown:
+		f.Shutdown = true
+	default:
+		d.fail(errTag)
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	if len(d.b) != 0 {
+		return nil, errTrailing
+	}
+	return f, nil
+}
+
+// readBody reads an n-byte frame body into one buffer. The buffer starts
+// at no more than readChunk and doubles only when it is full, so a length
+// claim the stream does not back costs at most twice the bytes that did
+// arrive, never the claim.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, readChunk))
+	have := 0
+	for {
+		if _, err := io.ReadFull(r, buf[have:]); err != nil {
+			return nil, err
+		}
+		if have = len(buf); have == n {
+			return buf, nil
+		}
+		grown := make([]byte, min(n, 2*have))
+		copy(grown, buf)
+		buf = grown
+	}
 }
 
 // ReadFrame decodes the next frame from r. It returns io.EOF untouched on
 // a clean end of stream. Hostile input cannot make it panic or allocate
-// past the declared (capped) length: the payload is drained with CopyN —
-// so a garbage length with a short stream costs only the bytes actually
-// present — and gob decoding errors are returned, not thrown. This is the
-// function FuzzFrameDecode hammers.
+// past what the stream backs: the body is read by readBody, every count
+// and length is checked against the bytes that remain before anything is
+// sized by it, and malformed input is an error. The byte-string fields of
+// the result (Bytes, Args, Outputs, Nonce, MAC) are capacity-clipped views
+// into the frame's one buffer — holding any of them keeps that buffer, and
+// so the frame's other payloads, alive. This is the function
+// FuzzFrameDecode hammers.
 func ReadFrame(r io.Reader) (*Frame, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -233,13 +715,13 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 	if n == 0 || n > MaxFrame {
 		return nil, fmt.Errorf("dist: bad frame length %d", n)
 	}
-	var buf bytes.Buffer
-	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
+	body, err := readBody(r, int(n))
+	if err != nil {
 		return nil, fmt.Errorf("dist: short frame: %w", err)
 	}
-	var f Frame
-	if err := gob.NewDecoder(&buf).Decode(&f); err != nil {
+	f, err := decodeFrame(body)
+	if err != nil {
 		return nil, fmt.Errorf("dist: decode frame: %w", err)
 	}
-	return &f, nil
+	return f, nil
 }

@@ -249,9 +249,10 @@ func (w *wproc) execTaskBody(msg *TaskMsg) *DoneMsg {
 	// against the cache state before this task's inserts.
 	w.cache.applyEvict(msg.Evict)
 
-	// Resolve the read set: shipped bytes enter the cache, forwarding
-	// directives are fetched from the named peer (coordinator relay as
-	// fallback), and plain nil-Bytes refs must already be resident (the
+	// Resolve the read set by the ref's wire mode: shipped bytes (non-nil,
+	// possibly empty) enter the cache as views into this task's frame,
+	// forwarding directives are fetched from the named peer (coordinator
+	// relay as fallback), and cached refs must already be resident (the
 	// coordinator's mirror said so).
 	reads := make([][]byte, len(msg.Reads))
 	for i, r := range msg.Reads {

@@ -5,6 +5,7 @@
 package media
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 
@@ -135,13 +136,16 @@ func Buffers(nbuf, size int, seed int64) [][]byte {
 	rng := rand.New(rand.NewSource(seed))
 	bufs := make([][]byte, nbuf)
 	for i := range bufs {
-		b := make([]byte, size)
-		// rand.Read on math/rand is deterministic for a seeded source.
-		for j := 0; j < size; j += 8 {
-			v := rng.Uint64()
-			for k := 0; k < 8 && j+k < size; k++ {
-				b[j+k] = byte(v >> (8 * k))
-			}
+		// One Uint64 per eight bytes, little-endian; a tail shorter than
+		// a word takes the low bytes of one more draw.
+		b := make([]byte, 0, size)
+		for len(b)+8 <= size {
+			b = binary.LittleEndian.AppendUint64(b, rng.Uint64())
+		}
+		if len(b) < size {
+			var word [8]byte
+			binary.LittleEndian.PutUint64(word[:], rng.Uint64())
+			b = append(b, word[:size-len(b)]...)
 		}
 		bufs[i] = b
 	}

@@ -1,7 +1,9 @@
 package media
 
 import (
+	"bytes"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -104,6 +106,38 @@ func TestPoseSequenceBounded(t *testing.T) {
 		for d := range poses[f] {
 			if math.Abs(poses[f][d]-poses[f-1][d]) > 0.3 {
 				t.Fatalf("pose jump at frame %d dof %d", f, d)
+			}
+		}
+	}
+}
+
+// TestBuffersMatchByteLoop pins the word-at-a-time fill against the byte
+// loop it replaced: one Uint64 per eight bytes, low byte first, and a tail
+// that takes the low bytes of one more draw. The md5 inputs digest and every
+// RunSeq checksum depend on this stream staying bit-identical.
+func TestBuffersMatchByteLoop(t *testing.T) {
+	byteLoop := func(nbuf, size int, seed int64) [][]byte {
+		rng := rand.New(rand.NewSource(seed))
+		bufs := make([][]byte, nbuf)
+		for i := range bufs {
+			b := make([]byte, size)
+			for j := 0; j < size; j += 8 {
+				v := rng.Uint64()
+				for k := 0; k < 8 && j+k < size; k++ {
+					b[j+k] = byte(v >> (8 * k))
+				}
+			}
+			bufs[i] = b
+		}
+		return bufs
+	}
+	for _, seed := range []int64{1, 0x5eed} {
+		for _, size := range []int{0, 1, 7, 8, 9, 1003} {
+			got, want := Buffers(3, size, seed), byteLoop(3, size, seed)
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("seed %d size %d: buffer %d differs from the byte loop", seed, size, i)
+				}
 			}
 		}
 	}

@@ -60,12 +60,22 @@ func (r *ring) dropped() uint64 {
 	return 0
 }
 
+// claimed is the prefix of slots that can hold an event: the first head
+// slots until the ring wraps, all of them afterwards. Slots past it have
+// never been written (or were cleared by the reset that rewound head), so
+// collect and reset stop there — a drain of three events in a 1<<15 ring
+// touches three slots, not 2.4 MB.
+func (r *ring) claimed() []slot {
+	return r.slots[:min(r.head.Load(), uint64(len(r.slots)))]
+}
+
 // collect appends the ring's live events to dst. Safe concurrently with
 // writers (each slot is read under its latch); a slot claimed but not yet
-// published is skipped this pass.
+// published is skipped this pass, as is one claimed after the pass began.
 func (r *ring) collect(dst []Event) []Event {
-	for i := range r.slots {
-		s := &r.slots[i]
+	live := r.claimed()
+	for i := range live {
+		s := &live[i]
 		if !s.latch.CompareAndSwap(0, 1) {
 			continue
 		}
@@ -80,9 +90,10 @@ func (r *ring) collect(dst []Event) []Event {
 
 // reset forgets all recorded events and the drop count.
 func (r *ring) reset() {
+	live := r.claimed()
 	r.head.Store(0)
-	for i := range r.slots {
-		s := &r.slots[i]
+	for i := range live {
+		s := &live[i]
 		for !s.latch.CompareAndSwap(0, 1) {
 		}
 		s.ev = Event{}

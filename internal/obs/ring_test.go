@@ -195,3 +195,94 @@ func TestGroupSharesInstantAndOrdersSeq(t *testing.T) {
 		t.Fatal("detached recorder handed out a live group")
 	}
 }
+
+// TestDrainSparseRing is the distributed worker's case: a handful of events
+// in a default-size ring, drained after every task. The drain returns
+// exactly what was recorded and leaves nothing behind — collect and reset
+// walk only the claimed prefix, so the slots they never visit must already
+// be empty.
+func TestDrainSparseRing(t *testing.T) {
+	r := NewRecorder(Capacity(1 << 15))
+	r.Attach(1, "test", false, testClock())
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 3; i++ {
+			r.Emit(0, EvStart, uint64(10*round+i+1), 0)
+		}
+		evs, dropped := r.Drain()
+		if len(evs) != 3 || dropped != 0 {
+			t.Fatalf("round %d: drained %d events, %d dropped; want 3, 0", round, len(evs), dropped)
+		}
+		for i, ev := range evs {
+			if want := uint64(10*round + i + 1); ev.Task != want || ev.Seq != uint64(3*round+i+1) {
+				t.Fatalf("round %d event %d: task %d seq %d, want task %d seq %d",
+					round, i, ev.Task, ev.Seq, want, 3*round+i+1)
+			}
+		}
+		if evs, dropped := r.Drain(); len(evs) != 0 || dropped != 0 {
+			t.Fatalf("round %d: second drain returned %d events, %d dropped", round, len(evs), dropped)
+		}
+	}
+}
+
+// TestDrainWrappedRing: once head has passed capacity the claimed prefix
+// is the whole ring — the drain yields the newest `capacity` events with
+// the exact drop count, and the reset clears every slot, so the next
+// (sparse) batch holds only its own events.
+func TestDrainWrappedRing(t *testing.T) {
+	const capacity, total = 64, 1000
+	r := NewRecorder(Capacity(capacity))
+	r.Attach(1, "test", false, testClock())
+	for i := 0; i < total; i++ {
+		r.Emit(0, EvStart, uint64(i+1), 0)
+	}
+	evs, dropped := r.Drain()
+	if dropped != total-capacity || len(evs) != capacity {
+		t.Fatalf("drained %d events, %d dropped; want %d, %d", len(evs), dropped, capacity, total-capacity)
+	}
+	for i, ev := range evs {
+		if want := uint64(total - capacity + i + 1); ev.Seq != want {
+			t.Fatalf("event %d: seq %d, want %d", i, ev.Seq, want)
+		}
+	}
+	r.Emit(0, EvEnd, 7, 0)
+	r.Emit(0, EvEnd, 8, 0)
+	evs, dropped = r.Drain()
+	if len(evs) != 2 || dropped != 0 || evs[0].Task != 7 || evs[1].Task != 8 {
+		t.Fatalf("batch after a wrapped drain: %d events (%+v), %d dropped; want tasks 7, 8", len(evs), evs, dropped)
+	}
+}
+
+// TestSnapshotDuringSparseEmit races collect against put on a ring that
+// never wraps: every snapshot must be a duplicate-free prefix-or-subset of
+// what was emitted (a slot claimed after the pass began is simply not in
+// it), and the final one must hold everything. Run under -race.
+func TestSnapshotDuringSparseEmit(t *testing.T) {
+	const total = 4000
+	r := NewRecorder(Capacity(1 << 13))
+	r.Attach(1, "test", false, func() int64 { return 0 })
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < total; i++ {
+			r.Emit(0, EvStart, uint64(i+1), 0)
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		tr := r.Snapshot()
+		seen := make(map[uint64]bool, len(tr.Events))
+		for _, ev := range tr.Events {
+			if ev.Seq == 0 || ev.Seq > total || seen[ev.Seq] {
+				t.Fatalf("mid-run snapshot holds a bad or duplicate seq %d", ev.Seq)
+			}
+			seen[ev.Seq] = true
+		}
+	}
+	if tr := r.Snapshot(); len(tr.Events) != total || tr.TotalDropped() != 0 {
+		t.Fatalf("final snapshot: %d events, %d dropped; want %d, 0", len(tr.Events), tr.TotalDropped(), total)
+	}
+}
