@@ -49,15 +49,17 @@ alloc-budget:
 # Profile one suite app with the observability recorder attached: record a
 # raw trace, print the analyzer report (parallelism profile, critical path,
 # per-worker utilization, steal matrix), and export Chrome trace-event JSON
-# — open trace.chrome.json in chrome://tracing or ui.perfetto.dev. The CI
-# bench-smoke job runs the same pipeline and uploads the Chrome trace as an
-# artifact. Override: make trace TRACE_BENCH=c-ray TRACE_WORKERS=4
+# — open trace.chrome.json in chrome://tracing or ui.perfetto.dev — plus the
+# task graph as Graphviz DOT (dot -Tsvg trace.dot). The CI bench-smoke job
+# runs the same pipeline and uploads the Chrome trace as an artifact.
+# Override: make trace TRACE_BENCH=c-ray TRACE_WORKERS=4
 TRACE_BENCH ?= h264dec
 TRACE_WORKERS ?= 2
 trace:
 	$(GO) run ./cmd/ompss-trace record -bench $(TRACE_BENCH) -workers $(TRACE_WORKERS) -o trace.raw.json
 	$(GO) run ./cmd/ompss-trace analyze trace.raw.json
 	$(GO) run ./cmd/ompss-trace export -format chrome -o trace.chrome.json trace.raw.json
+	$(GO) run ./cmd/ompss-trace export -format dot -o trace.dot trace.raw.json
 
 # Cross-process trace of a distributed run (the CI dist-smoke job): the
 # coordinator and every worker process record their own rings, the worker

@@ -57,8 +57,12 @@ func BenchmarkTable1(b *testing.B) {
 // cores: the polling taskwait versus OmpSs forced into blocking waits.
 func BenchmarkBarrierMechanism(b *testing.B) {
 	in := srgbcmy.New(srgbcmy.Small())
-	for _, mode := range []ompss.WaitMode{ompss.Polling, ompss.Blocking} {
-		b.Run(mode.String(), func(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		mode ompss.WaitMode
+	}{{"polling", ompss.Polling}, {"blocking", ompss.Blocking}} {
+		mode := c.mode
+		b.Run(c.name, func(b *testing.B) {
 			var span time.Duration
 			for i := 0; i < b.N; i++ {
 				st, err := ompss.RunSim(machine.Paper(16),
@@ -78,11 +82,15 @@ func BenchmarkBarrierMechanism(b *testing.B) {
 func BenchmarkLocalityMechanism(b *testing.B) {
 	in := srayrot.New(srayrot.Small())
 	for _, loc := range []bool{true, false} {
+		setting := ompss.Off
+		if loc {
+			setting = ompss.On
+		}
 		b.Run(fmt.Sprintf("locality=%v", loc), func(b *testing.B) {
 			var span time.Duration
 			for i := 0; i < b.N; i++ {
 				st, err := ompss.RunSim(machine.Paper(16),
-					func(rt *ompss.Runtime) { in.RunOmpSs(rt) }, ompss.Locality(loc))
+					func(rt *ompss.Runtime) { in.RunOmpSs(rt) }, ompss.WithTuning(ompss.Tuning{Locality: setting}))
 				if err != nil {
 					b.Fatal(err)
 				}

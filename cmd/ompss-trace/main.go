@@ -14,6 +14,8 @@
 //	    Chrome trace-event JSON: load in chrome://tracing or ui.perfetto.dev
 //	ompss-trace export -format paraver -o h264.csv h264.trace.json
 //	    Paraver-flavored CSV timeline
+//	ompss-trace export -format dot h264.trace.json | dot -Tsvg > h264.svg
+//	    the task graph (Graphviz): one node per task, one edge per dependence
 package main
 
 import (
@@ -23,6 +25,7 @@ import (
 	"os"
 	"strings"
 
+	"ompssgo/internal/dist"
 	"ompssgo/internal/obs"
 	"ompssgo/internal/suite"
 	"ompssgo/internal/suite/distkern"
@@ -33,7 +36,7 @@ import (
 func main() {
 	// Distributed recording re-execs this binary as worker processes; a
 	// spawned child diverts into its serve loop here and never returns.
-	ompss.MaybeWorker()
+	dist.MaybeWorker()
 	if len(os.Args) < 2 {
 		usage()
 		os.Exit(2)
@@ -61,7 +64,7 @@ func usage() {
   ompss-trace record  -bench <name> [-workers N] [-small] [-sim] [-cores N] [-cap N] [-o FILE]
   ompss-trace record  -bench <name> -dist [-dist-workers N] [-small] [-cap N] [-o FILE]
   ompss-trace analyze [-top N] FILE
-  ompss-trace export  -format chrome|paraver [-o FILE] FILE`)
+  ompss-trace export  -format chrome|paraver|dot [-o FILE] FILE`)
 }
 
 // record runs one suite benchmark with a recorder attached and saves the
@@ -157,13 +160,13 @@ func recordDist(benchName string, workers int, small bool, capacity int, out str
 	want := wl.Seq()
 	var got uint64
 	var merged *obs.Trace
-	stats, err := ompss.RunDist(workers, func(rt *ompss.DistRT) error {
+	stats, err := dist.Run(workers, func(rt *dist.RT) error {
 		var rerr error
 		got, rerr = wl.Run(rt)
 		return rerr
 	},
-		ompss.DistTraceWorkers(capacity),
-		ompss.DistTraceSink(func(m *obs.Trace) { merged = m }))
+		dist.TraceWorkers(capacity),
+		dist.TraceSink(func(m *obs.Trace) { merged = m }))
 	if err != nil {
 		return fmt.Errorf("dist run: %v", err)
 	}
@@ -173,7 +176,7 @@ func recordDist(benchName string, workers int, small bool, capacity int, out str
 	if merged == nil {
 		return fmt.Errorf("dist run produced no merged trace")
 	}
-	if err := ompss.DistReconcileTrace(merged, stats); err != nil {
+	if err := dist.ReconcileTrace(merged, stats); err != nil {
 		return fmt.Errorf("merged trace disagrees with run stats: %v", err)
 	}
 	f, err := os.Create(out)
@@ -233,39 +236,42 @@ func analyze(args []string) error {
 	return obs.Analyze(tr).WriteReport(os.Stdout, *top)
 }
 
+// exporters maps each -format value to its writer.
+var exporters = map[string]func(io.Writer, *obs.Trace) error{
+	"chrome":  obs.WriteChromeTrace,
+	"paraver": obs.WriteParaverCSV,
+	"dot":     obs.WriteDOT,
+}
+
 // export converts a saved trace to a viewer format.
 func export(args []string) error {
 	fs := flag.NewFlagSet("export", flag.ExitOnError)
 	var (
-		format = fs.String("format", "chrome", "output format: chrome|paraver")
+		format = fs.String("format", "chrome", "output format: chrome|paraver|dot")
 		out    = fs.String("o", "", "output file (default: stdout)")
 	)
 	fs.Parse(args)
+	// Validate before touching the output: os.Create truncates, and a
+	// typo'd format must not cost the user an existing export.
+	write, ok := exporters[*format]
+	if !ok {
+		return fmt.Errorf("unknown format %q (want chrome, paraver or dot)", *format)
+	}
 	tr, err := loadTrace(fs)
 	if err != nil {
 		return err
 	}
-	var w io.Writer = os.Stdout
-	var f *os.File
-	if *out != "" {
-		if f, err = os.Create(*out); err != nil {
-			return err
-		}
-		w = f
+	if *out == "" {
+		return write(os.Stdout, tr)
 	}
-	switch *format {
-	case "chrome":
-		err = obs.WriteChromeTrace(w, tr)
-	case "paraver":
-		err = obs.WriteParaverCSV(w, tr)
-	default:
-		err = fmt.Errorf("unknown format %q (want chrome or paraver)", *format)
+	f, err := os.Create(*out)
+	if err != nil {
+		return err
 	}
-	if f != nil {
-		// Close errors matter: they are where a full filesystem surfaces.
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
+	err = write(f, tr)
+	// Close errors matter: they are where a full filesystem surfaces.
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }

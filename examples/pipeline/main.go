@@ -21,6 +21,7 @@ import (
 
 	"ompssgo/internal/h264"
 	"ompssgo/internal/media"
+	"ompssgo/internal/obs"
 	"ompssgo/machine"
 	"ompssgo/ompss"
 )
@@ -36,16 +37,16 @@ func main() {
 		panic(err)
 	}
 
-	tr := ompss.NewTracer()
+	rec := obs.NewRecorder()
 	st, err := ompss.RunSim(machine.Paper(8), func(rt *ompss.Runtime) {
 		decode(rt, p, bs)
-	}, ompss.Trace(tr))
+	}, ompss.Observe(rec))
 	if err != nil {
 		panic(err)
 	}
-	sum := tr.Summary()
+	a := obs.Analyze(rec.Snapshot())
 	fmt.Printf("pipeline decoded on simulated 8 cores: makespan %v, %d tasks, max concurrency %d\n",
-		st.Makespan, sum.Tasks, sum.MaxConcurrent)
+		st.Makespan, a.Submitted, a.MaxParallelism)
 }
 
 // decode is the Listing 1 loop. Compare with the paper:

@@ -4,11 +4,11 @@
 // Run with: go run ./examples/vectorops
 //
 // A three-stage computation over one array (fill → scale blocks → prefix
-// combine) annotated purely with InRegion/OutRegion sections: the runtime
-// discovers that disjoint blocks parallelize and overlapping stages chain,
-// with no manual per-block keys. A commutative histogram accumulation runs
-// on the side: order-free, mutually exclusive, still ordered against the
-// final reader.
+// combine) annotated purely with array sections (RegisterRegion handles):
+// the runtime discovers that disjoint blocks parallelize and overlapping
+// stages chain, with no manual per-block keys. A commutative histogram
+// accumulation runs on the side: order-free, mutually exclusive, still
+// ordered against the final reader.
 package main
 
 import (
@@ -32,8 +32,8 @@ func main() {
 
 	// Each block section is touched by three stages: register one region
 	// handle per block (plus the histogram key) and submit through them.
-	// Raw InRegion/OutRegion clauses on the same base still interoperate —
-	// stage 3's overlap reads below use them directly.
+	// Handles with other spans over the same base interoperate — stage 3's
+	// overlap reads below register their own one-element sections.
 	blockD := make([]*ompss.Datum, n/bs)
 	for b := range blockD {
 		blockD[b] = rt.RegisterRegion(base, int64(b*bs), int64((b+1)*bs))
@@ -77,7 +77,7 @@ func main() {
 			for i := lo; i < hi; i++ {
 				data[i] += left
 			}
-		}, ompss.InRegion(base, rlo, lo+1), ompss.InOut(blockD[b]))
+		}, ompss.In(rt.RegisterRegion(base, rlo, lo+1)), ompss.InOut(blockD[b]))
 	}
 
 	// Side channel: commutative histogram updates (order-free, mutually
@@ -115,7 +115,7 @@ func main() {
 				for i := lo; i < hi; i++ {
 					d2[i] = float64(i) * 1.5
 				}
-			}, ompss.OutRegion(b2, lo, hi), ompss.Cost(200*time.Microsecond))
+			}, ompss.Out(rt.RegisterRegion(b2, lo, hi)), ompss.Cost(200*time.Microsecond))
 		}
 		rt.Taskwait()
 	})

@@ -69,7 +69,7 @@ func LocalityAblation(scale suite.Scale, cores []int, w io.Writer) error {
 			return err
 		}
 		stOff, err := ompss.RunSim(mc, func(rt *ompss.Runtime) { in.RunOmpSs(rt) },
-			ompss.Locality(false))
+			ompss.WithTuning(ompss.Tuning{Locality: ompss.Off}))
 		if err != nil {
 			return err
 		}

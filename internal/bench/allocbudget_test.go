@@ -40,11 +40,10 @@ func TestSubmitAllocBudget(t *testing.T) {
 		entries[name] = int64(f)
 	}
 	benchmarks := map[string]func(*testing.B){
-		"BenchmarkSubmitAnyKeyPtr":  BenchmarkSubmitAnyKeyPtr,
-		"BenchmarkSubmitDatumPtr":   BenchmarkSubmitDatumPtr,
-		"BenchmarkSubmitAnyKeyInt":  BenchmarkSubmitAnyKeyInt,
-		"BenchmarkSubmitDatumInt":   BenchmarkSubmitDatumInt,
-		"BenchmarkSubmitBatchDatum": BenchmarkSubmitBatchDatum,
+		"BenchmarkSubmitAnyKeyPtr": BenchmarkSubmitAnyKeyPtr,
+		"BenchmarkSubmitDatumPtr":  BenchmarkSubmitDatumPtr,
+		"BenchmarkSubmitAnyKeyInt": BenchmarkSubmitAnyKeyInt,
+		"BenchmarkSubmitDatumInt":  BenchmarkSubmitDatumInt,
 		// Observability ceilings: the raw record path must stay at 0
 		// allocs/op, and a recorder-attached submit must cost no more
 		// allocations than a detached one (same ceiling as

@@ -87,31 +87,3 @@ func BenchmarkSubmitDatumInt(b *testing.B) {
 		return func(i int) ompss.Clause { return ds[i%submitKeys].AsInOut() }
 	})
 }
-
-// BenchmarkSubmitBatchDatum drives the same handle-keyed chains through
-// Batch/Submit in groups of 64, measuring the amortized bulk-submission
-// path (one shard-lock acquisition and one global-queue append per batch).
-func BenchmarkSubmitBatchDatum(b *testing.B) {
-	rt := ompss.New(ompss.Workers(1))
-	defer rt.Shutdown()
-	ds := make([]*ompss.Datum, submitKeys)
-	for i := range ds {
-		ds[i] = rt.Register(new(int64))
-	}
-	body := func(*ompss.TC) {}
-	bt := rt.Batch()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bt.Task(body, ds[i%submitKeys].AsInOut())
-		if bt.Len() == 64 {
-			bt.Submit()
-		}
-		if i%4096 == 4095 {
-			bt.Submit()
-			rt.Taskwait()
-		}
-	}
-	bt.Submit()
-	rt.Taskwait()
-}

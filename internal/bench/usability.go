@@ -35,11 +35,9 @@ type UsabilityRow struct {
 
 // ompssConstructs are the OmpSs-model annotations counted for RunOmpSs.
 var ompssConstructs = map[string]bool{
-	"In": true, "Out": true, "InOut": true, "Concurrent": true, "Commutative": true,
-	"InSized": true, "OutSized": true, "InOutSized": true,
-	"InRegion": true, "OutRegion": true, "InOutRegion": true,
-	"Taskwait": true, "TaskwaitOn": true, "TaskwaitCtx": true,
-	"Critical": true, "CriticalCost": true,
+	"In": true, "Out": true, "InOut": true, "Commutative": true,
+	"InSized": true, "OutSized": true,
+	"Taskwait": true, "TaskwaitOn": true, "TaskwaitCtx": true, "Critical": true,
 	"Task": true, "TaskLoop": true, "Go": true,
 	"Register": true, "RegisterRegion": true,
 }

@@ -2,9 +2,40 @@ package bench
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
 	"strings"
 	"testing"
 )
+
+// TestOmpssConstructsExist keeps the construct list from rotting: a name
+// that package ompss no longer exports as a function or method would just
+// stop counting, silently shrinking the OmpSs column of the usability table.
+func TestOmpssConstructsExist(t *testing.T) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), "../../ompss", func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exported := map[string]bool{}
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.IsExported() {
+					exported[fn.Name.Name] = true
+				}
+			}
+		}
+	}
+	for name := range ompssConstructs {
+		if !exported[name] {
+			t.Errorf("ompssConstructs counts %q, which package ompss does not export as a function or method", name)
+		}
+	}
+}
 
 func TestMeasureUsability(t *testing.T) {
 	rows, err := MeasureUsability("../suite")

@@ -88,7 +88,7 @@ func TestForgetDropsRecord(t *testing.T) {
 func TestModeStrings(t *testing.T) {
 	want := map[Mode]string{
 		In: "in", Out: "out", InOut: "inout",
-		Concurrent: "concurrent", Commutative: "commutative", Mode(99): "?",
+		Commutative: "commutative", Mode(99): "?",
 	}
 	for m, s := range want {
 		if m.String() != s {

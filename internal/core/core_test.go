@@ -190,27 +190,6 @@ func labels(ts []*Task) []string {
 	return out
 }
 
-func TestConcurrentTasksOverlap(t *testing.T) {
-	m := newMiniExec(4, true, 6)
-	x := new(int)
-	w := &Task{Accesses: []Access{{Key: x, Mode: Out}}}
-	m.submit(w)
-	c1 := &Task{Accesses: []Access{{Key: x, Mode: Concurrent}}}
-	c2 := &Task{Accesses: []Access{{Key: x, Mode: Concurrent}}}
-	m.submit(c1)
-	m.submit(c2)
-	// Concurrent tasks depend on the writer but not on each other.
-	if c1.NPred() != 1 || c2.NPred() != 1 {
-		t.Fatalf("concurrent npred = %d,%d, want 1,1", c1.NPred(), c2.NPred())
-	}
-	w2 := &Task{Accesses: []Access{{Key: x, Mode: Out}}}
-	m.submit(w2)
-	if w2.NPred() != 3 {
-		t.Fatalf("writer after concurrents npred=%d, want 3", w2.NPred())
-	}
-	m.runAll()
-}
-
 func TestEdgeDeduplication(t *testing.T) {
 	m := newMiniExec(2, true, 7)
 	x, y := new(int), new(int)
@@ -435,7 +414,7 @@ func TestDataflowEquivalenceProperty(t *testing.T) {
 			tk.Owner = func() error {
 				for _, a := range accs {
 					di := indexOf(keys, a.Key)
-					if a.Reads() && a.Mode != Concurrent {
+					if a.Reads() {
 						if *data[di] != expected[di] {
 							ok = false
 						}

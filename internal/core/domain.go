@@ -97,22 +97,19 @@ func (d *Domain) CancelCause() error {
 // Charge records one task entering the domain (executor-side, before the
 // task is submitted, so InFlight is usable as a hard admission budget) and
 // rolls the in-flight count up to the parent.
-func (d *Domain) Charge() { d.ChargeN(1) }
-
-// ChargeN charges n tasks at once (batch submission).
-func (d *Domain) ChargeN(n int64) {
-	d.submitted.Add(uint64(n))
+func (d *Domain) Charge() {
+	d.submitted.Add(1)
 	if d.Parent != nil {
-		d.Parent.submitted.Add(uint64(n))
+		d.Parent.submitted.Add(1)
 	}
 }
 
-// Uncharge rolls back a Charge whose task was never submitted (a rejected
-// batch).
-func (d *Domain) Uncharge(n int64) {
-	d.submitted.Add(^uint64(n - 1))
+// Uncharge rolls back a Charge whose task was never submitted (the session
+// closed between admission and submission).
+func (d *Domain) Uncharge() {
+	d.submitted.Add(^uint64(0))
 	if d.Parent != nil {
-		d.Parent.submitted.Add(^uint64(n - 1))
+		d.Parent.submitted.Add(^uint64(0))
 	}
 }
 

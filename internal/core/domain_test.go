@@ -57,23 +57,24 @@ func TestDomainCancelFirstWins(t *testing.T) {
 }
 
 // TestDomainAccounting checks the charge/credit arithmetic and its parent
-// rollup: InFlight is exact, Uncharge rolls back a refused batch without
+// rollup: InFlight is exact, Uncharge rolls back a refused spawn without
 // trace, and finish outcomes land in the right buckets.
 func TestDomainAccounting(t *testing.T) {
 	var root Domain
 	child := &Domain{ID: 7, Parent: &root}
 
-	child.ChargeN(3)
-	child.Charge()
+	for i := 0; i < 4; i++ {
+		child.Charge()
+	}
 	if got := child.InFlight(); got != 4 {
 		t.Fatalf("child InFlight = %d, want 4", got)
 	}
 	if got := root.InFlight(); got != 4 {
 		t.Fatalf("root InFlight = %d, want 4 (rollup)", got)
 	}
-	// A refused batch rolls back fully.
-	child.ChargeN(2)
-	child.Uncharge(2)
+	// A refused spawn rolls back fully.
+	child.Charge()
+	child.Uncharge()
 	st := child.Stats()
 	if st.Submitted != 4 || st.InFlight != 4 {
 		t.Fatalf("after Uncharge: submitted=%d inflight=%d, want 4 4", st.Submitted, st.InFlight)

@@ -6,13 +6,12 @@ import (
 )
 
 // drec is the dependence record of one tracked object: the task that last
-// (program-order) writes it, and the tasks that read it, commutatively
-// updated it, or concurrently updated it since that write.
+// (program-order) writes it, and the tasks that read it or commutatively
+// updated it since that write.
 type drec struct {
-	lastWriter  *Task
-	readers     []*Task
-	commuters   []*Task
-	concurrents []*Task
+	lastWriter *Task
+	readers    []*Task
+	commuters  []*Task
 	// pinned marks records interned by Register: a registered Datum holds a
 	// direct pointer here, so Forget must reset the record in place instead
 	// of dropping it from the shard map (a fresh map record would diverge
@@ -160,9 +159,6 @@ func (g *Graph) Stats() GraphStats {
 // the shard index and record pointer, taking interface hashing and the map
 // lookup off the submit path for every later access through the handle.
 func (g *Graph) Register(key any) *Datum {
-	if r, ok := key.(Region); ok {
-		return g.RegisterRegion(r.Base, r.Lo, r.Hi)
-	}
 	si := shardIndex(key)
 	sh := &g.shards[si]
 	sh.mu.Lock()
@@ -185,14 +181,7 @@ func (g *Graph) RegisterRegion(base any, lo, hi int64) *Datum {
 	si := shardIndex(base)
 	sh := &g.shards[si]
 	sh.mu.Lock()
-	rd := sh.regions[base]
-	if rd == nil {
-		rd = &regionDatum{}
-		if sh.regions == nil {
-			sh.regions = make(map[any]*regionDatum)
-		}
-		sh.regions[base] = rd
-	}
+	rd := sh.regionRec(base)
 	rd.pinned = true
 	sh.mu.Unlock()
 	return &Datum{Key: r, owner: g, shard: si, rd: rd, region: r}
@@ -204,15 +193,6 @@ func (g *Graph) RegisterRegion(base any, lo, hi int64) *Datum {
 func (g *Graph) Unfinished() int64 {
 	fin := g.stFinished.Load()
 	return int64(g.nextID.Load() - fin)
-}
-
-// shardFor returns the shard index a dependence key hashes to; Region keys
-// shard by their base so all sections of one array share a shard.
-func shardFor(key any) uint32 {
-	if r, ok := key.(Region); ok {
-		return shardIndex(r.Base)
-	}
-	return shardIndex(key)
 }
 
 // Submit registers t's accesses, wiring dependence edges from unfinished
@@ -248,45 +228,6 @@ func (g *Graph) Submit(t *Task) (ready bool) {
 	return false
 }
 
-// SubmitBatch registers a slice of tasks as one atomic submission: the union
-// of every task's shards is locked once (ascending order, as in Submit) and
-// the tasks are wired in slice order under that single acquisition, so
-// intra-batch dependences resolve exactly as if the tasks had been submitted
-// one by one, while the per-task lock/unlock cost is amortized across the
-// batch. It returns the tasks that are immediately ready; the caller
-// enqueues them (a task whose last predecessor finishes mid-batch is instead
-// returned by that predecessor's Finish).
-func (g *Graph) SubmitBatch(ts []*Task) (ready []*Task) {
-	if len(ts) == 0 {
-		return nil
-	}
-	for _, t := range ts {
-		g.initTask(t)
-	}
-	var shardIdx [16]uint32
-	shards := shardIdx[:0]
-	for _, t := range ts {
-		shards = collectShards(shards, t)
-	}
-	shards = dedupeShards(shards)
-	for _, si := range shards {
-		g.shards[si].mu.Lock()
-	}
-	for _, t := range ts {
-		g.wireTask(t)
-	}
-	for i := len(shards) - 1; i >= 0; i-- {
-		g.shards[shards[i]].mu.Unlock()
-	}
-	for _, t := range ts {
-		if atomic.AddInt32(&t.npred, -1) == 0 {
-			atomic.StoreInt32(&t.state, stateReady)
-			ready = append(ready, t)
-		}
-	}
-	return ready
-}
-
 // initTask assigns t its ID (which also counts it as submitted) and charges
 // the parent context, leaving npred at 1 (the submission guard).
 func (g *Graph) initTask(t *Task) {
@@ -308,7 +249,7 @@ func collectShards(dst []uint32, t *Task) []uint32 {
 		if d := t.Accesses[i].Datum; d != nil {
 			dst = append(dst, d.shard)
 		} else {
-			dst = append(dst, shardFor(t.Accesses[i].Key))
+			dst = append(dst, shardIndex(t.Accesses[i].Key))
 		}
 	}
 	return dst
@@ -317,8 +258,7 @@ func collectShards(dst []uint32, t *Task) []uint32 {
 // dedupeShards returns the distinct shard indices in ascending order (the
 // lock order), rewriting the input in place. Shard indices fit a uint64
 // bitmap (see the compile-time guard), so this is one linear pass plus a
-// bounded sweep — allocation-free on the submit hot path and O(n) for
-// arbitrarily large batches.
+// bounded sweep — allocation-free on the submit hot path.
 func dedupeShards(shards []uint32) []uint32 {
 	if len(shards) < 2 {
 		return shards
@@ -388,22 +328,23 @@ func (g *Graph) wireTask(t *Task) {
 		// no interface hash or map lookup — this is the Datum fast path.
 		// A handle registered on a different graph (a cross-runtime mix-up)
 		// must not inject that graph's records here: its cached shard index
-		// is still valid (shardIndex is a pure function of the key), but
-		// the record pointers are not, so it falls through to the
-		// compatibility path below and resolves against this graph's maps.
-		if h := a.Datum; h != nil && h.owner == g {
-			if h.rd != nil {
-				h.rd.submit(g, t, a, h.region, addPred)
-			} else {
-				g.wireRecord(h.rec, t, a.Mode, addPred)
+		// and span are still valid (shardIndex is a pure function of the
+		// key), but the record pointers are not, so it resolves against
+		// this graph's maps like a raw key.
+		h := a.Datum
+		if h != nil && h.rd != nil {
+			rd := h.rd
+			if h.owner != g {
+				rd = g.shards[h.shard].regionRec(h.region.Base)
 			}
+			rd.submit(g, t, a, h.region, addPred)
 			continue
 		}
-		sh := &g.shards[shardFor(a.Key)]
-		if r, ok := a.Key.(Region); ok {
-			sh.regionRec(r.Base).submit(g, t, a, r, addPred)
+		if h != nil && h.owner == g {
+			g.wireRecord(h.rec, t, a.Mode, addPred)
 			continue
 		}
+		sh := &g.shards[shardIndex(a.Key)]
 		d := sh.datums[a.Key]
 		if d == nil {
 			d = &drec{}
@@ -433,28 +374,11 @@ func wireExact(d *drec, t *Task, mode Mode, addPred func(*Task)) {
 		for _, c := range d.commuters {
 			addPred(c) // commutative updaters may write: RAW
 		}
-		for _, c := range d.concurrents {
-			addPred(c) // concurrent updaters write: RAW
-		}
 		d.readers = append(d.readers, t)
-	case Concurrent:
-		// Concurrent tasks overlap each other, but as updaters they
-		// order against every other access kind.
-		addPred(d.lastWriter)
-		for _, r := range d.readers {
-			addPred(r) // WAR against plain readers
-		}
-		for _, c := range d.commuters {
-			addPred(c)
-		}
-		d.concurrents = append(d.concurrents, t)
 	case Commutative:
 		addPred(d.lastWriter)
 		for _, r := range d.readers {
 			addPred(r) // WAR against plain readers
-		}
-		for _, c := range d.concurrents {
-			addPred(c)
 		}
 		d.commuters = append(d.commuters, t)
 	case Out, InOut:
@@ -465,16 +389,12 @@ func wireExact(d *drec, t *Task, mode Mode, addPred func(*Task)) {
 		for _, c := range d.commuters {
 			addPred(c)
 		}
-		for _, c := range d.concurrents {
-			addPred(c)
-		}
 		d.lastWriter = t
 		// Truncate rather than drop: an InOut chain reuses the one-element
 		// backing array for every link instead of allocating it anew.
 		clear(d.readers)
 		d.readers = d.readers[:0]
 		d.commuters = nil
-		d.concurrents = nil
 		if mode == InOut {
 			d.readers = append(d.readers, t)
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"testing"
 )
 
@@ -238,97 +237,5 @@ func TestWideSchedStealsAllocationFree(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("idle Pop allocates %.1f/op at %d workers; the steal path must be allocation-free", allocs, workers)
-	}
-}
-
-func TestSubmitBatchWiresIntraBatchDeps(t *testing.T) {
-	g := NewGraph()
-	x, y := new(int), new(int)
-	a := &Task{Label: "a", Accesses: []Access{{Key: x, Mode: Out}}}
-	b := &Task{Label: "b", Accesses: []Access{{Key: x, Mode: In}, {Key: y, Mode: Out}}}
-	c := &Task{Label: "c", Accesses: []Access{{Key: y, Mode: In}}}
-	ready := g.SubmitBatch([]*Task{a, b, c})
-	if len(ready) != 1 || ready[0] != a {
-		t.Fatalf("ready = %v, want just a", labels(ready))
-	}
-	if b.NPred() != 1 || c.NPred() != 1 {
-		t.Fatalf("npred b=%d c=%d, want 1 and 1", b.NPred(), c.NPred())
-	}
-	if r := g.Finish(a, nil); len(r) != 1 || r[0] != b {
-		t.Fatalf("finishing a should release b, got %v", labels(r))
-	}
-	if r := g.Finish(b, nil); len(r) != 1 || r[0] != c {
-		t.Fatalf("finishing b should release c, got %v", labels(r))
-	}
-	g.Finish(c, nil)
-	if st := g.Stats(); st.Submitted != 3 || st.Finished != 3 || st.Edges != 2 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestSubmitBatchMatchesSequentialSubmit(t *testing.T) {
-	// The same program submitted one-by-one and as one batch must produce
-	// the same edge structure.
-	build := func() []*Task {
-		x, y, z := new(int), new(int), new(int)
-		return []*Task{
-			{Accesses: []Access{{Key: x, Mode: Out}, {Key: y, Mode: Out}}},
-			{Accesses: []Access{{Key: x, Mode: In}, {Key: z, Mode: Out}}},
-			{Accesses: []Access{{Key: y, Mode: InOut}, {Key: z, Mode: In}}},
-			{Accesses: []Access{{Key: x, Mode: InOut}, {Key: y, Mode: In}, {Key: z, Mode: In}}},
-		}
-	}
-	seq := build()
-	gs := NewGraph()
-	var seqReady []*Task
-	for _, t2 := range seq {
-		if gs.Submit(t2) {
-			seqReady = append(seqReady, t2)
-		}
-	}
-	bat := build()
-	gb := NewGraph()
-	batReady := gb.SubmitBatch(bat)
-	if len(seqReady) != len(batReady) {
-		t.Fatalf("ready sets differ: %d vs %d", len(seqReady), len(batReady))
-	}
-	for i := range seq {
-		sp := append([]uint64(nil), seq[i].Preds...)
-		bp := append([]uint64(nil), bat[i].Preds...)
-		sort.Slice(sp, func(a, b int) bool { return sp[a] < sp[b] })
-		sort.Slice(bp, func(a, b int) bool { return bp[a] < bp[b] })
-		if len(sp) != len(bp) {
-			t.Fatalf("task %d: preds %v vs %v", i, sp, bp)
-		}
-		for j := range sp {
-			if sp[j] != bp[j] {
-				t.Fatalf("task %d: preds %v vs %v", i, sp, bp)
-			}
-		}
-	}
-}
-
-func TestEnqueueBatchPreservesFIFO(t *testing.T) {
-	var q mpmcQueue
-	q.init()
-	a, b, c, d := &Task{Label: "a"}, &Task{Label: "b"}, &Task{Label: "c"}, &Task{Label: "d"}
-	q.enqueue(a)
-	q.enqueueBatch([]*Task{b, c})
-	q.enqueue(d)
-	want := []*Task{a, b, c, d}
-	for i, w := range want {
-		if got := q.dequeue(); got != w {
-			t.Fatalf("dequeue %d = %v, want %q", i, got, w.Label)
-		}
-	}
-	if q.dequeue() != nil {
-		t.Fatal("queue should be empty")
-	}
-	if q.length() != 0 {
-		t.Fatalf("length = %d, want 0", q.length())
-	}
-	q.enqueueBatch(nil) // no-op
-	if q.dequeue() != nil {
-		t.Fatal("empty batch must enqueue nothing")
 	}
 }

@@ -36,32 +36,6 @@ func (q *mpmcQueue) enqueue(t *Task) {
 	}
 }
 
-// enqueueBatch appends ts in order as one pre-linked chain: the nodes are
-// wired locally, then the whole chain is published with a single successful
-// tail CAS, amortizing the contended part of enqueue across the batch.
-func (q *mpmcQueue) enqueueBatch(ts []*Task) {
-	if len(ts) == 0 {
-		return
-	}
-	head := &qnode{t: ts[0]}
-	tail := head
-	for _, t := range ts[1:] {
-		n := &qnode{t: t}
-		tail.next.Store(n)
-		tail = n
-	}
-	for {
-		qt := q.tail.Load()
-		if qt.next.CompareAndSwap(nil, head) {
-			q.tail.CompareAndSwap(qt, tail)
-			q.n.Add(int64(len(ts)))
-			return
-		}
-		// Tail lags; help swing it forward and retry.
-		q.tail.CompareAndSwap(qt, qt.next.Load())
-	}
-}
-
 func (q *mpmcQueue) dequeue() *Task {
 	for {
 		head := q.head.Load()

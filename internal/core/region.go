@@ -171,7 +171,7 @@ func (rd *regionDatum) submit(g *Graph, t *Task, a Access, r Region, addPred fun
 	// they keep doing exactly that on the chain.
 	if sc := rd.chainAt(r.Lo, r.Hi); sc != nil && !sc.ch.noRename {
 		mode := a.Mode
-		if mode == Commutative || mode == Concurrent {
+		if mode == Commutative {
 			mode = InOut
 		}
 		rd.observeSegments(r.Lo, r.Hi, mode, addPred)
@@ -201,12 +201,11 @@ func (rd *regionDatum) submit(g *Graph, t *Task, a Access, r Region, addPred fun
 			addPred(s.lastWriter)
 			s.readers = append(s.readers, t)
 		}
-	case Out, InOut, Commutative, Concurrent:
-		// Commutative and Concurrent over a region conservatively
-		// serialize like InOut (region-level commutativity/concurrent
-		// sets are not supported): updaters must still order against
-		// readers and writers, so treating them as writers is the safe
-		// over-approximation.
+	case Out, InOut, Commutative:
+		// Commutative over a region conservatively serializes like InOut
+		// (region-level commutativity sets are not supported): updaters
+		// must still order against readers and writers, so treating them
+		// as writers is the safe over-approximation.
 		for _, s := range covered {
 			addPred(s.lastWriter)
 			for _, rt := range s.readers {

@@ -6,13 +6,20 @@ import (
 	"testing/quick"
 )
 
+// on builds one region access through a RegisterRegion handle — the one way
+// an array section reaches the tracker.
+func (m *miniExec) on(base any, lo, hi int64, mode Mode) Access {
+	d := m.g.RegisterRegion(base, lo, hi)
+	return Access{Key: d.Key, Mode: mode, Datum: d}
+}
+
 func reg(base any, lo, hi int64) Region { return Region{Base: base, Lo: lo, Hi: hi} }
 
 func TestRegionDisjointWritesAreParallel(t *testing.T) {
 	m := newMiniExec(4, true, 1)
 	base := new(int)
-	a := &Task{Accesses: []Access{{Key: reg(base, 0, 10), Mode: Out}}}
-	b := &Task{Accesses: []Access{{Key: reg(base, 10, 20), Mode: Out}}}
+	a := &Task{Accesses: []Access{m.on(base, 0, 10, Out)}}
+	b := &Task{Accesses: []Access{m.on(base, 10, 20, Out)}}
 	m.submit(a)
 	m.submit(b)
 	if a.NPred() != 0 || b.NPred() != 0 {
@@ -24,8 +31,8 @@ func TestRegionDisjointWritesAreParallel(t *testing.T) {
 func TestRegionOverlapSerializes(t *testing.T) {
 	m := newMiniExec(4, true, 2)
 	base := new(int)
-	a := &Task{Accesses: []Access{{Key: reg(base, 0, 10), Mode: Out}}}
-	b := &Task{Accesses: []Access{{Key: reg(base, 5, 15), Mode: Out}}}
+	a := &Task{Accesses: []Access{m.on(base, 0, 10, Out)}}
+	b := &Task{Accesses: []Access{m.on(base, 5, 15, Out)}}
 	m.submit(a)
 	m.submit(b)
 	if b.NPred() != 1 {
@@ -40,10 +47,10 @@ func TestRegionOverlapSerializes(t *testing.T) {
 func TestRegionReadersShareThenWriterWaits(t *testing.T) {
 	m := newMiniExec(4, true, 3)
 	base := new(int)
-	w := &Task{Accesses: []Access{{Key: reg(base, 0, 100), Mode: Out}}}
+	w := &Task{Accesses: []Access{m.on(base, 0, 100, Out)}}
 	m.submit(w)
-	r1 := &Task{Accesses: []Access{{Key: reg(base, 0, 50), Mode: In}}}
-	r2 := &Task{Accesses: []Access{{Key: reg(base, 50, 100), Mode: In}}}
+	r1 := &Task{Accesses: []Access{m.on(base, 0, 50, In)}}
+	r2 := &Task{Accesses: []Access{m.on(base, 50, 100, In)}}
 	m.submit(r1)
 	m.submit(r2)
 	if r1.NPred() != 1 || r2.NPred() != 1 {
@@ -51,7 +58,7 @@ func TestRegionReadersShareThenWriterWaits(t *testing.T) {
 	}
 	// A writer over [25, 75) must wait for both readers (WAR) and the
 	// original writer is finished-agnostic via dedup.
-	w2 := &Task{Accesses: []Access{{Key: reg(base, 25, 75), Mode: Out}}}
+	w2 := &Task{Accesses: []Access{m.on(base, 25, 75, Out)}}
 	m.submit(w2)
 	if w2.NPred() != 3 {
 		t.Fatalf("partial overwrite npred=%d, want 3 (writer + 2 readers)", w2.NPred())
@@ -62,12 +69,12 @@ func TestRegionReadersShareThenWriterWaits(t *testing.T) {
 func TestRegionPartialOverwriteKeepsRest(t *testing.T) {
 	m := newMiniExec(2, true, 4)
 	base := new(int)
-	w1 := &Task{Accesses: []Access{{Key: reg(base, 0, 100), Mode: Out}}}
+	w1 := &Task{Accesses: []Access{m.on(base, 0, 100, Out)}}
 	m.submit(w1)
-	w2 := &Task{Accesses: []Access{{Key: reg(base, 0, 50), Mode: Out}}}
+	w2 := &Task{Accesses: []Access{m.on(base, 0, 50, Out)}}
 	m.submit(w2)
 	// A reader of the untouched half depends on w1 only.
-	r := &Task{Accesses: []Access{{Key: reg(base, 50, 100), Mode: In}}}
+	r := &Task{Accesses: []Access{m.on(base, 50, 100, In)}}
 	m.submit(r)
 	if r.NPred() != 1 {
 		t.Fatalf("reader of untouched half npred=%d, want 1", r.NPred())
@@ -84,8 +91,8 @@ func TestRegionPartialOverwriteKeepsRest(t *testing.T) {
 func TestRegionDistinctBasesIndependent(t *testing.T) {
 	m := newMiniExec(2, true, 5)
 	b1, b2 := new(int), new(int)
-	a := &Task{Accesses: []Access{{Key: reg(b1, 0, 10), Mode: Out}}}
-	b := &Task{Accesses: []Access{{Key: reg(b2, 0, 10), Mode: Out}}}
+	a := &Task{Accesses: []Access{m.on(b1, 0, 10, Out)}}
+	b := &Task{Accesses: []Access{m.on(b2, 0, 10, Out)}}
 	m.submit(a)
 	m.submit(b)
 	if b.NPred() != 0 {
@@ -97,9 +104,9 @@ func TestRegionDistinctBasesIndependent(t *testing.T) {
 func TestRegionEmptySpanIgnored(t *testing.T) {
 	m := newMiniExec(1, true, 6)
 	base := new(int)
-	a := &Task{Accesses: []Access{{Key: reg(base, 5, 5), Mode: Out}}}
+	a := &Task{Accesses: []Access{m.on(base, 5, 5, Out)}}
 	m.submit(a)
-	b := &Task{Accesses: []Access{{Key: reg(base, 0, 10), Mode: Out}}}
+	b := &Task{Accesses: []Access{m.on(base, 0, 10, Out)}}
 	m.submit(b)
 	if b.NPred() != 0 {
 		t.Fatal("empty span must create no dependences")
@@ -148,7 +155,7 @@ func TestRegionElementOracleProperty(t *testing.T) {
 			id := id
 			lo2, hi2 := lo, hi
 			tk := &Task{
-				Accesses: []Access{{Key: reg(base, lo, hi), Mode: mode}},
+				Accesses: []Access{m.on(base, lo, hi, mode)},
 				Owner: func() error {
 					if mode == In || mode == InOut {
 						for i := lo2; i < hi2; i++ {

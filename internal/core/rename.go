@@ -36,12 +36,11 @@ type version struct {
 	// of the instance copied onto it), so equal (datum, vid) pairs always
 	// name bit-identical content — the invariant the distributed backend's
 	// per-worker version caches key on.
-	vid         uint64
-	lastWriter  *Task
-	readers     []*Task
-	commuters   []*Task
-	concurrents []*Task
-	refs        int32
+	vid        uint64
+	lastWriter *Task
+	readers    []*Task
+	commuters  []*Task
+	refs       int32
 	// poisoned records that the version's program-order last writer
 	// finished with an error (including skip-release): its payload is
 	// undefined and must never be written back to canonical storage.
@@ -56,8 +55,7 @@ func (v *version) anyUnfinished(self *Task) bool {
 	if w := v.lastWriter; w != nil && w != self && !w.Finished() {
 		return true
 	}
-	return anyUnfinishedIn(v.readers, self) || anyUnfinishedIn(v.commuters, self) ||
-		anyUnfinishedIn(v.concurrents, self)
+	return anyUnfinishedIn(v.readers, self) || anyUnfinishedIn(v.commuters, self)
 }
 
 func (v *version) anyUnfinishedReader(self *Task) bool { return anyUnfinishedIn(v.readers, self) }
@@ -81,9 +79,6 @@ func (v *version) addAccessors(addPred func(*Task)) {
 		addPred(t)
 	}
 	for _, t := range v.commuters {
-		addPred(t)
-	}
-	for _, t := range v.concurrents {
 		addPred(t)
 	}
 }
@@ -233,11 +228,9 @@ func (d *Datum) EnableRenaming(canonical any, alloc func() any, cp func(dst, src
 		ch.canonical.lastWriter = d.rec.lastWriter
 		ch.canonical.readers = d.rec.readers
 		ch.canonical.commuters = d.rec.commuters
-		ch.canonical.concurrents = d.rec.concurrents
 		d.rec.lastWriter = nil
 		d.rec.readers = nil
 		d.rec.commuters = nil
-		d.rec.concurrents = nil
 		d.rec.chain = ch
 	}
 	d.chain = ch
@@ -371,8 +364,8 @@ func (g *Graph) shouldRename(ch *verChain, t *Task, mode Mode) bool {
 
 // wireChained wires one access of t against a chained datum's current
 // version, renaming write-mode accesses when shouldRename approves. Called
-// with the owning shard lock held. Commutative/Concurrent updaters mutate
-// the current instance in place and keep their ordinary edge semantics.
+// with the owning shard lock held. Commutative updaters mutate the current
+// instance in place and keep their ordinary edge semantics.
 func (g *Graph) wireChained(ch *verChain, t *Task, mode Mode, addPred func(*Task)) {
 	cur := ch.cur
 	switch mode {
@@ -381,28 +374,12 @@ func (g *Graph) wireChained(ch *verChain, t *Task, mode Mode, addPred func(*Task
 		for _, c := range cur.commuters {
 			addPred(c)
 		}
-		for _, c := range cur.concurrents {
-			addPred(c)
-		}
 		cur.readers = append(cur.readers, t)
-		t.bindRead(ch, cur)
-	case Concurrent:
-		addPred(cur.lastWriter)
-		for _, r := range cur.readers {
-			addPred(r)
-		}
-		for _, c := range cur.commuters {
-			addPred(c)
-		}
-		cur.concurrents = append(cur.concurrents, t)
 		t.bindRead(ch, cur)
 	case Commutative:
 		addPred(cur.lastWriter)
 		for _, r := range cur.readers {
 			addPred(r)
-		}
-		for _, c := range cur.concurrents {
-			addPred(c)
 		}
 		cur.commuters = append(cur.commuters, t)
 		t.bindRead(ch, cur)
@@ -416,9 +393,6 @@ func (g *Graph) wireChained(ch *verChain, t *Task, mode Mode, addPred func(*Task
 				// new one (seeded by copy-in at first PayloadFor).
 				addPred(cur.lastWriter)
 				for _, c := range cur.commuters {
-					addPred(c)
-				}
-				for _, c := range cur.concurrents {
 					addPred(c)
 				}
 				nv.readers = append(nv.readers, t)
@@ -442,13 +416,9 @@ func (g *Graph) wireChained(ch *verChain, t *Task, mode Mode, addPred func(*Task
 		for _, c := range cur.commuters {
 			addPred(c)
 		}
-		for _, c := range cur.concurrents {
-			addPred(c)
-		}
 		cur.lastWriter = t
 		cur.readers = nil
 		cur.commuters = nil
-		cur.concurrents = nil
 		// The in-place write produces new content in the same payload: the
 		// instance's version number advances so the new content gets a
 		// fresh identity. An InOut still observes the predecessor content,
@@ -648,7 +618,6 @@ func (ch *verChain) collapse() {
 	ch.canonical.lastWriter = nil
 	ch.canonical.readers = nil
 	ch.canonical.commuters = nil
-	ch.canonical.concurrents = nil
 	ch.cur = ch.canonical
 	for _, v := range ch.renamed {
 		if v.payload != nil {

@@ -266,7 +266,7 @@ func TestRenameRegionTileAndSeal(t *testing.T) {
 
 	// A raw access overlapping the tile with a different span: must seal
 	// the chain and wait for every live instance accessor.
-	raw := &Task{Accesses: []Access{{Key: Region{Base: &buf[0], Lo: 0, Hi: 2}, Mode: In}}}
+	raw := taskOn(g.RegisterRegion(&buf[0], 0, 2), In)
 	if g.Submit(raw) {
 		t.Fatal("overlapping raw reader must wait for the live tile instances")
 	}
@@ -328,7 +328,7 @@ func TestRenameLastGoodValueSurvivesLaterFailure(t *testing.T) {
 }
 
 // Failure-propagation semantics renaming trades away (pinned, and
-// documented on WithRenaming): a renamed Out writer has no edge to the
+// documented on ompss.Tuning.Renaming): a renamed Out writer has no edge to the
 // failed program-order predecessor and therefore no upstream error; a
 // renamed InOut keeps its true RAW and inherits it.
 func TestRenameFailurePropagationFollowsRemainingEdges(t *testing.T) {

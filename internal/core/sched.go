@@ -170,25 +170,6 @@ func (s *Sched) PushSubmit(t *Task) {
 	s.global.enqueue(t)
 }
 
-// PushSubmitBatch enqueues a slice of submission-ready tasks, splitting off
-// priority and affinity placements and appending the FIFO remainder to the
-// global queue as one linked chain (a single tail CAS for the whole batch).
-func (s *Sched) PushSubmitBatch(ts []*Task) {
-	var fifo []*Task
-	for _, t := range ts {
-		if t.Priority > 0 {
-			s.pushPrioGlobal(t)
-			continue
-		}
-		if shard, ok := t.AffinityShard(); ok && s.pol.Affinity && s.workers > 0 {
-			s.lanes[s.pol.HomeLane(shard, s.workers)].mailbox.enqueue(t)
-			continue
-		}
-		fifo = append(fifo, t)
-	}
-	s.global.enqueueBatch(fifo)
-}
-
 // pushPrioGlobal inserts t into the priority-ordered side queue, stable
 // within a priority level.
 func (s *Sched) pushPrioGlobal(t *Task) {

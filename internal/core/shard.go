@@ -11,9 +11,9 @@ import (
 const numShards = 64
 
 // ShardOf maps any dependence key to its shard index — the basis of
-// affinity placement (Policy.HomeLane). Region keys shard by their base, so
-// all sections of one array share a home.
-func ShardOf(key any) uint32 { return shardFor(key) }
+// affinity placement (Policy.HomeLane). Region handles carry their base's
+// shard (Datum.Shard), so all sections of one array share a home.
+func ShardOf(key any) uint32 { return shardIndex(key) }
 
 // shardIndex maps a dependence key to its shard. Equal keys must always map
 // to the same shard, so hashing goes through the key's value, not its

@@ -36,7 +36,7 @@ import (
 )
 
 // Mode is the dependence mode of one task argument, mirroring the OmpSs
-// pragma clauses input/output/inout (plus the concurrent extension).
+// pragma clauses input/output/inout (plus the commutative extension).
 type Mode int
 
 const (
@@ -48,11 +48,6 @@ const (
 	Out
 	// InOut declares the task reads and writes the datum.
 	InOut
-	// Concurrent declares the task updates the datum under its own
-	// synchronization: concurrent tasks may overlap each other, but as
-	// updaters they are ordered against ordinary readers, commutative
-	// updaters, and writers on both sides.
-	Concurrent
 	// Commutative declares the task updates the datum in an order-free
 	// but mutually exclusive way: commutative tasks on the same datum are
 	// unordered among themselves (the executor serializes their bodies
@@ -69,8 +64,6 @@ func (m Mode) String() string {
 		return "out"
 	case InOut:
 		return "inout"
-	case Concurrent:
-		return "concurrent"
 	case Commutative:
 		return "commutative"
 	}
@@ -96,7 +89,7 @@ type Access struct {
 
 // Reads reports whether the access observes the datum's value.
 func (a Access) Reads() bool {
-	return a.Mode == In || a.Mode == InOut || a.Mode == Concurrent || a.Mode == Commutative
+	return a.Mode == In || a.Mode == InOut || a.Mode == Commutative
 }
 
 // Writes reports whether the access produces a new datum value.
@@ -371,18 +364,9 @@ func (c *Context) NoteErr(err error) {
 	c.firstErr.CompareAndSwap(nil, &errBox{err})
 }
 
-// Err returns the first error of a direct child that finished unsuccessfully
-// in this scope (including skipped children), or nil. This is what taskwait
-// reports.
-func (c *Context) Err() error {
-	if b := c.firstErr.Load(); b != nil {
-		return b.err
-	}
-	return nil
-}
-
-// TakeErr returns the scope's recorded failure and clears it, so each
-// taskwait round reports the failures of its own batch of children.
+// TakeErr returns the first error of a direct child that finished
+// unsuccessfully in this scope (including skipped children) and clears it,
+// so each taskwait round reports the failures of its own children.
 func (c *Context) TakeErr() error {
 	if b := c.firstErr.Swap(nil); b != nil {
 		return b.err

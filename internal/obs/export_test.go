@@ -171,3 +171,32 @@ func TestParaverCSVStructure(t *testing.T) {
 		t.Fatalf("rows: running=%d steal=%d idle=%d, want 4/1/1", running, steals, idles)
 	}
 }
+
+// TestWriteDOTGolden pins the Graphviz export byte for byte on the diamond:
+// four nodes in task-ID order, each with its executing lane, then four
+// edges; a label with a quote and a backslash stays one valid DOT string;
+// a task whose submit event was lost is left out together with its edges.
+func TestWriteDOTGolden(t *testing.T) {
+	tr := diamondTrace()
+	tr.Events[0].Label = `to"p\`
+	tr.Events = append(tr.Events, Event{Seq: 99, At: 35, Kind: EvEdge, Task: 7, Arg: 4})
+	var buf bytes.Buffer
+	if err := WriteDOT(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	const want = `digraph taskgraph {
+  rankdir=TB; node [shape=box, fontsize=10];
+  t1 [label="to\"p\\", tooltip="lane 0"];
+  t2 [label="left", tooltip="lane 0"];
+  t3 [label="right", tooltip="lane 1"];
+  t4 [label="bottom", tooltip="lane 0"];
+  t1 -> t2;
+  t1 -> t3;
+  t2 -> t4;
+  t3 -> t4;
+}
+`
+	if got := buf.String(); got != want {
+		t.Fatalf("DOT export:\n%s\nwant:\n%s", got, want)
+	}
+}

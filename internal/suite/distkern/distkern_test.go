@@ -6,7 +6,6 @@ import (
 
 	"ompssgo/internal/dist"
 	"ompssgo/internal/suite/rgbcmy"
-	"ompssgo/ompss"
 )
 
 func TestMain(m *testing.M) {
@@ -22,7 +21,7 @@ func TestDistMatchesSequential(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			var got uint64
-			stats, err := ompss.RunDist(2, func(rt *dist.RT) error {
+			stats, err := dist.Run(2, func(rt *dist.RT) error {
 				var err error
 				got, err = w.Run(rt)
 				return err
@@ -48,7 +47,7 @@ func TestDistMatchesSequential(t *testing.T) {
 // paper's observation that rgbcmy is dominated by inter-iteration
 // overheads, not recomputation.
 func TestRGBCMYCacheReuse(t *testing.T) {
-	stats, err := ompss.RunDist(2, func(rt *dist.RT) error {
+	stats, err := dist.Run(2, func(rt *dist.RT) error {
 		_, err := RunRGBCMY(rt, rgbcmy.Small())
 		return err
 	})

@@ -81,21 +81,22 @@ func TestGoldenMatchesSeq(t *testing.T) {
 // equally-corrupted reference rerun.
 func TestGoldenSurvivesSchedulingPolicies(t *testing.T) {
 	golden := goldenSmall(t)
+	fifo := ompss.Tuning{Locality: ompss.Off, Affinity: ompss.Off}
 	policies := []struct {
 		name string
 		opts []ompss.Option
 	}{
 		{"default", nil},
-		{"fifo", []ompss.Option{ompss.Locality(false), ompss.AffinitySched(false)}},
-		{"domains2", []ompss.Option{ompss.Domains(2)}},
-		{"blocking-affinity", []ompss.Option{ompss.Wait(ompss.Blocking), ompss.Domains(2)}},
+		{"fifo", []ompss.Option{ompss.WithTuning(fifo)}},
+		{"domains2", []ompss.Option{ompss.WithTuning(ompss.Tuning{Domains: ompss.Fixed(2)})}},
+		{"blocking-affinity", []ompss.Option{ompss.Wait(ompss.Blocking), ompss.WithTuning(ompss.Tuning{Domains: ompss.Fixed(2)})}},
 		// Dependence renaming on: the suite's datums never call
 		// EnableRenaming, so the knob must be behaviorally invisible here —
 		// identical checksums with renaming on and off is an acceptance
 		// criterion of the renaming work (the renameable-datum paths are
 		// value-checked by ompss/rename_test.go and the fuzz battery).
-		{"renaming", []ompss.Option{ompss.WithRenaming(true)}},
-		{"renaming-fifo", []ompss.Option{ompss.WithRenaming(true), ompss.Locality(false), ompss.AffinitySched(false)}},
+		{"renaming", []ompss.Option{ompss.WithTuning(ompss.Tuning{Renaming: ompss.On})}},
+		{"renaming-fifo", []ompss.Option{ompss.WithTuning(ompss.Tuning{Renaming: ompss.On}), ompss.WithTuning(fifo)}},
 	}
 	for _, name := range Names() {
 		name := name

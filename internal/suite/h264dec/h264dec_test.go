@@ -94,8 +94,8 @@ func TestNativePipelineBounded(t *testing.T) {
 	want := New(Default()).RunSeq()
 	policies := [][]ompss.Option{
 		nil,
-		{ompss.Locality(false), ompss.AffinitySched(false)},
-		{ompss.AffinitySched(false)},
+		{ompss.WithTuning(ompss.Tuning{Locality: ompss.Off, Affinity: ompss.Off})},
+		{ompss.WithTuning(ompss.Tuning{Affinity: ompss.Off})},
 		{ompss.Wait(ompss.Blocking)},
 	}
 	for pi, opts := range policies {

@@ -57,18 +57,6 @@ func InOut(keys ...any) Clause {
 	}
 }
 
-// Concurrent declares dependences that may overlap with each other but are
-// ordered against ordinary readers and writers (the OmpSs concurrent
-// extension, for reductions guarded by their own synchronization). Keys may
-// be raw keys or *Datum handles.
-func Concurrent(keys ...any) Clause {
-	return func(r *taskRec) {
-		for _, k := range keys {
-			r.t.Accesses = append(r.t.Accesses, access(k, core.Concurrent, 0))
-		}
-	}
-}
-
 // Commutative declares order-free but mutually exclusive updates (the OmpSs
 // commutative extension): commutative tasks on the same key may execute in
 // any order but never simultaneously — the runtime serializes their bodies
@@ -100,50 +88,6 @@ func OutSized(key any, bytes int64) Clause {
 	}
 }
 
-// InOutSized is InOut with a byte footprint for the simulated memory model.
-func InOutSized(key any, bytes int64) Clause {
-	return func(r *taskRec) {
-		r.t.Accesses = append(r.t.Accesses, access(key, core.InOut, bytes))
-	}
-}
-
-// InRegion declares a read dependence on the array section [lo, hi) of the
-// array identified by base — the OmpSs array-section clause
-// `input(a[lo;hi-lo])`. Sections of the same base conflict only where they
-// overlap, so tasks over disjoint blocks run in parallel without manual
-// per-block keys.
-func InRegion(base any, lo, hi int64) Clause {
-	return func(r *taskRec) {
-		r.t.Accesses = append(r.t.Accesses, core.Access{
-			Key: core.Region{Base: base, Lo: lo, Hi: hi}, Mode: core.In, Bytes: hi - lo,
-		})
-	}
-}
-
-// OutRegion declares a write dependence on an array section.
-func OutRegion(base any, lo, hi int64) Clause {
-	return func(r *taskRec) {
-		r.t.Accesses = append(r.t.Accesses, core.Access{
-			Key: core.Region{Base: base, Lo: lo, Hi: hi}, Mode: core.Out, Bytes: hi - lo,
-		})
-	}
-}
-
-// InOutRegion declares a read-write dependence on an array section.
-func InOutRegion(base any, lo, hi int64) Clause {
-	return func(r *taskRec) {
-		r.t.Accesses = append(r.t.Accesses, core.Access{
-			Key: core.Region{Base: base, Lo: lo, Hi: hi}, Mode: core.InOut, Bytes: hi - lo,
-		})
-	}
-}
-
-// RegionKey builds the dependence key for an array section, for use with
-// TaskwaitOn (e.g. rt.TaskwaitOn(ompss.RegionKey(&a[0], 0, 64))).
-func RegionKey(base any, lo, hi int64) any {
-	return core.Region{Base: base, Lo: lo, Hi: hi}
-}
-
 // Cost declares the task's computational cost for the simulated machine
 // (native execution ignores it; the body's real work is the cost there).
 func Cost(d time.Duration) Clause { return func(r *taskRec) { r.t.CPUCost = int64(d) } }
@@ -157,12 +101,12 @@ func Priority(p int) Clause { return func(r *taskRec) { r.t.Priority = p } }
 
 // Affinity hints that the task should execute near the home of the given
 // datum: the task is submitted to the mailbox of the lane its dependence
-// shard maps to (see the AffinitySched option), so work lands where its
+// shard maps to (see Tuning.Affinity), so work lands where its
 // data lives and domain-ordered stealing drains it with near workers first.
 // The key may be a registered *Datum handle (preferred — the home shard is
 // already cached) or any raw dependence key. A later Affinity clause
 // overrides an earlier one. The hint never affects correctness, only
-// placement; it is ignored when AffinitySched(false) is set.
+// placement; it is ignored under Tuning{Affinity: Off}.
 func Affinity(key any) Clause {
 	return func(r *taskRec) {
 		if d, ok := key.(*Datum); ok {
@@ -173,15 +117,10 @@ func Affinity(key any) Clause {
 	}
 }
 
-// Label names the task for traces and DOT exports.
+// Label names the task in traces and their exports.
 func Label(l string) Clause { return func(r *taskRec) { r.t.Label = l } }
 
 // If controls deferral: If(false) executes the task undeferred in the
 // spawning thread (still honoring cost accounting), as in OmpSs. Use it to
 // collapse task granularity dynamically.
 func If(cond bool) Clause { return func(r *taskRec) { r.enabled = r.enabled && cond } }
-
-// Final marks the task final when cond holds (`final` clause): the task and
-// every task spawned inside it (transitively) execute undeferred, cutting
-// off nesting overhead below a depth or size threshold.
-func Final(cond bool) Clause { return func(r *taskRec) { r.final = r.final || cond } }

@@ -1,93 +1,27 @@
 package ompss
 
 import (
-	"time"
-
 	"ompssgo/internal/dist"
 	"ompssgo/internal/obs"
 )
 
-// RunDist executes program on the distributed backend: a coordinator in
-// this process drives the dependence tracker with renaming enabled, and
-// `workers` freshly spawned worker processes (children of the current
-// binary, rendezvousing over a Unix domain socket) execute the task
-// bodies against migrated datum versions. It is the multi-process sibling
-// of Run and RunSim — same dataflow semantics, shared-nothing execution.
+// RunDist executes program on the distributed backend (internal/dist): a
+// coordinator in this process drives the dependence tracker with renaming
+// enabled, and `workers` freshly spawned worker processes (children of the
+// current binary) execute the task bodies against migrated datum versions —
+// same dataflow semantics as New and RunSim, shared-nothing execution.
 //
-// Unlike the in-process entry points the program receives a *DistRT, not
-// a *Runtime: distributed task bodies are registered kernels addressed by
-// name (RegisterKernel) rather than closures, and datums are
-// coordinator-owned byte buffers (rt.Register / rt.Read). main (and
-// TestMain, for test binaries) must call MaybeWorker() first thing so
+// The program receives a *dist.RT, not a *Runtime: distributed task bodies
+// are registered kernels addressed by name (dist.RegisterKernel) rather
+// than closures, and datums are coordinator-owned byte buffers. main (and
+// TestMain, for test binaries) must call dist.MaybeWorker first thing so
 // spawned children divert into the worker loop.
-//
-// The implementation lives in internal/dist; this file is the public
-// veneer — aliases, not wrappers, so in-repo code using the dist package
-// directly and external consumers using these names handle the same types
-// (errors.As against DistWorkerLost matches a dist.WorkerLost, etc).
-func RunDist(workers int, program func(*DistRT) error, opts ...DistOption) (DistStats, error) {
+func RunDist(workers int, program func(*dist.RT) error, opts ...DistOption) (dist.Stats, error) {
 	return dist.Run(workers, program, opts...)
 }
 
-// RegisterKernel publishes a named task body for distributed execution.
-// Register in an init function (or otherwise before MaybeWorker) so the
-// kernel exists in the coordinator and every re-exec'd worker alike.
-func RegisterKernel(name string, fn DistKernelFunc) { dist.RegisterKernel(name, fn) }
-
-// MaybeWorker diverts a spawned worker child into its serve loop (never
-// returning) and is a no-op in ordinary processes. Any binary that calls
-// RunDist must invoke it first thing in main.
-func MaybeWorker() { dist.MaybeWorker() }
-
-// The distributed runtime surface, re-exported for consumers outside this
-// module (internal/dist is not importable there).
-type (
-	// DistRT is the coordinator-side runtime handed to a RunDist program.
-	DistRT = dist.RT
-	// DistStats is RunDist's accounting: tasks, failures, bytes migrated
-	// in each direction, transfers the version caches avoided, evictions,
-	// workers lost, and per-worker breakdowns.
-	DistStats = dist.Stats
-	// DistOption configures RunDist (DistCacheBytes, DistRenameCap, ...).
-	DistOption = dist.Option
-	// DistDatum is a coordinator-owned byte buffer under dependence
-	// tracking, created by DistRT.Register.
-	DistDatum = dist.Datum
-	// DistClause binds a datum to a task with an access mode.
-	DistClause = dist.Clause
-	// DistHandle is a distributed task future (Err, Skipped).
-	DistHandle = dist.Handle
-	// DistKernelFunc is a registered task body: args is the task's opaque
-	// argument blob; in holds one read-only buffer per In clause in clause
-	// order; out holds one writable buffer per Out/InOut clause in clause
-	// order (InOut buffers arrive seeded with the current version).
-	DistKernelFunc = dist.KernelFunc
-
-	// DistWorkerLost reports a worker process that died mid-task; tasks
-	// in flight on it fail with this error and their dependents skip.
-	DistWorkerLost = dist.WorkerLost
-	// DistRemoteError reports a kernel that returned an error (or
-	// panicked) on a worker.
-	DistRemoteError = dist.RemoteError
-	// DistSkipError marks a task skipped because an upstream dependence
-	// failed; Unwrap yields the upstream cause.
-	DistSkipError = dist.SkipError
-)
-
-// DistIn declares a read of d.
-func DistIn(d *DistDatum) DistClause { return dist.In(d) }
-
-// DistOut declares a write of d (contents replaced).
-func DistOut(d *DistDatum) DistClause { return dist.Out(d) }
-
-// DistInOut declares a read-modify-write of d.
-func DistInOut(d *DistDatum) DistClause { return dist.InOut(d) }
-
-// DistCacheBytes caps each worker's version cache (default 64 MiB).
-func DistCacheBytes(n int64) DistOption { return dist.CacheBytes(n) }
-
-// DistRenameCap bounds live versions per datum (the engine's RenameCap).
-func DistRenameCap(n int) DistOption { return dist.RenameCap(n) }
+// DistOption configures RunDist.
+type DistOption = dist.Option
 
 // Worker rendezvous transports for DistTransport.
 const (
@@ -100,51 +34,8 @@ const (
 // challenge/response handshake; unauthenticated peers are refused.
 func DistTransport(name string) DistOption { return dist.Transport(name) }
 
-// DistSecret overrides the run's shared handshake secret (by default a
-// fresh random secret per run).
-func DistSecret(s []byte) DistOption { return dist.Secret(s) }
-
-// DistHandshakeTimeout bounds worker connect-and-authenticate.
-func DistHandshakeTimeout(d time.Duration) DistOption { return dist.HandshakeTimeout(d) }
-
-// DistExitKillDelay sets how long a shut-down worker may drain before its
-// process is killed (default derives from the handshake timeout).
-func DistExitKillDelay(d time.Duration) DistOption { return dist.ExitKillDelay(d) }
-
-// DistRespawnWorkers re-execs a replacement worker for any slot lost
-// mid-run; the replacement rejoins with a cold cache.
-func DistRespawnWorkers() DistOption { return dist.RespawnLostWorkers() }
-
-// DistChainLimit bounds tasks per chained dispatch frame (values below 2
-// disable worker-side task chains).
-func DistChainLimit(n int) DistOption { return dist.ChainLimit(n) }
-
-// DistNoForwarding disables direct worker-to-worker datum forwarding;
-// every transfer relays through the coordinator.
-func DistNoForwarding() DistOption { return dist.NoForwarding() }
-
-// DistObserve attaches an observability recorder to the coordinator side
-// of a distributed run: dispatch lifecycle, transfers, cache hits, and
-// chain frames land on per-slot lanes, as ompss.Observe does in-process.
-func DistObserve(rec *obs.Recorder) DistOption { return dist.Observe(rec) }
-
-// DistTraceWorkers additionally traces inside every worker process:
-// kernel execution, wire arrivals, cache hits, peer forwards, and idle
-// gaps, recorded into a per-worker ring of `capacity` events (0 for the
-// default) and shipped back piggybacked on completions.
-func DistTraceWorkers(capacity int) DistOption { return dist.TraceWorkers(capacity) }
-
 // DistTraceSink receives the run's merged cross-process trace — the
 // coordinator stream plus every worker incarnation's events, aligned onto
 // one clock and labelled with per-(slot, generation) tracks — right
 // before RunDist returns. It implies worker tracing.
 func DistTraceSink(fn func(*obs.Trace)) DistOption { return dist.TraceSink(fn) }
-
-// DistReconcileTrace cross-checks a merged distributed trace against the
-// run's Stats: exactly-once remote execution and matching transfer,
-// forward, cache-hit, and chain accounting (exact on clean runs).
-func DistReconcileTrace(tr *obs.Trace, st DistStats) error { return dist.ReconcileTrace(tr, st) }
-
-// ErrNoDistWorkers is returned for tasks that cannot run because every
-// worker process has been lost.
-var ErrNoDistWorkers = dist.ErrNoWorkers

@@ -45,16 +45,16 @@ func ExampleTC_TaskwaitOn() {
 
 // Array-section dependences let disjoint blocks run in parallel without
 // manual per-block keys.
-func ExampleInRegion() {
+func ExampleRuntime_RegisterRegion() {
 	rt := ompss.New(ompss.Workers(2))
 	defer rt.Shutdown()
 
 	data := make([]int, 8)
 	base := &data[0]
-	rt.Task(func(*ompss.TC) { data[0] = 1 }, ompss.OutRegion(base, 0, 4))
-	rt.Task(func(*ompss.TC) { data[4] = 2 }, ompss.OutRegion(base, 4, 8))
+	rt.Task(func(*ompss.TC) { data[0] = 1 }, ompss.Out(rt.RegisterRegion(base, 0, 4)))
+	rt.Task(func(*ompss.TC) { data[4] = 2 }, ompss.Out(rt.RegisterRegion(base, 4, 8)))
 	rt.Task(func(*ompss.TC) { fmt.Println(data[0] + data[4]) },
-		ompss.InRegion(base, 0, 8))
+		ompss.In(rt.RegisterRegion(base, 0, 8)))
 	rt.Taskwait()
 	// Output: 3
 }

@@ -11,9 +11,9 @@ import (
 // Datum is a pre-registered data handle: the clause-expression analogue of
 // the paper's compiler-resolved dependence expressions. Registering a key
 // once (Runtime.Register / Runtime.RegisterRegion) resolves its dependence
-// shard and record up front, so every later In/Out/InOut/Concurrent/
-// Commutative clause built from the handle skips interface hashing and the
-// shard map lookup on the submit hot path. Pass a *Datum anywhere a
+// shard and record up front, so every later In/Out/InOut/Commutative
+// clause built from the handle skips interface hashing and the shard map
+// lookup on the submit hot path. Pass a *Datum anywhere a
 // dependence key is accepted — the clause constructors and TaskwaitOn
 // recognize it. Raw any-key clauses remain supported as a compatibility
 // layer and resolve to the same records, so handle-based and key-based
@@ -26,13 +26,6 @@ type Datum struct {
 	// slice and a fresh closure per call).
 	asIn, asOut, asInOut Clause
 }
-
-// Key returns the underlying dependence key (a region key — see RegionKey —
-// for region handles).
-func (d *Datum) Key() any { return d.c.Key }
-
-// IsRegion reports whether the handle names an array section.
-func (d *Datum) IsRegion() bool { return d.c.IsRegion() }
 
 // AsIn returns the handle's pre-built In clause (see In). The clause is
 // constructed once at registration: using it adds no per-submit work.
@@ -69,22 +62,28 @@ func newDatum(c *core.Datum) *Datum {
 // compatibility path instead of corrupting records).
 func (rt *Runtime) Register(key any) *Datum {
 	if d, ok := key.(*Datum); ok {
-		if d.c.Owner() == rt.be.deps() {
+		if d.c.Owner() == rt.be.Deps() {
 			return d
+		}
+		if d.c.IsRegion() {
+			r := d.c.Region()
+			return rt.RegisterRegion(r.Base, r.Lo, r.Hi)
 		}
 		key = d.c.Key
 	}
-	return newDatum(rt.be.deps().Register(key))
+	return newDatum(rt.be.Deps().Register(key))
 }
 
 // RegisterRegion interns an array-section handle for [lo, hi) of the array
-// identified by base (the handle equivalent of InRegion and friends).
-// Distinct handles over one base conflict only where their spans overlap.
+// identified by base — the OmpSs array-section clause `input(a[lo;hi-lo])`
+// once the handle is passed to In/Out/InOut. Distinct handles over one base
+// conflict only where their spans overlap, so tasks over disjoint blocks run
+// in parallel without manual per-block keys.
 func (rt *Runtime) RegisterRegion(base any, lo, hi int64) *Datum {
-	return newDatum(rt.be.deps().RegisterRegion(base, lo, hi))
+	return newDatum(rt.be.Deps().RegisterRegion(base, lo, hi))
 }
 
-// EnableRenaming makes the datum renameable (see the WithRenaming option):
+// EnableRenaming makes the datum renameable (see Tuning.Renaming):
 // canonical is the storage behind the registered key (nil defaults to the
 // key itself — the usual pointer-keyed case), alloc produces a fresh
 // private instance, and cp copies one instance's value onto another
@@ -105,19 +104,6 @@ func (d *Datum) EnableRenaming(canonical any, alloc func() any, cp func(dst, src
 	return d
 }
 
-// NoRename opts this datum out of renaming even when the runtime enables
-// it (WithRenaming): writes stall on their WAR/WAW edges and update the
-// current instance in place, as without renaming. Idempotent, usable
-// before or after EnableRenaming; returns d for chaining.
-func (d *Datum) NoRename() *Datum {
-	d.c.NoRename()
-	return d
-}
-
-// Renameable reports whether the datum currently has an active (enabled
-// and not opted-out or sealed) version chain.
-func (d *Datum) Renameable() bool { return d.c.Renameable() }
-
 // Handle is the future returned by Task, Go, and TaskLoop: a first-class
 // completion and outcome token for one spawned task.
 //
@@ -134,7 +120,7 @@ func (d *Datum) Renameable() bool { return d.c.Renameable() }
 // task the close cancelled, a *SkipError wrapping ErrSessionClosed.
 type Handle struct {
 	rt *Runtime
-	t  *core.Task // nil for an undeferred (If(false)/final) task: it already ran
+	t  *core.Task // nil for an undeferred (If(false)) task: it already ran
 	// settled is the outcome of a task that never entered the graph, set
 	// once: an inline task's failure, or the refusal of a spawn the session
 	// would not admit. It wins over t, which such a task never finishes.
@@ -177,15 +163,6 @@ func (h *Handle) Err() error {
 	return h.t.Err()
 }
 
-// Task returns the handle's graph task ID (0 for inline and refused tasks),
-// for correlating with traces and DOT exports.
-func (h *Handle) TaskID() uint64 {
-	if h.offGraph() {
-		return 0
-	}
-	return h.t.ID
-}
-
 // settle records the outcome of a task that never entered the graph (nil
 // keeps an inline success) and returns h.
 func (h *Handle) settle(err error) *Handle {
@@ -209,13 +186,6 @@ const (
 	// want to observe — missing predecessor results.
 	RunThrough
 )
-
-func (p ErrorPolicy) String() string {
-	if p == RunThrough {
-		return "run-through"
-	}
-	return "skip-dependents"
-}
 
 // OnError selects the failure-propagation policy (default SkipDependents).
 func OnError(p ErrorPolicy) Option { return func(c *config) { c.policy = p } }

@@ -104,16 +104,16 @@ func TestRegionDatum(t *testing.T) {
 	if sum != 150 {
 		t.Fatalf("sum=%d, want 150", sum)
 	}
-	if !left.IsRegion() || left.Key() == nil {
+	if !left.c.IsRegion() || left.c.Key == nil {
 		t.Fatal("region handle should report IsRegion and carry a key")
 	}
-	// Region handles interop with raw region clauses on the same base.
+	// Handles with different spans over one base order where they overlap.
 	got := 0
-	rt.Task(func(*TC) { data[0] = 9 }, OutRegion(base, 0, 10))
+	rt.Task(func(*TC) { data[0] = 9 }, Out(rt.RegisterRegion(base, 0, 10)))
 	rt.Task(func(*TC) { got = data[0] }, In(left))
 	rt.Taskwait()
 	if got != 9 {
-		t.Fatalf("raw-region/handle interop saw %d, want 9", got)
+		t.Fatalf("overlapping region handles saw %d, want 9", got)
 	}
 }
 
@@ -141,6 +141,20 @@ func TestCrossRuntimeHandleFallsBackToKey(t *testing.T) {
 	}
 	if rt2.Register(local) != local {
 		t.Fatal("same-runtime re-registration should be identity")
+	}
+	// A foreign region handle resolves against this runtime's record of its
+	// base: it orders against a local handle wherever the spans overlap.
+	buf := make([]int, 8)
+	foreignSpan := rt1.RegisterRegion(&buf[0], 0, 8)
+	order = order[:0]
+	rt2.Task(func(*TC) { order = append(order, 1) }, Out(foreignSpan))
+	rt2.Task(func(*TC) { order = append(order, 2) }, In(rt2.RegisterRegion(&buf[0], 2, 4)))
+	rt2.Taskwait()
+	if fmt.Sprint(order) != "[1 2]" {
+		t.Fatalf("foreign region handle did not order against a local section: %v", order)
+	}
+	if l := rt2.Register(foreignSpan); l == foreignSpan || !l.c.IsRegion() {
+		t.Fatal("foreign region handle should be re-registered as a region")
 	}
 }
 
@@ -385,8 +399,8 @@ func TestInlineTaskHandle(t *testing.T) {
 	default:
 		t.Fatal("inline handle Done must be pre-closed")
 	}
-	if h.TaskID() != 0 {
-		t.Fatal("inline tasks carry no graph ID")
+	if h.t != nil {
+		t.Fatal("inline tasks never enter the graph")
 	}
 }
 

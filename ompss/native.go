@@ -136,18 +136,18 @@ func newNativeBackend(rt *Runtime, cfg config) *nativeBackend {
 		epoch: time.Now(),
 	}
 	b.graph.ConfigureRenaming(core.Renaming{Enabled: cfg.renamingOn(), MaxVersions: cfg.renameCapN()})
-	if cfg.tuningActive() || cfg.tun.StealBackoff.IsSet() {
+	if cfg.tuningActive() || cfg.tun.StealBackoff.isSet() {
 		b.tn = &core.Tunables{}
-		if v, ok := cfg.tun.StealBackoff.Value(); ok && v > 0 {
+		if v, ok := cfg.tun.StealBackoff.value(); ok && v > 0 {
 			// Pinned backoff: the sleep cap is set once and no loop moves it.
 			b.tn.SleepCapNS.Store(int64(v) * 1000)
 		}
 		if cfg.tuningActive() {
 			b.ctl = tune.New(tune.Config{
 				Workers:       cfg.workers,
-				Grain:         cfg.tun.Grain.IsAuto(),
-				Backoff:       cfg.tun.StealBackoff.IsAuto(),
-				RenameCap:     cfg.tun.RenameCap.IsAuto(),
+				Grain:         cfg.tun.Grain.isAuto(),
+				Backoff:       cfg.tun.StealBackoff.isAuto(),
+				RenameCap:     cfg.tun.RenameCap.isAuto(),
 				BaseRenameCap: cfg.renameCapN(),
 				SchedStats:    b.sched.Stats,
 				GraphStats:    b.graph.Stats,
@@ -301,17 +301,6 @@ func (b *nativeBackend) submit(from *TC, t *core.Task) {
 	}
 }
 
-func (b *nativeBackend) submitBatch(from *TC, ts []*core.Task) {
-	ready := b.graph.SubmitBatch(ts)
-	obsSubmitBatch(b.cfg.rec, from.worker, ts, ready)
-	if len(ready) > 0 {
-		b.sched.PushSubmitBatch(ready)
-		if b.cfg.wait == Blocking {
-			b.gate.wake()
-		}
-	}
-}
-
 // tuneEventFn bridges the feedback controller's setpoint moves into the
 // observability stream: every actual move becomes an EvTune event (Label =
 // the loop name, Arg = old value, Task = new value) on the no-lane ring.
@@ -369,47 +358,6 @@ func obsFinish(rec *obs.Recorder, worker int, id uint64, quiet bool, ready []*co
 	for _, r := range ready {
 		if !taskQuiet(r) {
 			g.Add(obs.EvReady, r.ID, 0, "")
-		}
-	}
-}
-
-// obsSubmitBatch records a whole batch submission as one group — the
-// observability counterpart of SubmitBatch's amortized locking. Shared by
-// both backends.
-func obsSubmitBatch(rec *obs.Recorder, worker int, ts, ready []*core.Task) {
-	if rec == nil {
-		return
-	}
-	n := 0
-	for _, t := range ts {
-		if !taskQuiet(t) {
-			n += 1 + len(t.Preds)
-		}
-	}
-	for _, t := range ready {
-		if !taskQuiet(t) {
-			n++
-		}
-	}
-	if n == 0 {
-		return
-	}
-	g, ok := rec.Group(worker, n)
-	if !ok {
-		return
-	}
-	for _, t := range ts {
-		if taskQuiet(t) {
-			continue
-		}
-		g.AddSess(obs.EvSubmit, t.ID, uint64(len(t.Preds)), sessOf(t), t.Label)
-		for _, p := range t.Preds {
-			g.Add(obs.EvEdge, t.ID, p, "")
-		}
-	}
-	for _, t := range ready {
-		if !taskQuiet(t) {
-			g.Add(obs.EvReady, t.ID, 0, "")
 		}
 	}
 }
@@ -501,7 +449,7 @@ func (b *nativeBackend) taskwaitOn(from *TC, keys []any) {
 	}
 }
 
-func (b *nativeBackend) critical(from *TC, name string, hold time.Duration, f func()) {
+func (b *nativeBackend) critical(from *TC, name string, f func()) {
 	l := b.crit.get(name)
 	l.Lock()
 	// Deferred so a panicking body (recovered into a task error above us)
@@ -509,7 +457,6 @@ func (b *nativeBackend) critical(from *TC, name string, hold time.Duration, f fu
 	// the same discipline commutative uses.
 	defer l.Unlock()
 	f()
-	_ = hold // the real f supplies the real work natively
 }
 
 // commutative runs f holding the per-key locks of every listed key,
@@ -531,7 +478,6 @@ func (b *nativeBackend) commutative(from *TC, keys []any, f func()) {
 
 func (b *nativeBackend) compute(*TC, time.Duration)  {} // native bodies do real work
 func (b *nativeBackend) touch(*TC, any, int64, bool) {} // native memory is real
-func (b *nativeBackend) deps() *core.Graph           { return b.graph }
 
 // core.Backend seam (see internal/core/backend.go).
 func (b *nativeBackend) DomainName() string          { return "native" }

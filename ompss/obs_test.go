@@ -286,31 +286,11 @@ func TestObserveBlockingTaskwaitEvents(t *testing.T) {
 	}
 }
 
-// TestZeroValueTracer pins that a zero-value Tracer (not built with
-// NewTracer) still records and reports — the pre-obs Tracer allowed it.
-func TestZeroValueTracer(t *testing.T) {
-	var tr ompss.Tracer
-	rt := ompss.New(ompss.Workers(2), ompss.Trace(&tr))
-	d := rt.Register(new(int))
-	// The chain's head holds until every link is submitted: an edge is only
-	// recorded against a predecessor that has not finished yet.
-	submitted := make(chan struct{})
-	for i := 0; i < 10; i++ {
-		rt.Task(func(*ompss.TC) { <-submitted }, ompss.InOut(d))
-	}
-	close(submitted)
-	rt.Taskwait()
-	rt.Shutdown()
-	if s := tr.Summary(); s.Tasks != 10 || s.Edges != 9 {
-		t.Fatalf("zero-value tracer summary: tasks=%d edges=%d, want 10/9", s.Tasks, s.Edges)
-	}
-}
-
 // TestObserveRenameEvents checks that rename and writeback engine events
 // reach the stream through the graph probe.
 func TestObserveRenameEvents(t *testing.T) {
 	rec := obs.NewRecorder()
-	rt := ompss.New(ompss.Workers(2), ompss.WithRenaming(true), ompss.Observe(rec))
+	rt := ompss.New(ompss.Workers(2), ompss.WithTuning(ompss.Tuning{Renaming: ompss.On}), ompss.Observe(rec))
 	buf := new([4]int64)
 	d := rt.Register(buf)
 	d.EnableRenaming(buf, func() any { return new([4]int64) },

@@ -76,20 +76,12 @@ const (
 	Blocking
 )
 
-func (m WaitMode) String() string {
-	if m == Blocking {
-		return "blocking"
-	}
-	return "polling"
-}
-
 // config collects runtime options. The session-relevant subset — policy,
 // the Tuning profile, rec, tenant, maxInFlight, admission — is accepted
 // uniformly at New and NewSession: NewSession starts from a copy of the
 // runtime's config and applies its own options on top, so session values
 // override runtime defaults field by field. Scheduling/renaming knobs live
-// in the Tuning profile (tuning.go); the legacy single-knob options write
-// single profile fields.
+// in the Tuning profile (tuning.go).
 type config struct {
 	workers     int
 	wait        WaitMode
@@ -120,71 +112,8 @@ func Workers(n int) Option { return func(c *config) { c.workers = n } }
 // Wait selects the idle-wait policy (default Polling, as in OmpSs).
 func Wait(m WaitMode) Option { return func(c *config) { c.wait = m } }
 
-// boolSetting converts a legacy on/off argument to a pinned Setting.
-func boolSetting(on bool) Setting {
-	if on {
-		return On
-	}
-	return Off
-}
-
-// Locality toggles locality-aware scheduling: successors released by a
-// finishing task are placed at the head of the finishing worker's queue so
-// producer→consumer chains run back-to-back on one core (default true; the
-// paper's ray-rot analysis credits this policy). Equivalent to
-// WithTuning(Tuning{Locality: On/Off}).
-func Locality(on bool) Option { return func(c *config) { c.tun.Locality = boolSetting(on) } }
-
-// AffinitySched toggles honoring Affinity clause hints (default true): on,
-// a hinted task is submitted to the mailbox of its datum's home lane; off,
-// hints are ignored and hinted tasks join the global FIFO like any other.
-// Equivalent to WithTuning(Tuning{Affinity: On/Off}).
-func AffinitySched(on bool) Option { return func(c *config) { c.tun.Affinity = boolSetting(on) } }
-
-// Domains splits the workers into n contiguous steal domains (modeling
-// sockets): an idle worker probes every victim in its own domain before
-// crossing into another, so affinity- and locality-placed work is drained
-// by near workers first and only leaves its domain as a last resort.
-// Values < 2 (the default) mean flat random-victim stealing. Equivalent to
-// WithTuning(Tuning{Domains: Fixed(n)}).
-func Domains(n int) Option { return func(c *config) { c.tun.Domains = Fixed(n) } }
-
 // Seed fixes the scheduler's steal-victim RNG.
 func Seed(s int64) Option { return func(c *config) { c.seed = s } }
-
-// WithRenaming toggles dependence renaming (data versioning), the
-// StarSs/OmpSs mechanism that eliminates WAR/WAW stalls: a writer on a
-// renameable datum (Datum.EnableRenaming) whose only obstacles are earlier
-// readers — or, for output-only writes, an unfinished earlier writer — gets
-// a fresh private instance instead of waiting; the readers keep the old
-// instance, and the latest instance is copied back onto the canonical
-// storage when everything in flight has drained. Default off. Renaming
-// never fires for datums that did not call EnableRenaming, and both
-// backends share the single decision path in the dependence tracker, so
-// native and simulated runs stay value-identical with the knob on or off.
-//
-// Failure propagation (OnError) follows the edges that remain: a renamed
-// writer does not consume the earlier tasks' output, so it no longer
-// inherits their failures through the broken WAR/WAW edges — under
-// SkipDependents it runs (and publishes) even when a program-order
-// predecessor it never depended on fails. A renamed InOut keeps its true
-// RAW edge and still inherits the previous writer's failure.
-// Equivalent to WithTuning(Tuning{Renaming: On/Off}).
-func WithRenaming(on bool) Option { return func(c *config) { c.tun.Renaming = boolSetting(on) } }
-
-// RenameCap bounds the live renamed instances per datum (default
-// core.DefaultMaxVersions): a write that would exceed the cap stalls on
-// its WAR/WAW edges instead, keeping the memory held by in-flight copies
-// proportional to the cap, not to the submission depth. Equivalent to
-// WithTuning(Tuning{RenameCap: Fixed(n)}); Tuning{RenameCap: Auto} adapts
-// the cap online instead.
-func RenameCap(n int) Option { return func(c *config) { c.tun.RenameCap = Fixed(n) } }
-
-// Trace attaches a Tracer — the compatibility view over the observability
-// stream (DOT/SVG export, timeline CSV, Summary). It is equivalent to
-// Observe(tr.Recorder()); attach at most one recorder per run (the last
-// Trace/Observe option wins).
-func Trace(tr *Tracer) Option { return func(c *config) { c.rec = tr.Recorder() } }
 
 // Observe attaches an observability recorder (internal/obs): both backends
 // and the core engine emit the full event vocabulary — submit, ready,
@@ -216,14 +145,12 @@ func buildConfig(opts []Option) config {
 type backend interface {
 	core.Backend
 	submit(from *TC, t *core.Task)
-	submitBatch(from *TC, ts []*core.Task)
 	taskwait(from *TC, ctx *core.Context)
 	taskwaitOn(from *TC, keys []any)
-	critical(from *TC, name string, hold time.Duration, f func())
+	critical(from *TC, name string, f func())
 	commutative(from *TC, keys []any, f func())
 	compute(from *TC, d time.Duration)
 	touch(from *TC, key any, bytes int64, write bool)
-	deps() *core.Graph
 	// waitFor parks the calling thread until cond holds, helping to execute
 	// ready tasks meanwhile (the taskwait discipline generalized to an
 	// arbitrary predicate — session drain and admission backpressure use
@@ -270,18 +197,16 @@ type errRef struct{ err error }
 //
 // A Runtime is also a long-lived host for request-scoped Sessions
 // (NewSession): every Runtime-level spawning call delegates to the
-// implicit default session — rt.Task is rt.DefaultSession().Task — so
-// batch-style programs and the serving surface share one API (see API).
+// implicit default session, so batch-style programs and the serving surface
+// share one API (see API).
 type Runtime struct {
 	be   backend
 	main *TC
 	cfg  config
 
-	// def is the implicit default session every Runtime-level call acts on
-	// (rt.Task ≡ rt.DefaultSession().Task); root is the accounting parent
-	// of every session's domain, metering the global MaxInFlight budget;
-	// sessID hands out session IDs (default session = 1).
-	def    *Session
+	// root is the accounting parent of every session's domain, metering the
+	// global MaxInFlight budget; sessID hands out session IDs (the implicit
+	// default session every Runtime-level call acts on is 1).
 	root   *core.Domain
 	sessID atomic.Uint64
 
@@ -437,10 +362,6 @@ func labelStatsOf(ctl *tune.Controller) []LabelStats {
 	return out
 }
 
-// LabelStats returns the runtime's per-label execution aggregates (see
-// RunStats.Labels); nil when no feedback controller is armed.
-func (rt *Runtime) LabelStats() []LabelStats { return labelStatsOf(rt.be.tuner()) }
-
 // Task spawns a task from the master thread and returns its Handle. The
 // body runs once its dependences (declared via In/Out/InOut clauses) are
 // satisfied.
@@ -568,7 +489,6 @@ func (rt *Runtime) initMain(lane int) {
 	def.dom = &core.Domain{ID: 1, Parent: rt.root, Owner: def}
 	def.tc = def.masterTC(lane)
 	rt.main = def.tc
-	rt.def = def
 }
 
 // TC is the task context handed to task bodies and representing the master
@@ -579,20 +499,8 @@ type TC struct {
 	ctx    *core.Context // children spawned from this scope
 	task   *core.Task    // nil for the master TC
 	sess   *Session      // owning session (the default session on rt.main)
-	worker int
-	final  bool // inside a final task: all nested tasks run undeferred
+	worker int           // executing lane; the master thread owns the highest
 }
-
-// InFinal reports whether this context executes inside a final task (every
-// nested task runs undeferred here).
-func (tc *TC) InFinal() bool { return tc.final }
-
-// Worker returns the lane (worker index) executing this context. The master
-// thread owns the highest lane.
-func (tc *TC) Worker() int { return tc.worker }
-
-// Runtime returns the owning runtime.
-func (tc *TC) Runtime() *Runtime { return tc.rt }
 
 // Task spawns a nested task whose completion is covered by this context's
 // Taskwait, returning its Handle.
@@ -614,7 +522,7 @@ func (tc *TC) Go(body func(*TC) error, clauses ...Clause) *Handle {
 // spawn is the common deferred/undeferred spawn path behind Task, Go and
 // TaskLoop.
 func (tc *TC) spawn(r *taskRec) *Handle {
-	if !r.enabled || tc.final {
+	if !r.enabled {
 		return tc.spawnInline(r)
 	}
 	s := tc.sess
@@ -630,7 +538,7 @@ func (tc *TC) spawn(r *taskRec) *Handle {
 	return &r.h
 }
 
-// spawnInline executes an If(false)/final task undeferred in the spawning
+// spawnInline executes an If(false) task undeferred in the spawning
 // thread, as in OmpSs. Costs are charged to the current thread in
 // simulation. A panic propagates synchronously to the spawner (the body
 // runs on its stack); a returned error is recorded like any task failure.
@@ -656,7 +564,7 @@ func (tc *TC) spawnInline(r *taskRec) *Handle {
 	for _, a := range r.t.Accesses {
 		tc.rt.be.touch(tc, a.Key, a.Bytes, a.Writes())
 	}
-	r.tc.worker, r.tc.final = tc.worker, tc.final || r.final
+	r.tc.worker = tc.worker
 	err := r.exec()
 	if s := tc.sess; s != nil && s.ephemeral {
 		tc.rt.notePanic(err)
@@ -671,9 +579,8 @@ func (tc *TC) spawnInline(r *taskRec) *Handle {
 
 // TaskLoop partitions the iteration space [0, n) into chunks of at most
 // `chunk` iterations and spawns one task per chunk — the OmpSs/OpenMP
-// taskloop construct. The clauses apply to every chunk task (use OutRegion
-// and friends with per-chunk ranges inside `clauses` builders when chunks
-// touch distinct data; for independent chunks no clauses are needed).
+// taskloop construct. The clauses apply to every chunk task (for independent
+// chunks no clauses are needed).
 // TaskLoop does not wait; pair with Taskwait. It returns the chunk tasks'
 // Handles in chunk order.
 //
@@ -716,7 +623,7 @@ func (tc *TC) autoChunk(n int, clauses []Clause) int {
 		return 1
 	}
 	cfg := tc.rt.cfg
-	if v, ok := cfg.tun.Grain.Value(); ok && v > 0 {
+	if v, ok := cfg.tun.Grain.value(); ok && v > 0 {
 		return v
 	}
 	if ctl := tc.rt.be.tuner(); ctl != nil {
@@ -775,8 +682,8 @@ func (tc *TC) TaskwaitCtx(ctx context.Context) error {
 }
 
 // TaskwaitOn blocks until the last writer task of each key has finished.
-// Keys may be raw dependence keys, region keys (RegionKey), or registered
-// *Datum handles.
+// Keys may be raw dependence keys or registered *Datum handles (a region
+// handle waits for the writers of every overlapping section).
 func (tc *TC) TaskwaitOn(keys ...any) {
 	resolved := make([]any, len(keys))
 	for i, k := range keys {
@@ -790,14 +697,7 @@ func (tc *TC) TaskwaitOn(keys ...any) {
 }
 
 // Critical runs f under the named global lock.
-func (tc *TC) Critical(name string, f func()) { tc.rt.be.critical(tc, name, 0, f) }
-
-// CriticalCost runs f under the named lock, modeling `hold` of work inside
-// the critical section on the simulated machine (native execution ignores
-// the cost — the real f supplies the real work).
-func (tc *TC) CriticalCost(name string, hold time.Duration, f func()) {
-	tc.rt.be.critical(tc, name, hold, f)
-}
+func (tc *TC) Critical(name string, f func()) { tc.rt.be.critical(tc, name, f) }
 
 // Compute charges d of computation to the executing thread on the simulated
 // machine. Native execution ignores it: the body's real work is the cost.

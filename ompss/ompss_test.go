@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"ompssgo/internal/obs"
 	"ompssgo/machine"
 )
 
@@ -222,31 +223,6 @@ func TestNativePriorityAndLabelAccepted(t *testing.T) {
 	}
 }
 
-func TestNativeConcurrentClause(t *testing.T) {
-	rt := New(Workers(4))
-	defer rt.Shutdown()
-	hist := new([64]int64)
-	var idx int64 = -1
-	for i := 0; i < 32; i++ {
-		rt.Task(func(tc *TC) {
-			slot := atomic.AddInt64(&idx, 1)
-			hist[slot]++
-		}, Concurrent(hist))
-	}
-	sum := new(int64)
-	rt.Task(func(*TC) {
-		var s int64
-		for _, v := range hist {
-			s += v
-		}
-		*sum = s
-	}, In(hist), Out(sum))
-	rt.Taskwait()
-	if *sum != 32 {
-		t.Fatalf("reduction after concurrent tasks = %d, want 32", *sum)
-	}
-}
-
 // TestNativeSequentialEquivalenceProperty checks the model's core promise on
 // the public API: any program of tasks annotated with faithful dependence
 // clauses computes the same result as its sequential elision.
@@ -294,8 +270,8 @@ func TestNativeSequentialEquivalenceProperty(t *testing.T) {
 }
 
 func TestTracerRecordsLifecycle(t *testing.T) {
-	tr := NewTracer()
-	rt := New(Workers(2), Trace(tr))
+	rec := obs.NewRecorder()
+	rt := New(Workers(2), Observe(rec))
 	x := new(int)
 	// Gate the producer so the consume edge is deterministically wired.
 	gate := make(chan struct{})
@@ -304,16 +280,16 @@ func TestTracerRecordsLifecycle(t *testing.T) {
 	close(gate)
 	rt.Taskwait()
 	rt.Shutdown()
-	sum := tr.Summary()
-	if sum.Tasks != 2 || sum.Edges != 1 {
-		t.Fatalf("trace summary = %+v", sum)
+	tr := rec.Snapshot()
+	if a := obs.Analyze(tr); a.Submitted != 2 || a.Edges != 1 {
+		t.Fatalf("trace has %d tasks and %d edges, want 2 and 1", a.Submitted, a.Edges)
 	}
 	var starts, ends int
-	for _, ev := range tr.Events() {
+	for _, ev := range tr.Events {
 		switch ev.Kind {
-		case TraceStart:
+		case obs.EvStart:
 			starts++
-		case TraceEnd:
+		case obs.EvEnd:
 			ends++
 		}
 	}
@@ -323,8 +299,8 @@ func TestTracerRecordsLifecycle(t *testing.T) {
 }
 
 func TestTracerDOT(t *testing.T) {
-	tr := NewTracer()
-	rt := New(Workers(2), Trace(tr))
+	rec := obs.NewRecorder()
+	rt := New(Workers(2), Observe(rec))
 	x := new(int)
 	// Gate A so the A->B edge is deterministically wired.
 	gate := make(chan struct{})
@@ -334,7 +310,7 @@ func TestTracerDOT(t *testing.T) {
 	rt.Taskwait()
 	rt.Shutdown()
 	var buf testWriter
-	if err := tr.WriteDOT(&buf); err != nil {
+	if err := obs.WriteDOT(&buf, rec.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	s := buf.String()

@@ -17,7 +17,6 @@ type taskRec struct {
 	body        func(*TC)
 	bodyErr     func(*TC) error
 	enabled     bool // If clause: false runs the task inline in the spawner
-	final       bool // Final clause
 	commutative bool // some access is Commutative: exec takes the key locks
 	t           core.Task
 
@@ -46,7 +45,7 @@ func (tc *TC) newRec(clauses []Clause) *taskRec {
 		r.t.Priority += s.cfg.tenant
 	}
 	r.ctx.Depth = tc.ctx.Depth + 1
-	r.tc = TC{rt: tc.rt, ctx: &r.ctx, task: &r.t, sess: tc.sess, final: r.final}
+	r.tc = TC{rt: tc.rt, ctx: &r.ctx, task: &r.t, sess: tc.sess}
 	r.h.rt, r.h.t = tc.rt, &r.t
 	return r
 }
@@ -104,10 +103,8 @@ func (r *taskRec) refuse(cause error) *Handle {
 func commutativeKeys(accesses []core.Access) []any {
 	var keys []any
 	for _, a := range accesses {
-		if a.Mode == core.Commutative {
-			if _, isRegion := a.Key.(core.Region); !isRegion {
-				keys = append(keys, a.Key)
-			}
+		if a.Mode == core.Commutative && (a.Datum == nil || !a.Datum.IsRegion()) {
+			keys = append(keys, a.Key)
 		}
 	}
 	return keys

@@ -22,7 +22,7 @@ func TestNativeRegionBlockedStencil(t *testing.T) {
 			for i := lo; i < hi; i++ {
 				data[i] = int(i)
 			}
-		}, OutRegion(base, lo, hi))
+		}, Out(rt.RegisterRegion(base, lo, hi)))
 	}
 	// Second wave: block b reads [lo-1, hi) — one element of the previous
 	// block — forcing a left-to-right chain of pairwise dependences.
@@ -40,7 +40,7 @@ func TestNativeRegionBlockedStencil(t *testing.T) {
 			for i := lo; i < hi; i++ {
 				data[i] += left
 			}
-		}, InRegion(base, rlo, lo+1), InOutRegion(base, lo, hi))
+		}, In(rt.RegisterRegion(base, rlo, lo+1)), InOut(rt.RegisterRegion(base, lo, hi)))
 	}
 	rt.Taskwait()
 	// Verify against the sequential recurrence.
@@ -75,18 +75,18 @@ func TestNativeTaskwaitOnRegion(t *testing.T) {
 		for i := 0; i < 16; i++ {
 			data[i] = 1
 		}
-	}, OutRegion(base, 0, 16))
+	}, Out(rt.RegisterRegion(base, 0, 16)))
 	rt.Task(func(*TC) {
 		for i := 16; i < 32; i++ {
 			data[i] = 2
 		}
-	}, OutRegion(base, 16, 32))
+	}, Out(rt.RegisterRegion(base, 16, 32)))
 	// Waiting on the second half must not require the slow first half.
-	rt.TaskwaitOn(RegionKey(base, 16, 32))
+	rt.TaskwaitOn(rt.RegisterRegion(base, 16, 32))
 	if data[31] != 2 {
 		t.Fatal("taskwait on region returned before its writer finished")
 	}
-	rt.TaskwaitOn(RegionKey(base, 0, 32)) // now both
+	rt.TaskwaitOn(rt.RegisterRegion(base, 0, 32)) // now both
 	if data[0] != 1 {
 		t.Fatal("whole-array region wait missed the first writer")
 	}
@@ -106,7 +106,7 @@ func TestSimRegionsParallelize(t *testing.T) {
 				}
 				b := b
 				rt.Task(func(*TC) { data[b*1024] = b },
-					OutRegion(base, lo, hi), Cost(500*time.Microsecond))
+					Out(rt.RegisterRegion(base, lo, hi)), Cost(500*time.Microsecond))
 			}
 			rt.Taskwait()
 		})

@@ -72,7 +72,7 @@ func TestRenameWARPipelineNative(t *testing.T) {
 	for _, renaming := range []bool{false, true} {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("renaming=%v/w%d", renaming, workers), func(t *testing.T) {
-				rt := ompss.New(ompss.Workers(workers), ompss.WithRenaming(renaming))
+				rt := ompss.New(ompss.Workers(workers), ompss.WithTuning(ompss.Tuning{Renaming: onOff(renaming)}))
 				defer rt.Shutdown()
 				if vs := runWARPipeline(rt, 3, 25); len(vs) > 0 {
 					t.Fatalf("%d violations; first: %s", len(vs), vs[0])
@@ -95,7 +95,7 @@ func TestRenameWARPipelineSim(t *testing.T) {
 			var vs []string
 			_, err := ompss.RunSim(machine.Paper(4), func(rt *ompss.Runtime) {
 				vs = runWARPipeline(rt, 3, 25)
-			}, ompss.WithRenaming(renaming))
+			}, ompss.WithTuning(ompss.Tuning{Renaming: onOff(renaming)}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,7 +109,7 @@ func TestRenameWARPipelineSim(t *testing.T) {
 // Renamed InOut: the accumulator chain must see every predecessor's value
 // (copy-in) while readers of older instances keep observing them.
 func TestRenameInOutAccumulates(t *testing.T) {
-	rt := ompss.New(ompss.Workers(4), ompss.WithRenaming(true))
+	rt := ompss.New(ompss.Workers(4), ompss.WithTuning(ompss.Tuning{Renaming: ompss.On}))
 	defer rt.Shutdown()
 	var cell tile
 	d := rt.Register(&cell).EnableRenaming(nil, tileAlloc, tileCopy)
@@ -136,7 +136,7 @@ func TestRenameInOutAccumulates(t *testing.T) {
 // A failed renamed writer must not publish its instance; the canonical
 // value stays at the last successful round, and dependents skip.
 func TestRenameFailedWriterSkipsWriteback(t *testing.T) {
-	rt := ompss.New(ompss.Workers(2), ompss.WithRenaming(true))
+	rt := ompss.New(ompss.Workers(2), ompss.WithTuning(ompss.Tuning{Renaming: ompss.On}))
 	defer rt.Shutdown()
 	var cell tile
 	cell.fill(1)
@@ -177,7 +177,7 @@ func TestRenameFailedWriterSkipsWriteback(t *testing.T) {
 // TaskwaitOn over a renamed datum is a flush: on return the canonical
 // storage holds the latest instance.
 func TestRenameTaskwaitOnFlushes(t *testing.T) {
-	rt := ompss.New(ompss.Workers(4), ompss.WithRenaming(true))
+	rt := ompss.New(ompss.Workers(4), ompss.WithTuning(ompss.Tuning{Renaming: ompss.On}))
 	defer rt.Shutdown()
 	var cell tile
 	d := rt.Register(&cell).EnableRenaming(nil, tileAlloc, tileCopy)
@@ -196,7 +196,7 @@ func TestRenameTaskwaitOnFlushes(t *testing.T) {
 // Region tiles rename per registered span; disjoint tiles pipeline
 // independently and write back into their own slice of the backing array.
 func TestRenameRegionTilesNative(t *testing.T) {
-	rt := ompss.New(ompss.Workers(4), ompss.WithRenaming(true))
+	rt := ompss.New(ompss.Workers(4), ompss.WithTuning(ompss.Tuning{Renaming: ompss.On}))
 	defer rt.Shutdown()
 	const tiles, rounds = 4, 12
 	buf := make([]int64, tiles)

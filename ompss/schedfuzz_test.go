@@ -53,9 +53,10 @@ type fuzzTask struct {
 	affinity int // key index to pin near, or -1
 }
 
-// fuzzProg is one generated program: groups are submitted in order, each
-// group either a single Task call or one batch flushed immediately, so
-// program order equals generation order.
+// fuzzProg is one generated program: groups are submitted in order, task by
+// task, so program order equals generation order. (Groups of several tasks
+// date from a bulk-submission API; the generator keeps drawing them so each
+// seed still builds the DAG it always built.)
 type fuzzProg struct {
 	seed      int64
 	nKeys     int
@@ -82,7 +83,7 @@ func genProg(seed int64, maxGroups int) *fuzzProg {
 	}
 	for g := 0; g < nGroups; g++ {
 		size := 1
-		if rng.Intn(3) == 0 { // every third group is a batch
+		if rng.Intn(3) == 0 { // every third group holds several tasks
 			size = 2 + rng.Intn(3)
 		}
 		var group []fuzzTask
@@ -204,20 +205,14 @@ func fuzzClauses(t fuzzTask, keys []*ompss.Datum) []ompss.Clause {
 	return cl
 }
 
-// submitGroup submits one program group — a lone Task call or a batch —
-// and returns the task index after the group. Factored out of run so the
-// concurrent-session fuzz can interleave groups from many programs.
+// submitGroup submits one program group task by task and returns the task
+// index after the group. Factored out of run so the concurrent-session fuzz
+// can interleave groups from many programs.
 func (c *fuzzCells) submitGroup(group []fuzzTask, idx int, rt ompss.API, keys []*ompss.Datum) int {
-	if len(group) == 1 {
-		rt.Task(c.body(group[0], idx), fuzzClauses(group[0], keys)...)
-		return idx + 1
-	}
-	b := rt.Batch()
 	for _, t := range group {
-		b.Task(c.body(t, idx), fuzzClauses(t, keys)...)
+		rt.Task(c.body(t, idx), fuzzClauses(t, keys)...)
 		idx++
 	}
-	b.Submit()
 	return idx
 }
 
@@ -263,6 +258,29 @@ type fuzzSchedule struct {
 	opts   []ompss.Option
 }
 
+// onOff spells a boolean knob as its Tuning value.
+func onOff(on bool) ompss.Setting {
+	if on {
+		return ompss.On
+	}
+	return ompss.Off
+}
+
+// waitName spells a wait mode in schedule names.
+func waitName(m ompss.WaitMode) string {
+	if m == ompss.Blocking {
+		return "blocking"
+	}
+	return "polling"
+}
+
+// fuzzPolicy is the policy-knob option of one schedule.
+func fuzzPolicy(locality, affinity bool, domains int) ompss.Option {
+	return ompss.WithTuning(ompss.Tuning{
+		Locality: onOff(locality), Affinity: onOff(affinity), Domains: ompss.Fixed(domains),
+	})
+}
+
 // fuzzSchedules enumerates the 50-schedule battery: 40 native configurations
 // sweeping workers × wait mode × locality × affinity × domains × RNG seed,
 // plus 10 deterministic simulator schedules.
@@ -277,13 +295,11 @@ func fuzzSchedules() []fuzzSchedule {
 		opts := []ompss.Option{
 			ompss.Workers(workers),
 			ompss.Wait(wait),
-			ompss.Locality(i/2%2 == 0),
-			ompss.AffinitySched(i/4%2 == 0),
-			ompss.Domains(1 + i%3),
+			fuzzPolicy(i/2%2 == 0, i/4%2 == 0, 1+i%3),
 			ompss.Seed(int64(1000 + i)),
 		}
 		out = append(out, fuzzSchedule{
-			name:   fmt.Sprintf("native/w%d-%s-loc%v-aff%v-d%d", workers, wait, i/2%2 == 0, i/4%2 == 0, 1+i%3),
+			name:   fmt.Sprintf("native/w%d-%s-loc%v-aff%v-d%d", workers, waitName(wait), i/2%2 == 0, i/4%2 == 0, 1+i%3),
 			native: true,
 			opts:   opts,
 		})
@@ -294,9 +310,7 @@ func fuzzSchedules() []fuzzSchedule {
 			name:  fmt.Sprintf("sim/c%d-seed%d", cores, i),
 			cores: cores,
 			opts: []ompss.Option{
-				ompss.Locality(i%2 == 0),
-				ompss.AffinitySched(i%3 != 0),
-				ompss.Domains(1 + i%2),
+				fuzzPolicy(i%2 == 0, i%3 != 0, 1+i%2),
 				ompss.Seed(int64(77 + i)),
 			},
 		})
@@ -410,7 +424,7 @@ func (c *fuzzCells) bodyVersioned(t fuzzTask, taskIdx int, keys []*ompss.Datum) 
 }
 
 // runVersioned is run with every key registered as a renameable datum and
-// the rename-aware bodies; identical programs run under WithRenaming on
+// the rename-aware bodies; identical programs run with Tuning.Renaming on
 // and off through this path and must drain to identical final state.
 func (c *fuzzCells) runVersioned(p *fuzzProg, rt *ompss.Runtime) {
 	keys := make([]*ompss.Datum, p.nKeys)
@@ -421,17 +435,10 @@ func (c *fuzzCells) runVersioned(p *fuzzProg, rt *ompss.Runtime) {
 	}
 	idx := 0
 	for _, group := range p.groups {
-		if len(group) == 1 {
-			rt.Task(c.bodyVersioned(group[0], idx, keys), fuzzClauses(group[0], keys)...)
-			idx++
-			continue
-		}
-		b := rt.Batch()
 		for _, t := range group {
-			b.Task(c.bodyVersioned(t, idx, keys), fuzzClauses(t, keys)...)
+			rt.Task(c.bodyVersioned(t, idx, keys), fuzzClauses(t, keys)...)
 			idx++
 		}
-		b.Submit()
 	}
 	rt.Taskwait()
 }
@@ -441,7 +448,7 @@ func (c *fuzzCells) runVersioned(p *fuzzProg, rt *ompss.Runtime) {
 // rename activity.
 func runRenameSchedule(p *fuzzProg, sc fuzzSchedule, renaming bool) (violations []string, finals []int64, renamed uint64) {
 	cells := newFuzzCells(p.nKeys)
-	opts := append(append([]ompss.Option{}, sc.opts...), ompss.WithRenaming(renaming))
+	opts := append(append([]ompss.Option{}, sc.opts...), ompss.WithTuning(ompss.Tuning{Renaming: onOff(renaming)}))
 	if sc.native {
 		rt := ompss.New(opts...)
 		cells.runVersioned(p, rt)
@@ -484,7 +491,7 @@ func TestScheduleFuzzRenaming(t *testing.T) {
 		}
 	}
 	schedules = append(schedules, fuzzSchedule{name: "sim/c4", cores: 4},
-		fuzzSchedule{name: "sim/c8-loc", cores: 8, opts: []ompss.Option{ompss.Locality(false)}})
+		fuzzSchedule{name: "sim/c8-loc", cores: 8, opts: []ompss.Option{ompss.WithTuning(ompss.Tuning{Locality: ompss.Off})}})
 	var totalRenamed uint64
 	for _, seed := range seeds {
 		p := genProg(seed, 1<<30)

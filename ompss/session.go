@@ -34,13 +34,6 @@ const (
 	RejectOnFull
 )
 
-func (m AdmissionMode) String() string {
-	if m == RejectOnFull {
-		return "reject-on-full"
-	}
-	return "block-on-full"
-}
-
 // Tenant assigns the session's tenant class: a priority boost added to
 // every task the session spawns, mapping tenants onto the scheduler's
 // priority lanes (a class-2 session's tasks outrank a class-0 session's
@@ -54,8 +47,7 @@ func Tenant(class int) Option { return func(c *config) { c.tenant = class } }
 // a spawn needs headroom in both). Zero (the default) means unlimited.
 // Per-session budgets are exact; under concurrent sessions the global
 // check is approximate (overshoot bounded by the number of concurrently
-// admitting sessions), and a Batch is admitted whole once there is any
-// headroom, so budgets are soft by up to len(batch)−1.
+// admitting sessions).
 func MaxInFlight(n int) Option { return func(c *config) { c.maxInFlight = n } }
 
 // Admission selects the full-budget behavior (default BlockOnFull).
@@ -72,8 +64,6 @@ type API interface {
 	Task(body func(*TC), clauses ...Clause) *Handle
 	Go(body func(*TC) error, clauses ...Clause) *Handle
 	TaskLoop(n, chunk int, body func(tc *TC, lo, hi int), clauses ...Clause) []*Handle
-	Batch() *Batch
-	SubmitBatch(fill func(b *Batch)) []*Handle
 	Taskwait()
 	TaskwaitCtx(ctx context.Context) error
 	TaskwaitOn(keys ...any)
@@ -86,7 +76,7 @@ var (
 )
 
 // Session is a request-scoped task graph on a shared runtime: it owns its
-// own spawning surface (Register/Task/Go/Batch/Taskwait...), its own
+// own spawning surface (Register/Task/Go/Taskwait...), its own
 // error and cancellation domain, its own admission budget and tenant
 // class, and a request-scoped arena — Close drops the session's
 // dependence-shard entries and version chains wholesale (its task records
@@ -134,18 +124,18 @@ type Session struct {
 }
 
 // NewSession opens a request-scoped session. Session-relevant options —
-// OnError, WithTuning (and its single-knob wrappers WithRenaming and
-// RenameCap), Observe, Tenant, MaxInFlight, Admission — are accepted here
-// with the same constructors New takes; a session value overrides the
-// runtime default, anything not set is inherited (see DESIGN.md for the
-// precedence table). A session Tuning profile can pin values (e.g.
-// RenameCap: Fixed(8)) but cannot arm feedback loops — the controller is
-// per-runtime, so Auto fields are meaningful only at New. Observe(nil) mutes
-// the session's per-task events in the runtime's recorder; attaching a
-// different recorder than the runtime's panics (per-session traces are
-// carved out of the runtime's stream by session ID instead — see
-// obs.Trace.FilterSession). Structural options (Workers, Wait, Locality,
-// AffinitySched, Domains, Seed) are ignored: the backend is already built.
+// OnError, WithTuning, Observe, Tenant, MaxInFlight, Admission — are
+// accepted here with the same constructors New takes; a session value
+// overrides the runtime default, anything not set is inherited (see
+// DESIGN.md for the precedence table). A session Tuning profile can pin
+// values (e.g. RenameCap: Fixed(8)) but cannot arm feedback loops — the
+// controller is per-runtime, so Auto fields are meaningful only at New.
+// Observe(nil) mutes the session's per-task events in the runtime's
+// recorder; attaching a different recorder than the runtime's panics
+// (per-session traces are carved out of the runtime's stream by session ID
+// instead — see obs.Trace.FilterSession). Structural options (Workers, Wait,
+// Seed, and the Locality, Affinity and Domains fields of a Tuning profile)
+// are ignored: the backend is already built.
 func (rt *Runtime) NewSession(opts ...Option) *Session {
 	cfg := rt.cfg
 	// The runtime's MaxInFlight is the global limiter and its tenant boost
@@ -185,11 +175,6 @@ func (rt *Runtime) NewSession(opts ...Option) *Session {
 func (s *Session) masterTC(lane int) *TC {
 	return &TC{rt: s.rt, ctx: &core.Context{}, worker: lane, sess: s}
 }
-
-// DefaultSession returns the runtime's implicit session — the one every
-// Runtime-level call acts on (rt.Task ≡ rt.DefaultSession().Task). It is
-// never ephemeral: Close on it is a no-op.
-func (rt *Runtime) DefaultSession() *Session { return rt.def }
 
 // ID returns the session's trace identity (the `sid` field of its submit
 // events; the default session is 1).
@@ -266,18 +251,6 @@ func (s *Session) TaskLoop(n, chunk int, body func(tc *TC, lo, hi int), clauses 
 	return s.tc.TaskLoop(n, chunk, body, clauses...)
 }
 
-// Batch starts an empty submission batch owned by this session; admission
-// is charged when Submit flushes it.
-func (s *Session) Batch() *Batch { return s.tc.Batch() }
-
-// SubmitBatch opens a batch, lets fill populate it, and flushes (see
-// Runtime.SubmitBatch).
-func (s *Session) SubmitBatch(fill func(b *Batch)) []*Handle {
-	b := s.Batch()
-	fill(b)
-	return b.Submit()
-}
-
 // Taskwait blocks until the session's direct children have finished,
 // helping to execute ready tasks meanwhile (see TC.Taskwait).
 func (s *Session) Taskwait() { s.tc.Taskwait() }
@@ -294,14 +267,6 @@ func (s *Session) TaskwaitOn(keys ...any) { s.tc.TaskwaitOn(keys...) }
 
 // Critical runs f under the named runtime-global lock (see TC.Critical).
 func (s *Session) Critical(name string, f func()) { s.tc.Critical(name, f) }
-
-// Err returns the first failure among the session's direct children so far
-// (nil when none failed). It does not clear the record; TaskwaitCtx and
-// Close consume it per round.
-func (s *Session) Err() error {
-	s.rt.observed.Store(true)
-	return s.tc.ctx.Err()
-}
 
 // Cancel puts the session into cancellation drain: every task of this
 // session that has not started yet — including later submissions — is
@@ -349,7 +314,7 @@ func (s *Session) Close() error {
 	// Drop the arena: the shard records are the last thing outside the
 	// handles that points at the session's task records.
 	s.trmu.Lock()
-	g := s.rt.be.deps()
+	g := s.rt.be.Deps()
 	for k := range s.keys {
 		g.Forget(k)
 	}
@@ -360,9 +325,6 @@ func (s *Session) Close() error {
 	s.trmu.Unlock()
 	return s.tc.ctx.TakeErr()
 }
-
-// Closed reports whether Close has begun.
-func (s *Session) Closed() bool { return s.closedFlag.Load() }
 
 // managed reports whether spawns must go through the admission/tracking
 // path: every request session, and the default session when a global
@@ -381,9 +343,7 @@ func (s *Session) limit() int {
 	return 0
 }
 
-// headroom reports whether both budgets currently admit n more tasks
-// (headroom rule: a multi-task admission needs any headroom, so batch
-// budgets are soft by up to n−1).
+// headroom reports whether both budgets currently admit one more task.
 func (s *Session) headroom() bool {
 	if lim := s.limit(); lim > 0 && s.dom.InFlight() >= int64(lim) {
 		return false
@@ -394,11 +354,11 @@ func (s *Session) headroom() bool {
 	return true
 }
 
-// admitN waits for (BlockOnFull) or probes (RejectOnFull) budget headroom
-// and charges the session for n tasks. ok=false reports the refusal cause
+// admit waits for (BlockOnFull) or probes (RejectOnFull) budget headroom
+// and charges the session for one task. ok=false reports the refusal cause
 // (ErrAdmission, ErrSessionClosed, or the session's cancellation cause);
 // nothing is charged then.
-func (s *Session) admitN(tc *TC, n int64) (ok bool, cause error) {
+func (s *Session) admit(tc *TC) (ok bool, cause error) {
 	for {
 		if s.closedFlag.Load() {
 			return false, ErrSessionClosed
@@ -408,7 +368,7 @@ func (s *Session) admitN(tc *TC, n int64) (ok bool, cause error) {
 		}
 		s.admu.Lock()
 		if s.headroom() {
-			s.dom.ChargeN(n)
+			s.dom.Charge()
 			s.admu.Unlock()
 			return true, nil
 		}
@@ -427,13 +387,13 @@ func (s *Session) admitN(tc *TC, n int64) (ok bool, cause error) {
 // spawnManaged is the admission-controlled, arena-tracked spawn path of
 // managed sessions (TC.spawn routes here).
 func (s *Session) spawnManaged(tc *TC, r *taskRec) *Handle {
-	if ok, cause := s.admitN(tc, 1); !ok {
+	if ok, cause := s.admit(tc); !ok {
 		return r.refuse(cause)
 	}
 	s.gate.RLock()
 	if s.closedFlag.Load() {
 		s.gate.RUnlock()
-		s.dom.Uncharge(1)
+		s.dom.Uncharge()
 		return r.refuse(ErrSessionClosed)
 	}
 	s.noteAccessKeys(&r.t)
@@ -442,47 +402,20 @@ func (s *Session) spawnManaged(tc *TC, r *taskRec) *Handle {
 	return &r.h
 }
 
-// submitBatchManaged flushes a batch through admission and arena tracking
-// (Batch.Submit routes here for managed sessions).
-func (s *Session) submitBatchManaged(tc *TC, ts []*core.Task, hs []*Handle) []*Handle {
-	n := int64(len(ts))
-	refuse := func(cause error) []*Handle {
-		for i, h := range hs {
-			h.settle(&SkipError{Label: ts[i].Label, Cause: cause})
-		}
-		return hs
-	}
-	if ok, cause := s.admitN(tc, n); !ok {
-		return refuse(cause)
-	}
-	s.gate.RLock()
-	if s.closedFlag.Load() {
-		s.gate.RUnlock()
-		s.dom.Uncharge(n)
-		return refuse(ErrSessionClosed)
-	}
-	s.noteAccessKeys(ts...)
-	s.rt.be.submitBatch(tc, ts)
-	s.gate.RUnlock()
-	return hs
-}
-
-// noteAccessKeys records every dependence key the tasks touch, so a request
+// noteAccessKeys records every dependence key the task touches, so a request
 // session's Close can drop the shard records. Region accesses record their
 // base (Forget drops section records by base).
-func (s *Session) noteAccessKeys(ts ...*core.Task) {
+func (s *Session) noteAccessKeys(t *core.Task) {
 	if !s.ephemeral {
 		return
 	}
 	s.trmu.Lock()
-	for _, t := range ts {
-		for i := range t.Accesses {
-			k := t.Accesses[i].Key
-			if r, ok := k.(core.Region); ok {
-				k = r.Base
-			}
-			s.keys[k] = struct{}{}
+	for i := range t.Accesses {
+		k := t.Accesses[i].Key
+		if d := t.Accesses[i].Datum; d != nil && d.IsRegion() {
+			k = d.Region().Base
 		}
+		s.keys[k] = struct{}{}
 	}
 	s.trmu.Unlock()
 }

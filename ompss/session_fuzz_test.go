@@ -31,7 +31,7 @@ func sessionFuzzSchedules() []fuzzSchedule {
 	for _, w := range []int{1, 2, 4} {
 		for _, wait := range []ompss.WaitMode{ompss.Polling, ompss.Blocking} {
 			out = append(out, fuzzSchedule{
-				name:   fmt.Sprintf("native/w%d-%s", w, wait),
+				name:   fmt.Sprintf("native/w%d-%s", w, waitName(wait)),
 				native: true,
 				opts:   []ompss.Option{ompss.Workers(w), ompss.Wait(wait)},
 			})

@@ -50,9 +50,6 @@ func TestSessionLifecycle(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if !s.Closed() {
-		t.Fatal("Closed() = false after Close")
-	}
 }
 
 // TestSessionCloseSkipsPending closes a session while a dependence chain is
@@ -120,8 +117,8 @@ func TestSessionCloseSkipsPending(t *testing.T) {
 	}
 }
 
-// TestSessionSpawnAfterClose checks that spawns and batch flushes after
-// Close return pre-failed handles instead of touching the released arena.
+// TestSessionSpawnAfterClose checks that spawns after Close return
+// pre-failed handles instead of touching the released arena.
 func TestSessionSpawnAfterClose(t *testing.T) {
 	rt := ompss.New(ompss.Workers(2))
 	defer rt.Shutdown()
@@ -137,12 +134,6 @@ func TestSessionSpawnAfterClose(t *testing.T) {
 	h := s.Task(func(*ompss.TC) { x = 2 }, ompss.Out(&x))
 	if err := h.Err(); !errors.Is(err, ompss.ErrSessionClosed) {
 		t.Fatalf("post-close Task err = %v, want ErrSessionClosed", err)
-	}
-	b := s.Batch()
-	bh := b.Task(func(*ompss.TC) { x = 3 })
-	b.Submit()
-	if err := bh.Err(); !errors.Is(err, ompss.ErrSessionClosed) {
-		t.Fatalf("post-close batch err = %v, want ErrSessionClosed", err)
 	}
 	if x != 1 {
 		t.Fatalf("x = %d: a post-close body ran", x)
@@ -428,8 +419,8 @@ func TestSessionOnErrorOverride(t *testing.T) {
 }
 
 // TestSessionRenamingOverride checks the per-session renaming override: a
-// WithRenaming(true) session renames on a renaming-off runtime, and a
-// WithRenaming(false) session pins a renaming-on runtime's chain in place.
+// Tuning{Renaming: On} session renames on a renaming-off runtime, and a
+// Tuning{Renaming: Off} session pins a renaming-on runtime's chain in place.
 func TestSessionRenamingOverride(t *testing.T) {
 	warChain := func(t *testing.T, api ompss.API) {
 		t.Helper()
@@ -464,7 +455,7 @@ func TestSessionRenamingOverride(t *testing.T) {
 	t.Run("force-on", func(t *testing.T) {
 		rt := ompss.New(ompss.Workers(2)) // renaming off by default
 		defer rt.Shutdown()
-		s := rt.NewSession(ompss.WithRenaming(true))
+		s := rt.NewSession(ompss.WithTuning(ompss.Tuning{Renaming: ompss.On}))
 		warChain(t, s)
 		if n := rt.Stats().Graph.Renamed; n == 0 {
 			t.Fatal("force-on session renamed nothing")
@@ -472,84 +463,15 @@ func TestSessionRenamingOverride(t *testing.T) {
 		s.Close()
 	})
 	t.Run("force-off", func(t *testing.T) {
-		rt := ompss.New(ompss.Workers(2), ompss.WithRenaming(true))
+		rt := ompss.New(ompss.Workers(2), ompss.WithTuning(ompss.Tuning{Renaming: ompss.On}))
 		defer rt.Shutdown()
-		s := rt.NewSession(ompss.WithRenaming(false))
+		s := rt.NewSession(ompss.WithTuning(ompss.Tuning{Renaming: ompss.Off}))
 		warChain(t, s)
 		if n := rt.Stats().Graph.Renamed; n != 0 {
 			t.Fatalf("force-off session renamed %d times", n)
 		}
 		s.Close()
 	})
-}
-
-// TestDefaultSessionDelegation checks that the Runtime surface and its
-// DefaultSession are one session: same ID, shared taskwait scope.
-func TestDefaultSessionDelegation(t *testing.T) {
-	rt := ompss.New(ompss.Workers(2))
-	defer rt.Shutdown()
-
-	def := rt.DefaultSession()
-	if def == nil || def.ID() != 1 {
-		t.Fatalf("DefaultSession ID = %v, want 1", def.ID())
-	}
-	if err := def.Close(); err != nil {
-		t.Fatalf("default-session Close must be a no-op, got %v", err)
-	}
-	var a, b int
-	rt.Task(func(*ompss.TC) { a = 1 })
-	def.Task(func(*ompss.TC) { b = 1 })
-	rt.Taskwait() // one scope: waits for both
-	if a != 1 || b != 1 {
-		t.Fatalf("a=%d b=%d after shared taskwait, want 1 1", a, b)
-	}
-	st := def.Stats()
-	if st.Submitted < 2 {
-		t.Fatalf("default session submitted = %d, want >= 2", st.Submitted)
-	}
-}
-
-// TestSessionBatchAdmission checks batch flush semantics on a full budget:
-// RejectOnFull pre-fails the whole batch with ErrAdmission, and a flush
-// after Close pre-fails with ErrSessionClosed (covered in
-// TestSessionSpawnAfterClose).
-func TestSessionBatchAdmission(t *testing.T) {
-	rt := ompss.New(ompss.Workers(2))
-	defer rt.Shutdown()
-
-	s := rt.NewSession(ompss.MaxInFlight(1), ompss.Admission(ompss.RejectOnFull))
-	release := make(chan struct{})
-	ran := make(chan struct{})
-	s.Task(func(*ompss.TC) { close(ran); <-release })
-	<-ran
-	hs := s.SubmitBatch(func(b *ompss.Batch) {
-		for i := 0; i < 3; i++ {
-			b.Task(func(*ompss.TC) {})
-		}
-	})
-	for i, h := range hs {
-		if err := h.Err(); !errors.Is(err, ompss.ErrAdmission) {
-			t.Fatalf("batch handle %d err = %v, want ErrAdmission", i, err)
-		}
-	}
-	close(release)
-	s.Taskwait()
-	// With headroom, a batch larger than the remaining budget is still
-	// admitted whole (soft by len-1).
-	hs = s.SubmitBatch(func(b *ompss.Batch) {
-		for i := 0; i < 3; i++ {
-			b.Task(func(*ompss.TC) {})
-		}
-	})
-	s.Taskwait()
-	for i, h := range hs {
-		if err := h.Err(); err != nil {
-			t.Fatalf("admitted batch handle %d err = %v", i, err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
 }
 
 // TestSessionObserveMute checks Observe(nil) muting: a muted session's
@@ -700,7 +622,6 @@ func TestHandleOutlivesSession(t *testing.T) {
 	if err := s.TaskwaitCtx(context.Background()); !errors.Is(err, boom) {
 		t.Fatalf("TaskwaitCtx = %v, want the failing child's error", err)
 	}
-	ids := []uint64{ok.TaskID(), bad.TaskID(), dep.TaskID()}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close after a drained round: %v", err)
 	}
@@ -716,9 +637,6 @@ func TestHandleOutlivesSession(t *testing.T) {
 			t.Errorf("dep.Err = %v, want a skip caused by %v", err, boom)
 		}
 		for i, h := range []*ompss.Handle{ok, bad, dep} {
-			if id := h.TaskID(); id == 0 || id != ids[i] {
-				t.Errorf("handle %d: TaskID = %d after Close, was %d", i, id, ids[i])
-			}
 			select {
 			case <-h.Done():
 			default:

@@ -62,9 +62,9 @@ func RunSimCtx(ctx context.Context, mc machine.Config, program func(*Runtime), o
 		b.tn = &core.Tunables{}
 		b.ctl = tune.New(tune.Config{
 			Workers:       cfg.workers,
-			Grain:         cfg.tun.Grain.IsAuto(),
+			Grain:         cfg.tun.Grain.isAuto(),
 			Backoff:       false,
-			RenameCap:     cfg.tun.RenameCap.IsAuto(),
+			RenameCap:     cfg.tun.RenameCap.isAuto(),
 			BaseRenameCap: cfg.renameCapN(),
 			SchedStats:    b.sched.Stats,
 			GraphStats:    b.graph.Stats,
@@ -363,25 +363,6 @@ func (b *simBackend) submit(from *TC, t *core.Task) {
 	}
 }
 
-func (b *simBackend) submitBatch(from *TC, ts []*core.Task) {
-	b.pollCtx()
-	vt := b.thread(from)
-	cm := b.v.Cost()
-	// One contended queue acquisition for the whole batch — the modeled
-	// counterpart of SubmitBatch's amortized shard locking — plus the
-	// per-task dependence-edge work, which batching cannot amortize.
-	charge := b.queueOp(cm.TaskSpawn)
-	for _, t := range ts {
-		charge += cm.DepEdge * vm.Time(len(t.Accesses))
-	}
-	vt.Charge(charge)
-	vt.Flush()
-	ready := b.graph.SubmitBatch(ts)
-	obsSubmitBatch(b.cfg.rec, from.worker, ts, ready)
-	b.sched.PushSubmitBatch(ready)
-	b.wakeIdle(len(ready))
-}
-
 func (b *simBackend) taskwait(from *TC, ctx *core.Context) {
 	vt := b.thread(from)
 	cm := b.v.Cost()
@@ -443,7 +424,7 @@ func (b *simBackend) waitTask(vt *vm.Thread, from *TC, lw *core.Task) {
 	}
 }
 
-func (b *simBackend) critical(from *TC, name string, hold time.Duration, f func()) {
+func (b *simBackend) critical(from *TC, name string, f func()) {
 	vt := b.thread(from)
 	l := b.crit.get(name)
 	vt.Lock(l)
@@ -451,9 +432,6 @@ func (b *simBackend) critical(from *TC, name string, hold time.Duration, f func(
 	// native backend's critical).
 	defer vt.Unlock(l)
 	f()
-	if hold > 0 {
-		vt.Compute(vm.Time(hold))
-	}
 }
 
 // commutative runs f holding the per-key locks of every listed key in
@@ -486,8 +464,6 @@ func (b *simBackend) touch(from *TC, key any, bytes int64, write bool) {
 	vt := b.thread(from)
 	vt.Compute(vt.TouchCost(key, bytes, write))
 }
-
-func (b *simBackend) deps() *core.Graph { return b.graph }
 
 // core.Backend seam (see internal/core/backend.go).
 func (b *simBackend) DomainName() string          { return "sim" }

@@ -1,9 +1,11 @@
 package ompss
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
+	"ompssgo/internal/obs"
 	"ompssgo/machine"
 )
 
@@ -127,7 +129,7 @@ func TestSimLocalitySchedulingHelpsChains(t *testing.T) {
 	// per-chain costs are deliberately heterogeneous — with identical
 	// costs the deterministic FIFO rotation happens to reunite every
 	// consumer with its producer's core by accident of symmetry.
-	chains := func(locality bool) time.Duration {
+	chains := func(locality Setting) time.Duration {
 		st, err := RunSim(machine.Config{Cores: 8, Sockets: 2, Seed: 1}, func(rt *Runtime) {
 			const n = 32
 			bufs := make([][]byte, n)
@@ -142,13 +144,13 @@ func TestSimLocalitySchedulingHelpsChains(t *testing.T) {
 				rt.Task(func(*TC) {}, InSized(key, 1<<20), Cost(60*time.Microsecond), Label("consume"))
 			}
 			rt.Taskwait()
-		}, Locality(locality))
+		}, WithTuning(Tuning{Locality: locality}))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return st.Makespan
 	}
-	with, without := chains(true), chains(false)
+	with, without := chains(On), chains(Off)
 	if with >= without {
 		t.Fatalf("locality on (%v) should beat off (%v) for producer-consumer chains", with, without)
 	}
@@ -230,7 +232,7 @@ func TestSimCriticalSerializes(t *testing.T) {
 		counter := 0
 		for i := 0; i < 16; i++ {
 			rt.Task(func(tc *TC) {
-				tc.CriticalCost("c", 200*time.Microsecond, func() { counter++ })
+				tc.Critical("c", func() { counter++; tc.Compute(200 * time.Microsecond) })
 			}, Cost(10*time.Microsecond))
 		}
 		rt.Taskwait()
@@ -323,19 +325,58 @@ func TestSimIfFalseChargedInline(t *testing.T) {
 }
 
 func TestSimTracer(t *testing.T) {
-	tr := NewTracer()
+	rec := obs.NewRecorder()
 	var res []int
-	if _, err := RunSim(machine.Paper(4), simProgram(8, 50*time.Microsecond, &res), Trace(tr)); err != nil {
+	if _, err := RunSim(machine.Paper(4), simProgram(8, 50*time.Microsecond, &res), Observe(rec)); err != nil {
 		t.Fatal(err)
 	}
-	sum := tr.Summary()
-	if sum.Tasks != 8 {
-		t.Fatalf("traced tasks = %d, want 8", sum.Tasks)
+	a := obs.Analyze(rec.Snapshot())
+	if a.Submitted != 8 {
+		t.Fatalf("traced tasks = %d, want 8", a.Submitted)
 	}
-	if sum.Span <= 0 {
+	if !a.Virtual || a.Span <= 0 {
 		t.Fatal("trace span should use virtual time")
 	}
-	if sum.MaxConcurrent < 2 {
-		t.Fatalf("independent tasks on 4 cores should overlap, MaxConcurrent=%d", sum.MaxConcurrent)
+	if a.MaxParallelism < 2 {
+		t.Fatalf("independent tasks on 4 cores should overlap, MaxParallelism=%d", a.MaxParallelism)
+	}
+}
+
+// TestSimNativeEquivalenceProperty is the dual-backend contract on random
+// programs: the same dataflow program must compute identical results
+// natively and on the simulated machine.
+func TestSimNativeEquivalenceProperty(t *testing.T) {
+	for trial := 0; trial < 10; trial++ {
+		seed := int64(trial*7 + 1)
+		rng := rand.New(rand.NewSource(seed))
+		const nvars = 5
+		type op struct{ dst, src, k int }
+		ops := make([]op, rng.Intn(40)+10)
+		for i := range ops {
+			ops[i] = op{rng.Intn(nvars), rng.Intn(nvars), rng.Intn(5)}
+		}
+		program := func(rt *Runtime) [nvars]int {
+			var vars [nvars]int
+			for i := range vars {
+				vars[i] = i + 1
+			}
+			for _, o := range ops {
+				o := o
+				rt.Task(func(*TC) { vars[o.dst] += vars[o.src]*o.k + 1 },
+					In(&vars[o.src]), InOut(&vars[o.dst]), Cost(10*time.Microsecond))
+			}
+			rt.Taskwait()
+			return vars
+		}
+		rt := New(Workers(3), Seed(seed))
+		native := program(rt)
+		rt.Shutdown()
+		var sim [nvars]int
+		if _, err := RunSim(machine.Paper(8), func(rt *Runtime) { sim = program(rt) }); err != nil {
+			t.Fatal(err)
+		}
+		if native != sim {
+			t.Fatalf("trial %d: native %v != sim %v", trial, native, sim)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"ompssgo/internal/obs"
 	"ompssgo/machine"
 )
 
@@ -59,24 +60,23 @@ func TestTaskLoopSimParallelizes(t *testing.T) {
 }
 
 func TestWriteTimeline(t *testing.T) {
-	tr := NewTracer()
-	rt := New(Workers(2), Trace(tr))
+	rec := obs.NewRecorder()
+	rt := New(Workers(2), Observe(rec))
 	x := new(int)
 	rt.Task(func(*TC) { *x = 1 }, Out(x), Label("produce"))
 	rt.Task(func(*TC) { _ = *x }, In(x), Label("consume"))
 	rt.Taskwait()
 	rt.Shutdown()
 	var sb strings.Builder
-	if err := tr.WriteTimeline(&sb); err != nil {
+	if err := obs.WriteParaverCSV(&sb, rec.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("timeline rows = %d, want header + 2:\n%s", len(lines), out)
+	if n := strings.Count(out, "\nrunning,"); n != 2 {
+		t.Fatalf("timeline has %d running rows, want one per task:\n%s", n, out)
 	}
-	if !strings.HasPrefix(lines[0], "task,label,lane") {
-		t.Fatalf("missing header: %q", lines[0])
+	if !strings.HasPrefix(out, "record,worker,task,label") {
+		t.Fatalf("missing header:\n%s", out)
 	}
 	if !strings.Contains(out, `"produce"`) || !strings.Contains(out, `"consume"`) {
 		t.Fatalf("labels missing:\n%s", out)

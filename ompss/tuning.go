@@ -39,15 +39,15 @@ func Fixed(v int) Setting {
 	return Setting(v + 1)
 }
 
-// IsSet reports whether the knob was set at all (Auto or Fixed).
-func (s Setting) IsSet() bool { return s != 0 }
+// isSet reports whether the knob was set at all (Auto or Fixed).
+func (s Setting) isSet() bool { return s != 0 }
 
-// IsAuto reports whether the knob is controller-managed.
-func (s Setting) IsAuto() bool { return s == settingAuto }
+// isAuto reports whether the knob is controller-managed.
+func (s Setting) isAuto() bool { return s == settingAuto }
 
-// Value returns the pinned value and true for a Fixed setting; (0, false)
+// value returns the pinned value and true for a Fixed setting; (0, false)
 // for unset or Auto.
-func (s Setting) Value() (int, bool) {
+func (s Setting) value() (int, bool) {
 	if s <= 0 {
 		return 0, false
 	}
@@ -57,16 +57,15 @@ func (s Setting) Value() (int, bool) {
 // boolOr resolves a boolean knob: the pinned truth value when set (any
 // Fixed value > 0 counts as on), def when unset or Auto.
 func (s Setting) boolOr(def bool) bool {
-	if v, ok := s.Value(); ok {
+	if v, ok := s.value(); ok {
 		return v != 0
 	}
 	return def
 }
 
-// Tuning is the runtime's coherent knob profile — the one structured
-// surface behind what used to be scattered options (Locality,
-// AffinitySched, Domains, WithRenaming, RenameCap) plus the feedback
-// controller's switches. Accepted uniformly at New and NewSession via
+// Tuning is the runtime's coherent knob profile — the one surface for the
+// scheduling and renaming knobs and the feedback controller's switches.
+// Accepted uniformly at New and NewSession via
 // WithTuning; unset (zero) fields inherit — the built-in default at New,
 // the runtime's resolved profile at NewSession — exactly the session
 // precedence rules sessions already follow field by field.
@@ -89,59 +88,81 @@ type Tuning struct {
 	// and this knob is a documented no-op there). Fixed(v): the idle sleep
 	// cap is pinned to v microseconds. Unset: the static default throttle.
 	StealBackoff Setting
-	// RenameCap bounds live renamed instances per datum (the RenameCap
-	// option's knob). Fixed(v): cap v. Auto: the cap widens under
+	// RenameCap bounds live renamed instances per datum: a write that
+	// would exceed the cap stalls on its WAR/WAW edges instead, keeping
+	// the memory held by in-flight copies proportional to the cap, not to
+	// the submission depth. Fixed(v): cap v. Auto: the cap widens under
 	// sustained rename fallbacks and decays back when they stop. Unset:
 	// core.DefaultMaxVersions.
 	RenameCap Setting
-	// Renaming toggles dependence renaming (the WithRenaming option's
-	// knob): On / Off; unset inherits (default off).
+	// Renaming toggles dependence renaming (data versioning), the
+	// StarSs/OmpSs mechanism that eliminates WAR/WAW stalls: a writer on
+	// a renameable datum (Datum.EnableRenaming) whose only obstacles are
+	// earlier readers — or, for output-only writes, an unfinished earlier
+	// writer — gets a fresh private instance instead of waiting; the
+	// readers keep the old instance, and the latest instance is copied
+	// back onto the canonical storage when everything in flight has
+	// drained. On / Off; unset inherits (default off). Both backends share
+	// the single decision path in the dependence tracker, so native and
+	// simulated runs stay value-identical either way.
+	//
+	// Failure propagation (OnError) follows the edges that remain: a
+	// renamed writer does not consume the earlier tasks' output, so under
+	// SkipDependents it runs (and publishes) even when a program-order
+	// predecessor it never depended on fails. A renamed InOut keeps its
+	// true RAW edge and still inherits the previous writer's failure.
 	Renaming Setting
-	// Locality toggles locality-aware successor placement (the Locality
-	// option's knob): On / Off; unset inherits (default on).
+	// Locality toggles locality-aware scheduling: successors released by
+	// a finishing task are placed at the head of the finishing worker's
+	// queue so producer→consumer chains run back-to-back on one core (the
+	// paper's ray-rot analysis credits this policy). On / Off; unset
+	// inherits (default on).
 	Locality Setting
-	// Affinity toggles honoring Affinity clause hints (the AffinitySched
-	// option's knob): On / Off; unset inherits (default on).
+	// Affinity toggles honoring Affinity clause hints: on, a hinted task
+	// is submitted to the mailbox of its datum's home lane; off, hinted
+	// tasks join the global FIFO like any other. On / Off; unset inherits
+	// (default on).
 	Affinity Setting
-	// Domains splits workers into Fixed(n) contiguous steal domains (the
-	// Domains option's knob); unset or n < 2 means flat stealing.
+	// Domains splits the workers into Fixed(n) contiguous steal domains
+	// (modeling sockets): an idle worker probes every victim in its own
+	// domain before crossing into another. Unset or n < 2 means flat
+	// random-victim stealing.
 	Domains Setting
 }
 
 // merge overlays src's set fields onto dst (unset src fields inherit).
 func (dst *Tuning) merge(src Tuning) {
-	if src.Grain.IsSet() {
+	if src.Grain.isSet() {
 		dst.Grain = src.Grain
 	}
-	if src.StealBackoff.IsSet() {
+	if src.StealBackoff.isSet() {
 		dst.StealBackoff = src.StealBackoff
 	}
-	if src.RenameCap.IsSet() {
+	if src.RenameCap.isSet() {
 		dst.RenameCap = src.RenameCap
 	}
-	if src.Renaming.IsSet() {
+	if src.Renaming.isSet() {
 		dst.Renaming = src.Renaming
 	}
-	if src.Locality.IsSet() {
+	if src.Locality.isSet() {
 		dst.Locality = src.Locality
 	}
-	if src.Affinity.IsSet() {
+	if src.Affinity.isSet() {
 		dst.Affinity = src.Affinity
 	}
-	if src.Domains.IsSet() {
+	if src.Domains.isSet() {
 		dst.Domains = src.Domains
 	}
 }
 
 // anyAuto reports whether any field arms a feedback loop.
 func (t Tuning) anyAuto() bool {
-	return t.Grain.IsAuto() || t.StealBackoff.IsAuto() || t.RenameCap.IsAuto()
+	return t.Grain.isAuto() || t.StealBackoff.isAuto() || t.RenameCap.isAuto()
 }
 
 // WithTuning applies a Tuning profile: set fields override the current
-// configuration, unset fields inherit. Valid at New and NewSession; later
-// options (including the legacy single-knob wrappers, which write single
-// profile fields) continue to override field by field in order.
+// configuration, unset fields inherit. Valid at New and NewSession; a later
+// WithTuning overrides field by field in order.
 func WithTuning(t Tuning) Option {
 	return func(c *config) { c.tun.merge(t) }
 }
@@ -157,7 +178,7 @@ func (c config) affinityOn() bool { return c.tun.Affinity.boolOr(true) }
 
 // domainsN resolves the steal-domain count (0 = flat).
 func (c config) domainsN() int {
-	v, _ := c.tun.Domains.Value()
+	v, _ := c.tun.Domains.value()
 	return v
 }
 
@@ -167,7 +188,7 @@ func (c config) renamingOn() bool { return c.tun.Renaming.boolOr(false) }
 // renameCapN resolves the pinned version cap (0 = engine default; an Auto
 // cap also starts from the engine default and adapts from there).
 func (c config) renameCapN() int {
-	v, _ := c.tun.RenameCap.Value()
+	v, _ := c.tun.RenameCap.value()
 	return v
 }
 

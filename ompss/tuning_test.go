@@ -11,22 +11,22 @@ import (
 
 func TestSettingEncoding(t *testing.T) {
 	var unset Setting
-	if unset.IsSet() || unset.IsAuto() {
+	if unset.isSet() || unset.isAuto() {
 		t.Errorf("zero Setting must be unset and not Auto")
 	}
-	if Setting(Auto) != settingAuto || !Setting(Auto).IsAuto() || !Setting(Auto).IsSet() {
+	if Setting(Auto) != settingAuto || !Setting(Auto).isAuto() || !Setting(Auto).isSet() {
 		t.Errorf("Auto must convert to the auto Setting")
 	}
-	if v, ok := Fixed(0).Value(); !ok || v != 0 {
-		t.Errorf("Fixed(0).Value() = (%d, %v), want (0, true) — distinguishable from unset", v, ok)
+	if v, ok := Fixed(0).value(); !ok || v != 0 {
+		t.Errorf("Fixed(0).value() = (%d, %v), want (0, true) — distinguishable from unset", v, ok)
 	}
-	if v, ok := Fixed(7).Value(); !ok || v != 7 {
-		t.Errorf("Fixed(7).Value() = (%d, %v), want (7, true)", v, ok)
+	if v, ok := Fixed(7).value(); !ok || v != 7 {
+		t.Errorf("Fixed(7).value() = (%d, %v), want (7, true)", v, ok)
 	}
-	if _, ok := unset.Value(); ok {
+	if _, ok := unset.value(); ok {
 		t.Errorf("unset Value() must report not-set")
 	}
-	if _, ok := Setting(Auto).Value(); ok {
+	if _, ok := Setting(Auto).value(); ok {
 		t.Errorf("Auto Value() must report not-pinned")
 	}
 	if Off != Fixed(0) || On != Fixed(1) {
@@ -40,52 +40,31 @@ func TestSettingEncoding(t *testing.T) {
 	}
 }
 
-// TestLegacyOptionsAreTuningWrappers pins the API redesign's compatibility
-// contract: every legacy single-knob option must resolve to exactly the
-// same configuration as its Tuning profile field, and later options must
-// override earlier ones field by field in both spellings.
-func TestLegacyOptionsAreTuningWrappers(t *testing.T) {
-	cases := []struct {
-		name    string
-		legacy  Option
-		profile Tuning
-		same    func(a, b config) bool
-	}{
-		{"Locality(false)", Locality(false), Tuning{Locality: Off},
-			func(a, b config) bool { return a.localityOn() == b.localityOn() && !a.localityOn() }},
-		{"AffinitySched(false)", AffinitySched(false), Tuning{Affinity: Off},
-			func(a, b config) bool { return a.affinityOn() == b.affinityOn() && !a.affinityOn() }},
-		{"Domains(4)", Domains(4), Tuning{Domains: Fixed(4)},
-			func(a, b config) bool { return a.domainsN() == b.domainsN() && a.domainsN() == 4 }},
-		{"WithRenaming(true)", WithRenaming(true), Tuning{Renaming: On},
-			func(a, b config) bool { return a.renamingOn() == b.renamingOn() && a.renamingOn() }},
-		{"RenameCap(7)", RenameCap(7), Tuning{RenameCap: Fixed(7)},
-			func(a, b config) bool { return a.renameCapN() == b.renameCapN() && a.renameCapN() == 7 }},
+// TestWithTuningMergesFieldByField pins the one option surface for the
+// scheduling and renaming knobs: every profile field resolves into the
+// engine configuration, a later WithTuning overrides an earlier one field by
+// field, and unset fields inherit.
+func TestWithTuningMergesFieldByField(t *testing.T) {
+	c := buildConfig([]Option{WithTuning(Tuning{
+		Locality: Off, Affinity: Off, Domains: Fixed(4), Renaming: On, RenameCap: Fixed(7),
+	})})
+	if c.localityOn() || c.affinityOn() || c.domainsN() != 4 || !c.renamingOn() || c.renameCapN() != 7 {
+		t.Errorf("profile resolved to locality=%v affinity=%v domains=%d renaming=%v cap=%d",
+			c.localityOn(), c.affinityOn(), c.domainsN(), c.renamingOn(), c.renameCapN())
 	}
-	for _, tc := range cases {
-		a := buildConfig([]Option{tc.legacy})
-		b := buildConfig([]Option{WithTuning(tc.profile)})
-		if !tc.same(a, b) {
-			t.Errorf("%s and WithTuning(%+v) resolve differently", tc.name, tc.profile)
-		}
-		if a.tun != b.tun {
-			t.Errorf("%s: profile %+v, want %+v — the wrapper must write the profile field itself", tc.name, a.tun, b.tun)
-		}
+	if d := buildConfig(nil); !d.localityOn() || !d.affinityOn() || d.domainsN() != 0 || d.renamingOn() || d.renameCapN() != 0 {
+		t.Errorf("defaults: locality=%v affinity=%v domains=%d renaming=%v cap=%d",
+			d.localityOn(), d.affinityOn(), d.domainsN(), d.renamingOn(), d.renameCapN())
 	}
 
-	// Order matters in both directions: the last writer of a field wins,
-	// whether it is a wrapper or a profile.
-	c := buildConfig([]Option{WithTuning(Tuning{RenameCap: Fixed(3)}), RenameCap(9)})
+	// The last writer of a field wins.
+	c = buildConfig([]Option{WithTuning(Tuning{RenameCap: Fixed(3)}), WithTuning(Tuning{RenameCap: Fixed(9)})})
 	if c.renameCapN() != 9 {
-		t.Errorf("legacy-after-profile renameCap = %d, want 9", c.renameCapN())
-	}
-	c = buildConfig([]Option{RenameCap(9), WithTuning(Tuning{RenameCap: Fixed(3)})})
-	if c.renameCapN() != 3 {
-		t.Errorf("profile-after-legacy renameCap = %d, want 3", c.renameCapN())
+		t.Errorf("later profile renameCap = %d, want 9", c.renameCapN())
 	}
 	// Unset profile fields inherit: a profile that only pins Domains must
 	// not disturb an earlier Locality choice.
-	c = buildConfig([]Option{Locality(false), WithTuning(Tuning{Domains: Fixed(2)})})
+	c = buildConfig([]Option{WithTuning(Tuning{Locality: Off}), WithTuning(Tuning{Domains: Fixed(2)})})
 	if c.localityOn() || c.domainsN() != 2 {
 		t.Errorf("merge: locality=%v domains=%d, want false/2", c.localityOn(), c.domainsN())
 	}
@@ -141,7 +120,7 @@ func TestTaskLoopAutoChunk(t *testing.T) {
 		}
 		prev = total
 	}
-	ls := rt.LabelStats()
+	ls := rt.Stats().Labels
 	found := false
 	for _, l := range ls {
 		if l.Label == "auto-loop" {
@@ -227,15 +206,6 @@ func TestSessionTuningPins(t *testing.T) {
 		t.Errorf("session Stats().Labels lacks sess-task: %+v", st.Labels)
 	}
 	if err := s.Close(); err != nil {
-		t.Fatalf("session close: %v", err)
-	}
-
-	// Equivalent legacy spelling still works at NewSession.
-	s2 := rt.NewSession(WithRenaming(true), RenameCap(2))
-	if s2.dom.Rename != core.RenameForceOn || s2.dom.RenameCap != 2 {
-		t.Errorf("legacy session overrides = (%v, %d), want (force-on, 2)", s2.dom.Rename, s2.dom.RenameCap)
-	}
-	if err := s2.Close(); err != nil {
 		t.Fatalf("session close: %v", err)
 	}
 }
