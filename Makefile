@@ -26,8 +26,10 @@ flake:
 	$(GO) test -count=10 -shuffle=on ./...
 
 # Race-detector pass over the concurrent executor packages (the CI `race` job).
+# ./internal/vm is in the list because the simulator's token is the only
+# synchronisation between the goroutines of one VM.
 race:
-	$(GO) test -race -shuffle=on ./ompss ./internal/core ./internal/tune ./internal/obs ./internal/obs/metrics ./internal/serve ./internal/dist ./pthread
+	$(GO) test -race -shuffle=on ./ompss ./internal/core ./internal/tune ./internal/obs ./internal/obs/metrics ./internal/serve ./internal/dist ./pthread ./internal/vm ./machine
 
 # Run every benchmark for one iteration so benchmark code cannot rot
 # (the CI `bench-smoke` job). For real numbers, raise -benchtime.
@@ -41,10 +43,11 @@ bench-submit:
 	$(GO) test ./internal/bench -run='^$$' -bench=BenchmarkSubmit -benchmem -benchtime=300000x
 
 # Allocation regression guard: fails when any submit benchmark exceeds the
-# allocs/op ceiling in internal/bench/testdata/alloc_budget.json (the CI
+# allocs/op ceiling in internal/bench/testdata/alloc_budget.json, or when one
+# of the simulator's three commonest dispatches allocates at all (the CI
 # bench-smoke job runs this).
 alloc-budget:
-	$(GO) test ./internal/bench -run='^TestSubmitAllocBudget$$' -count=1 -v
+	$(GO) test ./internal/bench -run='^(TestSubmitAllocBudget|TestVMEventAllocs)$$' -count=1 -v
 
 # Profile one suite app with the observability recorder attached: record a
 # raw trace, print the analyzer report (parallelism profile, critical path,

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"os"
 	"testing"
+
+	"ompssgo/internal/vm"
 )
 
 // TestSubmitAllocBudget is the allocation regression guard for the submit
@@ -91,6 +93,49 @@ func TestSubmitAllocBudget(t *testing.T) {
 	for name := range entries {
 		if _, ok := benchmarks[name]; !ok {
 			t.Errorf("budget entry %s has no matching benchmark — remove or rename it", name)
+		}
+	}
+}
+
+// TestVMEventAllocs pins the simulator's per-event host cost where it can be
+// exact: the three commonest dispatches allocate nothing. Each row is measured
+// with testing.AllocsPerRun from inside a virtual thread, so machine set-up
+// and the first growth of the event heap stay outside the count.
+func TestVMEventAllocs(t *testing.T) {
+	const runs = 200
+	rows := []struct {
+		name    string
+		op      func(th *vm.Thread, ws *vm.WaitSet)
+		settled uint64 // wake-ups the event loop must have settled by itself
+	}{
+		// The thread's own resumption is the next event: no goroutine switch.
+		{"Compute on an uncontended core", func(th *vm.Thread, _ *vm.WaitSet) { th.Compute(vm.Microsecond) }, 0},
+		{"Charge+Flush", func(th *vm.Thread, _ *vm.WaitSet) { th.Charge(25 * vm.Nanosecond); th.Flush() }, 0},
+		// The spinner on core 1 is woken, polls, finds its predicate false and
+		// re-parks — all on the event loop, inside the waker's Compute.
+		{"futile spinner wake", func(th *vm.Thread, ws *vm.WaitSet) { ws.WakeAll(th.VM()); th.Compute(vm.Microsecond) }, runs},
+	}
+	for _, row := range rows {
+		v := vm.New(vm.Config{Cores: 2, Seed: 1})
+		var ws vm.WaitSet
+		stop := false
+		allocs := -1.0
+		v.Go("spinner", 1, func(th *vm.Thread) { th.SpinUntil(&ws, func() bool { return stop }) })
+		v.Go("driver", 0, func(th *vm.Thread) {
+			th.Compute(vm.Millisecond) // the spinner has parked
+			allocs = testing.AllocsPerRun(runs, func() { row.op(th, &ws) })
+			stop = true
+			ws.WakeAll(th.VM())
+		})
+		st, err := v.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: %v allocs per event, want 0", row.name, allocs)
+		}
+		if st.Settled < row.settled {
+			t.Errorf("%s: the loop settled %d wake-ups, want ≥ %d", row.name, st.Settled, row.settled)
 		}
 	}
 }

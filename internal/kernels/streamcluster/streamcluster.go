@@ -91,16 +91,46 @@ func (s *State) AbsorbChunk() (lo, hi int) {
 	return lo, hi
 }
 
+// nearestOpen returns the open facility nearest to point i — the lowest index
+// among equals — and its squared distance. The scan over |Open| facilities is
+// the serial bulk of the application, so a candidate is abandoned as soon as
+// its partial sum reaches the best so far (distSqBelow); the result is
+// bit-identical to comparing full distances.
 func (s *State) nearestOpen(i int) (int, float64) {
 	p := s.problem
 	pt := p.point(i)
 	best, bestD := 0, distSq(pt, p.point(s.Open[0]))
 	for f := 1; f < len(s.Open); f++ {
-		if d := distSq(pt, p.point(s.Open[f])); d < bestD {
+		if d, ok := distSqBelow(pt, p.point(s.Open[f]), bestD); ok {
 			best, bestD = f, d
 		}
 	}
 	return best, bestD
+}
+
+// distSqBelow is distSq with an exact early exit: it reports whether the
+// squared distance is below bound, and then returns it. The sum accumulates in
+// distSq's order and is tested every four dimensions; adding a square never
+// lowers it under round-to-nearest, so a partial sum at or over bound settles
+// the comparison.
+func distSqBelow(a, b []float64, bound float64) (float64, bool) {
+	var s float64
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		d0, d1, d2, d3 := a[i]-b[i], a[i+1]-b[i+1], a[i+2]-b[i+2], a[i+3]-b[i+3]
+		s += d0 * d0
+		s += d1 * d1
+		s += d2 * d2
+		s += d3 * d3
+		if s >= bound {
+			return s, false
+		}
+	}
+	for ; i < len(a); i++ {
+		d := a[i] - b[i]
+		s += d * d
+	}
+	return s, s < bound
 }
 
 // GainPartial is one thread's contribution to a candidate evaluation.

@@ -2,6 +2,7 @@ package streamcluster
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"ompssgo/internal/media"
@@ -111,5 +112,47 @@ func TestDeterministicReplay(t *testing.T) {
 func TestCostModel(t *testing.T) {
 	if RangeEvalCost(100, 3) != 100*PointEvalCost(3) {
 		t.Fatal("RangeEvalCost linear")
+	}
+}
+
+// TestNearestOpenMatchesPlainScan checks the early-exit scan against the
+// plain one — full distSq per facility, strict < — bit for bit, on dimensions
+// around the four-wide test stride and on inputs full of duplicate points
+// (equal distances must keep the lower facility index).
+func TestNearestOpenMatchesPlainScan(t *testing.T) {
+	for _, dim := range []int{1, 3, 4, 7, 16, 17} {
+		rng := rand.New(rand.NewSource(int64(dim)))
+		const n = 400
+		pts := make([]float64, n*dim)
+		for i := 0; i < n; i++ {
+			src := i
+			if i > 0 && rng.Intn(3) == 0 {
+				src = rng.Intn(i) // a duplicate of an earlier point
+			}
+			for k := 0; k < dim; k++ {
+				if src == i {
+					pts[i*dim+k] = math.Round(rng.NormFloat64()*4) / 2 // coarse grid: many ties
+				} else {
+					pts[i*dim+k] = pts[src*dim+k]
+				}
+			}
+		}
+		p := &Problem{Points: pts, N: n, Dim: dim}
+		s := &State{problem: p}
+		for i := 0; i < n; i += 2 {
+			s.Open = append(s.Open, i)
+		}
+		for i := 0; i < n; i++ {
+			want, wantD := 0, distSq(p.point(i), p.point(s.Open[0]))
+			for f := 1; f < len(s.Open); f++ {
+				if d := distSq(p.point(i), p.point(s.Open[f])); d < wantD {
+					want, wantD = f, d
+				}
+			}
+			got, gotD := s.nearestOpen(i)
+			if got != want || math.Float64bits(gotD) != math.Float64bits(wantD) {
+				t.Fatalf("dim %d point %d: nearestOpen = (%d, %v), plain scan (%d, %v)", dim, i, got, gotD, want, wantD)
+			}
+		}
 	}
 }

@@ -23,7 +23,10 @@ type WaitSet struct {
 	parked []*Thread
 }
 
+// park records t as spinning on ws from now on; its core stays held.
 func (ws *WaitSet) park(t *Thread) {
+	t.spinStart = t.vm.now
+	t.state = stSpinning
 	t.parkedOn = ws
 	ws.parked = append(ws.parked, t)
 }
@@ -37,16 +40,15 @@ func (ws *WaitSet) remove(t *Thread) {
 	}
 }
 
-// WakeAll releases every parked waiter. Each resumes after the machine's
+// WakeAll releases every parked waiter. Each notices after the machine's
 // PollInterval (the expected latency of a busy-wait loop noticing a store)
 // and re-evaluates its wait predicate.
 func (ws *WaitSet) WakeAll(v *VM) {
-	for _, w := range ws.parked {
-		t := w
+	for _, t := range ws.parked {
 		t.parkedOn = nil
-		v.at(v.now+v.cfg.Cost.PollInterval, func() { v.transfer(t) })
+		v.at(v.now+v.cfg.Cost.PollInterval, evSpinWake, t)
 	}
-	ws.parked = nil
+	ws.parked = ws.parked[:0]
 }
 
 // SpinUntil busy-waits until check() reports true, keeping the thread's core
@@ -54,36 +56,60 @@ func (ws *WaitSet) WakeAll(v *VM) {
 // check() true. If other threads are queued on the same core, the spinner is
 // timesliced like a preemptively scheduled OS thread, so spin loops cannot
 // starve producers on oversubscribed cores.
+//
+// A spinner parked on its core has nothing to run but the poll, so the event
+// loop runs it: check() is called by whichever goroutine holds the token
+// (one runner at any instant) and must only read simulation state.
 func (t *Thread) SpinUntil(ws *WaitSet, check func() bool) {
-	cm := &t.vm.cfg.Cost
-	t.Charge(cm.PollCheck)
+	t.Charge(t.vm.cfg.Cost.PollCheck)
 	for {
 		t.flush()
 		if check() {
 			return
 		}
-		if len(t.core.runq) == 0 {
-			start := t.vm.now
-			t.state = "spinning"
-			ws.park(t)
-			t.yield()
-			t.core.Spin += t.vm.now - start
-		} else {
+		if len(t.core.runq) > 0 {
 			t.advance(t.vm.cfg.Quantum, true)
 			t.preempt()
+			t.Charge(t.vm.cfg.Cost.PollCheck)
+			continue
 		}
-		t.Charge(cm.PollCheck)
+		t.spinWS, t.spinCheck = ws, check
+		ws.park(t)
+		t.yield() // the loop has charged every poll up to now, this one included
+		if len(t.core.runq) == 0 {
+			return // resumed because the loop saw check() hold
+		}
 	}
 }
 
-// Block parks the thread (releasing its core) until another thread wakes it
-// with VM.WakeAt. A wake that arrives while the thread is still running is
-// remembered and consumed by the next Block (futex-style saved wakeup).
-func (t *Thread) Block(state string) { t.block(state) }
+// spinWake is the event loop's half of SpinUntil: t, parked on its core, was
+// woken or booted. The poll it pays is an event of its own, so virtual time
+// moves as if t had run the loop body. Reports whether t must take the token.
+func (vm *VM) spinWake(t *Thread) bool {
+	t.core.Spin += vm.now - t.spinStart
+	if d := vm.cfg.Cost.PollCheck; d > 0 {
+		t.state = stComputing
+		vm.at(vm.now+d, evSpinPoll, t)
+		return false
+	}
+	return vm.spinSettle(t)
+}
+
+// spinSettle evaluates a woken spinner's predicate in event context: t's
+// goroutine is needed only to return from SpinUntil or to timeslice against a
+// queued peer; a futile wake-up re-parks the spinner without a switch.
+func (vm *VM) spinSettle(t *Thread) bool {
+	if len(t.core.runq) > 0 || t.spinCheck() {
+		return true
+	}
+	vm.settled++
+	t.spinWS.park(t)
+	return false
+}
 
 // WakeAt makes t runnable at the given virtual time. Use together with
 // Thread.Block.
-func (vm *VM) WakeAt(t *Thread, at Time) { vm.wakeAt(t, at) }
+func (vm *VM) WakeAt(t *Thread, at Time) { vm.at(at, evReady, t) }
 
 // Mutex is a blocking lock with FIFO handoff. The zero value is unlocked.
 type Mutex struct {
@@ -104,7 +130,7 @@ func (t *Thread) Lock(m *Mutex) {
 		return
 	}
 	m.q = append(m.q, t)
-	t.block("mutex")
+	t.Block("mutex")
 }
 
 // Unlock releases m, handing ownership to the oldest waiter if any.
@@ -121,7 +147,7 @@ func (t *Thread) Unlock(m *Mutex) {
 	next := m.q[0]
 	m.q = m.q[1:]
 	m.owner = next
-	t.vm.wakeAt(next, t.vm.now+t.vm.cfg.Cost.MutexSlow+t.vm.cfg.Cost.CondWake)
+	t.vm.WakeAt(next, t.vm.now+t.vm.cfg.Cost.MutexSlow+t.vm.cfg.Cost.CondWake)
 }
 
 // Cond is a blocking condition variable used with a Mutex.
@@ -135,7 +161,7 @@ type Cond struct {
 func (t *Thread) CondWait(c *Cond, m *Mutex) {
 	c.q = append(c.q, t)
 	t.Unlock(m)
-	t.block("cond")
+	t.Block("cond")
 	t.Lock(m)
 }
 
@@ -147,7 +173,7 @@ func (t *Thread) CondSignal(c *Cond) {
 	}
 	w := c.q[0]
 	c.q = c.q[1:]
-	t.vm.wakeAt(w, t.vm.now+t.vm.cfg.Cost.CondWake)
+	t.vm.WakeAt(w, t.vm.now+t.vm.cfg.Cost.CondWake)
 }
 
 // CondBroadcast wakes all waiters, staggered by the machine's wake cost
@@ -155,7 +181,7 @@ func (t *Thread) CondSignal(c *Cond) {
 func (t *Thread) CondBroadcast(c *Cond) {
 	t.flush()
 	for i, w := range c.q {
-		t.vm.wakeAt(w, t.vm.now+t.vm.cfg.Cost.CondWake+Time(i)*t.vm.cfg.Cost.BarrierWake)
+		t.vm.WakeAt(w, t.vm.now+t.vm.cfg.Cost.CondWake+Time(i)*t.vm.cfg.Cost.BarrierWake)
 	}
 	c.q = nil
 }
@@ -179,12 +205,12 @@ func (t *Thread) BarrierWait(b *Barrier) bool {
 	b.arrived++
 	if b.arrived < b.N {
 		b.q = append(b.q, t)
-		t.block("barrier")
+		t.Block("barrier")
 		return false
 	}
 	b.arrived = 0
 	for i, w := range b.q {
-		t.vm.wakeAt(w, t.vm.now+cm.CondWake+Time(i)*cm.BarrierWake)
+		t.vm.WakeAt(w, t.vm.now+cm.CondWake+Time(i)*cm.BarrierWake)
 	}
 	b.q = nil
 	return true

@@ -3,24 +3,26 @@
 //
 // The simulator stands in for the 4-socket, 32-core cc-NUMA machine used in
 // the paper's evaluation (see DESIGN.md §1). It executes *real* Go code: each
-// virtual thread is a goroutine that exchanges a scheduling token with the
-// simulator loop, so exactly one virtual thread runs at any real instant and
-// all virtual threads observe shared memory in virtual-time order. Results
+// virtual thread is a goroutine, and one scheduling token passes between
+// them, so exactly one virtual thread runs at any real instant and all
+// virtual threads observe shared memory in virtual-time order. Results
 // computed inside the simulation are therefore bit-identical to a native run,
 // while wall-clock behaviour (core occupancy, synchronization latency, cache
 // warmth, NUMA penalties) is modeled by the CostModel.
 //
-// The engine is a classic event-heap DES: events are (time, seq, action)
-// triples, processed in (time, seq) order, so identical configurations replay
-// identically. Virtual threads are pinned to virtual cores; a core runs one
-// thread at a time and timeslices (quantum + context-switch cost) when
+// The engine is a classic event-heap DES: events are (time, seq, kind,
+// thread) tuples, processed in (time, seq) order, so identical configurations
+// replay identically. Whoever holds the token runs the event loop: a thread
+// that yields pops events itself, continues without a goroutine switch when
+// the next resumption is its own, and otherwise wakes the target directly
+// (see dispatch). Virtual threads are pinned to virtual cores; a core runs
+// one thread at a time and timeslices (quantum + context-switch cost) when
 // oversubscribed, like a preemptive OS scheduler.
 package vm
 
 import (
-	"container/heap"
 	"fmt"
-	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 )
@@ -60,8 +62,8 @@ type Config struct {
 	// Quantum is the preemption timeslice used when a core is
 	// oversubscribed. Zero selects the default (1 ms).
 	Quantum Time
-	// Seed seeds the deterministic RNG available to schedulers (e.g. for
-	// steal-victim selection).
+	// Seed identifies the run; the machine itself draws no random numbers
+	// (core.Sched seeds its own steal-victim selection).
 	Seed int64
 	// Cost is the machine cost model. Zero value selects DefaultCostModel.
 	Cost CostModel
@@ -86,31 +88,60 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// event is a scheduled action. seq breaks time ties FIFO so runs replay
-// deterministically.
+// evKind says what the event loop does with an event.
+type evKind uint8
+
+const (
+	evResume   evKind = iota // hand the token to the thread
+	evReady                  // makeReady(thread)
+	evSpinWake               // a parked spinner was woken (WakeAll) or booted off its core
+	evSpinPoll               // the woken spinner's PollCheck has elapsed: evaluate its predicate
+)
+
+// event is a scheduled action on a thread. seq breaks time ties FIFO so runs
+// replay deterministically.
 type event struct {
-	at  Time
-	seq uint64
-	fn  func()
+	at   Time
+	seq  uint64
+	kind evKind
+	t    *Thread
 }
 
+func (e event) before(o event) bool { return e.at < o.at || e.at == o.at && e.seq < o.seq }
+
+// eventHeap is a binary min-heap on (at, seq).
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *eventHeap) push(e event) {
+	q := append(*h, e)
+	i := len(q) - 1
+	for p := (i - 1) / 2; i > 0 && e.before(q[p]); i, p = p, (p-1)/2 {
+		q[i] = q[p]
 	}
-	return h[i].seq < h[j].seq
+	q[i] = e
+	*h = q
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h eventHeap) peek() (Time, bool) { // earliest event time
-	if len(h) == 0 {
-		return 0, false
+
+func (h *eventHeap) pop() event {
+	q := *h
+	n := len(q) - 1
+	top, last := q[0], q[n]
+	q = q[:n]
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && q[c+1].before(q[c]) {
+			c++
+		}
+		if !q[c].before(last) {
+			break
+		}
+		q[i], i = q[c], c
 	}
-	return h[0].at, true
+	if n > 0 {
+		q[i] = last
+	}
+	*h = q
+	return top
 }
 
 // Core is one virtual processor.
@@ -135,30 +166,41 @@ type VM struct {
 	now     Time
 	events  eventHeap
 	seq     uint64
-	rng     *rand.Rand
 	cores   []*Core
 	threads []*Thread
 	live    int // threads not yet finished
 	nevents uint64
 
-	yielded chan struct{} // virtual thread -> VM: "I have yielded"
-	running bool
+	done      chan struct{} // token holder -> Run: every thread finished, or deadlock
+	running   bool
+	poisoned  bool   // Run is unwinding a deadlock: a resumed thread exits
+	transfers uint64 // token handoffs between goroutines
+	settled   uint64 // spinner wake-ups the loop settled without one
 
-	datums map[any]*datumState // memory warmth tracking
+	datums map[any]*datumState                            // memory warmth tracking
+	hook   func(at Time, seq uint64, kind uint8, tid int) // tests only: sees every dispatched event
 }
+
+// onNew, when set (by this package's tests), sees every VM that New creates.
+var onNew func(*VM)
 
 // New creates a simulated machine.
 func New(cfg Config) *VM {
 	cfg = cfg.withDefaults()
 	vm := &VM{
-		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		yielded: make(chan struct{}),
-		datums:  make(map[any]*datumState),
+		cfg:    cfg,
+		done:   make(chan struct{}, 1),
+		datums: make(map[any]*datumState),
 	}
 	per := (cfg.Cores + cfg.Sockets - 1) / cfg.Sockets
-	for i := 0; i < cfg.Cores; i++ {
-		vm.cores = append(vm.cores, &Core{ID: i, Socket: i / per})
+	cores := make([]Core, cfg.Cores)
+	vm.cores = make([]*Core, cfg.Cores)
+	for i := range cores {
+		cores[i] = Core{ID: i, Socket: i / per}
+		vm.cores[i] = &cores[i]
+	}
+	if onNew != nil {
+		onNew(vm)
 	}
 	return vm
 }
@@ -175,17 +217,13 @@ func (vm *VM) Socket(core int) int { return vm.cores[core].Socket }
 // Cost returns the machine's cost model.
 func (vm *VM) Cost() *CostModel { return &vm.cfg.Cost }
 
-// Rand returns a deterministic RNG owned by the machine. Only use from
-// virtual-thread or event context.
-func (vm *VM) Rand() *rand.Rand { return vm.rng }
-
-// at schedules fn to run in VM context at time `at` (clamped to now).
-func (vm *VM) at(at Time, fn func()) {
+// at schedules an event of the given kind on t at time `at` (clamped to now).
+func (vm *VM) at(at Time, kind evKind, t *Thread) {
 	if at < vm.now {
 		at = vm.now
 	}
 	vm.seq++
-	heap.Push(&vm.events, event{at: at, seq: vm.seq, fn: fn})
+	vm.events.push(event{at: at, seq: vm.seq, kind: kind, t: t})
 }
 
 // Stats summarizes a finished run.
@@ -194,6 +232,9 @@ type Stats struct {
 	Events  uint64 // DES events processed
 	Cores   []CoreStats
 	Threads int
+	// Host-side cost, not part of the modelled machine: token handoffs between
+	// goroutines, and futile spinner wake-ups the event loop settled without one.
+	Transfers, Settled uint64
 }
 
 // CoreStats is per-core occupancy accounting.
@@ -230,27 +271,82 @@ func (s Stats) Occupancy() float64 {
 
 // Run processes events until every virtual thread has finished. It returns an
 // error when the simulation deadlocks (live threads but no pending events).
+// Run is the first holder of the token, not a relay: it dispatches until a
+// thread takes over, then waits for whoever ends the run.
 func (vm *VM) Run() (Stats, error) {
 	if vm.running {
 		return Stats{}, fmt.Errorf("vm: Run called twice")
 	}
 	vm.running = true
-	for vm.live > 0 {
-		if len(vm.events) == 0 {
-			return vm.stats(), fmt.Errorf("vm: deadlock at %v: %s", vm.now, vm.dumpThreads())
+	vm.dispatch(nil)
+	<-vm.done
+	st := vm.stats()
+	if vm.live == 0 {
+		return st, nil
+	}
+	err := fmt.Errorf("vm: deadlock at %v: %s", vm.now, vm.dumpThreads())
+	// Unwind the stuck threads one at a time so no goroutine outlives Run.
+	vm.poisoned = true
+	for _, t := range vm.threads {
+		if !t.finished {
+			t.resume <- struct{}{}
+			<-vm.done
 		}
-		ev := heap.Pop(&vm.events).(event)
+	}
+	return st, err
+}
+
+// dispatch runs the event loop on the calling goroutine, which holds the
+// token. self is the virtual thread that is yielding, nil for Run and for a
+// finished thread. Events the loop settles itself (evReady, a spinner's futile
+// wake-up) cost no goroutine switch; the loop ends when an event hands the
+// token to a thread. If that is self, dispatch returns; otherwise it wakes the
+// target and, for a live self, sleeps until some holder hands the token back.
+func (vm *VM) dispatch(self *Thread) {
+	for {
+		if vm.live == 0 || len(vm.events) == 0 {
+			vm.done <- struct{}{} // finished or deadlocked: Run decides
+			break
+		}
+		ev := vm.events.pop()
 		vm.now = ev.at
 		vm.nevents++
-		ev.fn()
+		t := ev.t
+		if vm.hook != nil {
+			vm.hook(ev.at, ev.seq, uint8(ev.kind), t.ID)
+		}
+		switch ev.kind {
+		case evReady:
+			vm.makeReady(t)
+			continue
+		case evSpinWake:
+			if !vm.spinWake(t) {
+				continue
+			}
+		case evSpinPoll:
+			t.core.Busy += vm.cfg.Cost.PollCheck
+			if !vm.spinSettle(t) {
+				continue
+			}
+		}
+		t.state = stRunning
+		if t == self {
+			return
+		}
+		vm.transfers++
+		t.resume <- struct{}{}
+		break
 	}
-	return vm.stats(), nil
+	if self != nil {
+		self.awaitToken()
+	}
 }
 
 func (vm *VM) stats() Stats {
-	s := Stats{Time: vm.now, Events: vm.nevents, Threads: len(vm.threads)}
-	for _, c := range vm.cores {
-		s.Cores = append(s.Cores, CoreStats{Busy: c.Busy, Spin: c.Spin})
+	s := Stats{Time: vm.now, Events: vm.nevents, Threads: len(vm.threads), Transfers: vm.transfers, Settled: vm.settled}
+	s.Cores = make([]CoreStats, len(vm.cores))
+	for i, c := range vm.cores {
+		s.Cores[i] = CoreStats{Busy: c.Busy, Spin: c.Spin}
 	}
 	return s
 }
@@ -259,7 +355,11 @@ func (vm *VM) dumpThreads() string {
 	var parts []string
 	for _, t := range vm.threads {
 		if !t.finished {
-			parts = append(parts, fmt.Sprintf("%s[%s]", t.Name, t.state))
+			st := stateNames[t.state]
+			if t.state == stBlocked {
+				st += t.label
+			}
+			parts = append(parts, fmt.Sprintf("%s[%s]", t.Name, st))
 		}
 	}
 	sort.Strings(parts)
@@ -279,15 +379,14 @@ func (vm *VM) Go(name string, core int, fn func(*Thread)) *Thread {
 		ID:      len(vm.threads),
 		Name:    name,
 		core:    vm.cores[core],
-		resume:  make(chan struct{}),
+		resume:  make(chan struct{}, 1),
 		fn:      fn,
-		state:   "new",
 		blocked: true, // a new thread is woken by its start event
 	}
 	vm.threads = append(vm.threads, t)
 	vm.live++
 	go t.main()
-	vm.at(vm.now+vm.cfg.Cost.ThreadSpawn, func() { vm.makeReady(t) })
+	vm.at(vm.now+vm.cfg.Cost.ThreadSpawn, evReady, t)
 	return t
 }
 
@@ -304,34 +403,19 @@ func (vm *VM) makeReady(t *Thread) {
 	c := t.core
 	if c.cur == nil {
 		c.cur = t
-		vm.resumeSoon(t)
+		vm.at(vm.now, evResume, t)
 		return
 	}
 	c.runq = append(c.runq, t)
-	t.state = "ready"
+	t.state = stReady
 	// If the core is held by a parked spinner, boot it so the incoming
-	// thread is not starved: the spinner resumes, notices the queued peer,
+	// thread is not starved: the spinner is woken, notices the queued peer,
 	// and downgrades to timesliced spinning (preemptive-OS behaviour).
-	if cur := c.cur; cur != nil && cur.parkedOn != nil {
-		ws := cur.parkedOn
+	if cur := c.cur; cur.parkedOn != nil {
+		cur.parkedOn.remove(cur)
 		cur.parkedOn = nil
-		ws.remove(cur)
-		booted := cur
-		vm.at(vm.now, func() { vm.transfer(booted) })
+		vm.at(vm.now, evSpinWake, cur)
 	}
-}
-
-// resumeSoon schedules the token handoff to t at the current time.
-func (vm *VM) resumeSoon(t *Thread) {
-	vm.at(vm.now, func() { vm.transfer(t) })
-}
-
-// transfer hands the execution token to t and waits for it to yield. Only
-// ever invoked from the Run loop (event context).
-func (vm *VM) transfer(t *Thread) {
-	t.state = "running"
-	t.resume <- struct{}{}
-	<-vm.yielded
 }
 
 // releaseCore gives up t's core and dispatches the next queued thread, if
@@ -346,7 +430,7 @@ func (vm *VM) releaseCore(t *Thread) {
 		next := c.runq[0]
 		c.runq = c.runq[1:]
 		c.cur = next
-		vm.at(vm.now+vm.cfg.Cost.ContextSwitch, func() { vm.transfer(next) })
+		vm.at(vm.now+vm.cfg.Cost.ContextSwitch, evResume, next)
 	}
 }
 
@@ -358,35 +442,67 @@ type Thread struct {
 	Name string
 	core *Core
 
-	resume   chan struct{}
+	resume   chan struct{} // the token arrives here; one slot, so the sender never waits
 	fn       func(*Thread)
-	state    string
+	state    threadState
+	label    string // what a stBlocked thread waits for
 	finished bool
 
 	blocked     bool     // parked off-core, waiting for makeReady
 	wakePending bool     // a wake arrived while still running
 	parkedOn    *WaitSet // non-nil while parked in a spin loop (core held)
 
+	// A spinner's parked state, read by the event loop (spinWake, spinSettle).
+	spinWS    *WaitSet
+	spinCheck func() bool
+	spinStart Time
+
 	acc Time // accumulated small charges, folded into the next advance
 }
 
+// threadState is what dumpThreads prints for a deadlocked thread.
+type threadState uint8
+
+const (
+	stNew threadState = iota
+	stReady
+	stRunning
+	stComputing
+	stPreempted
+	stBlocked // followed by Thread.label
+	stSpinning
+)
+
+var stateNames = [...]string{"new", "ready", "running", "computing", "preempted", "blocked:", "spinning"}
+
 // main is the real goroutine backing the virtual thread.
 func (t *Thread) main() {
-	<-t.resume // wait for first dispatch
+	defer func() {
+		if t.vm.poisoned {
+			t.vm.done <- struct{}{} // to Run's unwind loop: this goroutine is gone
+		}
+	}()
+	t.awaitToken() // first dispatch
 	t.fn(t)
 	t.flush()
 	t.finished = true
-	t.state = "done"
 	t.vm.live--
 	t.vm.releaseCore(t)
-	t.vm.yielded <- struct{}{}
+	t.vm.dispatch(nil)
 }
 
-// yield returns the token to the VM loop and blocks until redispatched.
-func (t *Thread) yield() {
-	t.vm.yielded <- struct{}{}
+// awaitToken sleeps until another holder hands this thread the token. A
+// thread resumed by a deadlocked Run exits instead (Goexit runs its deferred
+// calls, and unlike a panic cannot be recovered by a task body).
+func (t *Thread) awaitToken() {
 	<-t.resume
+	if t.vm.poisoned {
+		runtime.Goexit()
+	}
 }
+
+// yield gives up the token until an event resumes t, which runs the event loop meanwhile.
+func (t *Thread) yield() { t.vm.dispatch(t) }
 
 // VM returns the owning machine.
 func (t *Thread) VM() *VM { return t.vm }
@@ -429,8 +545,8 @@ func (t *Thread) advance(d Time, spin bool) {
 	if d <= 0 {
 		return
 	}
-	t.state = "computing"
-	t.vm.at(t.vm.now+d, func() { t.vm.transfer(t) })
+	t.state = stComputing
+	t.vm.at(t.vm.now+d, evResume, t)
 	t.yield()
 	if spin {
 		t.core.Spin += d
@@ -470,35 +586,32 @@ func (t *Thread) preempt() {
 	c.runq = c.runq[1:]
 	c.runq = append(c.runq, t)
 	c.cur = next
-	t.state = "preempted"
-	t.vm.at(t.vm.now+t.vm.cfg.Cost.ContextSwitch, func() { t.vm.transfer(next) })
+	t.state = stPreempted
+	t.vm.at(t.vm.now+t.vm.cfg.Cost.ContextSwitch, evResume, next)
 	t.yield()
 }
 
 // Sleep blocks the thread (releasing its core) for d nanoseconds.
 func (t *Thread) Sleep(d Time) {
 	t.flush()
-	t.vm.at(t.vm.now+d, func() { t.vm.makeReady(t) })
-	t.block("sleep")
+	t.vm.WakeAt(t, t.vm.now+d)
+	t.Block("sleep")
 }
 
-// block parks the thread off-core with the given state label, unless a wake
-// was saved while it was still running (which it then consumes).
-func (t *Thread) block(state string) {
+// Block parks the thread off-core (releasing its core) under the given state
+// label until another thread wakes it with VM.WakeAt. A wake that arrived
+// while the thread was still running is consumed instead (futex-style saved
+// wakeup).
+func (t *Thread) Block(state string) {
 	t.flush()
 	if t.wakePending {
 		t.wakePending = false
 		return
 	}
 	t.blocked = true
-	t.state = "blocked:" + state
+	t.state, t.label = stBlocked, state
 	t.vm.releaseCore(t)
 	t.yield()
-}
-
-// wakeAt schedules t to become runnable at the given virtual time.
-func (vm *VM) wakeAt(t *Thread, at Time) {
-	vm.at(at, func() { vm.makeReady(t) })
 }
 
 // Go spawns a child virtual thread pinned to the given core. The caller

@@ -1,9 +1,11 @@
 package vm
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func newVM(cores int) *VM {
@@ -147,6 +149,73 @@ func TestDeadlockDetection(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("expected deadlock error, got %v", err)
 	}
+}
+
+// waitGoroutines fails unless the goroutine count comes back to base. A
+// finished virtual thread signals Run before its goroutine has fully exited,
+// so the check retries; the verdict is the count, the clock only bounds the
+// wait.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines, %d before the runs", n, base)
+	}
+}
+
+func TestDeadlockUnwindsThreads(t *testing.T) {
+	// A deadlocked Run must take its stuck threads with it: blocked off-core,
+	// parked spinning, and one whose deferred call re-enters the machine.
+	base := runtime.NumGoroutine()
+	unlocked := 0
+	for i := 0; i < 50; i++ {
+		v := newVM(3)
+		var m1, m2 Mutex
+		var never WaitSet
+		v.Go("a", 0, func(th *Thread) {
+			th.Lock(&m1)
+			defer func() {
+				th.Unlock(&m1) // runs during the unwind, and wakes nobody
+				unlocked++
+			}()
+			th.Compute(Microsecond)
+			th.Lock(&m2)
+		})
+		v.Go("b", 1, func(th *Thread) {
+			th.Lock(&m2)
+			th.Compute(2 * Microsecond)
+			th.Lock(&m1)
+		})
+		v.Go("c", 2, func(th *Thread) {
+			th.SpinUntil(&never, func() bool { return false })
+		})
+		_, err := v.Run()
+		const want = "vm: deadlock at 14.090µs: a[blocked:mutex], b[blocked:mutex], c[spinning]"
+		if err == nil || err.Error() != want {
+			t.Fatalf("err = %v, want %s", err, want)
+		}
+	}
+	if unlocked != 50 {
+		t.Fatalf("deferred calls of unwound threads ran %d times, want 50", unlocked)
+	}
+	waitGoroutines(t, base)
+}
+
+func TestFinishedRunLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		v := newVM(2)
+		for c := 0; c < 4; c++ {
+			v.Go("w", c%2, func(th *Thread) { th.Compute(3 * Millisecond) })
+		}
+		if _, err := v.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitGoroutines(t, base)
 }
 
 func TestSleepAdvancesTime(t *testing.T) {

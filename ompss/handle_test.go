@@ -477,7 +477,9 @@ func TestSimDatumMatchesRawKeys(t *testing.T) {
 
 func TestRunSimCtxCancellation(t *testing.T) {
 	// Cancel a simulated run mid-flight from a real timer: the graph
-	// drains by skipping and the run reports the context error.
+	// drains by skipping and the run reports the context error — and every
+	// virtual thread's goroutine is gone when it does.
+	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	var executed atomic.Int32
 	_, err := RunSimCtx(ctx, machine.Paper(2), func(rt *Runtime) {
@@ -498,6 +500,14 @@ func TestRunSimCtxCancellation(t *testing.T) {
 	}
 	if n := executed.Load(); n >= 200 || n < 4 {
 		t.Fatalf("executed %d bodies; cancellation should skip most of the chain", n)
+	}
+	// The last thread signals the end of the run before its goroutine has
+	// exited, hence the retry; the verdict is the count.
+	for i := 0; i < 5000 && runtime.NumGoroutine() > base; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after the cancelled run, %d before it", n, base)
 	}
 }
 

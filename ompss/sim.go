@@ -30,8 +30,8 @@ func RunSim(mc machine.Config, program func(*Runtime), opts ...Option) (machine.
 // simulated runtime drains its graph by skipping every task that has not
 // started yet (each finishes with a *SkipError wrapping the cancellation
 // cause) and the run returns ctx's error. Cancellation is observed at
-// scheduling points — task dispatch, submission, and waits — since the
-// simulation itself executes on the calling goroutine.
+// scheduling points — task dispatch, submission, and waits — which is where
+// the simulated runtime polls it.
 func RunSimCtx(ctx context.Context, mc machine.Config, program func(*Runtime), opts ...Option) (machine.Stats, error) {
 	cfg := buildConfig(opts)
 	if mc.Cores < 1 {
@@ -51,6 +51,7 @@ func RunSimCtx(ctx context.Context, mc machine.Config, program func(*Runtime), o
 		ctxWaiters:  make(map[*core.Context][]*vm.Thread),
 		taskWaiters: make(map[*core.Task][]*vm.Thread),
 	}
+	b.idleDone = func() bool { return b.sched.Ready() > 0 || b.stop }
 	rt := &Runtime{be: b, cfg: cfg, simMode: true}
 	b.rt = rt
 	b.graph.ConfigureRenaming(core.Renaming{Enabled: cfg.renamingOn(), MaxVersions: cfg.renameCapN()})
@@ -75,7 +76,7 @@ func RunSimCtx(ctx context.Context, mc machine.Config, program func(*Runtime), o
 	}
 	if rec := cfg.rec; rec != nil {
 		// Timestamps are the simulated machine's virtual clock; every
-		// emission happens on the event loop's goroutine.
+		// emission happens under the machine's token, one runner at a time.
 		rec.Attach(cfg.workers, "sim", true, func() int64 { return int64(v.Now()) })
 		b.graph.SetProbe(rec)
 		b.sched.SetProbe(rec)
@@ -123,7 +124,7 @@ func RunSimCtx(ctx context.Context, mc machine.Config, program func(*Runtime), o
 }
 
 // simBackend drives the shared engine from virtual threads on the simulated
-// machine. Execution is serialized by the discrete-event loop, so the engine
+// machine. Execution is serialized by the machine's token, so the engine
 // needs no locking here; costs are charged through the owning vm.Thread.
 type simBackend struct {
 	rt   *Runtime
@@ -141,7 +142,8 @@ type simBackend struct {
 	tn  *core.Tunables
 	ctl *tune.Controller
 
-	ws          vm.WaitSet // Polling mode: idle workers and waiters
+	ws          vm.WaitSet  // Polling mode: idle workers and waiters
+	idleDone    func() bool // an idle worker's spin predicate: read-only, the vm's event loop calls it
 	idle        []*vm.Thread
 	ctxWaiters  map[*core.Context][]*vm.Thread
 	taskWaiters map[*core.Task][]*vm.Thread
@@ -208,7 +210,7 @@ func (b *simBackend) workerLoop(vt *vm.Thread, lane int) {
 
 func (b *simBackend) idleWait(vt *vm.Thread) {
 	if b.cfg.wait == Polling {
-		vt.SpinUntil(&b.ws, func() bool { return b.sched.Ready() > 0 || b.stop })
+		vt.SpinUntil(&b.ws, b.idleDone)
 		return
 	}
 	b.idle = append(b.idle, vt)
