@@ -11,6 +11,7 @@ package vm_test
 import (
 	"bufio"
 	"compress/gzip"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -21,6 +22,7 @@ import (
 	"testing"
 	"time"
 
+	"ompssgo/internal/obs"
 	"ompssgo/internal/suite"
 	"ompssgo/internal/vm"
 	"ompssgo/machine"
@@ -155,7 +157,118 @@ func suiteCases(t testing.TB) []streamCase {
 			streamCase{app + "/oversubscribed/pthreads", pth(machine.Paper(2), 5)},
 		)
 	}
-	return append(cs, streamCase{"vm/sync-mix", syncMix})
+	cs = append(cs, streamCase{"vm/sync-mix", syncMix})
+	return append(cs, lifecycleCases()...)
+}
+
+// lifecycleCases are small programs on 4 cores that reach the task-lifecycle
+// paths c-ray and h264dec do not: admission backpressure and a session Close
+// that drains by skipping, named and commutative locks, a cancellation drain,
+// the controller feed, nested spawn + taskwait, an inline task, and recorder
+// emission (which must not move virtual time: observedTwin checks the pair).
+func lifecycleCases() []streamCase {
+	mc := machine.Paper(4)
+	sim := func(prog func(*ompss.Runtime), opts ...ompss.Option) func() (machine.Stats, error) {
+		return func() (machine.Stats, error) { return ompss.RunSim(mc, prog, opts...) }
+	}
+	// A recorder attaches once, so an observed case makes its own per run.
+	observed := func(prog func(*ompss.Runtime), opts ...ompss.Option) func() (machine.Stats, error) {
+		return func() (machine.Stats, error) {
+			return sim(prog, append(opts, ompss.Observe(obs.NewRecorder()))...)()
+		}
+	}
+	const us = time.Microsecond
+	blocking := ompss.Wait(ompss.Blocking)
+
+	admission := func(rt *ompss.Runtime) {
+		s := rt.NewSession(ompss.MaxInFlight(4), ompss.Admission(ompss.BlockOnFull))
+		var cells [4]int
+		for i := 0; i < 32; i++ {
+			c := &cells[i%len(cells)]
+			s.Task(func(*ompss.TC) { *c++ }, ompss.InOut(c), ompss.Cost(time.Duration(20+i%5)*us))
+		}
+		s.Close() // the last tasks are still queued: Close skips them and drains
+	}
+	locks := func(rt *ompss.Runtime) {
+		var sum, hits int
+		for i := 0; i < 24; i++ {
+			rt.Task(func(tc *ompss.TC) {
+				sum += i
+				tc.Critical("hits", func() { hits++; tc.Compute(3 * us) })
+			}, ompss.Commutative(&sum), ompss.Cost(time.Duration(10+i%4)*us))
+		}
+		rt.Taskwait()
+	}
+	nested := func(rt *ompss.Runtime) {
+		var out [6]int
+		for i := range out {
+			rt.Task(func(tc *ompss.TC) {
+				var parts [3]int
+				for j := range parts {
+					tc.Task(func(*ompss.TC) { parts[j] = i + j }, ompss.Out(&parts[j]), ompss.Cost(time.Duration(8+j)*us))
+				}
+				tc.Task(func(*ompss.TC) { parts[0]++ }, ompss.InOut(&parts[0]), ompss.If(false), ompss.Cost(2*us))
+				tc.Taskwait()
+				out[i] = parts[0] + parts[1] + parts[2]
+			}, ompss.Out(&out[i]), ompss.Cost(5*us))
+		}
+		rt.Taskwait()
+	}
+	tuned := func(rt *ompss.Runtime) {
+		type cell struct{ v int }
+		d := rt.Register(&cell{}).EnableRenaming(nil,
+			func() any { return new(cell) },
+			func(dst, src any) { *dst.(*cell) = *src.(*cell) })
+		for round := 0; round < 3; round++ {
+			rt.TaskLoop(96, ompss.Auto, func(tc *ompss.TC, lo, hi int) {
+				tc.Compute(time.Duration(hi-lo) * 2 * us)
+			}, ompss.Label("loop"))
+			for w := 0; w < 12; w++ {
+				for r := 0; r < 2; r++ {
+					rt.Task(func(tc *ompss.TC) { _ = tc.Data(d).(*cell).v }, d.AsIn(), ompss.Cost(6*us), ompss.Label("read"))
+				}
+				rt.Task(func(tc *ompss.TC) { tc.Data(d).(*cell).v = w }, d.AsOut(), ompss.Cost(4*us), ompss.Label("write"))
+			}
+			rt.Taskwait()
+		}
+	}
+	tuning := ompss.WithTuning(ompss.Tuning{Grain: ompss.Auto, RenameCap: ompss.Auto, Renaming: ompss.On})
+
+	return []streamCase{
+		{"lifecycle/admission/polling", sim(admission)},
+		{"lifecycle/admission/blocking", sim(admission, blocking)},
+		{"lifecycle/locks/polling", sim(locks)},
+		{"lifecycle/locks/blocking", sim(locks, blocking)},
+		{"lifecycle/nested/polling", sim(nested)},
+		{"lifecycle/nested/blocking", sim(nested, blocking)},
+		{"lifecycle/nested/polling-observed", observed(nested)},
+		{"lifecycle/tuned/polling", sim(tuned, tuning)},
+		{"lifecycle/tuned/polling-observed", observed(tuned, tuning)},
+		{"lifecycle/cancel/polling", func() (machine.Stats, error) {
+			// The tenth task of a chain-free batch cancels the run from its own
+			// body, so the moment of cancellation is a virtual instant: what had
+			// not started by then is skipped (pollCtx, skip cascade).
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			return ompss.RunSimCtx(ctx, mc, func(rt *ompss.Runtime) {
+				var cells [40]int
+				for i := range cells {
+					rt.Task(func(*ompss.TC) {
+						if i == 9 {
+							cancel()
+						}
+					}, ompss.Out(&cells[i]), ompss.Cost(15*us))
+				}
+				rt.Taskwait()
+			})
+		}},
+	}
+}
+
+// observedTwin maps a case that runs under Observe to the same program without.
+var observedTwin = map[string]string{
+	"lifecycle/nested/polling-observed": "lifecycle/nested/polling",
+	"lifecycle/tuned/polling-observed":  "lifecycle/tuned/polling",
 }
 
 // syncMix drives the primitives of sync.go directly, as sync_test.go does:
