@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test flake race bench bench-submit alloc-budget examples lint trace dist-trace serve serve-smoke dist-race fuzz-frames soak ci
+.PHONY: all build test equiv flake race bench bench-submit alloc-budget examples lint lint-lifecycle trace dist-trace serve serve-smoke dist-race fuzz-frames soak ci
 
 all: build test
 
@@ -18,6 +18,17 @@ test:
 	$(GO) test -shuffle=on ./...
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...
+
+# The simulator's exact gate (the CI verify job runs it too): every recorded
+# (time, seq, kind, thread) event stream in internal/vm/testdata must be
+# reproduced as is — by a change to internal/vm's dispatch and by a change to
+# the task lifecycle in ompss alike. The digests are pinned for amd64; there
+# a skip would mean the gate silently stopped gating, so it fails.
+equiv:
+	@out="$$($(GO) test ./internal/vm -run TestEventStreamsMatchRecorded -count=1 -v 2>&1)"; st=$$?; \
+	echo "$$out" | grep -v -e '^=== ' ; [ $$st -eq 0 ] || exit $$st; \
+	if [ "$$($(GO) env GOARCH)" = amd64 ] && echo "$$out" | grep -q -e '--- SKIP'; then \
+		echo "equiv: TestEventStreamsMatchRecorded skipped on amd64" >&2; exit 1; fi
 
 # Flake sweep (the CI `flake` job): every package ten times in shuffled
 # order. No test's verdict may depend on the clock, so this must pass on a
@@ -115,7 +126,7 @@ examples:
 # local and CI checks stay in lockstep. staticcheck and govulncheck are
 # installed on demand by CI; locally they are skipped with a hint when not
 # on PATH.
-lint:
+lint: lint-lifecycle
 	$(GO) vet ./...
 	@! grep -rl --include='*.go' '"encoding/gob"' . || { echo "encoding/gob is imported above; the dist wire codec is hand-written (internal/dist/proto.go)" >&2; exit 1; }
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -125,4 +136,16 @@ lint:
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; else \
 		echo "lint: govulncheck not installed (go install golang.org/x/vuln/cmd/govulncheck@latest); skipping" >&2; fi
 
-ci: build lint test flake race bench bench-submit alloc-budget serve-smoke dist-race dist-trace soak examples
+# One task lifecycle (ompss/lifecycle.go): outside tests, package ompss wires,
+# finishes, enqueues and pops tasks in one place each (Pop: the worker loop
+# and the help-first wait), so a second copy of the lifecycle cannot grow
+# back unnoticed. The CI verify job runs this target.
+lint-lifecycle:
+	@for want in 'graph\.Submit(:1:1' 'graph\.Finish(:1:1' 'sched\.PushSubmit(:1:1' 'sched\.PushReady(:1:1' 'sched\.Pop(:1:2'; do \
+		pat=$${want%%:*}; lim=$${want#*:}; \
+		n=$$(grep -rho --include='*.go' --exclude='*_test.go' -e "$$pat" ompss | wc -l); \
+		if [ $$n -lt $${lim%:*} ] || [ $$n -gt $${lim#*:} ]; then \
+			echo "lint: $$n call sites of $$pat in non-test ompss/ (want $${lim%:*}..$${lim#*:}); the task lifecycle lives in ompss/lifecycle.go only" >&2; exit 1; fi; \
+	done
+
+ci: build lint test equiv flake race bench bench-submit alloc-budget serve-smoke dist-race dist-trace soak examples

@@ -116,7 +116,7 @@ func TestVMEventAllocs(t *testing.T) {
 		{"futile spinner wake", func(th *vm.Thread, ws *vm.WaitSet) { ws.WakeAll(th.VM()); th.Compute(vm.Microsecond) }, runs},
 	}
 	for _, row := range rows {
-		v := vm.New(vm.Config{Cores: 2, Seed: 1})
+		v := vm.New(vm.Config{Cores: 2})
 		var ws vm.WaitSet
 		stop := false
 		allocs := -1.0

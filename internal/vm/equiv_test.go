@@ -277,7 +277,7 @@ var observedTwin = map[string]string{
 // nested spawn.
 func syncMix() (machine.Stats, error) {
 	const n = 4
-	v := vm.New(vm.Config{Cores: n, Sockets: 2, Seed: 1})
+	v := vm.New(vm.Config{Cores: n, Sockets: 2})
 	sb := vm.SpinBarrier{N: n}
 	var progress vm.SpinVar
 	var mu vm.Mutex

@@ -45,17 +45,17 @@ func TestCustomCostModel(t *testing.T) {
 
 func TestBandwidthContentionScalesWithActiveCores(t *testing.T) {
 	// The same cold access costs more when other cores are computing.
-	quiet := New(Config{Cores: 8, Sockets: 1, Seed: 1})
+	quiet := New(Config{Cores: 8, Sockets: 1})
 	soloCost := quiet.MemCost(0, new(int), 1<<20, true)
 
-	busy := New(Config{Cores: 8, Sockets: 1, Seed: 1})
+	busy := New(Config{Cores: 8, Sockets: 1})
 	for i := 0; i < 8; i++ {
 		busy.Go("w", i, func(th *Thread) { th.Compute(10 * Millisecond) })
 	}
 	// Let the run start so cores become active, then sample MemCost from
 	// a fresh key inside a probe thread.
 	var contended Time
-	probe := New(Config{Cores: 8, Sockets: 1, Seed: 1})
+	probe := New(Config{Cores: 8, Sockets: 1})
 	for i := 1; i < 8; i++ {
 		probe.Go("load", i, func(th *Thread) { th.Compute(10 * Millisecond) })
 	}
@@ -74,7 +74,7 @@ func TestBandwidthContentionScalesWithActiveCores(t *testing.T) {
 func TestSpinDoesNotPressureBandwidth(t *testing.T) {
 	// Parked spinners are not "active": a cold access while 7 cores spin
 	// costs the same as solo.
-	v := New(Config{Cores: 8, Sockets: 1, Seed: 1})
+	v := New(Config{Cores: 8, Sockets: 1})
 	solo := v.MemCost(0, new(int), 1<<20, true)
 	var sv SpinVar
 	var measured Time

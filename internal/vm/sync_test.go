@@ -226,7 +226,7 @@ func TestSpinBarrierFasterThanBlockingForShortPhases(t *testing.T) {
 	// polling barrier avoids per-waiter wake latency and should win.
 	const n, rounds = 16, 50
 	blocking := func() Time {
-		v := New(Config{Cores: n, Sockets: 2, Seed: 1})
+		v := New(Config{Cores: n, Sockets: 2})
 		var b Barrier
 		b.N = n
 		for i := 0; i < n; i++ {
@@ -244,7 +244,7 @@ func TestSpinBarrierFasterThanBlockingForShortPhases(t *testing.T) {
 		return st.Time
 	}()
 	polling := func() Time {
-		v := New(Config{Cores: n, Sockets: 2, Seed: 1})
+		v := New(Config{Cores: n, Sockets: 2})
 		var b SpinBarrier
 		b.N = n
 		for i := 0; i < n; i++ {

@@ -62,9 +62,6 @@ type Config struct {
 	// Quantum is the preemption timeslice used when a core is
 	// oversubscribed. Zero selects the default (1 ms).
 	Quantum Time
-	// Seed identifies the run; the machine itself draws no random numbers
-	// (core.Sched seeds its own steal-victim selection).
-	Seed int64
 	// Cost is the machine cost model. Zero value selects DefaultCostModel.
 	Cost CostModel
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func newVM(cores int) *VM {
-	return New(Config{Cores: cores, Sockets: (cores + 7) / 8, Seed: 1})
+	return New(Config{Cores: cores, Sockets: (cores + 7) / 8})
 }
 
 func TestSingleThreadCompute(t *testing.T) {
@@ -109,7 +109,7 @@ func TestSharedMemoryVisibility(t *testing.T) {
 
 func TestDeterministicReplay(t *testing.T) {
 	run := func() Stats {
-		v := New(Config{Cores: 8, Sockets: 2, Seed: 42})
+		v := New(Config{Cores: 8, Sockets: 2})
 		var b Barrier
 		b.N = 8
 		for i := 0; i < 8; i++ {
@@ -252,7 +252,7 @@ func TestChargeAccumulates(t *testing.T) {
 }
 
 func TestMemCostWarmth(t *testing.T) {
-	v := New(Config{Cores: 16, Sockets: 2, Seed: 1})
+	v := New(Config{Cores: 16, Sockets: 2})
 	key := new(int)
 	const bytes = 1 << 20
 
@@ -261,13 +261,13 @@ func TestMemCostWarmth(t *testing.T) {
 	if warm >= cold {
 		t.Fatalf("same-core warm (%v) should beat cold (%v)", warm, cold)
 	}
-	v2 := New(Config{Cores: 16, Sockets: 2, Seed: 1})
+	v2 := New(Config{Cores: 16, Sockets: 2})
 	v2.MemCost(0, key, bytes, true)
 	sameSocket := v2.MemCost(1, key, bytes, false) // cores 0..7 = socket 0
 	if sameSocket >= cold || sameSocket <= warm {
 		t.Fatalf("same-socket %v should sit between same-core %v and cold %v", sameSocket, warm, cold)
 	}
-	v3 := New(Config{Cores: 16, Sockets: 2, Seed: 1})
+	v3 := New(Config{Cores: 16, Sockets: 2})
 	v3.MemCost(0, key, bytes, true)
 	remote := v3.MemCost(8, key, bytes, false) // socket 1
 	if remote <= cold {
@@ -337,13 +337,13 @@ func TestNestedThreadSpawn(t *testing.T) {
 }
 
 func TestDeterminismProperty(t *testing.T) {
-	// For arbitrary small workloads, two runs with identical seeds must
+	// For arbitrary small workloads, two runs of one configuration must
 	// produce identical makespans and event counts.
-	f := func(seed int64, n uint8, w uint16) bool {
+	f := func(n uint8, w uint16) bool {
 		threads := int(n%8) + 1
 		work := Time(w%1000+1) * Microsecond
 		run := func() Stats {
-			v := New(Config{Cores: 4, Sockets: 2, Seed: seed})
+			v := New(Config{Cores: 4, Sockets: 2})
 			var m Mutex
 			shared := 0
 			for i := 0; i < threads; i++ {

@@ -17,8 +17,6 @@ type Config struct {
 	// contiguous equal blocks (default 1). The paper's machine is
 	// Cores=32, Sockets=4.
 	Sockets int
-	// Seed makes runs reproducible (scheduler victim selection etc.).
-	Seed int64
 }
 
 // Paper returns the configuration of the paper's evaluation platform with
@@ -28,7 +26,7 @@ func Paper(cores int) Config {
 	if sockets < 1 {
 		sockets = 1
 	}
-	return Config{Cores: cores, Sockets: sockets, Seed: 1}
+	return Config{Cores: cores, Sockets: sockets}
 }
 
 // Stats reports the outcome of one simulated run.

@@ -1,39 +1,45 @@
 package ompss
 
-import "sync"
+import (
+	"sync"
 
-// commTable is the commutative per-key lock table shared by both backends
-// (the mutex type M is sync.Mutex natively, vm.Mutex in simulation). Each
-// key gets a lock with a rank assigned at first use; resolve returns a key
-// set's locks deduplicated and sorted by ascending rank. Acquiring
-// multi-key lock sets in rank order is the deadlock-freedom invariant:
-// tasks declaring the same keys in opposite clause orders still lock them
-// identically.
-type commTable[M any] struct {
-	mu  sync.Mutex // guards the map and rank counter, never held while bodies run
-	m   map[any]*commEntry[M]
-	seq uint64
+	"ompssgo/internal/vm"
+)
+
+// rtLock is a lock a task body holds while it runs: host is taken by a
+// goroutine natively, virt by a virtual thread under simulation (see the
+// clock's lock/unlock); a runtime only ever uses one of the two.
+type rtLock struct {
+	rank uint64
+	host sync.Mutex
+	virt vm.Mutex
 }
 
-// commEntry is one key's lock with its acquisition rank.
-type commEntry[M any] struct {
-	rank uint64
-	mu   M
+// lockTable holds the per-key locks of Commutative clauses and Critical
+// sections. Each key gets a lock with a rank assigned at first use; resolve
+// returns a key set's locks deduplicated and sorted by ascending rank.
+// Acquiring multi-key lock sets in rank order is the deadlock-freedom
+// invariant: tasks declaring the same keys in opposite clause orders still
+// lock them identically.
+type lockTable struct {
+	mu  sync.Mutex // guards the map and rank counter, never held while bodies run
+	m   map[any]*rtLock
+	seq uint64
 }
 
 // resolve returns the locks of keys (creating on first use), deduplicated
 // and sorted by rank. Safe from any goroutine.
-func (t *commTable[M]) resolve(keys []any) []*commEntry[M] {
+func (t *lockTable) resolve(keys []any) []*rtLock {
 	t.mu.Lock()
 	if t.m == nil {
-		t.m = make(map[any]*commEntry[M])
+		t.m = make(map[any]*rtLock)
 	}
-	locks := make([]*commEntry[M], 0, len(keys))
+	locks := make([]*rtLock, 0, len(keys))
 	for _, k := range keys {
 		e := t.m[k]
 		if e == nil {
 			t.seq++
-			e = &commEntry[M]{rank: t.seq}
+			e = &rtLock{rank: t.seq}
 			t.m[k] = e
 		}
 		locks = append(locks, e)

@@ -62,7 +62,7 @@ func newDatum(c *core.Datum) *Datum {
 // compatibility path instead of corrupting records).
 func (rt *Runtime) Register(key any) *Datum {
 	if d, ok := key.(*Datum); ok {
-		if d.c.Owner() == rt.be.Deps() {
+		if d.c.Owner() == rt.lc.graph {
 			return d
 		}
 		if d.c.IsRegion() {
@@ -71,7 +71,7 @@ func (rt *Runtime) Register(key any) *Datum {
 		}
 		key = d.c.Key
 	}
-	return newDatum(rt.be.Deps().Register(key))
+	return newDatum(rt.lc.graph.Register(key))
 }
 
 // RegisterRegion interns an array-section handle for [lo, hi) of the array
@@ -80,7 +80,7 @@ func (rt *Runtime) Register(key any) *Datum {
 // conflict only where their spans overlap, so tasks over disjoint blocks run
 // in parallel without manual per-block keys.
 func (rt *Runtime) RegisterRegion(base any, lo, hi int64) *Datum {
-	return newDatum(rt.be.Deps().RegisterRegion(base, lo, hi))
+	return newDatum(rt.lc.graph.RegisterRegion(base, lo, hi))
 }
 
 // EnableRenaming makes the datum renameable (see Tuning.Renaming):

@@ -1,0 +1,429 @@
+package ompss
+
+import (
+	"sync"
+	"sync/atomic"
+
+	"ompssgo/internal/core"
+	"ompssgo/internal/obs"
+	"ompssgo/internal/tune"
+)
+
+// cost names what the lifecycle charges to the executing thread. Natively
+// every charge is free — bodies do real work and the bookkeeping takes the
+// time it takes; the simulator prices each from the machine's cost model.
+type cost uint8
+
+const (
+	costSpawn    cost = iota // a submission wiring n accesses; settled before the graph is read
+	costDispatch             // a task popped from the scheduler
+	costSteal                // a pop that found nothing
+	costCompute              // n nanoseconds of computation (a body's Cost clause + footprint)
+	costFinish               // completion bookkeeping; settled before Finish
+	costRelease              // n successors released
+	costSettle               // nothing new: what was charged so far takes effect before shared state is read
+)
+
+// parkOn is what a thread without work waits for, beside the two keys that
+// are the awaited object itself: a *core.Context (taskwait) and a *core.Task
+// (taskwait on).
+type parkOn uint8
+
+const (
+	parkIdle   parkOn = iota // a worker between tasks
+	parkDrain                // Shutdown's end-of-program barrier
+	parkFinish               // a session drain or admission headroom: any finish may flip it
+)
+
+// clock is all that differs between native and simulated execution: what a
+// clock read is, what a charge costs, and how a thread parks and is woken.
+// The lifecycle below calls it unconditionally; nativeClock (native.go) and
+// simClock (sim.go) implement it.
+type clock interface {
+	now() int64
+	charge(lane int, k cost, n int64)
+	// touch prices streaming bytes of key from the lane's core (warmth and
+	// NUMA distance under simulation); the caller charges it as costCompute.
+	touch(lane int, key any, bytes int64, write bool) int64
+	// park waits, after the lane's misses-th consecutive failed pop, until
+	// cond may hold: it may return early, never late — every wake that could
+	// flip cond ends it.
+	park(lane int, key any, misses int, cond func() bool)
+	// wake announces that done finished (nil: a submission, or stop) and n
+	// tasks became ready.
+	wake(done *core.Task, n int)
+	lock(lane int, m *rtLock)
+	unlock(lane int, m *rtLock)
+	// pollCancel observes a cancellation that is delivered by polling;
+	// cancelWake nudges parked threads after one that is delivered by a
+	// call, from any goroutine, so they see the skip-everything state.
+	pollCancel()
+	cancelWake()
+}
+
+// lifecycle is the life of a task — submit → dispatch → run → finish → wait —
+// written once over the shared engine (internal/core) and the clock. With
+// Workers(n), n−1 dedicated workers run lanes 0..n−2 and the program's
+// master thread owns lane n−1, executing tasks inside Taskwait, TaskwaitOn
+// and Shutdown (OMP_NUM_THREADS counts the master).
+//
+// There is no lifecycle-level lock: the engine is internally decentralized —
+// per-worker lock-free deques with work stealing, a sharded dependence
+// tracker, atomic ready release — so submit, pop, steal and finish from
+// different lanes never serialize on each other here.
+type lifecycle struct {
+	rt      *Runtime
+	cfg     config
+	clk     clock
+	virtual bool
+
+	graph *core.Graph
+	sched *core.Sched
+	// tn/ctl are the feedback-control plane (nil when no Tuning field armed
+	// it): ctl consumes measured task completions and writes setpoints into
+	// tn, which the graph's rename-cap check and the native spinner read. tn
+	// may be non-nil alone, carrying a pinned StealBackoff.
+	tn  *core.Tunables
+	ctl *tune.Controller
+
+	locks lockTable // Critical names and Commutative keys
+	stop  atomic.Bool
+	drain sync.Once
+}
+
+func newLifecycle(rt *Runtime, cfg config, clk clock, virtual bool) *lifecycle {
+	l := &lifecycle{
+		rt: rt, cfg: cfg, clk: clk, virtual: virtual,
+		graph: core.NewGraph(),
+		sched: core.NewSched(cfg.workers, cfg.schedPolicy(), cfg.seed),
+	}
+	l.graph.ConfigureRenaming(core.Renaming{Enabled: cfg.renamingOn(), MaxVersions: cfg.renameCapN()})
+	if cfg.tuningActive() || cfg.tun.StealBackoff.isSet() {
+		l.tn = &core.Tunables{}
+		if v, ok := cfg.tun.StealBackoff.value(); ok && v > 0 {
+			// Pinned backoff: the sleep cap is set once and no loop moves it.
+			l.tn.SleepCapNS.Store(int64(v) * 1000)
+		}
+		if cfg.tuningActive() {
+			// Under virtual time the controller's decisions are deterministic;
+			// its Backoff loop stays off there — idle waiting is event-driven,
+			// there is no spin loop to tune.
+			l.ctl = tune.New(tune.Config{
+				Workers:       cfg.workers,
+				Grain:         cfg.tun.Grain.isAuto(),
+				Backoff:       !virtual && cfg.tun.StealBackoff.isAuto(),
+				RenameCap:     cfg.tun.RenameCap.isAuto(),
+				BaseRenameCap: cfg.renameCapN(),
+				SchedStats:    l.sched.Stats,
+				GraphStats:    l.graph.Stats,
+				Event:         tuneEventFn(cfg.rec),
+			}, l.tn, obs.NewAggregator(0))
+		}
+		l.graph.SetTunables(l.tn)
+		l.sched.SetTunables(l.tn)
+	}
+	if rec := cfg.rec; rec != nil {
+		// Attach before any worker starts: the rings and clock are published
+		// to the workers by their go statements (under simulation every
+		// emission happens under the machine's token, one runner at a time).
+		rec.Attach(cfg.workers, l.DomainName(), virtual, clk.now)
+		l.graph.SetProbe(rec)
+		l.sched.SetProbe(rec)
+	}
+	return l
+}
+
+// core.Backend seam (see internal/core/backend.go).
+func (l *lifecycle) DomainName() string {
+	if l.virtual {
+		return "sim"
+	}
+	return "native"
+}
+func (l *lifecycle) Deps() *core.Graph           { return l.graph }
+func (l *lifecycle) GraphStats() core.GraphStats { return l.graph.Stats() }
+
+var _ core.Backend = (*lifecycle)(nil)
+
+func (l *lifecycle) submit(from *TC, t *core.Task) {
+	l.clk.pollCancel()
+	l.clk.charge(from.worker, costSpawn, int64(len(t.Accesses)))
+	ready := l.graph.Submit(t)
+	// Submit/edge events go out before the push so the task cannot start
+	// (on another lane) ahead of its own submit record in the usual case;
+	// a predecessor finishing mid-submission can still reorder, which the
+	// analyzer tolerates.
+	obsSubmit(l.cfg.rec, from.worker, t, ready)
+	if ready {
+		l.sched.PushSubmit(t)
+		l.clk.wake(nil, 1)
+	}
+}
+
+func (l *lifecycle) workerLoop(lane int) {
+	idling := false
+	work := func() bool { return l.stop.Load() || l.sched.Ready() > 0 }
+	for misses := 0; ; {
+		l.clk.pollCancel()
+		t := l.sched.Pop(lane)
+		if t != nil {
+			if idling {
+				idling = false
+				l.emit(lane, obs.EvIdleExit)
+			}
+			misses = 0
+			l.runTask(t, lane)
+			continue
+		}
+		if !idling {
+			idling = true
+			l.emit(lane, obs.EvIdleEnter)
+		}
+		if l.stop.Load() {
+			l.emit(lane, obs.EvIdleExit)
+			return
+		}
+		l.clk.charge(lane, costSteal, 1)
+		misses++
+		l.clk.park(lane, parkIdle, misses, work)
+	}
+}
+
+// emit records a lane-level event (no task) when a recorder is attached.
+func (l *lifecycle) emit(lane int, k obs.Kind) {
+	if rec := l.cfg.rec; rec != nil {
+		rec.Emit(lane, k, 0, 0)
+	}
+}
+
+// runTask takes a popped task through the rest of its life on lane.
+func (l *lifecycle) runTask(t *core.Task, lane int) {
+	l.clk.charge(lane, costDispatch, 1)
+	l.graph.MarkRunning(t, lane)
+	rec := l.cfg.rec
+	quiet := taskQuiet(t)
+	if rec != nil && !quiet {
+		rec.Emit(lane, obs.EvStart, t.ID, 0)
+	}
+	l.clk.pollCancel()
+	err := l.rt.skipReason(t)
+	fed := l.ctl != nil && err == nil
+	var t0 int64
+	if err != nil {
+		// Skip-release: the task finishes without running — no body, no
+		// modeled compute or memory traffic — its dependents still release
+		// (and inherit the error under SkipDependents), so the graph always
+		// drains, a cancelled one in (almost) zero virtual time.
+		t.MarkSkipped()
+		l.graph.CountSkipped()
+		if rec != nil && !quiet {
+			rec.Emit(lane, obs.EvSkip, t.ID, 0)
+		}
+	} else {
+		if fed {
+			t0 = l.clk.now()
+		}
+		// Memory-system cost of the declared footprints, priced before the
+		// body against where each datum was last produced.
+		var mem int64
+		for i := range t.Accesses {
+			a := &t.Accesses[i]
+			mem += l.clk.touch(lane, a.Key, a.Bytes, a.Writes())
+		}
+		err = t.Owner.(*taskRec).run() // real execution; may add Compute/Critical charges itself
+		l.clk.charge(lane, costCompute, t.CPUCost+mem)
+	}
+	l.rt.noteTaskErr(t, err)
+	l.clk.charge(lane, costFinish, 1)
+	if fed {
+		// Feed the controller with the task's measured execution time (the
+		// charge above settled the clock past the modeled compute) and rename
+		// attribution (settled at submission); every TickEvery-th call runs a
+		// control tick inline on this lane. Allocation-free (asserted by the
+		// alloc-budget suite) so tuning never perturbs what it measures — and
+		// ahead of Finish, so whoever a taskwait lets go already finds the
+		// task in the label aggregates.
+		l.ctl.TaskDone(t.Label, l.clk.now()-t0, t.Iters, t.Renamed(), t.RenameFallback())
+	}
+	ready := l.graph.Finish(t, err)
+	if rec != nil {
+		// The end event and the ready events of the released successors
+		// share the completion instant — one group, one clock read, one
+		// sequence fetch-add for the whole site. Muted (Observe(nil))
+		// sessions' tasks are filtered out before the group is sized.
+		obsFinish(rec, lane, t.ID, quiet, ready)
+	}
+	for _, r := range ready {
+		l.sched.PushReady(r, lane)
+	}
+	n := len(ready)
+	l.clk.charge(lane, costRelease, int64(n))
+	// ready may be t's own successor slot (see Graph.Finish): a retained
+	// Handle must not pin the tasks released behind it.
+	clear(ready)
+	// Idle workers for the released tasks, and any waiter t's completion
+	// may have let go.
+	l.clk.wake(t, n)
+}
+
+// waitFor holds the calling thread until cond holds, executing ready tasks
+// meanwhile — help-first in both wait modes: parking without helping
+// deadlocks when every thread is a waiter (Workers(1), or a server whose
+// request goroutines all reach a wait together). cond must eventually be
+// flipped by task finishes or a cancellation; key says which (see parkOn).
+// Taskwait, TaskwaitOn, session drain, admission backpressure and the
+// Shutdown barrier are all this loop.
+func (l *lifecycle) waitFor(from *TC, key any, cond func() bool) {
+	lane := from.worker
+	wake := func() bool { return cond() || l.sched.Ready() > 0 }
+	for misses := 0; !cond(); {
+		l.clk.pollCancel()
+		if t := l.sched.Pop(lane); t != nil {
+			misses = 0
+			l.runTask(t, lane)
+			continue
+		}
+		misses++
+		l.clk.park(lane, key, misses, wake)
+	}
+}
+
+func (l *lifecycle) taskwait(from *TC, ctx *core.Context) {
+	l.emit(from.worker, obs.EvTaskwaitEnter)
+	defer l.emit(from.worker, obs.EvTaskwaitExit)
+	l.waitFor(from, ctx, func() bool { return ctx.Pending() == 0 })
+}
+
+func (l *lifecycle) taskwaitOn(from *TC, keys []any) {
+	l.emit(from.worker, obs.EvTaskwaitEnter)
+	defer l.emit(from.worker, obs.EvTaskwaitExit)
+	for _, k := range keys {
+		l.clk.charge(from.worker, costSettle, 0)
+		for _, lw := range l.graph.Writers(k) {
+			l.waitFor(from, lw, lw.Finished)
+		}
+	}
+}
+
+// critName keys a Critical section's lock in the table Commutative keys share.
+type critName string
+
+func (l *lifecycle) critical(from *TC, name string, f func()) {
+	l.commutative(from, []any{critName(name)}, f)
+}
+
+// commutative runs f holding the lock of every listed key, acquired in
+// ascending rank order (see lockTable), released in reverse. Under
+// simulation execution is serialized, but virtual threads still block on
+// the locks, so the same ordering discipline applies.
+func (l *lifecycle) commutative(from *TC, keys []any, f func()) {
+	lane, held := from.worker, l.locks.resolve(keys)
+	for _, m := range held {
+		l.clk.lock(lane, m)
+	}
+	// Deferred so a panicking body (recovered into a task error above us)
+	// cannot leak the locks and deadlock every later user of them.
+	defer func() {
+		for i := len(held) - 1; i >= 0; i-- {
+			l.clk.unlock(lane, held[i])
+		}
+	}()
+	f()
+}
+
+// shutdown is the implicit end-of-program barrier — drain every context —
+// after which the worker loops are told to stop.
+func (l *lifecycle) shutdown(from *TC) {
+	l.drain.Do(func() {
+		l.waitFor(from, parkDrain, func() bool { return l.graph.Unfinished() == 0 })
+		l.stop.Store(true)
+		l.clk.wake(nil, l.cfg.workers)
+	})
+}
+
+// tuneEventFn bridges the feedback controller's setpoint moves into the
+// observability stream: every actual move becomes an EvTune event (Label =
+// the loop name, Arg = old value, Task = new value) on the no-lane ring.
+// Nil recorder → nil hook, so an untraced run pays nothing. The loop names
+// are constants and EmitLabel allocates nothing, keeping the tick path
+// within its zero-alloc budget.
+func tuneEventFn(rec *obs.Recorder) func(loop string, old, new int64) {
+	if rec == nil {
+		return nil
+	}
+	return func(loop string, old, new int64) {
+		rec.EmitLabel(-1, obs.EvTune, uint64(new), uint64(old), loop)
+	}
+}
+
+// taskQuiet reports whether the task's session muted per-task observability
+// (Session Observe(nil) under a recording runtime).
+func taskQuiet(t *core.Task) bool {
+	d := t.Domain
+	return d != nil && d.Quiet
+}
+
+// sessOf returns the task's session ID for trace tagging (0 = no session).
+func sessOf(t *core.Task) uint64 {
+	if d := t.Domain; d != nil {
+		return d.ID
+	}
+	return 0
+}
+
+// obsFinish records a task completion: the end event and the ready events of
+// the released successors share one group (one clock read, one sequence
+// fetch-add). Quiet tasks are filtered out before the group is sized, so a
+// muted session contributes no events at all.
+func obsFinish(rec *obs.Recorder, worker int, id uint64, quiet bool, ready []*core.Task) {
+	n := 0
+	if !quiet {
+		n++
+	}
+	for _, r := range ready {
+		if !taskQuiet(r) {
+			n++
+		}
+	}
+	if n == 0 {
+		return
+	}
+	g, ok := rec.Group(worker, n)
+	if !ok {
+		return
+	}
+	if !quiet {
+		g.Add(obs.EvEnd, id, 0, "")
+	}
+	for _, r := range ready {
+		if !taskQuiet(r) {
+			g.Add(obs.EvReady, r.ID, 0, "")
+		}
+	}
+}
+
+// obsSubmit records one task submission: the submit event (Arg = wired
+// predecessor count, Sess = the owning session), one edge event per
+// predecessor, and — when the task was immediately runnable — its ready
+// event. The whole site shares one group (one clock read, one sequence
+// fetch-add).
+func obsSubmit(rec *obs.Recorder, worker int, t *core.Task, ready bool) {
+	if rec == nil || taskQuiet(t) {
+		return
+	}
+	n := 1 + len(t.Preds)
+	if ready {
+		n++
+	}
+	g, ok := rec.Group(worker, n)
+	if !ok {
+		return
+	}
+	g.AddSess(obs.EvSubmit, t.ID, uint64(len(t.Preds)), sessOf(t), t.Label)
+	for _, p := range t.Preds {
+		g.Add(obs.EvEdge, t.ID, p, "")
+	}
+	if ready {
+		g.Add(obs.EvReady, t.ID, 0, "")
+	}
+}

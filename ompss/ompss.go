@@ -94,8 +94,8 @@ type config struct {
 	admission   AdmissionMode
 }
 
-// schedPolicy assembles the core scheduling policy both backends hand to
-// their Sched — the single point where runtime options become placement and
+// schedPolicy assembles the core scheduling policy the lifecycle hands to
+// its Sched — the single point where runtime options become placement and
 // victim-selection behavior (internal/core/policy.go).
 func (c config) schedPolicy() core.Policy {
 	return core.Policy{Locality: c.localityOn(), Affinity: c.affinityOn(), Domains: c.domainsN()}
@@ -137,37 +137,6 @@ func buildConfig(opts []Option) config {
 	return c
 }
 
-// backend abstracts the native and simulated executors. All engine state
-// (graph, scheduler) lives behind it. The embedded core.Backend is the
-// engine-facing seam every execution domain satisfies — including the
-// multi-process coordinator in internal/dist, which shares no code with
-// this package's executors beyond the dependence tracker itself.
-type backend interface {
-	core.Backend
-	submit(from *TC, t *core.Task)
-	taskwait(from *TC, ctx *core.Context)
-	taskwaitOn(from *TC, keys []any)
-	critical(from *TC, name string, f func())
-	commutative(from *TC, keys []any, f func())
-	compute(from *TC, d time.Duration)
-	touch(from *TC, key any, bytes int64, write bool)
-	// waitFor parks the calling thread until cond holds, helping to execute
-	// ready tasks meanwhile (the taskwait discipline generalized to an
-	// arbitrary predicate — session drain and admission backpressure use
-	// it). cond must eventually be flipped by task finishes or a
-	// cancellation; it is re-evaluated at every scheduling point.
-	waitFor(from *TC, cond func() bool)
-	// cancelWake nudges parked threads after a cancellation so they can
-	// observe the skip-everything state. Must be safe from any goroutine.
-	cancelWake()
-	// tuner returns the backend's feedback controller, nil when no Tuning
-	// field armed one (auto TaskLoop chunking then falls back to a static
-	// heuristic).
-	tuner() *tune.Controller
-	shutdown(from *TC)
-	stats() RunStats
-}
-
 // TaskPanic is the error a panicking task body is wrapped into: instead of
 // unwinding a worker (the old panic-poisoning behavior), the panic becomes
 // the task's outcome, observable through Handle.Err, TaskwaitCtx, and
@@ -200,9 +169,11 @@ type errRef struct{ err error }
 // implicit default session, so batch-style programs and the serving surface
 // share one API (see API).
 type Runtime struct {
-	be   backend
+	lc   *lifecycle
 	main *TC
 	cfg  config
+	// workers counts the goroutines New started; Shutdown waits for them.
+	workers sync.WaitGroup
 
 	// root is the accounting parent of every session's domain, metering the
 	// global MaxInFlight budget; sessID hands out session IDs (the implicit
@@ -281,7 +252,7 @@ func (rt *Runtime) cancelWith(cause error) {
 	if rt.cancelled.Load() == nil {
 		rt.cancelled.CompareAndSwap(nil, &errRef{cause})
 	}
-	rt.be.cancelWake()
+	rt.lc.clk.cancelWake()
 }
 
 // cancelCause returns the cancellation cause, or nil when not cancelled.
@@ -406,11 +377,14 @@ func (rt *Runtime) TaskLoop(n, chunk int, body func(tc *TC, lo, hi int), clauses
 
 // Stats returns engine activity counters. Call after a Taskwait for a
 // consistent snapshot.
-func (rt *Runtime) Stats() RunStats { return rt.be.stats() }
+func (rt *Runtime) Stats() RunStats {
+	l := rt.lc
+	return RunStats{Graph: l.graph.Stats(), Sched: l.sched.Stats(), Labels: labelStatsOf(l.ctl)}
+}
 
 // Backend exposes the runtime's execution domain through the engine-level
 // seam (see internal/core/backend.go).
-func (rt *Runtime) Backend() core.Backend { return rt.be }
+func (rt *Runtime) Backend() core.Backend { return rt.lc }
 
 // TuneSetpoints is a live snapshot of the self-tuning controller's
 // actuator values (see Tuning): what the feedback loops currently
@@ -426,7 +400,7 @@ type TuneSetpoints struct {
 // safe while the runtime serves). ok is false when no feedback controller
 // is armed, i.e. the runtime runs on static defaults.
 func (rt *Runtime) TuneSetpoints() (sp TuneSetpoints, ok bool) {
-	ctl := rt.be.tuner()
+	ctl := rt.lc.ctl
 	if ctl == nil {
 		return TuneSetpoints{}, false
 	}
@@ -445,7 +419,7 @@ func (rt *Runtime) TuneSetpoints() (sp TuneSetpoints, ok bool) {
 // pre-churn baseline — the arena-leak probe the session-churn soak
 // (internal/serve, -soak) asserts on.
 func (rt *Runtime) DepRecords() (datums, regions int) {
-	return rt.be.Deps().ShardEntries()
+	return rt.lc.graph.ShardEntries()
 }
 
 // Shutdown drains all outstanding tasks (the implicit end-of-program
@@ -457,7 +431,8 @@ func (rt *Runtime) DepRecords() (datums, regions int) {
 // *TaskPanic re-panics here, so programs that ignore the error surface
 // still fail loudly instead of silently dropping a panic.
 func (rt *Runtime) Shutdown() {
-	rt.be.shutdown(rt.main)
+	rt.lc.shutdown(rt.main)
+	rt.workers.Wait()
 	if !rt.simMode && !rt.observed.Load() {
 		if r := rt.firstPan.Load(); r != nil {
 			panic(r.err)
@@ -472,10 +447,17 @@ func New(opts ...Option) *Runtime {
 		cfg.workers = 1
 	}
 	rt := &Runtime{cfg: cfg}
-	nb := newNativeBackend(rt, cfg)
-	rt.be = nb
-	rt.initMain(nb.masterLane())
-	nb.start()
+	clk := newNativeClock(cfg)
+	rt.lc = newLifecycle(rt, cfg, clk, false)
+	clk.tn = rt.lc.tn
+	rt.initMain(cfg.workers - 1)
+	for lane := 0; lane < cfg.workers-1; lane++ {
+		rt.workers.Add(1)
+		go func() {
+			defer rt.workers.Done()
+			rt.lc.workerLoop(lane)
+		}()
+	}
 	return rt
 }
 
@@ -534,7 +516,7 @@ func (tc *TC) spawn(r *taskRec) *Handle {
 	if s != nil {
 		s.dom.Charge()
 	}
-	tc.rt.be.submit(tc, &r.t)
+	tc.rt.lc.submit(tc, &r.t)
 	return &r.h
 }
 
@@ -560,9 +542,9 @@ func (tc *TC) spawnInline(r *taskRec) *Handle {
 			return r.h.settle(err)
 		}
 	}
-	tc.rt.be.compute(tc, time.Duration(r.t.CPUCost))
+	tc.Compute(time.Duration(r.t.CPUCost))
 	for _, a := range r.t.Accesses {
-		tc.rt.be.touch(tc, a.Key, a.Bytes, a.Writes())
+		tc.Touch(a.Key, a.Bytes, a.Writes())
 	}
 	r.tc.worker = tc.worker
 	err := r.exec()
@@ -626,7 +608,7 @@ func (tc *TC) autoChunk(n int, clauses []Clause) int {
 	if v, ok := cfg.tun.Grain.value(); ok && v > 0 {
 		return v
 	}
-	if ctl := tc.rt.be.tuner(); ctl != nil {
+	if ctl := tc.rt.lc.ctl; ctl != nil {
 		return ctl.ChunkFor(tc.newRec(clauses).t.Label, n)
 	}
 	w := cfg.workers
@@ -646,7 +628,7 @@ func (tc *TC) autoChunk(n int, clauses []Clause) int {
 // TaskwaitCtx, it closes the round: failures of the awaited children are
 // not re-reported by a later wait over this scope.
 func (tc *TC) Taskwait() {
-	tc.rt.be.taskwait(tc, tc.ctx)
+	tc.rt.lc.taskwait(tc, tc.ctx)
 	tc.ctx.TakeErr()
 }
 
@@ -671,7 +653,7 @@ func (tc *TC) TaskwaitCtx(ctx context.Context) error {
 		stop := context.AfterFunc(ctx, func() { cancel(context.Cause(ctx)) })
 		defer stop()
 	}
-	rt.be.taskwait(tc, tc.ctx)
+	rt.lc.taskwait(tc, tc.ctx)
 	// Report-and-clear: a later taskwait over the same scope reports only
 	// its own round's failures, whatever this round returns.
 	scopeErr := tc.ctx.TakeErr()
@@ -693,21 +675,28 @@ func (tc *TC) TaskwaitOn(keys ...any) {
 			resolved[i] = k
 		}
 	}
-	tc.rt.be.taskwaitOn(tc, resolved)
+	tc.rt.lc.taskwaitOn(tc, resolved)
 }
 
 // Critical runs f under the named global lock.
-func (tc *TC) Critical(name string, f func()) { tc.rt.be.critical(tc, name, f) }
+func (tc *TC) Critical(name string, f func()) { tc.rt.lc.critical(tc, name, f) }
 
 // Compute charges d of computation to the executing thread on the simulated
 // machine. Native execution ignores it: the body's real work is the cost.
 // Use it for data-dependent costs that the Cost clause cannot express.
-func (tc *TC) Compute(d time.Duration) { tc.rt.be.compute(tc, d) }
+func (tc *TC) Compute(d time.Duration) {
+	if d > 0 {
+		tc.rt.lc.clk.charge(tc.worker, costCompute, int64(d))
+	}
+}
 
 // Touch charges the simulated memory-system cost of streaming `bytes` of the
 // datum identified by key (warmth/NUMA-dependent). Native execution ignores
 // it.
-func (tc *TC) Touch(key any, bytes int64, write bool) { tc.rt.be.touch(tc, key, bytes, write) }
+func (tc *TC) Touch(key any, bytes int64, write bool) {
+	clk := tc.rt.lc.clk
+	clk.charge(tc.worker, costCompute, clk.touch(tc.worker, key, bytes, write))
+}
 
 // Data resolves the instance of a renameable datum this task is bound to:
 // the version current when the task was submitted (readers), or the task's
@@ -722,23 +711,3 @@ func (tc *TC) Touch(key any, bytes int64, write bool) { tc.rt.be.touch(tc, key, 
 // On the master TC (outside any task) it returns the canonical instance —
 // current only after a Taskwait/TaskwaitOn drained the datum's accessors.
 func (tc *TC) Data(d *Datum) any { return d.c.PayloadFor(tc.task) }
-
-// critSet is the named-lock table shared by both backends' critical support.
-type critSet[T any] struct {
-	mu sync.Mutex
-	m  map[string]*T
-}
-
-func (cs *critSet[T]) get(name string) *T {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if cs.m == nil {
-		cs.m = make(map[string]*T)
-	}
-	l := cs.m[name]
-	if l == nil {
-		l = new(T)
-		cs.m[name] = l
-	}
-	return l
-}

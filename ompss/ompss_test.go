@@ -178,7 +178,17 @@ func TestNativeBlockingMode(t *testing.T) {
 	if sum != 31 {
 		t.Fatalf("blocking mode ran %d tasks, want 31", sum)
 	}
+	// Shut down with work outstanding: the drain is the same help-first wait
+	// as Taskwait, so between tasks the master parks on the gate and the
+	// finish that empties the graph wakes it. A chain keeps all but one
+	// thread without work at any moment.
+	for i := 0; i < 50; i++ {
+		rt.Task(func(*TC) { sum++ }, InOut(&sum))
+	}
 	rt.Shutdown()
+	if sum != 81 {
+		t.Fatalf("shutdown drained to %d tasks, want 81", sum)
+	}
 }
 
 func TestNativeShutdownDrainsAndIsIdempotent(t *testing.T) {

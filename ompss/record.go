@@ -70,12 +70,12 @@ func (r *taskRec) call() error {
 }
 
 // execCommutative is exec's slow path, apart so that the closure (and the
-// err it captures, which escapes) costs the common path nothing. The backend
-// acquires the per-key locks in a globally consistent order (see the
-// backend's commutative), so tasks declaring the same keys in different
+// err it captures, which escapes) costs the common path nothing. The
+// lifecycle acquires the per-key locks in a globally consistent order (see
+// lifecycle.commutative), so tasks declaring the same keys in different
 // clause orders cannot deadlock.
 func (r *taskRec) execCommutative(keys []any) (err error) {
-	r.tc.rt.be.commutative(&r.tc, keys, func() { err = r.call() })
+	r.tc.rt.lc.commutative(&r.tc, keys, func() { err = r.call() })
 	return err
 }
 

@@ -204,7 +204,7 @@ func (s *Session) Stats() SessionStats {
 		Failed:    ds.Failed,
 		Skipped:   ds.Skipped,
 		InFlight:  ds.InFlight,
-		Labels:    labelStatsOf(s.rt.be.tuner()),
+		Labels:    labelStatsOf(s.rt.lc.ctl),
 	}
 }
 
@@ -279,7 +279,7 @@ func (s *Session) cancelWith(cause error) {
 		cause = context.Canceled
 	}
 	if s.dom.Cancel(cause) {
-		s.rt.be.cancelWake()
+		s.rt.lc.clk.cancelWake()
 	}
 }
 
@@ -306,15 +306,15 @@ func (s *Session) Close() error {
 	s.gate.Unlock() //nolint:staticcheck // empty critical section is the barrier
 	// Fast drain: skip everything that has not started.
 	s.dom.Cancel(ErrSessionClosed)
-	s.rt.be.cancelWake()
-	s.rt.be.waitFor(s.tc, func() bool { return s.dom.InFlight() == 0 })
+	s.rt.lc.clk.cancelWake()
+	s.rt.lc.waitFor(s.tc, parkFinish, func() bool { return s.dom.InFlight() == 0 })
 	// Outcomes are consumed here (the returned error): that counts as
 	// observing failures, like TaskwaitCtx.
 	s.rt.observed.Store(true)
 	// Drop the arena: the shard records are the last thing outside the
 	// handles that points at the session's task records.
 	s.trmu.Lock()
-	g := s.rt.be.Deps()
+	g := s.rt.lc.graph
 	for k := range s.keys {
 		g.Forget(k)
 	}
@@ -378,7 +378,7 @@ func (s *Session) admit(tc *TC) (ok bool, cause error) {
 		}
 		// Backpressure: help execute until a finish frees budget, the
 		// session is cancelled, or it closes.
-		s.rt.be.waitFor(tc, func() bool {
+		s.rt.lc.waitFor(tc, parkFinish, func() bool {
 			return s.closedFlag.Load() || s.dom.CancelCause() != nil || s.headroom()
 		})
 	}
@@ -397,7 +397,7 @@ func (s *Session) spawnManaged(tc *TC, r *taskRec) *Handle {
 		return r.refuse(ErrSessionClosed)
 	}
 	s.noteAccessKeys(&r.t)
-	s.rt.be.submit(tc, &r.t)
+	s.rt.lc.submit(tc, &r.t)
 	s.gate.RUnlock()
 	return &r.h
 }

@@ -130,7 +130,7 @@ func TestSimLocalitySchedulingHelpsChains(t *testing.T) {
 	// costs the deterministic FIFO rotation happens to reunite every
 	// consumer with its producer's core by accident of symmetry.
 	chains := func(locality Setting) time.Duration {
-		st, err := RunSim(machine.Config{Cores: 8, Sockets: 2, Seed: 1}, func(rt *Runtime) {
+		st, err := RunSim(machine.Config{Cores: 8, Sockets: 2}, func(rt *Runtime) {
 			const n = 32
 			bufs := make([][]byte, n)
 			for i := range bufs {
@@ -224,6 +224,25 @@ func TestSimTaskwaitOnPipeline(t *testing.T) {
 	}
 	if st.Tasks != 20 {
 		t.Fatalf("tasks = %d, want 20", st.Tasks)
+	}
+}
+
+// TestSimBlockingTaskwaitOnSingleWorker: with one worker the master is the
+// only thread, so a Blocking TaskwaitOn that parked without helping would
+// leave nobody to run the awaited writer (the simulator reports that as a
+// deadlock). Waits are help-first in both modes, as natively.
+func TestSimBlockingTaskwaitOnSingleWorker(t *testing.T) {
+	x, ran := new(int), false
+	st, err := RunSim(machine.Paper(1), func(rt *Runtime) {
+		rt.Task(func(*TC) { *x = 42 }, Out(x), Cost(10*time.Microsecond))
+		rt.TaskwaitOn(x)
+		ran = *x == 42
+	}, Wait(Blocking))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ran || st.Tasks != 1 {
+		t.Fatalf("TaskwaitOn returned before its writer ran (x=%d, tasks=%d)", *x, st.Tasks)
 	}
 }
 

@@ -94,7 +94,7 @@ func TestNativeConcurrentSubmitStress(t *testing.T) {
 				t.Fatalf("graph imbalance: submitted=%d finished=%d want %d",
 					st.Graph.Submitted, st.Graph.Finished, total)
 			}
-			if rdy := rt.be.(*nativeBackend).sched.Ready(); rdy != 0 {
+			if rdy := rt.lc.sched.Ready(); rdy != 0 {
 				t.Fatalf("%d ready tasks stranded after drain", rdy)
 			}
 		})

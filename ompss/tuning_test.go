@@ -215,7 +215,7 @@ func TestSessionTuningPins(t *testing.T) {
 // an Auto StealBackoff arms the controller with the static defaults seeded.
 func TestStealBackoffSetpointsReachSpinner(t *testing.T) {
 	rt := New(Workers(2), WithTuning(Tuning{StealBackoff: Fixed(250)}))
-	nb := rt.be.(*nativeBackend)
+	nb := rt.lc
 	if nb.tn == nil {
 		t.Fatalf("pinned StealBackoff did not create the Tunables block")
 	}
@@ -228,7 +228,7 @@ func TestStealBackoffSetpointsReachSpinner(t *testing.T) {
 	rt.Shutdown()
 
 	rt = New(Workers(2), WithTuning(Tuning{StealBackoff: Auto}))
-	nb = rt.be.(*nativeBackend)
+	nb = rt.lc
 	if nb.ctl == nil || nb.tn == nil {
 		t.Fatalf("Auto StealBackoff must arm the controller")
 	}

@@ -25,7 +25,7 @@ func RunSim(mc machine.Config, threads int, program func(*Thread)) (machine.Stat
 	if threads < 1 {
 		threads = 1
 	}
-	v := vm.New(vm.Config{Cores: mc.Cores, Sockets: mc.Sockets, Seed: mc.Seed})
+	v := vm.New(vm.Config{Cores: mc.Cores, Sockets: mc.Sockets})
 	api := &API{threads: threads, sim: &simEnv{v: v}}
 	v.Go("main", 0, func(vt *vm.Thread) {
 		main := &Thread{api: api, id: -1, name: "main", vt: vt}
