@@ -47,7 +47,7 @@ func main() {
 		target     = flag.String("target", "", "load a remote server at this base URL instead of in-process")
 		workers    = flag.Int("workers", 0, "runtime worker threads (0 = NumCPU)")
 		sessLimit  = flag.Int("session-inflight", 256, "per-session MaxInFlight budget (0 = unlimited)")
-		globLimit  = flag.Int("max-inflight", 0, "global MaxInFlight limiter across all sessions (0 = unlimited)")
+		globLimit  = flag.Int("max-inflight", 0, "runtime-wide run-ahead window across all sessions, in tasks (0 = the default, 64 per worker; negative = unlimited)")
 		reject     = flag.Bool("reject", false, "RejectOnFull admission for request sessions (default BlockOnFull)")
 		blocking   = flag.Bool("blocking", true, "Blocking wait mode (idle workers park; -blocking=false polls)")
 		out        = flag.String("o", "", "write the load report JSON here")
@@ -73,9 +73,7 @@ func run(addr string, load bool, duration time.Duration, conc int, mix string,
 	if blocking {
 		opts = append(opts, ompss.Wait(ompss.Blocking))
 	}
-	if globLimit > 0 {
-		opts = append(opts, ompss.MaxInFlight(globLimit))
-	}
+	opts = append(opts, ompss.MaxInFlight(globLimit))
 	if tuned {
 		// Grain and backoff adapt online; renaming stays on its static
 		// default — request sessions own their data, so version pressure

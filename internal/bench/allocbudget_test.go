@@ -46,6 +46,9 @@ func TestSubmitAllocBudget(t *testing.T) {
 		"BenchmarkSubmitDatumPtr":  BenchmarkSubmitDatumPtr,
 		"BenchmarkSubmitAnyKeyInt": BenchmarkSubmitAnyKeyInt,
 		"BenchmarkSubmitDatumInt":  BenchmarkSubmitDatumInt,
+		// The default run-ahead window binding on every spawn: task record +
+		// ready-queue node, nothing for the throttle.
+		"BenchmarkSubmitThrottled": BenchmarkSubmitThrottled,
 		// Observability ceilings: the raw record path must stay at 0
 		// allocs/op, and a recorder-attached submit must cost no more
 		// allocations than a detached one (same ceiling as

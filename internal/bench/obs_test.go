@@ -56,21 +56,5 @@ func BenchmarkDrainSparse(b *testing.B) {
 // recorder attached: the full submit-path event set (submit, edge, ready,
 // start, end) rides along on every task.
 func BenchmarkSubmitDatumPtrObserved(b *testing.B) {
-	rec := obs.NewRecorder()
-	rt := ompss.New(ompss.Workers(1), ompss.Observe(rec))
-	defer rt.Shutdown()
-	ds := make([]*ompss.Datum, submitKeys)
-	for i := range ds {
-		ds[i] = rt.Register(new(int64))
-	}
-	body := func(*ompss.TC) {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rt.Task(body, ds[i%submitKeys].AsInOut())
-		if i%4096 == 4095 {
-			rt.Taskwait()
-		}
-	}
-	rt.Taskwait()
+	benchSubmit(b, datumPtrChains, ompss.Observe(obs.NewRecorder()))
 }

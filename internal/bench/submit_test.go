@@ -26,9 +26,13 @@ const submitKeys = 64
 // (no concurrent workers, so the measurement isolates the submit path).
 // setup receives the runtime and returns the per-task clause chooser; the
 // graph is drained periodically so it stays bounded. Extra options extend
-// the runtime configuration (the tuned variant arms the controller).
+// the runtime configuration (the tuned variant arms the controller). The
+// run-ahead window is pinned to the drain period, so it never binds and the
+// rows measure the wiring path: a task submitted behind an unfinished chain
+// link. BenchmarkSubmitThrottled is the row with the default window.
 func benchSubmit(b *testing.B, setup func(rt *ompss.Runtime) func(i int) ompss.Clause, opts ...ompss.Option) {
-	rt := ompss.New(append([]ompss.Option{ompss.Workers(1)}, opts...)...)
+	opts = append([]ompss.Option{ompss.Workers(1), ompss.MaxInFlight(submitDrainEvery)}, opts...)
+	rt := ompss.New(opts...)
 	defer rt.Shutdown()
 	clause := setup(rt)
 	body := func(*ompss.TC) {}
@@ -36,11 +40,23 @@ func benchSubmit(b *testing.B, setup func(rt *ompss.Runtime) func(i int) ompss.C
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rt.Task(body, clause(i))
-		if i%4096 == 4095 {
+		if i%submitDrainEvery == submitDrainEvery-1 {
 			rt.Taskwait()
 		}
 	}
 	rt.Taskwait()
+}
+
+const submitDrainEvery = 4096
+
+// datumPtrChains is the setup the DatumPtr rows share: submitKeys pointer-keyed
+// InOut chains through registered handles and their pre-built clauses.
+func datumPtrChains(rt *ompss.Runtime) func(i int) ompss.Clause {
+	ds := make([]*ompss.Datum, submitKeys)
+	for i := range ds {
+		ds[i] = rt.Register(new(int64))
+	}
+	return func(i int) ompss.Clause { return ds[i%submitKeys].AsInOut() }
 }
 
 // BenchmarkSubmitAnyKeyPtr submits through raw pointer keys (the idiomatic
@@ -59,13 +75,16 @@ func BenchmarkSubmitAnyKeyPtr(b *testing.B) {
 // registered handles, using the pre-built AsInOut clause (zero clause
 // construction per task).
 func BenchmarkSubmitDatumPtr(b *testing.B) {
-	benchSubmit(b, func(rt *ompss.Runtime) func(i int) ompss.Clause {
-		ds := make([]*ompss.Datum, submitKeys)
-		for i := range ds {
-			ds[i] = rt.Register(new(int64))
-		}
-		return func(i int) ompss.Clause { return ds[i%submitKeys].AsInOut() }
-	})
+	benchSubmit(b, datumPtrChains)
+}
+
+// BenchmarkSubmitThrottled submits the same chains under the default
+// run-ahead window (64 tasks at Workers(1)): past the first 64 tasks every
+// spawn finds the window full, so the master executes the oldest chain link
+// first and the new task is ready at submission. It costs the task record
+// plus the ready queue's node — the throttle itself allocates nothing.
+func BenchmarkSubmitThrottled(b *testing.B) {
+	benchSubmit(b, datumPtrChains, ompss.MaxInFlight(0)) // 0: back to the default window
 }
 
 // BenchmarkSubmitAnyKeyInt submits through plain int keys: every submission

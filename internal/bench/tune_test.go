@@ -17,13 +17,7 @@ import (
 // atomics, so an armed controller must cost the submit path nothing — the
 // budget file holds both benchmarks to the same ceiling.
 func BenchmarkSubmitDatumPtrTuned(b *testing.B) {
-	benchSubmit(b, func(rt *ompss.Runtime) func(i int) ompss.Clause {
-		ds := make([]*ompss.Datum, submitKeys)
-		for i := range ds {
-			ds[i] = rt.Register(new(int64))
-		}
-		return func(i int) ompss.Clause { return ds[i%submitKeys].AsInOut() }
-	}, ompss.WithTuning(ompss.Tuning{Grain: ompss.Auto, RenameCap: ompss.Auto}))
+	benchSubmit(b, datumPtrChains, ompss.WithTuning(ompss.Tuning{Grain: ompss.Auto, RenameCap: ompss.Auto}))
 }
 
 // BenchmarkTuneRecord measures the controller's per-completion feed —

@@ -572,7 +572,11 @@ func TestHandleDoneRace(t *testing.T) {
 // it released, or holding the first Handle of a long chain would keep every
 // later record alive.
 func TestRetainedHandleDoesNotPinChain(t *testing.T) {
-	rt := New(Workers(2))
+	const n = 20000
+	// The head waits for the master to wire the whole chain behind it, so
+	// the run-ahead window has to cover the chain (see
+	// TestBodyWaitingOnCreatorNeedsWiderWindow).
+	rt := New(Workers(2), MaxInFlight(n))
 	defer rt.Shutdown()
 	var x int
 	d := rt.Register(&x)
@@ -588,7 +592,6 @@ func TestRetainedHandleDoesNotPinChain(t *testing.T) {
 	rt.Task(body, d.AsInOut())
 	rt.Taskwait() // warm-up: queue nodes, deque arrays
 	base := liveObjects()
-	const n = 20000
 	// The head holds the chain back until every link is wired behind it, so
 	// each task really has its successor in the inline slot.
 	gate := make(chan struct{})

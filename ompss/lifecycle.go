@@ -32,8 +32,17 @@ type parkOn uint8
 const (
 	parkIdle   parkOn = iota // a worker between tasks
 	parkDrain                // Shutdown's end-of-program barrier
-	parkFinish               // a session drain or admission headroom: any finish may flip it
+	parkFinish               // a session drain, admission headroom or run-ahead room: any finish may flip it
 )
+
+// runAheadPerWorker is the default run-ahead window, in tasks per worker: a
+// creator outside any task body stops creating once this many tasks per
+// worker are unfinished and executes ready tasks until there is room, as the
+// OmpSs runtime's creating thread does. 64 was picked by measuring 16, 64 and
+// 256 (EXPERIMENTS.md, "Run-ahead window"): it keeps the backlog of live task
+// records off the collector on the fine-grain workloads and binds on no cell
+// of the simulated Table 1. MaxInFlight at New replaces it.
+const runAheadPerWorker = 64
 
 // clock is all that differs between native and simulated execution: what a
 // clock read is, what a charge costs, and how a thread parks and is woken.
@@ -46,8 +55,8 @@ type clock interface {
 	// NUMA distance under simulation); the caller charges it as costCompute.
 	touch(lane int, key any, bytes int64, write bool) int64
 	// park waits, after the lane's misses-th consecutive failed pop, until
-	// cond may hold: it may return early, never late — every wake that could
-	// flip cond ends it.
+	// cond may hold or the scheduler has ready work: it may return early,
+	// never late — every wake that could flip either ends it.
 	park(lane int, key any, misses int, cond func() bool)
 	// wake announces that done finished (nil: a submission, or stop) and n
 	// tasks became ready.
@@ -86,6 +95,10 @@ type lifecycle struct {
 	tn  *core.Tunables
 	ctl *tune.Controller
 
+	// room reports whether the run-ahead window admits one more task (nil:
+	// unbounded). Built once, so a throttled spawn allocates no predicate.
+	room func() bool
+
 	locks lockTable // Critical names and Commutative keys
 	stop  atomic.Bool
 	drain sync.Once
@@ -96,6 +109,13 @@ func newLifecycle(rt *Runtime, cfg config, clk clock, virtual bool) *lifecycle {
 		rt: rt, cfg: cfg, clk: clk, virtual: virtual,
 		graph: core.NewGraph(),
 		sched: core.NewSched(cfg.workers, cfg.schedPolicy(), cfg.seed),
+	}
+	window := int64(cfg.maxInFlight)
+	if window == 0 {
+		window = runAheadPerWorker * int64(cfg.workers)
+	}
+	if window > 0 {
+		l.room = func() bool { return l.graph.Unfinished() < window }
 	}
 	l.graph.ConfigureRenaming(core.Renaming{Enabled: cfg.renamingOn(), MaxVersions: cfg.renameCapN()})
 	if cfg.tuningActive() || cfg.tun.StealBackoff.isSet() {
@@ -145,8 +165,23 @@ func (l *lifecycle) GraphStats() core.GraphStats { return l.graph.Stats() }
 
 var _ core.Backend = (*lifecycle)(nil)
 
+// held reports whether the run-ahead window holds the creator back. Only
+// creators outside a task body are ever held (the runtime master and session
+// masters): a parent blocked in a nested Taskwait occupies a slot its own
+// children need, so holding nested creators could leave every slot waiting
+// for a task nobody may create.
+func (l *lifecycle) held(from *TC) bool {
+	return from.task == nil && l.room != nil && !l.room()
+}
+
 func (l *lifecycle) submit(from *TC, t *core.Task) {
 	l.clk.pollCancel()
+	if l.held(from) {
+		// The counter was read ahead of the clock: settle and let waitFor
+		// look again, so a window that does not bind adds no event.
+		l.clk.charge(from.worker, costSettle, 0)
+		l.waitFor(from, parkFinish, l.room)
+	}
 	l.clk.charge(from.worker, costSpawn, int64(len(t.Accesses)))
 	ready := l.graph.Submit(t)
 	// Submit/edge events go out before the push so the task cannot start
@@ -161,8 +196,7 @@ func (l *lifecycle) submit(from *TC, t *core.Task) {
 }
 
 func (l *lifecycle) workerLoop(lane int) {
-	idling := false
-	work := func() bool { return l.stop.Load() || l.sched.Ready() > 0 }
+	idling, stopped := false, l.stop.Load
 	for misses := 0; ; {
 		l.clk.pollCancel()
 		t := l.sched.Pop(lane)
@@ -185,7 +219,7 @@ func (l *lifecycle) workerLoop(lane int) {
 		}
 		l.clk.charge(lane, costSteal, 1)
 		misses++
-		l.clk.park(lane, parkIdle, misses, work)
+		l.clk.park(lane, parkIdle, misses, stopped)
 	}
 }
 
@@ -271,11 +305,10 @@ func (l *lifecycle) runTask(t *core.Task, lane int) {
 // deadlocks when every thread is a waiter (Workers(1), or a server whose
 // request goroutines all reach a wait together). cond must eventually be
 // flipped by task finishes or a cancellation; key says which (see parkOn).
-// Taskwait, TaskwaitOn, session drain, admission backpressure and the
-// Shutdown barrier are all this loop.
+// Taskwait, TaskwaitOn, session drain, admission backpressure, the run-ahead
+// throttle and the Shutdown barrier are all this loop.
 func (l *lifecycle) waitFor(from *TC, key any, cond func() bool) {
 	lane := from.worker
-	wake := func() bool { return cond() || l.sched.Ready() > 0 }
 	for misses := 0; !cond(); {
 		l.clk.pollCancel()
 		if t := l.sched.Pop(lane); t != nil {
@@ -284,14 +317,16 @@ func (l *lifecycle) waitFor(from *TC, key any, cond func() bool) {
 			continue
 		}
 		misses++
-		l.clk.park(lane, key, misses, wake)
+		l.clk.park(lane, key, misses, cond)
 	}
 }
 
 func (l *lifecycle) taskwait(from *TC, ctx *core.Context) {
 	l.emit(from.worker, obs.EvTaskwaitEnter)
 	defer l.emit(from.worker, obs.EvTaskwaitExit)
-	l.waitFor(from, ctx, func() bool { return ctx.Pending() == 0 })
+	if ctx.Pending() != 0 { // a drained scope builds no predicate
+		l.waitFor(from, ctx, func() bool { return ctx.Pending() == 0 })
+	}
 }
 
 func (l *lifecycle) taskwaitOn(from *TC, keys []any) {

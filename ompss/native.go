@@ -17,7 +17,7 @@ type nativeClock struct {
 	epoch    time.Time
 	blocking bool
 	gate     idleGate
-	tn       *core.Tunables // the lifecycle's setpoint block (nil: static backoff)
+	l        *lifecycle // its scheduler (ready work ends a park) and setpoint block
 }
 
 func newNativeClock(cfg config) *nativeClock {
@@ -73,7 +73,7 @@ const (
 // when the steal matrix reports mostly failed probes.
 func (c *nativeClock) spin(misses int) {
 	yields, capNS := spinYields, int64(spinSleepCapNS)
-	if tn := c.tn; tn != nil {
+	if tn := c.l.tn; tn != nil { // nil: static backoff
 		if y := tn.SpinYields.Load(); y > 0 {
 			yields = int(y)
 		}
@@ -93,7 +93,7 @@ func (c *nativeClock) park(_ int, _ any, misses int, cond func() bool) {
 		c.spin(misses)
 		return
 	}
-	if ticket := c.gate.seq.Load(); !cond() {
+	if ticket := c.gate.seq.Load(); !cond() && c.l.sched.Ready() == 0 {
 		c.gate.wait(ticket)
 	}
 }

@@ -175,10 +175,8 @@ type Runtime struct {
 	// workers counts the goroutines New started; Shutdown waits for them.
 	workers sync.WaitGroup
 
-	// root is the accounting parent of every session's domain, metering the
-	// global MaxInFlight budget; sessID hands out session IDs (the implicit
-	// default session every Runtime-level call acts on is 1).
-	root   *core.Domain
+	// sessID hands out session IDs (the implicit default session every
+	// Runtime-level call acts on is 1).
 	sessID atomic.Uint64
 
 	firstErr  atomic.Pointer[errRef] // first task failure (any kind)
@@ -449,7 +447,7 @@ func New(opts ...Option) *Runtime {
 	rt := &Runtime{cfg: cfg}
 	clk := newNativeClock(cfg)
 	rt.lc = newLifecycle(rt, cfg, clk, false)
-	clk.tn = rt.lc.tn
+	clk.l = rt.lc
 	rt.initMain(cfg.workers - 1)
 	for lane := 0; lane < cfg.workers-1; lane++ {
 		rt.workers.Add(1)
@@ -462,13 +460,11 @@ func New(opts ...Option) *Runtime {
 }
 
 // initMain builds the master TC and the implicit default session it
-// belongs to (session ID 1, parented on the runtime's root accounting
-// domain). Shared by New and the simulated runner.
+// belongs to (session ID 1). Shared by New and the simulated runner.
 func (rt *Runtime) initMain(lane int) {
-	rt.root = &core.Domain{}
 	rt.sessID.Store(1)
 	def := &Session{rt: rt, cfg: rt.cfg}
-	def.dom = &core.Domain{ID: 1, Parent: rt.root, Owner: def}
+	def.dom = &core.Domain{ID: 1, Owner: def}
 	def.tc = def.masterTC(lane)
 	rt.main = def.tc
 }
@@ -509,8 +505,8 @@ func (tc *TC) spawn(r *taskRec) *Handle {
 	}
 	s := tc.sess
 	if s != nil && s.managed() {
-		// Request sessions (and a globally limited default session) route
-		// through admission control and arena tracking.
+		// Request sessions (and a default session that refuses on a full
+		// window) route through admission control and arena tracking.
 		return s.spawnManaged(tc, r)
 	}
 	if s != nil {

@@ -281,9 +281,11 @@ func fuzzPolicy(locality, affinity bool, domains int) ompss.Option {
 	})
 }
 
-// fuzzSchedules enumerates the 50-schedule battery: 40 native configurations
+// fuzzSchedules enumerates the 58-schedule battery: 40 native configurations
 // sweeping workers × wait mode × locality × affinity × domains × RNG seed,
-// plus 10 deterministic simulator schedules.
+// 10 deterministic simulator schedules, and 8 (4 native, 4 simulated) under a
+// run-ahead window of 1 and 2 tasks, where the creator executes a task at
+// nearly every spawn.
 func fuzzSchedules() []fuzzSchedule {
 	var out []fuzzSchedule
 	for i := 0; i < 40; i++ {
@@ -314,6 +316,24 @@ func fuzzSchedules() []fuzzSchedule {
 				ompss.Seed(int64(77 + i)),
 			},
 		})
+	}
+	for _, window := range []int{1, 2} {
+		for _, workers := range []int{1, 3} {
+			wait := ompss.Polling
+			if workers == 3 {
+				wait = ompss.Blocking
+			}
+			opts := []ompss.Option{ompss.Wait(wait), ompss.MaxInFlight(window)}
+			out = append(out, fuzzSchedule{
+				name:   fmt.Sprintf("native/w%d-%s-window%d", workers, waitName(wait), window),
+				native: true,
+				opts:   append(opts, ompss.Workers(workers)),
+			}, fuzzSchedule{
+				name:  fmt.Sprintf("sim/c%d-%s-window%d", workers, waitName(wait), window),
+				cores: workers,
+				opts:  opts,
+			})
+		}
 	}
 	return out
 }

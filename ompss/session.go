@@ -41,13 +41,25 @@ const (
 // session) and NewSession; default 0.
 func Tenant(class int) Option { return func(c *config) { c.tenant = class } }
 
-// MaxInFlight bounds submitted-but-unfinished tasks. At New it is the
-// runtime's global limiter, metering every session's submissions together;
-// at NewSession it is that session's private budget (both may be active —
-// a spawn needs headroom in both). Zero (the default) means unlimited.
-// Per-session budgets are exact; under concurrent sessions the global
-// check is approximate (overshoot bounded by the number of concurrently
-// admitting sessions).
+// MaxInFlight bounds submitted-but-unfinished tasks.
+//
+// At New it sets the runtime's run-ahead window, which meters every
+// session's submissions together: n > 0 is the window in tasks, n < 0 lifts
+// the bound, and unset (or 0) is the default of 64 tasks per worker. A
+// creator outside any task body — the runtime's master or a session's — that
+// finds the window full stops creating and executes ready tasks until there
+// is room (Admission(RejectOnFull) refuses instead); a creator inside a task
+// body is never held, since its parent may be waiting for the very child it
+// is about to create. It follows that a task body must not wait for
+// something its creator does only later in program order (a channel the
+// creator closes after further spawns, say) unless the window covers those
+// spawns: the creator may be executing that very body. Under concurrent
+// sessions the check is approximate (overshoot bounded by the number of
+// concurrently admitting creators).
+//
+// At NewSession it is that session's private budget, exact and applied to
+// every spawn of the session; unset (or n <= 0) means none. Both may be
+// active — a spawn needs headroom in both.
 func MaxInFlight(n int) Option { return func(c *config) { c.maxInFlight = n } }
 
 // Admission selects the full-budget behavior (default BlockOnFull).
@@ -138,7 +150,7 @@ type Session struct {
 // are ignored: the backend is already built.
 func (rt *Runtime) NewSession(opts ...Option) *Session {
 	cfg := rt.cfg
-	// The runtime's MaxInFlight is the global limiter and its tenant boost
+	// The runtime's MaxInFlight is the run-ahead window and its tenant boost
 	// belongs to the default session; a session starts neutral and opts in.
 	cfg.maxInFlight = 0
 	cfg.tenant = 0
@@ -150,10 +162,9 @@ func (rt *Runtime) NewSession(opts ...Option) *Session {
 	}
 	s := &Session{rt: rt, cfg: cfg, ephemeral: true, keys: make(map[any]struct{})}
 	dom := &core.Domain{
-		ID:     rt.sessID.Add(1),
-		Parent: rt.root,
-		Owner:  s,
-		Quiet:  rt.cfg.rec != nil && cfg.rec == nil,
+		ID:    rt.sessID.Add(1),
+		Owner: s,
+		Quiet: rt.cfg.rec != nil && cfg.rec == nil,
 	}
 	if cfg.renamingOn() != rt.cfg.renamingOn() {
 		if cfg.renamingOn() {
@@ -327,15 +338,16 @@ func (s *Session) Close() error {
 }
 
 // managed reports whether spawns must go through the admission/tracking
-// path: every request session, and the default session when a global
-// limiter is configured.
+// path: every request session, and the default session when it refuses on a
+// full window. Otherwise the default session's only bound is the run-ahead
+// window, which lifecycle.submit checks without this path's locks.
 func (s *Session) managed() bool {
-	return s.ephemeral || s.rt.cfg.maxInFlight > 0
+	return s.ephemeral || s.cfg.admission == RejectOnFull
 }
 
-// limit returns the session-private in-flight budget (0 = unlimited). The
-// default session has none — the runtime's MaxInFlight acts globally via
-// the root domain.
+// limit returns the session-private in-flight budget (<= 0: none). The
+// default session has none — the runtime's MaxInFlight is the lifecycle's
+// run-ahead window.
 func (s *Session) limit() int {
 	if s.ephemeral {
 		return s.cfg.maxInFlight
@@ -343,15 +355,13 @@ func (s *Session) limit() int {
 	return 0
 }
 
-// headroom reports whether both budgets currently admit one more task.
-func (s *Session) headroom() bool {
+// headroom reports whether the session's budget and the runtime's run-ahead
+// window both admit one more task from tc.
+func (s *Session) headroom(tc *TC) bool {
 	if lim := s.limit(); lim > 0 && s.dom.InFlight() >= int64(lim) {
 		return false
 	}
-	if glim := s.rt.cfg.maxInFlight; glim > 0 && s.rt.root.InFlight() >= int64(glim) {
-		return false
-	}
-	return true
+	return !s.rt.lc.held(tc)
 }
 
 // admit waits for (BlockOnFull) or probes (RejectOnFull) budget headroom
@@ -367,7 +377,7 @@ func (s *Session) admit(tc *TC) (ok bool, cause error) {
 			return false, ce
 		}
 		s.admu.Lock()
-		if s.headroom() {
+		if s.headroom(tc) {
 			s.dom.Charge()
 			s.admu.Unlock()
 			return true, nil
@@ -379,7 +389,7 @@ func (s *Session) admit(tc *TC) (ok bool, cause error) {
 		// Backpressure: help execute until a finish frees budget, the
 		// session is cancelled, or it closes.
 		s.rt.lc.waitFor(tc, parkFinish, func() bool {
-			return s.closedFlag.Load() || s.dom.CancelCause() != nil || s.headroom()
+			return s.closedFlag.Load() || s.dom.CancelCause() != nil || s.headroom(tc)
 		})
 	}
 }

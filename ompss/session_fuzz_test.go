@@ -25,7 +25,9 @@ import (
 // sessionFuzzSchedules is the native schedule sweep for the concurrent leg:
 // worker counts around the contention knee crossed with both wait modes
 // (Blocking parks idle workers — the server's configuration — and Polling
-// spins; the session Close drain takes a different path in each).
+// spins; the session Close drain takes a different path in each), plus two
+// legs under a runtime-level run-ahead window of 1 and 2 tasks, where every
+// session master executes foreign sessions' tasks inside its own spawns.
 func sessionFuzzSchedules() []fuzzSchedule {
 	var out []fuzzSchedule
 	for _, w := range []int{1, 2, 4} {
@@ -36,6 +38,14 @@ func sessionFuzzSchedules() []fuzzSchedule {
 				opts:   []ompss.Option{ompss.Workers(w), ompss.Wait(wait)},
 			})
 		}
+	}
+	for i, wait := range []ompss.WaitMode{ompss.Polling, ompss.Blocking} {
+		window := i + 1
+		out = append(out, fuzzSchedule{
+			name:   fmt.Sprintf("native/w2-%s-window%d", waitName(wait), window),
+			native: true,
+			opts:   []ompss.Option{ompss.Workers(2), ompss.Wait(wait), ompss.MaxInFlight(window)},
+		})
 	}
 	return out
 }
@@ -64,19 +74,26 @@ func runPoisonSession(rt *ompss.Runtime, nDeps int) (uint64, error) {
 // gated on a channel that only opens after Cancel fires, with an nDeps-long
 // InOut chain queued behind it. The chain must skip entirely; the head
 // itself races the cancellation (skips if no thread had picked it up yet),
-// so the skipped count is nDeps or nDeps+1. Returns it plus the Close
-// error.
+// so the skipped count is nDeps or nDeps+1. The scenario is spawned from
+// inside a task of the session: its head waits for its creator's later
+// statements, which only a creator inside a task body may rely on — one
+// outside may be made to execute the head by the run-ahead window. Returns
+// the skipped count plus the drain's error.
 func runCancelledSession(rt *ompss.Runtime, nDeps int) (uint64, error) {
 	s := rt.NewSession()
 	var cell int
-	release := make(chan struct{})
-	s.Task(func(*ompss.TC) { <-release }, ompss.InOut(&cell))
-	for i := 0; i < nDeps; i++ {
-		s.Task(func(*ompss.TC) { cell++ }, ompss.InOut(&cell))
-	}
-	s.Cancel(context.Canceled)
-	close(release)
-	err := s.TaskwaitCtx(context.Background())
+	var err error
+	s.Task(func(tc *ompss.TC) {
+		release := make(chan struct{})
+		tc.Task(func(*ompss.TC) { <-release }, ompss.InOut(&cell))
+		for i := 0; i < nDeps; i++ {
+			tc.Task(func(*ompss.TC) { cell++ }, ompss.InOut(&cell))
+		}
+		s.Cancel(context.Canceled)
+		close(release)
+		err = tc.TaskwaitCtx(context.Background())
+	})
+	s.Taskwait()
 	skipped := s.Stats().Skipped
 	if cerr := s.Close(); cerr != nil {
 		return skipped, fmt.Errorf("clean close after consumed round: %w", cerr)
@@ -165,7 +182,9 @@ func TestSessionFuzzNative(t *testing.T) {
 // master thread interleaves group submissions round-robin across three
 // healthy sessions plus a poison session — the submission orders interleave
 // in the dependence tracker exactly as concurrent clients' would — then
-// drains and closes each.
+// drains and closes each. Each machine runs under the default run-ahead
+// window (which these programs never fill) and under windows of 1 and 2
+// tasks, where nearly every spawn executes some session's task first.
 func TestSessionFuzzSim(t *testing.T) {
 	const healthy = 3
 	const casualties = 6
@@ -179,8 +198,10 @@ func TestSessionFuzzSim(t *testing.T) {
 	var poisonSkipped uint64
 	var poisonErr, poisonClose error
 
-	for _, cores := range []int{1, 4} {
-		_, err := ompss.RunSim(machine.Paper(cores), func(rt *ompss.Runtime) {
+	type leg struct{ cores, window int }
+	for _, l := range []leg{{1, 0}, {4, 0}, {1, 1}, {4, 1}, {1, 2}, {4, 2}} {
+		name := fmt.Sprintf("cores=%d window=%d", l.cores, l.window)
+		_, err := ompss.RunSim(machine.Paper(l.cores), func(rt *ompss.Runtime) {
 			var progs [healthy]*fuzzProg
 			var cells [healthy]*fuzzCells
 			var sess [healthy]*ompss.Session
@@ -226,35 +247,35 @@ func TestSessionFuzzSim(t *testing.T) {
 			poisonErr = poison.TaskwaitCtx(context.Background())
 			poisonSkipped = poison.Stats().Skipped
 			poisonClose = poison.Close()
-		})
+		}, ompss.MaxInFlight(l.window))
 		if err != nil {
-			t.Fatalf("cores=%d: RunSim: %v", cores, err)
+			t.Fatalf("%s: RunSim: %v", name, err)
 		}
 		for i, r := range results {
 			if len(r.violations) > 0 {
-				t.Fatalf("cores=%d healthy session %d: %d violations; first: %s",
-					cores, i, len(r.violations), r.violations[0])
+				t.Fatalf("%s healthy session %d: %d violations; first: %s",
+					name, i, len(r.violations), r.violations[0])
 			}
 			if r.closeErr != nil {
-				t.Fatalf("cores=%d healthy session %d: Close = %v", cores, i, r.closeErr)
+				t.Fatalf("%s healthy session %d: Close = %v", name, i, r.closeErr)
 			}
 			if r.stats.Skipped != 0 || r.stats.Failed != 0 {
-				t.Fatalf("cores=%d healthy session %d: skipped=%d failed=%d — poison leaked in",
-					cores, i, r.stats.Skipped, r.stats.Failed)
+				t.Fatalf("%s healthy session %d: skipped=%d failed=%d — poison leaked in",
+					name, i, r.stats.Skipped, r.stats.Failed)
 			}
 			if r.stats.Finished != uint64(r.nTasks) {
-				t.Fatalf("cores=%d healthy session %d: finished %d of %d",
-					cores, i, r.stats.Finished, r.nTasks)
+				t.Fatalf("%s healthy session %d: finished %d of %d",
+					name, i, r.stats.Finished, r.nTasks)
 			}
 		}
 		if poisonSkipped != casualties {
-			t.Fatalf("cores=%d: poison session skipped %d, want %d", cores, poisonSkipped, casualties)
+			t.Fatalf("%s: poison session skipped %d, want %d", name, poisonSkipped, casualties)
 		}
 		if poisonErr == nil {
-			t.Fatalf("cores=%d: poison session drained without reporting its failure", cores)
+			t.Fatalf("%s: poison session drained without reporting its failure", name)
 		}
 		if poisonClose != nil {
-			t.Fatalf("cores=%d: poison Close after consumed round = %v, want nil", cores, poisonClose)
+			t.Fatalf("%s: poison Close after consumed round = %v, want nil", name, poisonClose)
 		}
 	}
 }

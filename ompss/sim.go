@@ -48,6 +48,7 @@ func RunSimCtx(ctx context.Context, mc machine.Config, program func(*Runtime), o
 	rt := &Runtime{cfg: cfg, simMode: true}
 	rt.lc = newLifecycle(rt, cfg, c, true)
 	c.l = rt.lc
+	c.idle = func() bool { return c.l.stop.Load() || c.l.sched.Ready() > 0 }
 
 	master := cfg.workers - 1
 	for lane := 0; lane < master; lane++ {
@@ -96,7 +97,11 @@ type simClock struct {
 	polling bool
 	lanes   []*vm.Thread
 
-	ws vm.WaitSet // Polling mode: every idle worker and waiter spins on it
+	// Polling mode: every idle worker and waiter spins on ws. idle is the
+	// poll of a worker between tasks — stopped, or ready work — built once:
+	// the futile wake of an idle spinner is the simulator's commonest event.
+	ws   vm.WaitSet
+	idle func() bool
 	// Blocking mode: who is parked off-core, by what wakes them — parkIdle
 	// (released work), a *core.Context (it drained), a *core.Task (it
 	// finished), parkFinish (any finish). Waking each list only on its own
@@ -146,7 +151,11 @@ var parkLabels = [...]string{parkIdle: "ompss-idle", parkDrain: "shutdown-drain"
 func (c *simClock) park(lane int, key any, _ int, cond func() bool) {
 	vt := c.lanes[lane]
 	if c.polling {
-		vt.SpinUntil(&c.ws, cond)
+		poll := c.idle
+		if key != parkIdle {
+			poll = func() bool { return cond() || c.l.sched.Ready() > 0 }
+		}
+		vt.SpinUntil(&c.ws, poll)
 		return
 	}
 	var label string
