@@ -40,7 +40,7 @@ flake:
 # ./internal/vm is in the list because the simulator's token is the only
 # synchronisation between the goroutines of one VM.
 race:
-	$(GO) test -race -shuffle=on ./ompss ./internal/core ./internal/tune ./internal/obs ./internal/obs/metrics ./internal/serve ./internal/dist ./pthread ./internal/vm ./machine
+	$(GO) test -race -shuffle=on ./ompss ./internal/core ./internal/obs ./internal/obs/metrics ./internal/serve ./internal/dist ./pthread ./internal/vm ./machine
 
 # Run every benchmark for one iteration so benchmark code cannot rot
 # (the CI `bench-smoke` job). For real numbers, raise -benchtime.

@@ -52,12 +52,11 @@ func main() {
 		blocking   = flag.Bool("blocking", true, "Blocking wait mode (idle workers park; -blocking=false polls)")
 		out        = flag.String("o", "", "write the load report JSON here")
 		tracePath  = flag.String("trace", "", "record an observability trace of the load run here (filter per session with ompss-trace analyze -session)")
-		tuned      = flag.Bool("tune", true, "run the self-tuning feedback loops (exposes setpoint gauges on /metrics)")
 		drainT     = flag.Duration("drain-timeout", 10*time.Second, "deadline for draining live sessions on SIGINT/SIGTERM (serve mode)")
 	)
 	flag.Parse()
 	if err := run(*addr, *load, *duration, *conc, *mix, *faultEvery, *target,
-		*workers, *sessLimit, *globLimit, *reject, *blocking, *tuned, *out, *tracePath, *drainT); err != nil {
+		*workers, *sessLimit, *globLimit, *reject, *blocking, *out, *tracePath, *drainT); err != nil {
 		fmt.Fprintf(os.Stderr, "ompss-serve: %v\n", err)
 		os.Exit(1)
 	}
@@ -65,7 +64,7 @@ func main() {
 
 func run(addr string, load bool, duration time.Duration, conc int, mix string,
 	faultEvery int, target string, workers, sessLimit, globLimit int,
-	reject, blocking, tuned bool, out, tracePath string, drainT time.Duration) error {
+	reject, blocking bool, out, tracePath string, drainT time.Duration) error {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
@@ -74,14 +73,6 @@ func run(addr string, load bool, duration time.Duration, conc int, mix string,
 		opts = append(opts, ompss.Wait(ompss.Blocking))
 	}
 	opts = append(opts, ompss.MaxInFlight(globLimit))
-	if tuned {
-		// Grain and backoff adapt online; renaming stays on its static
-		// default — request sessions own their data, so version pressure
-		// never builds and an adaptive cap would just idle.
-		opts = append(opts, ompss.WithTuning(ompss.Tuning{
-			Grain: ompss.Auto, StealBackoff: ompss.Auto,
-		}))
-	}
 	var rec *obs.Recorder
 	if tracePath != "" {
 		rec = obs.NewRecorder()

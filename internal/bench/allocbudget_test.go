@@ -55,11 +55,6 @@ func TestSubmitAllocBudget(t *testing.T) {
 		// BenchmarkSubmitDatumPtr).
 		"BenchmarkObsRecord":              BenchmarkObsRecord,
 		"BenchmarkSubmitDatumPtrObserved": BenchmarkSubmitDatumPtrObserved,
-		// Tuning ceilings: an armed feedback controller must cost the
-		// submit path nothing (same ceiling as BenchmarkSubmitDatumPtr)
-		// and its per-completion feed must stay allocation-free.
-		"BenchmarkSubmitDatumPtrTuned": BenchmarkSubmitDatumPtrTuned,
-		"BenchmarkTuneRecord":          BenchmarkTuneRecord,
 		// Metrics-plane ceilings: every live increment/observation must
 		// stay allocation-free, so scraping a loaded server never perturbs
 		// it. The dist frame round-trip is pinned at its current cost — the

@@ -26,7 +26,7 @@ const submitKeys = 64
 // (no concurrent workers, so the measurement isolates the submit path).
 // setup receives the runtime and returns the per-task clause chooser; the
 // graph is drained periodically so it stays bounded. Extra options extend
-// the runtime configuration (the tuned variant arms the controller). The
+// the runtime configuration (the observed variant attaches a recorder). The
 // run-ahead window is pinned to the drain period, so it never binds and the
 // rows measure the wiring path: a task submitted behind an unfinished chain
 // link. BenchmarkSubmitThrottled is the row with the default window.

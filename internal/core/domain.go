@@ -17,10 +17,6 @@ import "sync/atomic"
 type Domain struct {
 	// ID names the domain in traces (obs events tag submissions with it).
 	ID uint64
-	// Parent, when non-nil, receives the in-flight rollup of every charge
-	// and credit, so one root domain can meter a global admission budget
-	// across many child domains. One level only; Parent.Parent is ignored.
-	Parent *Domain
 	// Rename overrides the graph's dependence-renaming policy for this
 	// domain's tasks (RenameInherit leaves the graph's setting in force);
 	// RenameCap, when positive, overrides the per-datum in-flight version
@@ -95,23 +91,12 @@ func (d *Domain) CancelCause() error {
 }
 
 // Charge records one task entering the domain (executor-side, before the
-// task is submitted, so InFlight is usable as a hard admission budget) and
-// rolls the in-flight count up to the parent.
-func (d *Domain) Charge() {
-	d.submitted.Add(1)
-	if d.Parent != nil {
-		d.Parent.submitted.Add(1)
-	}
-}
+// task is submitted, so InFlight is usable as a hard admission budget).
+func (d *Domain) Charge() { d.submitted.Add(1) }
 
 // Uncharge rolls back a Charge whose task was never submitted (the session
 // closed between admission and submission).
-func (d *Domain) Uncharge() {
-	d.submitted.Add(^uint64(0))
-	if d.Parent != nil {
-		d.Parent.submitted.Add(^uint64(0))
-	}
-}
+func (d *Domain) Uncharge() { d.submitted.Add(^uint64(0)) }
 
 // taskFinished credits the domain for one finished task (called by
 // Graph.Finish).
@@ -125,9 +110,6 @@ func (d *Domain) taskFinished(err error, skipped bool) {
 	// Last: this is what drops InFlight, so whoever sees the domain drained
 	// also sees the failure counts above.
 	d.finished.Add(1)
-	if d.Parent != nil {
-		d.Parent.finished.Add(1)
-	}
 }
 
 // InFlight returns the number of charged-but-unfinished tasks. Finished is

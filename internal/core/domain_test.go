@@ -1,10 +1,9 @@
 package core
 
 // Engine-level tests of the Domain layer (the session's engine half):
-// first-wins cancellation, exact charge/credit accounting with parent
-// rollup, domain-confined failure propagation along dependence edges, task
-// recycling hygiene, and the Release path a session's close-time arena
-// recycling depends on.
+// first-wins cancellation, exact charge/credit accounting, domain-confined
+// failure propagation along dependence edges, task recycling hygiene, and
+// the Release path a session's close-time arena recycling depends on.
 
 import (
 	"fmt"
@@ -56,46 +55,36 @@ func TestDomainCancelFirstWins(t *testing.T) {
 	}
 }
 
-// TestDomainAccounting checks the charge/credit arithmetic and its parent
-// rollup: InFlight is exact, Uncharge rolls back a refused spawn without
-// trace, and finish outcomes land in the right buckets.
+// TestDomainAccounting checks the charge/credit arithmetic: InFlight is
+// exact, Uncharge rolls back a refused spawn without trace, and finish
+// outcomes land in the right buckets.
 func TestDomainAccounting(t *testing.T) {
-	var root Domain
-	child := &Domain{ID: 7, Parent: &root}
+	d := &Domain{ID: 7}
 
 	for i := 0; i < 4; i++ {
-		child.Charge()
+		d.Charge()
 	}
-	if got := child.InFlight(); got != 4 {
-		t.Fatalf("child InFlight = %d, want 4", got)
-	}
-	if got := root.InFlight(); got != 4 {
-		t.Fatalf("root InFlight = %d, want 4 (rollup)", got)
+	if got := d.InFlight(); got != 4 {
+		t.Fatalf("InFlight = %d, want 4", got)
 	}
 	// A refused spawn rolls back fully.
-	child.Charge()
-	child.Uncharge()
-	st := child.Stats()
+	d.Charge()
+	d.Uncharge()
+	st := d.Stats()
 	if st.Submitted != 4 || st.InFlight != 4 {
 		t.Fatalf("after Uncharge: submitted=%d inflight=%d, want 4 4", st.Submitted, st.InFlight)
 	}
-	if rs := root.Stats(); rs.Submitted != 4 || rs.InFlight != 4 {
-		t.Fatalf("root after Uncharge: submitted=%d inflight=%d, want 4 4", rs.Submitted, rs.InFlight)
-	}
 
-	child.taskFinished(nil, false)                // success
-	child.taskFinished(fmt.Errorf("boom"), false) // failure
-	child.taskFinished(fmt.Errorf("skip"), true)  // skip-release
-	st = child.Stats()
+	d.taskFinished(nil, false)                // success
+	d.taskFinished(fmt.Errorf("boom"), false) // failure
+	d.taskFinished(fmt.Errorf("skip"), true)  // skip-release
+	st = d.Stats()
 	if st.Finished != 3 || st.Failed != 2 || st.Skipped != 1 || st.InFlight != 1 {
-		t.Fatalf("child stats %+v, want finished=3 failed=2 skipped=1 inflight=1", st)
+		t.Fatalf("stats %+v, want finished=3 failed=2 skipped=1 inflight=1", st)
 	}
-	if got := root.InFlight(); got != 1 {
-		t.Fatalf("root InFlight = %d, want 1 after 3 finishes", got)
-	}
-	child.taskFinished(nil, false)
-	if got, rgot := child.InFlight(), root.InFlight(); got != 0 || rgot != 0 {
-		t.Fatalf("drained InFlight child=%d root=%d, want 0 0", got, rgot)
+	d.taskFinished(nil, false)
+	if got := d.InFlight(); got != 0 {
+		t.Fatalf("drained InFlight = %d, want 0", got)
 	}
 }
 

@@ -109,11 +109,6 @@ type Graph struct {
 	// written once before the first submission).
 	probe Probe
 
-	// tun, when non-nil, is the controller-written setpoint block
-	// (SetTunables; installed once before the first submission). The rename
-	// cap check reads it so the cap can adapt online.
-	tun *Tunables
-
 	// The counters are split by writer so a submitter and a finisher never
 	// read-modify-write the same cache line: the first group is written on
 	// the submit side only, the second on the dispatch/finish side only.

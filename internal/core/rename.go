@@ -322,17 +322,10 @@ func (d *Datum) PayloadFor(t *Task) any {
 // cap has room. The fallback path is always sound: the write joins the
 // current instance with ordinary conservative edges.
 func (g *Graph) shouldRename(ch *verChain, t *Task, mode Mode) bool {
-	// The graph-wide policy, adapted online by the feedback controller when
-	// one is installed, unless the task's domain overrides it (sessions may
-	// force renaming on or off, and tighten or widen the version cap,
-	// independently of the runtime default — an explicit session cap also
-	// wins over the controller's).
+	// The graph-wide policy, unless the task's domain overrides it (sessions
+	// may force renaming on or off, and tighten or widen the version cap,
+	// independently of the runtime default).
 	on, capN := g.renameOn, g.renameCap
-	if tn := g.tun; tn != nil {
-		if c := tn.RenameCap.Load(); c > 0 {
-			capN = int(c)
-		}
-	}
 	if d := t.Domain; d != nil {
 		if d.Rename != RenameInherit {
 			on = d.Rename == RenameForceOn
@@ -356,7 +349,6 @@ func (g *Graph) shouldRename(ch *verChain, t *Task, mode Mode) bool {
 	}
 	if len(ch.renamed) >= capN {
 		g.stRenameFallbacks.Add(1)
-		t.renameFB = true
 		return false
 	}
 	return true
@@ -402,7 +394,6 @@ func (g *Graph) wireChained(ch *verChain, t *Task, mode Mode, addPred func(*Task
 			}
 			nv.lastWriter = t
 			ch.cur = nv
-			t.renamed = true
 			g.stRenamed.Add(1)
 			if g.probe != nil {
 				g.probe.RenameEvent(t.ID)

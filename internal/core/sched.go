@@ -44,7 +44,6 @@ type Sched struct {
 	workers int
 	pol     Policy
 	probe   Probe       // observability hook (SetProbe); nil when detached
-	tun     *Tunables   // controller setpoints (SetTunables); nil when static
 	lanes   []laneState // len workers+1: the extra lane absorbs stats/rng for out-of-range callers
 
 	global mpmcQueue

@@ -144,14 +144,6 @@ type Task struct {
 	// owning shard lock during Submit, read by the body via PayloadFor,
 	// released by Finish.
 	bindings []verBinding
-	// renamed / renameFB attribute the graph's rename decisions to this
-	// task: a write-mode access received a fresh instance, or stalled only
-	// because the in-flight version cap was full. Written under the owning
-	// shard lock during Submit's wiring, read by the executor after the
-	// task finished (ordered by the submit→ready→run→finish chain), so no
-	// atomics are needed.
-	renamed  bool
-	renameFB bool
 
 	ID       uint64
 	Label    string
@@ -159,26 +151,12 @@ type Task struct {
 	// CPUCost is the simulated execution cost hint in nanoseconds; the
 	// native executor ignores it.
 	CPUCost int64
-	// Iters is the number of loop iterations this task covers when it was
-	// spawned as one TaskLoop chunk (0 for ordinary tasks). The feedback
-	// controller divides measured execution time by it to learn per-
-	// iteration cost for the task's label.
-	Iters int
 	// Preds records the IDs of the tasks this one had to wait for at
 	// submission (for tracing and DOT export; kept after they finish). The
 	// first two live in predBuf, so a chain task allocates nothing for them.
 	Preds   []uint64
 	predBuf [2]uint64
 }
-
-// Renamed reports whether any of the task's write-mode accesses received a
-// fresh renamed instance. Valid once the task finished.
-func (t *Task) Renamed() bool { return t.renamed }
-
-// RenameFallback reports whether any of the task's write-mode accesses
-// stalled on its WAR/WAW edges only because the in-flight version cap was
-// full. Valid once the task finished.
-func (t *Task) RenameFallback() bool { return t.renameFB }
 
 // SetAffinity hints that the task should execute near the data of the given
 // dependence shard (see Policy.HomeLane). Call before submission.

@@ -122,9 +122,6 @@ type Analysis struct {
 	Forwards     int
 	ForwardBytes int64
 
-	// Tunes counts feedback-controller setpoint moves (EvTune).
-	Tunes int
-
 	// DroppedEvents is the exact number of ring-overwritten events; when
 	// non-zero the reports cover a truncated stream (Truncated is set,
 	// WriteReport says so and suggests SuggestedCapacity — the smallest
@@ -256,8 +253,6 @@ func Analyze(tr *Trace) *Analysis {
 		case EvForward:
 			a.Forwards++
 			a.ForwardBytes += int64(ev.Arg)
-		case EvTune:
-			a.Tunes++
 		}
 	}
 	sort.Slice(a.Order, func(i, j int) bool { return a.Order[i] < a.Order[j] })
@@ -517,9 +512,6 @@ func (a *Analysis) WriteReport(w io.Writer, topN int) error {
 	}
 	if a.Chains > 0 {
 		fmt.Fprintf(w, "chains: %d dispatch frames covering %d tasks\n", a.Chains, a.ChainedTasks)
-	}
-	if a.Tunes > 0 {
-		fmt.Fprintf(w, "tuning: %d setpoint moves by the feedback controller\n", a.Tunes)
 	}
 	return nil
 }

@@ -33,8 +33,8 @@ func us(ns int64) float64 { return float64(ns) / 1e3 }
 // WriteChromeTrace exports the trace as Chrome trace-event JSON: one track
 // (tid) per worker lane, a complete ("X") slice per executed task, flow
 // arrows ("s"/"f") along every dependence edge whose endpoints are both in
-// the stream, instant markers for steals, skips, renames, writebacks,
-// transfers, and tune decisions, and a running-task counter that draws the
+// the stream, instant markers for steals, skips, renames, writebacks and
+// transfers, and a running-task counter that draws the
 // instantaneous-parallelism profile. A merged multi-process trace
 // (Trace.Tracks set) renders each worker process as its own Chrome process
 // row — pid 0 is the coordinator, each (slot, generation) worker
@@ -172,10 +172,6 @@ func WriteChromeTrace(w io.Writer, tr *Trace) error {
 			add(chromeEvent{Name: "forward", Cat: "dist", Phase: "i", Scope: "t",
 				TS: us(ev.At), PID: pid, TID: tid,
 				Args: map[string]any{"task": ev.Task, "bytes": ev.Arg}})
-		case EvTune:
-			add(chromeEvent{Name: "tune:" + ev.Label, Cat: "tune", Phase: "i", Scope: "t",
-				TS: us(ev.At), PID: pid, TID: tid,
-				Args: map[string]any{"loop": ev.Label, "from": ev.Arg, "to": ev.Task}})
 		}
 	}
 	enc := json.NewEncoder(w)

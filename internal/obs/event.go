@@ -78,10 +78,6 @@ const (
 	// produced it, bypassing the coordinator. Task is the served task, Arg
 	// the byte count.
 	EvForward
-	// EvTune records the feedback controller moving a setpoint: Label
-	// names the control loop ("grain", "spin-yields", "sleep-cap",
-	// "rename-cap"), Arg the old value, Task the new value.
-	EvTune
 
 	numKinds = iota
 )
@@ -90,7 +86,7 @@ var kindNames = [numKinds]string{
 	"submit", "edge", "ready", "start", "end", "skip", "steal",
 	"idle-enter", "idle-exit", "taskwait-enter", "taskwait-exit",
 	"rename", "writeback", "xfer", "xfer-hit", "chain",
-	"forward", "tune",
+	"forward",
 }
 
 func (k Kind) String() string {

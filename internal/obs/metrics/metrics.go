@@ -169,8 +169,7 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 }
 
 // GaugeFunc registers a gauge sampled at scrape time — the bridge to state
-// the runtime already keeps (stats snapshots, tune setpoints) without a
-// feed path.
+// the runtime already keeps (stats snapshots) without a feed path.
 func (r *Registry) GaugeFunc(name, help string, f func() float64, labels ...Label) {
 	r.add(name, help, "gauge", &series{labels: labels, gf: f})
 }

@@ -25,7 +25,7 @@ type tenantSeries struct {
 // initMetrics builds the server's registry: per-tenant request counters and
 // latency histograms fed from the request path, plus scrape-time gauges
 // over the state the runtime already keeps (engine stats, dependence
-// records, tune setpoints, recorder ring drops). Called once from New,
+// records, recorder ring drops). Called once from New,
 // before the handler serves.
 func (s *Server) initMetrics() {
 	reg := metrics.NewRegistry()
@@ -121,24 +121,6 @@ func (s *Server) initMetrics() {
 			}
 			return 1 - float64(sc.Steals)/float64(sc.StealTries)
 		})
-
-	// Setpoint gauges exist only when the runtime actually runs a feedback
-	// controller — exposing static defaults as "setpoints" would misread as
-	// tuning activity.
-	if _, ok := s.rt.TuneSetpoints(); ok {
-		reg.GaugeFunc("ompss_tune_grain_target_ns",
-			"Tune controller setpoint: TaskLoop auto-chunk execution-time target.",
-			func() float64 { sp, _ := s.rt.TuneSetpoints(); return float64(sp.GrainTargetNS) })
-		reg.GaugeFunc("ompss_tune_spin_yields",
-			"Tune controller setpoint: idle yields before a polling worker sleeps.",
-			func() float64 { sp, _ := s.rt.TuneSetpoints(); return float64(sp.SpinYields) })
-		reg.GaugeFunc("ompss_tune_sleep_cap_ns",
-			"Tune controller setpoint: idle sleep growth cap.",
-			func() float64 { sp, _ := s.rt.TuneSetpoints(); return float64(sp.SleepCapNS) })
-		reg.GaugeFunc("ompss_tune_rename_cap",
-			"Tune controller setpoint: live renamed instances allowed per version chain.",
-			func() float64 { sp, _ := s.rt.TuneSetpoints(); return float64(sp.RenameCap) })
-	}
 }
 
 // handleMetrics is the Prometheus scrape endpoint.

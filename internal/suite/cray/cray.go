@@ -99,7 +99,7 @@ func (in *Instance) RunOmpSs(rt ompss.API) uint64 {
 func (in *Instance) LoopUnits() int { return in.W.H }
 
 // RunOmpSsLoop renders as one TaskLoop over image rows; the chunk argument
-// decides granularity (ompss.Auto defers to the grain controller). The
+// decides granularity (ompss.Auto defers to the runtime). The
 // heterogeneous per-block cost is charged through the task context, since
 // a Cost clause cannot vary across a TaskLoop's chunks.
 func (in *Instance) RunOmpSsLoop(rt ompss.API, chunk int) uint64 {

@@ -92,7 +92,7 @@ func (in *Instance) LoopUnits() int { return in.W.NBuf }
 
 // RunOmpSsLoop hashes as one TaskLoop over the buffer set; the chunk
 // argument decides how many buffers one task hashes (ompss.Auto defers to
-// the grain controller). Simulated costs are charged per buffer through
+// the runtime). Simulated costs are charged per buffer through
 // the task context.
 func (in *Instance) RunOmpSsLoop(rt ompss.API, chunk int) uint64 {
 	digests := make([][kern.Size]byte, len(in.bufs))

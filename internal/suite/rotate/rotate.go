@@ -91,7 +91,7 @@ func (in *Instance) LoopUnits() int { return in.W.H }
 // RunOmpSsLoop rotates as one TaskLoop over destination rows: the chunk
 // argument — not the workload's RowBlock — decides task granularity, which
 // is what the grain-ablation harness sweeps (chunk == ompss.Auto hands the
-// decision to the runtime's grain controller). Simulated compute and
+// decision to the runtime). Simulated compute and
 // memory costs are charged per chunk through the task context, since Cost
 // clauses cannot vary across a TaskLoop's chunks.
 func (in *Instance) RunOmpSsLoop(rt ompss.API, chunk int) uint64 {

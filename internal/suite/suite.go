@@ -49,7 +49,7 @@ type Instance interface {
 // iteration space so chunking is the runtime's decision rather than the
 // benchmark's. It is the grain-ablation surface — RunOmpSsLoop with a
 // static chunk sweeps the granularity axis, and chunk == ompss.Auto hands
-// the choice to the grain controller (WithTuning(Tuning{Grain: Auto})).
+// the choice to the runtime (n/(4·workers), or a pinned Tuning Grain).
 // Results are bit-identical to RunSeq/RunOmpSs for every chunk.
 type LoopInstance interface {
 	Instance

@@ -164,8 +164,9 @@ func suiteCases(t testing.TB) []streamCase {
 // lifecycleCases are small programs on 4 cores that reach the task-lifecycle
 // paths c-ray and h264dec do not: admission backpressure and a session Close
 // that drains by skipping, named and commutative locks, a cancellation drain,
-// the controller feed, nested spawn + taskwait, an inline task, and recorder
-// emission (which must not move virtual time: observedTwin checks the pair).
+// TaskLoop Auto chunks beside a renamed datum, nested spawn + taskwait, an
+// inline task, and recorder emission (which must not move virtual time:
+// observedTwin checks the pair).
 func lifecycleCases() []streamCase {
 	mc := machine.Paper(4)
 	sim := func(prog func(*ompss.Runtime), opts ...ompss.Option) func() (machine.Stats, error) {
@@ -214,7 +215,7 @@ func lifecycleCases() []streamCase {
 		}
 		rt.Taskwait()
 	}
-	tuned := func(rt *ompss.Runtime) {
+	taskloopAuto := func(rt *ompss.Runtime) {
 		type cell struct{ v int }
 		d := rt.Register(&cell{}).EnableRenaming(nil,
 			func() any { return new(cell) },
@@ -232,7 +233,7 @@ func lifecycleCases() []streamCase {
 			rt.Taskwait()
 		}
 	}
-	tuning := ompss.WithTuning(ompss.Tuning{Grain: ompss.Auto, RenameCap: ompss.Auto, Renaming: ompss.On})
+	auto := ompss.WithTuning(ompss.Tuning{Grain: ompss.Auto, RenameCap: ompss.Auto, Renaming: ompss.On})
 
 	return []streamCase{
 		{"lifecycle/admission/polling", sim(admission)},
@@ -242,8 +243,8 @@ func lifecycleCases() []streamCase {
 		{"lifecycle/nested/polling", sim(nested)},
 		{"lifecycle/nested/blocking", sim(nested, blocking)},
 		{"lifecycle/nested/polling-observed", observed(nested)},
-		{"lifecycle/tuned/polling", sim(tuned, tuning)},
-		{"lifecycle/tuned/polling-observed", observed(tuned, tuning)},
+		{"lifecycle/taskloop-auto/polling", sim(taskloopAuto, auto)},
+		{"lifecycle/taskloop-auto/polling-observed", observed(taskloopAuto, auto)},
 		{"lifecycle/cancel/polling", func() (machine.Stats, error) {
 			// The tenth task of a chain-free batch cancels the run from its own
 			// body, so the moment of cancellation is a virtual instant: what had
@@ -267,8 +268,8 @@ func lifecycleCases() []streamCase {
 
 // observedTwin maps a case that runs under Observe to the same program without.
 var observedTwin = map[string]string{
-	"lifecycle/nested/polling-observed": "lifecycle/nested/polling",
-	"lifecycle/tuned/polling-observed":  "lifecycle/tuned/polling",
+	"lifecycle/nested/polling-observed":        "lifecycle/nested/polling",
+	"lifecycle/taskloop-auto/polling-observed": "lifecycle/taskloop-auto/polling",
 }
 
 // syncMix drives the primitives of sync.go directly, as sync_test.go does:

@@ -6,7 +6,6 @@ import (
 
 	"ompssgo/internal/core"
 	"ompssgo/internal/obs"
-	"ompssgo/internal/tune"
 )
 
 // cost names what the lifecycle charges to the executing thread. Natively
@@ -88,12 +87,6 @@ type lifecycle struct {
 
 	graph *core.Graph
 	sched *core.Sched
-	// tn/ctl are the feedback-control plane (nil when no Tuning field armed
-	// it): ctl consumes measured task completions and writes setpoints into
-	// tn, which the graph's rename-cap check and the native spinner read. tn
-	// may be non-nil alone, carrying a pinned StealBackoff.
-	tn  *core.Tunables
-	ctl *tune.Controller
 
 	// room reports whether the run-ahead window admits one more task (nil:
 	// unbounded). Built once, so a throttled spawn allocates no predicate.
@@ -118,30 +111,6 @@ func newLifecycle(rt *Runtime, cfg config, clk clock, virtual bool) *lifecycle {
 		l.room = func() bool { return l.graph.Unfinished() < window }
 	}
 	l.graph.ConfigureRenaming(core.Renaming{Enabled: cfg.renamingOn(), MaxVersions: cfg.renameCapN()})
-	if cfg.tuningActive() || cfg.tun.StealBackoff.isSet() {
-		l.tn = &core.Tunables{}
-		if v, ok := cfg.tun.StealBackoff.value(); ok && v > 0 {
-			// Pinned backoff: the sleep cap is set once and no loop moves it.
-			l.tn.SleepCapNS.Store(int64(v) * 1000)
-		}
-		if cfg.tuningActive() {
-			// Under virtual time the controller's decisions are deterministic;
-			// its Backoff loop stays off there — idle waiting is event-driven,
-			// there is no spin loop to tune.
-			l.ctl = tune.New(tune.Config{
-				Workers:       cfg.workers,
-				Grain:         cfg.tun.Grain.isAuto(),
-				Backoff:       !virtual && cfg.tun.StealBackoff.isAuto(),
-				RenameCap:     cfg.tun.RenameCap.isAuto(),
-				BaseRenameCap: cfg.renameCapN(),
-				SchedStats:    l.sched.Stats,
-				GraphStats:    l.graph.Stats,
-				Event:         tuneEventFn(cfg.rec),
-			}, l.tn, obs.NewAggregator(0))
-		}
-		l.graph.SetTunables(l.tn)
-		l.sched.SetTunables(l.tn)
-	}
 	if rec := cfg.rec; rec != nil {
 		// Attach before any worker starts: the rings and clock are published
 		// to the workers by their go statements (under simulation every
@@ -241,8 +210,6 @@ func (l *lifecycle) runTask(t *core.Task, lane int) {
 	}
 	l.clk.pollCancel()
 	err := l.rt.skipReason(t)
-	fed := l.ctl != nil && err == nil
-	var t0 int64
 	if err != nil {
 		// Skip-release: the task finishes without running — no body, no
 		// modeled compute or memory traffic — its dependents still release
@@ -254,9 +221,6 @@ func (l *lifecycle) runTask(t *core.Task, lane int) {
 			rec.Emit(lane, obs.EvSkip, t.ID, 0)
 		}
 	} else {
-		if fed {
-			t0 = l.clk.now()
-		}
 		// Memory-system cost of the declared footprints, priced before the
 		// body against where each datum was last produced.
 		var mem int64
@@ -269,16 +233,6 @@ func (l *lifecycle) runTask(t *core.Task, lane int) {
 	}
 	l.rt.noteTaskErr(t, err)
 	l.clk.charge(lane, costFinish, 1)
-	if fed {
-		// Feed the controller with the task's measured execution time (the
-		// charge above settled the clock past the modeled compute) and rename
-		// attribution (settled at submission); every TickEvery-th call runs a
-		// control tick inline on this lane. Allocation-free (asserted by the
-		// alloc-budget suite) so tuning never perturbs what it measures — and
-		// ahead of Finish, so whoever a taskwait lets go already finds the
-		// task in the label aggregates.
-		l.ctl.TaskDone(t.Label, l.clk.now()-t0, t.Iters, t.Renamed(), t.RenameFallback())
-	}
 	ready := l.graph.Finish(t, err)
 	if rec != nil {
 		// The end event and the ready events of the released successors
@@ -374,21 +328,6 @@ func (l *lifecycle) shutdown(from *TC) {
 		l.stop.Store(true)
 		l.clk.wake(nil, l.cfg.workers)
 	})
-}
-
-// tuneEventFn bridges the feedback controller's setpoint moves into the
-// observability stream: every actual move becomes an EvTune event (Label =
-// the loop name, Arg = old value, Task = new value) on the no-lane ring.
-// Nil recorder → nil hook, so an untraced run pays nothing. The loop names
-// are constants and EmitLabel allocates nothing, keeping the tick path
-// within its zero-alloc budget.
-func tuneEventFn(rec *obs.Recorder) func(loop string, old, new int64) {
-	if rec == nil {
-		return nil
-	}
-	return func(loop string, old, new int64) {
-		rec.EmitLabel(-1, obs.EvTune, uint64(new), uint64(old), loop)
-	}
 }
 
 // taskQuiet reports whether the task's session muted per-task observability

@@ -16,12 +16,16 @@ import (
 type nativeClock struct {
 	epoch    time.Time
 	blocking bool
+	sleepCap time.Duration // Polling idle sleep cap (spin)
 	gate     idleGate
-	l        *lifecycle // its scheduler (ready work ends a park) and setpoint block
+	l        *lifecycle // its scheduler: ready work ends a park
 }
 
 func newNativeClock(cfg config) *nativeClock {
-	c := &nativeClock{epoch: time.Now(), blocking: cfg.wait == Blocking}
+	c := &nativeClock{epoch: time.Now(), blocking: cfg.wait == Blocking, sleepCap: spinSleepCap}
+	if v, ok := cfg.tun.StealBackoff.value(); ok && v > 0 {
+		c.sleepCap = time.Duration(v) * time.Microsecond
+	}
 	c.gate.cond = sync.NewCond(&c.gate.mu)
 	return c
 }
@@ -56,36 +60,23 @@ func (g *idleGate) wake() {
 }
 
 const (
-	spinYields     = 64
-	spinSleepCapNS = 100_000
+	spinYields   = 64
+	spinSleepCap = 100 * time.Microsecond
 )
 
 // spin is the Polling-mode idle throttle: a thread that keeps missing
 // yields its slice for a while, then sleeps with linearly growing duration
-// (capped at 100µs). Without it, oversubscribed polling threads — 32 lanes
-// on a 2-core host — spin the cores bare and starve the lanes doing real
-// work; with it, release latency stays in the tens of microseconds, which
-// is the polling-vs-blocking gap the paper's §4 measures.
-//
-// With a Tunables block installed, the yield budget and sleep cap are read
-// per miss from the controller's setpoints — one atomic load each on the
-// idle path only — so Tuning{StealBackoff: Auto} can deepen the backoff
-// when the steal matrix reports mostly failed probes.
+// (capped at 100µs, or the pinned Tuning StealBackoff). Without it,
+// oversubscribed polling threads — 32 lanes on a 2-core host — spin the
+// cores bare and starve the lanes doing real work; with it, release latency
+// stays in the tens of microseconds, which is the polling-vs-blocking gap
+// the paper's §4 measures.
 func (c *nativeClock) spin(misses int) {
-	yields, capNS := spinYields, int64(spinSleepCapNS)
-	if tn := c.l.tn; tn != nil { // nil: static backoff
-		if y := tn.SpinYields.Load(); y > 0 {
-			yields = int(y)
-		}
-		if s := tn.SleepCapNS.Load(); s > 0 {
-			capNS = s
-		}
-	}
-	if misses <= yields {
+	if misses <= spinYields {
 		runtime.Gosched()
 		return
 	}
-	time.Sleep(min(time.Duration(misses-yields)*time.Microsecond, time.Duration(capNS)))
+	time.Sleep(min(time.Duration(misses-spinYields)*time.Microsecond, c.sleepCap))
 }
 
 func (c *nativeClock) park(_ int, _ any, misses int, cond func() bool) {

@@ -61,7 +61,6 @@ import (
 
 	"ompssgo/internal/core"
 	"ompssgo/internal/obs"
-	"ompssgo/internal/tune"
 )
 
 // WaitMode selects how idle workers and waiters behave.
@@ -286,49 +285,11 @@ func (rt *Runtime) skipReason(t *core.Task) error {
 	return nil
 }
 
-// RunStats reports engine activity counters. Labels carries the per-label
-// execution aggregates of the feedback controller's streaming view — the
-// controller's inputs, user-inspectable without attaching a recorder. It is
-// populated only when a Tuning field armed the controller (nil otherwise).
+// RunStats reports engine activity counters. Per-label body time is in
+// obs.Analyze's ByLabel (attach a recorder with Observe).
 type RunStats struct {
-	Graph  core.GraphStats
-	Sched  core.SchedStats
-	Labels []LabelStats
-}
-
-// LabelStats is the per-label slice of the controller's streaming
-// aggregates: how many tasks (and TaskLoop iterations) carried the label,
-// their total/mean/smoothed execution time, and how many of them renamed a
-// write or fell back on a full version cap.
-type LabelStats struct {
-	Label     string
-	Count     uint64
-	Iters     uint64 // TaskLoop iterations covered by the counted tasks
-	Renames   uint64
-	Fallbacks uint64
-	ExecNS    int64 // summed measured execution time (virtual ns under sim)
-	MeanNS    int64
-	EWMANS    int64 // smoothed per-task execution time
-	PerIterNS int64 // smoothed per-iteration execution time (loop labels)
-}
-
-// labelStatsOf converts the controller's aggregator snapshot to the public
-// stats slice (nil controller → nil slice).
-func labelStatsOf(ctl *tune.Controller) []LabelStats {
-	if ctl == nil {
-		return nil
-	}
-	aggs := ctl.Aggregator().Snapshot()
-	out := make([]LabelStats, len(aggs))
-	for i, a := range aggs {
-		out[i] = LabelStats{
-			Label: a.Label, Count: a.Count, Iters: a.Iters,
-			Renames: a.Renames, Fallbacks: a.Fallbacks,
-			ExecNS: a.ExecNS, MeanNS: a.MeanNS, EWMANS: a.EWMANS,
-			PerIterNS: a.PerIterNS,
-		}
-	}
-	return out
+	Graph core.GraphStats
+	Sched core.SchedStats
 }
 
 // Task spawns a task from the master thread and returns its Handle. The
@@ -377,39 +338,12 @@ func (rt *Runtime) TaskLoop(n, chunk int, body func(tc *TC, lo, hi int), clauses
 // consistent snapshot.
 func (rt *Runtime) Stats() RunStats {
 	l := rt.lc
-	return RunStats{Graph: l.graph.Stats(), Sched: l.sched.Stats(), Labels: labelStatsOf(l.ctl)}
+	return RunStats{Graph: l.graph.Stats(), Sched: l.sched.Stats()}
 }
 
 // Backend exposes the runtime's execution domain through the engine-level
 // seam (see internal/core/backend.go).
 func (rt *Runtime) Backend() core.Backend { return rt.lc }
-
-// TuneSetpoints is a live snapshot of the self-tuning controller's
-// actuator values (see Tuning): what the feedback loops currently
-// command for loop granularity, idle backoff, and the rename cap.
-type TuneSetpoints struct {
-	GrainTargetNS int64 // TaskLoop auto-chunk execution-time target
-	SpinYields    int   // idle yields before a polling worker sleeps
-	SleepCapNS    int64 // idle sleep growth cap
-	RenameCap     int   // live renamed instances allowed per version chain
-}
-
-// TuneSetpoints reads the controller's current setpoints (atomic loads —
-// safe while the runtime serves). ok is false when no feedback controller
-// is armed, i.e. the runtime runs on static defaults.
-func (rt *Runtime) TuneSetpoints() (sp TuneSetpoints, ok bool) {
-	ctl := rt.lc.ctl
-	if ctl == nil {
-		return TuneSetpoints{}, false
-	}
-	s := ctl.Setpoints()
-	return TuneSetpoints{
-		GrainTargetNS: s.GrainTargetNS,
-		SpinYields:    s.SpinYields,
-		SleepCapNS:    s.SleepCapNS,
-		RenameCap:     s.RenameCap,
-	}, true
-}
 
 // DepRecords reports the live dependence records (exact-key datums,
 // array-region bases) across the tracker's shards. Sessions release their
@@ -562,16 +496,14 @@ func (tc *TC) spawnInline(r *taskRec) *Handle {
 // TaskLoop does not wait; pair with Taskwait. It returns the chunk tasks'
 // Handles in chunk order.
 //
-// chunk == Auto asks the runtime to size the chunks: the grain controller's
-// decision when Tuning{Grain: Auto} armed one (targeting its per-chunk
-// execution-time window from the label's measured per-iteration cost), the
-// pinned Tuning{Grain: Fixed(v)} value, or a workers-derived heuristic
-// otherwise. Exactly Auto means runtime-chosen; every other non-positive
-// chunk keeps the historical clamp to 1, so e.g. a computed chunk that
-// underflows to 0 still means "one iteration per task", not "auto".
+// chunk == Auto asks the runtime to size the chunks: the pinned
+// Tuning{Grain: Fixed(v)} value, or a workers-derived heuristic otherwise.
+// Exactly Auto means runtime-chosen; every other non-positive chunk keeps
+// the historical clamp to 1, so e.g. a computed chunk that underflows to 0
+// still means "one iteration per task", not "auto".
 func (tc *TC) TaskLoop(n, chunk int, body func(tc *TC, lo, hi int), clauses ...Clause) []*Handle {
 	if chunk == Auto {
-		chunk = tc.autoChunk(n, clauses)
+		chunk = tc.autoChunk(n)
 	}
 	if chunk < 1 {
 		chunk = 1
@@ -585,27 +517,21 @@ func (tc *TC) TaskLoop(n, chunk int, body func(tc *TC, lo, hi int), clauses ...C
 		lo, hi := lo, hi
 		r := tc.newRec(clauses)
 		r.body = func(c *TC) { body(c, lo, hi) }
-		// The feedback controller divides the chunk's measured time by its
-		// iteration count to learn per-iteration cost.
-		r.t.Iters = hi - lo
 		hs = append(hs, tc.spawn(r))
 	}
 	return hs
 }
 
-// autoChunk resolves a TaskLoop's Auto chunk: the controller's decision,
-// the pinned Grain value, or the static heuristic (about four chunks per
-// worker — enough slack for stealing without drowning in per-task cost).
-func (tc *TC) autoChunk(n int, clauses []Clause) int {
+// autoChunk resolves a TaskLoop's Auto chunk: the pinned Grain value, or the
+// static heuristic (about four chunks per worker — enough slack for stealing
+// without drowning in per-task cost).
+func (tc *TC) autoChunk(n int) int {
 	if n <= 1 {
 		return 1
 	}
 	cfg := tc.rt.cfg
 	if v, ok := cfg.tun.Grain.value(); ok && v > 0 {
 		return v
-	}
-	if ctl := tc.rt.lc.ctl; ctl != nil {
-		return ctl.ChunkFor(tc.newRec(clauses).t.Label, n)
 	}
 	w := cfg.workers
 	if w < 1 {

@@ -538,83 +538,6 @@ func TestScheduleFuzzRenaming(t *testing.T) {
 	}
 }
 
-// runTunedSchedule executes the program under one schedule with every
-// feedback loop armed, returning violations plus the number of task
-// completions the controller's aggregator consumed (a liveness probe: a
-// battery where the controller never sees a task proves nothing).
-func runTunedSchedule(p *fuzzProg, sc fuzzSchedule) (violations []string, fed uint64) {
-	cells := newFuzzCells(p.nKeys)
-	opts := append(append([]ompss.Option{}, sc.opts...),
-		ompss.WithTuning(ompss.Tuning{Grain: ompss.Auto, StealBackoff: ompss.Auto, RenameCap: ompss.Auto}))
-	count := func(st ompss.RunStats) {
-		for _, l := range st.Labels {
-			fed += l.Count
-		}
-	}
-	if sc.native {
-		rt := ompss.New(opts...)
-		cells.run(p, rt)
-		count(rt.Stats())
-		rt.Shutdown()
-	} else {
-		if _, err := ompss.RunSim(machine.Paper(sc.cores), func(rt *ompss.Runtime) {
-			cells.run(p, rt)
-			count(rt.Stats())
-		}, opts...); err != nil {
-			cells.violate("sim error: %v", err)
-		}
-	}
-	cells.checkFinal(p)
-	cells.mu.Lock()
-	defer cells.mu.Unlock()
-	return cells.violations, fed
-}
-
-// TestScheduleFuzzTuning runs the fuzz DAGs with the feedback controller
-// live — grain, backoff, and rename-cap loops all armed — and requires a
-// clean drain with the model's final state, identical to the
-// controller-off run of the same schedule: the controller moves setpoints,
-// never semantics. The battery spans both backends, every worker count,
-// and both wait modes (a subset of the main battery's policy sweep — the
-// controller does not interact with the locality knobs), and runs in CI's
-// -race job, so a controller-introduced race on the finish path or the
-// spinner surfaces here as a race report.
-func TestScheduleFuzzTuning(t *testing.T) {
-	seeds := []int64{1, 0x5eed}
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	var schedules []fuzzSchedule
-	for _, sc := range fuzzSchedules() {
-		if sc.native && sc.name[len(sc.name)-2:] == "d1" {
-			schedules = append(schedules, sc)
-		}
-	}
-	schedules = append(schedules, fuzzSchedule{name: "sim/c4", cores: 4},
-		fuzzSchedule{name: "sim/c8", cores: 8})
-	var totalFed uint64
-	for _, seed := range seeds {
-		p := genProg(seed, 1<<30)
-		for _, sc := range schedules {
-			vOn, fed := runTunedSchedule(p, sc)
-			if len(vOn) > 0 {
-				t.Fatalf("seed %d schedule %s tuning=on: %d violations; first: %s",
-					seed, sc.name, len(vOn), vOn[0])
-			}
-			if vOff := runSchedule(p, sc); len(vOff) > 0 {
-				t.Fatalf("seed %d schedule %s tuning=off: %d violations; first: %s",
-					seed, sc.name, len(vOff), vOff[0])
-			}
-			// Both runs drained to the model's exact final state (checkFinal
-			// above), so tuned and untuned schedules are state-identical.
-			totalFed += fed
-		}
-	}
-	if totalFed == 0 {
-		t.Fatal("controller consumed no completions across the battery — the feedback plane is dead")
-	}
-}
-
 // TestScheduleFuzzModelSelfCheck pins the generator: the model must be a
 // pure function of the seed, and a prefix of the program must carry the
 // same expectations as the full program's first groups (the property the

@@ -140,14 +140,13 @@ type Session struct {
 // accepted here with the same constructors New takes; a session value
 // overrides the runtime default, anything not set is inherited (see
 // DESIGN.md for the precedence table). A session Tuning profile can pin
-// values (e.g. RenameCap: Fixed(8)) but cannot arm feedback loops — the
-// controller is per-runtime, so Auto fields are meaningful only at New.
-// Observe(nil) mutes the session's per-task events in the runtime's
-// recorder; attaching a different recorder than the runtime's panics
-// (per-session traces are carved out of the runtime's stream by session ID
-// instead — see obs.Trace.FilterSession). Structural options (Workers, Wait,
-// Seed, and the Locality, Affinity and Domains fields of a Tuning profile)
-// are ignored: the backend is already built.
+// values (e.g. RenameCap: Fixed(8)). Observe(nil) mutes the session's
+// per-task events in the runtime's recorder; attaching a different recorder
+// than the runtime's panics (per-session traces are carved out of the
+// runtime's stream by session ID instead — see obs.Trace.FilterSession).
+// Structural options (Workers, Wait, Seed, and the Locality, Affinity and
+// Domains fields of a Tuning profile) are ignored: the backend is already
+// built.
 func (rt *Runtime) NewSession(opts ...Option) *Session {
 	cfg := rt.cfg
 	// The runtime's MaxInFlight is the run-ahead window and its tenant boost
@@ -198,26 +197,10 @@ type SessionStats struct {
 	Failed    uint64 // finished with a non-nil outcome (includes skipped)
 	Skipped   uint64 // released without running
 	InFlight  int64  // submitted but not yet finished
-
-	// Labels holds the runtime's per-label execution aggregates (present
-	// only when the hosting runtime's Tuning profile armed a feedback loop).
-	// The aggregates are runtime-wide — labels are not session-scoped, so a
-	// label shared across sessions reports their combined stream.
-	Labels []LabelStats
 }
 
 // Stats returns the session's task accounting counters.
-func (s *Session) Stats() SessionStats {
-	ds := s.dom.Stats()
-	return SessionStats{
-		Submitted: ds.Submitted,
-		Finished:  ds.Finished,
-		Failed:    ds.Failed,
-		Skipped:   ds.Skipped,
-		InFlight:  ds.InFlight,
-		Labels:    labelStatsOf(s.rt.lc.ctl),
-	}
-}
+func (s *Session) Stats() SessionStats { return SessionStats(s.dom.Stats()) }
 
 // Register interns key's dependence record on the shared runtime and — for
 // request sessions — tracks the handle so Close releases its records. See

@@ -3,27 +3,22 @@ package ompss
 // Auto is the "let the runtime decide" sentinel, usable in two places:
 //
 //   - as the chunk argument of TaskLoop (rt.TaskLoop(n, ompss.Auto, ...)):
-//     the chunk size is chosen by the grain controller when one is active
-//     (WithTuning(Tuning{Grain: Auto})), or by a workers-derived heuristic
-//     otherwise. Only exactly Auto means controller-chosen; any other
+//     the chunk size is the pinned Tuning Grain, or a workers-derived
+//     heuristic otherwise. Only exactly Auto means runtime-chosen; any other
 //     non-positive chunk keeps the historical clamp-to-1 behavior.
-//   - as a Tuning profile field (Tuning{Grain: Auto, ...}): the matching
-//     feedback loop runs online (see Tuning).
+//   - as a Tuning profile field (Tuning{Grain: Auto, ...}): the knob takes
+//     its static default.
 //
 // It is an untyped constant so it converts to both int and Setting.
 const Auto = -1
 
 // Setting is one knob of a Tuning profile. The zero value means "unset —
 // inherit" (the runtime default at New, the runtime's profile at
-// NewSession), Auto hands the knob to the feedback controller, and
-// Fixed(v) pins it. For boolean knobs use On / Off (aliases of Fixed(1) /
-// Fixed(0)).
+// NewSession), Auto asks for the static default, and Fixed(v) pins it. For
+// boolean knobs use On / Off (aliases of Fixed(1) / Fixed(0)).
 type Setting int
 
 const (
-	// settingAuto is Auto converted to Setting (kept unexported: the
-	// public spelling is the untyped Auto).
-	settingAuto Setting = -1
 	// Off pins a boolean knob false (= Fixed(0)).
 	Off Setting = 1
 	// On pins a boolean knob true (= Fixed(1)).
@@ -41,9 +36,6 @@ func Fixed(v int) Setting {
 
 // isSet reports whether the knob was set at all (Auto or Fixed).
 func (s Setting) isSet() bool { return s != 0 }
-
-// isAuto reports whether the knob is controller-managed.
-func (s Setting) isAuto() bool { return s == settingAuto }
 
 // value returns the pinned value and true for a Fixed setting; (0, false)
 // for unset or Auto.
@@ -64,35 +56,25 @@ func (s Setting) boolOr(def bool) bool {
 }
 
 // Tuning is the runtime's coherent knob profile — the one surface for the
-// scheduling and renaming knobs and the feedback controller's switches.
-// Accepted uniformly at New and NewSession via
-// WithTuning; unset (zero) fields inherit — the built-in default at New,
+// scheduling and renaming knobs. Accepted uniformly at New and NewSession
+// via WithTuning; unset (zero) fields inherit — the built-in default at New,
 // the runtime's resolved profile at NewSession — exactly the session
-// precedence rules sessions already follow field by field.
-//
-// Setting any field to Auto arms the corresponding feedback loop
-// (internal/tune): the runtime then consumes its own telemetry — per-label
-// execution-time EWMAs, the steal matrix, rename-fallback counters — and
-// adapts the knob online. Auto is only meaningful at New (the controller
-// is per-runtime); a session profile can pin values but not arm loops.
+// precedence rules sessions already follow field by field. Auto in a field
+// resolves to the field's static default.
 type Tuning struct {
 	// Grain governs TaskLoop chunk sizing for chunk == Auto call sites.
-	// Auto: chunks are sized online so one chunk's body runs for about the
-	// controller's target window, from the label's measured per-iteration
-	// cost. Fixed(v): Auto call sites use chunk v. Unset: a workers-derived
-	// heuristic.
+	// Fixed(v): Auto call sites use chunk v. Unset or Auto: about four
+	// chunks per worker (n/(4·workers)).
 	Grain Setting
-	// StealBackoff governs the polling idle throttle. Auto: the spin-yield
-	// budget and sleep cap adapt to the measured steal-failure rate
-	// (native runtimes only — the simulator's idle waiting is event-driven
-	// and this knob is a documented no-op there). Fixed(v): the idle sleep
-	// cap is pinned to v microseconds. Unset: the static default throttle.
+	// StealBackoff governs the polling idle throttle (native runtimes only —
+	// the simulator's idle waiting is event-driven and this knob is a no-op
+	// there). Fixed(v): the idle sleep cap is pinned to v microseconds.
+	// Unset or Auto: the static default throttle.
 	StealBackoff Setting
 	// RenameCap bounds live renamed instances per datum: a write that
 	// would exceed the cap stalls on its WAR/WAW edges instead, keeping
 	// the memory held by in-flight copies proportional to the cap, not to
-	// the submission depth. Fixed(v): cap v. Auto: the cap widens under
-	// sustained rename fallbacks and decays back when they stop. Unset:
+	// the submission depth. Fixed(v): cap v. Unset or Auto:
 	// core.DefaultMaxVersions.
 	RenameCap Setting
 	// Renaming toggles dependence renaming (data versioning), the
@@ -155,11 +137,6 @@ func (dst *Tuning) merge(src Tuning) {
 	}
 }
 
-// anyAuto reports whether any field arms a feedback loop.
-func (t Tuning) anyAuto() bool {
-	return t.Grain.isAuto() || t.StealBackoff.isAuto() || t.RenameCap.isAuto()
-}
-
 // WithTuning applies a Tuning profile: set fields override the current
 // configuration, unset fields inherit. Valid at New and NewSession; a later
 // WithTuning overrides field by field in order.
@@ -185,13 +162,8 @@ func (c config) domainsN() int {
 // renamingOn resolves the renaming toggle (default off).
 func (c config) renamingOn() bool { return c.tun.Renaming.boolOr(false) }
 
-// renameCapN resolves the pinned version cap (0 = engine default; an Auto
-// cap also starts from the engine default and adapts from there).
+// renameCapN resolves the pinned version cap (0 = engine default).
 func (c config) renameCapN() int {
 	v, _ := c.tun.RenameCap.value()
 	return v
 }
-
-// tuningActive reports whether this configuration arms the feedback
-// controller.
-func (c config) tuningActive() bool { return c.tun.anyAuto() }

@@ -11,11 +11,11 @@ import (
 
 func TestSettingEncoding(t *testing.T) {
 	var unset Setting
-	if unset.isSet() || unset.isAuto() {
-		t.Errorf("zero Setting must be unset and not Auto")
+	if unset.isSet() {
+		t.Errorf("zero Setting must be unset")
 	}
-	if Setting(Auto) != settingAuto || !Setting(Auto).isAuto() || !Setting(Auto).isSet() {
-		t.Errorf("Auto must convert to the auto Setting")
+	if !Setting(Auto).isSet() {
+		t.Errorf("Auto must count as set")
 	}
 	if v, ok := Fixed(0).value(); !ok || v != 0 {
 		t.Errorf("Fixed(0).value() = (%d, %v), want (0, true) — distinguishable from unset", v, ok)
@@ -71,8 +71,8 @@ func TestWithTuningMergesFieldByField(t *testing.T) {
 }
 
 // TestTaskLoopAutoChunk pins the Auto sentinel's semantics on the native
-// runtime: exactly Auto engages chunk selection (heuristic without a
-// controller, controller with one); any other non-positive chunk keeps the
+// runtime: exactly Auto engages chunk selection (the workers-derived
+// heuristic, or the pinned Grain); any other non-positive chunk keeps the
 // historical clamp-to-1.
 func TestTaskLoopAutoChunk(t *testing.T) {
 	const n, workers = 256, 4
@@ -93,11 +93,11 @@ func TestTaskLoopAutoChunk(t *testing.T) {
 		return rt.Stats().Graph.Finished
 	}
 
-	// Untuned runtime, chunk=Auto: the workers-derived heuristic
-	// n/(4·workers) = 16 → 16 chunk tasks.
+	// chunk=Auto: the workers-derived heuristic n/(4·workers) = 16 → 16
+	// chunk tasks.
 	rt := New(Workers(workers))
 	if got := run(rt, Auto); got != 16 {
-		t.Errorf("untuned Auto: %d chunk tasks, want 16 (heuristic n/4w)", got)
+		t.Errorf("Auto: %d chunk tasks, want 16 (heuristic n/4w)", got)
 	}
 	rt.Shutdown()
 
@@ -105,33 +105,6 @@ func TestTaskLoopAutoChunk(t *testing.T) {
 	rt = New(Workers(workers))
 	if got := run(rt, -2); got != n {
 		t.Errorf("chunk=-2: %d tasks, want %d (clamp-to-1, Auto is exactly %d)", got, n, Auto)
-	}
-	rt.Shutdown()
-
-	// Tuned runtime: before any measurement the controller answers with the
-	// same heuristic; after the first loop its per-iteration EWMA takes
-	// over. Either way the space is covered exactly once per pass.
-	rt = New(Workers(workers), WithTuning(Tuning{Grain: Auto}))
-	prev := uint64(0)
-	for pass := 0; pass < 3; pass++ {
-		total := run(rt, Auto)
-		if total-prev < 1 {
-			t.Fatalf("pass %d spawned no chunk tasks", pass)
-		}
-		prev = total
-	}
-	ls := rt.Stats().Labels
-	found := false
-	for _, l := range ls {
-		if l.Label == "auto-loop" {
-			found = true
-			if l.Count == 0 || l.Iters != 3*n {
-				t.Errorf("label stats = %+v, want Count>0 and Iters=%d", l, 3*n)
-			}
-		}
-	}
-	if !found {
-		t.Errorf("LabelStats() lacks auto-loop: %+v", ls)
 	}
 	rt.Shutdown()
 
@@ -143,9 +116,8 @@ func TestTaskLoopAutoChunk(t *testing.T) {
 	rt.Shutdown()
 }
 
-// TestTaskLoopAutoSimDeterministic pins controller determinism under the
-// simulator: virtual-time measurements drive the grain loop, so two
-// identical runs must produce identical makespans and task counts.
+// TestTaskLoopAutoSimDeterministic pins Auto chunking under the simulator:
+// two identical runs must produce identical makespans and task counts.
 func TestTaskLoopAutoSimDeterministic(t *testing.T) {
 	mc := machine.Config{Cores: 4, Sockets: 2}
 	once := func() (time.Duration, uint64) {
@@ -167,16 +139,113 @@ func TestTaskLoopAutoSimDeterministic(t *testing.T) {
 	m1, t1 := once()
 	m2, t2 := once()
 	if m1 != m2 || t1 != t2 {
-		t.Fatalf("tuned sim runs diverged: makespan %v/%v, tasks %d/%d", m1, m2, t1, t2)
+		t.Fatalf("sim runs diverged: makespan %v/%v, tasks %d/%d", m1, m2, t1, t2)
 	}
-	if t1 <= 4 {
-		t.Fatalf("suspiciously few chunk tasks: %d", t1)
+	if t1 != 4*16 {
+		t.Fatalf("%d chunk tasks over 4 passes, want %d (16 chunks of n/4w each)", t1, 4*16)
+	}
+}
+
+// autoRun is what one run of autoProgram leaves behind.
+type autoRun struct {
+	chunks int
+	hits   [256]int32
+	cell   int64
+	graph  core.GraphStats
+}
+
+// autoProgram runs TaskLoop(256, Auto) beside a renamed datum: three
+// readers of the datum, an InOut writer that renames past them, and a
+// reader of the new version. hold runs at the start of the first four datum
+// bodies and keeps them unfinished until everything is submitted — a gate
+// the master opens natively, a millisecond of compute simulated — so every
+// rename decision and edge is wired against unfinished tasks and the graph
+// counters do not depend on timing.
+func autoProgram(rt *Runtime, hold func(*TC), release func()) autoRun {
+	var r autoRun
+	d := rt.Register(&r.cell).EnableRenaming(nil,
+		func() any { return new(int64) },
+		func(dst, src any) { *dst.(*int64) = *src.(*int64) })
+	var seen atomic.Int64
+	for i := 0; i < 3; i++ {
+		rt.Task(func(tc *TC) { hold(tc); seen.Add(*tc.Data(d).(*int64)) }, In(d))
+	}
+	rt.Task(func(tc *TC) { hold(tc); *tc.Data(d).(*int64) += 100 }, InOut(d))
+	rt.Task(func(tc *TC) { seen.Add(*tc.Data(d).(*int64)) }, In(d))
+	r.chunks = len(rt.TaskLoop(len(r.hits), Auto, func(_ *TC, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			atomic.AddInt32(&r.hits[i], 1)
+		}
+	}))
+	release()
+	rt.Taskwait()
+	r.cell += seen.Load() // the readers saw 0, 0, 0 and then 100
+	r.graph = rt.Stats().Graph
+	return r
+}
+
+// TestTuningAutoIsStaticDefault pins what Auto means in a Tuning field:
+// exactly the static default of an unset field. A TaskLoop(n, Auto) program
+// beside a renamed datum runs with WithTuning(Tuning{Grain: Auto,
+// StealBackoff: Auto, RenameCap: Auto}) and without, natively and on the
+// simulated machine at 4 cores; both must spawn chunks of n/(4·workers), end in
+// the same state with the same graph counters, and — simulated — take the
+// same virtual time in the same number of events.
+func TestTuningAutoIsStaticDefault(t *testing.T) {
+	const workers = 4
+	auto := WithTuning(Tuning{Grain: Auto, StealBackoff: Auto, RenameCap: Auto})
+	base := []Option{Workers(workers), WithTuning(Tuning{Renaming: On})}
+	check := func(leg string, r autoRun) {
+		t.Helper()
+		if r.chunks != 4*workers { // chunks of n/(4·workers) iterations
+			t.Errorf("%s: %d chunk tasks, want %d", leg, r.chunks, 4*workers)
+		}
+		for i, h := range r.hits {
+			if h != 1 {
+				t.Fatalf("%s: iteration %d executed %d times", leg, i, h)
+			}
+		}
+		if r.cell != 200 || r.graph.Renamed != 1 || r.graph.Edges != 1 || r.graph.Writebacks != 1 {
+			t.Errorf("%s: cell %d, graph %+v; want cell 200 and one rename, edge and writeback", leg, r.cell, r.graph)
+		}
+	}
+
+	native := func(opts ...Option) autoRun {
+		rt := New(append(base, opts...)...)
+		defer rt.Shutdown()
+		gate := make(chan struct{})
+		return autoProgram(rt, func(*TC) { <-gate }, func() { close(gate) })
+	}
+	unset, set := native(), native(auto)
+	check("native unset", unset)
+	check("native Auto", set)
+	if unset != set {
+		t.Errorf("native: Auto profile diverged from unset:\n unset %+v\n Auto  %+v", unset.graph, set.graph)
+	}
+
+	sim := func(opts ...Option) (autoRun, machine.Stats) {
+		var r autoRun
+		st, err := RunSim(machine.Config{Cores: workers, Sockets: 2}, func(rt *Runtime) {
+			r = autoProgram(rt, func(tc *TC) { tc.Compute(time.Millisecond) }, func() {})
+		}, append(base, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, st
+	}
+	unset, su := sim()
+	set, ss := sim(auto)
+	check("sim unset", unset)
+	check("sim Auto", set)
+	if unset != set || su.Makespan != ss.Makespan || su.Events != ss.Events {
+		t.Errorf("sim: Auto profile diverged from unset: makespan %v/%v, events %d/%d, graph %+v/%+v",
+			su.Makespan, ss.Makespan, su.Events, ss.Events, unset.graph, set.graph)
 	}
 }
 
 // TestSessionTuningPins pins session-profile precedence: a session Tuning
 // can pin renaming knobs over the runtime's profile (the PR 6 field-by-field
-// rules), and the session surface reports the runtime's label aggregates.
+// rules).
 func TestSessionTuningPins(t *testing.T) {
 	rt := New(Workers(2), WithTuning(Tuning{Grain: Auto}))
 	defer rt.Shutdown()
@@ -192,54 +261,32 @@ func TestSessionTuningPins(t *testing.T) {
 	s.Task(func(*TC) { close(done) }, Label("sess-task"))
 	s.Taskwait()
 	<-done
-	st := s.Stats()
-	if st.Finished != 1 {
+	if st := s.Stats(); st.Finished != 1 {
 		t.Fatalf("session finished = %d, want 1", st.Finished)
-	}
-	found := false
-	for _, l := range st.Labels {
-		if l.Label == "sess-task" && l.Count == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("session Stats().Labels lacks sess-task: %+v", st.Labels)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("session close: %v", err)
 	}
 }
 
-// TestStealBackoffSetpointsReachSpinner pins the Tunables plumbing: a
-// pinned StealBackoff creates the setpoint block without a controller, and
-// an Auto StealBackoff arms the controller with the static defaults seeded.
+// TestStealBackoffSetpointsReachSpinner pins the one live StealBackoff
+// path: Fixed(250) sets the Polling spinner's sleep cap to 250µs, and Auto
+// leaves it at the static default, like unset.
 func TestStealBackoffSetpointsReachSpinner(t *testing.T) {
-	rt := New(Workers(2), WithTuning(Tuning{StealBackoff: Fixed(250)}))
-	nb := rt.lc
-	if nb.tn == nil {
-		t.Fatalf("pinned StealBackoff did not create the Tunables block")
+	for _, c := range []struct {
+		s    Setting
+		want time.Duration
+	}{{Fixed(250), 250 * time.Microsecond}, {Auto, spinSleepCap}, {0, spinSleepCap}} {
+		rt := New(Workers(2), WithTuning(Tuning{StealBackoff: c.s}))
+		if got := rt.lc.clk.(*nativeClock).sleepCap; got != c.want {
+			t.Errorf("StealBackoff %d: spinner sleep cap %v, want %v", c.s, got, c.want)
+		}
+		var ran atomic.Bool
+		rt.Task(func(*TC) { ran.Store(true) })
+		rt.Taskwait()
+		if !ran.Load() {
+			t.Fatalf("StealBackoff %d: task did not run", c.s)
+		}
+		rt.Shutdown()
 	}
-	if nb.ctl != nil {
-		t.Errorf("pinned StealBackoff must not arm the controller")
-	}
-	if got := nb.tn.SleepCapNS.Load(); got != 250_000 {
-		t.Errorf("pinned sleep cap = %dns, want 250µs", got)
-	}
-	rt.Shutdown()
-
-	rt = New(Workers(2), WithTuning(Tuning{StealBackoff: Auto}))
-	nb = rt.lc
-	if nb.ctl == nil || nb.tn == nil {
-		t.Fatalf("Auto StealBackoff must arm the controller")
-	}
-	if got := nb.tn.SpinYields.Load(); got == 0 {
-		t.Errorf("controller did not seed SpinYields")
-	}
-	var ran atomic.Bool
-	rt.Task(func(*TC) { ran.Store(true) })
-	rt.Taskwait()
-	if !ran.Load() {
-		t.Fatalf("task did not run under adaptive backoff")
-	}
-	rt.Shutdown()
 }
