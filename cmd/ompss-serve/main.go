@@ -14,6 +14,10 @@
 //	    violation
 //	ompss-serve -load -target http://host:8080 ...
 //	    same, against a remote ompss-serve over real HTTP
+//	ompss-serve -load -reject -session-inflight 8 ...
+//	    load shedding: a request whose spawns admission control refused
+//	    answers 429 with Retry-After, reported as rejected — not as an
+//	    error or a violation
 //
 // Tenancy: requests carry X-Tenant: gold|silver|bronze; the server maps the
 // class onto the scheduler's priority lanes via the session's Tenant option.

@@ -65,6 +65,7 @@ type ServeReport struct {
 	Requests   int64  `json:"requests"`
 	OK2xx      int64  `json:"ok_2xx"`
 	Faults5xx  int64  `json:"faults_5xx"` // deliberate /v1/fault responses
+	Rejected   int64  `json:"rejected"`   // 429: admission control refused a spawn
 	Errors     int64  `json:"errors"`     // unexpected non-2xx / transport errors
 	Violations uint64 `json:"violations"`
 
@@ -156,6 +157,8 @@ func RunLoad(srv *Server, opts LoadOptions, workers, globalInFlight int) *ServeR
 			case smp.code == http.StatusOK:
 				rep.OK2xx++
 				perOK[smp.path]++
+			case smp.code == http.StatusTooManyRequests:
+				rep.Rejected++
 			case smp.path == "/v1/fault":
 				rep.Faults5xx++
 			default:
@@ -246,8 +249,8 @@ func (r *ServeReport) WriteJSON(w io.Writer) error {
 func (r *ServeReport) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "serve load: %d clients x %v  workers=%d session-inflight=%d global-inflight=%d\n",
 		r.Conc, time.Duration(r.DurationNS).Round(time.Millisecond), r.Workers, r.SessionInFlight, r.GlobalInFlight)
-	fmt.Fprintf(w, "  requests %d (%.0f/s)  2xx=%d fault-5xx=%d errors=%d violations=%d\n",
-		r.Requests, r.RequestsPerSec, r.OK2xx, r.Faults5xx, r.Errors, r.Violations)
+	fmt.Fprintf(w, "  requests %d (%.0f/s)  2xx=%d fault-5xx=%d rejected-429=%d errors=%d violations=%d\n",
+		r.Requests, r.RequestsPerSec, r.OK2xx, r.Faults5xx, r.Rejected, r.Errors, r.Violations)
 	fmt.Fprintf(w, "  latency p50=%v p90=%v p99=%v max=%v\n",
 		time.Duration(r.P50NS), time.Duration(r.P90NS), time.Duration(r.P99NS), time.Duration(r.MaxNS))
 	fmt.Fprintf(w, "  tasks %d (%.0f/s)\n", r.TasksFinished, r.TasksPerSec)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"net/http"
+	"time"
 
 	"ompssgo/internal/obs/metrics"
 )
@@ -10,6 +11,23 @@ import (
 // metrics plane exposes. Unknown X-Tenant headers land in "bronze", same
 // as the scheduler's priority mapping.
 var tenantNames = [3]string{"bronze", "silver", "gold"}
+
+// The phases of a kernel request, in order: input (the reference checksum
+// and the request's private instance), run (session open and the kernel,
+// admission waits included), close (Session.Close: drain and arena drop),
+// encode (the JSON response).
+const (
+	phaseInput = iota
+	phaseRun
+	phaseClose
+	phaseEncode
+	numPhases
+)
+
+var phaseNames = [numPhases]string{"input", "run", "close", "encode"}
+
+// phaseMarks holds the start of each phase and the end of the last.
+type phaseMarks [numPhases + 1]time.Time
 
 // tenantSeries holds one tenant class's live series handles. The handles
 // are registered once in initMetrics; the request path only does atomic
@@ -20,6 +38,14 @@ type tenantSeries struct {
 	rejections *metrics.Counter
 	faults     *metrics.Counter
 	latency    *metrics.Histogram
+	phases     [numPhases]*metrics.Histogram
+}
+
+// observePhases books one kernel request's phase durations.
+func (t *tenantSeries) observePhases(m *phaseMarks) {
+	for p, h := range t.phases {
+		h.Observe(m[p+1].Sub(m[p]).Nanoseconds())
+	}
 }
 
 // initMetrics builds the server's registry: per-tenant request counters and
@@ -38,11 +64,16 @@ func (s *Server) initMetrics() {
 		t.violations = reg.Counter("ompss_violations_total",
 			"Isolation violations observed (checksum mismatch or leaked skip), by tenant class.", l)
 		t.rejections = reg.Counter("ompss_rejections_total",
-			"Requests answered 503 while draining, by tenant class.", l)
+			"Requests answered 503 while draining or 429 after admission control refused a spawn, by tenant class.", l)
 		t.faults = reg.Counter("ompss_faults_total",
 			"Deliberate /v1/fault requests served, by tenant class.", l)
 		t.latency = reg.Histogram("ompss_request_seconds",
 			"Kernel request latency (session open to close).", l)
+		for p, name := range phaseNames {
+			t.phases[p] = reg.Histogram("ompss_request_phase_seconds",
+				"Kernel request time by phase: input (reference + private instance), run (session open + kernel), close (drain + arena drop), encode (JSON response).",
+				l, metrics.Label{Key: "phase", Value: name})
+		}
 	}
 
 	// The probe seam carries rename/writeback events straight into counters.

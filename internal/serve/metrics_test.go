@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"ompssgo/ompss"
 )
@@ -104,6 +105,16 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 
+	// Every admitted kernel request books each of its phases once.
+	for tenant, n := range map[string]float64{"gold": gold, "bronze": bronze, "silver": 0} {
+		for _, phase := range phaseNames {
+			series := `ompss_request_phase_seconds_count{tenant="` + tenant + `",phase="` + phase + `"}`
+			if got, ok := m[series]; !ok || got != n {
+				t.Errorf("%s = %v (present %v), want %v", series, got, ok, n)
+			}
+		}
+	}
+
 	// Latency sums are positive once requests ran.
 	if m[`ompss_request_seconds_sum{tenant="gold"}`] <= 0 {
 		t.Errorf("gold latency sum = %v, want > 0", m[`ompss_request_seconds_sum{tenant="gold"}`])
@@ -120,6 +131,19 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if m[`ompss_tasks_in_flight`] != 0 {
 		t.Errorf("tasks_in_flight = %v after drain", m[`ompss_tasks_in_flight`])
+	}
+}
+
+// TestPhaseObservationAllocs pins that booking a request's phases adds no
+// allocation to the request path.
+func TestPhaseObservationAllocs(t *testing.T) {
+	srv, _ := newTestServer(t)
+	var marks phaseMarks
+	for p := range marks {
+		marks[p] = time.Unix(0, int64(p)*1000)
+	}
+	if n := testing.AllocsPerRun(1000, func() { srv.tenants[0].observePhases(&marks) }); n != 0 {
+		t.Fatalf("observePhases allocates %v times per request", n)
 	}
 }
 

@@ -6,6 +6,7 @@ package serve
 // isolation contract), and a short in-process load-generator run.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -18,6 +19,11 @@ import (
 	"testing"
 	"time"
 
+	"ompssgo/internal/img"
+	"ompssgo/internal/media"
+	"ompssgo/internal/suite"
+	"ompssgo/internal/suite/rgbcmy"
+	"ompssgo/internal/suite/rotate"
 	"ompssgo/ompss"
 )
 
@@ -92,6 +98,105 @@ func TestRepeatedRequestsRecycle(t *testing.T) {
 			t.Fatalf("request %d: checksum %s, first request said %s", i, resp.Checksum, sum)
 		}
 	}
+}
+
+// TestRequestInputsArePrivate checks the input each request gets: rotate
+// and rgbcmy images built once per server, cloned per request. Two requests
+// must not share a Pix backing array (a Session's Close drops the records
+// of every key it registered, &Pix[0] among them), and each clone must equal
+// the image rotate.New / rgbcmy.New synthesize — the benchmark's mirror
+// parts check the server's answers against those.
+func TestRequestInputsArePrivate(t *testing.T) {
+	rs := runners()
+	rw, cw := serveRotate(), serveRGBCMY()
+	cases := []struct {
+		path string
+		want *img.RGB
+		src  func(suite.Instance) *img.RGB
+	}{
+		{"/v1/rotate", media.Image(rw.W, rw.H, rw.Seed),
+			func(in suite.Instance) *img.RGB { return in.(*rotate.Instance).Source() }},
+		{"/v1/rgbcmy", media.Image(cw.W, cw.H, cw.Seed),
+			func(in suite.Instance) *img.RGB { return in.(*rgbcmy.Instance).Source() }},
+	}
+	for _, c := range cases {
+		a, b := c.src(rs[c.path].New()), c.src(rs[c.path].New())
+		if &a.Pix[0] == &b.Pix[0] {
+			t.Errorf("%s: two requests share one Pix backing array", c.path)
+		}
+		for i, im := range []*img.RGB{a, b} {
+			if im.W != c.want.W || im.H != c.want.H || !bytes.Equal(im.Pix, c.want.Pix) {
+				t.Errorf("%s: request %d's image differs from media.Image of the workload", c.path, i)
+			}
+		}
+	}
+}
+
+// TestAdmissionRefusalsAnswer429 runs every kernel endpoint under
+// RejectOnFull with a two-task session budget. A request whose spawns were
+// refused has an incomplete answer by construction: it must be answered
+// 429 with a Retry-After and counted as a rejection, never as an isolation
+// violation, and a kernel body that panics on its short pipeline (h264dec)
+// must not take the handler down. The first leg makes every request refuse:
+// the runtime's one background worker is held by a gated task, so a
+// request's third spawn finds its first two unfinished. The second leg runs
+// the endpoints concurrently with the worker free, where either answer is
+// legitimate.
+func TestAdmissionRefusalsAnswer429(t *testing.T) {
+	paths := []string{"/v1/rotate", "/v1/rgbcmy", "/v1/h264dec"}
+	newServer := func() *Server {
+		rt := ompss.New(ompss.Workers(2))
+		t.Cleanup(rt.Shutdown)
+		return New(rt, Config{SessionInFlight: 2, Admission: ompss.RejectOnFull})
+	}
+
+	t.Run("worker-held", func(t *testing.T) {
+		srv := newServer()
+		started, release := make(chan struct{}), make(chan struct{})
+		srv.rt.Task(func(*ompss.TC) { close(started); <-release })
+		t.Cleanup(func() { close(release) }) // before the runtime's Shutdown
+		<-started
+		for _, path := range paths {
+			rec, resp := do(t, srv, path, "gold")
+			if rec.Code != http.StatusTooManyRequests {
+				t.Fatalf("%s: status %d (%s), want 429", path, rec.Code, resp.Error)
+			}
+			if rec.Header().Get("Retry-After") == "" {
+				t.Errorf("%s: 429 without Retry-After", path)
+			}
+			if !strings.Contains(resp.Error, ompss.ErrAdmission.Error()) {
+				t.Errorf("%s: 429 error %q does not name the admission refusal", path, resp.Error)
+			}
+		}
+		m := scrape(t, srv)
+		if got := m[`ompss_rejections_total{tenant="gold"}`]; got != float64(len(paths)) {
+			t.Errorf(`rejections_total{tenant="gold"} = %v, want %d`, got, len(paths))
+		}
+		if v := srv.Violations(); v != 0 || m[`ompss_violations_total{tenant="gold"}`] != 0 {
+			t.Errorf("refusals counted as %d isolation violations", v)
+		}
+	})
+
+	t.Run("concurrent", func(t *testing.T) {
+		srv := newServer()
+		var wg sync.WaitGroup
+		for c := 0; c < 6; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 3; i++ {
+					path := paths[(c+i)%len(paths)]
+					if rec, resp := do(t, srv, path, ""); rec.Code != http.StatusOK && rec.Code != http.StatusTooManyRequests {
+						t.Errorf("%s: status %d (%s), want 200 or 429", path, rec.Code, resp.Error)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if v := srv.Violations(); v != 0 {
+			t.Fatalf("%d isolation violations under RejectOnFull", v)
+		}
+	})
 }
 
 // TestFaultEndpoint checks the deliberate-failure endpoint: 500, the

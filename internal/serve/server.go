@@ -6,7 +6,9 @@
 // sequential reference, and closes the session. The checksum check doubles
 // as the isolation oracle: a foreign failure cascade, a leaked cancellation,
 // or a dependence-record mixup shows up as a wrong answer or a nonzero skip
-// count in an innocent request, which the server counts as a violation.
+// count in an innocent request, which the server counts as a violation. A
+// request whose spawns admission control refused (RejectOnFull) has an
+// incomplete answer by construction; it is answered 429, not checked.
 package serve
 
 import (
@@ -18,6 +20,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ompssgo/internal/img"
+	"ompssgo/internal/media"
 	"ompssgo/internal/obs"
 	"ompssgo/internal/obs/metrics"
 	"ompssgo/internal/suite"
@@ -41,9 +45,13 @@ type Config struct {
 	Recorder *obs.Recorder
 }
 
-// Runner produces a fresh benchmark instance per request (request-private
-// data: sessions drop their dependence records at Close, so instances are
-// never shared across sessions) plus the workload's sequential reference.
+// Runner is one kernel endpoint. Its input — the seeded source image of
+// rotate and rgbcmy, the encoded h264 bitstream — is fixed per server and
+// built once; New hands every request a private instance over it: a clone of
+// the image, a fresh parse of the read-only bitstream. The clone is what
+// keeps request data request-private: a Session drops the records of every
+// key it registered at Close, so concurrent sessions must never register
+// the same &Pix[0].
 type Runner struct {
 	Name string
 	New  func() suite.Instance
@@ -63,10 +71,6 @@ type Server struct {
 	// the per-tenant-class series the request path increments.
 	reg     *metrics.Registry
 	tenants [3]tenantSeries
-
-	mu      sync.Mutex
-	refs    map[string]uint64 // endpoint -> cached RunSeq checksum
-	runners map[string]Runner
 
 	// Drain state: liveMu guards these fields so admission and Drain agree
 	// on the draining flag and the live-session count atomically.
@@ -93,26 +97,10 @@ func serveH264() h264dec.Workload { return h264dec.Small() }
 // New builds a Server over rt. The runtime is shared and long-lived; the
 // caller owns its lifecycle (Shutdown after the listener stops).
 func New(rt *ompss.Runtime, cfg Config) *Server {
-	s := &Server{
-		rt:      rt,
-		cfg:     cfg,
-		mux:     http.NewServeMux(),
-		refs:    make(map[string]uint64),
-		runners: make(map[string]Runner),
+	s := &Server{rt: rt, cfg: cfg, mux: http.NewServeMux()}
+	for path, r := range runners() {
+		s.register(path, r)
 	}
-	// The h264 bitstream is encoded once (expensive) and re-parsed per
-	// request (cheap): the per-request instance owns only decode state.
-	h264w := serveH264()
-	h264bs := h264Stream(h264w)
-	s.register("/v1/rotate", Runner{Name: "rotate", New: func() suite.Instance {
-		return rotate.New(serveRotate())
-	}})
-	s.register("/v1/rgbcmy", Runner{Name: "rgbcmy", New: func() suite.Instance {
-		return rgbcmy.New(serveRGBCMY())
-	}})
-	s.register("/v1/h264dec", Runner{Name: "h264dec", New: func() suite.Instance {
-		return h264dec.NewFromStream(h264w, h264bs)
-	}})
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	s.mux.HandleFunc("/v1/fault", s.handleFault)
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
@@ -122,15 +110,39 @@ func New(rt *ompss.Runtime, cfg Config) *Server {
 	return s
 }
 
-// h264Stream encodes the serving sequence once.
-func h264Stream(w h264dec.Workload) []byte {
-	return h264dec.New(w).Stream()
+// runners builds the kernel endpoints by path, each over its own input. The
+// h264 bitstream is encoded here (expensive) and re-parsed per request
+// (cheap). The two source images are built on their endpoint's first
+// request, so a server starts no slower for them.
+func runners() map[string]Runner {
+	rw, cw, hw := serveRotate(), serveRGBCMY(), serveH264()
+	rotSrc, cmySrc := lazyImage(rw.W, rw.H, rw.Seed), lazyImage(cw.W, cw.H, cw.Seed)
+	bs := h264dec.New(hw).Stream()
+	return map[string]Runner{
+		"/v1/rotate": {Name: "rotate", New: func() suite.Instance {
+			return rotate.NewFromImage(rw, rotSrc().Clone())
+		}},
+		"/v1/rgbcmy": {Name: "rgbcmy", New: func() suite.Instance {
+			return rgbcmy.NewFromImage(cw, cmySrc().Clone())
+		}},
+		"/v1/h264dec": {Name: "h264dec", New: func() suite.Instance {
+			return h264dec.NewFromStream(hw, bs)
+		}},
+	}
 }
 
+// lazyImage returns the seeded source image, built on the first call.
+func lazyImage(w, h int, seed int64) func() *img.RGB {
+	return sync.OnceValue(func() *img.RGB { return media.Image(w, h, seed) })
+}
+
+// register mounts r at path. The endpoint's sequential reference is
+// computed once, on its first request, from the same cached input; the
+// endpoints wait on no lock of each other's.
 func (s *Server) register(path string, r Runner) {
-	s.runners[path] = r
+	ref := sync.OnceValue(func() uint64 { return r.New().RunSeq() })
 	s.mux.HandleFunc(path, func(w http.ResponseWriter, req *http.Request) {
-		s.handleKernel(w, req, path)
+		s.handleKernel(w, req, r, ref)
 	})
 }
 
@@ -243,20 +255,6 @@ func tenantClass(h string) int {
 	}
 }
 
-// reference returns the endpoint's sequential-reference checksum, computed
-// once (the workloads are deterministic, so every request instance must
-// reproduce it).
-func (s *Server) reference(path string) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if want, ok := s.refs[path]; ok {
-		return want
-	}
-	want := s.runners[path].New().RunSeq()
-	s.refs[path] = want
-	return want
-}
-
 func (s *Server) sessionOpts(tenant int) []ompss.Option {
 	opts := []ompss.Option{ompss.Tenant(tenant), ompss.Admission(s.cfg.Admission)}
 	if s.cfg.SessionInFlight > 0 {
@@ -265,7 +263,7 @@ func (s *Server) sessionOpts(tenant int) []ompss.Option {
 	return opts
 }
 
-func (s *Server) handleKernel(w http.ResponseWriter, req *http.Request, path string) {
+func (s *Server) handleKernel(w http.ResponseWriter, req *http.Request, r Runner, ref func() uint64) {
 	tenant := tenantClass(req.Header.Get("X-Tenant"))
 	if !s.beginRequest() {
 		s.tenants[tenant].rejections.Inc()
@@ -273,18 +271,23 @@ func (s *Server) handleKernel(w http.ResponseWriter, req *http.Request, path str
 		return
 	}
 	defer s.endRequest()
-	s.tenants[tenant].requests.Inc()
-	r := s.runners[path]
-	want := s.reference(path)
+	ts := &s.tenants[tenant]
+	ts.requests.Inc()
+	var marks phaseMarks
+	marks[phaseInput] = time.Now()
+	want := ref()
 	in := r.New()
 
+	marks[phaseRun] = time.Now()
 	sess := s.rt.NewSession(s.sessionOpts(tenant)...)
 	start := time.Now()
-	got := in.RunOmpSs(sess)
+	got := runOmpSs(in, sess)
+	marks[phaseClose] = time.Now()
 	err := sess.Close()
-	elapsed := time.Since(start)
+	marks[phaseEncode] = time.Now()
+	elapsed := marks[phaseEncode].Sub(start)
 	st := sess.Stats()
-	s.tenants[tenant].latency.Observe(elapsed.Nanoseconds())
+	ts.latency.Observe(elapsed.Nanoseconds())
 
 	resp := Response{
 		Bench:     r.Name,
@@ -296,20 +299,42 @@ func (s *Server) handleKernel(w http.ResponseWriter, req *http.Request, path str
 		ElapsedNS: elapsed.Nanoseconds(),
 	}
 	switch {
+	case st.Refused > 0:
+		// Refused spawns leave the kernel's output incomplete: load
+		// shedding, answered like a full queue, not checked.
+		ts.rejections.Inc()
+		resp.Error = fmt.Sprintf("%v: %d spawns refused", ompss.ErrAdmission, st.Refused)
+		w.Header().Set("Retry-After", "1")
+		writeJSON(w, http.StatusTooManyRequests, resp)
 	case got != want:
 		s.violations.Add(1)
-		s.tenants[tenant].violations.Inc()
+		ts.violations.Inc()
 		resp.Error = fmt.Sprintf("isolation violation: checksum %#x, reference %#x", got, want)
 		writeJSON(w, http.StatusInternalServerError, resp)
 	case err != nil || st.Skipped > 0:
 		s.violations.Add(1)
-		s.tenants[tenant].violations.Inc()
+		ts.violations.Inc()
 		resp.Error = fmt.Sprintf("isolation violation: healthy session closed with err=%v skipped=%d", err, st.Skipped)
 		writeJSON(w, http.StatusInternalServerError, resp)
 	default:
 		s.served.Add(1)
 		writeJSON(w, http.StatusOK, resp)
 	}
+	marks[numPhases] = time.Now()
+	ts.observePhases(&marks)
+}
+
+// runOmpSs runs in's OmpSs body in sess. A body whose spawns admission
+// control refused may panic on its incomplete pipeline (h264dec does, at
+// its final barrier): that is load shedding, which the caller answers 429
+// from the refusal count. Any other panic is a bug and propagates.
+func runOmpSs(in suite.Instance, sess *ompss.Session) (sum uint64) {
+	defer func() {
+		if p := recover(); p != nil && sess.Stats().Refused == 0 {
+			panic(p)
+		}
+	}()
+	return in.RunOmpSs(sess)
 }
 
 // handleFault is the deliberate-failure endpoint: a small dependence chain

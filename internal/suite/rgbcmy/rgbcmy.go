@@ -41,6 +41,15 @@ type Instance struct {
 // New generates the source image.
 func New(w Workload) *Instance { return &Instance{W: w, src: media.Image(w.W, w.H, w.Seed)} }
 
+// NewFromImage builds an instance around an existing w.W×w.H source image.
+// The instance reads src and registers &src.Pix[0] as a dependence key, so
+// concurrent sessions need images of their own (the serving path builds
+// the image once and hands each request a clone).
+func NewFromImage(w Workload, src *img.RGB) *Instance { return &Instance{W: w, src: src} }
+
+// Source returns the instance's source image.
+func (in *Instance) Source() *img.RGB { return in.src }
+
 // Name returns the Table 1 row name.
 func (in *Instance) Name() string { return "rgbcmy" }
 

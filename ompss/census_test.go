@@ -31,13 +31,12 @@ var censusAllow = map[string]string{
 	"Session.Cancel":   "failure-confinement contract: cancels one session and no other (TestSessionCancelIsolation)",
 	"Runtime.Err":      "first runtime-level failure, and what disarms the Shutdown panic valve (TestUnobservedPanicResurfacesAtShutdown, TestRunThroughPolicy)",
 	"Handle.Done":      "the future's completion channel: per-task select/timeout (TestHandleDoneRace, TestHandleOutlivesSession)",
-	"ErrAdmission":     "errors.Is target of a RejectOnFull refusal, which cmd/ompss-serve can configure (TestSessionAdmissionReject)",
 	"ErrSessionClosed": "errors.Is target of spawns refused or skipped by Session.Close (TestSessionCloseSkipsPending)",
 	"SkipError":        "errors.As target carrying the label and cause of a skipped task; ErrSkipped, which has callers, only matches it",
 	"TaskPanic":        "errors.As target a panicking body is wrapped into (TestTaskPanicBecomesHandleError, TestCommutativePanicReleasesLocks)",
 }
 
-const censusAllowMax = 12
+const censusAllowMax = 11
 
 // censusScopes are the three receivers of the spawning surface: the master
 // thread of a runtime, of a session, and the inside of a task body. Runtime

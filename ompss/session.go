@@ -133,6 +133,8 @@ type Session struct {
 	trmu sync.Mutex
 	keys map[any]struct{}
 	regs []*core.Datum
+
+	refused atomic.Uint64 // spawns admission control refused (ErrAdmission)
 }
 
 // NewSession opens a request-scoped session. Session-relevant options —
@@ -197,10 +199,21 @@ type SessionStats struct {
 	Failed    uint64 // finished with a non-nil outcome (includes skipped)
 	Skipped   uint64 // released without running
 	InFlight  int64  // submitted but not yet finished
+	Refused   uint64 // spawns refused by admission control, never submitted
 }
 
 // Stats returns the session's task accounting counters.
-func (s *Session) Stats() SessionStats { return SessionStats(s.dom.Stats()) }
+func (s *Session) Stats() SessionStats {
+	d := s.dom.Stats()
+	return SessionStats{
+		Submitted: d.Submitted,
+		Finished:  d.Finished,
+		Failed:    d.Failed,
+		Skipped:   d.Skipped,
+		InFlight:  d.InFlight,
+		Refused:   s.refused.Load(),
+	}
+}
 
 // Register interns key's dependence record on the shared runtime and — for
 // request sessions — tracks the handle so Close releases its records. See
@@ -381,6 +394,9 @@ func (s *Session) admit(tc *TC) (ok bool, cause error) {
 // managed sessions (TC.spawn routes here).
 func (s *Session) spawnManaged(tc *TC, r *taskRec) *Handle {
 	if ok, cause := s.admit(tc); !ok {
+		if cause == ErrAdmission {
+			s.refused.Add(1)
+		}
 		return r.refuse(cause)
 	}
 	s.gate.RLock()

@@ -192,6 +192,9 @@ func TestSessionAdmissionReject(t *testing.T) {
 	if err := ok.Err(); err != nil {
 		t.Fatalf("post-drain spawn err = %v, want nil", err)
 	}
+	if st := s.Stats(); st.Refused != 1 || st.Submitted != 2 {
+		t.Fatalf("stats %+v, want 1 refused beside 2 submitted", st)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -213,6 +216,9 @@ func TestGlobalAdmission(t *testing.T) {
 	h := b.Task(func(*ompss.TC) {})
 	if err := h.Err(); !errors.Is(err, ompss.ErrAdmission) {
 		t.Fatalf("cross-session over-budget spawn err = %v, want ErrAdmission", err)
+	}
+	if ra, rb := a.Stats().Refused, b.Stats().Refused; ra != 0 || rb != 1 {
+		t.Fatalf("refused a=%d b=%d, want 0 1: the refusal is the spawning session's", ra, rb)
 	}
 	close(release)
 	a.Taskwait()
