@@ -1,18 +1,21 @@
-// Vectorops: array-section dependences and taskloop — the OmpSs features
-// beyond the paper's Listing 1, shown on a blocked vector pipeline.
+// Vectorops: per-block data handles, taskloop and a commutative reduction —
+// the OmpSs features beyond the paper's Listing 1, shown on a blocked
+// vector pipeline.
 //
 // Run with: go run ./examples/vectorops
 //
 // A three-stage computation over one array (fill → scale blocks → prefix
-// combine) annotated purely with array sections (RegisterRegion handles):
-// the runtime discovers that disjoint blocks parallelize and overlapping
-// stages chain, with no manual per-block keys. A commutative histogram
-// accumulation runs on the side: order-free, mutually exclusive, still
-// ordered against the final reader.
+// combine) annotated with one registered handle per block: disjoint blocks
+// parallelize, and stage 3's read of the left neighbour's last element is an
+// In on that neighbour's block, which chains the blocks left to right. A
+// commutative histogram accumulation runs on the side: order-free, mutually
+// exclusive, still ordered against the final reader. The program checks its
+// result against a sequential recomputation and exits non-zero on mismatch.
 package main
 
 import (
 	"fmt"
+	"os"
 	"time"
 
 	"ompssgo/machine"
@@ -28,19 +31,16 @@ func main() {
 	rt := ompss.New(ompss.Workers(4))
 	data := make([]float64, n)
 	hist := make([]int, 8)
-	base := &data[0]
 
-	// Each block section is touched by three stages: register one region
-	// handle per block (plus the histogram key) and submit through them.
-	// Handles with other spans over the same base interoperate — stage 3's
-	// overlap reads below register their own one-element sections.
+	// Each block is touched by three stages: register one handle per block
+	// (plus the histogram key) and submit through them.
 	blockD := make([]*ompss.Datum, n/bs)
 	for b := range blockD {
-		blockD[b] = rt.RegisterRegion(base, int64(b*bs), int64((b+1)*bs))
+		blockD[b] = rt.Register(&data[b*bs])
 	}
 	histD := rt.Register(&hist[0])
 
-	// Stage 1: taskloop fill, one section write per chunk.
+	// Stage 1: taskloop fill, one block per chunk.
 	rt.TaskLoop(n, bs, func(_ *ompss.TC, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			data[i] = float64(i % 97)
@@ -50,9 +50,9 @@ func main() {
 	// stage 2 must wait for them, so use an explicit barrier here.
 	rt.Taskwait()
 
-	// Stage 2: per-block scale, declared through the region handles.
+	// Stage 2: per-block scale.
 	for b := 0; b < n/bs; b++ {
-		lo, hi := int64(b*bs), int64((b+1)*bs)
+		lo, hi := b*bs, (b+1)*bs
 		rt.Task(func(*ompss.TC) {
 			for i := lo; i < hi; i++ {
 				data[i] *= 1.5
@@ -60,14 +60,14 @@ func main() {
 		}, ompss.InOut(blockD[b]))
 	}
 
-	// Stage 3: each block adds its left neighbour's last element — the
-	// one-element overlap chains blocks left to right while stage 2 of
-	// later blocks still overlaps stage 3 of earlier ones.
+	// Stage 3: each block adds its left neighbour's last element — the halo
+	// read chains blocks left to right while stage 2 of later blocks still
+	// overlaps stage 3 of earlier ones.
 	for b := 0; b < n/bs; b++ {
-		lo, hi := int64(b*bs), int64((b+1)*bs)
-		rlo := lo - 1
-		if rlo < 0 {
-			rlo = 0
+		lo, hi := b*bs, (b+1)*bs
+		clauses := []ompss.Clause{ompss.InOut(blockD[b])}
+		if b > 0 {
+			clauses = append(clauses, ompss.In(blockD[b-1]))
 		}
 		rt.Task(func(*ompss.TC) {
 			var left float64
@@ -77,13 +77,13 @@ func main() {
 			for i := lo; i < hi; i++ {
 				data[i] += left
 			}
-		}, ompss.In(rt.RegisterRegion(base, rlo, lo+1)), ompss.InOut(blockD[b]))
+		}, clauses...)
 	}
 
 	// Side channel: commutative histogram updates (order-free, mutually
 	// exclusive) over the final blocks.
 	for b := 0; b < n/bs; b++ {
-		lo, hi := int64(b*bs), int64((b+1)*bs)
+		lo, hi := b*bs, (b+1)*bs
 		rt.Task(func(*ompss.TC) {
 			for i := lo; i < hi; i++ {
 				hist[int(data[i])%len(hist)]++
@@ -101,21 +101,26 @@ func main() {
 	st := rt.Stats()
 	rt.Shutdown()
 
+	want := sequential()
 	fmt.Printf("pipeline over %d elements: %d tasks, %d dependence edges\n",
 		n, st.Graph.Finished, st.Graph.Edges)
-	fmt.Printf("histogram total = %d (want %d), data[last] = %.1f\n", *total, n, data[n-1])
+	fmt.Printf("histogram total = %d (want %d), data[last] = %.1f (want %.1f)\n",
+		*total, n, data[n-1], want)
+	if *total != n || data[n-1] != want {
+		fmt.Fprintln(os.Stderr, "vectorops: result differs from the sequential recomputation")
+		os.Exit(1)
+	}
 
 	// The same dataflow on the simulated 16-core machine.
 	stats, err := ompss.RunSim(machine.Paper(16), func(rt *ompss.Runtime) {
 		d2 := make([]float64, n)
-		b2 := &d2[0]
 		for b := 0; b < n/bs; b++ {
-			lo, hi := int64(b*bs), int64((b+1)*bs)
+			lo, hi := b*bs, (b+1)*bs
 			rt.Task(func(*ompss.TC) {
 				for i := lo; i < hi; i++ {
 					d2[i] = float64(i) * 1.5
 				}
-			}, ompss.Out(rt.RegisterRegion(b2, lo, hi)), ompss.Cost(200*time.Microsecond))
+			}, ompss.Out(rt.Register(&d2[lo])), ompss.Cost(200*time.Microsecond))
 		}
 		rt.Taskwait()
 	})
@@ -124,4 +129,19 @@ func main() {
 	}
 	fmt.Printf("sim 16 cores: %v makespan, %.0f%% utilization\n",
 		stats.Makespan, stats.Utilization*100)
+}
+
+// sequential recomputes the pipeline's last element in program order.
+func sequential() float64 {
+	d := make([]float64, n)
+	for i := range d {
+		d[i] = float64(i%97) * 1.5
+	}
+	for lo := bs; lo < n; lo += bs {
+		left := d[lo-1]
+		for i := lo; i < lo+bs; i++ {
+			d[i] += left
+		}
+	}
+	return d[n-1]
 }

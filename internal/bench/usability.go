@@ -39,7 +39,7 @@ var ompssConstructs = map[string]bool{
 	"InSized": true, "OutSized": true,
 	"Taskwait": true, "TaskwaitOn": true, "TaskwaitCtx": true, "Critical": true,
 	"Task": true, "TaskLoop": true, "Go": true,
-	"Register": true, "RegisterRegion": true,
+	"Register": true,
 }
 
 // pthreadConstructs are the manual-threading constructs counted for

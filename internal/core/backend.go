@@ -55,18 +55,17 @@ func (g *Graph) SoleDependents(t *Task) []*Task {
 	return out
 }
 
-// ShardEntries reports the live dependence records across all shards —
-// exact-key datums and array-region bases. Session arenas release their
-// records at Close, so a steady-state server's counts return to the
-// pre-churn baseline; the session-churn soak watches exactly this pair for
-// arena leaks.
-func (g *Graph) ShardEntries() (datums, regions int) {
+// ShardEntries reports the live dependence records across all shards.
+// Session arenas release their records at Close, so a steady-state server's
+// count returns to the pre-churn baseline; the session-churn soak watches
+// exactly this number for arena leaks.
+func (g *Graph) ShardEntries() int {
+	n := 0
 	for i := range g.shards {
 		sh := &g.shards[i]
 		sh.mu.Lock()
-		datums += len(sh.datums)
-		regions += len(sh.regions)
+		n += len(sh.datums)
 		sh.mu.Unlock()
 	}
-	return datums, regions
+	return n
 }

@@ -252,25 +252,27 @@ func TestPipelineCircularBuffer(t *testing.T) {
 	}
 }
 
-func TestLastWriter(t *testing.T) {
+// TestWritersExactKeyCompat pins the `taskwait on` lookup of a plain
+// (non-renameable) datum: exactly its unfinished program-order last writer.
+func TestWritersExactKeyCompat(t *testing.T) {
 	m := newMiniExec(1, true, 9)
 	x := new(int)
-	if m.g.LastWriter(x) != nil {
-		t.Fatal("untracked datum should have no last writer")
+	if ws := m.g.Writers(x); len(ws) != 0 {
+		t.Fatalf("untracked datum should have no writers, got %v", ws)
 	}
 	a := &Task{Accesses: []Access{{Key: x, Mode: Out}}}
 	m.submit(a)
-	if m.g.LastWriter(x) != a {
-		t.Fatal("last writer should be the pending writer")
+	if ws := m.g.Writers(x); len(ws) != 1 || ws[0] != a {
+		t.Fatalf("writers = %v, want the pending writer", ws)
 	}
 	r := &Task{Accesses: []Access{{Key: x, Mode: In}}}
 	m.submit(r)
-	if m.g.LastWriter(x) != a {
-		t.Fatal("a reader must not become last writer")
+	if ws := m.g.Writers(x); len(ws) != 1 || ws[0] != a {
+		t.Fatalf("writers = %v: a reader must not become a writer", ws)
 	}
 	m.runAll()
-	if m.g.LastWriter(x) != nil {
-		t.Fatal("finished writer should not be reported")
+	if ws := m.g.Writers(x); len(ws) != 0 {
+		t.Fatalf("finished writer should not be reported, got %v", ws)
 	}
 }
 

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // drec is the dependence record of one tracked object: the task that last
@@ -19,11 +21,8 @@ type drec struct {
 	pinned bool
 	// chain, when non-nil, makes the record renameable (see rename.go): the
 	// accessor lists above are then unused — the chain's current version
-	// carries them — and every access routes through wireChained. noRename
-	// records an opt-out issued before any chain existed, so it survives
-	// regardless of which handle later enables renaming.
-	chain    *verChain
-	noRename bool
+	// carries them — and every access routes through wireChained.
+	chain *verChain
 }
 
 // GraphStats counts dependence activity, for tests, tracing, and the
@@ -32,7 +31,6 @@ type GraphStats struct {
 	Submitted uint64
 	Finished  uint64
 	Edges     uint64 // dependence edges that actually delayed a task
-	Inlined   uint64 // tasks executed inline (If(false) clause)
 	Failed    uint64 // tasks finished with a non-nil error (incl. skipped)
 	Skipped   uint64 // tasks released without running (failure policy / cancel)
 	// Renaming activity (see rename.go): writes that got a fresh instance
@@ -44,35 +42,30 @@ type GraphStats struct {
 	Writebacks      uint64
 }
 
-// gshard is one shard of the dependence tracker: the datum and array-region
-// records of every key hashing here, guarded by the shard mutex.
+// gshard is one shard of the dependence tracker: the datum records of every
+// key hashing here, guarded by the shard mutex.
 type gshard struct {
-	mu      sync.Mutex
-	datums  map[any]*drec
-	regions map[any]*regionDatum // array-section dependences, by base
-	_       [40]byte             // keep shard locks off each other's cache lines
+	mu     sync.Mutex
+	datums map[any]*drec
+	_      [48]byte // keep shard locks off each other's cache lines
 }
 
 // Datum is a pre-registered dependence key: the shard index and dependence
 // record are resolved once at registration, so submissions using the handle
 // skip the per-access interface hash and shard map lookup entirely. Obtain
-// one with Graph.Register (exact keys) or Graph.RegisterRegion (array
-// sections); handles are valid for the lifetime of the graph and safe for
-// concurrent use. Mixing handle-based and raw-key accesses to the same key
-// is safe — both resolve to the same record.
+// one with Graph.Register; handles are valid for the lifetime of the graph
+// and safe for concurrent use. Mixing handle-based and raw-key accesses to
+// the same key is safe — both resolve to the same record.
 type Datum struct {
-	// Key is the dependence key the handle stands for (a Region for
-	// region handles); it is what traces, TaskwaitOn, and the simulated
-	// memory model see.
-	Key    any
-	owner  *Graph // the graph whose records this handle caches
-	shard  uint32
-	rec    *drec        // exact-key record (nil for region handles)
-	rd     *regionDatum // region record (nil for exact-key handles)
-	region Region
+	// Key is the dependence key the handle stands for; it is what traces,
+	// TaskwaitOn, and the simulated memory model see.
+	Key   any
+	owner *Graph // the graph whose records this handle caches
+	shard uint32
+	rec   *drec
 	// chain is the handle's version chain once EnableRenaming ran (set
-	// under the shard lock; also reachable through rec.chain / the region
-	// record's span-chain table, which is what the submit path consults).
+	// under the shard lock; also reachable through rec.chain, which is what
+	// the submit path consults).
 	chain *verChain
 }
 
@@ -82,13 +75,6 @@ func (d *Datum) Owner() *Graph { return d.owner }
 // Shard returns the dependence shard the handle's key hashes to (its
 // affinity home, see Policy.HomeLane).
 func (d *Datum) Shard() uint32 { return d.shard }
-
-// IsRegion reports whether the handle names an array section.
-func (d *Datum) IsRegion() bool { return d.rd != nil }
-
-// Region returns the array section a region handle stands for (zero Region
-// for exact-key handles).
-func (d *Datum) Region() Region { return d.region }
 
 // Graph tracks dataflow dependences between tasks. It is safe for
 // concurrent use: per-datum records live in key-hashed shards with
@@ -116,7 +102,6 @@ type Graph struct {
 	_                 [64]byte
 	nextID            atomic.Uint64 // also the submitted count: every ID is one Submit
 	stEdges           atomic.Uint64
-	stInlined         atomic.Uint64
 	stRenamed         atomic.Uint64
 	stRenameFallbacks atomic.Uint64
 	_                 [64]byte
@@ -141,7 +126,6 @@ func (g *Graph) Stats() GraphStats {
 		Submitted:       g.nextID.Load(),
 		Finished:        g.stFinished.Load(),
 		Edges:           g.stEdges.Load(),
-		Inlined:         g.stInlined.Load(),
 		Failed:          g.stFailed.Load(),
 		Skipped:         g.stSkipped.Load(),
 		Renamed:         g.stRenamed.Load(),
@@ -165,21 +149,6 @@ func (g *Graph) Register(key any) *Datum {
 	d.pinned = true
 	sh.mu.Unlock()
 	return &Datum{Key: key, owner: g, shard: si, rec: d}
-}
-
-// RegisterRegion interns the array-section record of base and returns a
-// handle for the section [lo, hi). All sections of one base share a record;
-// distinct handles over the same base still conflict only where their spans
-// overlap.
-func (g *Graph) RegisterRegion(base any, lo, hi int64) *Datum {
-	r := Region{Base: base, Lo: lo, Hi: hi}
-	si := shardIndex(base)
-	sh := &g.shards[si]
-	sh.mu.Lock()
-	rd := sh.regionRec(base)
-	rd.pinned = true
-	sh.mu.Unlock()
-	return &Datum{Key: r, owner: g, shard: si, rd: rd, region: r}
 }
 
 // Unfinished returns the number of in-flight tasks across all contexts.
@@ -274,6 +243,10 @@ func dedupeShards(shards []uint32) []uint32 {
 // The bitmap in dedupeShards requires numShards <= 64.
 var _ [64 - numShards]struct{}
 
+// Each shard fills exactly one 64-byte cache line, so no two shard mutexes
+// share one.
+var _ [0]struct{} = [unsafe.Sizeof(gshard{}) - 64]struct{}{}
+
 // wireTask wires t's dependence edges from unfinished predecessors. Called
 // with every shard t's accesses hash to already locked.
 //
@@ -322,20 +295,9 @@ func (g *Graph) wireTask(t *Task) {
 		// Handle-backed accesses resolve to their pre-interned record with
 		// no interface hash or map lookup — this is the Datum fast path.
 		// A handle registered on a different graph (a cross-runtime mix-up)
-		// must not inject that graph's records here: its cached shard index
-		// and span are still valid (shardIndex is a pure function of the
-		// key), but the record pointers are not, so it resolves against
-		// this graph's maps like a raw key.
-		h := a.Datum
-		if h != nil && h.rd != nil {
-			rd := h.rd
-			if h.owner != g {
-				rd = g.shards[h.shard].regionRec(h.region.Base)
-			}
-			rd.submit(g, t, a, h.region, addPred)
-			continue
-		}
-		if h != nil && h.owner == g {
+		// must not inject that graph's record here: it resolves against this
+		// graph's map like a raw key.
+		if h := a.Datum; h != nil && h.owner == g {
 			g.wireRecord(h.rec, t, a.Mode, addPred)
 			continue
 		}
@@ -462,18 +424,15 @@ func (g *Graph) Finish(t *Task, err error) (newlyReady []*Task) {
 	return newlyReady
 }
 
-// CountInlined records a task executed inline (If(false)); it never enters
-// the graph.
-func (g *Graph) CountInlined() { g.stInlined.Add(1) }
-
 // CountSkipped records a task the executor released without running its
 // body (failure policy or cancellation).
 func (g *Graph) CountSkipped() { g.stSkipped.Add(1) }
 
-// LastWriter returns the unfinished task that is the current program-order
-// last writer of key, or nil when the datum is untracked or its writer
-// already finished. This is the `taskwait on` lookup.
-func (g *Graph) LastWriter(key any) *Task {
+// Writers returns the unfinished tasks a `taskwait on(key)` must wait for:
+// the datum's program-order last writer, or — for a renameable datum —
+// every unfinished accessor of every live instance, so that waiting flushes
+// the rename and the canonical storage is current on return.
+func (g *Graph) Writers(key any) []*Task {
 	sh := &g.shards[shardIndex(key)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -481,18 +440,26 @@ func (g *Graph) LastWriter(key any) *Task {
 	if d == nil {
 		return nil
 	}
-	lw := d.lastWriter
-	if d.chain != nil {
-		lw = d.chain.cur.lastWriter
-	}
-	if lw == nil || lw.Finished() {
+	if d.chain == nil {
+		if w := d.lastWriter; w != nil && !w.Finished() {
+			return []*Task{w}
+		}
 		return nil
 	}
-	return lw
+	var out []*Task
+	collect := func(t *Task) {
+		if t != nil && !t.Finished() && !slices.Contains(out, t) {
+			out = append(out, t)
+		}
+	}
+	d.chain.canonical.addAccessors(collect)
+	for _, v := range d.chain.renamed {
+		v.addAccessors(collect)
+	}
+	return out
 }
 
-// Forget drops the dependence records of key (both the exact-key datum and
-// any array-section records based at key). Optional hygiene for
+// Forget drops the dependence record of key. Optional hygiene for
 // long-running programs cycling through many distinct data objects.
 // Records interned by Register stay alive (handles keep pointing at them)
 // but are reset in place, so handle-based and raw-key accesses never
@@ -513,18 +480,11 @@ func (g *Graph) Forget(key any) {
 			delete(sh.datums, key)
 		}
 	}
-	if rd := sh.regions[key]; rd != nil {
-		if rd.pinned {
-			rd.segs = nil
-		} else {
-			delete(sh.regions, key)
-		}
-	}
 	sh.mu.Unlock()
 }
 
-// Release drops a registered handle's dependence records from the graph
-// entirely, map entries included, so a request-scoped arena can recycle
+// Release drops a registered handle's dependence record from the graph
+// entirely, map entry included, so a request-scoped arena can recycle
 // wholesale at session close. Unlike Forget, the record is NOT kept alive
 // for the handle: the handle — and any other handle or raw-key access over
 // the same key — must not be used afterwards. Call only when every task
@@ -536,11 +496,7 @@ func (g *Graph) Release(d *Datum) {
 	}
 	sh := &g.shards[d.shard]
 	sh.mu.Lock()
-	if d.rd != nil {
-		if cur := sh.regions[d.region.Base]; cur == d.rd {
-			delete(sh.regions, d.region.Base)
-		}
-	} else if cur := sh.datums[d.Key]; cur == d.rec {
+	if cur := sh.datums[d.Key]; cur == d.rec {
 		if d.rec.chain != nil {
 			d.rec.chain.collapse()
 		}

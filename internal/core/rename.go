@@ -70,9 +70,8 @@ func anyUnfinishedIn(ts []*Task, self *Task) bool {
 }
 
 // addAccessors feeds every accessor of the version to addPred — the
-// conservative "order after everything live on this instance" edge set used
-// when a non-chain access overlaps a renamed region, or when a write falls
-// back to canonical under the in-flight cap.
+// "everything live on this instance" set a `taskwait on` waits for (see
+// Graph.Writers).
 func (v *version) addAccessors(addPred func(*Task)) {
 	addPred(v.lastWriter)
 	for _, t := range v.readers {
@@ -95,7 +94,6 @@ type verChain struct {
 	copyFn    func(dst, src any)
 	pool      []any  // reclaimed payloads, reused before calling alloc
 	nextVID   uint64 // next version number to assign (see version.vid)
-	noRename  bool   // Datum.NoRename, or a region chain sealed by mixed-discipline access
 }
 
 // newVersion takes a payload from the pool (or allocates one) and appends a
@@ -165,21 +163,13 @@ func (g *Graph) ConfigureRenaming(r Renaming) {
 	g.renameCap = r.MaxVersions
 }
 
-// RenamingEnabled reports whether the graph breaks WAR/WAW edges on
-// renameable datums.
-func (g *Graph) RenamingEnabled() bool { return g.renameOn }
-
 // EnableRenaming makes the handle's datum renameable: canonical is the
 // instance behind the registered key (nil defaults to the key itself, the
 // usual pointer-keyed case), alloc produces a fresh private instance, and
 // cp copies one instance's value onto another (used for InOut copy-in and
 // for the final writeback onto canonical). Task bodies must then access the
 // datum through its bound instance (Datum.PayloadFor / TC.Data); renaming
-// never fires for datums that skip this call. For region handles the chain
-// is granular to the handle's exact span (a tile): renaming stays active
-// only while every access overlapping the span uses that span — an
-// overlapping raw-key or foreign-span access seals the chain and the
-// tracker falls back to ordinary conservative edges.
+// never fires for datums that skip this call.
 func (d *Datum) EnableRenaming(canonical any, alloc func() any, cp func(dst, src any)) *Datum {
 	if canonical == nil {
 		canonical = d.Key
@@ -191,89 +181,27 @@ func (d *Datum) EnableRenaming(canonical any, alloc func() any, cp func(dst, src
 	if d.chain != nil { // idempotent
 		return d
 	}
-	// Another handle over the same record (or the same region span) may
-	// have chained it already — adopt that chain, so all handles of one
-	// datum agree on the instance set.
-	if d.rd != nil {
-		if sc := d.rd.chainAt(d.region.Lo, d.region.Hi); sc != nil {
-			d.chain = sc.ch
-			return d
-		}
-	} else if d.rec.chain != nil {
+	// Another handle over the same record may have chained it already —
+	// adopt that chain, so all handles of one datum agree on the instance
+	// set.
+	if d.rec.chain != nil {
 		d.chain = d.rec.chain
 		return d
 	}
-	// A NoRename issued before any chain existed is recorded on the
-	// record/region itself, so the opt-out survives no matter which handle
-	// later enables renaming.
-	earlyOptOut := d.rec != nil && d.rec.noRename ||
-		d.rd != nil && d.rd.spanNoRename(d.region.Lo, d.region.Hi)
-	ch := &verChain{shard: d.shard, alloc: alloc, copyFn: cp, nextVID: 2, noRename: earlyOptOut}
+	ch := &verChain{shard: d.shard, alloc: alloc, copyFn: cp, nextVID: 2}
 	ch.canonical = &version{payload: canonical, vid: 1}
 	ch.cur = ch.canonical
-	if d.rd != nil {
-		// A chain overlapping an existing chain's span can never rename
-		// soundly (the two would bypass each other's segment records), so
-		// overlap seals both.
-		for _, sc := range d.rd.chains {
-			if sc.lo < d.region.Hi && d.region.Lo < sc.hi {
-				sc.ch.noRename = true
-				ch.noRename = true
-			}
-		}
-		d.rd.chains = append(d.rd.chains, &spanChain{lo: d.region.Lo, hi: d.region.Hi, ch: ch})
-	} else {
-		// Adopt the record's existing accessors as the canonical instance's:
-		// from here on the chain's current version carries the lists.
-		ch.canonical.lastWriter = d.rec.lastWriter
-		ch.canonical.readers = d.rec.readers
-		ch.canonical.commuters = d.rec.commuters
-		d.rec.lastWriter = nil
-		d.rec.readers = nil
-		d.rec.commuters = nil
-		d.rec.chain = ch
-	}
+	// Adopt the record's existing accessors as the canonical instance's:
+	// from here on the chain's current version carries the lists.
+	ch.canonical.lastWriter = d.rec.lastWriter
+	ch.canonical.readers = d.rec.readers
+	ch.canonical.commuters = d.rec.commuters
+	d.rec.lastWriter = nil
+	d.rec.readers = nil
+	d.rec.commuters = nil
+	d.rec.chain = ch
 	d.chain = ch
 	return d
-}
-
-// NoRename opts the datum out of renaming (a chain keeps tracking
-// accessors so PayloadFor still resolves, but writes always stall on their
-// WAR/WAW edges and write the current instance in place). Idempotent; safe
-// before or after EnableRenaming, from any handle of the datum — the
-// opt-out sticks to the record (or the region span), not to the handle.
-func (d *Datum) NoRename() *Datum {
-	g := d.owner
-	sh := &g.shards[d.shard]
-	sh.mu.Lock()
-	ch := d.chain
-	if ch == nil {
-		if d.rd != nil {
-			if sc := d.rd.chainAt(d.region.Lo, d.region.Hi); sc != nil {
-				ch = sc.ch
-			}
-		} else if d.rec.chain != nil {
-			ch = d.rec.chain
-		}
-	}
-	if ch != nil {
-		ch.noRename = true
-	} else if d.rd != nil {
-		d.rd.noRenameSpans = append(d.rd.noRenameSpans, [2]int64{d.region.Lo, d.region.Hi})
-	} else {
-		d.rec.noRename = true
-	}
-	sh.mu.Unlock()
-	return d
-}
-
-// Renameable reports whether the datum currently has an active (enabled,
-// unsealed) version chain.
-func (d *Datum) Renameable() bool {
-	sh := &d.owner.shards[d.shard]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return d.chain != nil && !d.chain.noRename
 }
 
 // PayloadFor resolves the instance of this datum that task t is bound to:
@@ -318,8 +246,7 @@ func (d *Datum) PayloadFor(t *Task) any {
 // to a chained datum gets a fresh instance: only when the write would
 // otherwise stall on a WAR/WAW edge (an unfinished reader for InOut — its
 // RAW on the last writer is true and stays either way — or any unfinished
-// accessor for Out), renaming is on, the chain is active, and the in-flight
-// cap has room. The fallback path is always sound: the write joins the
+// accessor for Out), renaming is on, and the in-flight cap has room. The fallback path is always sound: the write joins the
 // current instance with ordinary conservative edges.
 func (g *Graph) shouldRename(ch *verChain, t *Task, mode Mode) bool {
 	// The graph-wide policy, unless the task's domain overrides it (sessions
@@ -334,7 +261,7 @@ func (g *Graph) shouldRename(ch *verChain, t *Task, mode Mode) bool {
 			capN = d.RenameCap
 		}
 	}
-	if !on || ch.noRename || ch.alloc == nil {
+	if !on || ch.alloc == nil {
 		return false
 	}
 	var conflict bool

@@ -171,11 +171,6 @@ func TestRenameDisabledAndNoRename(t *testing.T) {
 		fix  func() *renameFixture
 	}{
 		{"knob-off", func() *renameFixture { return newRenameFixture(false, 4) }},
-		{"no-rename", func() *renameFixture {
-			f := newRenameFixture(true, 4)
-			f.d.NoRename()
-			return f
-		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := tc.fix()
@@ -242,62 +237,6 @@ func TestRenameWritersFlushSet(t *testing.T) {
 	}
 }
 
-// Region tiles: renaming is granular to the registered span and seals on
-// mixed-discipline overlap.
-func TestRenameRegionTileAndSeal(t *testing.T) {
-	g := NewGraph()
-	g.ConfigureRenaming(Renaming{Enabled: true})
-	buf := make([]int64, 2)
-	tile := g.RegisterRegion(&buf[0], 0, 1)
-	tile.EnableRenaming(&buf[0], func() any { return new(int64) },
-		func(dst, src any) { *dst.(*int64) = *src.(*int64) })
-
-	taskOn := func(d *Datum, mode Mode) *Task {
-		return &Task{Accesses: []Access{{Key: d.Key, Mode: mode, Datum: d}}}
-	}
-
-	r := taskOn(tile, In)
-	g.Submit(r)
-	w := taskOn(tile, Out)
-	if !g.Submit(w) {
-		t.Fatal("tile writer behind a tile reader should have renamed")
-	}
-	*tile.PayloadFor(w).(*int64) = 5
-
-	// A raw access overlapping the tile with a different span: must seal
-	// the chain and wait for every live instance accessor.
-	raw := taskOn(g.RegisterRegion(&buf[0], 0, 2), In)
-	if g.Submit(raw) {
-		t.Fatal("overlapping raw reader must wait for the live tile instances")
-	}
-	if tile.Renameable() {
-		t.Fatal("mixed-discipline overlap must seal the chain")
-	}
-	g.Finish(w, nil)
-	if raw.NPred() != 1 {
-		t.Fatalf("raw reader preds = %d, want 1 (the tile reader)", raw.NPred())
-	}
-	g.Finish(r, nil)
-	if !raw.Finished() && raw.NPred() != 0 {
-		t.Fatal("raw reader should be released after the chain drained")
-	}
-	// Writeback happened before the raw reader was released.
-	if buf[0] != 5 {
-		t.Fatalf("canonical tile = %d, want the written-back 5", buf[0])
-	}
-	g.Finish(raw, nil)
-
-	// Sealed chain: later tile writes stall like ordinary region writes.
-	r2 := taskOn(tile, In)
-	g.Submit(r2)
-	w2 := taskOn(tile, Out)
-	if g.Submit(w2) {
-		t.Fatal("sealed tile writer must stall on the WAR edge")
-	}
-	g.Finish(r2, nil)
-	g.Finish(w2, nil)
-}
-
 // The review scenario behind prefix-writeback: a successful write must
 // survive a LATER writer's failure even when the successful instance
 // drains first — program order's newest good value wins, not the
@@ -353,41 +292,6 @@ func TestRenameFailurePropagationFollowsRemainingEdges(t *testing.T) {
 	}
 	f.finish(u, u.Upstream())
 	f.finish(r, nil)
-}
-
-// NoRename must stick to the datum, not the handle: opting out through
-// one handle before another handle enables renaming still disables it.
-func TestRenameNoRenameSurvivesHandleAdoption(t *testing.T) {
-	g := NewGraph()
-	g.ConfigureRenaming(Renaming{Enabled: true})
-	var cell int64
-	h1 := g.Register(&cell)
-	h1.NoRename()
-	h2 := g.Register(&cell)
-	h2.EnableRenaming(&cell, func() any { return new(int64) },
-		func(dst, src any) { *dst.(*int64) = *src.(*int64) })
-	if h2.Renameable() {
-		t.Fatal("h1's NoRename was lost when h2 built the chain")
-	}
-	r := &Task{Accesses: []Access{{Key: &cell, Mode: In, Datum: h2}}}
-	g.Submit(r)
-	w := &Task{Accesses: []Access{{Key: &cell, Mode: Out, Datum: h2}}}
-	if g.Submit(w) {
-		t.Fatal("opted-out datum must stall on the WAR edge")
-	}
-	g.Finish(r, nil)
-	g.Finish(w, nil)
-
-	// And the reverse adoption: NoRename through a handle that did not
-	// build the chain.
-	var cell2 int64
-	a := g.Register(&cell2).EnableRenaming(&cell2, func() any { return new(int64) },
-		func(dst, src any) { *dst.(*int64) = *src.(*int64) })
-	b := g.Register(&cell2)
-	b.NoRename()
-	if a.Renameable() {
-		t.Fatal("NoRename through a sibling handle must reach the shared chain")
-	}
 }
 
 func TestRenameNoConflictNoRename(t *testing.T) {

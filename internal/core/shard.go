@@ -11,8 +11,7 @@ import (
 const numShards = 64
 
 // ShardOf maps any dependence key to its shard index — the basis of
-// affinity placement (Policy.HomeLane). Region handles carry their base's
-// shard (Datum.Shard), so all sections of one array share a home.
+// affinity placement (Policy.HomeLane).
 func ShardOf(key any) uint32 { return shardIndex(key) }
 
 // shardIndex maps a dependence key to its shard. Equal keys must always map

@@ -137,12 +137,8 @@ func (s *Server) initMetrics() {
 		})
 	reg.GaugeFunc("ompss_dep_records",
 		"Live dependence records across the tracker's shards.",
-		func() float64 { d, _ := s.rt.DepRecords(); return float64(d) },
+		func() float64 { return float64(s.rt.DepRecords()) },
 		metrics.Label{Key: "kind", Value: "datum"})
-	reg.GaugeFunc("ompss_dep_records",
-		"", // HELP rendered once per family
-		func() float64 { _, r := s.rt.DepRecords(); return float64(r) },
-		metrics.Label{Key: "kind", Value: "region"})
 	reg.GaugeFunc("ompss_steal_failure_rate",
 		"Fraction of victim probes that found nothing to steal.",
 		func() float64 {

@@ -17,9 +17,6 @@ type Clause func(*taskRec)
 // compatibility path — the runtime lazily interns its record at submit).
 func access(k any, m core.Mode, bytes int64) core.Access {
 	if d, ok := k.(*Datum); ok {
-		if bytes == 0 && d.c.IsRegion() {
-			bytes = d.c.Region().Len()
-		}
 		return core.Access{Key: d.c.Key, Mode: m, Bytes: bytes, Datum: d.c}
 	}
 	return core.Access{Key: k, Mode: m, Bytes: bytes}

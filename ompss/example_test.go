@@ -43,22 +43,6 @@ func ExampleTC_TaskwaitOn() {
 	// Output: 3
 }
 
-// Array-section dependences let disjoint blocks run in parallel without
-// manual per-block keys.
-func ExampleRuntime_RegisterRegion() {
-	rt := ompss.New(ompss.Workers(2))
-	defer rt.Shutdown()
-
-	data := make([]int, 8)
-	base := &data[0]
-	rt.Task(func(*ompss.TC) { data[0] = 1 }, ompss.Out(rt.RegisterRegion(base, 0, 4)))
-	rt.Task(func(*ompss.TC) { data[4] = 2 }, ompss.Out(rt.RegisterRegion(base, 4, 8)))
-	rt.Task(func(*ompss.TC) { fmt.Println(data[0] + data[4]) },
-		ompss.In(rt.RegisterRegion(base, 0, 8)))
-	rt.Taskwait()
-	// Output: 3
-}
-
 // RunSim executes the same program on the simulated 32-core cc-NUMA
 // machine; results are identical, and virtual time reveals the scaling.
 func ExampleRunSim() {

@@ -10,12 +10,11 @@ import (
 
 // Datum is a pre-registered data handle: the clause-expression analogue of
 // the paper's compiler-resolved dependence expressions. Registering a key
-// once (Runtime.Register / Runtime.RegisterRegion) resolves its dependence
-// shard and record up front, so every later In/Out/InOut/Commutative
-// clause built from the handle skips interface hashing and the shard map
-// lookup on the submit hot path. Pass a *Datum anywhere a
-// dependence key is accepted — the clause constructors and TaskwaitOn
-// recognize it. Raw any-key clauses remain supported as a compatibility
+// once (Runtime.Register) resolves its dependence shard and record up
+// front, so every later In/Out/InOut/Commutative clause built from the
+// handle skips interface hashing and the shard map lookup on the submit hot
+// path. Pass a *Datum anywhere a dependence key is accepted — the clause
+// constructors and TaskwaitOn recognize it. Raw any-key clauses remain supported as a compatibility
 // layer and resolve to the same records, so handle-based and key-based
 // accesses to one datum stay mutually ordered.
 type Datum struct {
@@ -40,13 +39,9 @@ func (d *Datum) AsInOut() Clause { return d.asInOut }
 // newDatum wraps a core handle and pre-builds its clause closures.
 func newDatum(c *core.Datum) *Datum {
 	d := &Datum{c: c}
-	var bytes int64
-	if c.IsRegion() {
-		bytes = c.Region().Len()
-	}
-	accIn := core.Access{Key: c.Key, Mode: core.In, Bytes: bytes, Datum: c}
-	accOut := core.Access{Key: c.Key, Mode: core.Out, Bytes: bytes, Datum: c}
-	accInOut := core.Access{Key: c.Key, Mode: core.InOut, Bytes: bytes, Datum: c}
+	accIn := core.Access{Key: c.Key, Mode: core.In, Datum: c}
+	accOut := core.Access{Key: c.Key, Mode: core.Out, Datum: c}
+	accInOut := core.Access{Key: c.Key, Mode: core.InOut, Datum: c}
 	d.asIn = func(r *taskRec) { r.t.Accesses = append(r.t.Accesses, accIn) }
 	d.asOut = func(r *taskRec) { r.t.Accesses = append(r.t.Accesses, accOut) }
 	d.asInOut = func(r *taskRec) { r.t.Accesses = append(r.t.Accesses, accInOut) }
@@ -65,22 +60,9 @@ func (rt *Runtime) Register(key any) *Datum {
 		if d.c.Owner() == rt.lc.graph {
 			return d
 		}
-		if d.c.IsRegion() {
-			r := d.c.Region()
-			return rt.RegisterRegion(r.Base, r.Lo, r.Hi)
-		}
 		key = d.c.Key
 	}
 	return newDatum(rt.lc.graph.Register(key))
-}
-
-// RegisterRegion interns an array-section handle for [lo, hi) of the array
-// identified by base — the OmpSs array-section clause `input(a[lo;hi-lo])`
-// once the handle is passed to In/Out/InOut. Distinct handles over one base
-// conflict only where their spans overlap, so tasks over disjoint blocks run
-// in parallel without manual per-block keys.
-func (rt *Runtime) RegisterRegion(base any, lo, hi int64) *Datum {
-	return newDatum(rt.lc.graph.RegisterRegion(base, lo, hi))
 }
 
 // EnableRenaming makes the datum renameable (see Tuning.Renaming):
@@ -94,11 +76,6 @@ func (rt *Runtime) RegisterRegion(base any, lo, hi int64) *Datum {
 //	d := rt.Register(&tile).EnableRenaming(nil,
 //		func() any { return new(Tile) },
 //		func(dst, src any) { *dst.(*Tile) = *src.(*Tile) })
-//
-// For a region handle the chain is granular to the handle's exact span (a
-// tile): renaming stays active only while every access overlapping the
-// span uses exactly that span; a raw-key or foreign-span overlap seals the
-// chain and the tracker falls back to ordinary conservative edges.
 func (d *Datum) EnableRenaming(canonical any, alloc func() any, cp func(dst, src any)) *Datum {
 	d.c.EnableRenaming(canonical, alloc, cp)
 	return d

@@ -76,47 +76,6 @@ func TestRegisterIsIdempotent(t *testing.T) {
 	}
 }
 
-func TestRegionDatum(t *testing.T) {
-	rt := New(Workers(4))
-	defer rt.Shutdown()
-	data := make([]int, 100)
-	base := &data[0]
-	left := rt.RegisterRegion(base, 0, 50)
-	right := rt.RegisterRegion(base, 50, 100)
-	whole := rt.RegisterRegion(base, 0, 100)
-	rt.Task(func(*TC) {
-		for i := 0; i < 50; i++ {
-			data[i] = 1
-		}
-	}, Out(left))
-	rt.Task(func(*TC) {
-		for i := 50; i < 100; i++ {
-			data[i] = 2
-		}
-	}, Out(right))
-	sum := 0
-	rt.Task(func(*TC) {
-		for _, v := range data {
-			sum += v
-		}
-	}, In(whole))
-	rt.Taskwait()
-	if sum != 150 {
-		t.Fatalf("sum=%d, want 150", sum)
-	}
-	if !left.c.IsRegion() || left.c.Key == nil {
-		t.Fatal("region handle should report IsRegion and carry a key")
-	}
-	// Handles with different spans over one base order where they overlap.
-	got := 0
-	rt.Task(func(*TC) { data[0] = 9 }, Out(rt.RegisterRegion(base, 0, 10)))
-	rt.Task(func(*TC) { got = data[0] }, In(left))
-	rt.Taskwait()
-	if got != 9 {
-		t.Fatalf("overlapping region handles saw %d, want 9", got)
-	}
-}
-
 func TestCrossRuntimeHandleFallsBackToKey(t *testing.T) {
 	// A handle registered on one runtime used in clauses on another must
 	// degrade to the key-based compatibility path (same records as raw
@@ -141,20 +100,6 @@ func TestCrossRuntimeHandleFallsBackToKey(t *testing.T) {
 	}
 	if rt2.Register(local) != local {
 		t.Fatal("same-runtime re-registration should be identity")
-	}
-	// A foreign region handle resolves against this runtime's record of its
-	// base: it orders against a local handle wherever the spans overlap.
-	buf := make([]int, 8)
-	foreignSpan := rt1.RegisterRegion(&buf[0], 0, 8)
-	order = order[:0]
-	rt2.Task(func(*TC) { order = append(order, 1) }, Out(foreignSpan))
-	rt2.Task(func(*TC) { order = append(order, 2) }, In(rt2.RegisterRegion(&buf[0], 2, 4)))
-	rt2.Taskwait()
-	if fmt.Sprint(order) != "[1 2]" {
-		t.Fatalf("foreign region handle did not order against a local section: %v", order)
-	}
-	if l := rt2.Register(foreignSpan); l == foreignSpan || !l.c.IsRegion() {
-		t.Fatal("foreign region handle should be re-registered as a region")
 	}
 }
 

@@ -28,11 +28,11 @@
 // On top of the pragma-shaped clause surface, the API is built around two
 // first-class types:
 //
-//   - *Datum, a registered data handle (Runtime.Register /
-//     Runtime.RegisterRegion): the datum's dependence shard and record are
-//     resolved once, so clauses built from the handle skip interface
-//     hashing and map lookups on the submit hot path — the library
-//     analogue of the compiler-resolved clause expressions of OmpSs.
+//   - *Datum, a registered data handle (Runtime.Register): the datum's
+//     dependence shard and record are resolved once, so clauses built
+//     from the handle skip interface hashing and map lookups on the submit
+//     hot path — the library analogue of the compiler-resolved clause
+//     expressions of OmpSs.
 //     Raw any-typed keys remain fully supported and resolve to the same
 //     records.
 //   - *Handle, the future returned by Task, Go, and TaskLoop: Done is
@@ -345,12 +345,11 @@ func (rt *Runtime) Stats() RunStats {
 // seam (see internal/core/backend.go).
 func (rt *Runtime) Backend() core.Backend { return rt.lc }
 
-// DepRecords reports the live dependence records (exact-key datums,
-// array-region bases) across the tracker's shards. Sessions release their
-// arenas at Close, so for a drained runtime the pair returns to the
-// pre-churn baseline — the arena-leak probe the session-churn soak
-// (internal/serve, -soak) asserts on.
-func (rt *Runtime) DepRecords() (datums, regions int) {
+// DepRecords reports the live dependence records across the tracker's
+// shards. Sessions release their arenas at Close, so for a drained runtime
+// the count returns to the pre-churn baseline — the arena-leak probe the
+// session-churn soak (internal/serve, -soak) asserts on.
+func (rt *Runtime) DepRecords() int {
 	return rt.lc.graph.ShardEntries()
 }
 
@@ -586,8 +585,7 @@ func (tc *TC) TaskwaitCtx(ctx context.Context) error {
 }
 
 // TaskwaitOn blocks until the last writer task of each key has finished.
-// Keys may be raw dependence keys or registered *Datum handles (a region
-// handle waits for the writers of every overlapping section).
+// Keys may be raw dependence keys or registered *Datum handles.
 func (tc *TC) TaskwaitOn(keys ...any) {
 	resolved := make([]any, len(keys))
 	for i, k := range keys {

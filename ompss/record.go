@@ -98,12 +98,11 @@ func (r *taskRec) refuse(cause error) *Handle {
 	return r.h.settle(&SkipError{Label: r.t.Label, Cause: cause})
 }
 
-// commutativeKeys collects the exact-key Commutative accesses of a task
-// (region commutativity is handled by the dependence system itself).
+// commutativeKeys collects the keys of a task's Commutative accesses.
 func commutativeKeys(accesses []core.Access) []any {
 	var keys []any
 	for _, a := range accesses {
-		if a.Mode == core.Commutative && (a.Datum == nil || !a.Datum.IsRegion()) {
+		if a.Mode == core.Commutative {
 			keys = append(keys, a.Key)
 		}
 	}

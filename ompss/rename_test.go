@@ -193,43 +193,6 @@ func TestRenameTaskwaitOnFlushes(t *testing.T) {
 	rt.Taskwait()
 }
 
-// Region tiles rename per registered span; disjoint tiles pipeline
-// independently and write back into their own slice of the backing array.
-func TestRenameRegionTilesNative(t *testing.T) {
-	rt := ompss.New(ompss.Workers(4), ompss.WithTuning(ompss.Tuning{Renaming: ompss.On}))
-	defer rt.Shutdown()
-	const tiles, rounds = 4, 12
-	buf := make([]int64, tiles)
-	ds := make([]*ompss.Datum, tiles)
-	for i := range ds {
-		i := i
-		ds[i] = rt.RegisterRegion(&buf[0], int64(i), int64(i+1)).
-			EnableRenaming(&buf[i],
-				func() any { return new(int64) },
-				func(dst, src any) { *dst.(*int64) = *src.(*int64) })
-	}
-	for round := 0; round < rounds; round++ {
-		round := round
-		for i := 0; i < tiles; i++ {
-			d := ds[i]
-			rt.Task(func(tc *ompss.TC) {
-				if got := *tc.Data(d).(*int64); got != int64(round) {
-					t.Errorf("tile reader saw %d, want %d", got, round)
-				}
-			}, ompss.In(d))
-			rt.Task(func(tc *ompss.TC) {
-				*tc.Data(d).(*int64) = int64(round) + 1
-			}, ompss.Out(d))
-		}
-	}
-	rt.Taskwait()
-	for i, v := range buf {
-		if v != rounds {
-			t.Fatalf("tile %d canonical = %d, want %d", i, v, rounds)
-		}
-	}
-}
-
 // tc.Data degrades to the registered key on datums that never enabled
 // renaming, so bodies can use it unconditionally.
 func TestDataDegradesToKey(t *testing.T) {

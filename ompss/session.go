@@ -72,7 +72,6 @@ func Admission(m AdmissionMode) Option { return func(c *config) { c.admission = 
 // per-request server).
 type API interface {
 	Register(key any) *Datum
-	RegisterRegion(base any, lo, hi int64) *Datum
 	Task(body func(*TC), clauses ...Clause) *Handle
 	Go(body func(*TC) error, clauses ...Clause) *Handle
 	TaskLoop(n, chunk int, body func(tc *TC, lo, hi int), clauses ...Clause) []*Handle
@@ -226,18 +225,6 @@ func (s *Session) Register(key any) *Datum {
 			s.regs = append(s.regs, d.c)
 			s.trmu.Unlock()
 		}
-	}
-	return d
-}
-
-// RegisterRegion interns an array-section handle (see
-// Runtime.RegisterRegion), tracked for release at Close.
-func (s *Session) RegisterRegion(base any, lo, hi int64) *Datum {
-	d := s.rt.RegisterRegion(base, lo, hi)
-	if s.ephemeral {
-		s.trmu.Lock()
-		s.regs = append(s.regs, d.c)
-		s.trmu.Unlock()
 	}
 	return d
 }
@@ -412,19 +399,14 @@ func (s *Session) spawnManaged(tc *TC, r *taskRec) *Handle {
 }
 
 // noteAccessKeys records every dependence key the task touches, so a request
-// session's Close can drop the shard records. Region accesses record their
-// base (Forget drops section records by base).
+// session's Close can drop the shard records.
 func (s *Session) noteAccessKeys(t *core.Task) {
 	if !s.ephemeral {
 		return
 	}
 	s.trmu.Lock()
 	for i := range t.Accesses {
-		k := t.Accesses[i].Key
-		if d := t.Accesses[i].Datum; d != nil && d.IsRegion() {
-			k = d.Region().Base
-		}
-		s.keys[k] = struct{}{}
+		s.keys[t.Accesses[i].Key] = struct{}{}
 	}
 	s.trmu.Unlock()
 }

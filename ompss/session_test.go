@@ -714,14 +714,14 @@ func TestSessionChurnReturnsMemory(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		cycle()
 	}
-	baseDatums, baseRegions := rt.DepRecords()
+	baseRecords := rt.DepRecords()
 	base := heapObjects()
 	for i := 0; i < 2000; i++ {
 		cycle()
 	}
 	after := heapObjects()
-	if datums, regions := rt.DepRecords(); datums != baseDatums || regions != baseRegions {
-		t.Fatalf("dependence records grew across churn: (%d, %d) -> (%d, %d)", baseDatums, baseRegions, datums, regions)
+	if n := rt.DepRecords(); n != baseRecords {
+		t.Fatalf("dependence records grew across churn: %d -> %d", baseRecords, n)
 	}
 	const margin = 500 // objects; one leaked record per cycle would be 2,000
 	if after > base+margin {
