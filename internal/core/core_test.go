@@ -252,9 +252,9 @@ func TestPipelineCircularBuffer(t *testing.T) {
 	}
 }
 
-// TestWritersExactKeyCompat pins the `taskwait on` lookup of a plain
-// (non-renameable) datum: exactly its unfinished program-order last writer.
-func TestWritersExactKeyCompat(t *testing.T) {
+// TestLastWriter pins the `taskwait on` lookup of a plain (non-renameable)
+// datum: exactly its unfinished program-order last writer.
+func TestLastWriter(t *testing.T) {
 	m := newMiniExec(1, true, 9)
 	x := new(int)
 	if ws := m.g.Writers(x); len(ws) != 0 {
@@ -270,10 +270,28 @@ func TestWritersExactKeyCompat(t *testing.T) {
 	if ws := m.g.Writers(x); len(ws) != 1 || ws[0] != a {
 		t.Fatalf("writers = %v: a reader must not become a writer", ws)
 	}
+	b := &Task{Accesses: []Access{{Key: x, Mode: InOut}}}
+	m.submit(b)
+	if ws := m.g.Writers(x); len(ws) != 1 || ws[0] != b {
+		t.Fatalf("writers = %v, want only the later writer", ws)
+	}
 	m.runAll()
 	if ws := m.g.Writers(x); len(ws) != 0 {
 		t.Fatalf("finished writer should not be reported, got %v", ws)
 	}
+}
+
+// TestWritersExactKeyCompat checks that Writers answers for a raw pointer
+// key with no registered handle.
+func TestWritersExactKeyCompat(t *testing.T) {
+	m := newMiniExec(1, true, 7)
+	x := new(int)
+	a := &Task{Accesses: []Access{{Key: x, Mode: Out}}}
+	m.submit(a)
+	if ws := m.g.Writers(x); len(ws) != 1 || ws[0] != a {
+		t.Fatalf("exact-key Writers = %v", ws)
+	}
+	m.runAll()
 }
 
 func TestPriorityJumpsGlobalQueue(t *testing.T) {

@@ -77,6 +77,34 @@ func TestNativeTaskwaitOnUntracked(t *testing.T) {
 	rt.TaskwaitOn(new(int)) // never written: must not hang
 }
 
+func TestNativeTaskwaitOnRegion(t *testing.T) {
+	// Each half of one array is its own registered handle, so waiting on
+	// the fast half must not require the slow one.
+	rt := New(Workers(2))
+	defer rt.Shutdown()
+	data := make([]int, 32)
+	lower, upper := rt.Register(&data[0]), rt.Register(&data[16])
+	rt.Task(func(*TC) {
+		time.Sleep(2 * time.Millisecond)
+		for i := 0; i < 16; i++ {
+			data[i] = 1
+		}
+	}, Out(lower))
+	rt.Task(func(*TC) {
+		for i := 16; i < 32; i++ {
+			data[i] = 2
+		}
+	}, Out(upper))
+	rt.TaskwaitOn(upper)
+	if data[31] != 2 {
+		t.Fatal("taskwait on the upper half returned before its writer finished")
+	}
+	rt.TaskwaitOn(lower, upper) // now both
+	if data[0] != 1 {
+		t.Fatal("taskwait on both halves missed the first writer")
+	}
+}
+
 func TestNativeBlockedStencil(t *testing.T) {
 	// Blocked in-place update over one registered handle per block: each
 	// block writes its own block and reads its left neighbour's last element

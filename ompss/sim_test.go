@@ -97,6 +97,34 @@ func TestSimParallelSpeedup(t *testing.T) {
 	}
 }
 
+func TestSimRegionsParallelize(t *testing.T) {
+	// One handle per block on 8 cores should overlap; a single whole-array
+	// handle would serialize the same tasks.
+	blocks := func(disjoint bool) time.Duration {
+		st, err := RunSim(machine.Paper(8), func(rt *Runtime) {
+			data := make([]int, 8*1024)
+			whole := rt.Register(&data[0])
+			for b := 0; b < 8; b++ {
+				h := whole
+				if disjoint {
+					h = rt.Register(&data[b*1024])
+				}
+				b := b
+				rt.Task(func(*TC) { data[b*1024] = b }, Out(h), Cost(500*time.Microsecond))
+			}
+			rt.Taskwait()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Makespan
+	}
+	par, serial := blocks(true), blocks(false)
+	if float64(serial)/float64(par) < 4 {
+		t.Fatalf("disjoint blocks should parallelize: %v vs %v", par, serial)
+	}
+}
+
 func TestSimPollingBeatsBlockingForShortPhases(t *testing.T) {
 	// The rgbcmy mechanism at the runtime level: many short taskwait-
 	// separated phases. Polling waits avoid wake latencies.
