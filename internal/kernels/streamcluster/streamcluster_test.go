@@ -115,44 +115,125 @@ func TestCostModel(t *testing.T) {
 	}
 }
 
+// plainNearest is the reference nearest-facility scan: full distSq per
+// facility, strict <.
+func plainNearest(s *State, i int) (int, float64) {
+	p := s.problem
+	want, wantD := 0, distSq(p.point(i), p.point(s.Open[0]))
+	for f := 1; f < len(s.Open); f++ {
+		if d := distSq(p.point(i), p.point(s.Open[f])); d < wantD {
+			want, wantD = f, d
+		}
+	}
+	return want, wantD
+}
+
+// plainAbsorb is AbsorbChunk as one plain scan per point.
+func plainAbsorb(s *State) {
+	p := s.problem
+	lo, hi := s.Limit, min(s.Limit+p.ChunkSize, p.N)
+	for i := lo; i < hi; i++ {
+		if len(s.Open) == 0 {
+			s.Open = append(s.Open, i)
+			s.Assign[i], s.DistTo[i] = 0, 0
+			continue
+		}
+		best, bestD := plainNearest(s, i)
+		if s.rng.Float64() < bestD/p.FacilityCost {
+			s.Assign[i], s.DistTo[i] = len(s.Open), 0
+			s.Open = append(s.Open, i)
+		} else {
+			s.Assign[i], s.DistTo[i] = best, bestD
+		}
+	}
+	s.Limit = hi
+}
+
+// tiedPoints returns n dim-dimensional points on a coarse grid, a third of
+// them duplicates of earlier ones, so that equal distances are common.
+func tiedPoints(rng *rand.Rand, n, dim int) []float64 {
+	pts := make([]float64, n*dim)
+	for i := 0; i < n; i++ {
+		src := i
+		if i > 0 && rng.Intn(3) == 0 {
+			src = rng.Intn(i) // a duplicate of an earlier point
+		}
+		for k := 0; k < dim; k++ {
+			if src == i {
+				pts[i*dim+k] = math.Round(rng.NormFloat64()*4) / 2 // coarse grid: many ties
+			} else {
+				pts[i*dim+k] = pts[src*dim+k]
+			}
+		}
+	}
+	return pts
+}
+
 // TestNearestOpenMatchesPlainScan checks the early-exit scan against the
-// plain one — full distSq per facility, strict < — bit for bit, on dimensions
-// around the four-wide test stride and on inputs full of duplicate points
-// (equal distances must keep the lower facility index).
+// plain one bit for bit, on dimensions around the four-wide test stride and
+// on inputs full of duplicate points (equal distances must keep the lower
+// facility index). Then it absorbs a stream both ways: plainly, and split
+// into a prescan of random pieces run in shuffled order followed by the
+// commit — the parallel variants' decomposition, first chunk (k0 == 0)
+// included. Open, Assign, DistTo, Limit and the next random draw must agree.
 func TestNearestOpenMatchesPlainScan(t *testing.T) {
 	for _, dim := range []int{1, 3, 4, 7, 16, 17} {
 		rng := rand.New(rand.NewSource(int64(dim)))
 		const n = 400
-		pts := make([]float64, n*dim)
-		for i := 0; i < n; i++ {
-			src := i
-			if i > 0 && rng.Intn(3) == 0 {
-				src = rng.Intn(i) // a duplicate of an earlier point
-			}
-			for k := 0; k < dim; k++ {
-				if src == i {
-					pts[i*dim+k] = math.Round(rng.NormFloat64()*4) / 2 // coarse grid: many ties
-				} else {
-					pts[i*dim+k] = pts[src*dim+k]
-				}
-			}
-		}
+		pts := tiedPoints(rng, n, dim)
 		p := &Problem{Points: pts, N: n, Dim: dim}
 		s := &State{problem: p}
 		for i := 0; i < n; i += 2 {
 			s.Open = append(s.Open, i)
 		}
 		for i := 0; i < n; i++ {
-			want, wantD := 0, distSq(p.point(i), p.point(s.Open[0]))
-			for f := 1; f < len(s.Open); f++ {
-				if d := distSq(p.point(i), p.point(s.Open[f])); d < wantD {
-					want, wantD = f, d
-				}
-			}
+			want, wantD := plainNearest(s, i)
 			got, gotD := s.nearestOpen(i)
 			if got != want || math.Float64bits(gotD) != math.Float64bits(wantD) {
 				t.Fatalf("dim %d point %d: nearestOpen = (%d, %v), plain scan (%d, %v)", dim, i, got, gotD, want, wantD)
 			}
+		}
+
+		p = &Problem{Points: pts, N: n, Dim: dim, ChunkSize: 90, FacilityCost: 4 * float64(dim), Seed: int64(dim)}
+		plain, split := p.NewState(), p.NewState()
+		grewInChunk := false
+		for split.Limit < p.N {
+			plainAbsorb(plain)
+			lo, hi, k0 := split.BeginChunk()
+			var pieces [][2]int
+			for at := lo; at < hi; {
+				end := min(at+1+rng.Intn(40), hi)
+				pieces = append(pieces, [2]int{at, end})
+				at = end
+			}
+			rng.Shuffle(len(pieces), func(a, b int) { pieces[a], pieces[b] = pieces[b], pieces[a] })
+			for _, pc := range pieces {
+				split.PrescanRange(pc[0], pc[1], k0)
+			}
+			split.CommitChunk(lo, hi, k0)
+			grewInChunk = grewInChunk || (k0 > 0 && len(split.Open) > k0)
+
+			if split.Limit != plain.Limit || len(split.Open) != len(plain.Open) {
+				t.Fatalf("dim %d chunk [%d,%d): limit %d, %d open; plain scan %d, %d open",
+					dim, lo, hi, split.Limit, len(split.Open), plain.Limit, len(plain.Open))
+			}
+			for f := range plain.Open {
+				if split.Open[f] != plain.Open[f] {
+					t.Fatalf("dim %d chunk [%d,%d): Open[%d] = %d, plain scan %d", dim, lo, hi, f, split.Open[f], plain.Open[f])
+				}
+			}
+			for i := 0; i < plain.Limit; i++ {
+				if split.Assign[i] != plain.Assign[i] || math.Float64bits(split.DistTo[i]) != math.Float64bits(plain.DistTo[i]) {
+					t.Fatalf("dim %d point %d: (%d, %v), plain scan (%d, %v)",
+						dim, i, split.Assign[i], split.DistTo[i], plain.Assign[i], plain.DistTo[i])
+				}
+			}
+			if a, b := split.rng.Int63(), plain.rng.Int63(); a != b {
+				t.Fatalf("dim %d chunk [%d,%d): next draw %d, plain scan %d", dim, lo, hi, a, b)
+			}
+		}
+		if !grewInChunk {
+			t.Fatalf("dim %d: no chunk after the first opened a facility; the commit's scan went untested", dim)
 		}
 	}
 }

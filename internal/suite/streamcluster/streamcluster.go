@@ -5,6 +5,13 @@
 // synchronization-bound; the paper's Table 1 has Pthreads slightly ahead
 // (mean 0.93) — the OmpSs master respawns tasks every round, while the
 // SPMD Pthreads team just re-loops through barriers.
+//
+// Absorbing a chunk of the stream is most of the work: every point scans
+// the open facilities for its nearest. Both parallel variants split that
+// scan, as PARSEC's pspeedy does: a parallel prescan over the facilities
+// open at the chunk's start, then a serial commit in stream order over the
+// ones the chunk itself opened, with the online open/assign draw. Chunks
+// too small to pay for the split (splitPrescan) are absorbed inline.
 package streamcluster
 
 import (
@@ -96,11 +103,35 @@ func (in *Instance) RunSeq() uint64 {
 	return result(s)
 }
 
-// RunPthreads keeps one SPMD team alive for the whole stream: thread 0
-// performs the serial absorb/pick/reduce/apply steps, the team evaluates
-// gain chunks statically, and two blocking barriers bracket every candidate
-// round (release into the evaluation, collect for the reduction) — the
-// PARSEC pgain structure.
+// minPrescanWork is the least k0 × EvalChunk × Dim (facilities open at a
+// chunk's start × points × dimensions of one prescan piece) for which a
+// chunk's prescan is split across the team or into tasks; below it the
+// chunk is absorbed inline, the paper's if-clause use: keep tasks coarse.
+// Small stays under it throughout, Default crosses it from its second chunk.
+const minPrescanWork = 1 << 16
+
+// splitPrescan reports whether a chunk that starts with k0 open facilities
+// has its prescan split into EvalChunk-point pieces.
+func (in *Instance) splitPrescan(k0 int) bool {
+	return k0*in.W.EvalChunk*in.W.Dim >= minPrescanWork
+}
+
+// prescanRanges splits the chunk [lo, hi) into EvalChunk-point pieces.
+func (in *Instance) prescanRanges(lo, hi int) [][2]int {
+	rs := blocks.Ranges(hi-lo, in.W.EvalChunk)
+	for i := range rs {
+		rs[i][0] += lo
+		rs[i][1] += lo
+	}
+	return rs
+}
+
+// RunPthreads keeps one SPMD team alive for the whole stream, looping over
+// one shape: thread 0 runs the serial step, a barrier releases the team
+// into its static share of the phase the step set up, and a second barrier
+// collects it — the PARSEC pgain structure. A phase is either the gain
+// evaluation of one candidate, or the prescan of a chunk that splitPrescan
+// admits; the step after a prescan commits that chunk.
 func (in *Instance) RunPthreads(main *pthread.Thread) uint64 {
 	p := in.problem()
 	s := p.NewState()
@@ -110,26 +141,38 @@ func (in *Instance) RunPthreads(main *pthread.Thread) uint64 {
 		candidates []int
 		cand       int
 		ranges     [][2]int
-		parts      []*kern.GainPartial
+		parts      []*kern.GainPartial // nil while ranges are a prescan
+		lo, hi, k0 int                 // the chunk being prescanned
 		finished   bool
 	)
 	evalCost := kern.RangeEvalCost(in.W.EvalChunk, in.W.Dim)
-	// prepare sets up the next candidate round (serial, thread 0): apply
-	// the previous round's result if any, then advance the stream or pick
-	// the next candidate.
-	prepare := func(t *pthread.Thread, applyPrev bool) {
-		if applyPrev {
+	// step runs between phases (serial, thread 0): apply the candidate just
+	// evaluated or commit the chunk just prescanned, then set up the next
+	// phase — the next candidate, or a chunk's prescan — absorbing chunks
+	// inline while they are below the split threshold.
+	step := func(t *pthread.Thread) {
+		switch {
+		case parts != nil:
 			merged := s.NewGainPartial()
 			mergeInOrder(merged, parts)
 			s.ApplyCandidate(cand, merged)
 			t.Compute(kern.RangeEvalCost(s.Limit/8+1, in.W.Dim))
+		case ranges != nil:
+			s.CommitChunk(lo, hi, k0)
+			candidates = s.PickCandidates()
 		}
 		for len(candidates) == 0 {
 			if s.Limit >= p.N {
 				finished = true
 				return
 			}
-			s.AbsorbChunk()
+			lo, hi, k0 = s.BeginChunk()
+			if in.splitPrescan(k0) {
+				ranges, parts = in.prescanRanges(lo, hi), nil
+				return
+			}
+			s.PrescanRange(lo, hi, k0)
+			s.CommitChunk(lo, hi, k0)
 			candidates = s.PickCandidates()
 			t.Compute(kern.RangeEvalCost(p.ChunkSize, in.W.Dim))
 		}
@@ -143,23 +186,24 @@ func (in *Instance) RunPthreads(main *pthread.Thread) uint64 {
 	}
 	main.Parallel(func(t *pthread.Thread) {
 		nt := t.API().Threads()
-		if t.ID() == 0 {
-			prepare(t, false)
-		}
-		t.Barrier(bar)
 		for {
+			if t.ID() == 0 {
+				step(t)
+			}
+			t.Barrier(bar)
 			if finished {
 				return
 			}
 			for i := t.ID(); i < len(ranges); i += nt {
-				s.EvalCandidateRange(cand, parts[i], ranges[i][0], ranges[i][1])
+				r := ranges[i]
+				if parts == nil {
+					s.PrescanRange(r[0], r[1], k0)
+					t.Compute(kern.RangeEvalCost(r[1]-r[0], in.W.Dim))
+					continue
+				}
+				s.EvalCandidateRange(cand, parts[i], r[0], r[1])
 				t.Compute(evalCost)
-				t.Touch(&p.Points[ranges[i][0]*p.Dim],
-					int64(8*(ranges[i][1]-ranges[i][0])*p.Dim), false)
-			}
-			t.Barrier(bar)
-			if t.ID() == 0 {
-				prepare(t, true)
+				t.Touch(&p.Points[r[0]*p.Dim], int64(8*(r[1]-r[0])*p.Dim), false)
 			}
 			t.Barrier(bar)
 		}
@@ -169,6 +213,9 @@ func (in *Instance) RunPthreads(main *pthread.Thread) uint64 {
 
 // RunOmpSs has the master absorb the stream and, per candidate, spawn gain
 // tasks over the chunks plus a dependent apply task, separated by taskwait.
+// A chunk that splitPrescan admits is prescanned by one task per
+// EvalChunk-point piece, each writing only its own Assign and DistTo range;
+// after a taskwait the master commits the chunk.
 func (in *Instance) RunOmpSs(rt ompss.API) uint64 {
 	p := in.problem()
 	s := p.NewState()
@@ -185,9 +232,21 @@ func (in *Instance) RunOmpSs(rt ompss.API) uint64 {
 		return d
 	}
 	for s.Limit < p.N {
-		s.AbsorbChunk()
-		rt.Task(func(tc *ompss.TC) {}, ompss.Cost(kern.RangeEvalCost(p.ChunkSize, in.W.Dim)),
-			ompss.Label("absorb"), ompss.If(false)) // absorb is serial master work; charge it inline
+		lo, hi, k0 := s.BeginChunk()
+		if in.splitPrescan(k0) {
+			for _, r := range in.prescanRanges(lo, hi) {
+				rt.Task(func(*ompss.TC) { s.PrescanRange(r[0], r[1], k0) },
+					ompss.Out(&s.Assign[r[0]]), ompss.Out(&s.DistTo[r[0]]),
+					ompss.Cost(kern.RangeEvalCost(r[1]-r[0], in.W.Dim)),
+					ompss.Label("prescan"))
+			}
+			rt.Taskwait()
+		} else {
+			s.PrescanRange(lo, hi, k0)
+			rt.Task(func(tc *ompss.TC) {}, ompss.Cost(kern.RangeEvalCost(p.ChunkSize, in.W.Dim)),
+				ompss.Label("absorb"), ompss.If(false)) // absorb is serial master work; charge it inline
+		}
+		s.CommitChunk(lo, hi, k0)
 		for _, c := range s.PickCandidates() {
 			c := c
 			ranges := blocks.Ranges(s.Limit, in.W.EvalChunk)
