@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test equiv flake race bench bench-submit alloc-budget examples lint lint-lifecycle trace dist-trace serve serve-smoke dist-race fuzz-frames soak ci
+.PHONY: all build test equiv flake race bench bench-submit alloc-budget examples lint lint-lifecycle lint-core trace dist-trace serve serve-smoke dist-race fuzz-frames soak ci
 
 all: build test
 
@@ -132,7 +132,7 @@ examples:
 # local and CI checks stay in lockstep. staticcheck and govulncheck are
 # installed on demand by CI; locally they are skipped with a hint when not
 # on PATH.
-lint: lint-lifecycle
+lint: lint-lifecycle lint-core
 	$(GO) vet ./...
 	@! grep -rl --include='*.go' '"encoding/gob"' . || { echo "encoding/gob is imported above; the dist wire codec is hand-written (internal/dist/proto.go)" >&2; exit 1; }
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -155,5 +155,15 @@ lint-lifecycle:
 		if [ $$n -lt $${lim%:*} ] || [ $$n -gt $${lim#*:} ]; then \
 			echo "lint: $$n call sites of $$pat in non-test ompss/ (want $${lim%:*}..$${lim#*:}); the task lifecycle lives in ompss/lifecycle.go only" >&2; exit 1; fi; \
 	done
+
+# One key space in the dependence tracker (internal/core): every key is
+# interned once into its Datum through the graph's single key map, and a
+# datum is homed by its registration ordinal, never by hashing the key. So
+# non-test internal/core may import no "reflect" and declare one map keyed
+# by any. The CI verify job runs this target.
+lint-core:
+	@! grep -l --include='*.go' --exclude='*_test.go' -r '"reflect"' internal/core || { echo "lint: internal/core imports reflect; datums are homed by registration ordinal, not by hashing keys" >&2; exit 1; }
+	@n=$$(grep -rhE --include='*.go' --exclude='*_test.go' '^[[:space:]]*(var[[:space:]]+)?[[:alnum:]_]+[[:space:]]+map\[(any|interface\{\})\]' internal/core | wc -l); \
+	if [ $$n -gt 1 ]; then echo "lint: $$n map[any] declarations in non-test internal/core (want 1: the graph's intern table)" >&2; exit 1; fi
 
 ci: build lint test equiv flake race bench bench-submit alloc-budget serve-smoke dist-race dist-trace soak examples

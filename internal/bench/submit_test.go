@@ -9,13 +9,13 @@ import (
 // The submit-path microbenchmarks compare the two ways of naming a datum in
 // a dependence clause:
 //
-//   - AnyKey*: the compatibility path — an untyped key is hashed (through
-//     reflection) to its dependence shard and looked up in the shard map on
-//     every submission; non-pointer keys are additionally boxed into an
-//     interface, which allocates.
-//   - Datum*: the registered-handle fast path — Register resolved the shard
-//     and record once, so submission does neither, mirroring how the
-//     OmpSs compiler resolves clause expressions at build time.
+//   - AnyKey*: the raw-key sugar — an untyped key is interned (looked up in
+//     the graph's key map under its intern lock) on every submission;
+//     non-pointer keys are additionally boxed into an interface, which
+//     allocates.
+//   - Datum*: the registered-handle fast path — Register interned the key
+//     once, so submission does neither, mirroring how the OmpSs compiler
+//     resolves clause expressions at build time.
 //
 // Run with -benchmem (CI's bench-smoke job does): the Datum variants must
 // allocate no more and run no slower per task than their AnyKey twins.

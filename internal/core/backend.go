@@ -55,17 +55,12 @@ func (g *Graph) SoleDependents(t *Task) []*Task {
 	return out
 }
 
-// ShardEntries reports the live dependence records across all shards.
-// Session arenas release their records at Close, so a steady-state server's
-// count returns to the pre-churn baseline; the session-churn soak watches
-// exactly this number for arena leaks.
-func (g *Graph) ShardEntries() int {
-	n := 0
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.Lock()
-		n += len(sh.datums)
-		sh.mu.Unlock()
-	}
-	return n
+// Records reports the live dependence records: the datums interned and not
+// released. Session arenas release their datums at Close, so a steady-state
+// server's count returns to the pre-churn baseline; the session-churn soak
+// watches exactly this number for arena leaks.
+func (g *Graph) Records() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.keys)
 }

@@ -466,3 +466,56 @@ func indexOf(keys []any, k any) int {
 	}
 	return -1
 }
+
+// TestInternHomesByOrdinal: a datum's shard — its affinity home — comes
+// from the order in which the graph first saw the key, not from the key, so
+// two graphs registering different fresh allocations in the same order home
+// them identically; and equal keys of every kind the engine meets intern to
+// one datum, which a raw-key access resolves to as well.
+func TestInternHomesByOrdinal(t *testing.T) {
+	homes := func(pad int) []uint32 {
+		g := NewGraph()
+		sink := make([]byte, pad) // shift the allocations that follow
+		var out []uint32
+		for i := 0; i < 128; i++ {
+			out = append(out, g.Register(new([4]int64)).Shard())
+		}
+		_ = sink
+		return out
+	}
+	a, b := homes(1<<10), homes(3<<14)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("datum %d homed on shard %d in one graph and %d in the other", i, a[i], b[i])
+		}
+	}
+
+	g := NewGraph()
+	x := new(int)
+	type exotic struct{ a, b int }
+	built := string([]byte("sharedkey"))
+	pairs := [][2]any{
+		{x, x}, {42, 42}, {int64(7), int64(7)}, {uint32(9), uint32(9)},
+		{built, "sharedkey"}, {3.14, 3.14}, {true, true},
+		{exotic{1, 2}, exotic{1, 2}}, {nil, nil},
+	}
+	seen := map[*Datum]bool{}
+	for _, p := range pairs {
+		d := g.Register(p[0])
+		if g.Register(p[1]) != d {
+			t.Fatalf("equal keys %#v and %#v interned to different datums", p[0], p[1])
+		}
+		if d.Shard() >= numShards {
+			t.Fatalf("key %#v shard %d out of range", p[0], d.Shard())
+		}
+		if seen[d] {
+			t.Fatalf("key %#v shares a datum with a different key", p[0])
+		}
+		seen[d] = true
+	}
+	tk := &Task{Accesses: []Access{{Key: 42, Mode: In}}}
+	g.Submit(tk)
+	if tk.Accesses[0].Datum != g.Register(42) {
+		t.Fatal("a raw-key access did not resolve to the registered datum")
+	}
+}

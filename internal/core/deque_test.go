@@ -182,30 +182,3 @@ func TestMPMCQueueFIFO(t *testing.T) {
 		}
 	}
 }
-
-// TestShardIndexConsistency: equal keys must hash to the same shard, and
-// the shard must be in range, for every key kind the engine meets.
-func TestShardIndexConsistency(t *testing.T) {
-	x := new(int)
-	y := "some-key"
-	type exotic struct{ a, b int }
-	keys := []any{x, 42, int64(7), uint32(9), y, 3.14, true, exotic{1, 2}, nil}
-	for _, k := range keys {
-		a, b := shardIndex(k), shardIndex(k)
-		if a != b {
-			t.Fatalf("key %v hashed inconsistently: %d vs %d", k, a, b)
-		}
-		if a >= numShards {
-			t.Fatalf("key %v shard %d out of range", k, a)
-		}
-	}
-	if shardIndex(x) != shardIndex(x) {
-		t.Fatal("pointer key unstable")
-	}
-	// Distinct strings with equal content must collide (value hashing).
-	s1 := "shared" + "key"
-	s2 := "sharedkey"
-	if shardIndex(s1) != shardIndex(s2) {
-		t.Fatal("equal strings must share a shard")
-	}
-}

@@ -29,6 +29,14 @@ type Domain struct {
 	// Owner is an opaque executor backpointer (the session). The engine
 	// never touches it.
 	Owner any
+	// Scoped makes the domain own the datums interned on its behalf — by
+	// Graph.Intern, or by a raw-key access of one of its tasks — so that
+	// Graph.Release drops them together. Datums interned for an unscoped
+	// (or nil) domain live as long as the graph. Set before first use.
+	Scoped bool
+	// datums are the datums this domain created, guarded by the graph's
+	// intern mutex.
+	datums []*Datum
 
 	cancelled atomic.Pointer[errBox]
 

@@ -117,35 +117,52 @@ func TestFinishConfinesFailureToDomain(t *testing.T) {
 	}
 }
 
-// TestGraphRelease checks the close-time arena path: Release drops the
-// handle's records outright, a re-registration gets a fresh record, and a
-// STALE release (the first handle, released again after the key was
-// re-registered) must not delete the newer record.
+// TestGraphRelease checks the close-time arena path: Release drops exactly
+// the datums its domain created — a key interned before the domain keeps its
+// datum even though the domain's tasks touched it — a re-interned key gets a
+// fresh datum, and releasing the domain again leaves that fresh datum alone.
 func TestGraphRelease(t *testing.T) {
 	m := newMiniExec(1, false, 1)
-	key := new(int)
+	pre, key := new(int), new(int)
+	shared := m.g.Register(pre)
+	dom := &Domain{Scoped: true}
 
-	d1 := m.g.Register(key)
-	tk := &Task{Accesses: []Access{{Key: d1.Key, Mode: Out}}}
+	d1 := m.g.Intern(key, dom)
+	if m.g.Intern(pre, dom) != shared {
+		t.Fatal("interning an existing key must return its datum")
+	}
+	tk := &Task{Domain: dom, Accesses: []Access{{Key: key, Mode: Out}, {Key: pre, Mode: Out}}}
 	m.submit(tk)
 	m.runAll()
-	m.g.Release(d1)
+	if tk.Accesses[0].Datum != d1 || tk.Accesses[1].Datum != shared {
+		t.Fatal("raw-key accesses did not resolve to the interned datums")
+	}
+	if n := m.g.Records(); n != 2 {
+		t.Fatalf("Records = %d before Release, want 2", n)
+	}
+	m.g.Release(dom)
+	if n := m.g.Records(); n != 1 {
+		t.Fatalf("Records = %d after Release, want 1 (the pre-existing datum)", n)
+	}
+	if m.g.Register(pre) != shared {
+		t.Fatal("Release dropped a datum its domain did not create")
+	}
 
 	d2 := m.g.Register(key)
-	if d2.rec == d1.rec {
-		t.Fatal("re-registration after Release returned the released record")
+	if d2 == d1 {
+		t.Fatal("re-registration after Release returned the released datum")
 	}
 	tk2 := &Task{Accesses: []Access{{Key: d2.Key, Mode: Out}}}
 	if !m.g.Submit(tk2) {
-		t.Fatal("writer on a fresh record should be ready")
+		t.Fatal("writer on a fresh datum should be ready")
 	}
 	m.s.PushSubmit(tk2)
 
-	// Stale release: d1 was already released; the key now belongs to d2's
-	// record, which must survive.
-	m.g.Release(d1)
+	// A second release of the drained domain: the key now belongs to d2,
+	// which no domain owns, so it must survive.
+	m.g.Release(dom)
 	if ws := m.g.Writers(key); len(ws) != 1 || ws[0] != tk2 {
-		t.Fatalf("stale Release dropped the live record (writers %v, want tk2)", ws)
+		t.Fatalf("stale Release dropped the live datum (writers %v, want tk2)", ws)
 	}
 	m.runAll()
 }

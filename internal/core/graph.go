@@ -4,26 +4,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 )
-
-// drec is the dependence record of one tracked object: the task that last
-// (program-order) writes it, and the tasks that read it or commutatively
-// updated it since that write.
-type drec struct {
-	lastWriter *Task
-	readers    []*Task
-	commuters  []*Task
-	// pinned marks records interned by Register: a registered Datum holds a
-	// direct pointer here, so Forget must reset the record in place instead
-	// of dropping it from the shard map (a fresh map record would diverge
-	// from the handle's).
-	pinned bool
-	// chain, when non-nil, makes the record renameable (see rename.go): the
-	// accessor lists above are then unused — the chain's current version
-	// carries them — and every access routes through wireChained.
-	chain *verChain
-}
 
 // GraphStats counts dependence activity, for tests, tracing, and the
 // benchmark harness.
@@ -42,49 +23,57 @@ type GraphStats struct {
 	Writebacks      uint64
 }
 
-// gshard is one shard of the dependence tracker: the datum records of every
-// key hashing here, guarded by the shard mutex.
-type gshard struct {
-	mu     sync.Mutex
-	datums map[any]*drec
-	_      [48]byte // keep shard locks off each other's cache lines
-}
-
-// Datum is a pre-registered dependence key: the shard index and dependence
-// record are resolved once at registration, so submissions using the handle
-// skip the per-access interface hash and shard map lookup entirely. Obtain
-// one with Graph.Register; handles are valid for the lifetime of the graph
-// and safe for concurrent use. Mixing handle-based and raw-key accesses to
-// the same key is safe — both resolve to the same record.
+// Datum is the dependence record of one datum, interned once per graph: every
+// access to the datum — through a handle from Register, or by its raw key,
+// which Submit interns — resolves to this one object. Its shard, and so its
+// affinity home, come from the order in which the graph first saw the key,
+// never from the key's value or address, so placement repeats exactly from
+// run to run. Datums are safe for concurrent use and valid until the domain
+// that interned them is released (see Graph.Release); those interned for no
+// scoped domain live as long as the graph.
 type Datum struct {
-	// Key is the dependence key the handle stands for; it is what traces,
+	// Key is the dependence key the datum stands for; it is what traces,
 	// TaskwaitOn, and the simulated memory model see.
 	Key   any
-	owner *Graph // the graph whose records this handle caches
+	owner *Graph
 	shard uint32
-	rec   *drec
-	// chain is the handle's version chain once EnableRenaming ran (set
-	// under the shard lock; also reachable through rec.chain, which is what
-	// the submit path consults).
+
+	// The record, guarded by the shard lock: the task that last
+	// (program-order) writes the datum, and the tasks that read it or
+	// commutatively updated it since that write.
+	lastWriter *Task
+	readers    []*Task
+	commuters  []*Task
+	// chain, when non-nil, makes the datum renameable (see rename.go): the
+	// accessor lists above are then unused — the chain's current version
+	// carries them — and every access routes through wireChained.
 	chain *verChain
 }
 
-// Owner returns the graph this handle was registered on.
+// Owner returns the graph this datum was interned on.
 func (d *Datum) Owner() *Graph { return d.owner }
 
-// Shard returns the dependence shard the handle's key hashes to (its
-// affinity home, see Policy.HomeLane).
+// Shard returns the dependence shard the datum is homed on (its affinity
+// home, see Policy.HomeLane).
 func (d *Datum) Shard() uint32 { return d.shard }
 
 // Graph tracks dataflow dependences between tasks. It is safe for
-// concurrent use: per-datum records live in key-hashed shards with
-// per-shard locks, Submit two-phase-locks the (few) shards a task's
-// accesses hash to in ascending order, and Finish releases successors with
-// a per-task lock plus atomic predecessor counts — never touching the
+// concurrent use. Every key is interned once into a Datum (one map, under
+// one mutex, taken at registration and for the raw-key accesses of a
+// submission — never while a shard lock is held). Datum records are guarded
+// by per-shard locks: Submit two-phase-locks the (few) shards a task's
+// datums are homed on in ascending order, and Finish releases successors
+// with a per-task lock plus atomic predecessor counts — never touching the
 // shards. The simulator drives the same code serialized, where every lock
 // is uncontended.
 type Graph struct {
 	shards [numShards]gshard
+
+	// The intern table: every key's datum, and the count of datums ever
+	// interned, whose value at a datum's creation homes it (homeShard).
+	mu       sync.Mutex
+	keys     map[any]*Datum
+	ordinals uint64
 
 	// Renaming policy (ConfigureRenaming): written once before the first
 	// submission, read under shard locks afterwards.
@@ -113,11 +102,7 @@ type Graph struct {
 
 // NewGraph returns an empty dependence graph.
 func NewGraph() *Graph {
-	g := &Graph{renameCap: DefaultMaxVersions}
-	for i := range g.shards {
-		g.shards[i].datums = make(map[any]*drec)
-	}
-	return g
+	return &Graph{renameCap: DefaultMaxVersions, keys: make(map[any]*Datum)}
 }
 
 // Stats returns a snapshot of the graph counters.
@@ -134,21 +119,33 @@ func (g *Graph) Stats() GraphStats {
 	}
 }
 
-// Register interns key's dependence record and returns a handle that caches
-// the shard index and record pointer, taking interface hashing and the map
-// lookup off the submit path for every later access through the handle.
-func (g *Graph) Register(key any) *Datum {
-	si := shardIndex(key)
-	sh := &g.shards[si]
-	sh.mu.Lock()
-	d := sh.datums[key]
+// Register interns key and returns its datum: the same pointer for every
+// call with an equal key, until a Release drops it. A datum created here
+// belongs to no domain and lives as long as the graph.
+func (g *Graph) Register(key any) *Datum { return g.Intern(key, nil) }
+
+// Intern is Register on behalf of a domain: a datum it creates belongs to
+// dom, and Release(dom) drops it, when dom is scoped (Domain.Scoped). A key
+// that is already interned keeps its datum and its owner.
+func (g *Graph) Intern(key any, dom *Domain) *Datum {
+	g.mu.Lock()
+	d := g.intern(key, dom)
+	g.mu.Unlock()
+	return d
+}
+
+// intern is Intern with g.mu held.
+func (g *Graph) intern(key any, dom *Domain) *Datum {
+	d := g.keys[key]
 	if d == nil {
-		d = &drec{}
-		sh.datums[key] = d
+		g.ordinals++
+		d = &Datum{Key: key, owner: g, shard: homeShard(g.ordinals)}
+		g.keys[key] = d
+		if dom != nil && dom.Scoped {
+			dom.datums = append(dom.datums, d)
+		}
 	}
-	d.pinned = true
-	sh.mu.Unlock()
-	return &Datum{Key: key, owner: g, shard: si, rec: d}
+	return d
 }
 
 // Unfinished returns the number of in-flight tasks across all contexts.
@@ -168,13 +165,13 @@ func (g *Graph) Unfinished() int64 {
 func (g *Graph) Submit(t *Task) (ready bool) {
 	g.initTask(t)
 
-	// Two-phase locking: take every shard this task's keys hash to, in
-	// ascending order. Holding them all for the whole wiring step makes
+	// Two-phase locking: take the shard of every datum this task accesses,
+	// in ascending order. Holding them all for the whole wiring step makes
 	// the submission atomic against other submitters sharing any datum,
 	// so cross-datum edge direction stays consistent (no A→B on one datum
 	// and B→A on another — which could deadlock the graph).
 	var shardIdx [8]uint32
-	shards := dedupeShards(collectShards(shardIdx[:0], t))
+	shards := dedupeShards(g.resolve(shardIdx[:0], t))
 	for _, si := range shards {
 		g.shards[si].mu.Lock()
 	}
@@ -207,14 +204,26 @@ func (g *Graph) initTask(t *Task) {
 	}
 }
 
-// collectShards appends the shard index of each of t's accesses to dst.
-func collectShards(dst []uint32, t *Task) []uint32 {
+// resolve gives every access of t this graph's datum and appends the
+// datum's shard to dst. Raw keys — and handles interned on another graph,
+// which resolve by their key — are interned here, by t's domain, under one
+// intern-lock acquisition for the whole task and before any shard lock is
+// taken.
+func (g *Graph) resolve(dst []uint32, t *Task) []uint32 {
+	locked := false
 	for i := range t.Accesses {
-		if d := t.Accesses[i].Datum; d != nil {
-			dst = append(dst, d.shard)
-		} else {
-			dst = append(dst, shardIndex(t.Accesses[i].Key))
+		a := &t.Accesses[i]
+		if a.Datum == nil || a.Datum.owner != g {
+			if !locked {
+				g.mu.Lock()
+				locked = true
+			}
+			a.Datum = g.intern(a.Key, t.Domain)
 		}
+		dst = append(dst, a.Datum.shard)
+	}
+	if locked {
+		g.mu.Unlock()
 	}
 	return dst
 }
@@ -243,12 +252,8 @@ func dedupeShards(shards []uint32) []uint32 {
 // The bitmap in dedupeShards requires numShards <= 64.
 var _ [64 - numShards]struct{}
 
-// Each shard fills exactly one 64-byte cache line, so no two shard mutexes
-// share one.
-var _ [0]struct{} = [unsafe.Sizeof(gshard{}) - 64]struct{}{}
-
 // wireTask wires t's dependence edges from unfinished predecessors. Called
-// with every shard t's accesses hash to already locked.
+// with the shard of every datum t accesses already locked.
 //
 // Edges are deduplicated so a task sharing several data with one predecessor
 // counts it once. The dedup set is a linear-scanned slice over a stack
@@ -292,39 +297,17 @@ func (g *Graph) wireTask(t *Task) {
 	}
 
 	for _, a := range t.Accesses {
-		// Handle-backed accesses resolve to their pre-interned record with
-		// no interface hash or map lookup — this is the Datum fast path.
-		// A handle registered on a different graph (a cross-runtime mix-up)
-		// must not inject that graph's record here: it resolves against this
-		// graph's map like a raw key.
-		if h := a.Datum; h != nil && h.owner == g {
-			g.wireRecord(h.rec, t, a.Mode, addPred)
-			continue
+		if d := a.Datum; d.chain != nil {
+			g.wireChained(d.chain, t, a.Mode, addPred)
+		} else {
+			wireExact(d, t, a.Mode, addPred)
 		}
-		sh := &g.shards[shardIndex(a.Key)]
-		d := sh.datums[a.Key]
-		if d == nil {
-			d = &drec{}
-			sh.datums[a.Key] = d
-		}
-		g.wireRecord(d, t, a.Mode, addPred)
 	}
 }
 
-// wireRecord wires one exact-key access: renameable records route through
-// the version chain (rename.go), plain records through wireExact. Called
-// with the owning shard lock held.
-func (g *Graph) wireRecord(d *drec, t *Task, mode Mode, addPred func(*Task)) {
-	if d.chain != nil {
-		g.wireChained(d.chain, t, mode, addPred)
-		return
-	}
-	wireExact(d, t, mode, addPred)
-}
-
-// wireExact wires the dependence edges of one exact-key access against the
-// datum's record and updates it. Called with the owning shard lock held.
-func wireExact(d *drec, t *Task, mode Mode, addPred func(*Task)) {
+// wireExact wires the dependence edges of one access against the datum's
+// record and updates it. Called with the datum's shard lock held.
+func wireExact(d *Datum, t *Task, mode Mode, addPred func(*Task)) {
 	switch mode {
 	case In:
 		addPred(d.lastWriter)
@@ -433,13 +416,15 @@ func (g *Graph) CountSkipped() { g.stSkipped.Add(1) }
 // every unfinished accessor of every live instance, so that waiting flushes
 // the rename and the canonical storage is current on return.
 func (g *Graph) Writers(key any) []*Task {
-	sh := &g.shards[shardIndex(key)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	d := sh.datums[key]
+	g.mu.Lock()
+	d := g.keys[key]
+	g.mu.Unlock()
 	if d == nil {
 		return nil
 	}
+	sh := &g.shards[d.shard]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if d.chain == nil {
 		if w := d.lastWriter; w != nil && !w.Finished() {
 			return []*Task{w}
@@ -459,48 +444,29 @@ func (g *Graph) Writers(key any) []*Task {
 	return out
 }
 
-// Forget drops the dependence record of key. Optional hygiene for
-// long-running programs cycling through many distinct data objects.
-// Records interned by Register stay alive (handles keep pointing at them)
-// but are reset in place, so handle-based and raw-key accesses never
-// diverge onto different records.
-func (g *Graph) Forget(key any) {
-	sh := &g.shards[shardIndex(key)]
-	sh.mu.Lock()
-	if d := sh.datums[key]; d != nil {
-		switch {
-		case d.chain != nil:
-			// Chained records keep their chain (handles point at it); only
-			// the accessor history is dropped. Call when the datum is idle —
-			// live renamed instances are discarded without writeback.
+// Release drops every datum interned on behalf of dom (see Intern) from the
+// graph, so a request-scoped arena recycles wholesale when its session
+// closes: a later access to one of the keys interns a fresh datum with no
+// history. Datums dom did not create keep their records. The released
+// datums' accessor history is cleared, so a retained handle pins no task,
+// and live renamed instances are discarded without writeback: call only
+// once every task that touched them has finished, and use none of them
+// afterwards.
+func (g *Graph) Release(dom *Domain) {
+	g.mu.Lock()
+	ds := dom.datums
+	dom.datums = nil
+	for _, d := range ds {
+		delete(g.keys, d.Key)
+	}
+	g.mu.Unlock()
+	for _, d := range ds {
+		sh := &g.shards[d.shard]
+		sh.mu.Lock()
+		if d.chain != nil {
 			d.chain.collapse()
-		case d.pinned:
-			*d = drec{pinned: true}
-		default:
-			delete(sh.datums, key)
 		}
+		d.lastWriter, d.readers, d.commuters = nil, nil, nil
+		sh.mu.Unlock()
 	}
-	sh.mu.Unlock()
-}
-
-// Release drops a registered handle's dependence record from the graph
-// entirely, map entry included, so a request-scoped arena can recycle
-// wholesale at session close. Unlike Forget, the record is NOT kept alive
-// for the handle: the handle — and any other handle or raw-key access over
-// the same key — must not be used afterwards. Call only when every task
-// that touched the key has finished; live renamed instances are discarded
-// without writeback.
-func (g *Graph) Release(d *Datum) {
-	if d == nil || d.owner != g {
-		return
-	}
-	sh := &g.shards[d.shard]
-	sh.mu.Lock()
-	if cur := sh.datums[d.Key]; cur == d.rec {
-		if d.rec.chain != nil {
-			d.rec.chain.collapse()
-		}
-		delete(sh.datums, d.Key)
-	}
-	sh.mu.Unlock()
 }

@@ -163,7 +163,7 @@ func (g *Graph) ConfigureRenaming(r Renaming) {
 	g.renameCap = r.MaxVersions
 }
 
-// EnableRenaming makes the handle's datum renameable: canonical is the
+// EnableRenaming makes the datum renameable: canonical is the
 // instance behind the registered key (nil defaults to the key itself, the
 // usual pointer-keyed case), alloc produces a fresh private instance, and
 // cp copies one instance's value onto another (used for InOut copy-in and
@@ -174,32 +174,19 @@ func (d *Datum) EnableRenaming(canonical any, alloc func() any, cp func(dst, src
 	if canonical == nil {
 		canonical = d.Key
 	}
-	g := d.owner
-	sh := &g.shards[d.shard]
+	sh := &d.owner.shards[d.shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if d.chain != nil { // idempotent
 		return d
 	}
-	// Another handle over the same record may have chained it already —
-	// adopt that chain, so all handles of one datum agree on the instance
-	// set.
-	if d.rec.chain != nil {
-		d.chain = d.rec.chain
-		return d
-	}
 	ch := &verChain{shard: d.shard, alloc: alloc, copyFn: cp, nextVID: 2}
-	ch.canonical = &version{payload: canonical, vid: 1}
+	// The datum's existing accessors become the canonical instance's: from
+	// here on the chain's current version carries the lists.
+	ch.canonical = &version{payload: canonical, vid: 1,
+		lastWriter: d.lastWriter, readers: d.readers, commuters: d.commuters}
 	ch.cur = ch.canonical
-	// Adopt the record's existing accessors as the canonical instance's:
-	// from here on the chain's current version carries the lists.
-	ch.canonical.lastWriter = d.rec.lastWriter
-	ch.canonical.readers = d.rec.readers
-	ch.canonical.commuters = d.rec.commuters
-	d.rec.lastWriter = nil
-	d.rec.readers = nil
-	d.rec.commuters = nil
-	d.rec.chain = ch
+	d.lastWriter, d.readers, d.commuters = nil, nil, nil
 	d.chain = ch
 	return d
 }
@@ -531,7 +518,7 @@ func (d *Datum) Canonical() VersionRef {
 
 // collapse resets the chain to its idle state — the canonical instance is
 // current and carries no accessor history. Called with the owning shard
-// lock held, after (or instead of, see Forget) any writeback.
+// lock held, after (or instead of, see Graph.Release) any writeback.
 func (ch *verChain) collapse() {
 	ch.canonical.lastWriter = nil
 	ch.canonical.readers = nil

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"math"
-	"reflect"
+	"sync"
+	"unsafe"
 )
 
 // numShards is the dependence-tracker shard count. Power of two; 64 keeps
@@ -10,45 +10,27 @@ import (
 // datums) while the array of mutexes stays a few cache lines.
 const numShards = 64
 
-// ShardOf maps any dependence key to its shard index — the basis of
-// affinity placement (Policy.HomeLane).
-func ShardOf(key any) uint32 { return shardIndex(key) }
-
-// shardIndex maps a dependence key to its shard. Equal keys must always map
-// to the same shard, so hashing goes through the key's value, not its
-// interface box: pointers (the normal OmpSs by-reference key) hash their
-// address, integers and strings their value. Exotic comparable keys
-// (structs, arrays, interfaces) all share shard 0 — consistent, merely
-// unsharded.
-func shardIndex(key any) uint32 {
-	if key == nil {
-		return 0
-	}
-	var h uint64
-	v := reflect.ValueOf(key)
-	switch v.Kind() {
-	case reflect.Pointer, reflect.UnsafePointer, reflect.Chan, reflect.Map, reflect.Func:
-		h = uint64(v.Pointer())
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		h = uint64(v.Int())
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		h = v.Uint()
-	case reflect.Float32, reflect.Float64:
-		h = math.Float64bits(v.Float())
-	case reflect.Bool:
-		if v.Bool() {
-			h = 1
-		}
-	case reflect.String:
-		h = fnv64(v.String())
-	default:
-		return 0
-	}
-	return uint32(mix64(h)) & (numShards - 1)
+// gshard is one shard lock of the dependence tracker: it guards the records
+// of every datum homed on the shard (see homeShard).
+type gshard struct {
+	mu sync.Mutex
+	_  [56]byte // keep shard locks off each other's cache lines
 }
 
-// mix64 is the splitmix64 finalizer: a cheap full-avalanche bit mixer, so
-// pointer alignment bits do not bias shard choice.
+// Each shard fills exactly one 64-byte cache line, so no two shard mutexes
+// share one.
+var _ [0]struct{} = [unsafe.Sizeof(gshard{}) - 64]struct{}{}
+
+// homeShard maps a datum's registration ordinal to its shard — also its
+// affinity home (Policy.HomeLane). The ordinal is mixed rather than masked:
+// raw keys draw ordinals too, so datums registered between runs of raw-key
+// tasks sit at a regular stride, which a plain mask would fold onto a few
+// home lanes.
+func homeShard(ordinal uint64) uint32 {
+	return uint32(mix64(ordinal)) & (numShards - 1)
+}
+
+// mix64 is the splitmix64 finalizer: a cheap full-avalanche bit mixer.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
@@ -56,13 +38,4 @@ func mix64(x uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
-}
-
-func fnv64(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

@@ -126,10 +126,11 @@ func TestSubmitVsFinishRace(t *testing.T) {
 	const iters = 3000
 	g := NewGraph()
 	s := NewSched(2, DefaultPolicy(), 7)
+	dom := &Domain{Scoped: true} // owns each iteration's datum, released at its end
 	for i := 0; i < iters; i++ {
 		x := new(int)
 		var ran0, ran1 atomic.Int32
-		t0 := &Task{Accesses: []Access{{Key: x, Mode: Out}}}
+		t0 := &Task{Domain: dom, Accesses: []Access{{Key: x, Mode: Out}}}
 		t0.Owner = func() error { ran0.Add(1); return nil }
 		if !g.Submit(t0) {
 			t.Fatal("t0 should be ready")
@@ -171,6 +172,6 @@ func TestSubmitVsFinishRace(t *testing.T) {
 		if ran1.Load() != 1 {
 			t.Fatalf("iter %d: t1 ran %d times", i, ran1.Load())
 		}
-		g.Forget(x)
+		g.Release(dom)
 	}
 }

@@ -8,10 +8,12 @@
 // concurrent use without any external lock. Its locking model is
 // decentralized so no single lock serializes the executor:
 //
-//   - Dependence records (Graph) live in key-hashed shards with per-shard
-//     mutexes. Submit two-phase-locks the shards of one task's accesses in
-//     ascending index order — deadlock-free, and atomic against concurrent
-//     submitters sharing any datum.
+//   - Every dependence key is interned once per Graph into a Datum, which
+//     is the key's dependence record; the datum is homed on one of the
+//     graph's lock shards by the order it was interned in. Submit
+//     two-phase-locks the shards of one task's datums in ascending index
+//     order — deadlock-free, and atomic against concurrent submitters
+//     sharing any datum.
 //   - Task release is lock-free at the graph level: each task carries an
 //     atomic unfinished-predecessor count, pre-charged with a submission
 //     guard so a racing Finish can never release a half-wired task, and a
@@ -80,9 +82,9 @@ type Access struct {
 	Key   any
 	Mode  Mode
 	Bytes int64
-	// Datum, when non-nil, is a pre-registered handle for Key (see
-	// Graph.Register): Submit uses its cached shard index and record
-	// pointer instead of hashing Key. Key must still name the same datum —
+	// Datum is Key's interned datum (see Graph.Register). Left nil, Submit
+	// interns Key and fills it in; a handle interned on another graph is
+	// replaced by this graph's datum for Key. Key must name the same datum —
 	// the clause layer fills both from the handle.
 	Datum *Datum
 }

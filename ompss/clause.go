@@ -12,9 +12,9 @@ import (
 type Clause func(*taskRec)
 
 // access builds one core.Access from a dependence key, recognizing
-// registered *Datum handles: a handle contributes its pre-resolved shard
-// and record (the fast submit path); any other key is used verbatim (the
-// compatibility path — the runtime lazily interns its record at submit).
+// registered *Datum handles: a handle contributes its interned record (the
+// fast submit path); any other key is used verbatim, and the runtime interns
+// it at submission.
 func access(k any, m core.Mode, bytes int64) core.Access {
 	if d, ok := k.(*Datum); ok {
 		return core.Access{Key: d.c.Key, Mode: m, Bytes: bytes, Datum: d.c}
@@ -100,18 +100,14 @@ func Priority(p int) Clause { return func(r *taskRec) { r.t.Priority = p } }
 // datum: the task is submitted to the mailbox of the lane its dependence
 // shard maps to (see Tuning.Affinity), so work lands where its
 // data lives and domain-ordered stealing drains it with near workers first.
-// The key may be a registered *Datum handle (preferred — the home shard is
-// already cached) or any raw dependence key. A later Affinity clause
-// overrides an earlier one. The hint never affects correctness, only
-// placement; it is ignored under Tuning{Affinity: Off}.
+// The key may be a registered *Datum handle or any raw dependence key, which
+// is interned like a raw-key access of the task. A datum's home is fixed by
+// the order in which the runtime first saw its key, so placement repeats
+// exactly from run to run. A later Affinity clause overrides an earlier one.
+// The hint never affects correctness, only placement; it is ignored under
+// Tuning{Affinity: Off}.
 func Affinity(key any) Clause {
-	return func(r *taskRec) {
-		if d, ok := key.(*Datum); ok {
-			r.t.SetAffinity(d.c.Shard())
-		} else {
-			r.t.SetAffinity(core.ShardOf(key))
-		}
-	}
+	return func(r *taskRec) { r.t.SetAffinity(r.tc.rt.intern(key, r.t.Domain).Shard()) }
 }
 
 // Label names the task in traces and their exports.

@@ -10,13 +10,13 @@ import (
 
 // Datum is a pre-registered data handle: the clause-expression analogue of
 // the paper's compiler-resolved dependence expressions. Registering a key
-// once (Runtime.Register) resolves its dependence shard and record up
-// front, so every later In/Out/InOut/Commutative clause built from the
-// handle skips interface hashing and the shard map lookup on the submit hot
-// path. Pass a *Datum anywhere a dependence key is accepted — the clause
-// constructors and TaskwaitOn recognize it. Raw any-key clauses remain supported as a compatibility
-// layer and resolve to the same records, so handle-based and key-based
-// accesses to one datum stay mutually ordered.
+// (Runtime.Register) interns it once into its dependence record, so every
+// later In/Out/InOut/Commutative clause built from the handle reaches the
+// record with no lookup on the submit hot path. Pass a *Datum anywhere a
+// dependence key is accepted — the clause constructors and TaskwaitOn
+// recognize it. Raw any-key clauses remain supported as sugar: the runtime
+// interns the key at submission into the same record, so handle-based and
+// key-based accesses to one datum stay mutually ordered.
 type Datum struct {
 	c *core.Datum
 	// Cached clause closures: one closure and one access value per mode,
@@ -48,21 +48,35 @@ func newDatum(c *core.Datum) *Datum {
 	return d
 }
 
-// Register interns key's dependence record and returns a reusable handle.
-// Handles are bound to this runtime, valid for its lifetime, and safe for
-// concurrent use from any task. Registering an existing handle is the
-// identity on its own runtime; a handle from another runtime is
-// re-registered here by its underlying key (clauses likewise treat a
-// foreign handle as its key, so cross-runtime handle use degrades to the
-// compatibility path instead of corrupting records).
-func (rt *Runtime) Register(key any) *Datum {
+// Register interns key's dependence record and returns a reusable handle:
+// one record per key, however often it is registered, and the same one a
+// raw-key clause on the key resolves to. Handles are bound to this runtime,
+// valid for its lifetime, and safe for concurrent use from any task.
+// Registering an existing handle is the identity on its own runtime; a
+// handle from another runtime is re-registered here by its underlying key
+// (clauses likewise treat a foreign handle as its key, so cross-runtime
+// handle use degrades to the raw-key path instead of corrupting records).
+func (rt *Runtime) Register(key any) *Datum { return rt.register(key, nil) }
+
+// register interns key on behalf of dom (nil: the runtime's own, never
+// released).
+func (rt *Runtime) register(key any, dom *core.Domain) *Datum {
+	if d, ok := key.(*Datum); ok && d.c.Owner() == rt.lc.graph {
+		return d
+	}
+	return newDatum(rt.intern(key, dom))
+}
+
+// intern resolves a raw key, or a handle from any runtime, to this
+// runtime's datum, interning it on behalf of dom when it is new.
+func (rt *Runtime) intern(key any, dom *core.Domain) *core.Datum {
 	if d, ok := key.(*Datum); ok {
 		if d.c.Owner() == rt.lc.graph {
-			return d
+			return d.c
 		}
 		key = d.c.Key
 	}
-	return newDatum(rt.lc.graph.Register(key))
+	return rt.lc.graph.Intern(key, dom)
 }
 
 // EnableRenaming makes the datum renameable (see Tuning.Renaming):

@@ -28,13 +28,12 @@
 // On top of the pragma-shaped clause surface, the API is built around two
 // first-class types:
 //
-//   - *Datum, a registered data handle (Runtime.Register): the datum's
-//     dependence shard and record are resolved once, so clauses built
-//     from the handle skip interface hashing and map lookups on the submit
-//     hot path — the library analogue of the compiler-resolved clause
-//     expressions of OmpSs.
-//     Raw any-typed keys remain fully supported and resolve to the same
-//     records.
+//   - *Datum, a registered data handle (Runtime.Register): the key is
+//     interned once into its dependence record, so clauses built from the
+//     handle reach the record with no lookup on the submit hot path — the
+//     library analogue of the compiler-resolved clause expressions of
+//     OmpSs. Raw any-typed keys remain supported as sugar: the runtime
+//     interns them at submission into the same records.
 //   - *Handle, the future returned by Task, Go, and TaskLoop: Done is
 //     closed at completion and Err reports the outcome. Go spawns
 //     error-returning bodies; a failure (returned error or wrapped panic,
@@ -206,10 +205,10 @@ func (rt *Runtime) notePanic(err error) {
 
 // noteTaskErr records a finished task's failure on the right error surface.
 // Request-session tasks fail into their session's domain — Handle.Err,
-// Session.Err, and Close report them — and do NOT become the runtime-global
-// first error: a multi-tenant server's rt.Err must not answer with one
-// tenant's private failure, and RunSim must not fail a whole simulation
-// over a session-contained error. Panics still arm the Shutdown valve
+// Session.TaskwaitCtx, and Close report them — and do NOT become the
+// runtime-global first error: a multi-tenant server's rt.Err must not
+// answer with one tenant's private failure, and RunSim must not fail a
+// whole simulation over a session-contained error. Panics still arm the Shutdown valve
 // globally, so an unobserved panic crashes loudly no matter whose task
 // panicked.
 func (rt *Runtime) noteTaskErr(t *core.Task, err error) {
@@ -227,9 +226,9 @@ func (rt *Runtime) noteTaskErr(t *core.Task, err error) {
 
 // Err returns the first task failure recorded on this runtime (nil when
 // every finished task succeeded so far). Failures inside request sessions
-// are session-scoped — consult Session.Err, Handle.Err, or Session.Close —
-// and never appear here. Calling Err marks the runtime's failures as
-// observed, disarming the Shutdown panic valve.
+// are session-scoped — consult Handle.Err, Session.TaskwaitCtx, or
+// Session.Close — and never appear here. Calling Err marks the runtime's
+// failures as observed, disarming the Shutdown panic valve.
 func (rt *Runtime) Err() error {
 	rt.observed.Store(true)
 	if r := rt.firstErr.Load(); r != nil {
@@ -345,12 +344,13 @@ func (rt *Runtime) Stats() RunStats {
 // seam (see internal/core/backend.go).
 func (rt *Runtime) Backend() core.Backend { return rt.lc }
 
-// DepRecords reports the live dependence records across the tracker's
-// shards. Sessions release their arenas at Close, so for a drained runtime
-// the count returns to the pre-churn baseline — the arena-leak probe the
-// session-churn soak (internal/serve, -soak) asserts on.
+// DepRecords reports the live dependence records: the keys the tracker has
+// interned. Sessions release the records they created at Close, so for a
+// drained runtime the count returns to the pre-churn baseline — the
+// arena-leak probe the session-churn soak (internal/serve, -soak) asserts
+// on.
 func (rt *Runtime) DepRecords() int {
-	return rt.lc.graph.ShardEntries()
+	return rt.lc.graph.Records()
 }
 
 // Shutdown drains all outstanding tasks (the implicit end-of-program
@@ -439,7 +439,7 @@ func (tc *TC) spawn(r *taskRec) *Handle {
 	s := tc.sess
 	if s != nil && s.managed() {
 		// Request sessions (and a default session that refuses on a full
-		// window) route through admission control and arena tracking.
+		// window) route through admission control.
 		return s.spawnManaged(tc, r)
 	}
 	if s != nil {

@@ -25,28 +25,31 @@ type taskRec struct {
 	acc [3]core.Access // backs t.Accesses for the usual one-to-three-clause task
 }
 
-// newRec is the one place a task context is made: it runs the clauses over a
-// fresh record and binds it to the spawning scope — parent context, session
-// domain and tenant boost, and the child TC the body will see. Deferred and
-// inline spawns both start here.
+// newRec is the one place a task context is made: it binds a fresh record to
+// the spawning scope — parent context, session domain, and the child TC the
+// body will see — runs the clauses over it (an Affinity clause on a raw key
+// interns it on behalf of the domain), then adds the session's tenant boost.
+// Deferred and inline spawns both start here.
 func (tc *TC) newRec(clauses []Clause) *taskRec {
 	r := &taskRec{enabled: true}
 	r.t.Accesses = r.acc[:0]
+	r.t.Owner = r
+	r.t.Parent = tc.ctx
+	s := tc.sess
+	if s != nil {
+		// The session is the task's failure/cancellation/accounting domain.
+		r.t.Domain = s.dom
+	}
+	r.ctx.Depth = tc.ctx.Depth + 1
+	r.tc = TC{rt: tc.rt, ctx: &r.ctx, task: &r.t, sess: s}
+	r.h.rt, r.h.t = tc.rt, &r.t
 	for _, c := range clauses {
 		c(r)
 	}
-	r.t.Owner = r
-	r.t.Parent = tc.ctx
-	if s := tc.sess; s != nil {
-		// The session is the task's failure/cancellation/accounting domain,
-		// and its tenant class boosts the task onto the matching priority
-		// lane.
-		r.t.Domain = s.dom
+	if s != nil {
+		// The tenant class boosts the task onto the matching priority lane.
 		r.t.Priority += s.cfg.tenant
 	}
-	r.ctx.Depth = tc.ctx.Depth + 1
-	r.tc = TC{rt: tc.rt, ctx: &r.ctx, task: &r.t, sess: tc.sess}
-	r.h.rt, r.h.t = tc.rt, &r.t
 	return r
 }
 

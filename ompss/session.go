@@ -89,8 +89,8 @@ var (
 // Session is a request-scoped task graph on a shared runtime: it owns its
 // own spawning surface (Register/Task/Go/Taskwait...), its own
 // error and cancellation domain, its own admission budget and tenant
-// class, and a request-scoped arena — Close drops the session's
-// dependence-shard entries and version chains wholesale (its task records
+// class, and a request-scoped arena — Close drops the dependence records
+// the session created, version chains included, wholesale (its task records
 // go to the garbage collector once no Handle points into them).
 //
 // Obtain one with Runtime.NewSession per request; the runtime hosts any
@@ -103,35 +103,32 @@ var (
 // Close must not race in-flight spawns of the same session gratuitously —
 // it waits for them, cancels what has not started, and drains (Err of a
 // task the close skipped is a stable ErrSessionClosed-wrapped outcome).
-// Data registered or touched through a session is treated
-// as request-private: Close drops its dependence records, so sharing keys
-// across sessions forfeits ordering history at each Close.
+// A key's dependence record belongs to whoever first interned it: the
+// session owns the records of the keys it registered, or its tasks touched,
+// first, and Close drops exactly those. A key already known to the runtime
+// (registered on it, or created by another session) keeps its record and
+// its ordering history across this session's Close. To share a datum
+// between sessions with ordering that outlives each of them, register it on
+// the runtime first.
 type Session struct {
 	rt  *Runtime
 	cfg config
 	dom *core.Domain
 	tc  *TC
-	// ephemeral marks NewSession sessions: the dependence keys they touch
-	// are tracked so Close can drop the records. The runtime's default
-	// session is not ephemeral — it never closes and pays none of the
-	// tracking.
+	// ephemeral marks NewSession sessions: their domain owns the dependence
+	// records it creates, and Close drops them. The runtime's default
+	// session is not ephemeral — it never closes, and its records stay.
 	ephemeral bool
 
 	closedFlag atomic.Bool
 	// gate brackets spawn sections (closed-check .. submit) against Close:
 	// Close sets closedFlag, then takes the write lock once as a barrier so
-	// every in-flight spawn has either submitted (and is tracked) or will
-	// observe the flag.
+	// every in-flight spawn has either submitted (its records interned) or
+	// will observe the flag.
 	gate sync.RWMutex
 	// admu serializes the session's budget check-then-charge, making the
 	// per-session budget exact under concurrent spawners.
 	admu sync.Mutex
-
-	// trmu guards the arena tracking below (appended by spawners, consumed
-	// by Close).
-	trmu sync.Mutex
-	keys map[any]struct{}
-	regs []*core.Datum
 
 	refused atomic.Uint64 // spawns admission control refused (ErrAdmission)
 }
@@ -160,11 +157,12 @@ func (rt *Runtime) NewSession(opts ...Option) *Session {
 	if cfg.rec != nil && cfg.rec != rt.cfg.rec {
 		panic("ompss: NewSession: sessions cannot attach their own recorder; use the runtime's recorder (traces are per-session filterable) or Observe(nil) to mute")
 	}
-	s := &Session{rt: rt, cfg: cfg, ephemeral: true, keys: make(map[any]struct{})}
+	s := &Session{rt: rt, cfg: cfg, ephemeral: true}
 	dom := &core.Domain{
-		ID:    rt.sessID.Add(1),
-		Owner: s,
-		Quiet: rt.cfg.rec != nil && cfg.rec == nil,
+		ID:     rt.sessID.Add(1),
+		Owner:  s,
+		Quiet:  rt.cfg.rec != nil && cfg.rec == nil,
+		Scoped: true,
 	}
 	if cfg.renamingOn() != rt.cfg.renamingOn() {
 		if cfg.renamingOn() {
@@ -214,20 +212,10 @@ func (s *Session) Stats() SessionStats {
 	}
 }
 
-// Register interns key's dependence record on the shared runtime and — for
-// request sessions — tracks the handle so Close releases its records. See
-// Runtime.Register for handle semantics.
-func (s *Session) Register(key any) *Datum {
-	d := s.rt.Register(key)
-	if s.ephemeral {
-		if pre, ok := key.(*Datum); !ok || pre != d {
-			s.trmu.Lock()
-			s.regs = append(s.regs, d.c)
-			s.trmu.Unlock()
-		}
-	}
-	return d
-}
+// Register interns key's dependence record on the shared runtime; a record
+// it creates belongs to the session and Close drops it. See Runtime.Register
+// for handle semantics.
+func (s *Session) Register(key any) *Datum { return s.rt.register(key, s.dom) }
 
 // Task spawns a task in this session's scope (see TC.Task).
 func (s *Session) Task(body func(*TC), clauses ...Clause) *Handle {
@@ -280,9 +268,9 @@ func (s *Session) cancelWith(cause error) {
 // Close ends the session: new spawns are refused (pre-failed handles
 // wrapping ErrSessionClosed), every task that has not started is cancelled
 // with ErrSessionClosed, the session drains (the closing thread helps
-// execute), and the session's arena — dependence-shard entries, version
-// chains — is dropped wholesale; handles stay valid and keep reporting
-// their task's final outcome. Returns the first failure
+// execute), and the session's arena — the dependence records it created,
+// version chains included — is dropped wholesale; handles stay valid and
+// keep reporting their task's final outcome. Returns the first failure
 // among the session's children (cancellation skips included), nil when
 // everything succeeded. Idempotent; call Taskwait first if remaining work
 // should complete rather than be cancelled. On the default session Close
@@ -295,7 +283,7 @@ func (s *Session) Close() error {
 		return nil
 	}
 	// Barrier: wait out every spawn section that passed the closed check,
-	// so the tracking below is complete.
+	// so every record the session's submissions created exists by now.
 	s.gate.Lock()
 	s.gate.Unlock() //nolint:staticcheck // empty critical section is the barrier
 	// Fast drain: skip everything that has not started.
@@ -305,23 +293,13 @@ func (s *Session) Close() error {
 	// Outcomes are consumed here (the returned error): that counts as
 	// observing failures, like TaskwaitCtx.
 	s.rt.observed.Store(true)
-	// Drop the arena: the shard records are the last thing outside the
-	// handles that points at the session's task records.
-	s.trmu.Lock()
-	g := s.rt.lc.graph
-	for k := range s.keys {
-		g.Forget(k)
-	}
-	for _, d := range s.regs {
-		g.Release(d)
-	}
-	s.regs, s.keys = nil, nil
-	s.trmu.Unlock()
+	// Drop the arena: the records are the last thing outside the handles
+	// that points at the session's task records.
+	s.rt.lc.graph.Release(s.dom)
 	return s.tc.ctx.TakeErr()
 }
 
-// managed reports whether spawns must go through the admission/tracking
-// path: every request session, and the default session when it refuses on a
+// managed reports whether spawns must go through the admission path: every request session, and the default session when it refuses on a
 // full window. Otherwise the default session's only bound is the run-ahead
 // window, which lifecycle.submit checks without this path's locks.
 func (s *Session) managed() bool {
@@ -377,8 +355,8 @@ func (s *Session) admit(tc *TC) (ok bool, cause error) {
 	}
 }
 
-// spawnManaged is the admission-controlled, arena-tracked spawn path of
-// managed sessions (TC.spawn routes here).
+// spawnManaged is the admission-controlled spawn path of managed sessions
+// (TC.spawn routes here).
 func (s *Session) spawnManaged(tc *TC, r *taskRec) *Handle {
 	if ok, cause := s.admit(tc); !ok {
 		if cause == ErrAdmission {
@@ -392,21 +370,7 @@ func (s *Session) spawnManaged(tc *TC, r *taskRec) *Handle {
 		s.dom.Uncharge()
 		return r.refuse(ErrSessionClosed)
 	}
-	s.noteAccessKeys(&r.t)
 	s.rt.lc.submit(tc, &r.t)
 	s.gate.RUnlock()
 	return &r.h
-}
-
-// noteAccessKeys records every dependence key the task touches, so a request
-// session's Close can drop the shard records.
-func (s *Session) noteAccessKeys(t *core.Task) {
-	if !s.ephemeral {
-		return
-	}
-	s.trmu.Lock()
-	for i := range t.Accesses {
-		s.keys[t.Accesses[i].Key] = struct{}{}
-	}
-	s.trmu.Unlock()
 }

@@ -729,3 +729,45 @@ func TestSessionChurnReturnsMemory(t *testing.T) {
 	}
 	t.Logf("heap objects %d -> %d over 2000 sessions / 100000 tasks", base, after)
 }
+
+// TestSessionCloseReleasesOwnRecords pins the ownership contract of the
+// session arena: Close drops exactly the dependence records the session
+// created — K, registered by the session, K2, first touched by one of its
+// raw-key clauses, and A, first named by an Affinity hint — and leaves R, which the runtime registered before
+// the session touched it, with its record and its ordering history: a
+// runtime writer on R's handle still pending across the Close orders a later
+// raw-key reader of R. Workers(1) runs nothing before the final wait, and
+// the reader's priority would put it first were it not ordered.
+func TestSessionCloseReleasesOwnRecords(t *testing.T) {
+	rt := ompss.New(ompss.Workers(1))
+	defer rt.Shutdown()
+	var r, k, k2, a int
+	rd := rt.Register(&r)
+	base := rt.DepRecords()
+
+	s := rt.NewSession()
+	kd := s.Register(&k)
+	s.Task(func(*ompss.TC) { k = r + 1 }, kd.AsOut(), ompss.In(&r))
+	s.Task(func(*ompss.TC) { k2 = k }, ompss.In(kd), ompss.Out(&k2), ompss.Affinity(&a))
+	s.Taskwait()
+	if n := rt.DepRecords(); n != base+3 {
+		t.Fatalf("DepRecords = %d with the session open, want %d (+K, +K2, +A)", n, base+3)
+	}
+
+	var order []string
+	rt.Task(func(*ompss.TC) { order = append(order, "writer") }, rd.AsOut())
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if n := rt.DepRecords(); n != base {
+		t.Fatalf("DepRecords = %d after Close, want the baseline %d", n, base)
+	}
+	rt.Task(func(*ompss.TC) { order = append(order, "reader") }, ompss.In(&r), ompss.Priority(1))
+	rt.Taskwait()
+	if fmt.Sprint(order) != "[writer reader]" {
+		t.Fatalf("order %v: the raw-key reader of R did not wait for the writer on R's handle", order)
+	}
+	if k != 1 || k2 != 1 {
+		t.Fatalf("k=%d k2=%d, want 1 1", k, k2)
+	}
+}

@@ -2,6 +2,8 @@ package ompss
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -424,6 +426,66 @@ func TestSimNativeEquivalenceProperty(t *testing.T) {
 		}
 		if native != sim {
 			t.Fatalf("trial %d: native %v != sim %v", trial, native, sim)
+		}
+	}
+}
+
+// TestSimAffinityHomesRepeat runs an Affinity-tagged, ray-rot-shaped program
+// (a registered frame per render task, raw-key outputs for its rotates, every
+// task hinted at its frame) three times with a differently sized heap
+// padding allocated first, so every frame lands at a different address each
+// run. Affinity homes come from registration order, not addresses, so the
+// three simulations must agree exactly: makespan, event count, and the lane
+// every task started on.
+func TestSimAffinityHomesRepeat(t *testing.T) {
+	const frames, rots, px = 12, 4, 1 << 14
+	program := func(rt *Runtime) {
+		src := make([][]byte, frames)
+		rot := make([][]byte, frames*rots)
+		for f := range src {
+			src[f] = make([]byte, px)
+			frame := rt.Register(&src[f][0])
+			rt.Task(func(*TC) { src[f][0] = byte(f) },
+				OutSized(frame, px), Cost(300*time.Microsecond), Affinity(frame), Label("render"))
+			for j := 0; j < rots; j++ {
+				i := f*rots + j
+				rot[i] = make([]byte, px)
+				rt.Task(func(*TC) { rot[i][0] = src[f][0] },
+					InSized(frame, px), OutSized(&rot[i][0], px),
+					Cost(100*time.Microsecond), Affinity(frame), Label("rotate"))
+			}
+		}
+		rt.Taskwait()
+	}
+	type lane struct {
+		task   uint64
+		worker int32
+	}
+	run := func(pad int) (machine.Stats, []lane) {
+		padding := make([]byte, pad)
+		rec := obs.NewRecorder()
+		st, err := RunSim(machine.Paper(8), program, Observe(rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(padding)
+		var lanes []lane
+		for _, e := range rec.Snapshot().Events {
+			if e.Kind == obs.EvStart {
+				lanes = append(lanes, lane{e.Task, e.Worker})
+			}
+		}
+		return st, lanes
+	}
+	st0, lanes0 := run(1 << 10)
+	for _, pad := range []int{37 << 10, 300 << 10} {
+		st, lanes := run(pad)
+		if st.Makespan != st0.Makespan || st.Events != st0.Events {
+			t.Fatalf("padding %d B: makespan %v events %d, first run %v events %d",
+				pad, st.Makespan, st.Events, st0.Makespan, st0.Events)
+		}
+		if !slices.Equal(lanes, lanes0) {
+			t.Fatalf("padding %d B: tasks started on different lanes than in the first run", pad)
 		}
 	}
 }
