@@ -21,7 +21,7 @@ type miniExec struct {
 func newMiniExec(workers int, locality bool, seed int64) *miniExec {
 	return &miniExec{
 		g:       NewGraph(),
-		s:       NewSched(workers, Policy{Locality: locality, Affinity: true}, seed),
+		s:       NewSched(workers, Policy{Locality: locality}, seed),
 		rng:     rand.New(rand.NewSource(seed)),
 		workers: workers,
 	}
@@ -312,7 +312,7 @@ func TestPriorityJumpsGlobalQueue(t *testing.T) {
 }
 
 func TestLocalityPlacement(t *testing.T) {
-	s := NewSched(2, Policy{Locality: true, Affinity: true}, 1)
+	s := NewSched(2, DefaultPolicy(), 1)
 	a, b := &Task{Label: "a"}, &Task{Label: "b"}
 	s.PushSubmit(a)   // global
 	s.PushReady(b, 1) // released on worker 1
@@ -336,7 +336,7 @@ func TestNoLocalityGoesGlobal(t *testing.T) {
 }
 
 func TestStealFromVictimTail(t *testing.T) {
-	s := NewSched(2, Policy{Locality: true, Affinity: true}, 1)
+	s := NewSched(2, DefaultPolicy(), 1)
 	a, b := &Task{Label: "hot"}, &Task{Label: "cold"}
 	// Worker 0's deque: hot at head, cold at tail.
 	s.PushReady(b, 0)

@@ -11,18 +11,12 @@ import "sync/atomic"
 // submitting and Finish credits it, so InFlight (submitted − finished, never
 // an underestimate) is usable as a backpressure budget.
 //
-// The zero Domain is valid (no overrides, never cancelled). A nil Domain on
+// The zero Domain is valid: unscoped, never cancelled. A nil Domain on
 // a task means "no domain": such tasks propagate failures to, and accept
 // them from, other nil-domain tasks only.
 type Domain struct {
 	// ID names the domain in traces (obs events tag submissions with it).
 	ID uint64
-	// Rename overrides the graph's dependence-renaming policy for this
-	// domain's tasks (RenameInherit leaves the graph's setting in force);
-	// RenameCap, when positive, overrides the per-datum in-flight version
-	// cap the same way. Set before the first submission.
-	Rename    RenameOverride
-	RenameCap int
 	// Quiet asks the executor to suppress per-task observability events for
 	// this domain's tasks. The engine itself does not consult it.
 	Quiet bool
@@ -51,20 +45,6 @@ type Domain struct {
 	failed    atomic.Uint64
 	skipped   atomic.Uint64
 }
-
-// RenameOverride is a per-domain tri-state override of the graph's
-// dependence-renaming policy.
-type RenameOverride int8
-
-const (
-	// RenameInherit keeps the graph-wide renaming setting.
-	RenameInherit RenameOverride = 0
-	// RenameForceOn renames for this domain's tasks even when the graph-wide
-	// setting is off.
-	RenameForceOn RenameOverride = 1
-	// RenameForceOff never renames for this domain's tasks.
-	RenameForceOff RenameOverride = -1
-)
 
 // DomainStats is a snapshot of one domain's task accounting.
 type DomainStats struct {

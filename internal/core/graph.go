@@ -77,8 +77,7 @@ type Graph struct {
 
 	// Renaming policy (ConfigureRenaming): written once before the first
 	// submission, read under shard locks afterwards.
-	renameOn  bool
-	renameCap int
+	renameOn bool
 
 	// probe, when non-nil, receives rename/writeback events (SetProbe;
 	// written once before the first submission).
@@ -102,7 +101,7 @@ type Graph struct {
 
 // NewGraph returns an empty dependence graph.
 func NewGraph() *Graph {
-	return &Graph{renameCap: DefaultMaxVersions, keys: make(map[any]*Datum)}
+	return &Graph{keys: make(map[any]*Datum)}
 }
 
 // Stats returns a snapshot of the graph counters.

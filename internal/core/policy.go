@@ -5,59 +5,22 @@ package core
 // ablation (paper §4) and a production run exercise literally the same
 // placement and victim-selection code.
 //
-// The three knobs map onto the mechanisms the paper's §4 analysis credits:
+// The one knob maps onto the mechanism the paper's §4 analysis credits:
+// locality. A successor released by a finishing task is pushed to the
+// bottom of the finisher's own deque, so producer→consumer chains run
+// back-to-back on one core while the produced data is cache-resident (the
+// ray-rot effect). Off, released tasks go to the global FIFO.
 //
-//   - Locality: a successor released by a finishing task is pushed to the
-//     bottom of the finisher's own deque, so producer→consumer chains run
-//     back-to-back on one core while the produced data is cache-resident
-//     (the ray-rot effect). Off, released tasks go to the global FIFO.
-//   - Affinity: tasks carrying an affinity hint (the ompss.Affinity clause)
-//     are submitted to the mailbox of their datum's home lane instead of the
-//     global FIFO, so work lands where its data lives. Off, hints are
-//     ignored.
-//   - Domains: workers are split into contiguous steal domains (sockets, in
-//     the paper's 4-socket machine). A thief probes every victim in its own
-//     domain before crossing into another, so affinity-placed work is
-//     preferentially drained by near workers and only crosses a domain as a
-//     last resort against starvation.
+// Two mechanisms are not knobs. A task carrying an affinity hint (the
+// ompss.Affinity clause) is always submitted to the mailbox of its datum's
+// home lane, so work lands where its data lives; and an idle worker steals
+// from a flat, randomly rotated ring of victims.
 type Policy struct {
 	Locality bool
-	Affinity bool
-	// Domains is the steal-domain count; values < 2 (or >= the worker
-	// count) mean flat random-victim stealing.
-	Domains int
 }
 
-// DefaultPolicy matches the paper's OmpSs runtime: locality scheduling on,
-// affinity hints honored, flat stealing.
-func DefaultPolicy() Policy { return Policy{Locality: true, Affinity: true} }
-
-// domainCount clamps the configured domain count to something meaningful
-// for the given worker count.
-func (p Policy) domainCount(workers int) int {
-	d := p.Domains
-	if d < 1 {
-		return 1
-	}
-	if d > workers {
-		return workers
-	}
-	return d
-}
-
-// DomainOf maps a worker lane to its steal domain. Lanes are split into
-// contiguous blocks (lanes 0..k-1 form domain 0, and so on), mirroring how
-// cores fill sockets on the simulated machine. Out-of-range lanes (the
-// overflow stats lane, foreign goroutines) report domain 0.
-func (p Policy) DomainOf(worker, workers int) int {
-	d := p.domainCount(workers)
-	if d <= 1 || worker < 0 || worker >= workers {
-		return 0
-	}
-	// Exact inverse of domainBounds' floor partition (lanes of domain k are
-	// [k*workers/d, (k+1)*workers/d)), also for uneven splits.
-	return ((worker+1)*d - 1) / workers
-}
+// DefaultPolicy matches the paper's OmpSs runtime: locality scheduling on.
+func DefaultPolicy() Policy { return Policy{Locality: true} }
 
 // HomeLane maps a dependence shard to the worker lane that is the shard's
 // home: affinity-hinted tasks are mailed there. The mapping is stable for
@@ -70,16 +33,15 @@ func (p Policy) HomeLane(shard uint32, workers int) int {
 }
 
 // Victim returns the lane of the i-th steal probe for `worker` (or -1 once
-// the order is exhausted): every same-domain victim first (rotated by rnd
-// so concurrent thieves spread), then every cross-domain victim (likewise
-// rotated). With a flat policy this degenerates to the classic random-start
-// ring probe. Pure arithmetic — the steal hot path iterates i without
-// materializing the order, so Pop stays allocation-free at any worker
-// count. The caller supplies rnd from its per-lane RNG and must hold it
-// constant across one probe sweep.
+// the order is exhausted): the ring of lanes rotated by rnd, so concurrent
+// thieves spread, skipping the worker's own lane. Pure arithmetic — the
+// steal hot path iterates i without materializing the order, so Pop stays
+// allocation-free at any worker count. The caller supplies rnd from its
+// per-lane RNG and must hold it constant across one probe sweep.
 func (p Policy) Victim(i, worker, workers int, rnd uint64) int {
+	inRange := worker >= 0 && worker < workers
 	nVictims := workers - 1
-	if worker < 0 || worker >= workers {
+	if !inRange {
 		// Out-of-range callers (the overflow stats lane, foreign
 		// goroutines) have no own lane: every worker is a victim.
 		nVictims = workers
@@ -87,57 +49,13 @@ func (p Policy) Victim(i, worker, workers int, rnd uint64) int {
 	if workers < 1 || i < 0 || i >= nVictims {
 		return -1
 	}
-	d := p.domainCount(workers)
-	if d <= 1 || worker < 0 || worker >= workers {
-		// Rotated ring skipping self: the i-th element of the sequence
-		// (start+k)%workers with worker's own slot removed.
-		start := int(rnd % uint64(workers))
-		self := (worker - start + workers) % workers
-		k := i
-		if worker >= 0 && worker < workers && i >= self {
-			k = i + 1
-		}
-		return (start + k) % workers
+	// The i-th element of the sequence (start+k)%workers with worker's own
+	// slot removed.
+	start := int(rnd % uint64(workers))
+	self := (worker - start + workers) % workers
+	k := i
+	if inRange && i >= self {
+		k = i + 1
 	}
-	home := p.DomainOf(worker, workers)
-	lo, hi := p.domainBounds(home, workers)
-	n := hi - lo
-	if i < n-1 {
-		// Same-domain victims: the rotated ring over [lo, hi) skipping self.
-		start := int(rnd % uint64(n))
-		self := ((worker - lo) - start + n) % n
-		k := i
-		if i >= self {
-			k = i + 1
-		}
-		return lo + (start+k)%n
-	}
-	// Cross-domain victims, rotated over the lanes outside [lo, hi).
-	j := i - (n - 1)
-	rest := workers - n
-	v := (int((rnd>>32)%uint64(rest)) + j) % rest
-	if v >= lo {
-		v += n // map the rest-index back to a lane above the home block
-	}
-	return v
-}
-
-// VictimOrder appends the full steal-probe order for `worker` to dst and
-// returns it — the materialized form of Victim, for tests and diagnostics.
-func (p Policy) VictimOrder(dst []int, worker, workers int, rnd uint64) []int {
-	for i := 0; ; i++ {
-		v := p.Victim(i, worker, workers, rnd)
-		if v < 0 {
-			return dst
-		}
-		dst = append(dst, v)
-	}
-}
-
-// domainBounds returns the half-open lane range [lo, hi) of one domain.
-func (p Policy) domainBounds(domain, workers int) (lo, hi int) {
-	d := p.domainCount(workers)
-	lo = domain * workers / d
-	hi = (domain + 1) * workers / d
-	return lo, hi
+	return (start + k) % workers
 }

@@ -1,97 +1,39 @@
 package core
 
 import (
+	"slices"
 	"testing"
 )
 
-func TestDomainOfContiguousBlocks(t *testing.T) {
-	p := Policy{Domains: 2}
-	got := make([]int, 8)
-	for w := 0; w < 8; w++ {
-		got[w] = p.DomainOf(w, 8)
-	}
-	want := []int{0, 0, 0, 0, 1, 1, 1, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("DomainOf over 8 workers / 2 domains = %v, want %v", got, want)
+// victimOrder materializes the full steal-probe order of Policy.Victim.
+func victimOrder(p Policy, worker, workers int, rnd uint64) []int {
+	var order []int
+	for i := 0; ; i++ {
+		v := p.Victim(i, worker, workers, rnd)
+		if v < 0 {
+			return order
 		}
-	}
-	// Degenerate configurations collapse to one domain.
-	for _, d := range []int{0, 1} {
-		p := Policy{Domains: d}
-		if p.DomainOf(3, 4) != 0 {
-			t.Fatalf("Domains=%d should be flat", d)
-		}
-	}
-	// Out-of-range lanes (overflow stats lane) report domain 0.
-	if p.DomainOf(-1, 8) != 0 || p.DomainOf(8, 8) != 0 {
-		t.Fatal("out-of-range lanes must map to domain 0")
-	}
-}
-
-func TestDomainOfMatchesDomainBounds(t *testing.T) {
-	// DomainOf must be the exact inverse of the domainBounds partition for
-	// every worker count and domain count, including uneven splits.
-	for workers := 1; workers <= 16; workers++ {
-		for domains := 1; domains <= 8; domains++ {
-			p := Policy{Domains: domains}
-			for w := 0; w < workers; w++ {
-				dom := p.DomainOf(w, workers)
-				lo, hi := p.domainBounds(dom, workers)
-				if w < lo || w >= hi {
-					t.Fatalf("workers=%d domains=%d: worker %d in domain %d but bounds [%d,%d)",
-						workers, domains, w, dom, lo, hi)
-				}
-			}
-		}
+		order = append(order, v)
 	}
 }
 
 func TestVictimOrderCoversEveryOtherWorker(t *testing.T) {
-	for _, domains := range []int{1, 2, 3} {
-		p := Policy{Domains: domains}
-		for _, workers := range []int{1, 2, 5, 8, 33} {
-			// In-range workers skip themselves; out-of-range callers (the
-			// overflow stats lane at index `workers`, and -1) probe everyone.
-			for w := -1; w <= workers; w++ {
-				want := workers - 1
-				if w < 0 || w >= workers {
-					want = workers
-				}
-				for _, rnd := range []uint64{0, 1, 0xdeadbeefcafe, ^uint64(0)} {
-					order := p.VictimOrder(nil, w, workers, rnd)
-					if len(order) != want {
-						t.Fatalf("d=%d w=%d/%d rnd=%d: %d victims, want %d",
-							domains, w, workers, rnd, len(order), want)
-					}
-					seen := map[int]bool{}
-					for _, v := range order {
-						if v == w || v < 0 || v >= workers || seen[v] {
-							t.Fatalf("d=%d w=%d/%d: bad victim order %v", domains, w, workers, order)
-						}
-						seen[v] = true
+	p := DefaultPolicy()
+	for _, workers := range []int{1, 2, 5, 8, 33} {
+		// In-range workers skip themselves; out-of-range callers (the
+		// overflow stats lane at index `workers`, and -1) probe everyone.
+		for w := -1; w <= workers; w++ {
+			for _, rnd := range []uint64{0, 1, 0xdeadbeefcafe, ^uint64(0)} {
+				// The ring of lanes rotated to start at rnd % workers.
+				var want []int
+				for k := 0; k < workers; k++ {
+					if v := (int(rnd%uint64(workers)) + k) % workers; v != w {
+						want = append(want, v)
 					}
 				}
-			}
-		}
-	}
-}
-
-func TestVictimOrderProbesOwnDomainFirst(t *testing.T) {
-	p := Policy{Domains: 2}
-	const workers = 8
-	for w := 0; w < workers; w++ {
-		order := p.VictimOrder(nil, w, workers, 12345)
-		home := p.DomainOf(w, workers)
-		// The first len(domain)-1 probes must all be same-domain victims.
-		sameDomain := workers/2 - 1
-		for i, v := range order {
-			inHome := p.DomainOf(v, workers) == home
-			if i < sameDomain && !inHome {
-				t.Fatalf("w=%d: probe %d crossed domains early: %v", w, i, order)
-			}
-			if i >= sameDomain && inHome {
-				t.Fatalf("w=%d: same-domain victim at probe %d after cross-domain ones: %v", w, i, order)
+				if order := victimOrder(p, w, workers, rnd); !slices.Equal(order, want) {
+					t.Fatalf("w=%d/%d rnd=%d: victim order %v, want %v", w, workers, rnd, order, want)
+				}
 			}
 		}
 	}
@@ -115,7 +57,7 @@ func TestAffinityMailboxPlacement(t *testing.T) {
 	s := NewSched(workers, DefaultPolicy(), 1)
 	tk := &Task{Label: "pinned"}
 	tk.SetAffinity(7)
-	home := s.Policy().HomeLane(7, workers)
+	home := s.pol.HomeLane(7, workers)
 	s.PushSubmit(tk)
 	// The home lane finds it as a mailbox pop, without stealing.
 	if got := s.Pop(home); got != tk {
@@ -127,19 +69,6 @@ func TestAffinityMailboxPlacement(t *testing.T) {
 	}
 }
 
-func TestAffinityOffIgnoresHint(t *testing.T) {
-	s := NewSched(2, Policy{Locality: true, Affinity: false}, 1)
-	tk := &Task{}
-	tk.SetAffinity(3)
-	s.PushSubmit(tk)
-	if got := s.Pop(0); got != tk {
-		t.Fatal("with AffinityOff the task should sit in the global FIFO")
-	}
-	if st := s.Stats(); st.AffinityPops != 0 || st.GlobalPops != 1 {
-		t.Fatalf("stats = %+v, want one global pop", st)
-	}
-}
-
 func TestAffinityMailboxStealable(t *testing.T) {
 	// A pinned task must not starve when its home lane never polls: any
 	// other lane steals it from the mailbox.
@@ -147,7 +76,7 @@ func TestAffinityMailboxStealable(t *testing.T) {
 	s := NewSched(workers, DefaultPolicy(), 1)
 	tk := &Task{}
 	tk.SetAffinity(2)
-	home := s.Policy().HomeLane(2, workers)
+	home := s.pol.HomeLane(2, workers)
 	s.PushSubmit(tk)
 	thief := (home + 1) % workers
 	if got := s.Pop(thief); got != tk {
@@ -186,35 +115,13 @@ func TestPrioLaneStealable(t *testing.T) {
 	}
 }
 
-func TestDomainStealsCounted(t *testing.T) {
-	s := NewSched(4, Policy{Locality: true, Affinity: true, Domains: 2}, 1)
-	near := &Task{Label: "near"}
-	s.PushReady(near, 1) // worker 1's deque; worker 0 shares its domain
-	if got := s.Pop(0); got != near {
-		t.Fatal("worker 0 should steal from same-domain worker 1")
-	}
-	st := s.Stats()
-	if st.Steals != 1 || st.DomainSteals != 1 {
-		t.Fatalf("stats = %+v, want one same-domain steal", st)
-	}
-	far := &Task{Label: "far"}
-	s.PushReady(far, 3) // other domain
-	if got := s.Pop(0); got != far {
-		t.Fatal("worker 0 should eventually cross domains")
-	}
-	st = s.Stats()
-	if st.Steals != 2 || st.DomainSteals != 1 {
-		t.Fatalf("stats = %+v, want the second steal to be cross-domain", st)
-	}
-}
-
 // TestWideSchedStealsAllocationFree pins the steal hot path at a worker
 // count beyond any stack buffer: one worker drains every other lane's work
-// through domain-ordered stealing, and an idle Pop sweep (the Polling-mode
+// by stealing, and an idle Pop sweep (the Polling-mode
 // spin state) must not allocate.
 func TestWideSchedStealsAllocationFree(t *testing.T) {
 	const workers = 48
-	s := NewSched(workers, Policy{Locality: true, Affinity: true, Domains: 4}, 1)
+	s := NewSched(workers, DefaultPolicy(), 1)
 	for i := 0; i < workers; i++ {
 		s.PushReady(&Task{}, i)
 	}

@@ -137,31 +137,17 @@ type verBinding struct {
 	writeVID uint64
 }
 
-// Renaming configures dependence renaming on a graph. Set once, before any
-// submission (both backends do this at construction).
-type Renaming struct {
-	Enabled bool
-	// MaxVersions bounds the live renamed instances per datum; a write that
-	// would exceed it stalls on its WAR/WAW edges instead (counted as a
-	// rename fallback). <= 0 selects DefaultMaxVersions.
-	MaxVersions int
-}
-
-// DefaultMaxVersions is the default per-datum in-flight renamed-instance
-// cap: enough to keep several rounds of a reader/writer pipeline in flight,
-// small enough that a runaway submitter cannot hold unbounded payload
-// copies live.
+// DefaultMaxVersions bounds the live renamed instances per datum: a write
+// that would exceed it stalls on its WAR/WAW edges instead (counted as a
+// rename fallback). Enough to keep several rounds of a reader/writer
+// pipeline in flight, small enough that a runaway submitter cannot hold
+// unbounded payload copies live.
 const DefaultMaxVersions = 8
 
-// ConfigureRenaming installs the graph's renaming policy. Call before any
-// task is submitted.
-func (g *Graph) ConfigureRenaming(r Renaming) {
-	if r.MaxVersions <= 0 {
-		r.MaxVersions = DefaultMaxVersions
-	}
-	g.renameOn = r.Enabled
-	g.renameCap = r.MaxVersions
-}
+// ConfigureRenaming turns dependence renaming on or off for the whole
+// graph. Call before any task is submitted (both backends do this at
+// construction).
+func (g *Graph) ConfigureRenaming(on bool) { g.renameOn = on }
 
 // EnableRenaming makes the datum renameable: canonical is the
 // instance behind the registered key (nil defaults to the key itself, the
@@ -233,22 +219,11 @@ func (d *Datum) PayloadFor(t *Task) any {
 // to a chained datum gets a fresh instance: only when the write would
 // otherwise stall on a WAR/WAW edge (an unfinished reader for InOut — its
 // RAW on the last writer is true and stays either way — or any unfinished
-// accessor for Out), renaming is on, and the in-flight cap has room. The fallback path is always sound: the write joins the
-// current instance with ordinary conservative edges.
+// accessor for Out), renaming is on, and the in-flight cap
+// (DefaultMaxVersions) has room. The fallback path is always sound: the
+// write joins the current instance with ordinary conservative edges.
 func (g *Graph) shouldRename(ch *verChain, t *Task, mode Mode) bool {
-	// The graph-wide policy, unless the task's domain overrides it (sessions
-	// may force renaming on or off, and tighten or widen the version cap,
-	// independently of the runtime default).
-	on, capN := g.renameOn, g.renameCap
-	if d := t.Domain; d != nil {
-		if d.Rename != RenameInherit {
-			on = d.Rename == RenameForceOn
-		}
-		if d.RenameCap > 0 {
-			capN = d.RenameCap
-		}
-	}
-	if !on || ch.alloc == nil {
+	if !g.renameOn || ch.alloc == nil {
 		return false
 	}
 	var conflict bool
@@ -261,7 +236,7 @@ func (g *Graph) shouldRename(ch *verChain, t *Task, mode Mode) bool {
 	if !conflict {
 		return false
 	}
-	if len(ch.renamed) >= capN {
+	if len(ch.renamed) >= DefaultMaxVersions {
 		g.stRenameFallbacks.Add(1)
 		return false
 	}

@@ -13,9 +13,9 @@ type renameFixture struct {
 	alloc int // instances allocated (pool misses)
 }
 
-func newRenameFixture(enabled bool, cap_ int) *renameFixture {
+func newRenameFixture(enabled bool) *renameFixture {
 	f := &renameFixture{g: NewGraph()}
-	f.g.ConfigureRenaming(Renaming{Enabled: enabled, MaxVersions: cap_})
+	f.g.ConfigureRenaming(enabled)
 	f.d = f.g.Register(&f.cell)
 	f.d.EnableRenaming(&f.cell, func() any {
 		f.alloc++
@@ -31,7 +31,7 @@ func (f *renameFixture) task(mode Mode) *Task {
 func (f *renameFixture) finish(t *Task, err error) []*Task { return f.g.Finish(t, err) }
 
 func TestRenameOutSkipsWARAndWAW(t *testing.T) {
-	f := newRenameFixture(true, 4)
+	f := newRenameFixture(true)
 
 	r1 := f.task(In)
 	if !f.g.Submit(r1) {
@@ -61,7 +61,7 @@ func TestRenameOutSkipsWARAndWAW(t *testing.T) {
 }
 
 func TestRenameWritebackAndReclaim(t *testing.T) {
-	f := newRenameFixture(true, 4)
+	f := newRenameFixture(true)
 	f.cell = 7
 
 	r := f.task(In)
@@ -97,7 +97,7 @@ func TestRenameWritebackAndReclaim(t *testing.T) {
 }
 
 func TestRenameInOutKeepsRAWBreaksWAR(t *testing.T) {
-	f := newRenameFixture(true, 4)
+	f := newRenameFixture(true)
 	f.cell = 5
 
 	w1 := f.task(Out)
@@ -134,11 +134,11 @@ func TestRenameInOutKeepsRAWBreaksWAR(t *testing.T) {
 }
 
 func TestRenameCapFallsBack(t *testing.T) {
-	f := newRenameFixture(true, 2)
+	f := newRenameFixture(true)
 
 	// A pending reader per round keeps every version alive.
 	var held []*Task
-	for i := 0; i < 2; i++ {
+	for i := 0; i < DefaultMaxVersions; i++ {
 		r := f.task(In)
 		f.g.Submit(r)
 		held = append(held, r)
@@ -151,18 +151,18 @@ func TestRenameCapFallsBack(t *testing.T) {
 		f.g.Submit(r2) // pins the renamed instance
 		held = append(held, r2)
 	}
-	w3 := f.task(Out)
-	if f.g.Submit(w3) {
-		t.Fatal("third writer exceeded the cap and must stall on its WAR/WAW edges")
+	over := f.task(Out)
+	if f.g.Submit(over) {
+		t.Fatal("a writer beyond the cap must stall on its WAR/WAW edges")
 	}
 	st := f.g.Stats()
-	if st.Renamed != 2 || st.RenameFallbacks != 1 {
-		t.Fatalf("Renamed=%d RenameFallbacks=%d, want 2 and 1", st.Renamed, st.RenameFallbacks)
+	if st.Renamed != DefaultMaxVersions || st.RenameFallbacks != 1 {
+		t.Fatalf("Renamed=%d RenameFallbacks=%d, want %d and 1", st.Renamed, st.RenameFallbacks, DefaultMaxVersions)
 	}
 	for _, h := range held {
 		f.finish(h, nil)
 	}
-	f.finish(w3, nil)
+	f.finish(over, nil)
 }
 
 func TestRenameDisabledAndNoRename(t *testing.T) {
@@ -170,7 +170,7 @@ func TestRenameDisabledAndNoRename(t *testing.T) {
 		name string
 		fix  func() *renameFixture
 	}{
-		{"knob-off", func() *renameFixture { return newRenameFixture(false, 4) }},
+		{"knob-off", func() *renameFixture { return newRenameFixture(false) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := tc.fix()
@@ -194,7 +194,7 @@ func TestRenameDisabledAndNoRename(t *testing.T) {
 }
 
 func TestRenameFailedWriterNotWrittenBack(t *testing.T) {
-	f := newRenameFixture(true, 4)
+	f := newRenameFixture(true)
 	f.cell = 9
 
 	r := f.task(In)
@@ -221,7 +221,7 @@ func TestRenameFailedWriterNotWrittenBack(t *testing.T) {
 }
 
 func TestRenameWritersFlushSet(t *testing.T) {
-	f := newRenameFixture(true, 4)
+	f := newRenameFixture(true)
 	r := f.task(In)
 	f.g.Submit(r)
 	w := f.task(Out)
@@ -242,7 +242,7 @@ func TestRenameWritersFlushSet(t *testing.T) {
 // drains first — program order's newest good value wins, not the
 // pre-chain value.
 func TestRenameLastGoodValueSurvivesLaterFailure(t *testing.T) {
-	f := newRenameFixture(true, 4)
+	f := newRenameFixture(true)
 	f.cell = 1
 
 	r0 := f.task(In) // pins the canonical instance
@@ -271,7 +271,7 @@ func TestRenameLastGoodValueSurvivesLaterFailure(t *testing.T) {
 // failed program-order predecessor and therefore no upstream error; a
 // renamed InOut keeps its true RAW and inherits it.
 func TestRenameFailurePropagationFollowsRemainingEdges(t *testing.T) {
-	f := newRenameFixture(true, 4)
+	f := newRenameFixture(true)
 	w1 := f.task(Out)
 	f.g.Submit(w1)
 	r := f.task(In)
@@ -295,7 +295,7 @@ func TestRenameFailurePropagationFollowsRemainingEdges(t *testing.T) {
 }
 
 func TestRenameNoConflictNoRename(t *testing.T) {
-	f := newRenameFixture(true, 4)
+	f := newRenameFixture(true)
 	w := f.task(Out)
 	f.g.Submit(w)
 	f.finish(w, nil)

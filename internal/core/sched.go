@@ -11,8 +11,7 @@ type SchedStats struct {
 	PrioPops     uint64 // own high-priority lane pops
 	AffinityPops uint64 // own-mailbox pops (affinity-homed tasks)
 	GlobalPops   uint64 // global FIFO + priority side-queue pops
-	Steals       uint64 // successful steals, any distance
-	DomainSteals uint64 // steals from a same-domain victim
+	Steals       uint64 // successful steals
 	StealTries   uint64 // victim probes (successful or not)
 }
 
@@ -29,7 +28,7 @@ type SchedStats struct {
 //  3. priority-ordered global side queue (priority submissions)
 //  4. own mailbox (FIFO — affinity-hinted tasks homed on this lane)
 //  5. global FIFO (breadth-first spawn order, the Nanos++ default)
-//  6. steal, probing victims in the Policy's domain order; per victim the
+//  6. steal, probing victims in the Policy's rotated ring; per victim the
 //     priority lane is tried first, then the mailbox, then the deque top.
 //
 // Concurrency model: every path is safe from any goroutine. Deque owner
@@ -68,7 +67,6 @@ type laneState struct {
 	affinityPops atomic.Uint64
 	globalPops   atomic.Uint64
 	steals       atomic.Uint64
-	domainSteals atomic.Uint64
 	stealTries   atomic.Uint64
 
 	_ [64]byte
@@ -108,9 +106,6 @@ func NewSched(workers int, pol Policy, seed int64) *Sched {
 	return s
 }
 
-// Policy returns the scheduler's placement/stealing policy.
-func (s *Sched) Policy() Policy { return s.pol }
-
 // lane returns the stats/rng lane for a caller, mapping out-of-range worker
 // indices to the shared overflow slot.
 func (s *Sched) lane(worker int) *laneState {
@@ -130,7 +125,6 @@ func (s *Sched) Stats() SchedStats {
 		st.AffinityPops += l.affinityPops.Load()
 		st.GlobalPops += l.globalPops.Load()
 		st.Steals += l.steals.Load()
-		st.DomainSteals += l.domainSteals.Load()
 		st.StealTries += l.stealTries.Load()
 	}
 	return st
@@ -155,14 +149,14 @@ func (s *Sched) Workers() int { return s.workers }
 
 // PushSubmit enqueues a task that was ready at submission. Priority tasks
 // jump to the priority-ordered side queue; affinity-hinted tasks are mailed
-// to their home lane (when the policy honors hints); everything else joins
-// the global FIFO in breadth-first spawn order.
+// to their home lane; everything else joins the global FIFO in
+// breadth-first spawn order.
 func (s *Sched) PushSubmit(t *Task) {
 	if t.Priority > 0 {
 		s.pushPrioGlobal(t)
 		return
 	}
-	if shard, ok := t.AffinityShard(); ok && s.pol.Affinity && s.workers > 0 {
+	if shard, ok := t.AffinityShard(); ok && s.workers > 0 {
 		s.lanes[s.pol.HomeLane(shard, s.workers)].mailbox.enqueue(t)
 		return
 	}
@@ -264,16 +258,11 @@ func (s *Sched) Pop(worker int) *Task {
 		ln.globalPops.Add(1)
 		return t
 	}
-	// Steal: probe every other worker once, in the policy's domain order
-	// (same-domain victims first), iterated arithmetically so the idle spin
-	// path allocates nothing at any worker count. Per victim: priority
-	// lane, mailbox, deque.
+	// Steal: probe every other worker once, in the policy's rotated ring,
+	// iterated arithmetically so the idle spin path allocates nothing at any
+	// worker count. Per victim: priority lane, mailbox, deque.
 	if s.workers > 0 {
 		rnd := ln.nextRand()
-		// Out-of-range callers (overflow lane) have no home domain: their
-		// steals are never counted as domain-local.
-		inRange := worker >= 0 && worker < s.workers
-		homeDomain := s.pol.DomainOf(worker, s.workers)
 		for i := 0; ; i++ {
 			v := s.pol.Victim(i, worker, s.workers, rnd)
 			if v < 0 {
@@ -282,9 +271,6 @@ func (s *Sched) Pop(worker int) *Task {
 			ln.stealTries.Add(1)
 			if t := s.stealFrom(v); t != nil {
 				ln.steals.Add(1)
-				if inRange && s.pol.DomainOf(v, s.workers) == homeDomain {
-					ln.domainSteals.Add(1)
-				}
 				if s.probe != nil {
 					s.probe.StealEvent(worker, v, t.ID)
 				}

@@ -31,13 +31,10 @@ const (
 // config collects Run options.
 type config struct {
 	cacheBytes int64
-	renameCap  int
 	rec        *obs.Recorder
 	killWorker int // slot to kill, -1 = none
 	killAfter  int // kill after this many dispatches to that slot
 	transport  string
-	secret     []byte
-	hsTimeout  time.Duration
 	exitKill   time.Duration
 	respawn    bool
 	chainLimit int
@@ -56,10 +53,6 @@ type Option func(*config)
 // alive until its frame-mates are evicted too — see wcache).
 func CacheBytes(n int64) Option { return func(c *config) { c.cacheBytes = n } }
 
-// RenameCap bounds live renamed instances per version chain, as in the
-// in-process backends.
-func RenameCap(n int) Option { return func(c *config) { c.renameCap = n } }
-
 // Observe attaches a trace recorder: the coordinator emits the standard
 // task-lifecycle vocabulary plus EvXfer/EvXferHit transfer events and
 // EvChain chain dispatches, with worker-process slots as lanes.
@@ -77,22 +70,11 @@ func KillWorkerAfter(slot, n int) Option {
 // default) or TransportTCP.
 func Transport(name string) Option { return func(c *config) { c.transport = name } }
 
-// Secret overrides the run's shared handshake secret. By default every
-// run draws a fresh random 32-byte secret; override it only when workers
-// must authenticate across a pre-shared boundary.
-func Secret(s []byte) Option { return func(c *config) { c.secret = s } }
-
-// HandshakeTimeout bounds how long the coordinator waits for workers to
-// connect and authenticate (default DefaultHandshakeTimeout). It also
-// bounds each individual challenge/response exchange.
-func HandshakeTimeout(d time.Duration) Option { return func(c *config) { c.hsTimeout = d } }
-
 // ExitKillDelay sets the teardown kill deadline: how long a worker that
 // was asked to shut down may take to drain and exit before the
-// coordinator kills its process. The default derives from the handshake
-// timeout, so a loaded host that needed a generous handshake window also
-// gets a generous drain window — the old hardcoded 10s deadline SIGKILLed
-// healthy workers draining large writebacks on slow CI hosts.
+// coordinator kills its process. The default is DefaultHandshakeTimeout,
+// generous on purpose: the old hardcoded 10s deadline SIGKILLed healthy
+// workers draining large writebacks on slow CI hosts.
 func ExitKillDelay(d time.Duration) Option { return func(c *config) { c.exitKill = d } }
 
 // RespawnLostWorkers makes the coordinator re-exec a fresh worker process
@@ -921,7 +903,7 @@ func (rt *RT) workerLost(w *workerState, gen int, cause error) {
 			rt.pendingRejoins++
 			// If the replacement never authenticates, stop holding the
 			// ready queue for it: ErrNoWorkers beats a hang.
-			time.AfterFunc(rt.cfg.hsTimeout, func() {
+			time.AfterFunc(DefaultHandshakeTimeout, func() {
 				rt.mu.Lock()
 				if !rt.closed && w.dead && rt.pendingRejoins > 0 {
 					rt.pendingRejoins--
@@ -1001,11 +983,8 @@ func Run(workers int, program func(*RT) error, opts ...Option) (Stats, error) {
 	if cfg.transport == "" {
 		cfg.transport = TransportUnix
 	}
-	if cfg.hsTimeout <= 0 {
-		cfg.hsTimeout = DefaultHandshakeTimeout
-	}
 	if cfg.exitKill <= 0 {
-		cfg.exitKill = cfg.hsTimeout
+		cfg.exitKill = DefaultHandshakeTimeout
 	}
 	if cfg.chainLimit == 0 {
 		cfg.chainLimit = DefaultChainLimit
@@ -1018,12 +997,9 @@ func Run(workers int, program func(*RT) error, opts ...Option) (Stats, error) {
 			cfg.rec = obs.NewRecorder() // the sink needs a coordinator base stream
 		}
 	}
-	secret := cfg.secret
-	if secret == nil {
-		var err error
-		if secret, err = newSecret(); err != nil {
-			return Stats{}, err
-		}
+	secret, err := newSecret()
+	if err != nil {
+		return Stats{}, err
 	}
 
 	l, addr, cleanup, err := listenRendezvous(cfg.transport)
@@ -1034,7 +1010,7 @@ func Run(workers int, program func(*RT) error, opts ...Option) (Stats, error) {
 	defer l.Close()
 
 	g := core.NewGraph()
-	g.ConfigureRenaming(core.Renaming{Enabled: true, MaxVersions: cfg.renameCap})
+	g.ConfigureRenaming(true)
 	rt := &RT{
 		g:       g,
 		ctx:     &core.Context{},
@@ -1063,7 +1039,7 @@ func Run(workers int, program func(*RT) error, opts ...Option) (Stats, error) {
 	}()
 
 	admitCh := make(chan admitted, workers)
-	go acceptLoop(l, secret, cfg.hsTimeout, admitCh, rt.stopCh)
+	go acceptLoop(l, secret, DefaultHandshakeTimeout, admitCh, rt.stopCh)
 	defer close(rt.stopCh)
 
 	for i := 0; i < workers; i++ {
@@ -1073,7 +1049,7 @@ func Run(workers int, program func(*RT) error, opts ...Option) (Stats, error) {
 		}
 		rt.cmds = append(rt.cmds, cmd)
 	}
-	adm, err := collectWorkers(admitCh, workers, cfg.hsTimeout)
+	adm, err := collectWorkers(admitCh, workers, DefaultHandshakeTimeout)
 	if err != nil {
 		return Stats{}, err
 	}

@@ -31,8 +31,8 @@ const (
 )
 
 // DefaultHandshakeTimeout bounds how long the coordinator waits for all
-// spawned workers to dial back and authenticate, when HandshakeTimeout is
-// not given. It also seeds the default exit-kill deadline.
+// spawned workers to dial back and authenticate, and each challenge/response
+// exchange. It is also the default exit-kill deadline (ExitKillDelay).
 const DefaultHandshakeTimeout = 30 * time.Second
 
 // conn wraps one worker connection with a send mutex: the dispatch path,

@@ -81,15 +81,14 @@ func TestGoldenMatchesSeq(t *testing.T) {
 // equally-corrupted reference rerun.
 func TestGoldenSurvivesSchedulingPolicies(t *testing.T) {
 	golden := goldenSmall(t)
-	fifo := ompss.Tuning{Locality: ompss.Off, Affinity: ompss.Off}
+	fifo := ompss.Tuning{Locality: ompss.Off}
 	policies := []struct {
 		name string
 		opts []ompss.Option
 	}{
 		{"default", nil},
 		{"fifo", []ompss.Option{ompss.WithTuning(fifo)}},
-		{"domains2", []ompss.Option{ompss.WithTuning(ompss.Tuning{Domains: ompss.Fixed(2)})}},
-		{"blocking-affinity", []ompss.Option{ompss.Wait(ompss.Blocking), ompss.WithTuning(ompss.Tuning{Domains: ompss.Fixed(2)})}},
+		{"blocking", []ompss.Option{ompss.Wait(ompss.Blocking)}},
 		// Dependence renaming on: the suite's datums never call
 		// EnableRenaming, so the knob must be behaviorally invisible here —
 		// identical checksums with renaming on and off is an acceptance

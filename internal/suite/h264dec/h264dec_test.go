@@ -94,8 +94,7 @@ func TestNativePipelineBounded(t *testing.T) {
 	want := New(Default()).RunSeq()
 	policies := [][]ompss.Option{
 		nil,
-		{ompss.WithTuning(ompss.Tuning{Locality: ompss.Off, Affinity: ompss.Off})},
-		{ompss.WithTuning(ompss.Tuning{Affinity: ompss.Off})},
+		{ompss.WithTuning(ompss.Tuning{Locality: ompss.Off})},
 		{ompss.Wait(ompss.Blocking)},
 	}
 	for pi, opts := range policies {

@@ -233,7 +233,7 @@ func lifecycleCases() []streamCase {
 			rt.Taskwait()
 		}
 	}
-	auto := ompss.WithTuning(ompss.Tuning{Grain: ompss.Auto, RenameCap: ompss.Auto, Renaming: ompss.On})
+	auto := ompss.WithTuning(ompss.Tuning{Grain: ompss.Auto, Renaming: ompss.On})
 
 	return []streamCase{
 		{"lifecycle/admission/polling", sim(admission)},

@@ -26,7 +26,7 @@ import (
 var censusAllow = map[string]string{
 	"Priority":         "benchmark/ reads RunStats.Sched.PrioPops; the clause is the only way onto the priority lanes (TestTenantPriority, schedfuzz)",
 	"OnError":          "selects the failure-propagation policy the handle tests pin (TestRunThroughPolicy, TestSessionOnErrorOverride)",
-	"Fixed":            "only constructor for the numeric Tuning fields (Grain, StealBackoff, RenameCap, Domains)",
+	"Fixed":            "only constructor for the numeric Tuning fields (Grain, StealBackoff)",
 	"Seed":             "fixes the steal-victim RNG; the schedule fuzzers sweep it so a failing schedule can be replayed",
 	"Session.Cancel":   "failure-confinement contract: cancels one session and no other (TestSessionCancelIsolation)",
 	"Runtime.Err":      "first runtime-level failure, and what disarms the Shutdown panic valve (TestUnobservedPanicResurfacesAtShutdown, TestRunThroughPolicy)",
@@ -65,7 +65,9 @@ type censusEntry struct {
 // (calls through API credit every type that implements it); or the same
 // method called on another spawning scope; or a type in the signature of a
 // live function, a field type of a live struct, a constant of a live type,
-// or an error-protocol method of a live type. Run with -v for the table
+// or an error-protocol method of a live type. Each exported field of Tuning
+// is a knob and counts as a name of its own: it is in use only where a
+// Tuning literal outside package ompss sets it. Run with -v for the table
 // DESIGN.md publishes.
 func TestAPICensus(t *testing.T) {
 	root, err := filepath.Abs("..")
@@ -96,6 +98,18 @@ func TestAPICensus(t *testing.T) {
 		for i := 0; i < named.NumMethods(); i++ {
 			if m := named.Method(i); m.Exported() {
 				surface[name+"."+m.Name()] = &censusEntry{obj: m}
+			}
+		}
+	}
+	// A Tuning field is credited where a composite-literal key names it (the
+	// key arrives in Info.Uses as the field's *types.Var).
+	knobs := map[*types.Var]string{}
+	if tn, ok := scope.Lookup("Tuning").(*types.TypeName); ok {
+		st := tn.Type().Underlying().(*types.Struct)
+		for i := 0; i < st.NumFields(); i++ {
+			if f := st.Field(i); f.Exported() {
+				knobs[f] = "Tuning." + f.Name()
+				surface[knobs[f]] = &censusEntry{obj: f}
 			}
 		}
 	}
@@ -131,7 +145,8 @@ func TestAPICensus(t *testing.T) {
 			}
 			fn, isFunc := obj.(*types.Func)
 			if v, ok := obj.(*types.Var); ok && v.IsField() {
-				continue // credited to the struct through Selections below
+				credit(knobs[v]) // other fields: credited to the struct through Selections below
+				continue
 			}
 			if !isFunc || fn.Type().(*types.Signature).Recv() == nil {
 				credit(obj.Name())

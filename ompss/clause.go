@@ -98,14 +98,13 @@ func Priority(p int) Clause { return func(r *taskRec) { r.t.Priority = p } }
 
 // Affinity hints that the task should execute near the home of the given
 // datum: the task is submitted to the mailbox of the lane its dependence
-// shard maps to (see Tuning.Affinity), so work lands where its
-// data lives and domain-ordered stealing drains it with near workers first.
+// shard maps to, so work lands where its data lives; an idle lane may still
+// steal it from there.
 // The key may be a registered *Datum handle or any raw dependence key, which
 // is interned like a raw-key access of the task. A datum's home is fixed by
 // the order in which the runtime first saw its key, so placement repeats
 // exactly from run to run. A later Affinity clause overrides an earlier one.
-// The hint never affects correctness, only placement; it is ignored under
-// Tuning{Affinity: Off}.
+// The hint never affects correctness, only placement.
 func Affinity(key any) Clause {
 	return func(r *taskRec) { r.t.SetAffinity(r.tc.rt.intern(key, r.t.Domain).Shard()) }
 }

@@ -110,7 +110,7 @@ func newLifecycle(rt *Runtime, cfg config, clk clock, virtual bool) *lifecycle {
 	if window > 0 {
 		l.room = func() bool { return l.graph.Unfinished() < window }
 	}
-	l.graph.ConfigureRenaming(core.Renaming{Enabled: cfg.renamingOn(), MaxVersions: cfg.renameCapN()})
+	l.graph.ConfigureRenaming(cfg.renamingOn())
 	if rec := cfg.rec; rec != nil {
 		// Attach before any worker starts: the rings and clock are published
 		// to the workers by their go statements (under simulation every

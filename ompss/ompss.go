@@ -75,11 +75,11 @@ const (
 )
 
 // config collects runtime options. The session-relevant subset — policy,
-// the Tuning profile, rec, tenant, maxInFlight, admission — is accepted
-// uniformly at New and NewSession: NewSession starts from a copy of the
-// runtime's config and applies its own options on top, so session values
-// override runtime defaults field by field. Scheduling/renaming knobs live
-// in the Tuning profile (tuning.go).
+// rec, tenant, maxInFlight, admission — is accepted uniformly at New and
+// NewSession: NewSession starts from a copy of the runtime's config and
+// applies its own options on top, so session values override runtime
+// defaults field by field. Scheduling/renaming knobs live in the Tuning
+// profile (tuning.go), which only the runtime's config consults.
 type config struct {
 	workers     int
 	wait        WaitMode
@@ -96,7 +96,7 @@ type config struct {
 // its Sched — the single point where runtime options become placement and
 // victim-selection behavior (internal/core/policy.go).
 func (c config) schedPolicy() core.Policy {
-	return core.Policy{Locality: c.localityOn(), Affinity: c.affinityOn(), Domains: c.domainsN()}
+	return core.Policy{Locality: c.localityOn()}
 }
 
 // Option configures a Runtime.
@@ -126,7 +126,7 @@ func Observe(r *obs.Recorder) Option { return func(c *config) { c.rec = r } }
 func buildConfig(opts []Option) config {
 	// workers == 0 means "unset": New defaults to 1, RunSim to the
 	// simulated machine's core count. Unset Tuning fields resolve to the
-	// pre-profile defaults (locality/affinity on, renaming off) through
+	// pre-profile defaults (locality on, renaming off) through
 	// the config accessors in tuning.go.
 	c := config{wait: Polling, seed: 1}
 	for _, o := range opts {

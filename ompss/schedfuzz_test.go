@@ -274,45 +274,50 @@ func waitName(m ompss.WaitMode) string {
 	return "polling"
 }
 
-// fuzzPolicy is the policy-knob option of one schedule.
-func fuzzPolicy(locality, affinity bool, domains int) ompss.Option {
-	return ompss.WithTuning(ompss.Tuning{
-		Locality: onOff(locality), Affinity: onOff(affinity), Domains: ompss.Fixed(domains),
-	})
+// fuzzLocality is the policy-knob option of one schedule.
+func fuzzLocality(on bool) ompss.Option {
+	return ompss.WithTuning(ompss.Tuning{Locality: onOff(on)})
 }
 
+// nativeGrid is the size of the native workers × wait mode × locality grid:
+// the first nativeGrid schedules of fuzzSchedules cover it once each.
+const nativeGrid = 4 * 2 * 2
+
 // fuzzSchedules enumerates the 58-schedule battery: 40 native configurations
-// sweeping workers × wait mode × locality × affinity × domains × RNG seed,
-// 10 deterministic simulator schedules, and 8 (4 native, 4 simulated) under a
-// run-ahead window of 1 and 2 tasks, where the creator executes a task at
-// nearly every spawn.
+// walking the full workers (1–4) × wait mode × locality grid, each cell at
+// two or three RNG seeds; 10 deterministic simulator schedules walking the
+// cores × locality grid; and 8 (4 native, 4 simulated) under a run-ahead
+// window of 1 and 2 tasks, where the creator executes a task at nearly
+// every spawn.
 func fuzzSchedules() []fuzzSchedule {
 	var out []fuzzSchedule
 	for i := 0; i < 40; i++ {
-		workers := 1 + i%4
+		g := i % nativeGrid
+		workers := 1 + g%4
 		wait := ompss.Polling
-		if i%2 == 1 {
+		if g/4%2 == 1 {
 			wait = ompss.Blocking
 		}
-		opts := []ompss.Option{
-			ompss.Workers(workers),
-			ompss.Wait(wait),
-			fuzzPolicy(i/2%2 == 0, i/4%2 == 0, 1+i%3),
-			ompss.Seed(int64(1000 + i)),
-		}
+		locality := g/8 == 0
 		out = append(out, fuzzSchedule{
-			name:   fmt.Sprintf("native/w%d-%s-loc%v-aff%v-d%d", workers, waitName(wait), i/2%2 == 0, i/4%2 == 0, 1+i%3),
+			name:   fmt.Sprintf("native/w%d-%s-loc%v-seed%d", workers, waitName(wait), locality, 1000+i),
 			native: true,
-			opts:   opts,
+			opts: []ompss.Option{
+				ompss.Workers(workers),
+				ompss.Wait(wait),
+				fuzzLocality(locality),
+				ompss.Seed(int64(1000 + i)),
+			},
 		})
 	}
 	for i := 0; i < 10; i++ {
 		cores := []int{1, 2, 4, 8}[i%4]
+		locality := i%8 < 4
 		out = append(out, fuzzSchedule{
-			name:  fmt.Sprintf("sim/c%d-seed%d", cores, i),
+			name:  fmt.Sprintf("sim/c%d-loc%v-seed%d", cores, locality, 77+i),
 			cores: cores,
 			opts: []ompss.Option{
-				fuzzPolicy(i%2 == 0, i%3 != 0, 1+i%2),
+				fuzzLocality(locality),
 				ompss.Seed(int64(77 + i)),
 			},
 		})
@@ -502,14 +507,9 @@ func TestScheduleFuzzRenaming(t *testing.T) {
 		seeds = seeds[:1]
 	}
 	// A subset of the battery: renaming decisions live in the shared
-	// dependence tracker, so sweeping every scheduler knob again buys
-	// nothing — worker counts, wait modes, and both backends do.
-	var schedules []fuzzSchedule
-	for _, sc := range fuzzSchedules() {
-		if sc.native && sc.name[len(sc.name)-2:] == "d1" {
-			schedules = append(schedules, sc)
-		}
-	}
+	// dependence tracker, so one pass over the native grid and both
+	// backends suffice; more seeds buy nothing.
+	schedules := fuzzSchedules()[:nativeGrid]
 	schedules = append(schedules, fuzzSchedule{name: "sim/c4", cores: 4},
 		fuzzSchedule{name: "sim/c8-loc", cores: 8, opts: []ompss.Option{ompss.WithTuning(ompss.Tuning{Locality: ompss.Off})}})
 	var totalRenamed uint64

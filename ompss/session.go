@@ -134,17 +134,15 @@ type Session struct {
 }
 
 // NewSession opens a request-scoped session. Session-relevant options —
-// OnError, WithTuning, Observe, Tenant, MaxInFlight, Admission — are
-// accepted here with the same constructors New takes; a session value
-// overrides the runtime default, anything not set is inherited (see
-// DESIGN.md for the precedence table). A session Tuning profile can pin
-// values (e.g. RenameCap: Fixed(8)). Observe(nil) mutes the session's
-// per-task events in the runtime's recorder; attaching a different recorder
-// than the runtime's panics (per-session traces are carved out of the
-// runtime's stream by session ID instead — see obs.Trace.FilterSession).
-// Structural options (Workers, Wait, Seed, and the Locality, Affinity and
-// Domains fields of a Tuning profile) are ignored: the backend is already
-// built.
+// OnError, Observe, Tenant, MaxInFlight, Admission — are accepted here with
+// the same constructors New takes; a session value overrides the runtime
+// default, anything not set is inherited (see DESIGN.md for the precedence
+// table). Observe(nil) mutes the session's per-task events in the
+// runtime's recorder; attaching a different recorder than the runtime's
+// panics (per-session traces are carved out of the runtime's stream by
+// session ID instead — see obs.Trace.FilterSession). Runtime options
+// (Workers, Wait, Seed, WithTuning) are ignored: the backend is already
+// built, and the session runs under the runtime's Tuning profile.
 func (rt *Runtime) NewSession(opts ...Option) *Session {
 	cfg := rt.cfg
 	// The runtime's MaxInFlight is the run-ahead window and its tenant boost
@@ -158,23 +156,12 @@ func (rt *Runtime) NewSession(opts ...Option) *Session {
 		panic("ompss: NewSession: sessions cannot attach their own recorder; use the runtime's recorder (traces are per-session filterable) or Observe(nil) to mute")
 	}
 	s := &Session{rt: rt, cfg: cfg, ephemeral: true}
-	dom := &core.Domain{
+	s.dom = &core.Domain{
 		ID:     rt.sessID.Add(1),
 		Owner:  s,
 		Quiet:  rt.cfg.rec != nil && cfg.rec == nil,
 		Scoped: true,
 	}
-	if cfg.renamingOn() != rt.cfg.renamingOn() {
-		if cfg.renamingOn() {
-			dom.Rename = core.RenameForceOn
-		} else {
-			dom.Rename = core.RenameForceOff
-		}
-	}
-	if capN := cfg.renameCapN(); capN > 0 && capN != rt.cfg.renameCapN() {
-		dom.RenameCap = capN
-	}
-	s.dom = dom
 	s.tc = s.masterTC(rt.main.worker)
 	return s
 }

@@ -424,9 +424,10 @@ func TestSessionOnErrorOverride(t *testing.T) {
 	skip.Close()
 }
 
-// TestSessionRenamingOverride checks the per-session renaming override: a
-// Tuning{Renaming: On} session renames on a renaming-off runtime, and a
-// Tuning{Renaming: Off} session pins a renaming-on runtime's chain in place.
+// TestSessionRenamingOverride checks that a session cannot override the
+// runtime's renaming setting: NewSession ignores WithTuning, so a
+// Tuning{Renaming: On} session on a renaming-off runtime renames nothing,
+// and a Tuning{Renaming: Off} session on a renaming-on runtime still renames.
 func TestSessionRenamingOverride(t *testing.T) {
 	warChain := func(t *testing.T, api ompss.API) {
 		t.Helper()
@@ -463,8 +464,8 @@ func TestSessionRenamingOverride(t *testing.T) {
 		defer rt.Shutdown()
 		s := rt.NewSession(ompss.WithTuning(ompss.Tuning{Renaming: ompss.On}))
 		warChain(t, s)
-		if n := rt.Stats().Graph.Renamed; n == 0 {
-			t.Fatal("force-on session renamed nothing")
+		if n := rt.Stats().Graph.Renamed; n != 0 {
+			t.Fatalf("session on a renaming-off runtime renamed %d times", n)
 		}
 		s.Close()
 	})
@@ -473,8 +474,8 @@ func TestSessionRenamingOverride(t *testing.T) {
 		defer rt.Shutdown()
 		s := rt.NewSession(ompss.WithTuning(ompss.Tuning{Renaming: ompss.Off}))
 		warChain(t, s)
-		if n := rt.Stats().Graph.Renamed; n != 0 {
-			t.Fatalf("force-off session renamed %d times", n)
+		if n := rt.Stats().Graph.Renamed; n == 0 {
+			t.Fatal("session on a renaming-on runtime renamed nothing")
 		}
 		s.Close()
 	})

@@ -13,9 +13,8 @@ package ompss
 const Auto = -1
 
 // Setting is one knob of a Tuning profile. The zero value means "unset —
-// inherit" (the runtime default at New, the runtime's profile at
-// NewSession), Auto asks for the static default, and Fixed(v) pins it. For
-// boolean knobs use On / Off (aliases of Fixed(1) / Fixed(0)).
+// the runtime default", Auto asks for the static default, and Fixed(v)
+// pins it. For boolean knobs use On / Off (aliases of Fixed(1) / Fixed(0)).
 type Setting int
 
 const (
@@ -55,12 +54,11 @@ func (s Setting) boolOr(def bool) bool {
 	return def
 }
 
-// Tuning is the runtime's coherent knob profile — the one surface for the
-// scheduling and renaming knobs. Accepted uniformly at New and NewSession
-// via WithTuning; unset (zero) fields inherit — the built-in default at New,
-// the runtime's resolved profile at NewSession — exactly the session
-// precedence rules sessions already follow field by field. Auto in a field
-// resolves to the field's static default.
+// Tuning is the runtime's knob profile — the one surface for the
+// scheduling and renaming knobs, given to New (or RunSim) via WithTuning.
+// Unset (zero) fields take the built-in default; Auto in a field resolves
+// to the field's static default. The profile is fixed for the runtime's
+// lifetime: NewSession ignores WithTuning.
 type Tuning struct {
 	// Grain governs TaskLoop chunk sizing for chunk == Auto call sites.
 	// Fixed(v): Auto call sites use chunk v. Unset or Auto: about four
@@ -71,12 +69,6 @@ type Tuning struct {
 	// there). Fixed(v): the idle sleep cap is pinned to v microseconds.
 	// Unset or Auto: the static default throttle.
 	StealBackoff Setting
-	// RenameCap bounds live renamed instances per datum: a write that
-	// would exceed the cap stalls on its WAR/WAW edges instead, keeping
-	// the memory held by in-flight copies proportional to the cap, not to
-	// the submission depth. Fixed(v): cap v. Unset or Auto:
-	// core.DefaultMaxVersions.
-	RenameCap Setting
 	// Renaming toggles dependence renaming (data versioning), the
 	// StarSs/OmpSs mechanism that eliminates WAR/WAW stalls: a writer on
 	// a renameable datum (Datum.EnableRenaming) whose only obstacles are
@@ -84,7 +76,9 @@ type Tuning struct {
 	// writer — gets a fresh private instance instead of waiting; the
 	// readers keep the old instance, and the latest instance is copied
 	// back onto the canonical storage when everything in flight has
-	// drained. On / Off; unset inherits (default off). Both backends share
+	// drained. Live renamed instances per datum are capped at
+	// core.DefaultMaxVersions; a write beyond the cap stalls on its WAR/WAW
+	// edges instead. On / Off; unset means off. Both backends share
 	// the single decision path in the dependence tracker, so native and
 	// simulated runs stay value-identical either way.
 	//
@@ -97,19 +91,9 @@ type Tuning struct {
 	// Locality toggles locality-aware scheduling: successors released by
 	// a finishing task are placed at the head of the finishing worker's
 	// queue so producer→consumer chains run back-to-back on one core (the
-	// paper's ray-rot analysis credits this policy). On / Off; unset
-	// inherits (default on).
+	// paper's ray-rot analysis credits this policy). On / Off; unset means
+	// on.
 	Locality Setting
-	// Affinity toggles honoring Affinity clause hints: on, a hinted task
-	// is submitted to the mailbox of its datum's home lane; off, hinted
-	// tasks join the global FIFO like any other. On / Off; unset inherits
-	// (default on).
-	Affinity Setting
-	// Domains splits the workers into Fixed(n) contiguous steal domains
-	// (modeling sockets): an idle worker probes every victim in its own
-	// domain before crossing into another. Unset or n < 2 means flat
-	// random-victim stealing.
-	Domains Setting
 }
 
 // merge overlays src's set fields onto dst (unset src fields inherit).
@@ -120,26 +104,18 @@ func (dst *Tuning) merge(src Tuning) {
 	if src.StealBackoff.isSet() {
 		dst.StealBackoff = src.StealBackoff
 	}
-	if src.RenameCap.isSet() {
-		dst.RenameCap = src.RenameCap
-	}
 	if src.Renaming.isSet() {
 		dst.Renaming = src.Renaming
 	}
 	if src.Locality.isSet() {
 		dst.Locality = src.Locality
 	}
-	if src.Affinity.isSet() {
-		dst.Affinity = src.Affinity
-	}
-	if src.Domains.isSet() {
-		dst.Domains = src.Domains
-	}
 }
 
 // WithTuning applies a Tuning profile: set fields override the current
-// configuration, unset fields inherit. Valid at New and NewSession; a later
-// WithTuning overrides field by field in order.
+// configuration, unset fields inherit. A runtime option (New, RunSim); a
+// later WithTuning overrides field by field in order. NewSession ignores
+// it.
 func WithTuning(t Tuning) Option {
 	return func(c *config) { c.tun.merge(t) }
 }
@@ -150,20 +126,5 @@ func WithTuning(t Tuning) Option {
 // localityOn resolves the locality knob (default on).
 func (c config) localityOn() bool { return c.tun.Locality.boolOr(true) }
 
-// affinityOn resolves the affinity knob (default on).
-func (c config) affinityOn() bool { return c.tun.Affinity.boolOr(true) }
-
-// domainsN resolves the steal-domain count (0 = flat).
-func (c config) domainsN() int {
-	v, _ := c.tun.Domains.value()
-	return v
-}
-
 // renamingOn resolves the renaming toggle (default off).
 func (c config) renamingOn() bool { return c.tun.Renaming.boolOr(false) }
-
-// renameCapN resolves the pinned version cap (0 = engine default).
-func (c config) renameCapN() int {
-	v, _ := c.tun.RenameCap.value()
-	return v
-}

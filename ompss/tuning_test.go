@@ -46,27 +46,28 @@ func TestSettingEncoding(t *testing.T) {
 // field, and unset fields inherit.
 func TestWithTuningMergesFieldByField(t *testing.T) {
 	c := buildConfig([]Option{WithTuning(Tuning{
-		Locality: Off, Affinity: Off, Domains: Fixed(4), Renaming: On, RenameCap: Fixed(7),
+		Grain: Fixed(16), StealBackoff: Fixed(250), Renaming: On, Locality: Off,
 	})})
-	if c.localityOn() || c.affinityOn() || c.domainsN() != 4 || !c.renamingOn() || c.renameCapN() != 7 {
-		t.Errorf("profile resolved to locality=%v affinity=%v domains=%d renaming=%v cap=%d",
-			c.localityOn(), c.affinityOn(), c.domainsN(), c.renamingOn(), c.renameCapN())
+	if v, _ := c.tun.Grain.value(); v != 16 || c.localityOn() || !c.renamingOn() {
+		t.Errorf("profile resolved to grain=%d locality=%v renaming=%v", v, c.localityOn(), c.renamingOn())
 	}
-	if d := buildConfig(nil); !d.localityOn() || !d.affinityOn() || d.domainsN() != 0 || d.renamingOn() || d.renameCapN() != 0 {
-		t.Errorf("defaults: locality=%v affinity=%v domains=%d renaming=%v cap=%d",
-			d.localityOn(), d.affinityOn(), d.domainsN(), d.renamingOn(), d.renameCapN())
+	if v, _ := c.tun.StealBackoff.value(); v != 250 {
+		t.Errorf("profile resolved to steal backoff %d, want 250", v)
+	}
+	if d := buildConfig(nil); !d.localityOn() || d.renamingOn() || d.tun.Grain.isSet() || d.tun.StealBackoff.isSet() {
+		t.Errorf("defaults: locality=%v renaming=%v tuning=%+v", d.localityOn(), d.renamingOn(), d.tun)
 	}
 
 	// The last writer of a field wins.
-	c = buildConfig([]Option{WithTuning(Tuning{RenameCap: Fixed(3)}), WithTuning(Tuning{RenameCap: Fixed(9)})})
-	if c.renameCapN() != 9 {
-		t.Errorf("later profile renameCap = %d, want 9", c.renameCapN())
+	c = buildConfig([]Option{WithTuning(Tuning{Grain: Fixed(3)}), WithTuning(Tuning{Grain: Fixed(9)})})
+	if v, _ := c.tun.Grain.value(); v != 9 {
+		t.Errorf("later profile grain = %d, want 9", v)
 	}
-	// Unset profile fields inherit: a profile that only pins Domains must
+	// Unset profile fields inherit: a profile that only pins Renaming must
 	// not disturb an earlier Locality choice.
-	c = buildConfig([]Option{WithTuning(Tuning{Locality: Off}), WithTuning(Tuning{Domains: Fixed(2)})})
-	if c.localityOn() || c.domainsN() != 2 {
-		t.Errorf("merge: locality=%v domains=%d, want false/2", c.localityOn(), c.domainsN())
+	c = buildConfig([]Option{WithTuning(Tuning{Locality: Off}), WithTuning(Tuning{Renaming: On})})
+	if c.localityOn() || !c.renamingOn() {
+		t.Errorf("merge: locality=%v renaming=%v, want false/true", c.localityOn(), c.renamingOn())
 	}
 }
 
@@ -187,13 +188,13 @@ func autoProgram(rt *Runtime, hold func(*TC), release func()) autoRun {
 // TestTuningAutoIsStaticDefault pins what Auto means in a Tuning field:
 // exactly the static default of an unset field. A TaskLoop(n, Auto) program
 // beside a renamed datum runs with WithTuning(Tuning{Grain: Auto,
-// StealBackoff: Auto, RenameCap: Auto}) and without, natively and on the
+// StealBackoff: Auto}) and without, natively and on the
 // simulated machine at 4 cores; both must spawn chunks of n/(4·workers), end in
 // the same state with the same graph counters, and — simulated — take the
 // same virtual time in the same number of events.
 func TestTuningAutoIsStaticDefault(t *testing.T) {
 	const workers = 4
-	auto := WithTuning(Tuning{Grain: Auto, StealBackoff: Auto, RenameCap: Auto})
+	auto := WithTuning(Tuning{Grain: Auto, StealBackoff: Auto})
 	base := []Option{Workers(workers), WithTuning(Tuning{Renaming: On})}
 	check := func(leg string, r autoRun) {
 		t.Helper()
@@ -240,32 +241,6 @@ func TestTuningAutoIsStaticDefault(t *testing.T) {
 	if unset != set || su.Makespan != ss.Makespan || su.Events != ss.Events {
 		t.Errorf("sim: Auto profile diverged from unset: makespan %v/%v, events %d/%d, graph %+v/%+v",
 			su.Makespan, ss.Makespan, su.Events, ss.Events, unset.graph, set.graph)
-	}
-}
-
-// TestSessionTuningPins pins session-profile precedence: a session Tuning
-// can pin renaming knobs over the runtime's profile (the PR 6 field-by-field
-// rules).
-func TestSessionTuningPins(t *testing.T) {
-	rt := New(Workers(2), WithTuning(Tuning{Grain: Auto}))
-	defer rt.Shutdown()
-
-	s := rt.NewSession(WithTuning(Tuning{Renaming: On, RenameCap: Fixed(2)}))
-	if s.dom.Rename != core.RenameForceOn {
-		t.Errorf("session rename override = %v, want force-on", s.dom.Rename)
-	}
-	if s.dom.RenameCap != 2 {
-		t.Errorf("session rename cap = %d, want 2", s.dom.RenameCap)
-	}
-	done := make(chan struct{})
-	s.Task(func(*TC) { close(done) }, Label("sess-task"))
-	s.Taskwait()
-	<-done
-	if st := s.Stats(); st.Finished != 1 {
-		t.Fatalf("session finished = %d, want 1", st.Finished)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("session close: %v", err)
 	}
 }
 
