@@ -147,7 +147,9 @@ lint: lint-lifecycle lint-core
 # and the help-first wait), so a second copy of the lifecycle cannot grow
 # back unnoticed. graph.Unfinished is read in three: the run-ahead predicate,
 # the Shutdown drain and the simulator's end-of-work wake — a fourth would be
-# a second runtime-level bound. The CI verify job runs this target.
+# a second runtime-level bound. Task records are made in one place,
+# newTaskRec, when the pool has none: everything else takes them from the
+# pool. The CI verify job runs this target.
 lint-lifecycle:
 	@for want in 'graph\.Submit(:1:1' 'graph\.Finish(:1:1' 'sched\.PushSubmit(:1:1' 'sched\.PushReady(:1:1' 'sched\.Pop(:1:2' 'graph\.Unfinished(:3:3'; do \
 		pat=$${want%%:*}; lim=$${want#*:}; \
@@ -155,6 +157,8 @@ lint-lifecycle:
 		if [ $$n -lt $${lim%:*} ] || [ $$n -gt $${lim#*:} ]; then \
 			echo "lint: $$n call sites of $$pat in non-test ompss/ (want $${lim%:*}..$${lim#*:}); the task lifecycle lives in ompss/lifecycle.go only" >&2; exit 1; fi; \
 	done
+	@n=$$(grep -rho --include='*.go' --exclude='*_test.go' -e 'taskRec{' ompss | wc -l); \
+	if [ $$n -ne 1 ]; then echo "lint: $$n sites of taskRec{ in non-test ompss/ (want 1: newTaskRec); take records from the pool (getRec)" >&2; exit 1; fi
 
 # One key space in the dependence tracker (internal/core): every key is
 # interned once into its Datum through the graph's single key map, and a

@@ -17,7 +17,9 @@ import (
 // bench-smoke job instead of drowning in a benchmark log. The check is
 // two-sided — a count more than 1 below its ceiling fails too, naming the
 // number to commit — so an optimization has to ratchet the file down with
-// it and the ceilings never go stale.
+// it and the ceilings never go stale. The file's bytes_per_op object adds
+// one-sided B/op ceilings for the spawn rows, where the record pool keeps a
+// task's bytes, not its allocation count, down.
 func TestSubmitAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-driven; skipped in -short")
@@ -30,9 +32,17 @@ func TestSubmitAllocBudget(t *testing.T) {
 	if err := json.Unmarshal(raw, &file); err != nil {
 		t.Fatalf("parse alloc budget: %v", err)
 	}
-	entries := map[string]int64{}
+	entries, bytesMax := map[string]int64{}, map[string]int64{}
 	for name, v := range file {
 		if name == "_comment" {
+			continue
+		}
+		if name == "bytes_per_op" {
+			for row, b := range v.(map[string]any) {
+				if f, ok := b.(float64); ok {
+					bytesMax[row] = int64(f)
+				}
+			}
 			continue
 		}
 		f, ok := v.(float64)
@@ -46,7 +56,7 @@ func TestSubmitAllocBudget(t *testing.T) {
 		"BenchmarkSubmitDatumPtr":  BenchmarkSubmitDatumPtr,
 		"BenchmarkSubmitAnyKeyInt": BenchmarkSubmitAnyKeyInt,
 		"BenchmarkSubmitDatumInt":  BenchmarkSubmitDatumInt,
-		// The default run-ahead window binding on every spawn: task record +
+		// The default run-ahead window binding on every spawn: Handle +
 		// ready-queue node, nothing for the throttle.
 		"BenchmarkSubmitThrottled": BenchmarkSubmitThrottled,
 		// Observability ceilings: the raw record path must stay at 0
@@ -74,6 +84,10 @@ func TestSubmitAllocBudget(t *testing.T) {
 			continue
 		}
 		res := testing.Benchmark(fn)
+		if max, ok := bytesMax[name]; ok && res.AllocedBytesPerOp() > max {
+			t.Errorf("%s: %d B/op exceeds its ceiling %d (testdata/alloc_budget.json): are task records still pooled?",
+				name, res.AllocedBytesPerOp(), max)
+		}
 		switch got := res.AllocsPerOp(); {
 		case got > budget:
 			t.Errorf("%s: %d allocs/op exceeds budget %d (testdata/alloc_budget.json) — "+
@@ -91,6 +105,11 @@ func TestSubmitAllocBudget(t *testing.T) {
 	for name := range entries {
 		if _, ok := benchmarks[name]; !ok {
 			t.Errorf("budget entry %s has no matching benchmark — remove or rename it", name)
+		}
+	}
+	for name := range bytesMax {
+		if _, ok := entries[name]; !ok {
+			t.Errorf("bytes_per_op entry %s has no allocation budget — remove or rename it", name)
 		}
 	}
 }

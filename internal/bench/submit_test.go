@@ -81,8 +81,8 @@ func BenchmarkSubmitDatumPtr(b *testing.B) {
 // BenchmarkSubmitThrottled submits the same chains under the default
 // run-ahead window (64 tasks at Workers(1)): past the first 64 tasks every
 // spawn finds the window full, so the master executes the oldest chain link
-// first and the new task is ready at submission. It costs the task record
-// plus the ready queue's node — the throttle itself allocates nothing.
+// first and the new task is ready at submission. It costs the Handle plus
+// the ready queue's node — the throttle itself allocates nothing.
 func BenchmarkSubmitThrottled(b *testing.B) {
 	benchSubmit(b, datumPtrChains, ompss.MaxInFlight(0)) // 0: back to the default window
 }

@@ -49,10 +49,16 @@ func (m *miniExec) runAll() {
 	}
 }
 
-// runBody plays the executor: these tests keep a task's body in Owner, the
-// opaque slot the engine carries for whoever dispatches the task.
+// testBody is a task body kept in Owner, the slot the engine carries for
+// whoever dispatches the task; it neither settles nor recycles anything.
+type testBody func() error
+
+func (testBody) Settle(error) {}
+func (testBody) Recycle()     {}
+
+// runBody plays the executor: it runs the body these tests keep in Owner.
 func runBody(t *Task) error {
-	if body, ok := t.Owner.(func() error); ok {
+	if body, ok := t.Owner.(testBody); ok {
 		return body()
 	}
 	return nil
@@ -100,13 +106,13 @@ func TestRAWChainSerializes(t *testing.T) {
 		tk := &Task{
 			Label:    fmt.Sprint(i),
 			Accesses: []Access{{Key: x, Mode: InOut}},
-			Owner: func() error {
+			Owner: testBody(func() error {
 				if val != i {
 					t.Errorf("task %d saw val=%d", i, val)
 				}
 				val++
 				return nil
-			},
+			}),
 		}
 		ts = append(ts, tk)
 		m.submit(tk)
@@ -232,7 +238,7 @@ func TestPipelineCircularBuffer(t *testing.T) {
 			}
 			tk := &Task{
 				Label: fmt.Sprintf("s%d.i%d", s, k),
-				Owner: func() error { exec[s] = append(exec[s], k); return nil },
+				Owner: testBody(func() error { exec[s] = append(exec[s], k); return nil }),
 			}
 			tk.Accesses = acc
 			all = append(all, tk)
@@ -431,7 +437,7 @@ func TestDataflowEquivalenceProperty(t *testing.T) {
 			tk.Accesses = spec.accesses
 			expected := spec.expect
 			accs := spec.accesses
-			tk.Owner = func() error {
+			tk.Owner = testBody(func() error {
 				for _, a := range accs {
 					di := indexOf(keys, a.Key)
 					if a.Reads() {
@@ -447,7 +453,7 @@ func TestDataflowEquivalenceProperty(t *testing.T) {
 					}
 				}
 				return nil
-			}
+			})
 			m.submit(tk)
 		}
 		m.runAll()

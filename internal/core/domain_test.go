@@ -98,7 +98,7 @@ func TestFinishConfinesFailureToDomain(t *testing.T) {
 	x := new(int)
 	boom := fmt.Errorf("boom")
 	head := &Task{Domain: domA, Accesses: []Access{{Key: x, Mode: Out}},
-		Owner: func() error { return boom }}
+		Owner: testBody(func() error { return boom })}
 	sameDom := &Task{Domain: domA, Accesses: []Access{{Key: x, Mode: In}}}
 	crossDom := &Task{Domain: domB, Accesses: []Access{{Key: x, Mode: In}}}
 	m.submit(head)

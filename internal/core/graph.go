@@ -38,16 +38,106 @@ type Datum struct {
 	owner *Graph
 	shard uint32
 
-	// The record, guarded by the shard lock: the task that last
-	// (program-order) writes the datum, and the tasks that read it or
-	// commutatively updated it since that write.
+	// The record, guarded by the shard lock.
+	accessors
+	// chain, when non-nil, makes the datum renameable (see rename.go): the
+	// accessors above are then unused — the chain's current version
+	// carries them — and every access routes through wireChained.
+	chain *verChain
+}
+
+// accessors is the dependence record of a datum, or of one instance of a
+// renameable datum: the task that last (program-order) wrote it, and the
+// tasks that read it or commutatively updated it since that write. The
+// record holds a reference on each task it names (Task.Hold) — one per
+// slot, except that a reader which is also the last writer (an InOut)
+// shares the writer's — so a finished task stays readable, and a failed one
+// still hands its error to a later reader, until the record lets go of it.
+// The methods below are the only writers of the slots, so the counting
+// lives here. Guarded by the owning shard lock.
+type accessors struct {
 	lastWriter *Task
 	readers    []*Task
 	commuters  []*Task
-	// chain, when non-nil, makes the datum renameable (see rename.go): the
-	// accessor lists above are then unused — the chain's current version
-	// carries them — and every access routes through wireChained.
-	chain *verChain
+}
+
+// wire adds the dependence edges of t's access in mode against the record,
+// through addPred, and records t.
+func (a *accessors) wire(t *Task, mode Mode, addPred func(*Task)) {
+	switch mode {
+	case In:
+		addPred(a.lastWriter)
+		for _, c := range a.commuters {
+			addPred(c) // commutative updaters may write: RAW
+		}
+		a.addReader(t)
+	case Commutative:
+		addPred(a.lastWriter)
+		for _, r := range a.readers {
+			addPred(r) // WAR against plain readers
+		}
+		a.addCommuter(t)
+	case Out, InOut:
+		addPred(a.lastWriter)
+		for _, r := range a.readers {
+			addPred(r)
+		}
+		for _, c := range a.commuters {
+			addPred(c)
+		}
+		a.setWriter(t)
+		if mode == InOut {
+			a.addReader(t)
+		}
+	}
+}
+
+// setWriter makes t the last writer, evicting the previous one and every
+// reader and commuter since it.
+func (a *accessors) setWriter(t *Task) {
+	t.Hold()
+	a.clear()
+	a.lastWriter = t
+}
+
+func (a *accessors) addReader(t *Task) {
+	if t != a.lastWriter {
+		t.Hold()
+	}
+	a.readers = append(a.readers, t)
+}
+
+func (a *accessors) addCommuter(t *Task) {
+	t.Hold()
+	a.commuters = append(a.commuters, t)
+}
+
+// clear empties the record. The lists are truncated, not dropped: an InOut
+// chain reuses the one-element backing array for every link instead of
+// allocating it anew.
+func (a *accessors) clear() {
+	w := a.lastWriter
+	for _, r := range a.readers {
+		if r != w {
+			r.Drop()
+		}
+	}
+	for _, c := range a.commuters {
+		c.Drop()
+	}
+	clear(a.readers)
+	clear(a.commuters)
+	a.lastWriter, a.readers, a.commuters = nil, a.readers[:0], a.commuters[:0]
+	if w != nil {
+		w.Drop()
+	}
+}
+
+// take moves the record out, references and all, leaving it empty.
+func (a *accessors) take() accessors {
+	old := *a
+	*a = accessors{}
+	return old
 }
 
 // Owner returns the graph this datum was interned on.
@@ -299,43 +389,7 @@ func (g *Graph) wireTask(t *Task) {
 		if d := a.Datum; d.chain != nil {
 			g.wireChained(d.chain, t, a.Mode, addPred)
 		} else {
-			wireExact(d, t, a.Mode, addPred)
-		}
-	}
-}
-
-// wireExact wires the dependence edges of one access against the datum's
-// record and updates it. Called with the datum's shard lock held.
-func wireExact(d *Datum, t *Task, mode Mode, addPred func(*Task)) {
-	switch mode {
-	case In:
-		addPred(d.lastWriter)
-		for _, c := range d.commuters {
-			addPred(c) // commutative updaters may write: RAW
-		}
-		d.readers = append(d.readers, t)
-	case Commutative:
-		addPred(d.lastWriter)
-		for _, r := range d.readers {
-			addPred(r) // WAR against plain readers
-		}
-		d.commuters = append(d.commuters, t)
-	case Out, InOut:
-		addPred(d.lastWriter)
-		for _, r := range d.readers {
-			addPred(r)
-		}
-		for _, c := range d.commuters {
-			addPred(c)
-		}
-		d.lastWriter = t
-		// Truncate rather than drop: an InOut chain reuses the one-element
-		// backing array for every link instead of allocating it anew.
-		clear(d.readers)
-		d.readers = d.readers[:0]
-		d.commuters = nil
-		if mode == InOut {
-			d.readers = append(d.readers, t)
+			d.wire(t, a.Mode, addPred)
 		}
 	}
 }
@@ -366,12 +420,15 @@ func (g *Graph) Finish(t *Task, err error) (newlyReady []*Task) {
 	// taskwaiter that observes the counters — must also observe the
 	// written-back canonical value. Never holds the succ lock, so the
 	// shard → task lock order of Submit is preserved.
-	if t.bindings != nil {
+	if len(t.bindings) > 0 {
 		g.releaseBindings(t, err)
 	}
 	succs, done := t.takeSuccsAndFinish()
 	if done != nil {
 		close(done)
+	}
+	if o := t.Owner; o != nil {
+		o.Settle(err)
 	}
 	if err != nil {
 		g.stFailed.Add(1)
@@ -413,7 +470,8 @@ func (g *Graph) CountSkipped() { g.stSkipped.Add(1) }
 // Writers returns the unfinished tasks a `taskwait on(key)` must wait for:
 // the datum's program-order last writer, or — for a renameable datum —
 // every unfinished accessor of every live instance, so that waiting flushes
-// the rename and the canonical storage is current on return.
+// the rename and the canonical storage is current on return. Each returned
+// task is held (see Hold) for the waiter, which drops it when done waiting.
 func (g *Graph) Writers(key any) []*Task {
 	g.mu.Lock()
 	d := g.keys[key]
@@ -426,6 +484,7 @@ func (g *Graph) Writers(key any) []*Task {
 	defer sh.mu.Unlock()
 	if d.chain == nil {
 		if w := d.lastWriter; w != nil && !w.Finished() {
+			w.Hold()
 			return []*Task{w}
 		}
 		return nil
@@ -433,6 +492,7 @@ func (g *Graph) Writers(key any) []*Task {
 	var out []*Task
 	collect := func(t *Task) {
 		if t != nil && !t.Finished() && !slices.Contains(out, t) {
+			t.Hold()
 			out = append(out, t)
 		}
 	}
@@ -460,12 +520,30 @@ func (g *Graph) Release(dom *Domain) {
 	}
 	g.mu.Unlock()
 	for _, d := range ds {
-		sh := &g.shards[d.shard]
-		sh.mu.Lock()
-		if d.chain != nil {
-			d.chain.collapse()
-		}
-		d.lastWriter, d.readers, d.commuters = nil, nil, nil
-		sh.mu.Unlock()
+		g.forget(d)
 	}
+}
+
+// DropHistory empties every datum's accessor history, letting go of the
+// finished tasks the slots still hold. Call only once the graph has drained
+// for good (the runtime's Shutdown); a datum keeps its identity, so a later
+// access interns nothing new — it just orders after nothing.
+func (g *Graph) DropHistory() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for _, d := range g.keys {
+		g.forget(d)
+	}
+}
+
+// forget empties d's accessor history and discards its live renamed
+// instances without writeback, under d's shard lock.
+func (g *Graph) forget(d *Datum) {
+	sh := &g.shards[d.shard]
+	sh.mu.Lock()
+	if d.chain != nil {
+		d.chain.collapse()
+	}
+	d.clear()
+	sh.mu.Unlock()
 }

@@ -45,7 +45,11 @@ func (q *mpmcQueue) dequeue() *Task {
 		}
 		if q.head.CompareAndSwap(head, next) {
 			q.n.Add(-1)
-			return next.t
+			// next is the new dummy head and stays reachable: clear its
+			// task. Only the CAS winner reads a node's task.
+			t := next.t
+			next.t = nil
+			return t
 		}
 	}
 }

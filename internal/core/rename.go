@@ -24,8 +24,8 @@ package core
 
 // version is one instance of a renameable datum: a payload plus the
 // dependence record of the tasks accessing exactly this instance. refs
-// counts submitted-but-unfinished accessors; the lists hold the same tasks
-// (they are never pruned before the version drains, and addPred skips
+// counts submitted-but-unfinished accessors; the record holds the same tasks
+// (it is never pruned before the version drains, and addPred skips
 // finished entries).
 type version struct {
 	payload any
@@ -36,11 +36,9 @@ type version struct {
 	// of the instance copied onto it), so equal (datum, vid) pairs always
 	// name bit-identical content — the invariant the distributed backend's
 	// per-worker version caches key on.
-	vid        uint64
-	lastWriter *Task
-	readers    []*Task
-	commuters  []*Task
-	refs       int32
+	vid uint64
+	accessors
+	refs int32
 	// poisoned records that the version's program-order last writer
 	// finished with an error (including skip-release): its payload is
 	// undefined and must never be written back to canonical storage.
@@ -169,10 +167,8 @@ func (d *Datum) EnableRenaming(canonical any, alloc func() any, cp func(dst, src
 	ch := &verChain{shard: d.shard, alloc: alloc, copyFn: cp, nextVID: 2}
 	// The datum's existing accessors become the canonical instance's: from
 	// here on the chain's current version carries the lists.
-	ch.canonical = &version{payload: canonical, vid: 1,
-		lastWriter: d.lastWriter, readers: d.readers, commuters: d.commuters}
+	ch.canonical = &version{payload: canonical, vid: 1, accessors: d.take()}
 	ch.cur = ch.canonical
-	d.lastWriter, d.readers, d.commuters = nil, nil, nil
 	d.chain = ch
 	return d
 }
@@ -249,64 +245,43 @@ func (g *Graph) shouldRename(ch *verChain, t *Task, mode Mode) bool {
 // instance in place and keep their ordinary edge semantics.
 func (g *Graph) wireChained(ch *verChain, t *Task, mode Mode, addPred func(*Task)) {
 	cur := ch.cur
+	if (mode == Out || mode == InOut) && g.shouldRename(ch, t, mode) {
+		nv := ch.newVersion()
+		nv.setWriter(t)
+		if mode == InOut {
+			// The RAW on the previous instance's producers is true and
+			// stays; only the WAR edges on its readers are broken — they
+			// keep reading the old instance while this task writes the
+			// new one (seeded by copy-in at first PayloadFor).
+			addPred(cur.lastWriter)
+			for _, c := range cur.commuters {
+				addPred(c)
+			}
+			nv.addReader(t)
+			t.bindRename(ch, cur, nv, true)
+		} else {
+			t.bindRename(ch, nil, nv, false)
+		}
+		ch.cur = nv
+		g.stRenamed.Add(1)
+		if g.probe != nil {
+			g.probe.RenameEvent(t.ID)
+		}
+		return
+	}
+	// In place: the same edges and record as a datum without a chain.
+	readVID := cur.vid
+	cur.wire(t, mode, addPred)
 	switch mode {
-	case In:
-		addPred(cur.lastWriter)
-		for _, c := range cur.commuters {
-			addPred(c)
-		}
-		cur.readers = append(cur.readers, t)
-		t.bindRead(ch, cur)
-	case Commutative:
-		addPred(cur.lastWriter)
-		for _, r := range cur.readers {
-			addPred(r)
-		}
-		cur.commuters = append(cur.commuters, t)
+	case In, Commutative:
 		t.bindRead(ch, cur)
 	case Out, InOut:
-		if g.shouldRename(ch, t, mode) {
-			nv := ch.newVersion()
-			if mode == InOut {
-				// The RAW on the previous instance's producers is true and
-				// stays; only the WAR edges on its readers are broken — they
-				// keep reading the old instance while this task writes the
-				// new one (seeded by copy-in at first PayloadFor).
-				addPred(cur.lastWriter)
-				for _, c := range cur.commuters {
-					addPred(c)
-				}
-				nv.readers = append(nv.readers, t)
-				t.bindRename(ch, cur, nv, true)
-			} else {
-				t.bindRename(ch, nil, nv, false)
-			}
-			nv.lastWriter = t
-			ch.cur = nv
-			g.stRenamed.Add(1)
-			if g.probe != nil {
-				g.probe.RenameEvent(t.ID)
-			}
-			return
-		}
-		addPred(cur.lastWriter)
-		for _, r := range cur.readers {
-			addPred(r)
-		}
-		for _, c := range cur.commuters {
-			addPred(c)
-		}
-		cur.lastWriter = t
-		cur.readers = nil
-		cur.commuters = nil
 		// The in-place write produces new content in the same payload: the
 		// instance's version number advances so the new content gets a
 		// fresh identity. An InOut still observes the predecessor content,
 		// so its binding records the pre-bump vid as what it reads.
-		readVID := uint64(0)
-		if mode == InOut {
-			cur.readers = append(cur.readers, t)
-			readVID = cur.vid
+		if mode == Out {
+			readVID = 0
 		}
 		cur.vid = ch.nextVID
 		ch.nextVID++
@@ -357,7 +332,8 @@ func (g *Graph) releaseBindings(t *Task, err error) {
 		g.sweepChain(b.chain)
 		sh.mu.Unlock()
 	}
-	t.bindings = nil
+	clear(t.bindings)
+	t.bindings = t.bindings[:0]
 }
 
 // sweepChain publishes and reclaims the drained prefix of the version
@@ -411,6 +387,7 @@ func (g *Graph) sweepChain(ch *verChain) {
 	for _, v := range ch.renamed[:n] {
 		ch.pool = append(ch.pool, v.payload)
 		v.payload = nil
+		v.clear()
 	}
 	ch.renamed = append(ch.renamed[:0], ch.renamed[n:]...)
 	if len(ch.renamed) == 0 {
@@ -495,15 +472,14 @@ func (d *Datum) Canonical() VersionRef {
 // current and carries no accessor history. Called with the owning shard
 // lock held, after (or instead of, see Graph.Release) any writeback.
 func (ch *verChain) collapse() {
-	ch.canonical.lastWriter = nil
-	ch.canonical.readers = nil
-	ch.canonical.commuters = nil
+	ch.canonical.clear()
 	ch.cur = ch.canonical
 	for _, v := range ch.renamed {
 		if v.payload != nil {
 			ch.pool = append(ch.pool, v.payload)
 			v.payload = nil
 		}
+		v.clear()
 	}
 	ch.renamed = nil
 }

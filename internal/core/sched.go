@@ -239,6 +239,7 @@ func (s *Sched) Pop(worker int) *Task {
 		s.prioMu.Lock()
 		if len(s.prio) > 0 {
 			t = s.prio[0]
+			s.prio[0] = nil // the backing array must not keep t reachable
 			s.prio = s.prio[1:]
 			s.prioN.Add(-1)
 		}

@@ -85,7 +85,7 @@ func TestEngineConcurrentStress(t *testing.T) {
 					acc = append(acc, Access{Key: keys[di], Mode: modes[rng.Intn(len(modes))]})
 				}
 				tk := &Task{Accesses: acc}
-				tk.Owner = func() error { runCount[id].Add(1); return nil }
+				tk.Owner = testBody(func() error { runCount[id].Add(1); return nil })
 				if g.Submit(tk) {
 					s.PushSubmit(tk)
 				}
@@ -131,7 +131,7 @@ func TestSubmitVsFinishRace(t *testing.T) {
 		x := new(int)
 		var ran0, ran1 atomic.Int32
 		t0 := &Task{Domain: dom, Accesses: []Access{{Key: x, Mode: Out}}}
-		t0.Owner = func() error { ran0.Add(1); return nil }
+		t0.Owner = testBody(func() error { ran0.Add(1); return nil })
 		if !g.Submit(t0) {
 			t.Fatal("t0 should be ready")
 		}
@@ -148,7 +148,7 @@ func TestSubmitVsFinishRace(t *testing.T) {
 			}
 		}()
 		t1 := &Task{Accesses: []Access{{Key: x, Mode: In}}}
-		t1.Owner = func() error { ran1.Add(1); return nil }
+		t1.Owner = testBody(func() error { ran1.Add(1); return nil })
 		ready := g.Submit(t1)
 		wg.Wait()
 

@@ -102,10 +102,11 @@ func (a Access) Writes() bool { return a.Mode == Out || a.Mode == InOut }
 // cache lines only its submitter needs: first what dispatch and Finish read
 // and write, then what is written once at spawn for the wiring and traces.
 type Task struct {
-	// Owner is an opaque executor backpointer: the spawn record this task is
-	// embedded in, which holds the body the executor runs at dispatch. The
-	// engine never touches it (a bare Task is a pure dependence node).
-	Owner any
+	// Owner is the executor's spawn record this task is embedded in, which
+	// holds the body the executor runs at dispatch. Finish settles it and
+	// the last Drop recycles it (see Owner). A bare Task has none: it is a
+	// pure dependence node, and the engine never counts its references.
+	Owner Owner
 	// Parent is the context (spawning scope) whose taskwait covers this
 	// task.
 	Parent *Context
@@ -120,6 +121,9 @@ type Task struct {
 
 	npred int32 // atomic: unfinished predecessors (+1 submission guard while wiring)
 	state int32 // atomic taskState
+	// refs counts the holders that may still touch the task (see Hold);
+	// only a task with an Owner is counted.
+	refs atomic.Int32
 	// affinity is the task's placement hint, encoded as home shard + 1 so
 	// the zero value (struct-literal construction) means "no hint". Set via
 	// SetAffinity; the scheduler reads it through AffinityShard.
@@ -144,7 +148,7 @@ type Task struct {
 	// bindings records the datum instances this task's accesses were wired
 	// against (renameable datums only — see rename.go). Appended under the
 	// owning shard lock during Submit, read by the body via PayloadFor,
-	// released by Finish.
+	// released and emptied by Finish, which keeps the capacity for reuse.
 	bindings []verBinding
 
 	ID       uint64
@@ -158,6 +162,46 @@ type Task struct {
 	// first two live in predBuf, so a chain task allocates nothing for them.
 	Preds   []uint64
 	predBuf [2]uint64
+}
+
+// Owner is what an executor embeds a task in. The engine calls it twice:
+// when the task finishes, and when nothing can touch the task any more.
+type Owner interface {
+	// Settle receives the task's outcome inside Finish, before the domain
+	// and the parent context learn of the finish: whoever a drain lets go
+	// finds the owner settled.
+	Settle(err error)
+	// Recycle is called by the Drop that releases the last reference; the
+	// owner may then reset and reuse the task.
+	Recycle()
+}
+
+// Hold takes a reference on t for one holder that may touch it after it
+// finishes. The engine holds one per tracker slot that names t (a datum's or
+// an instance's last writer, readers and commuters) and one per task
+// returned by Writers; the executor holds the others. A no-op for a task
+// without an Owner.
+func (t *Task) Hold() {
+	if t.Owner != nil {
+		t.refs.Add(1)
+	}
+}
+
+// Drop releases a reference taken by Hold. The last one hands t to its
+// Owner's Recycle, so a holder must not touch t after its Drop.
+func (t *Task) Drop() {
+	if t.Owner != nil && t.refs.Add(-1) == 0 {
+		t.Owner.Recycle()
+	}
+}
+
+// Reset zeroes t for reuse by its owner once its last reference is dropped.
+// Only the capacity of the binding list survives, so a reused task pins
+// nothing of its previous life.
+func (t *Task) Reset() {
+	b := t.bindings[:0]
+	*t = Task{}
+	t.bindings = b
 }
 
 // SetAffinity hints that the task should execute near the data of the given

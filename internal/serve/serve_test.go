@@ -21,6 +21,7 @@ import (
 
 	"ompssgo/internal/img"
 	"ompssgo/internal/media"
+	"ompssgo/internal/poolcheck"
 	"ompssgo/internal/suite"
 	"ompssgo/internal/suite/rgbcmy"
 	"ompssgo/internal/suite/rotate"
@@ -426,6 +427,10 @@ func TestSoakSessionChurn(t *testing.T) {
 		t.Skip("session-churn soak; run with -soak")
 	}
 	srv, rt := newTestServer(t)
+	// Nothing is in flight yet, and the server spawns only in request
+	// sessions, whose Close gives every record back.
+	pool := poolcheck.Active()
+	baseOut := pool.Outstanding()
 
 	// Baseline after one warm-up request (the reference cache and any
 	// lazily-built shard state must not count as a leak).
@@ -466,6 +471,9 @@ func TestSoakSessionChurn(t *testing.T) {
 	}
 	if n := rt.DepRecords(); n != base {
 		t.Fatalf("dependence records grew across churn: baseline %d, after %d", base, n)
+	}
+	if n := pool.Await(baseOut); n != baseOut {
+		t.Fatalf("task records out of the pool grew across churn: baseline %d, after %d", baseOut, n)
 	}
 	t.Logf("soak: %d sessions churned, records steady at %d",
 		clients*perClient+1, base)

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"ompssgo/internal/poolcheck"
 	"ompssgo/ompss"
 	"ompssgo/pthread"
 )
@@ -97,6 +98,7 @@ func TestGoldenSurvivesSchedulingPolicies(t *testing.T) {
 		{"renaming", []ompss.Option{ompss.WithTuning(ompss.Tuning{Renaming: ompss.On})}},
 		{"renaming-fifo", []ompss.Option{ompss.WithTuning(ompss.Tuning{Renaming: ompss.On}), ompss.WithTuning(fifo)}},
 	}
+	pool := poolcheck.Active()
 	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -106,11 +108,15 @@ func TestGoldenSurvivesSchedulingPolicies(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				out := pool.Outstanding()
 				rt := ompss.New(append([]ompss.Option{ompss.Workers(3)}, pol.opts...)...)
 				got := in.RunOmpSs(rt)
 				rt.Shutdown()
 				if got != want {
 					t.Errorf("ompss/%s %s = %#016x, golden %#016x", pol.name, name, got, want)
+				}
+				if n := pool.Outstanding() - out; n != 0 {
+					t.Errorf("ompss/%s %s: %d task records still out of the pool after Shutdown", pol.name, name, n)
 				}
 			}
 		})

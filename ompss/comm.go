@@ -27,20 +27,38 @@ type lockTable struct {
 	seq uint64
 }
 
+// named returns the lock of a Critical section. The lookup boxes name into a
+// key that does not escape; only a name's first use allocates.
+func (t *lockTable) named(name string) *rtLock {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if e := t.m[critName(name)]; e != nil {
+		return e
+	}
+	return t.add(critName(name))
+}
+
+// add creates key's lock, ranked after every lock created so far. Called
+// with t.mu held.
+func (t *lockTable) add(key any) *rtLock {
+	if t.m == nil {
+		t.m = make(map[any]*rtLock)
+	}
+	t.seq++
+	e := &rtLock{rank: t.seq}
+	t.m[key] = e
+	return e
+}
+
 // resolve returns the locks of keys (creating on first use), deduplicated
 // and sorted by rank. Safe from any goroutine.
 func (t *lockTable) resolve(keys []any) []*rtLock {
 	t.mu.Lock()
-	if t.m == nil {
-		t.m = make(map[any]*rtLock)
-	}
 	locks := make([]*rtLock, 0, len(keys))
 	for _, k := range keys {
 		e := t.m[k]
 		if e == nil {
-			t.seq++
-			e = &rtLock{rank: t.seq}
-			t.m[k] = e
+			e = t.add(k)
 		}
 		locks = append(locks, e)
 	}

@@ -3,6 +3,7 @@ package ompss
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"ompssgo/internal/core"
@@ -105,39 +106,50 @@ func (d *Datum) EnableRenaming(canonical any, alloc func() any, cp func(dst, src
 // running it (failure policy, cancellation, session close, or admission
 // rejection).
 //
-// A Handle is a view of the spawn's task record (it points into it), so it
-// stays valid for as long as anyone holds it: handles of a request session
-// outlive the session and keep reading their own finished record — for a
-// task the close cancelled, a *SkipError wrapping ErrSessionClosed.
+// A Handle is an object of its own, settled once when its task finishes, so
+// it stays valid for as long as anyone holds it, long after the runtime has
+// reused the task's record: handles of a request session outlive the
+// session and keep reporting their own task — for a task the close
+// cancelled, a *SkipError wrapping ErrSessionClosed. By the time a Taskwait
+// or a session drain returns, every awaited task's Handle answers.
 type Handle struct {
 	rt *Runtime
-	t  *core.Task // nil for an undeferred (If(false)) task: it already ran
-	// settled is the outcome of a task that never entered the graph, set
-	// once: an inline task's failure, or the refusal of a spawn the session
-	// would not admit. It wins over t, which such a task never finishes.
-	settled atomic.Pointer[errRef]
+	// state is nil while the task is in flight, waiting once Done has made
+	// a channel for it to close, and the outcome once it finished: a
+	// finishing task settles its Handle with one atomic swap.
+	state atomic.Pointer[errRef]
+	mu    sync.Mutex    // orders Done's channel against settle
+	done  chan struct{} // made by Done for a caller that waits in flight
 }
 
-// closedChan is the pre-closed Done channel of tasks that never entered the
-// graph.
+// Sentinels of Handle.state: a channel is waiting to be closed, and the
+// outcome of every task that finished without an error.
+var waiting, succeeded = &errRef{}, &errRef{}
+
+// closedChan is the Done channel of a task that finished before anyone asked
+// for one.
 var closedChan = func() chan struct{} {
 	ch := make(chan struct{})
 	close(ch)
 	return ch
 }()
 
-// offGraph reports whether the task never entered the graph (inline or
-// refused): its Done is closed already and its outcome is in settled.
-func (h *Handle) offGraph() bool { return h.t == nil || h.settled.Load() != nil }
-
 // Done returns a channel closed when the task has finished (for inline and
 // refused tasks it is closed already). Select on it together with a
 // context's Done for per-task timeouts.
 func (h *Handle) Done() <-chan struct{} {
-	if h.offGraph() {
+	if r := h.state.Load(); r != nil && r != waiting {
 		return closedChan
 	}
-	return h.t.Done()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.done == nil {
+		if !h.state.CompareAndSwap(nil, waiting) {
+			return closedChan // settled meanwhile
+		}
+		h.done = make(chan struct{})
+	}
+	return h.done
 }
 
 // Err returns the task's outcome: nil while the task is still in flight or
@@ -145,22 +157,23 @@ func (h *Handle) Done() <-chan struct{} {
 // counts as observing the runtime's failures (see Shutdown).
 func (h *Handle) Err() error {
 	h.rt.observed.Store(true)
-	if r := h.settled.Load(); r != nil {
-		return r.err
+	if r := h.state.Load(); r != nil {
+		return r.err // nil for both sentinels
 	}
-	if h.t == nil {
-		return nil
-	}
-	return h.t.Err()
+	return nil
 }
 
-// settle records the outcome of a task that never entered the graph (nil
-// keeps an inline success) and returns h.
-func (h *Handle) settle(err error) *Handle {
+// settle records the task's outcome, once, and closes the channel Done made.
+func (h *Handle) settle(err error) {
+	r := succeeded
 	if err != nil {
-		h.settled.Store(&errRef{err})
+		r = &errRef{err}
 	}
-	return h
+	if h.state.Swap(r) == waiting {
+		h.mu.Lock() // Done publishes h.done under it
+		close(h.done)
+		h.mu.Unlock()
+	}
 }
 
 // ErrorPolicy selects what happens to the dependents of a failed task.

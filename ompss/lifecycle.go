@@ -143,7 +143,15 @@ func (l *lifecycle) held(from *TC) bool {
 	return from.task == nil && l.room != nil && !l.room()
 }
 
-func (l *lifecycle) submit(from *TC, t *core.Task) {
+// submit puts a spawn's task into the graph. The task takes the executing
+// lane's reference on its record, dropped at the end of runTask, and one on
+// its parent's, since t.Parent points into it until t finishes.
+func (l *lifecycle) submit(from *TC, r *taskRec) {
+	t := &r.t
+	t.Hold()
+	if p := r.parent; p != nil {
+		p.Hold()
+	}
 	l.clk.pollCancel()
 	if l.held(from) {
 		// The counter was read ahead of the clock: settle and let waitFor
@@ -199,8 +207,10 @@ func (l *lifecycle) emit(lane int, k obs.Kind) {
 	}
 }
 
-// runTask takes a popped task through the rest of its life on lane.
+// runTask takes a popped task through the rest of its life on lane, and
+// drops the references submit took for it.
 func (l *lifecycle) runTask(t *core.Task, lane int) {
+	r := t.Owner.(*taskRec)
 	l.clk.charge(lane, costDispatch, 1)
 	l.graph.MarkRunning(t, lane)
 	rec := l.cfg.rec
@@ -228,7 +238,7 @@ func (l *lifecycle) runTask(t *core.Task, lane int) {
 			a := &t.Accesses[i]
 			mem += l.clk.touch(lane, a.Key, a.Bytes, a.Writes())
 		}
-		err = t.Owner.(*taskRec).run() // real execution; may add Compute/Critical charges itself
+		err = r.run() // real execution; may add Compute/Critical charges itself
 		l.clk.charge(lane, costCompute, t.CPUCost+mem)
 	}
 	l.rt.noteTaskErr(t, err)
@@ -252,6 +262,10 @@ func (l *lifecycle) runTask(t *core.Task, lane int) {
 	// Idle workers for the released tasks, and any waiter t's completion
 	// may have let go.
 	l.clk.wake(t, n)
+	if p := r.parent; p != nil {
+		p.Drop()
+	}
+	t.Drop()
 }
 
 // waitFor holds the calling thread until cond holds, executing ready tasks
@@ -275,12 +289,16 @@ func (l *lifecycle) waitFor(from *TC, key any, cond func() bool) {
 	}
 }
 
-func (l *lifecycle) taskwait(from *TC, ctx *core.Context) {
+// taskwait waits until from's scope has no unfinished children, polling
+// the scope's predicate, which was built once with the scope.
+func (l *lifecycle) taskwait(from *TC) {
 	l.emit(from.worker, obs.EvTaskwaitEnter)
 	defer l.emit(from.worker, obs.EvTaskwaitExit)
-	if ctx.Pending() != 0 { // a drained scope builds no predicate
-		l.waitFor(from, ctx, func() bool { return ctx.Pending() == 0 })
+	drained := from.sess.drained
+	if t := from.task; t != nil {
+		drained = t.Owner.(*taskRec).drained
 	}
+	l.waitFor(from, from.ctx, drained)
 }
 
 func (l *lifecycle) taskwaitOn(from *TC, keys []any) {
@@ -290,6 +308,7 @@ func (l *lifecycle) taskwaitOn(from *TC, keys []any) {
 		l.clk.charge(from.worker, costSettle, 0)
 		for _, lw := range l.graph.Writers(k) {
 			l.waitFor(from, lw, lw.Finished)
+			lw.Drop() // Writers held it for this wait
 		}
 	}
 }
@@ -297,8 +316,14 @@ func (l *lifecycle) taskwaitOn(from *TC, keys []any) {
 // critName keys a Critical section's lock in the table Commutative keys share.
 type critName string
 
+// critical runs f under the named lock: one lock, so no rank order to
+// resolve and nothing allocated per call.
 func (l *lifecycle) critical(from *TC, name string, f func()) {
-	l.commutative(from, []any{critName(name)}, f)
+	lane, m := from.worker, l.locks.named(name)
+	l.clk.lock(lane, m)
+	// Deferred so a panicking f cannot leak the lock (see commutative).
+	defer l.clk.unlock(lane, m)
+	f()
 }
 
 // commutative runs f holding the lock of every listed key, acquired in
@@ -325,6 +350,9 @@ func (l *lifecycle) commutative(from *TC, keys []any, f func()) {
 func (l *lifecycle) shutdown(from *TC) {
 	l.drain.Do(func() {
 		l.waitFor(from, parkDrain, func() bool { return l.graph.Unfinished() == 0 })
+		// Nothing will read the tracker's history again: let its slots go
+		// of the finished tasks, so their records go back to the pool.
+		l.graph.DropHistory()
 		l.stop.Store(true)
 		l.clk.wake(nil, l.cfg.workers)
 	})

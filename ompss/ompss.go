@@ -405,6 +405,10 @@ func (rt *Runtime) initMain(lane int) {
 // TC is the task context handed to task bodies and representing the master
 // thread on a Runtime. It identifies the executing worker and carries the
 // nesting scope for nested tasks and taskwait.
+//
+// A task body's TC is valid only while the body runs: the runtime reuses
+// the task's record afterwards, so a TC kept beyond that belongs to another
+// task. Keep the Handle instead.
 type TC struct {
 	rt     *Runtime
 	ctx    *core.Context // children spawned from this scope
@@ -431,44 +435,50 @@ func (tc *TC) Go(body func(*TC) error, clauses ...Clause) *Handle {
 }
 
 // spawn is the common deferred/undeferred spawn path behind Task, Go and
-// TaskLoop.
+// TaskLoop. It drops the spawner's reference on the record last: until then
+// the record is readable, however fast the task runs and finishes.
 func (tc *TC) spawn(r *taskRec) *Handle {
-	if !r.enabled {
-		return tc.spawnInline(r)
-	}
-	s := tc.sess
-	if s != nil && s.managed() {
+	h := r.h
+	switch s := tc.sess; {
+	case !r.enabled:
+		tc.spawnInline(r)
+	case s != nil && s.managed():
 		// Request sessions (and a default session that refuses on a full
 		// window) route through admission control.
-		return s.spawnManaged(tc, r)
+		s.spawnManaged(tc, r)
+	default:
+		if s != nil {
+			s.dom.Charge()
+		}
+		tc.rt.lc.submit(tc, r)
 	}
-	if s != nil {
-		s.dom.Charge()
-	}
-	tc.rt.lc.submit(tc, &r.t)
-	return &r.h
+	r.t.Drop()
+	return h
 }
 
 // spawnInline executes an If(false) task undeferred in the spawning
 // thread, as in OmpSs. Costs are charged to the current thread in
 // simulation. A panic propagates synchronously to the spawner (the body
 // runs on its stack); a returned error is recorded like any task failure.
-func (tc *TC) spawnInline(r *taskRec) *Handle {
-	r.h.t = nil // never enters the graph: the handle answers from settled
+// The task never enters the graph, so its handle is settled here.
+func (tc *TC) spawnInline(r *taskRec) {
 	if ce := tc.rt.cancelCause(); ce != nil {
 		err := &SkipError{Label: r.t.Label, Cause: ce}
 		tc.rt.noteErr(err)
 		tc.ctx.NoteErr(err)
-		return r.h.settle(err)
+		r.h.settle(err)
+		return
 	}
 	if s := tc.sess; s != nil {
 		if s.closedFlag.Load() {
-			return r.refuse(ErrSessionClosed)
+			r.refuse(ErrSessionClosed)
+			return
 		}
 		if ce := s.dom.CancelCause(); ce != nil {
 			err := &SkipError{Label: r.t.Label, Cause: ce}
 			tc.ctx.NoteErr(err)
-			return r.h.settle(err)
+			r.h.settle(err)
+			return
 		}
 	}
 	tc.Compute(time.Duration(r.t.CPUCost))
@@ -485,7 +495,7 @@ func (tc *TC) spawnInline(r *taskRec) *Handle {
 	// Inline tasks never enter the graph, so record the failure on the
 	// spawning scope here — TaskwaitCtx reports it like any child's.
 	tc.ctx.NoteErr(err)
-	return r.h.settle(err)
+	r.h.settle(err)
 }
 
 // TaskLoop partitions the iteration space [0, n) into chunks of at most
@@ -549,7 +559,7 @@ func (tc *TC) autoChunk(n int) int {
 // TaskwaitCtx, it closes the round: failures of the awaited children are
 // not re-reported by a later wait over this scope.
 func (tc *TC) Taskwait() {
-	tc.rt.lc.taskwait(tc, tc.ctx)
+	tc.rt.lc.taskwait(tc)
 	tc.ctx.TakeErr()
 }
 
@@ -574,7 +584,7 @@ func (tc *TC) TaskwaitCtx(ctx context.Context) error {
 		stop := context.AfterFunc(ctx, func() { cancel(context.Cause(ctx)) })
 		defer stop()
 	}
-	rt.lc.taskwait(tc, tc.ctx)
+	rt.lc.taskwait(tc)
 	// Report-and-clear: a later taskwait over the same scope reports only
 	// its own round's failures, whatever this round returns.
 	scopeErr := tc.ctx.TakeErr()

@@ -1,14 +1,35 @@
 package ompss
 
-import "ompssgo/internal/core"
+import (
+	"sync"
 
-// taskRec is the one heap object behind a spawn: the engine's task node, the
+	"ompssgo/internal/core"
+	"ompssgo/internal/poolcheck"
+)
+
+// taskRec is the engine's record behind a spawn: the engine's task node, the
 // context the body runs in (a TC plus the core.Context counting the body's
-// own children), the future handed back to the spawner, the body in either
-// form, and the clause scratchpad — clauses write straight into the record,
-// accesses into the inline array first — fused so a deferred spawn
-// allocates once. Records are never recycled: a Handle points into its
-// record and reads it for as long as anyone holds it.
+// own children), the body in either form, and the clause scratchpad —
+// clauses write straight into the record, accesses into the inline array
+// first. The spawn's future is a Handle of its own (see Handle), so a record
+// is only ever read by the runtime, and records are recycled: each goes back
+// to the pool (putRec) once nothing can touch it any more. Every holder that
+// may touch a record after its task finishes takes a reference on r.t
+// (core.Task.Hold) and drops it when done:
+//
+//   - the spawning thread, from newRec until spawn returns: the task may be
+//     released, run and finished by others before spawn reads it for the
+//     last time;
+//   - the executing lane, from submission until runTask's last use of it;
+//   - every slot of the dependence tracker that names the task (a datum's
+//     or an instance's last writer, readers and commuters), until the slot
+//     lets go of it — so a failed predecessor stays readable for a later
+//     reader that inherits its error;
+//   - each unfinished child, whose Parent points into the record's ctx;
+//   - each taskwait on a key, for the writers it waits for.
+//
+// The last Drop resets the record and pools it, so no reader can ever see a
+// reused record.
 type taskRec struct {
 	// Laid out like core.Task: what the dispatching lane touches comes
 	// first and together.
@@ -20,21 +41,129 @@ type taskRec struct {
 	commutative bool // some access is Commutative: exec takes the key locks
 	t           core.Task
 
-	h   Handle
-	ctx core.Context   // scope of the body's own children
-	acc [3]core.Access // backs t.Accesses for the usual one-to-three-clause task
+	h      *Handle
+	parent *core.Task     // the spawning task (nil at a master): held while t is unfinished
+	ctx    core.Context   // scope of the body's own children
+	acc    [3]core.Access // backs t.Accesses for the usual one-to-three-clause task
+
+	// drained reports that ctx has no unfinished children: the body's
+	// Taskwait predicate, built once by newTaskRec and kept across reuse.
+	drained func() bool
 }
 
-// newRec is the one place a task context is made: it binds a fresh record to
-// the spawning scope — parent context, session domain, and the child TC the
-// body will see — runs the clauses over it (an Affinity clause on a raw key
-// interns it on behalf of the domain), then adds the session's tenant boost.
-// Deferred and inline spawns both start here.
+// Pooled records travel in bins of recBinSize, so that records recycled on
+// one core and spawned on another — the run of a fine-grain program, where
+// the master spawns what the workers finish — cross between cores a bin at a
+// time rather than one pool operation each. A core fills and empties the
+// bin it holds in openBins, whose per-P slot keeps it local; a full bin goes
+// to fullBins for whichever core spawns next, and an emptied one to
+// spareBins for whichever core recycles next. All three are sync.Pools, so
+// the collector drops idle records with them.
+const recBinSize = 32
+
+type recBin struct {
+	n    int
+	recs [recBinSize]*taskRec
+}
+
+var openBins, fullBins, spareBins sync.Pool
+
+// newTaskRec is the one place a record is made, when no bin has one.
+func newTaskRec() *taskRec {
+	r := &taskRec{}
+	r.drained = func() bool { return r.ctx.Pending() == 0 }
+	return r
+}
+
+// getRec takes a pooled record, or makes one.
+func getRec() *taskRec {
+	b, _ := openBins.Get().(*recBin)
+	if b == nil || b.n == 0 {
+		if f, _ := fullBins.Get().(*recBin); f != nil {
+			if b != nil {
+				spareBins.Put(b)
+			}
+			b = f
+		} else if b == nil {
+			return newTaskRec()
+		}
+	}
+	var r *taskRec
+	if b.n > 0 {
+		b.n--
+		r, b.recs[b.n] = b.recs[b.n], nil
+		if b.n > 0 {
+			// The next record out was most likely recycled on another core,
+			// which still holds its lines: fetch them now, so the next
+			// spawn's writes do not wait for them one fenced atomic at a
+			// time.
+			prefetchRec(b.recs[b.n-1])
+		}
+	} else {
+		r = newTaskRec()
+	}
+	openBins.Put(b)
+	return r
+}
+
+// putRec pools a reset record.
+func putRec(r *taskRec) {
+	b, _ := openBins.Get().(*recBin)
+	if b == nil || b.n == recBinSize {
+		if b != nil {
+			fullBins.Put(b)
+		}
+		if b, _ = spareBins.Get().(*recBin); b == nil {
+			b = new(recBin)
+		}
+	}
+	b.recs[b.n] = r
+	b.n++
+	openBins.Put(b)
+}
+
+// reset clears everything but drained and the capacity of the task's
+// binding list, so a pooled record pins no body, key, domain or handle.
+func (r *taskRec) reset() {
+	r.tc, r.body, r.bodyErr, r.enabled, r.commutative = TC{}, nil, nil, false, false
+	r.t.Reset()
+	r.h, r.parent, r.ctx, r.acc = nil, nil, core.Context{}, [3]core.Access{}
+}
+
+// Settle is called by Graph.Finish with the task's outcome.
+func (r *taskRec) Settle(err error) { r.h.settle(err) }
+
+// Recycle is called by the last Drop of r.t: it resets r and pools it.
+func (r *taskRec) Recycle() {
+	r.reset()
+	if p := poolcheck.Active(); p != nil {
+		p.TakeBack()
+		if p.Poison {
+			r.t.ID, r.t.Label = ^uint64(0), "recycled"
+			r.body = func(*TC) { panic("ompss: a recycled task record was run") }
+		}
+	}
+	putRec(r)
+}
+
+// newRec is the one place a task context is made: it binds a pooled record
+// to the spawning scope — parent context, session domain, and the child TC
+// the body will see — runs the clauses over it (an Affinity clause on a raw
+// key interns it on behalf of the domain), then adds the session's tenant
+// boost. The record comes with the spawner's reference. Deferred and inline
+// spawns both start here.
 func (tc *TC) newRec(clauses []Clause) *taskRec {
-	r := &taskRec{enabled: true}
+	r := getRec()
+	if p := poolcheck.Active(); p != nil {
+		p.HandOut()
+		r.reset() // it may carry poison
+	}
+	r.enabled = true
 	r.t.Accesses = r.acc[:0]
 	r.t.Owner = r
+	r.t.Hold()
 	r.t.Parent = tc.ctx
+	r.parent = tc.task
 	s := tc.sess
 	if s != nil {
 		// The session is the task's failure/cancellation/accounting domain.
@@ -42,7 +171,7 @@ func (tc *TC) newRec(clauses []Clause) *taskRec {
 	}
 	r.ctx.Depth = tc.ctx.Depth + 1
 	r.tc = TC{rt: tc.rt, ctx: &r.ctx, task: &r.t, sess: s}
-	r.h.rt, r.h.t = tc.rt, &r.t
+	r.h = &Handle{rt: tc.rt}
 	for _, c := range clauses {
 		c(r)
 	}
@@ -97,8 +226,8 @@ func (r *taskRec) run() (err error) {
 
 // refuse settles the handle of a spawn the session would not take: the task
 // never runs.
-func (r *taskRec) refuse(cause error) *Handle {
-	return r.h.settle(&SkipError{Label: r.t.Label, Cause: cause})
+func (r *taskRec) refuse(cause error) {
+	r.h.settle(&SkipError{Label: r.t.Label, Cause: cause})
 }
 
 // commutativeKeys collects the keys of a task's Commutative accesses.

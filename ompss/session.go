@@ -90,8 +90,9 @@ var (
 // own spawning surface (Register/Task/Go/Taskwait...), its own
 // error and cancellation domain, its own admission budget and tenant
 // class, and a request-scoped arena — Close drops the dependence records
-// the session created, version chains included, wholesale (its task records
-// go to the garbage collector once no Handle points into them).
+// the session created, version chains included, wholesale, and with them
+// the last holds on its task records, which go back to the runtime's pool.
+// Handles are objects of their own and outlive the session.
 //
 // Obtain one with Runtime.NewSession per request; the runtime hosts any
 // number of concurrent sessions. Failure isolation is structural: a
@@ -115,6 +116,9 @@ type Session struct {
 	cfg config
 	dom *core.Domain
 	tc  *TC
+	// drained reports that tc's scope has no unfinished children: the
+	// predicate of the session's Taskwait, built once.
+	drained func() bool
 	// ephemeral marks NewSession sessions: their domain owns the dependence
 	// records it creates, and Close drops them. The runtime's default
 	// session is not ephemeral — it never closes, and its records stay.
@@ -167,9 +171,12 @@ func (rt *Runtime) NewSession(opts ...Option) *Session {
 }
 
 // masterTC builds the session's spawning surface: the context of a thread
-// that is outside any task (tasks get theirs from newRec).
+// that is outside any task (tasks get theirs from newRec), and the
+// predicate its Taskwait polls.
 func (s *Session) masterTC(lane int) *TC {
-	return &TC{rt: s.rt, ctx: &core.Context{}, worker: lane, sess: s}
+	ctx := &core.Context{}
+	s.drained = func() bool { return ctx.Pending() == 0 }
+	return &TC{rt: s.rt, ctx: ctx, worker: lane, sess: s}
 }
 
 // ID returns the session's trace identity (the `sid` field of its submit
@@ -280,8 +287,8 @@ func (s *Session) Close() error {
 	// Outcomes are consumed here (the returned error): that counts as
 	// observing failures, like TaskwaitCtx.
 	s.rt.observed.Store(true)
-	// Drop the arena: the records are the last thing outside the handles
-	// that points at the session's task records.
+	// Drop the arena: the datums' slots are the last holders of the
+	// session's task records, which go back to the pool with them.
 	s.rt.lc.graph.Release(s.dom)
 	return s.tc.ctx.TakeErr()
 }
@@ -344,20 +351,21 @@ func (s *Session) admit(tc *TC) (ok bool, cause error) {
 
 // spawnManaged is the admission-controlled spawn path of managed sessions
 // (TC.spawn routes here).
-func (s *Session) spawnManaged(tc *TC, r *taskRec) *Handle {
+func (s *Session) spawnManaged(tc *TC, r *taskRec) {
 	if ok, cause := s.admit(tc); !ok {
 		if cause == ErrAdmission {
 			s.refused.Add(1)
 		}
-		return r.refuse(cause)
+		r.refuse(cause)
+		return
 	}
 	s.gate.RLock()
 	if s.closedFlag.Load() {
 		s.gate.RUnlock()
 		s.dom.Uncharge()
-		return r.refuse(ErrSessionClosed)
+		r.refuse(ErrSessionClosed)
+		return
 	}
-	s.rt.lc.submit(tc, &r.t)
+	s.rt.lc.submit(tc, r)
 	s.gate.RUnlock()
-	return &r.h
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"ompssgo/internal/obs"
+	"ompssgo/internal/poolcheck"
 	"ompssgo/machine"
 	"ompssgo/ompss"
 )
@@ -685,14 +686,16 @@ func heapObjects() uint64 {
 	return ms.HeapObjects
 }
 
-// TestSessionChurnReturnsMemory asserts what the deleted task pool used to
-// imply: open → spawn → wait → Close cycles with no handle retained leave
-// nothing behind — neither dependence records nor task records. 2,000
-// cycles of 50 tasks allocate 100,000 records; all of them must be garbage
-// afterwards, so the live object count stays within a small fixed margin.
+// TestSessionChurnReturnsMemory asserts that open → spawn → wait → Close
+// cycles with no handle retained leave nothing behind: no dependence records,
+// no task records out of the pool (Close releases the session's datums, whose
+// slots held the last ones), and no garbage the collector cannot take — 2,000
+// cycles of 50 tasks keep the live object count within a small fixed margin.
 func TestSessionChurnReturnsMemory(t *testing.T) {
 	rt := ompss.New(ompss.Workers(2))
 	defer rt.Shutdown()
+	pool := poolcheck.Active()
+	baseOut := pool.Outstanding() // nothing in flight yet
 
 	cycle := func() {
 		s := rt.NewSession()
@@ -723,6 +726,9 @@ func TestSessionChurnReturnsMemory(t *testing.T) {
 	after := heapObjects()
 	if n := rt.DepRecords(); n != baseRecords {
 		t.Fatalf("dependence records grew across churn: %d -> %d", baseRecords, n)
+	}
+	if n := pool.Await(baseOut); n != baseOut {
+		t.Fatalf("task records out of the pool grew across churn: %d -> %d", baseOut, n)
 	}
 	const margin = 500 // objects; one leaked record per cycle would be 2,000
 	if after > base+margin {
