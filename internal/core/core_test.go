@@ -287,6 +287,47 @@ func TestLastWriter(t *testing.T) {
 	}
 }
 
+// settleProbe is an Owner that notes how its task read when Finish settled
+// it.
+type settleProbe struct {
+	t                *Task
+	done             <-chan struct{}
+	finished, closed bool
+}
+
+func (p *settleProbe) Settle(error) {
+	p.finished = p.t.Finished()
+	select {
+	case <-p.done:
+		p.closed = true
+	default:
+	}
+}
+
+func (p *settleProbe) Recycle() {}
+
+// TestFinishSettlesOwnerFirst checks that Finish settles a task's owner
+// before the task reads as finished and before its Done channel closes, so
+// a wait on the task — TaskwaitOn polls Finished on what Writers returns —
+// that has returned finds the owner settled.
+func TestFinishSettlesOwnerFirst(t *testing.T) {
+	m := newMiniExec(1, false, 3)
+	x := new(int)
+	p := &settleProbe{}
+	a := &Task{Owner: p, Accesses: []Access{{Key: x, Mode: Out}}}
+	p.t, p.done = a, a.Done()
+	a.Hold() // the executor's reference
+	m.submit(a)
+	m.runAll()
+	if p.finished || p.closed {
+		t.Fatalf("owner settled after the task read as finished (%v) or Done closed (%v)", p.finished, p.closed)
+	}
+	if !a.Finished() {
+		t.Fatal("task not finished after Finish")
+	}
+	a.Drop()
+}
+
 // TestWritersExactKeyCompat checks that Writers answers for a raw pointer
 // key with no registered handle.
 func TestWritersExactKeyCompat(t *testing.T) {

@@ -400,14 +400,14 @@ func (g *Graph) MarkRunning(t *Task, worker int) {
 	atomic.StoreInt32(&t.state, stateRunning)
 }
 
-// Finish completes t with the given outcome: records the error, closes the
-// done channel if one was handed out, credits its parent context, propagates
-// a non-nil error to every wired successor (first error wins — the
-// skip-release path the executor's failure policy consults at dispatch), and
-// returns the successors that became ready. The caller enqueues them. Safe
-// concurrently with Submits wiring edges from t — the per-task succ lock
-// decides each edge race, and the atomic npred decrement means exactly one
-// finisher (or the submitter) releases each successor.
+// Finish completes t with the given outcome: records the error, settles the
+// owner, closes the done channel if one was handed out, credits its parent
+// context, propagates a non-nil error to every wired successor (first error
+// wins — the skip-release path the executor's failure policy consults at
+// dispatch), and returns the successors that became ready. The caller
+// enqueues them. Safe concurrently with Submits wiring edges from t — the
+// per-task succ lock decides each edge race, and the atomic npred decrement
+// means exactly one finisher (or the submitter) releases each successor.
 //
 // The result is t's detached successor list compacted in place — for a
 // single successor, the slot inside t itself. Consume it at once, and clear
@@ -423,12 +423,9 @@ func (g *Graph) Finish(t *Task, err error) (newlyReady []*Task) {
 	if len(t.bindings) > 0 {
 		g.releaseBindings(t, err)
 	}
-	succs, done := t.takeSuccsAndFinish()
+	succs, done := t.takeSuccsAndFinish(err)
 	if done != nil {
 		close(done)
-	}
-	if o := t.Owner; o != nil {
-		o.Settle(err)
 	}
 	if err != nil {
 		g.stFailed.Add(1)

@@ -167,9 +167,10 @@ type Task struct {
 // Owner is what an executor embeds a task in. The engine calls it twice:
 // when the task finishes, and when nothing can touch the task any more.
 type Owner interface {
-	// Settle receives the task's outcome inside Finish, before the domain
-	// and the parent context learn of the finish: whoever a drain lets go
-	// finds the owner settled.
+	// Settle receives the task's outcome inside Finish, before the task
+	// reads as finished and before the domain and the parent context learn
+	// of the finish: whoever a wait on the task or a drain lets go finds the
+	// owner settled.
 	Settle(err error)
 	// Recycle is called by the Drop that releases the last reference; the
 	// owner may then reset and reuse the task.
@@ -301,12 +302,17 @@ func (t *Task) addSucc(s *Task) bool {
 	return true
 }
 
-// takeSuccsAndFinish atomically marks t finished and detaches its successor
-// list and completion channel: after it returns, addSucc refuses new edges,
-// so Finish decrements exactly the successors that were wired, and Done
-// answers with a closed channel of its own, so Finish closes exactly the
-// channel that was handed out.
-func (t *Task) takeSuccsAndFinish() (succs []*Task, done chan struct{}) {
+// takeSuccsAndFinish settles t's owner with its outcome, then atomically
+// marks t finished and detaches its successor list and completion channel.
+// The owner settles first, so a wait on t (Writers, Finished, Done) that
+// returns finds the owner settled too. After it returns, addSucc refuses new
+// edges, so Finish decrements exactly the successors that were wired, and
+// Done answers with a closed channel of its own, so Finish closes exactly
+// the channel that was handed out.
+func (t *Task) takeSuccsAndFinish(err error) (succs []*Task, done chan struct{}) {
+	if t.Owner != nil {
+		t.Owner.Settle(err)
+	}
 	t.succMu.Lock()
 	atomic.StoreInt32(&t.state, stateFinished)
 	succs, done = t.succs, t.done

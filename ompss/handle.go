@@ -110,8 +110,9 @@ func (d *Datum) EnableRenaming(canonical any, alloc func() any, cp func(dst, src
 // it stays valid for as long as anyone holds it, long after the runtime has
 // reused the task's record: handles of a request session outlive the
 // session and keep reporting their own task — for a task the close
-// cancelled, a *SkipError wrapping ErrSessionClosed. By the time a Taskwait
-// or a session drain returns, every awaited task's Handle answers.
+// cancelled, a *SkipError wrapping ErrSessionClosed. By the time a
+// Taskwait, a TaskwaitOn or a session drain returns, every awaited task's
+// Handle answers.
 type Handle struct {
 	rt *Runtime
 	// state is nil while the task is in flight, waiting once Done has made

@@ -116,6 +116,29 @@ func TestTaskwaitOnDatum(t *testing.T) {
 	rt.Taskwait()
 }
 
+// TestTaskwaitOnSettlesWriterHandle checks that a TaskwaitOn that returned
+// leaves the writer's Handle answering: Done closed and Err the writer's
+// error, on every one of many rounds that race the finishing lane.
+func TestTaskwaitOnSettlesWriterHandle(t *testing.T) {
+	rt := New(Workers(2))
+	defer rt.Shutdown()
+	d := rt.Register(new(int))
+	boom := errors.New("boom")
+	for i := 0; i < 2000; i++ {
+		h := rt.Go(func(*TC) error { return boom }, d.AsOut())
+		rt.TaskwaitOn(d)
+		select {
+		case <-h.Done():
+		default:
+			t.Fatalf("round %d: Done still open after TaskwaitOn returned", i)
+		}
+		if err := h.Err(); !errors.Is(err, boom) {
+			t.Fatalf("round %d: Err = %v after TaskwaitOn returned, want %v", i, err, boom)
+		}
+	}
+	rt.Taskwait()
+}
+
 // --- Handles and error propagation ------------------------------------------
 
 func TestGoErrorOnHandle(t *testing.T) {
@@ -555,9 +578,11 @@ func TestRetainedHandleDoesNotPinChain(t *testing.T) {
 }
 
 // TestTaskRecordSizeClass keeps the spawn record within 512 bytes, the eight
-// cache lines prefetchRec warms, and the Handle — the one object a spawn
-// allocates — within 32. A field added to taskRec, TC, core.Task or
-// core.Context has to fit or displace one; so does a field added to Handle.
+// cache lines a spawn writes into a pooled record (and, when the pool has
+// none, the last size class whose pointers the allocator describes with a
+// bitmap in the span), and the Handle — the one object a spawn allocates —
+// within 32. A field added to taskRec, TC, core.Task or core.Context has to
+// fit or displace one; so does a field added to Handle.
 func TestTaskRecordSizeClass(t *testing.T) {
 	if size := reflect.TypeOf((*taskRec)(nil)).Elem().Size(); size > 512 {
 		t.Errorf("taskRec is %d bytes, want <= 512", size)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"ompssgo/internal/poolcheck"
@@ -194,13 +195,41 @@ func TestCriticalAndTaskwaitAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(100, func() { rt.Critical("c", f) }); a != 0 {
 		t.Errorf("Critical: %v allocs, want 0", a)
 	}
-	if raceDetector {
-		t.Skip("the record pool drops records under the race detector")
-	}
 	var x int
 	in := rt.Register(&x).AsInOut()
 	body := func(*TC) { x++ }
-	if a := testing.AllocsPerRun(100, func() { rt.Task(body, in); rt.Taskwait() }); a != 2 {
-		t.Errorf("Task + Taskwait: %v allocs, want 2 (Handle + queue node)", a)
+	if all, net := spawnAllocs(100, func() { rt.Task(body, in); rt.Taskwait() }); net != 2 || (!raceDetector && all != 2) {
+		t.Errorf("Task + Taskwait: %d allocs, %d beside the pool's refills, want 2 (Handle + queue node)", all, net)
 	}
+}
+
+// madeSink keeps what spawnAllocs makes to price a refill on the heap.
+var madeSink any
+
+// spawnAllocs measures f as testing.AllocsPerRun does — one warm-up run,
+// then the allocations of runs runs at GOMAXPROCS 1, divided as integers —
+// and returns that count twice: all allocations, and those beside the
+// records and bins the pool made in the meantime. Where sync.Pool keeps what
+// it is given the pool makes nothing once warm, so a spawn pin asserts both;
+// under the race detector it drops a quarter at random and the pool refills,
+// so the pin asserts the same count net of the refills.
+func spawnAllocs(runs int, f func()) (all, net uint64) {
+	p := poolcheck.Active()
+	perRec := uint64(testing.AllocsPerRun(1, func() { madeSink = newTaskRec() }))
+	perBin := uint64(testing.AllocsPerRun(1, func() { madeSink = new(recBin) }))
+	madeSink = nil
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs := ms.Mallocs
+	recs, bins := p.Made()
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&ms)
+	mallocs = ms.Mallocs - mallocs
+	recs2, bins2 := p.Made()
+	made := uint64(recs2-recs)*perRec + uint64(bins2-bins)*perBin
+	return mallocs / uint64(runs), (mallocs - made) / uint64(runs)
 }

@@ -3,6 +3,6 @@
 package ompss
 
 // raceDetector reports a -race build, under which sync.Pool drops a quarter
-// of what it is given, so allocation counts that rely on the record pool do
-// not hold.
+// of what it is given, so the record pool refills at random (see
+// spawnAllocs).
 const raceDetector = true

@@ -70,6 +70,9 @@ var openBins, fullBins, spareBins sync.Pool
 
 // newTaskRec is the one place a record is made, when no bin has one.
 func newTaskRec() *taskRec {
+	if p := poolcheck.Active(); p != nil {
+		p.MadeRecord()
+	}
 	r := &taskRec{}
 	r.drained = func() bool { return r.ctx.Pending() == 0 }
 	return r
@@ -92,13 +95,6 @@ func getRec() *taskRec {
 	if b.n > 0 {
 		b.n--
 		r, b.recs[b.n] = b.recs[b.n], nil
-		if b.n > 0 {
-			// The next record out was most likely recycled on another core,
-			// which still holds its lines: fetch them now, so the next
-			// spawn's writes do not wait for them one fenced atomic at a
-			// time.
-			prefetchRec(b.recs[b.n-1])
-		}
 	} else {
 		r = newTaskRec()
 	}
@@ -114,6 +110,9 @@ func putRec(r *taskRec) {
 			fullBins.Put(b)
 		}
 		if b, _ = spareBins.Get().(*recBin); b == nil {
+			if p := poolcheck.Active(); p != nil {
+				p.MadeBin()
+			}
 			b = new(recBin)
 		}
 	}
@@ -161,7 +160,6 @@ func (tc *TC) newRec(clauses []Clause) *taskRec {
 	r.enabled = true
 	r.t.Accesses = r.acc[:0]
 	r.t.Owner = r
-	r.t.Hold()
 	r.t.Parent = tc.ctx
 	r.parent = tc.task
 	s := tc.sess
@@ -179,6 +177,11 @@ func (tc *TC) newRec(clauses []Clause) *taskRec {
 		// The tenant class boosts the task onto the matching priority lane.
 		r.t.Priority += s.cfg.tenant
 	}
+	// The spawner's reference is the first fenced write, after the plain
+	// ones: a record recycled on another core arrives line by line, and
+	// the plain writes fetch its lines together where a fence first would
+	// wait for them one at a time.
+	r.t.Hold()
 	return r
 }
 

@@ -136,11 +136,8 @@ func TestWaitPathAllocs(t *testing.T) {
 	in := rt.Register(&x).AsInOut()
 	body := func(*TC) { x++ }
 	rt.Task(body, in) // fills the window: every spawn below is held
-	if raceDetector {
-		t.Skip("the record pool drops records under the race detector")
-	}
-	if n := testing.AllocsPerRun(100, func() { rt.Task(body, in) }); n != 2 {
-		t.Errorf("held spawn: %v allocs, want 2 (Handle + queue node)", n)
+	if all, net := spawnAllocs(100, func() { rt.Task(body, in) }); net != 2 || (!raceDetector && all != 2) {
+		t.Errorf("held spawn: %d allocs, %d beside the pool's refills, want 2 (Handle + queue node)", all, net)
 	}
 	rt.Taskwait()
 }
