@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test equiv flake race bench bench-submit alloc-budget examples lint lint-lifecycle lint-core trace dist-trace serve serve-smoke dist-race fuzz-frames soak ci
+.PHONY: all build test equiv census flake race bench bench-submit alloc-budget examples lint lint-lifecycle lint-core trace dist-trace serve serve-smoke dist-race fuzz-frames soak ci
 
 all: build test
 
@@ -29,6 +29,14 @@ equiv:
 	echo "$$out" | grep -v -e '^=== ' ; [ $$st -eq 0 ] || exit $$st; \
 	if [ "$$($(GO) env GOARCH)" = amd64 ] && echo "$$out" | grep -q -e '--- SKIP'; then \
 		echo "equiv: TestEventStreamsMatchRecorded skipped on amd64" >&2; exit 1; fi
+
+# API census (the CI verify job runs it as its own step): every exported
+# name of ompss, internal/core, internal/vm, internal/obs, internal/obs/metrics,
+# internal/dist and pthread must have a non-test caller in the module or
+# benchmark/, or a reasoned entry on its package's capped allowlist. -v
+# prints each package's table, the ones DESIGN.md publishes.
+census:
+	$(GO) test ./ompss -run '^TestAPICensus$$' -count=1 -v
 
 # Flake sweep (the CI `flake` job): every package ten times in shuffled
 # order. No test's verdict may depend on the clock, so this must pass on a
@@ -170,4 +178,4 @@ lint-core:
 	@n=$$(grep -rhE --include='*.go' --exclude='*_test.go' '^[[:space:]]*(var[[:space:]]+)?[[:alnum:]_]+[[:space:]]+map\[(any|interface\{\})\]' internal/core | wc -l); \
 	if [ $$n -gt 1 ]; then echo "lint: $$n map[any] declarations in non-test internal/core (want 1: the graph's intern table)" >&2; exit 1; fi
 
-ci: build lint test equiv flake race bench bench-submit alloc-budget serve-smoke dist-race dist-trace soak examples
+ci: build lint test equiv census flake race bench bench-submit alloc-budget serve-smoke dist-race dist-trace soak examples

@@ -29,17 +29,6 @@ func BenchmarkMetricsCounterInc(b *testing.B) {
 	}
 }
 
-// BenchmarkMetricsGaugeSet measures one gauge store.
-func BenchmarkMetricsGaugeSet(b *testing.B) {
-	reg := metrics.NewRegistry()
-	g := reg.Gauge("bench_gauge", "")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Set(int64(i))
-	}
-}
-
 // BenchmarkMetricsHistogramObserve measures one latency observation,
 // cycling across bucket indexes so the bit-length bucket map is exercised.
 func BenchmarkMetricsHistogramObserve(b *testing.B) {

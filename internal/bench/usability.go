@@ -45,9 +45,8 @@ var ompssConstructs = map[string]bool{
 // pthreadConstructs are the manual-threading constructs counted for
 // RunPthreads.
 var pthreadConstructs = map[string]bool{
-	"Lock": true, "Unlock": true, "Wait": true, "Signal": true, "Broadcast": true,
-	"Barrier": true, "SpinBarrier": true, "Store": true, "Add": true, "Load": true,
-	"WaitGE": true, "Parallel": true, "Spawn": true, "Join": true,
+	"Lock": true, "Unlock": true, "Barrier": true, "Store": true, "Add": true,
+	"Load": true, "WaitGE": true, "Parallel": true, "Spawn": true, "Join": true,
 }
 
 // MeasureUsability parses the suite sources under dir (the repository's

@@ -1,6 +1,5 @@
-// Package blocks provides the index-space partitioners shared by the
-// benchmark variants: contiguous chunks for task decomposition and static
-// interleaving for SPMD thread decomposition.
+// Package blocks provides the index-space partitioner shared by the
+// benchmark variants' task decompositions: contiguous chunks of bounded size.
 package blocks
 
 // Ranges splits [0, n) into contiguous chunks of at most `chunk` elements.
@@ -15,19 +14,6 @@ func Ranges(n, chunk int) [][2]int {
 			hi = n
 		}
 		out = append(out, [2]int{lo, hi})
-	}
-	return out
-}
-
-// Even splits [0, n) into `parts` contiguous ranges of near-equal size
-// (PARSEC-style static partition). Part i of n<parts may be empty.
-func Even(n, parts int) [][2]int {
-	if parts < 1 {
-		parts = 1
-	}
-	out := make([][2]int, parts)
-	for i := 0; i < parts; i++ {
-		out[i] = [2]int{i * n / parts, (i + 1) * n / parts}
 	}
 	return out
 }

@@ -44,39 +44,3 @@ func TestRangesDegenerate(t *testing.T) {
 		t.Fatalf("chunk<1 should clamp to 1, got %d chunks", got)
 	}
 }
-
-func TestEvenPartition(t *testing.T) {
-	rs := Even(10, 3)
-	if len(rs) != 3 {
-		t.Fatalf("parts = %d", len(rs))
-	}
-	covered := 0
-	for i, r := range rs {
-		covered += r[1] - r[0]
-		if i > 0 && rs[i-1][1] != r[0] {
-			t.Fatal("parts not contiguous")
-		}
-	}
-	if covered != 10 {
-		t.Fatalf("covered %d", covered)
-	}
-	// Near-equal: sizes differ by at most 1.
-	for _, r := range rs {
-		if s := r[1] - r[0]; s < 3 || s > 4 {
-			t.Fatalf("uneven part %v", r)
-		}
-	}
-}
-
-func TestEvenMorePartsThanItems(t *testing.T) {
-	rs := Even(2, 5)
-	nonEmpty := 0
-	for _, r := range rs {
-		if r[1] > r[0] {
-			nonEmpty++
-		}
-	}
-	if nonEmpty != 2 {
-		t.Fatalf("non-empty parts = %d", nonEmpty)
-	}
-}

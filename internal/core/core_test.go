@@ -481,7 +481,7 @@ func TestDataflowEquivalenceProperty(t *testing.T) {
 			tk.Owner = testBody(func() error {
 				for _, a := range accs {
 					di := indexOf(keys, a.Key)
-					if a.Reads() {
+					if a.Mode == In || a.Mode == InOut || a.Mode == Commutative {
 						if *data[di] != expected[di] {
 							ok = false
 						}

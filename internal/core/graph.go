@@ -544,3 +544,36 @@ func (g *Graph) forget(d *Datum) {
 	d.clear()
 	sh.mu.Unlock()
 }
+
+// SoleDependents returns the successors of t whose only unfinished
+// predecessor is t itself, skipping any that already carry an upstream
+// failure. Call it while t is still unfinished: t then holds exactly one
+// count in each successor's predecessor counter until Finish, and
+// submission wiring only ever inflates the counter (the wiring guard),
+// so a successor observed at NPred()==1 is fully wired with t as its
+// sole gate — finishing t is all that stands between it and readiness.
+//
+// This is the chain-eligibility query of the distributed coordinator: a
+// sole dependent can be speculatively dispatched behind t to the same
+// worker (a task chain) without any scheduling decision left to make.
+// The engine only answers the structural question; what to do with the
+// answer stays in the coordinator.
+func (g *Graph) SoleDependents(t *Task) []*Task {
+	var out []*Task
+	for _, s := range t.Succs() {
+		if s.NPred() == 1 && s.Upstream() == nil {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// Records reports the live dependence records: the datums interned and not
+// released. Session arenas release their datums at Close, so a steady-state
+// server's count returns to the pre-churn baseline; the session-churn soak
+// watches exactly this number for arena leaks.
+func (g *Graph) Records() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.keys)
+}

@@ -144,9 +144,6 @@ func (s *Sched) Ready() int {
 	return n
 }
 
-// Workers returns the number of lanes.
-func (s *Sched) Workers() int { return s.workers }
-
 // PushSubmit enqueues a task that was ready at submission. Priority tasks
 // jump to the priority-ordered side queue; affinity-hinted tasks are mailed
 // to their home lane; everything else joins the global FIFO in

@@ -89,11 +89,6 @@ type Access struct {
 	Datum *Datum
 }
 
-// Reads reports whether the access observes the datum's value.
-func (a Access) Reads() bool {
-	return a.Mode == In || a.Mode == InOut || a.Mode == Commutative
-}
-
 // Writes reports whether the access produces a new datum value.
 func (a Access) Writes() bool { return a.Mode == Out || a.Mode == InOut }
 

@@ -10,12 +10,12 @@ import (
 	"ompssgo/internal/obs"
 )
 
-// DefaultCacheBytes is the per-worker version-cache budget when CacheBytes
+// DefaultCacheBytes is the per-worker version-cache budget when cacheBytes
 // is not given.
 const DefaultCacheBytes int64 = 64 << 20
 
 // DefaultChainLimit bounds how many tasks one dispatch frame may carry
-// when ChainLimit is not given.
+// when chainLimit is not given.
 const DefaultChainLimit = 16
 
 // Transport names for the Transport option: workers rendezvous over a
@@ -31,7 +31,6 @@ const (
 // config collects Run options.
 type config struct {
 	cacheBytes int64
-	rec        *obs.Recorder
 	killWorker int // slot to kill, -1 = none
 	killAfter  int // kill after this many dispatches to that slot
 	transport  string
@@ -47,22 +46,17 @@ type config struct {
 // Option configures Run.
 type Option func(*config)
 
-// CacheBytes sets the per-worker version-cache budget (a target, not a
+// cacheBytes sets the per-worker version-cache budget (a target, not a
 // hard wall: one task's own working set is always allowed to exceed it,
 // and a resident entry that was shipped keeps the frame it arrived in
 // alive until its frame-mates are evicted too — see wcache).
-func CacheBytes(n int64) Option { return func(c *config) { c.cacheBytes = n } }
+func cacheBytes(n int64) Option { return func(c *config) { c.cacheBytes = n } }
 
-// Observe attaches a trace recorder: the coordinator emits the standard
-// task-lifecycle vocabulary plus EvXfer/EvXferHit transfer events and
-// EvChain chain dispatches, with worker-process slots as lanes.
-func Observe(rec *obs.Recorder) Option { return func(c *config) { c.rec = rec } }
-
-// KillWorkerAfter kills worker `slot`'s process right after its n-th
+// killWorkerAfter kills worker `slot`'s process right after its n-th
 // dispatch frame is sent — the fault-injection hook the crash-confinement
 // and rejoin tests and the CI dist-smoke job use. It fires at most once,
 // so a respawned worker in the same slot is not re-killed.
-func KillWorkerAfter(slot, n int) Option {
+func killWorkerAfter(slot, n int) Option {
 	return func(c *config) { c.killWorker, c.killAfter = slot, n }
 }
 
@@ -70,28 +64,28 @@ func KillWorkerAfter(slot, n int) Option {
 // default) or TransportTCP.
 func Transport(name string) Option { return func(c *config) { c.transport = name } }
 
-// ExitKillDelay sets the teardown kill deadline: how long a worker that
+// exitKillDelay sets the teardown kill deadline: how long a worker that
 // was asked to shut down may take to drain and exit before the
 // coordinator kills its process. The default is DefaultHandshakeTimeout,
 // generous on purpose: the old hardcoded 10s deadline SIGKILLed healthy
 // workers draining large writebacks on slow CI hosts.
-func ExitKillDelay(d time.Duration) Option { return func(c *config) { c.exitKill = d } }
+func exitKillDelay(d time.Duration) Option { return func(c *config) { c.exitKill = d } }
 
-// RespawnLostWorkers makes the coordinator re-exec a fresh worker process
+// respawnLostWorkers makes the coordinator re-exec a fresh worker process
 // for any slot whose worker is lost mid-run. The replacement rejoins
 // through the normal authenticated rendezvous with a cold cache. Without
 // this option a lost slot stays lost (but an externally restarted worker
 // that dials back in is still re-admitted).
-func RespawnLostWorkers() Option { return func(c *config) { c.respawn = true } }
+func respawnLostWorkers() Option { return func(c *config) { c.respawn = true } }
 
-// ChainLimit bounds how many tasks one dispatch frame may carry as a
+// chainLimit bounds how many tasks one dispatch frame may carry as a
 // worker-side chain (default DefaultChainLimit). Values below 2 disable
 // chaining.
-func ChainLimit(n int) Option { return func(c *config) { c.chainLimit = n } }
+func chainLimit(n int) Option { return func(c *config) { c.chainLimit = n } }
 
-// NoForwarding disables direct worker-to-worker datum forwarding: every
+// noForwarding disables direct worker-to-worker datum forwarding: every
 // transfer relays through the coordinator, as in the original design.
-func NoForwarding() Option { return func(c *config) { c.noForward = true } }
+func noForwarding() Option { return func(c *config) { c.noForward = true } }
 
 // TraceWorkers turns on worker-side tracing: every spawned worker process
 // records its own kernel-execution stream into a ring of `capacity`
@@ -109,12 +103,14 @@ func TraceWorkers(capacity int) Option {
 // TraceSink registers the receiver of the run's merged cross-process
 // trace: the coordinator's own stream plus every worker incarnation's
 // shipped events, clock-aligned via the handshake round-trip and folded
-// into per-(slot, generation) tracks. Implies TraceWorkers; a recorder is
-// created internally when Observe was not given. The sink runs on the
-// Run goroutine after teardown, before Run returns.
+// into per-(slot, generation) tracks. Implies TraceWorkers and records the
+// coordinator's base stream: the standard task-lifecycle vocabulary plus
+// EvXfer/EvXferHit transfer events and EvChain chain dispatches, with
+// worker-process slots as lanes. The sink runs on the Run goroutine after
+// teardown, before Run returns.
 func TraceSink(fn func(*obs.Trace)) Option { return func(c *config) { c.traceSink = fn } }
 
-// withSlowExit is the test hook behind the ExitKillDelay regression
+// withSlowExit is the test hook behind the exitKillDelay regression
 // tests: spawned workers sleep this long between finishing their drain
 // and exiting, modeling a slow writeback on a loaded host.
 func withSlowExit(d time.Duration) Option { return func(c *config) { c.slowExit = d } }
@@ -176,9 +172,6 @@ type Datum struct {
 	cd  *core.Datum
 }
 
-// Size returns the datum's fixed byte size.
-func (d *Datum) Size() int { return len(d.buf) }
-
 // Clause is one (datum, mode) access of a distributed task.
 type Clause struct {
 	d    *Datum
@@ -199,15 +192,15 @@ func InOut(d *Datum) Clause { return Clause{d, core.InOut} }
 // Handle follows one submitted task.
 type Handle struct{ t *core.Task }
 
-// Err blocks until the task finished and returns its outcome (nil,
-// RemoteError, WorkerLost, SkipError, or ErrNoWorkers).
-func (h *Handle) Err() error {
+// err blocks until the task finished and returns its outcome (nil,
+// remoteError, workerLostError, skipError, or ErrNoWorkers).
+func (h *Handle) err() error {
 	<-h.t.Done()
 	return h.t.Err()
 }
 
-// Skipped reports whether the task was released without executing.
-func (h *Handle) Skipped() bool { return h.t.Skipped() }
+// skipped reports whether the task was released without executing.
+func (h *Handle) skipped() bool { return h.t.Skipped() }
 
 // outBinding remembers where one dispatched write lands when its bytes
 // come home: the coordinator-side payload of the version the task's
@@ -241,7 +234,7 @@ type workerState struct {
 	queue     []*inflight
 	dead      bool
 	fetchAddr string
-	sent      int // dispatch frames sent, for KillWorkerAfter
+	sent      int // dispatch frames sent, for killWorkerAfter
 	wstats    WorkerStats
 	tb        *traceBucket // current incarnation's shipped-trace bucket (nil unless tracing)
 }
@@ -255,7 +248,7 @@ type taskInfo struct {
 }
 
 // send is one frame to transmit after the coordinator lock drops. kill is
-// the KillWorkerAfter fault hook — the process to kill after the send, nil
+// the killWorkerAfter fault hook — the process to kill after the send, nil
 // for none — captured under the lock so transmit touches no mutable worker
 // state (a respawn replaces w.cmd); gen guards the lost-worker path
 // against a connection replaced by a rejoin.
@@ -267,8 +260,7 @@ type send struct {
 }
 
 // RT is the coordinator runtime handed to the program function: Register
-// datums, submit Tasks, Taskwait, Read results back. It implements
-// core.Backend as the "dist" execution domain.
+// datums, submit Tasks, Taskwait, Read results back.
 type RT struct {
 	g       *core.Graph
 	ctx     *core.Context
@@ -295,17 +287,6 @@ type RT struct {
 	stats          Stats
 	closed         bool
 }
-
-// DomainName identifies the backend ("dist").
-func (rt *RT) DomainName() string { return "dist" }
-
-// Deps exposes the coordinator's dependence tracker.
-func (rt *RT) Deps() *core.Graph { return rt.g }
-
-// GraphStats snapshots the tracker's counters.
-func (rt *RT) GraphStats() core.GraphStats { return rt.g.Stats() }
-
-var _ core.Backend = (*RT)(nil)
 
 // Register creates a distributed datum holding a copy of content. The
 // coordinator owns canonical storage; version instances migrate to
@@ -429,7 +410,7 @@ func (rt *RT) dispatchLocked() []send {
 			if rt.rec != nil {
 				rt.rec.Emit(-1, obs.EvSkip, t.ID, 0)
 			}
-			rt.finishLocked(t, &SkipError{Cause: up})
+			rt.finishLocked(t, &skipError{Cause: up})
 			continue
 		}
 
@@ -709,7 +690,7 @@ func (rt *RT) forwardSourceLocked(k CacheKey, not *workerState) *workerState {
 }
 
 // transmit writes dispatched frames outside the coordinator lock; a send
-// failure is a lost worker. It also trips the KillWorkerAfter fault hook.
+// failure is a lost worker. It also trips the killWorkerAfter fault hook.
 func (rt *RT) transmit(sends []send) {
 	for _, s := range sends {
 		err := s.w.conn.send(s.f)
@@ -824,10 +805,10 @@ func (rt *RT) handleDone(w *workerState, gen int, d *DoneMsg) {
 	}
 	var err error
 	if d.Err != "" {
-		err = &RemoteError{Worker: w.slot, Kernel: inf.info.kernel, Msg: d.Err, Panic: d.Panic}
+		err = &remoteError{Worker: w.slot, Kernel: inf.info.kernel, Msg: d.Err, Panic: d.Panic}
 		rt.stats.Failed++
 	} else if len(d.Outputs) != len(inf.outs) {
-		err = &RemoteError{Worker: w.slot, Kernel: inf.info.kernel,
+		err = &remoteError{Worker: w.slot, Kernel: inf.info.kernel,
 			Msg: fmt.Sprintf("got %d outputs, want %d", len(d.Outputs), len(inf.outs))}
 		rt.stats.Failed++
 	} else {
@@ -865,7 +846,7 @@ func (rt *RT) handleDone(w *workerState, gen int, d *DoneMsg) {
 				rt.rec.Emit(w.slot, obs.EvSkip, linf.t.ID, 0)
 				rt.rec.Emit(w.slot, obs.EvEnd, linf.t.ID, 0)
 			}
-			rt.finishLocked(linf.t, &SkipError{Cause: linf.t.Upstream()})
+			rt.finishLocked(linf.t, &skipError{Cause: linf.t.Upstream()})
 		}
 	}
 	sends := rt.dispatchLocked()
@@ -874,9 +855,9 @@ func (rt *RT) handleDone(w *workerState, gen int, d *DoneMsg) {
 }
 
 // workerLost marks a worker dead, fails its in-flight tasks with
-// WorkerLost, and lets everything else keep running. Crash confinement
+// workerLostError, and lets everything else keep running. Crash confinement
 // falls out of the core graph: the failure propagates only along the lost
-// tasks' dependence edges. With RespawnLostWorkers a replacement process
+// tasks' dependence edges. With respawnLostWorkers a replacement process
 // is spawned; it rejoins through the rendezvous with a cold cache.
 func (rt *RT) workerLost(w *workerState, gen int, cause error) {
 	rt.mu.Lock()
@@ -894,7 +875,7 @@ func (rt *RT) workerLost(w *workerState, gen int, cause error) {
 	w.queue = nil
 	for _, inf := range queue {
 		rt.stats.Failed++
-		rt.finishLocked(inf.t, &WorkerLost{Worker: w.slot, Cause: cause})
+		rt.finishLocked(inf.t, &workerLostError{Worker: w.slot, Cause: cause})
 	}
 	if rt.cfg.respawn {
 		if cmd, err := spawnWorker(rt.cfg.transport, rt.addr, w.slot, rt.secret, rt.cfg.slowExit, rt.cfg.traceCap); err == nil {
@@ -989,13 +970,12 @@ func Run(workers int, program func(*RT) error, opts ...Option) (Stats, error) {
 	if cfg.chainLimit == 0 {
 		cfg.chainLimit = DefaultChainLimit
 	}
+	var rec *obs.Recorder
 	if cfg.traceSink != nil {
 		if cfg.traceCap == 0 {
 			cfg.traceCap = obs.DefaultCapacity
 		}
-		if cfg.rec == nil {
-			cfg.rec = obs.NewRecorder() // the sink needs a coordinator base stream
-		}
+		rec = obs.NewRecorder()
 	}
 	secret, err := newSecret()
 	if err != nil {
@@ -1015,7 +995,7 @@ func Run(workers int, program func(*RT) error, opts ...Option) (Stats, error) {
 		g:       g,
 		ctx:     &core.Context{},
 		cfg:     cfg,
-		rec:     cfg.rec,
+		rec:     rec,
 		secret:  secret,
 		addr:    addr,
 		stopCh:  make(chan struct{}),
@@ -1082,7 +1062,7 @@ func Run(workers int, program func(*RT) error, opts ...Option) (Stats, error) {
 	// Graceful drain: ask live workers to exit, close connections so the
 	// reader goroutines return, and reap the processes. The kill fallback
 	// (so a wedged worker cannot hang the coordinator) fires after the
-	// configured ExitKillDelay — generous by default, because a healthy
+	// configured exitKillDelay — generous by default, because a healthy
 	// worker draining a large writeback on a loaded host is not wedged.
 	rt.mu.Lock()
 	rt.closed = true

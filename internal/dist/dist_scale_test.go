@@ -56,7 +56,7 @@ func TestDistChains(t *testing.T) {
 	}
 }
 
-// TestDistChainLimitDisables: ChainLimit below 2 must restore one frame
+// TestDistChainLimitDisables: chainLimit below 2 must restore one frame
 // per task.
 func TestDistChainLimitDisables(t *testing.T) {
 	stats, err := Run(1, func(rt *RT) error {
@@ -65,12 +65,12 @@ func TestDistChainLimitDisables(t *testing.T) {
 		rt.Task("test.inc", nil, InOut(d))
 		rt.Task("test.inc", nil, InOut(d))
 		return rt.Taskwait()
-	}, ChainLimit(1))
+	}, chainLimit(1))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if stats.Chains != 0 || stats.RoundTrips != stats.Tasks {
-		t.Fatalf("ChainLimit(1) did not disable chaining: %+v", stats)
+		t.Fatalf("chainLimit(1) did not disable chaining: %+v", stats)
 	}
 }
 
@@ -100,13 +100,13 @@ func TestDistChainAbort(t *testing.T) {
 	if stats.Chains < 1 {
 		t.Fatalf("expected the fail+inc pair to chain: %+v", stats)
 	}
-	var re *RemoteError
-	if !errors.As(hFail.Err(), &re) || re.Kernel != "test.fail" {
-		t.Fatalf("failing link error = %v", hFail.Err())
+	var re *remoteError
+	if !errors.As(hFail.err(), &re) || re.Kernel != "test.fail" {
+		t.Fatalf("failing link error = %v", hFail.err())
 	}
-	var se *SkipError
-	if !errors.As(hDep.Err(), &se) || !hDep.Skipped() {
-		t.Fatalf("aborted link error = %v, skipped = %v", hDep.Err(), hDep.Skipped())
+	var se *skipError
+	if !errors.As(hDep.err(), &se) || !hDep.skipped() {
+		t.Fatalf("aborted link error = %v, skipped = %v", hDep.err(), hDep.skipped())
 	}
 	if stats.Skipped != 1 || stats.Failed != 1 {
 		t.Fatalf("abort accounting off: %+v", stats)
@@ -114,7 +114,7 @@ func TestDistChainAbort(t *testing.T) {
 }
 
 // TestDistWorkerLostMidChain: killing a worker holding a whole chain must
-// fail every queued link with WorkerLost, not just the first.
+// fail every queued link with workerLostError, not just the first.
 func TestDistWorkerLostMidChain(t *testing.T) {
 	var h1, h2 *Handle
 	_, err := Run(2, func(rt *RT) error {
@@ -131,16 +131,16 @@ func TestDistWorkerLostMidChain(t *testing.T) {
 		}
 		rt.Taskwait()
 		return nil
-	}, KillWorkerAfter(0, 2))
+	}, killWorkerAfter(0, 2))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	var wl *WorkerLost
-	if !errors.As(h1.Err(), &wl) {
-		t.Fatalf("first link error = %v", h1.Err())
+	var wl *workerLostError
+	if !errors.As(h1.err(), &wl) {
+		t.Fatalf("first link error = %v", h1.err())
 	}
-	if !errors.As(h2.Err(), &wl) {
-		t.Fatalf("chained link error = %v", h2.Err())
+	if !errors.As(h2.err(), &wl) {
+		t.Fatalf("chained link error = %v", h2.err())
 	}
 }
 
@@ -197,7 +197,7 @@ func TestDistForwarding(t *testing.T) {
 	}
 }
 
-// TestDistNoForwardingOption: NoForwarding must restore relay-everything.
+// TestDistNoForwardingOption: noForwarding must restore relay-everything.
 func TestDistNoForwardingOption(t *testing.T) {
 	const n = 1 << 10
 	stats, err := Run(2, func(rt *RT) error {
@@ -211,12 +211,12 @@ func TestDistNoForwardingOption(t *testing.T) {
 		rt.Task("test.add", nil, In(a), In(a), Out(dx))
 		rt.Task("test.add", nil, In(a), In(a), Out(dy))
 		return rt.Taskwait()
-	}, NoForwarding())
+	}, noForwarding())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if stats.Forwards != 0 || stats.BytesForwarded != 0 {
-		t.Fatalf("NoForwarding still forwarded: %+v", stats)
+		t.Fatalf("noForwarding still forwarded: %+v", stats)
 	}
 }
 
@@ -428,16 +428,16 @@ func TestDistRejoin(t *testing.T) {
 
 		y := rt.Register(make([]byte, n))
 		rt.Task("test.add", nil, In(a), In(a), Out(y)) // runs on the rejoined worker
-		rt.Taskwait()                                  // first failure = the WorkerLost
+		rt.Taskwait()                                  // first failure = the workerLostError
 		z = rt.Read(y)
 		return nil
-	}, KillWorkerAfter(0, 3), RespawnLostWorkers())
+	}, killWorkerAfter(0, 3), respawnLostWorkers())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	var wl *WorkerLost
-	if !errors.As(hVictim.Err(), &wl) || wl.Worker != 0 {
-		t.Fatalf("victim error = %v", hVictim.Err())
+	var wl *workerLostError
+	if !errors.As(hVictim.err(), &wl) || wl.Worker != 0 {
+		t.Fatalf("victim error = %v", hVictim.err())
 	}
 	for i, v := range z {
 		if v != 8 {
@@ -465,7 +465,7 @@ func TestDistSlowDrainSurvives(t *testing.T) {
 		d := rt.Register(make([]byte, 64))
 		rt.Task("test.fill", []byte{1}, Out(d))
 		return rt.Taskwait()
-	}, withSlowExit(400*time.Millisecond), ExitKillDelay(30*time.Second))
+	}, withSlowExit(400*time.Millisecond), exitKillDelay(30*time.Second))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -482,7 +482,7 @@ func TestDistExitKillDeadline(t *testing.T) {
 		d := rt.Register(make([]byte, 64))
 		rt.Task("test.fill", []byte{1}, Out(d))
 		return rt.Taskwait()
-	}, withSlowExit(5*time.Second), ExitKillDelay(150*time.Millisecond))
+	}, withSlowExit(5*time.Second), exitKillDelay(150*time.Millisecond))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

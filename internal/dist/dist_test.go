@@ -272,7 +272,7 @@ func TestDistEviction(t *testing.T) {
 		}
 		got = rt.Read(c)[0]
 		return nil
-	}, CacheBytes(2*n+n/2)) // room for ~2 of the 3+ live versions
+	}, cacheBytes(2*n+n/2)) // room for ~2 of the 3+ live versions
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -298,16 +298,16 @@ func TestDistRemoteErrorSkipsDependents(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	var re *RemoteError
-	if !errors.As(hFail.Err(), &re) || re.Kernel != "test.fail" {
-		t.Fatalf("failing task error = %v", hFail.Err())
+	var re *remoteError
+	if !errors.As(hFail.err(), &re) || re.Kernel != "test.fail" {
+		t.Fatalf("failing task error = %v", hFail.err())
 	}
-	var se *SkipError
-	if !errors.As(hDep.Err(), &se) || !hDep.Skipped() {
-		t.Fatalf("dependent error = %v, skipped = %v", hDep.Err(), hDep.Skipped())
+	var se *skipError
+	if !errors.As(hDep.err(), &se) || !hDep.skipped() {
+		t.Fatalf("dependent error = %v, skipped = %v", hDep.err(), hDep.skipped())
 	}
-	if hOK.Err() != nil || hOK.Skipped() {
-		t.Fatalf("independent task affected: %v", hOK.Err())
+	if hOK.err() != nil || hOK.skipped() {
+		t.Fatalf("independent task affected: %v", hOK.err())
 	}
 }
 
@@ -322,14 +322,14 @@ func TestDistPanicBecomesRemoteError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	var re *RemoteError
-	if !errors.As(h.Err(), &re) || !re.Panic {
-		t.Fatalf("panic not surfaced as RemoteError{Panic}: %v", h.Err())
+	var re *remoteError
+	if !errors.As(h.err(), &re) || !re.Panic {
+		t.Fatalf("panic not surfaced as remoteError{Panic}: %v", h.err())
 	}
 }
 
 // TestDistWorkerKillConfinement is the crash-confinement proof: killing
-// one worker mid-task fails that task with WorkerLost and skips its
+// one worker mid-task fails that task with workerLostError and skips its
 // dependents, while an independent chain on the surviving worker
 // completes with the right bytes.
 func TestDistWorkerKillConfinement(t *testing.T) {
@@ -348,20 +348,20 @@ func TestDistWorkerKillConfinement(t *testing.T) {
 		rt.Task("test.fill", []byte{40}, Out(ds))
 		rt.Task("test.inc", nil, InOut(ds))
 		rt.Task("test.inc", nil, InOut(ds))
-		rt.Taskwait() // first failure is the WorkerLost; handles below
+		rt.Taskwait() // first failure is the workerLostError; handles below
 		survivor = rt.Read(ds)
 		return nil
-	}, KillWorkerAfter(0, 1))
+	}, killWorkerAfter(0, 1))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	var wl *WorkerLost
-	if !errors.As(hVictim.Err(), &wl) || wl.Worker != 0 {
-		t.Fatalf("victim error = %v", hVictim.Err())
+	var wl *workerLostError
+	if !errors.As(hVictim.err(), &wl) || wl.Worker != 0 {
+		t.Fatalf("victim error = %v", hVictim.err())
 	}
-	var se *SkipError
-	if !errors.As(hDep.Err(), &se) || !errors.As(hDep.Err(), &wl) {
-		t.Fatalf("dependent error = %v", hDep.Err())
+	var se *skipError
+	if !errors.As(hDep.err(), &se) || !errors.As(hDep.err(), &wl) {
+		t.Fatalf("dependent error = %v", hDep.err())
 	}
 	for i, b := range survivor {
 		if b != 42 {
@@ -386,16 +386,16 @@ func TestDistAllWorkersLost(t *testing.T) {
 		hLate = rt.Task("test.inc", nil, InOut(d))
 		rt.Taskwait()
 		return nil
-	}, KillWorkerAfter(0, 1))
+	}, killWorkerAfter(0, 1))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	// The dependent either skipped behind the WorkerLost failure or — had
+	// The dependent either skipped behind the workerLostError failure or — had
 	// it been independent — would fail ErrNoWorkers; either way it must
 	// resolve, not hang, and carry the upstream loss.
-	var wl *WorkerLost
-	if hLate.Err() == nil || !(errors.As(hLate.Err(), &wl) || errors.Is(hLate.Err(), ErrNoWorkers)) {
-		t.Fatalf("late task error = %v", hLate.Err())
+	var wl *workerLostError
+	if hLate.err() == nil || !(errors.As(hLate.err(), &wl) || errors.Is(hLate.err(), ErrNoWorkers)) {
+		t.Fatalf("late task error = %v", hLate.err())
 	}
 }
 
@@ -419,16 +419,16 @@ func TestDistHandleErrWaitsOnLazyDone(t *testing.T) {
 		dep := rt.Task("test.inc", nil, InOut(d))
 
 		check := func() {
-			if err := held.Err(); err != nil {
+			if err := held.err(); err != nil {
 				t.Errorf("gated task: %v", err)
 			}
-			var re *RemoteError
-			if err := fail.Err(); !errors.As(err, &re) {
-				t.Errorf("failing task: %v, want a RemoteError", err)
+			var re *remoteError
+			if err := fail.err(); !errors.As(err, &re) {
+				t.Errorf("failing task: %v, want a remoteError", err)
 			}
-			var se *SkipError
-			if err := dep.Err(); !errors.As(err, &se) || !dep.Skipped() {
-				t.Errorf("dependent: %v, want a SkipError", err)
+			var se *skipError
+			if err := dep.err(); !errors.As(err, &se) || !dep.skipped() {
+				t.Errorf("dependent: %v, want a skipError", err)
 			}
 		}
 		var wg sync.WaitGroup

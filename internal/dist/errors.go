@@ -10,33 +10,33 @@ import (
 // (and their dependents skip) rather than hang the program.
 var ErrNoWorkers = errors.New("dist: no live workers")
 
-// WorkerLost is the outcome of a task that was in flight on a worker
+// workerLostError is the outcome of a task that was in flight on a worker
 // whose process died or whose connection broke. Only that worker's
 // in-flight tasks receive it; tasks on surviving workers are unaffected,
-// and dependents of the lost tasks skip with a SkipError wrapping this.
-type WorkerLost struct {
+// and dependents of the lost tasks skip with a skipError wrapping this.
+type workerLostError struct {
 	Worker int
 	Cause  error
 }
 
-func (e *WorkerLost) Error() string {
+func (e *workerLostError) Error() string {
 	return fmt.Sprintf("dist: worker %d lost: %v", e.Worker, e.Cause)
 }
 
-func (e *WorkerLost) Unwrap() error { return e.Cause }
+func (e *workerLostError) Unwrap() error { return e.Cause }
 
-// RemoteError is a task failure reported by a worker: the kernel returned
+// remoteError is a task failure reported by a worker: the kernel returned
 // an error, panicked (Panic true), or the task message could not be
 // honored. The worker survives; only the task and its dependents are
 // affected.
-type RemoteError struct {
+type remoteError struct {
 	Worker int
 	Kernel string
 	Msg    string
 	Panic  bool
 }
 
-func (e *RemoteError) Error() string {
+func (e *remoteError) Error() string {
 	kind := "error"
 	if e.Panic {
 		kind = "panic"
@@ -44,13 +44,13 @@ func (e *RemoteError) Error() string {
 	return fmt.Sprintf("dist: kernel %s on worker %d: %s: %s", e.Kernel, e.Worker, kind, e.Msg)
 }
 
-// SkipError is the outcome of a task released without execution because a
+// skipError is the outcome of a task released without execution because a
 // predecessor failed (skip-on-error over the wire). Unwrap exposes the
-// upstream cause, so errors.As finds the originating WorkerLost or
-// RemoteError through any depth of skipping.
-type SkipError struct {
+// upstream cause, so errors.As finds the originating workerLostError or
+// remoteError through any depth of skipping.
+type skipError struct {
 	Cause error
 }
 
-func (e *SkipError) Error() string { return fmt.Sprintf("dist: skipped: %v", e.Cause) }
-func (e *SkipError) Unwrap() error { return e.Cause }
+func (e *skipError) Error() string { return fmt.Sprintf("dist: skipped: %v", e.Cause) }
+func (e *skipError) Unwrap() error { return e.Cause }

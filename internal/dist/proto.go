@@ -14,7 +14,7 @@
 // writes the program-order last good instance back onto canonical storage
 // exactly as it does in-process. Poisoned-writer and skip-on-error
 // semantics carry over the wire unchanged: a task failure (or a worker
-// crash, surfaced as WorkerLost) poisons its output version, skips its
+// crash, surfaced as workerLostError) poisons its output version, skips its
 // dependents, and leaves every other worker's tasks executing.
 //
 // Task bodies are closures and do not serialize, so execution is by

@@ -94,7 +94,7 @@ func TestDistMergedTrace(t *testing.T) {
 // off every cross-worker read relays through the coordinator, and the
 // worker-side EvXfer accounting still reconciles bytes exactly.
 func TestDistMergedTraceNoForwarding(t *testing.T) {
-	tr, stats := runTraced(t, 2, NoForwarding())
+	tr, stats := runTraced(t, 2, noForwarding())
 	if stats.Forwards != 0 {
 		t.Fatalf("forwards = %d with forwarding disabled", stats.Forwards)
 	}

@@ -32,7 +32,7 @@ const (
 
 // DefaultHandshakeTimeout bounds how long the coordinator waits for all
 // spawned workers to dial back and authenticate, and each challenge/response
-// exchange. It is also the default exit-kill deadline (ExitKillDelay).
+// exchange. It is also the default exit-kill deadline (exitKillDelay).
 const DefaultHandshakeTimeout = 30 * time.Second
 
 // conn wraps one worker connection with a send mutex: the dispatch path,

@@ -7,7 +7,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -489,17 +488,4 @@ func runKernel(fn KernelFunc, args []byte, in, out [][]byte, done *DoneMsg) (err
 		}
 	}()
 	return fn(args, in, out)
-}
-
-// Kernels returns the registered kernel names, sorted — handy for
-// diagnostics when a name mismatch skips a whole run.
-func Kernels() []string {
-	kernelMu.RLock()
-	defer kernelMu.RUnlock()
-	names := make([]string, 0, len(kernels))
-	for n := range kernels {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

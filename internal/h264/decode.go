@@ -17,7 +17,7 @@ import (
 //	parse     — DecodeFrameHeader (and PIB allocation, done by the caller)
 //	entropy   — EntropyDecodeFrame into a FrameData buffer
 //	recon     — ReconstructRow/ReconstructFrame (DPB pictures)
-//	output    — Reorderer: frame-number ordered delivery
+//	output    — the reconstructed picture, copied out in frame order
 
 // ParseStreamHeader reads the sequence header, returning the coded
 // parameters, the frame count, and the offset where frame units begin.
@@ -250,36 +250,6 @@ func RefRowsNeeded(p Params, mbRow int) int {
 		rows = p.H
 	}
 	return rows
-}
-
-// Reorderer is the output stage: it delivers pictures in frame-number order
-// regardless of completion order.
-type Reorderer struct {
-	next int
-	held map[int]*Picture
-	Out  []*Picture // delivered, in order
-}
-
-// NewReorderer creates an output reorder buffer starting at frame 0.
-func NewReorderer() *Reorderer { return &Reorderer{held: make(map[int]*Picture)} }
-
-// Push hands a reconstructed picture to the output stage; any newly
-// contiguous prefix is delivered. Returns the pictures delivered by this
-// push (their output references remain held by the caller to release).
-func (r *Reorderer) Push(pic *Picture) []*Picture {
-	r.held[pic.Num] = pic
-	var out []*Picture
-	for {
-		p, ok := r.held[r.next]
-		if !ok {
-			break
-		}
-		delete(r.held, r.next)
-		r.next++
-		out = append(out, p)
-		r.Out = append(r.Out, p)
-	}
-	return out
 }
 
 // Decode is the sequential reference decoder: it runs the five stages in a

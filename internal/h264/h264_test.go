@@ -354,28 +354,6 @@ func TestStreamReaderDetectsCorruption(t *testing.T) {
 	}
 }
 
-func TestReordererDeliversInOrder(t *testing.T) {
-	r := NewReorderer()
-	pics := []*Picture{{Num: 0}, {Num: 1}, {Num: 2}, {Num: 3}}
-	if out := r.Push(pics[2]); len(out) != 0 {
-		t.Fatal("frame 2 must wait")
-	}
-	if out := r.Push(pics[0]); len(out) != 1 || out[0].Num != 0 {
-		t.Fatal("frame 0 should deliver immediately")
-	}
-	if out := r.Push(pics[3]); len(out) != 0 {
-		t.Fatal("frame 3 must wait for 1")
-	}
-	if out := r.Push(pics[1]); len(out) != 3 {
-		t.Fatalf("frames 1,2,3 should flush, got %d", len(out))
-	}
-	for i, pic := range r.Out {
-		if pic.Num != i {
-			t.Fatalf("out[%d].Num = %d", i, pic.Num)
-		}
-	}
-}
-
 func TestRefRowsNeeded(t *testing.T) {
 	p := testParams()
 	if got := RefRowsNeeded(p, 0); got != MBSize+p.SearchRange {

@@ -94,15 +94,6 @@ func (im *Gray) Checksum() uint64 {
 	return h.Sum64()
 }
 
-// WritePGM serializes the image as binary PGM (P5).
-func (im *Gray) WritePGM(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "P5\n%d %d\n255\n", im.W, im.H); err != nil {
-		return err
-	}
-	_, err := w.Write(im.Pix)
-	return err
-}
-
 // PSNR computes the peak signal-to-noise ratio between two same-sized gray
 // images, in dB (+Inf for identical images). Used by the codec tests.
 func PSNR(a, b *Gray) float64 {

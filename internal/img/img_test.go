@@ -61,17 +61,6 @@ func TestWritePPMHeader(t *testing.T) {
 	}
 }
 
-func TestWritePGMHeader(t *testing.T) {
-	im := NewGray(4, 2)
-	var buf bytes.Buffer
-	if err := im.WritePGM(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), "P5\n4 2\n255\n") {
-		t.Fatalf("bad PGM header: %q", buf.String())
-	}
-}
-
 func TestPSNR(t *testing.T) {
 	a := NewGray(16, 16)
 	b := a.Clone()

@@ -35,25 +35,8 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a value that can go up and down.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adds delta (may be negative).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // histogram bucket layout: upper bounds at 1µs·2^i for i in [0, numBuckets),
 // i.e. 1µs, 2µs, 4µs … ~34s, plus the implicit +Inf bucket. Log-scale
@@ -113,7 +96,6 @@ func (h *Histogram) SumNS() int64 { return h.sumNS.Load() }
 type series struct {
 	labels []Label
 	c      *Counter
-	g      *Gauge
 	gf     func() float64
 	h      *Histogram
 }
@@ -127,7 +109,7 @@ type family struct {
 }
 
 // Registry holds the registered families in registration order and renders
-// them on demand. Registration takes a lock; the returned Counter / Gauge /
+// them on demand. Registration takes a lock; the returned Counter and
 // Histogram handles are lock-free afterwards — register once at setup,
 // increment forever.
 type Registry struct {
@@ -159,13 +141,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	c := &Counter{}
 	r.add(name, help, "counter", &series{labels: labels, c: c})
 	return c
-}
-
-// Gauge registers a settable gauge series.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	g := &Gauge{}
-	r.add(name, help, "gauge", &series{labels: labels, g: g})
-	return g
 }
 
 // GaugeFunc registers a gauge sampled at scrape time — the bridge to state
@@ -257,9 +232,6 @@ func writeSeries(w io.Writer, f *family, s *series) error {
 	case s.c != nil:
 		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, renderLabels(s.labels), s.c.Value())
 		return err
-	case s.g != nil:
-		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, renderLabels(s.labels), s.g.Value())
-		return err
 	case s.gf != nil:
 		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, renderLabels(s.labels), fmtFloat(s.gf()))
 		return err
@@ -287,21 +259,3 @@ func writeSeries(w io.Writer, f *family, s *series) error {
 	}
 	return nil
 }
-
-// Probe counts scheduler and dependence-tracker events into counters — a
-// structural match for the engine's core.Probe seam, so a metrics plane can
-// observe steal/rename/writeback activity without recording a trace.
-type Probe struct {
-	Steals     Counter
-	Renames    Counter
-	Writebacks Counter
-}
-
-// StealEvent implements the scheduler probe.
-func (p *Probe) StealEvent(thief, victim int, task uint64) { p.Steals.Inc() }
-
-// RenameEvent implements the dependence-tracker probe.
-func (p *Probe) RenameEvent(task uint64) { p.Renames.Inc() }
-
-// WritebackEvent implements the dependence-tracker probe.
-func (p *Probe) WritebackEvent(task uint64) { p.Writebacks.Inc() }

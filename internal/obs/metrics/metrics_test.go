@@ -38,7 +38,6 @@ func TestConcurrentHammer(t *testing.T) {
 
 	reg := NewRegistry()
 	c := reg.Counter("t_counter", "")
-	g := reg.Gauge("t_gauge", "")
 	h := reg.Histogram("t_hist", "")
 
 	var wg sync.WaitGroup
@@ -48,8 +47,6 @@ func TestConcurrentHammer(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < perG; j++ {
 				c.Inc()
-				g.Add(1)
-				g.Add(-1)
 				// Spread observations across buckets deterministically.
 				h.Observe(int64(1000 << (j % 8)))
 			}
@@ -59,9 +56,6 @@ func TestConcurrentHammer(t *testing.T) {
 
 	if got := c.Value(); got != goroutines*perG {
 		t.Errorf("counter = %d, want %d", got, goroutines*perG)
-	}
-	if got := g.Value(); got != 0 {
-		t.Errorf("gauge = %d, want 0", got)
 	}
 	if got := h.Count(); got != goroutines*perG {
 		t.Errorf("histogram count = %d, want %d", got, goroutines*perG)
@@ -82,7 +76,9 @@ func TestConcurrentHammer(t *testing.T) {
 func TestExposition(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("req_total", "Requests.", Label{Key: "tenant", Value: `g"o\ld` + "\n"})
-	c.Add(7)
+	for range 7 {
+		c.Inc()
+	}
 	reg.GaugeFunc("live", "Live now.", func() float64 { return 3 })
 	h := reg.Histogram("lat_seconds", "Latency.")
 	h.Observe(500)       // le 1µs bucket

@@ -76,9 +76,6 @@ func (r *Recorder) Attach(workers int, backend string, virtualTime bool, clock f
 	}
 }
 
-// Attached reports whether the recorder is bound to a run.
-func (r *Recorder) Attached() bool { return len(r.rings) > 0 }
-
 // ringFor maps a lane to its ring; out-of-range lanes (and -1, "no lane")
 // share the overflow ring.
 func (r *Recorder) ringFor(worker int) *ring {

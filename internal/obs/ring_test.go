@@ -123,7 +123,7 @@ func TestRecorderConcurrentEmit(t *testing.T) {
 func TestEmitBeforeAttachIsNoop(t *testing.T) {
 	r := NewRecorder()
 	r.Emit(0, EvStart, 1, 0) // must not panic
-	if r.Attached() {
+	if len(r.rings) > 0 {
 		t.Fatal("recorder reports attached before Attach")
 	}
 	tr := r.Snapshot()

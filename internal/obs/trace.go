@@ -42,17 +42,6 @@ func (t *Trace) TotalDropped() uint64 {
 	return n
 }
 
-// Span returns the largest event timestamp (ns since the epoch).
-func (t *Trace) Span() int64 {
-	var max int64
-	for i := range t.Events {
-		if at := t.Events[i].At; at > max {
-			max = at
-		}
-	}
-	return max
-}
-
 // Snapshot merges the recorder's rings into an ordered Trace. Call after
 // the run drained for a complete stream; a mid-run snapshot is safe and
 // returns a consistent prefix-with-holes (in-flight slots are skipped).

@@ -76,32 +76,12 @@ func (s *Server) initMetrics() {
 		}
 	}
 
-	// The probe seam carries rename/writeback events straight into counters.
-	// A runtime built with a trace recorder already owns that seam (the
-	// recorder is the probe), so the metrics plane only claims it when no
-	// recorder is attached; either way the exposed series agree, because the
-	// fallback reads the same activity out of the engine's stat counters.
-	var probe *metrics.Probe
-	if s.cfg.Recorder == nil {
-		probe = &metrics.Probe{}
-		s.rt.Backend().Deps().SetProbe(probe)
-	}
 	reg.CounterFunc("ompss_renames_total",
 		"Writes that received a fresh renamed instance instead of WAR/WAW edges.",
-		func() float64 {
-			if probe != nil {
-				return float64(probe.Renames.Value())
-			}
-			return float64(s.rt.Stats().Graph.Renamed)
-		})
+		func() float64 { return float64(s.rt.Stats().Graph.Renamed) })
 	reg.CounterFunc("ompss_writebacks_total",
 		"Renamed instances copied back onto canonical storage at chain drain.",
-		func() float64 {
-			if probe != nil {
-				return float64(probe.Writebacks.Value())
-			}
-			return float64(s.rt.Stats().Graph.Writebacks)
-		})
+		func() float64 { return float64(s.rt.Stats().Graph.Writebacks) })
 
 	reg.CounterFunc("ompss_tasks_finished_total",
 		"Tasks retired by the shared graph, all sessions.",

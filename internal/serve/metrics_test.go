@@ -7,6 +7,7 @@ package serve
 import (
 	"bufio"
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"ompssgo/internal/obs"
 	"ompssgo/ompss"
 )
 
@@ -162,6 +164,58 @@ func TestMetricsNoTuneGauges(t *testing.T) {
 	}
 	if _, ok := m["ompss_requests_total{tenant=\"gold\"}"]; !ok {
 		t.Fatalf("request counters missing from scrape")
+	}
+}
+
+// TestMetricsRenameSeries pins ompss_renames_total and
+// ompss_writebacks_total to the engine's own counters, with a trace recorder
+// attached and without. Twice, a reader held open on the runtime's default
+// session puts the writer behind it on a renamed instance; the chain drains
+// once, so the engine counts two renames and one writeback, and the two
+// series must read those different positive numbers.
+func TestMetricsRenameSeries(t *testing.T) {
+	for _, observed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("recorder=%v", observed), func(t *testing.T) {
+			opts := []ompss.Option{ompss.Workers(2), ompss.MaxInFlight(-1),
+				ompss.WithTuning(ompss.Tuning{Renaming: ompss.On})}
+			var rec *obs.Recorder
+			if observed {
+				rec = obs.NewRecorder()
+				opts = append(opts, ompss.Observe(rec))
+			}
+			rt := ompss.New(opts...)
+			t.Cleanup(rt.Shutdown)
+			srv := New(rt, Config{SessionInFlight: 64, Admission: ompss.BlockOnFull, Recorder: rec})
+
+			var cell int64
+			d := rt.Register(&cell).EnableRenaming(nil,
+				func() any { return new(int64) },
+				func(dst, src any) { *dst.(*int64) = *src.(*int64) })
+			gate := make(chan struct{})
+			for range 2 {
+				rt.Task(func(tc *ompss.TC) { <-gate; _ = *tc.Data(d).(*int64) }, ompss.In(d))
+				rt.Task(func(tc *ompss.TC) { *tc.Data(d).(*int64) += 7 }, ompss.InOut(d))
+			}
+			close(gate)
+			rt.Taskwait()
+			if cell != 14 {
+				t.Fatalf("cell = %d after the writeback, want 14", cell)
+			}
+
+			g := rt.Stats().Graph
+			m := scrape(t, srv)
+			for series, want := range map[string]uint64{
+				"ompss_renames_total":    g.Renamed,
+				"ompss_writebacks_total": g.Writebacks,
+			} {
+				if want == 0 {
+					t.Errorf("engine counted no %s: the held reader should force one", series)
+				}
+				if got := m[series]; got != float64(want) {
+					t.Errorf("%s = %v, want the engine's %d", series, got, want)
+				}
+			}
+		})
 	}
 }
 

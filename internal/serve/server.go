@@ -39,9 +39,7 @@ type Config struct {
 	// Admission selects the full-budget behavior of request sessions.
 	Admission ompss.AdmissionMode
 	// Recorder is the trace recorder the hosting runtime was built with
-	// (ompss.Observe), if any. The metrics plane reads its ring-drop count
-	// and leaves the engine's probe seam to it; when nil, the server claims
-	// the dependence-tracker probe for its own counters.
+	// (ompss.Observe), if any. The metrics plane reads its ring-drop count.
 	Recorder *obs.Recorder
 }
 

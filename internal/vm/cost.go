@@ -156,9 +156,3 @@ func (vm *VM) activeCores() int {
 func (t *Thread) TouchCost(key any, bytes int64, write bool) Time {
 	return t.vm.MemCost(t.core.ID, key, bytes, write)
 }
-
-// ComputeMem charges cpu nanoseconds plus the memory cost of touching the
-// given datum. Convenience for benchmark variants.
-func (t *Thread) ComputeMem(cpu Time, key any, bytes int64, write bool) {
-	t.Compute(cpu + t.TouchCost(key, bytes, write))
-}

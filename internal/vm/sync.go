@@ -165,8 +165,8 @@ func (t *Thread) CondWait(c *Cond, m *Mutex) {
 	t.Lock(m)
 }
 
-// CondSignal wakes the oldest waiter, if any.
-func (t *Thread) CondSignal(c *Cond) {
+// condSignal wakes the oldest waiter, if any.
+func (t *Thread) condSignal(c *Cond) {
 	t.flush()
 	if len(c.q) == 0 {
 		return

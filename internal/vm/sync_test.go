@@ -113,7 +113,7 @@ func TestCondSignalWakesOne(t *testing.T) {
 		}
 		for i := 0; i < 3; i++ {
 			th.Lock(&m)
-			th.CondSignal(&c)
+			th.condSignal(&c)
 			th.Unlock(&m)
 			th.Compute(100 * Microsecond)
 		}
@@ -353,7 +353,7 @@ func TestBlockWakePendingIsSaved(t *testing.T) {
 	})
 	v.Go("waker", 1, func(th *Thread) {
 		th.Compute(Millisecond)
-		th.VM().WakeAt(target, th.Now())
+		th.VM().WakeAt(target, th.vm.now)
 	})
 	if _, err := v.Run(); err != nil {
 		t.Fatal(err)

@@ -208,9 +208,6 @@ func (vm *VM) Now() Time { return vm.now }
 // Cores returns the number of virtual cores.
 func (vm *VM) Cores() int { return len(vm.cores) }
 
-// Socket returns the socket index of a core.
-func (vm *VM) Socket(core int) int { return vm.cores[core].Socket }
-
 // Cost returns the machine's cost model.
 func (vm *VM) Cost() *CostModel { return &vm.cfg.Cost }
 
@@ -503,15 +500,6 @@ func (t *Thread) yield() { t.vm.dispatch(t) }
 
 // VM returns the owning machine.
 func (t *Thread) VM() *VM { return t.vm }
-
-// Core returns the ID of the core the thread is pinned to.
-func (t *Thread) Core() int { return t.core.ID }
-
-// Socket returns the socket of the thread's core.
-func (t *Thread) Socket() int { return t.core.Socket }
-
-// Now returns current virtual time.
-func (t *Thread) Now() Time { return t.vm.now }
 
 // Charge accrues a small cost without an immediate context interaction. The
 // accumulated amount is folded into the next Compute, blocking operation, or

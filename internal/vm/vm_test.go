@@ -67,11 +67,11 @@ func TestQuantumPreemptionInterleaves(t *testing.T) {
 	var shortDone, longDone Time
 	v.Go("long", 0, func(th *Thread) {
 		th.Compute(50 * Millisecond)
-		longDone = th.Now()
+		longDone = th.vm.now
 	})
 	v.Go("short", 0, func(th *Thread) {
 		th.Compute(Millisecond)
-		shortDone = th.Now()
+		shortDone = th.vm.now
 	})
 	if _, err := v.Run(); err != nil {
 		t.Fatal(err)
@@ -223,7 +223,7 @@ func TestSleepAdvancesTime(t *testing.T) {
 	var woke Time
 	v.Go("s", 0, func(th *Thread) {
 		th.Sleep(7 * Millisecond)
-		woke = th.Now()
+		woke = th.vm.now
 	})
 	if _, err := v.Run(); err != nil {
 		t.Fatal(err)
@@ -403,8 +403,8 @@ func TestConfigDefaults(t *testing.T) {
 func TestSocketLayout(t *testing.T) {
 	v := New(Config{Cores: 32, Sockets: 4})
 	for i := 0; i < 32; i++ {
-		if want := i / 8; v.Socket(i) != want {
-			t.Fatalf("core %d socket = %d, want %d", i, v.Socket(i), want)
+		if want := i / 8; v.cores[i].Socket != want {
+			t.Fatalf("core %d socket = %d, want %d", i, v.cores[i].Socket, want)
 		}
 	}
 }

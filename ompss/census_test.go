@@ -19,12 +19,10 @@ import (
 	"testing"
 )
 
-// censusAllow lists the exported names that stay without a non-test caller
-// outside this package, each with the contract it serves. The census fails
-// on any other uncalled name, on an entry that has gained a caller, and on
-// a list longer than censusAllowMax.
+// censusAllow lists the exported names of package ompss that stay without a
+// non-test caller outside the package, each with the contract it serves.
 var censusAllow = map[string]string{
-	"Priority":         "benchmark/ reads RunStats.Sched.PrioPops; the clause is the only way onto the priority lanes (TestTenantPriority, schedfuzz)",
+	"Priority":         "the tenant boost pays rent: serve's gold p50 1.0-1.3 ms vs bronze 2.2-2.9 ms with it, every tenant 1.3-1.7 ms without (EXPERIMENTS.md, tenant boost); the clause is the only way onto the priority lanes (TestTenantPriority, schedfuzz)",
 	"OnError":          "selects the failure-propagation policy the handle tests pin (TestRunThroughPolicy, TestSessionOnErrorOverride)",
 	"Fixed":            "only constructor for the numeric Tuning fields (Grain, StealBackoff)",
 	"Seed":             "fixes the steal-victim RNG; the schedule fuzzers sweep it so a failing schedule can be replayed",
@@ -36,50 +34,110 @@ var censusAllow = map[string]string{
 	"TaskPanic":        "errors.As target a panicking body is wrapped into (TestTaskPanicBecomesHandleError, TestCommutativePanicReleasesLocks)",
 }
 
-const censusAllowMax = 11
+// censusPackage is one censused package. Its allowlist names the exported
+// names that stay without a non-test caller outside the package, each with
+// the test or contract it serves; the census fails on any other uncalled
+// name, on an entry that has gained a caller, and on a list longer than max.
+type censusPackage struct {
+	path  string // below the module
+	allow map[string]string
+	max   int
 
-// censusScopes are the three receivers of the spawning surface: the master
-// thread of a runtime, of a session, and the inside of a task body. Runtime
-// and Session hand-forward to TC, so a method of that name is one capability
-// wherever it is called.
-var censusScopes = []string{"Runtime", "Session", "TC"}
+	// scopes are receivers that hand-forward one capability to each other:
+	// a method uncalled on one is in use when it is called on another.
+	scopes []string
+	// knobs names a struct each exported field of which counts as a name
+	// of its own, in use only where a composite literal outside the
+	// package sets it.
+	knobs string
+	// ownCallers counts the package's own non-test code as a caller of
+	// its functions, methods, variables and constants (not of its types,
+	// which every method declaration names, and not a function's use of
+	// itself). Without it only other packages call.
+	ownCallers bool
+}
+
+// censusAllowVM keeps the simulator primitives that only the recorded event
+// streams still exercise: they drive the vm/sync-mix program of
+// TestEventStreamsMatchRecorded (internal/vm/equiv_test.go, an external
+// test package), whose digests must never be re-recorded for a change that
+// does not mean to alter the modelled machine. Cond and SpinBarrier follow
+// from the signatures.
+var censusAllowVM = map[string]string{
+	"Thread.CondWait":        "vm/sync-mix: Cond waiters (TestEventStreamsMatchRecorded)",
+	"Thread.CondBroadcast":   "vm/sync-mix: Cond wake-all (TestEventStreamsMatchRecorded)",
+	"Thread.SpinBarrierWait": "vm/sync-mix: spin-barrier rounds (TestEventStreamsMatchRecorded)",
+	"Thread.Sleep":           "vm/sync-mix: timed blocking (TestEventStreamsMatchRecorded)",
+	"Thread.Yield":           "vm/sync-mix: yield on a shared core (TestEventStreamsMatchRecorded)",
+	"Thread.VM":              "TestVMEventAllocs (internal/bench) wakes its spinner on the machine from inside a virtual thread",
+}
+
+var censusPackages = []censusPackage{
+	// The master thread of a runtime, of a session, and the inside of a
+	// task body: Runtime and Session hand-forward to TC.
+	{path: "ompss", allow: censusAllow, max: 11, scopes: []string{"Runtime", "Session", "TC"}, knobs: "Tuning"},
+	{path: "internal/core", ownCallers: true},
+	{path: "internal/vm", allow: censusAllowVM, max: 6, ownCallers: true},
+	{path: "internal/obs", ownCallers: true},
+	{path: "internal/obs/metrics", ownCallers: true},
+	{path: "internal/dist", ownCallers: true},
+	{path: "pthread", ownCallers: true},
+}
 
 // censusProtocols are methods the standard library calls through an
-// interface (error, errors.Is/As), never by name.
-var censusProtocols = map[string]bool{"Error": true, "Unwrap": true, "Is": true}
+// interface, never by name.
+var censusProtocols = map[string]string{
+	"Error":  "error protocol",
+	"Unwrap": "error protocol",
+	"Is":     "error protocol",
+	"String": "fmt.Stringer protocol",
+}
 
 const modulePath = "ompssgo"
 
-// censusEntry is one exported package-level name or method of package ompss.
+// censusEntry is one exported package-level name or method of a censused
+// package.
 type censusEntry struct {
 	obj   types.Object
-	sites int             // uses in non-test files outside package ompss
+	sites int             // uses in non-test files of its callers
 	pkgs  map[string]bool // where
 	via   string          // the rule that keeps a name with no call site of its own
 }
 
 // TestAPICensus type-checks every non-test package of the module and of the
 // nested benchmark module and requires each exported identifier and method
-// of package ompss to be in use among them, or to carry a reasoned
-// allowlist entry. In use means: named or called outside package ompss
-// (calls through API credit every type that implements it); or the same
-// method called on another spawning scope; or a type in the signature of a
-// live function, a field type of a live struct, a constant of a live type,
-// or an error-protocol method of a live type. Each exported field of Tuning
-// is a knob and counts as a name of its own: it is in use only where a
-// Tuning literal outside package ompss sets it. Run with -v for the table
-// DESIGN.md publishes.
+// of every censused package to be in use among them, or to carry a reasoned
+// allowlist entry. In use means: named or called by a caller — another
+// package, and for all but ompss the package's own code too; or the
+// implementation of a module interface's method that a caller calls
+// through that interface; or the same method called on another
+// spawning scope; or a type in the signature of a live function, a field
+// type of a live struct, a constant of a live type, or a protocol method
+// (Error, Unwrap, Is, String) of a live type. Each exported field of
+// ompss.Tuning is a knob and counts as a name of its own: it is in use only
+// where a Tuning literal outside package ompss sets it. Run with -v (make
+// census) for the tables DESIGN.md publishes.
 func TestAPICensus(t *testing.T) {
 	root, err := filepath.Abs("..")
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := newCensus(t, root)
-	api := c.load(modulePath + "/ompss")
+	paths := c.callers(root)
+	for _, path := range paths {
+		c.load(path)
+	}
+	for _, cp := range censusPackages {
+		t.Run(cp.path, func(t *testing.T) { c.check(t, cp, paths) })
+	}
+}
+
+func (c *census) check(t *testing.T, cp censusPackage, paths []string) {
+	api := c.load(modulePath + "/" + cp.path)
 	scope := api.Scope()
 
 	surface := map[string]*censusEntry{}
-	var ifaces []*types.Named
+	var concrete []*types.TypeName
 	for _, name := range scope.Names() {
 		obj := scope.Lookup(name)
 		if !obj.Exported() {
@@ -87,28 +145,25 @@ func TestAPICensus(t *testing.T) {
 		}
 		surface[name] = &censusEntry{obj: obj}
 		tn, ok := obj.(*types.TypeName)
-		if !ok || tn.IsAlias() {
-			continue
+		if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
+			continue // an interface's methods are credited to the implementers
 		}
+		concrete = append(concrete, tn)
 		named := tn.Type().(*types.Named)
-		if types.IsInterface(named) {
-			ifaces = append(ifaces, named) // its methods are credited to the implementers
-			continue
-		}
 		for i := 0; i < named.NumMethods(); i++ {
 			if m := named.Method(i); m.Exported() {
 				surface[name+"."+m.Name()] = &censusEntry{obj: m}
 			}
 		}
 	}
-	// A Tuning field is credited where a composite-literal key names it (the
-	// key arrives in Info.Uses as the field's *types.Var).
+	// A knob is credited where a composite-literal key names it (the key
+	// arrives in Info.Uses as the field's *types.Var).
 	knobs := map[*types.Var]string{}
-	if tn, ok := scope.Lookup("Tuning").(*types.TypeName); ok {
+	if tn, ok := scope.Lookup(cp.knobs).(*types.TypeName); ok {
 		st := tn.Type().Underlying().(*types.Struct)
 		for i := 0; i < st.NumFields(); i++ {
 			if f := st.Field(i); f.Exported() {
-				knobs[f] = "Tuning." + f.Name()
+				knobs[f] = cp.knobs + "." + f.Name()
 				surface[knobs[f]] = &censusEntry{obj: f}
 			}
 		}
@@ -124,55 +179,64 @@ func TestAPICensus(t *testing.T) {
 	}
 
 	// Direct uses.
-	for _, path := range c.callers(root) {
-		if path == api.Path() {
+	for _, path := range paths {
+		own := path == api.Path()
+		if own && !cp.ownCallers {
 			continue
 		}
-		c.load(path)
 		short := strings.TrimPrefix(path, modulePath+"/")
 		credit := func(key string) {
-			if e := surface[key]; e != nil {
-				if e.pkgs == nil {
-					e.pkgs = map[string]bool{}
-				}
-				e.sites++
-				e.pkgs[short] = true
+			e := surface[key]
+			if e == nil {
+				return
 			}
+			if _, isType := e.obj.(*types.TypeName); isType && own {
+				return // every method declaration names its receiver type
+			}
+			if e.pkgs == nil {
+				e.pkgs = map[string]bool{}
+			}
+			e.sites++
+			e.pkgs[short] = true
 		}
-		for _, obj := range c.infos[path].Uses {
+		for id, obj := range c.infos[path].Uses {
+			fn, isFunc := obj.(*types.Func)
+			if own && isFunc && fn.Scope() != nil && fn.Scope().Contains(id.Pos()) {
+				continue // a function's use of itself
+			}
+			var recv types.Type
+			if isFunc && fn.Type().(*types.Signature).Recv() != nil {
+				recv = fn.Type().(*types.Signature).Recv().Type()
+			}
+			// A call through an interface of the module reaches every type
+			// of this package that implements it (the standard library's
+			// interfaces are the protocols).
+			if recv != nil && types.IsInterface(recv) {
+				if !fn.Exported() || fn.Pkg() == nil || !strings.HasPrefix(fn.Pkg().Path(), modulePath+"/") {
+					continue
+				}
+				credit(ownName(recv))
+				it := recv.Underlying().(*types.Interface)
+				for _, tn := range concrete {
+					if types.Implements(types.NewPointer(tn.Type()), it) {
+						credit(tn.Name() + "." + fn.Name())
+					}
+				}
+				continue
+			}
 			if obj.Pkg() != api || !obj.Exported() {
 				continue
 			}
-			fn, isFunc := obj.(*types.Func)
 			if v, ok := obj.(*types.Var); ok && v.IsField() {
 				credit(knobs[v]) // other fields: credited to the struct through Selections below
 				continue
 			}
-			if !isFunc || fn.Type().(*types.Signature).Recv() == nil {
+			if recv == nil {
 				credit(obj.Name())
 				continue
 			}
-			recv := fn.Type().(*types.Signature).Recv().Type()
-			if !types.IsInterface(recv) {
-				credit(ownName(recv))
-				credit(ownName(recv) + "." + fn.Name())
-				continue
-			}
-			// A call through an interface reaches every ompss type that
-			// implements it.
-			for _, in := range ifaces {
-				it := in.Underlying().(*types.Interface)
-				if obj, _, _ := types.LookupFieldOrMethod(in, false, api, fn.Name()); obj != fn {
-					continue
-				}
-				credit(in.Obj().Name())
-				for _, name := range scope.Names() {
-					if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !types.IsInterface(tn.Type()) &&
-						types.Implements(types.NewPointer(tn.Type()), it) {
-						credit(name + "." + fn.Name())
-					}
-				}
-			}
+			credit(ownName(recv))
+			credit(ownName(recv) + "." + fn.Name())
 		}
 		for _, sel := range c.infos[path].Selections {
 			if sel.Kind() == types.FieldVal {
@@ -191,10 +255,10 @@ func TestAPICensus(t *testing.T) {
 	for _, key := range names {
 		e := surface[key]
 		recv, method, ok := strings.Cut(key, ".")
-		if !ok || e.sites > 0 || !slices.Contains(censusScopes, recv) {
+		if !ok || e.sites > 0 || !slices.Contains(cp.scopes, recv) {
 			continue
 		}
-		for _, other := range censusScopes {
+		for _, other := range cp.scopes {
 			if o := surface[other+"."+method]; o != nil && o.sites > 0 {
 				e.via = "same capability as " + other + "." + method
 				break
@@ -205,7 +269,7 @@ func TestAPICensus(t *testing.T) {
 	// Liveness closure over signatures, fields, constants and protocols.
 	live := func(key string) bool {
 		e := surface[key]
-		_, allowed := censusAllow[key]
+		_, allowed := cp.allow[key]
 		return e != nil && (e.sites > 0 || e.via != "" || allowed)
 	}
 	for changed := true; changed; {
@@ -219,8 +283,8 @@ func TestAPICensus(t *testing.T) {
 			e := surface[key]
 			recv, method, isMethod := strings.Cut(key, ".")
 			if !live(key) {
-				if isMethod && censusProtocols[method] && live(recv) {
-					mark(key, "error protocol of "+recv)
+				if p := censusProtocols[method]; isMethod && p != "" && live(recv) {
+					mark(key, p+" of "+recv)
 				}
 				if k, ok := e.obj.(*types.Const); ok && live(ownName(k.Type())) {
 					mark(key, "value of "+ownName(k.Type()))
@@ -242,16 +306,17 @@ func TestAPICensus(t *testing.T) {
 		}
 	}
 
+	pkg := api.Name()
 	var table strings.Builder
-	fmt.Fprintf(&table, "%-24s %5s  %s\n", "name", "sites", "calling packages, or why it stays")
+	fmt.Fprintf(&table, "%-28s %5s  %s\n", "name", "sites", "calling packages, or why it stays")
 	for _, k := range names {
 		e := surface[k]
-		reason, allowed := censusAllow[k]
+		reason, allowed := cp.allow[k]
 		switch {
 		case !live(k):
-			t.Errorf("exported ompss.%s has no non-test caller in the module or benchmark/: delete it (with the code only it reaches) or give it a reasoned censusAllow entry", k)
+			t.Errorf("exported %s.%s has no non-test caller in the module or benchmark/: delete it (with the code only it reaches) or give it a reasoned allowlist entry", pkg, k)
 		case allowed && (e.sites > 0 || e.via != ""):
-			t.Errorf("censusAllow[%q] is stale: %d call sites %s", k, e.sites, e.via)
+			t.Errorf("%s allowlist entry %q is stale: %d call sites %s", cp.path, k, e.sites, e.via)
 		}
 		note := e.via
 		if e.sites > 0 {
@@ -264,17 +329,17 @@ func TestAPICensus(t *testing.T) {
 		} else if allowed {
 			note = "allowlist: " + reason
 		}
-		fmt.Fprintf(&table, "%-24s %5d  %s\n", k, e.sites, note)
+		fmt.Fprintf(&table, "%-28s %5d  %s\n", k, e.sites, note)
 	}
-	for k := range censusAllow {
+	for k := range cp.allow {
 		if surface[k] == nil {
-			t.Errorf("censusAllow[%q] names nothing ompss exports", k)
+			t.Errorf("%s allowlist entry %q names nothing %s exports", cp.path, k, pkg)
 		}
 	}
-	if n := len(censusAllow); n > censusAllowMax {
-		t.Errorf("censusAllow has %d entries, at most %d: delete names instead of listing them", n, censusAllowMax)
+	if n := len(cp.allow); n > cp.max {
+		t.Errorf("%s allowlist has %d entries, at most %d: delete names instead of listing them", cp.path, n, cp.max)
 	}
-	t.Logf("%d exported names and methods, %d on the allowlist\n%s", len(names), len(censusAllow), table.String())
+	t.Logf("%d exported names and methods, %d on the allowlist\n%s", len(names), len(cp.allow), table.String())
 }
 
 // ownTypes lists the named types of pkg that typ mentions, without looking

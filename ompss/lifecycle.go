@@ -122,17 +122,13 @@ func newLifecycle(rt *Runtime, cfg config, clk clock, virtual bool) *lifecycle {
 	return l
 }
 
-// core.Backend seam (see internal/core/backend.go).
+// DomainName names the execution domain ("native" or "sim") in traces.
 func (l *lifecycle) DomainName() string {
 	if l.virtual {
 		return "sim"
 	}
 	return "native"
 }
-func (l *lifecycle) Deps() *core.Graph           { return l.graph }
-func (l *lifecycle) GraphStats() core.GraphStats { return l.graph.Stats() }
-
-var _ core.Backend = (*lifecycle)(nil)
 
 // held reports whether the run-ahead window holds the creator back. Only
 // creators outside a task body are ever held (the runtime master and session

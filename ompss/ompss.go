@@ -340,10 +340,6 @@ func (rt *Runtime) Stats() RunStats {
 	return RunStats{Graph: l.graph.Stats(), Sched: l.sched.Stats()}
 }
 
-// Backend exposes the runtime's execution domain through the engine-level
-// seam (see internal/core/backend.go).
-func (rt *Runtime) Backend() core.Backend { return rt.lc }
-
 // DepRecords reports the live dependence records: the keys the tracker has
 // interned. Sessions release the records they created at Close, so for a
 // drained runtime the count returns to the pre-churn baseline — the

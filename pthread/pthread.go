@@ -1,7 +1,7 @@
 // Package pthread is the manual-threading substrate the paper compares OmpSs
-// against: threads, mutexes, condition variables, blocking barriers, spin
-// barriers, and atomic progress counters (the line-decoding sync of the
-// optimized Pthreads H.264 decoder, paper §4).
+// against: threads, mutexes, blocking barriers, and atomic progress counters
+// (the line-decoding sync of the optimized Pthreads H.264 decoder, paper §4)
+// — the primitives the suite's Pthreads variants use.
 //
 // Like package ompss, it has two backends sharing one API:
 //
@@ -50,15 +50,14 @@ func (a *API) Threads() int { return a.threads }
 // Main returns the master thread bound to the calling goroutine (native
 // environments only; RunSim provides the master thread itself).
 func (a *API) Main() *Thread {
-	return &Thread{api: a, id: -1, name: "main"}
+	return &Thread{api: a, id: -1}
 }
 
 // Thread is one thread of execution. All methods must be called by the
 // thread itself (as with a pthread_t owned by its function).
 type Thread struct {
-	api  *API
-	id   int
-	name string
+	api *API
+	id  int
 
 	// native join support
 	done chan struct{}
@@ -72,9 +71,6 @@ type Thread struct {
 // ID returns the thread's index: 0..Threads()-1 inside Parallel, a unique
 // counter for Spawn, −1 for the master.
 func (t *Thread) ID() int { return t.id }
-
-// Name returns the thread's name.
-func (t *Thread) Name() string { return t.name }
 
 // API returns the owning environment.
 func (t *Thread) API() *API { return t.api }
@@ -100,7 +96,7 @@ func (t *Thread) Spawn(name string, body func(*Thread)) *Thread {
 }
 
 func (t *Thread) spawn(name string, id, pin int, body func(*Thread)) *Thread {
-	th := &Thread{api: t.api, id: id, name: name}
+	th := &Thread{api: t.api, id: id}
 	if t.api.sim == nil {
 		th.done = make(chan struct{})
 		go func() {
@@ -152,15 +148,6 @@ func (t *Thread) Touch(key any, bytes int64, write bool) {
 	}
 }
 
-// Yield hints the scheduler to run another thread (sched_yield).
-func (t *Thread) Yield() {
-	if t.vt != nil {
-		t.vt.Yield()
-		return
-	}
-	runtime.Gosched()
-}
-
 // Mutex is a blocking lock. Create with API.NewMutex.
 type Mutex struct {
 	n sync.Mutex
@@ -192,52 +179,6 @@ func (t *Thread) Unlock(m *Mutex) {
 		return
 	}
 	m.n.Unlock()
-}
-
-// Cond is a condition variable bound to a Mutex.
-type Cond struct {
-	n *sync.Cond
-	s *vm.Cond
-	m *Mutex
-}
-
-// NewCond creates a condition variable using m.
-func (a *API) NewCond(m *Mutex) *Cond {
-	c := &Cond{m: m}
-	if a.sim != nil {
-		c.s = &vm.Cond{}
-	} else {
-		c.n = sync.NewCond(&m.n)
-	}
-	return c
-}
-
-// Wait atomically releases the cond's mutex and blocks until signalled;
-// callers re-check their predicate in a loop as usual.
-func (t *Thread) Wait(c *Cond) {
-	if t.vt != nil {
-		t.vt.CondWait(c.s, c.m.s)
-		return
-	}
-	c.n.Wait()
-}
-
-// Signal wakes one waiter.
-func (t *Thread) Signal(c *Cond) {
-	if t.vt != nil {
-		t.vt.CondSignal(c.s)
-		return
-	}
-	c.n.Signal()
-}
-
-// Broadcast wakes all waiters.
-func (t *Thread) Broadcast(c *Cond) {
-	if t.vt != nil {
-		t.vt.CondBroadcast(c.s)
-		return
-	}
-	c.n.Broadcast()
 }
 
 // Barrier is a blocking thread barrier (pthread_barrier_t): waiters sleep
@@ -283,43 +224,6 @@ func (t *Thread) Barrier(b *Barrier) bool {
 		b.cv.Wait()
 	}
 	b.mu.Unlock()
-	return false
-}
-
-// SpinBarrier is a busy-waiting barrier: waiters keep their cores and
-// observe the release with polling latency (the OmpSs-runtime style; the
-// paper's rgbcmy analysis contrasts it with the blocking Barrier).
-type SpinBarrier struct {
-	n       int
-	arrived atomic.Int32
-	gen     atomic.Uint64
-
-	s *vm.SpinBarrier
-}
-
-// NewSpinBarrier creates a polling barrier for n participants.
-func (a *API) NewSpinBarrier(n int) *SpinBarrier {
-	b := &SpinBarrier{n: n}
-	if a.sim != nil {
-		b.s = &vm.SpinBarrier{N: n}
-	}
-	return b
-}
-
-// SpinBarrier waits at b, busy-waiting; returns true on the last arriver.
-func (t *Thread) SpinBarrier(b *SpinBarrier) bool {
-	if t.vt != nil {
-		return t.vt.SpinBarrierWait(b.s)
-	}
-	gen := b.gen.Load()
-	if int(b.arrived.Add(1)) == b.n {
-		b.arrived.Store(0)
-		b.gen.Add(1)
-		return true
-	}
-	for b.gen.Load() == gen {
-		runtime.Gosched()
-	}
 	return false
 }
 

@@ -61,58 +61,6 @@ func TestNativeBarrierPhases(t *testing.T) {
 	})
 }
 
-func TestNativeSpinBarrierPhases(t *testing.T) {
-	const n, rounds = 4, 10
-	api := Native(n)
-	b := api.NewSpinBarrier(n)
-	var lastCount int64
-	api.Main().Parallel(func(th *Thread) {
-		for r := 0; r < rounds; r++ {
-			if th.SpinBarrier(b) {
-				atomic.AddInt64(&lastCount, 1)
-			}
-		}
-	})
-	if lastCount != rounds {
-		t.Fatalf("serial-thread count = %d, want %d", lastCount, rounds)
-	}
-}
-
-func TestNativeCondProducerConsumer(t *testing.T) {
-	api := Native(2)
-	m := api.NewMutex()
-	c := api.NewCond(m)
-	queue := []int{}
-	got := []int{}
-	main := api.Main()
-	cons := main.Spawn("consumer", func(th *Thread) {
-		for len(got) < 10 {
-			th.Lock(m)
-			for len(queue) == 0 {
-				th.Wait(c)
-			}
-			got = append(got, queue[0])
-			queue = queue[1:]
-			th.Unlock(m)
-		}
-	})
-	prod := main.Spawn("producer", func(th *Thread) {
-		for i := 0; i < 10; i++ {
-			th.Lock(m)
-			queue = append(queue, i*i)
-			th.Signal(c)
-			th.Unlock(m)
-		}
-	})
-	main.Join(prod)
-	main.Join(cons)
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("got[%d] = %d, want %d", i, v, i*i)
-		}
-	}
-}
-
 func TestNativeSpinVarWavefront(t *testing.T) {
 	api := Native(2)
 	progress := api.NewSpinVar()
@@ -175,36 +123,6 @@ func TestSimParallelSpeedup(t *testing.T) {
 	sp := float64(t1) / float64(t8)
 	if sp < 5 || sp > 8.5 {
 		t.Fatalf("8-thread speedup = %.2f (t1=%v, t8=%v)", sp, t1, t8)
-	}
-}
-
-func TestSimBarrierVsSpinBarrierShortPhases(t *testing.T) {
-	// rgbcmy's mechanism from the Pthreads side: blocking barriers cost
-	// per-waiter wakes each round; spin barriers do not.
-	run := func(spin bool) time.Duration {
-		st, err := RunSim(machine.Paper(16), 16, func(main *Thread) {
-			api := main.API()
-			bb := api.NewBarrier(16)
-			sb := api.NewSpinBarrier(16)
-			main.Parallel(func(th *Thread) {
-				for r := 0; r < 30; r++ {
-					th.Compute(25 * time.Microsecond)
-					if spin {
-						th.SpinBarrier(sb)
-					} else {
-						th.Barrier(bb)
-					}
-				}
-			})
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st.Makespan
-	}
-	blocking, spinning := run(false), run(true)
-	if spinning >= blocking {
-		t.Fatalf("spin barrier (%v) should beat blocking barrier (%v)", spinning, blocking)
 	}
 }
 

@@ -28,7 +28,7 @@ func RunSim(mc machine.Config, threads int, program func(*Thread)) (machine.Stat
 	v := vm.New(vm.Config{Cores: mc.Cores, Sockets: mc.Sockets})
 	api := &API{threads: threads, sim: &simEnv{v: v}}
 	v.Go("main", 0, func(vt *vm.Thread) {
-		main := &Thread{api: api, id: -1, name: "main", vt: vt}
+		main := &Thread{api: api, id: -1, vt: vt}
 		program(main)
 	})
 	st, err := v.Run()
