@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test equiv census flake race bench bench-submit alloc-budget examples lint lint-lifecycle lint-core trace dist-trace serve serve-smoke dist-race fuzz-frames soak ci
+.PHONY: all build test equiv census flake race bench bench-submit alloc-budget pairs examples lint lint-lifecycle lint-core trace dist-trace serve serve-smoke dist-race fuzz-frames soak ci
 
 all: build test
 
@@ -69,6 +69,20 @@ bench-submit:
 # bench-smoke job runs this).
 alloc-budget:
 	$(GO) test ./internal/bench -run='^(TestSubmitAllocBudget|TestVMEventAllocs)$$' -count=1 -v
+
+# Alternating parent/change pairs for a perf claim (not part of `make ci`):
+# builds the benchmark binary at BASE and at the working tree, runs them N
+# times each for BENCHMARK.json's run_seconds, alternating, into
+# pairs.base.json and pairs.head.json, prints -compare of the two and METRIC
+# per pair. Seed i mod len(SEEDS) runs pair i.
+# Example: make pairs BASE=HEAD~1 W=fine-chains N=10 SEEDS="1 2 3"
+BASE ?= HEAD
+W ?= fine-chains
+N ?= 10
+SEEDS ?= 1
+METRIC ?= bytes_moved
+pairs:
+	sh scripts/pairs.sh '$(BASE)' '$(W)' '$(N)' '$(SEEDS)' '$(METRIC)'
 
 # Profile one suite app with the observability recorder attached: record a
 # raw trace, print the analyzer report (parallelism profile, critical path,

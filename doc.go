@@ -12,10 +12,10 @@
 //
 // See README.md for a tour and quickstart, DESIGN.md for the system
 // inventory (including the first-class handle API: registered *Datum
-// dependence keys, *Handle task futures, context-aware waits, and
-// dependence renaming — per-datum version chains that eliminate WAR/WAW
-// stalls, ompss.Tuning.Renaming), and
-// EXPERIMENTS.md for measured-versus-published results. The root package
-// exists to carry the repository-level benchmark suite (bench_test.go);
-// the library entry points are packages ompss, pthread, and machine.
+// dependence keys, fire-and-forget Task and *Handle futures from Go,
+// context-aware waits, and dependence renaming — per-datum version chains
+// that eliminate WAR/WAW stalls, ompss.Tuning.Renaming), and EXPERIMENTS.md
+// for measured-versus-published results. The root package exists to carry
+// the repository-level benchmark suite (bench_test.go); the library entry
+// points are packages ompss, pthread, and machine.
 package ompssgo

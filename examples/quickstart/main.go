@@ -7,7 +7,7 @@
 // tasks with dataflow clauses instead of synchronizing by hand, and letting
 // the runtime discover parallelism from the clauses — plus the Go-native
 // surface this library adds on top: registered data handles (cheap,
-// pre-resolved dependence keys), error-returning task futures, and
+// pre-resolved dependence keys), error-returning task futures (Go), and
 // context-aware waits.
 package main
 
@@ -37,15 +37,15 @@ func main() {
 	dx, dy := rt.Register(x), rt.Register(y)
 
 	// Tasks declare how they touch data; the runtime orders them. These
-	// three form a chain through x.
+	// three form a chain through x. Task is fire-and-forget, as in OmpSs;
+	// Go also returns a *Handle — a future with Done and Err.
 	rt.Task(func(*ompss.TC) { *x = 40 }, ompss.Out(dx), ompss.Label("produce"))
 	rt.Task(func(*ompss.TC) { *x += 2 }, ompss.InOut(dx), ompss.Label("update"))
-	consume := rt.Task(func(*ompss.TC) { *y = *x }, ompss.In(dx), ompss.Out(dy),
-		ompss.Label("consume"))
+	consume := rt.Go(func(*ompss.TC) error { *y = *x; return nil },
+		ompss.In(dx), ompss.Out(dy), ompss.Label("consume"))
 
 	// Taskwait is the task barrier: the calling thread helps execute ready
-	// tasks while waiting, as the OmpSs master thread does. Every spawn
-	// also returned a *Handle — a future with Done and Err.
+	// tasks while waiting, as the OmpSs master thread does.
 	rt.Taskwait()
 	fmt.Printf("native: y = %d (consume err = %v)\n", *y, consume.Err())
 
@@ -55,7 +55,8 @@ func main() {
 	// failure of the batch surfaces at the context-aware barrier.
 	bad := rt.Go(func(*ompss.TC) error { return fmt.Errorf("no input frame") },
 		ompss.Out(dx), ompss.Label("bad-producer"))
-	dep := rt.Task(func(*ompss.TC) { *y = *x }, ompss.In(dx), ompss.Label("stranded"))
+	dep := rt.Go(func(*ompss.TC) error { *y = *x; return nil },
+		ompss.In(dx), ompss.Label("stranded"))
 	err := rt.TaskwaitCtx(context.Background())
 	fmt.Printf("native: barrier err = %v\n", err)
 	fmt.Printf("native: bad.Err = %v; dep skipped = %v\n",

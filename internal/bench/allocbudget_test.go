@@ -63,7 +63,7 @@ func TestSubmitAllocBudget(t *testing.T) {
 		"BenchmarkSubmitDatumPtr":  BenchmarkSubmitDatumPtr,
 		"BenchmarkSubmitAnyKeyInt": BenchmarkSubmitAnyKeyInt,
 		"BenchmarkSubmitDatumInt":  BenchmarkSubmitDatumInt,
-		// The default run-ahead window binding on every spawn: Handle +
+		// The default run-ahead window binding on every spawn: the
 		// ready-queue node, nothing for the throttle.
 		"BenchmarkSubmitThrottled": BenchmarkSubmitThrottled,
 		// Observability ceilings: the raw record path must stay at 0
@@ -122,8 +122,8 @@ func TestSubmitAllocBudget(t *testing.T) {
 
 // allocBudgetRuns is the iteration count each budget row runs for, whatever
 // -test.benchtime says. It must let the record pool reach its steady state:
-// at 20,000 iterations BenchmarkSubmitDatumPtr still reads ~140 B/op, over
-// its 64 B/op ceiling, while the pool fills; at 200,000 it reads ~43.
+// at 20,000 iterations BenchmarkSubmitDatumPtr still reads ~110 B/op, over
+// its 32 B/op ceiling, while the pool fills; at 200,000 it reads ~11.
 const allocBudgetRuns = "200000x"
 
 // TestVMEventAllocs pins the simulator's per-event host cost where it can be

@@ -18,7 +18,10 @@ import (
 //     resolves clause expressions at build time.
 //
 // Run with -benchmem (CI's bench-smoke job does): the Datum variants must
-// allocate no more and run no slower per task than their AnyKey twins.
+// allocate no more and run no slower per task than their AnyKey twins. A
+// Task spawn allocates no Handle and takes its record from the pool, so a
+// Datum row allocates nothing per task, and an AnyKey row only what
+// interning its key costs.
 
 const submitKeys = 64
 
@@ -81,8 +84,9 @@ func BenchmarkSubmitDatumPtr(b *testing.B) {
 // BenchmarkSubmitThrottled submits the same chains under the default
 // run-ahead window (64 tasks at Workers(1)): past the first 64 tasks every
 // spawn finds the window full, so the master executes the oldest chain link
-// first and the new task is ready at submission. It costs the Handle plus
-// the ready queue's node — the throttle itself allocates nothing.
+// first and the new task is ready at submission. It costs only the ready
+// queue's node: a Task spawn has no Handle, its record is pooled, and the
+// throttle itself allocates nothing.
 func BenchmarkSubmitThrottled(b *testing.B) {
 	benchSubmit(b, datumPtrChains, ompss.MaxInFlight(0)) // 0: back to the default window
 }

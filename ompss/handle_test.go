@@ -62,7 +62,7 @@ func TestRegisterIsIdempotent(t *testing.T) {
 	a, b := rt.Register(key), rt.Register(key)
 	ran := 0
 	rt.Task(func(*TC) { ran++ }, Out(a))
-	w2 := rt.Task(func(*TC) { ran++ }, Out(b))
+	w2 := rt.Go(func(*TC) error { ran++; return nil }, Out(b))
 	rt.Taskwait()
 	if ran != 2 {
 		t.Fatalf("ran=%d", ran)
@@ -170,9 +170,9 @@ func TestDiamondErrorPropagation(t *testing.T) {
 	boom := errors.New("boom")
 	var armRan, joinRan atomic.Int32
 	top := rt.Go(func(*TC) error { return boom }, Label("top"), Out(x))
-	l := rt.Task(func(*TC) { armRan.Add(1) }, Label("l"), In(x), Out(y))
-	r := rt.Task(func(*TC) { armRan.Add(1) }, Label("r"), In(x), Out(z))
-	join := rt.Task(func(*TC) { joinRan.Add(1) }, Label("join"), In(y), In(z))
+	l := rt.Go(func(*TC) error { armRan.Add(1); return nil }, Label("l"), In(x), Out(y))
+	r := rt.Go(func(*TC) error { armRan.Add(1); return nil }, Label("r"), In(x), Out(z))
+	join := rt.Go(func(*TC) error { joinRan.Add(1); return nil }, Label("join"), In(y), In(z))
 	rt.Taskwait()
 	if !errors.Is(top.Err(), boom) {
 		t.Fatalf("top err = %v", top.Err())
@@ -204,8 +204,8 @@ func TestRunThroughPolicy(t *testing.T) {
 	boom := errors.New("boom")
 	var ran atomic.Int32
 	rt.Go(func(*TC) error { return boom }, Out(x))
-	mid := rt.Task(func(*TC) { ran.Add(1) }, In(x), Out(y))
-	leaf := rt.Task(func(*TC) { ran.Add(1) }, In(y))
+	mid := rt.Go(func(*TC) error { ran.Add(1); return nil }, In(x), Out(y))
+	leaf := rt.Go(func(*TC) error { ran.Add(1); return nil }, In(y))
 	rt.Taskwait()
 	if ran.Load() != 2 {
 		t.Fatalf("RunThrough should run dependents, ran=%d", ran.Load())
@@ -244,13 +244,14 @@ func TestCancellationDrainsBySkipping(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var tailRan atomic.Int32
-	head := rt.Task(func(*TC) {
+	head := rt.Go(func(*TC) error {
 		close(started)
 		<-release
+		return nil
 	}, Out(x))
 	var tail []*Handle
 	for i := 0; i < 32; i++ {
-		tail = append(tail, rt.Task(func(*TC) { tailRan.Add(1) }, InOut(x)))
+		tail = append(tail, rt.Go(func(*TC) error { tailRan.Add(1); return nil }, InOut(x)))
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -280,7 +281,7 @@ func TestCancellationDrainsBySkipping(t *testing.T) {
 		}
 	}
 	// The runtime stays cancelled: later spawns are skipped too.
-	late := rt.Task(func(*TC) { tailRan.Add(1) })
+	late := rt.Go(func(*TC) error { tailRan.Add(1); return nil })
 	rt.Taskwait()
 	if err := late.Err(); !errors.Is(err, ErrSkipped) {
 		t.Fatalf("post-cancel spawn err = %v, want skipped", err)
@@ -294,8 +295,8 @@ func TestCommutativePanicReleasesLocks(t *testing.T) {
 	rt := New(Workers(2))
 	defer rt.Shutdown()
 	x, y := new(int), new(int)
-	bad := rt.Task(func(*TC) { panic("boom") }, Commutative(x, y))
-	after := rt.Task(func(*TC) { *x++ }, Commutative(x, y))
+	bad := rt.Go(func(*TC) error { panic("boom") }, Commutative(x, y))
+	after := rt.Go(func(*TC) error { *x++; return nil }, Commutative(x, y))
 	rt.Taskwait()
 	var tp *TaskPanic
 	if !errors.As(bad.Err(), &tp) {
@@ -317,7 +318,7 @@ func TestFinishedPredecessorErrorStillSkips(t *testing.T) {
 	h := rt.Go(func(*TC) error { return boom }, Out(x))
 	<-h.Done() // predecessor fully finished before the dependent submits
 	ran := false
-	dep := rt.Task(func(*TC) { ran = true }, In(x))
+	dep := rt.Go(func(*TC) error { ran = true; return nil }, In(x))
 	rt.Taskwait()
 	if err := dep.Err(); !errors.Is(err, ErrSkipped) || !errors.Is(err, boom) {
 		t.Fatalf("dep err = %v, want skip wrapping boom", err)
@@ -372,19 +373,117 @@ func TestInlineTaskHandle(t *testing.T) {
 	}
 }
 
-func TestTaskLoopHandles(t *testing.T) {
+// TestTaskFailureWithoutHandle pins the failure story of a Task, which
+// returns no Handle: a panicking body still reaches every error surface, and
+// a refusal still reaches the session's accounting.
+func TestTaskFailureWithoutHandle(t *testing.T) {
+	isBoom := func(err error) bool {
+		var tp *TaskPanic
+		return errors.As(err, &tp) && tp.Label == "bad" && tp.Value == "boom"
+	}
+	bad := func(*TC) { panic("boom") }
+
+	t.Run("runtime", func(t *testing.T) {
+		rt := New(Workers(2))
+		defer rt.Shutdown()
+		x := rt.Register(new(int))
+		rt.Task(bad, Label("bad"), x.AsOut())
+		dep := rt.Go(func(*TC) error { t.Error("a dependent of the failed Task ran"); return nil }, x.AsIn())
+		if err := rt.TaskwaitCtx(context.Background()); !isBoom(err) {
+			t.Errorf("TaskwaitCtx = %v, want the Task's panic", err)
+		}
+		if err := dep.Err(); !errors.Is(err, ErrSkipped) || !isBoom(err) {
+			t.Errorf("dependent's Err = %v, want a skip wrapping the Task's panic", err)
+		}
+		if err := rt.Err(); !isBoom(err) {
+			t.Errorf("Runtime.Err = %v, want the Task's panic", err)
+		}
+	})
+
+	t.Run("session close", func(t *testing.T) {
+		rt := New(Workers(2))
+		defer rt.Shutdown()
+		s := rt.NewSession()
+		var y int
+		s.Task(bad, Label("bad"), Out(&y))
+		dep := s.Go(func(*TC) error { return nil }, In(&y))
+		<-dep.Done() // both finished, and no Taskwait consumed the round
+		if err := s.Close(); !isBoom(err) {
+			t.Errorf("Session.Close = %v, want the Task's panic", err)
+		}
+		if err := dep.Err(); !errors.Is(err, ErrSkipped) || !isBoom(err) {
+			t.Errorf("dependent's Err = %v, want a skip wrapping the Task's panic", err)
+		}
+	})
+
+	t.Run("unobserved panic at Shutdown", func(t *testing.T) {
+		// A request session's failures stay out of Runtime.Err, but an
+		// unobserved panic still arms the runtime's valve.
+		rt := New(Workers(2))
+		s := rt.NewSession()
+		s.Task(bad, Label("bad"))
+		s.Taskwait()
+		defer func() {
+			if p, _ := recover().(error); !isBoom(p) {
+				t.Errorf("Shutdown panicked with %v, want the Task's panic", p)
+			}
+		}()
+		rt.Shutdown()
+		t.Error("Shutdown did not re-panic")
+	})
+
+	t.Run("inline", func(t *testing.T) {
+		rt := New(Workers(1))
+		defer rt.Shutdown()
+		// An If(false) body runs on the spawner's stack, so its panic is
+		// the spawner's...
+		func() {
+			defer func() {
+				if p := recover(); p != "boom" {
+					t.Errorf("inline panic reached the spawner as %v, want boom", p)
+				}
+			}()
+			rt.Task(bad, If(false))
+		}()
+		// ...and its skip reaches TaskwaitCtx like a deferred child's.
+		s := rt.NewSession()
+		cause := errors.New("request gone")
+		s.Cancel(cause)
+		s.Task(func(*TC) { t.Error("a cancelled inline Task ran") }, If(false))
+		if err := s.TaskwaitCtx(context.Background()); !errors.Is(err, ErrSkipped) || !errors.Is(err, cause) {
+			t.Errorf("TaskwaitCtx = %v, want a skip wrapping %v", err, cause)
+		}
+		_ = s.Close()
+	})
+
+	t.Run("refused", func(t *testing.T) {
+		rt := New(Workers(1))
+		defer rt.Shutdown()
+		s := rt.NewSession(MaxInFlight(1), Admission(RejectOnFull))
+		s.Task(func(*TC) {}) // unstarted: Workers(1) runs nothing until a wait
+		s.Task(func(*TC) { t.Error("a refused Task ran") })
+		if got := s.Stats().Refused; got != 1 {
+			t.Errorf("Refused = %d, want 1", got)
+		}
+		s.Taskwait()
+		if err := s.Close(); err != nil {
+			t.Errorf("Close = %v: a refused Task leaves no failure behind", err)
+		}
+	})
+}
+
+// TestTaskLoopChunks checks that TaskLoop splits [0, n) into ceil(n/chunk)
+// chunk tasks that cover every iteration once and succeed.
+func TestTaskLoopChunks(t *testing.T) {
 	rt := New(Workers(4))
 	defer rt.Shutdown()
-	var n atomic.Int32
-	hs := rt.TaskLoop(100, 32, func(_ *TC, lo, hi int) { n.Add(int32(hi - lo)) })
-	if len(hs) != 4 {
-		t.Fatalf("len(handles)=%d, want 4", len(hs))
+	var n, chunks atomic.Int32
+	rt.TaskLoop(100, 32, func(_ *TC, lo, hi int) { chunks.Add(1); n.Add(int32(hi - lo)) })
+	if err := rt.TaskwaitCtx(context.Background()); err != nil {
+		t.Fatal(err)
 	}
-	rt.Taskwait()
-	for _, h := range hs {
-		if h.Err() != nil {
-			t.Fatal(h.Err())
-		}
+	if chunks.Load() != 4 {
+		t.Fatalf("%d chunk tasks, want 4", chunks.Load())
 	}
 	if n.Load() != 100 {
 		t.Fatalf("n=%d", n.Load())
@@ -403,7 +502,7 @@ func TestSimGoErrorSurfacesAsRunError(t *testing.T) {
 		// path (an already-finished predecessor would propagate through
 		// its recorded outcome instead).
 		rt.Go(func(*TC) error { return boom }, Out(x), Label("bad"), Cost(time.Millisecond))
-		dep = rt.Task(func(*TC) {}, In(x))
+		dep = rt.Go(func(*TC) error { return nil }, In(x))
 		rt.Taskwait()
 	})
 	if !errors.Is(err, boom) {
@@ -563,7 +662,7 @@ func TestRetainedHandleDoesNotPinChain(t *testing.T) {
 	// The head holds the chain back until every link is wired behind it, so
 	// each task really has its successor in the inline slot.
 	gate := make(chan struct{})
-	first := rt.Task(func(*TC) { <-gate; x++ }, d.AsInOut())
+	first := rt.Go(func(*TC) error { <-gate; x++; return nil }, d.AsInOut())
 	for i := 1; i < n; i++ {
 		rt.Task(body, d.AsInOut())
 	}
@@ -580,8 +679,8 @@ func TestRetainedHandleDoesNotPinChain(t *testing.T) {
 // TestTaskRecordSizeClass keeps the spawn record within 512 bytes, the eight
 // cache lines a spawn writes into a pooled record (and, when the pool has
 // none, the last size class whose pointers the allocator describes with a
-// bitmap in the span), and the Handle — the one object a spawn allocates —
-// within 32. A field added to taskRec, TC, core.Task or core.Context has to
+// bitmap in the span), and the Handle — the one object a Go spawn allocates,
+// and a Task spawn does not — within 32. A field added to taskRec, TC, core.Task or core.Context has to
 // fit or displace one; so does a field added to Handle.
 func TestTaskRecordSizeClass(t *testing.T) {
 	if size := reflect.TypeOf((*taskRec)(nil)).Elem().Size(); size > 512 {

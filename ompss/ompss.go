@@ -34,10 +34,12 @@
 //     library analogue of the compiler-resolved clause expressions of
 //     OmpSs. Raw any-typed keys remain supported as sugar: the runtime
 //     interns them at submission into the same records.
-//   - *Handle, the future returned by Task, Go, and TaskLoop: Done is
-//     closed at completion and Err reports the outcome. Go spawns
-//     error-returning bodies; a failure (returned error or wrapped panic,
-//     see TaskPanic) propagates along dependence edges under the runtime's
+//   - *Handle, the future returned by Go: Done is closed at completion and
+//     Err reports the outcome. Task and TaskLoop are fire-and-forget, as
+//     an OmpSs task is: dependences, Taskwait and TaskwaitOn order them,
+//     and their failures reach Runtime.Err, TaskwaitCtx and Session.Close.
+//     Go spawns error-returning bodies; a failure (returned error or
+//     wrapped panic, see TaskPanic) propagates along dependence edges under the runtime's
 //     ErrorPolicy (OnError): SkipDependents releases dependents without
 //     running them, RunThrough runs them anyway. TaskwaitCtx and RunSimCtx
 //     add context-aware waiting — cancellation drains the graph by
@@ -291,12 +293,9 @@ type RunStats struct {
 	Sched core.SchedStats
 }
 
-// Task spawns a task from the master thread and returns its Handle. The
-// body runs once its dependences (declared via In/Out/InOut clauses) are
-// satisfied.
-func (rt *Runtime) Task(body func(*TC), clauses ...Clause) *Handle {
-	return rt.main.Task(body, clauses...)
-}
+// Task spawns a task from the master thread (see TC.Task). The body runs
+// once its dependences (declared via In/Out/InOut clauses) are satisfied.
+func (rt *Runtime) Task(body func(*TC), clauses ...Clause) { rt.main.Task(body, clauses...) }
 
 // Go spawns an error-returning task from the master thread: the body's
 // returned error becomes the task's outcome (Handle.Err) and propagates to
@@ -328,9 +327,9 @@ func (rt *Runtime) TaskwaitOn(keys ...any) { rt.main.TaskwaitOn(keys...) }
 func (rt *Runtime) Critical(name string, f func()) { rt.main.Critical(name, f) }
 
 // TaskLoop spawns chunked loop tasks from the master thread (see
-// TC.TaskLoop) and returns their Handles in chunk order.
-func (rt *Runtime) TaskLoop(n, chunk int, body func(tc *TC, lo, hi int), clauses ...Clause) []*Handle {
-	return rt.main.TaskLoop(n, chunk, body, clauses...)
+// TC.TaskLoop).
+func (rt *Runtime) TaskLoop(n, chunk int, body func(tc *TC, lo, hi int), clauses ...Clause) {
+	rt.main.TaskLoop(n, chunk, body, clauses...)
 }
 
 // Stats returns engine activity counters. Call after a Taskwait for a
@@ -404,7 +403,7 @@ func (rt *Runtime) initMain(lane int) {
 //
 // A task body's TC is valid only while the body runs: the runtime reuses
 // the task's record afterwards, so a TC kept beyond that belongs to another
-// task. Keep the Handle instead.
+// task. Spawn with Go and keep its Handle instead.
 type TC struct {
 	rt     *Runtime
 	ctx    *core.Context // children spawned from this scope
@@ -414,27 +413,35 @@ type TC struct {
 }
 
 // Task spawns a nested task whose completion is covered by this context's
-// Taskwait, returning its Handle.
-func (tc *TC) Task(body func(*TC), clauses ...Clause) *Handle {
+// Taskwait. It is fire-and-forget, like an OmpSs task, and returns no
+// future: its dependences, Taskwait and TaskwaitOn order it. A failing or
+// panicking body still surfaces — through TaskwaitCtx, Runtime.Err (or
+// Session.Close in a request session) and the skip cascade of its
+// dependents — and an unobserved panic re-panics at Shutdown. Spawn with Go
+// for a Handle on the one task.
+func (tc *TC) Task(body func(*TC), clauses ...Clause) {
 	r := tc.newRec(clauses)
 	r.body = body
-	return tc.spawn(r)
+	tc.spawn(r)
 }
 
-// Go spawns an error-returning nested task: the body's returned error
-// becomes the task's outcome (Handle.Err) and propagates to dependents
-// under the runtime's ErrorPolicy.
+// Go spawns an error-returning nested task and returns its Handle, the
+// one future-bearing spawn: the body's returned error becomes the task's
+// outcome (Handle.Err) and propagates to dependents under the runtime's
+// ErrorPolicy.
 func (tc *TC) Go(body func(*TC) error, clauses ...Clause) *Handle {
 	r := tc.newRec(clauses)
 	r.bodyErr = body
-	return tc.spawn(r)
+	h := &Handle{rt: tc.rt}
+	r.h = h
+	tc.spawn(r) // r may be reused once spawn returns; h is the caller's
+	return h
 }
 
 // spawn is the common deferred/undeferred spawn path behind Task, Go and
 // TaskLoop. It drops the spawner's reference on the record last: until then
 // the record is readable, however fast the task runs and finishes.
-func (tc *TC) spawn(r *taskRec) *Handle {
-	h := r.h
+func (tc *TC) spawn(r *taskRec) {
 	switch s := tc.sess; {
 	case !r.enabled:
 		tc.spawnInline(r)
@@ -449,20 +456,19 @@ func (tc *TC) spawn(r *taskRec) *Handle {
 		tc.rt.lc.submit(tc, r)
 	}
 	r.t.Drop()
-	return h
 }
 
 // spawnInline executes an If(false) task undeferred in the spawning
 // thread, as in OmpSs. Costs are charged to the current thread in
 // simulation. A panic propagates synchronously to the spawner (the body
 // runs on its stack); a returned error is recorded like any task failure.
-// The task never enters the graph, so its handle is settled here.
+// The task never enters the graph, so its handle, if any, is settled here.
 func (tc *TC) spawnInline(r *taskRec) {
 	if ce := tc.rt.cancelCause(); ce != nil {
 		err := &SkipError{Label: r.t.Label, Cause: ce}
 		tc.rt.noteErr(err)
 		tc.ctx.NoteErr(err)
-		r.h.settle(err)
+		r.Settle(err)
 		return
 	}
 	if s := tc.sess; s != nil {
@@ -473,7 +479,7 @@ func (tc *TC) spawnInline(r *taskRec) {
 		if ce := s.dom.CancelCause(); ce != nil {
 			err := &SkipError{Label: r.t.Label, Cause: ce}
 			tc.ctx.NoteErr(err)
-			r.h.settle(err)
+			r.Settle(err)
 			return
 		}
 	}
@@ -491,29 +497,28 @@ func (tc *TC) spawnInline(r *taskRec) {
 	// Inline tasks never enter the graph, so record the failure on the
 	// spawning scope here — TaskwaitCtx reports it like any child's.
 	tc.ctx.NoteErr(err)
-	r.h.settle(err)
+	r.Settle(err)
 }
 
 // TaskLoop partitions the iteration space [0, n) into chunks of at most
 // `chunk` iterations and spawns one task per chunk — the OmpSs/OpenMP
 // taskloop construct. The clauses apply to every chunk task (for independent
 // chunks no clauses are needed).
-// TaskLoop does not wait; pair with Taskwait. It returns the chunk tasks'
-// Handles in chunk order.
+// TaskLoop does not wait and, like Task, returns no future: pair it with
+// Taskwait, or TaskwaitCtx to see a chunk's failure.
 //
 // chunk == Auto asks the runtime to size the chunks: the pinned
 // Tuning{Grain: Fixed(v)} value, or a workers-derived heuristic otherwise.
 // Exactly Auto means runtime-chosen; every other non-positive chunk keeps
 // the historical clamp to 1, so e.g. a computed chunk that underflows to 0
 // still means "one iteration per task", not "auto".
-func (tc *TC) TaskLoop(n, chunk int, body func(tc *TC, lo, hi int), clauses ...Clause) []*Handle {
+func (tc *TC) TaskLoop(n, chunk int, body func(tc *TC, lo, hi int), clauses ...Clause) {
 	if chunk == Auto {
 		chunk = tc.autoChunk(n)
 	}
 	if chunk < 1 {
 		chunk = 1
 	}
-	var hs []*Handle
 	for lo := 0; lo < n; lo += chunk {
 		hi := lo + chunk
 		if hi > n {
@@ -522,9 +527,8 @@ func (tc *TC) TaskLoop(n, chunk int, body func(tc *TC, lo, hi int), clauses ...C
 		lo, hi := lo, hi
 		r := tc.newRec(clauses)
 		r.body = func(c *TC) { body(c, lo, hi) }
-		hs = append(hs, tc.spawn(r))
+		tc.spawn(r)
 	}
-	return hs
 }
 
 // autoChunk resolves a TaskLoop's Auto chunk: the pinned Grain value, or the

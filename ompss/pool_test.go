@@ -91,12 +91,12 @@ func TestRetainedHandlesSurviveRecordReuse(t *testing.T) {
 
 	var x int
 	d := rt.Register(&x)
-	keep("success", rt.Task(func(*TC) {}), func(err error) bool { return err == nil })
+	keep("success", rt.Go(func(*TC) error { return nil }), func(err error) bool { return err == nil })
 	keep("body error", rt.Go(func(*TC) error { return errBody }, d.AsOut()), is(errBody))
-	keep("skip cascade", rt.Task(func(*TC) {}, d.AsIn()), func(err error) bool {
+	keep("skip cascade", rt.Go(func(*TC) error { return nil }, d.AsIn()), func(err error) bool {
 		return errors.Is(err, ErrSkipped) && errors.Is(err, errBody)
 	})
-	keep("panic", rt.Task(func(*TC) { panic("boom") }), func(err error) bool {
+	keep("panic", rt.Go(func(*TC) error { panic("boom") }), func(err error) bool {
 		var p *TaskPanic
 		return errors.As(err, &p) && p.Value == "boom"
 	})
@@ -108,23 +108,23 @@ func TestRetainedHandlesSurviveRecordReuse(t *testing.T) {
 	s := rt.NewSession(MaxInFlight(1), Admission(RejectOnFull))
 	gate := make(chan struct{})
 	s.Task(func(*TC) { <-gate })
-	keep("admission", s.Task(func(*TC) {}), is(ErrAdmission))
+	keep("admission", s.Go(func(*TC) error { return nil }), is(ErrAdmission))
 	close(gate)
 	s.Taskwait()
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	keep("session closed", s.Task(func(*TC) {}), is(ErrSessionClosed))
+	keep("session closed", s.Go(func(*TC) error { return nil }), is(ErrSessionClosed))
 
 	c := rt.NewSession()
 	var y int
 	hold := make(chan struct{})
 	c.Task(func(*TC) { <-hold }, InOut(&y))
-	keep("cancelled in the graph", c.Task(func(*TC) {}, In(&y)), is(cancelled))
+	keep("cancelled in the graph", c.Go(func(*TC) error { return nil }, In(&y)), is(cancelled))
 	c.Cancel(cancelled)
 	close(hold)
 	c.Taskwait()
-	keep("cancelled at spawn", c.Task(func(*TC) {}), is(cancelled))
+	keep("cancelled at spawn", c.Go(func(*TC) error { return nil }), is(cancelled))
 	_ = c.Close() // reports the cancellation
 	rt.Taskwait()
 
@@ -183,9 +183,9 @@ func TestPoolBalance(t *testing.T) {
 
 // TestCriticalAndTaskwaitAllocs pins the two per-call costs the record pool
 // leaves: a Critical section allocates nothing, and a task plus the Taskwait
-// that runs it allocate the Handle and the global queue's node (the task is
-// ready at submission) — the record comes from the pool and the wait
-// predicate was built with the scope.
+// that runs it allocate only the global queue's node (the task is ready at
+// submission) — the record comes from the pool, a Task has no Handle, and
+// the wait predicate was built with the scope.
 func TestCriticalAndTaskwaitAllocs(t *testing.T) {
 	rt := New(Workers(1))
 	defer rt.Shutdown()
@@ -198,8 +198,8 @@ func TestCriticalAndTaskwaitAllocs(t *testing.T) {
 	var x int
 	in := rt.Register(&x).AsInOut()
 	body := func(*TC) { x++ }
-	if all, net := spawnAllocs(100, func() { rt.Task(body, in); rt.Taskwait() }); net != 2 || (!raceDetector && all != 2) {
-		t.Errorf("Task + Taskwait: %d allocs, %d beside the pool's refills, want 2 (Handle + queue node)", all, net)
+	if all, net := spawnAllocs(100, func() { rt.Task(body, in); rt.Taskwait() }); net != 1 || (!raceDetector && all != 1) {
+		t.Errorf("Task + Taskwait: %d allocs, %d beside the pool's refills, want 1 (queue node)", all, net)
 	}
 }
 

@@ -11,11 +11,11 @@ import (
 // context the body runs in (a TC plus the core.Context counting the body's
 // own children), the body in either form, and the clause scratchpad —
 // clauses write straight into the record, accesses into the inline array
-// first. The spawn's future is a Handle of its own (see Handle), so a record
-// is only ever read by the runtime, and records are recycled: each goes back
-// to the pool (putRec) once nothing can touch it any more. Every holder that
-// may touch a record after its task finishes takes a reference on r.t
-// (core.Task.Hold) and drops it when done:
+// first. A Go spawn's future is a Handle of its own (see Handle), and a Task
+// spawn has none, so a record is only ever read by the runtime, and records
+// are recycled: each goes back to the pool (putRec) once nothing can touch
+// it any more. Every holder that may touch a record after its task finishes
+// takes a reference on r.t (core.Task.Hold) and drops it when done:
 //
 //   - the spawning thread, from newRec until spawn returns: the task may be
 //     released, run and finished by others before spawn reads it for the
@@ -41,7 +41,7 @@ type taskRec struct {
 	commutative bool // some access is Commutative: exec takes the key locks
 	t           core.Task
 
-	h      *Handle
+	h      *Handle        // Go's future; nil for a Task, which returns none
 	parent *core.Task     // the spawning task (nil at a master): held while t is unfinished
 	ctx    core.Context   // scope of the body's own children
 	acc    [3]core.Access // backs t.Accesses for the usual one-to-three-clause task
@@ -129,8 +129,14 @@ func (r *taskRec) reset() {
 	r.h, r.parent, r.ctx, r.acc = nil, nil, core.Context{}, [3]core.Access{}
 }
 
-// Settle is called by Graph.Finish with the task's outcome.
-func (r *taskRec) Settle(err error) { r.h.settle(err) }
+// Settle hands the task's outcome to its Handle, if it has one (only a Go
+// spawn does). Graph.Finish calls it, and so do the spawn paths that never
+// reach the graph: an inline or a refused spawn.
+func (r *taskRec) Settle(err error) {
+	if r.h != nil {
+		r.h.settle(err)
+	}
+}
 
 // Recycle is called by the last Drop of r.t: it resets r and pools it.
 func (r *taskRec) Recycle() {
@@ -169,7 +175,6 @@ func (tc *TC) newRec(clauses []Clause) *taskRec {
 	}
 	r.ctx.Depth = tc.ctx.Depth + 1
 	r.tc = TC{rt: tc.rt, ctx: &r.ctx, task: &r.t, sess: s}
-	r.h = &Handle{rt: tc.rt}
 	for _, c := range clauses {
 		c(r)
 	}
@@ -228,10 +233,12 @@ func (r *taskRec) run() (err error) {
 }
 
 // refuse settles the handle of a spawn the session would not take: the task
-// never runs.
-func (r *taskRec) refuse(cause error) {
-	r.h.settle(&SkipError{Label: r.t.Label, Cause: cause})
-}
+// never runs. It goes through Settle, as Finish and spawnInline do, so the
+// nil check for a handle-less Task stays in one place. A refused Task has no
+// handle, so Settle drops the SkipError built here: one allocation per
+// refusal, accepted because only a refused spawn pays it. Nothing reports a
+// refused Task but the session's Refused count (for ErrAdmission).
+func (r *taskRec) refuse(cause error) { r.Settle(&SkipError{Label: r.t.Label, Cause: cause}) }
 
 // commutativeKeys collects the keys of a task's Commutative accesses.
 func commutativeKeys(accesses []core.Access) []any {

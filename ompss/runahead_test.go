@@ -97,12 +97,12 @@ func TestRejectOnFullRefusesAtTheWindow(t *testing.T) {
 	rt := New(Workers(1), MaxInFlight(1), Admission(RejectOnFull))
 	defer rt.Shutdown()
 	ran := false
-	first := rt.Task(func(*TC) { ran = true })
-	if err := rt.Task(func(*TC) {}).Err(); !errors.Is(err, ErrAdmission) {
+	first := rt.Go(func(*TC) error { ran = true; return nil })
+	if err := rt.Go(func(*TC) error { return nil }).Err(); !errors.Is(err, ErrAdmission) {
 		t.Fatalf("default session over the window: err = %v, want ErrAdmission", err)
 	}
 	s := rt.NewSession()
-	if err := s.Task(func(*TC) {}).Err(); !errors.Is(err, ErrAdmission) {
+	if err := s.Go(func(*TC) error { return nil }).Err(); !errors.Is(err, ErrAdmission) {
 		t.Fatalf("request session over the window: err = %v, want ErrAdmission", err)
 	}
 	if ran {
@@ -112,7 +112,7 @@ func TestRejectOnFullRefusesAtTheWindow(t *testing.T) {
 	if err := first.Err(); err != nil || !ran {
 		t.Fatalf("first.Err = %v, ran = %v", err, ran)
 	}
-	if err := rt.Task(func(*TC) {}).Err(); err != nil {
+	if err := rt.Go(func(*TC) error { return nil }).Err(); err != nil {
 		t.Fatalf("spawn after the drain: %v", err)
 	}
 	rt.Taskwait()
@@ -123,9 +123,9 @@ func TestRejectOnFullRefusesAtTheWindow(t *testing.T) {
 
 // TestWaitPathAllocs pins the two waits that happen per task or per request
 // rather than per program: a Taskwait over a drained scope allocates nothing,
-// and a spawn held by the window allocates its Handle and the ready queue's
-// node (the held chain link is ready at submission) — nothing for the
-// throttle itself.
+// and a Task spawn held by the window allocates only the ready queue's node
+// (the held chain link is ready at submission) — no Handle, and nothing for
+// the throttle itself.
 func TestWaitPathAllocs(t *testing.T) {
 	rt := New(Workers(1), MaxInFlight(1))
 	defer rt.Shutdown()
@@ -136,8 +136,8 @@ func TestWaitPathAllocs(t *testing.T) {
 	in := rt.Register(&x).AsInOut()
 	body := func(*TC) { x++ }
 	rt.Task(body, in) // fills the window: every spawn below is held
-	if all, net := spawnAllocs(100, func() { rt.Task(body, in) }); net != 2 || (!raceDetector && all != 2) {
-		t.Errorf("held spawn: %d allocs, %d beside the pool's refills, want 2 (Handle + queue node)", all, net)
+	if all, net := spawnAllocs(100, func() { rt.Task(body, in) }); net != 1 || (!raceDetector && all != 1) {
+		t.Errorf("held spawn: %d allocs, %d beside the pool's refills, want 1 (queue node)", all, net)
 	}
 	rt.Taskwait()
 }

@@ -11,12 +11,13 @@ import (
 
 // ErrSessionClosed is the cause wrapped into the outcome of every task a
 // session Close released without running, and into the pre-failed handles
-// returned by spawns attempted after Close. Match with errors.Is.
+// Go returns for spawns attempted after Close. Match with errors.Is.
 var ErrSessionClosed = errors.New("ompss: session closed")
 
-// ErrAdmission is the cause wrapped into the pre-failed handle of a spawn
-// rejected by admission control (RejectOnFull with the session or global
-// in-flight budget exhausted). Match with errors.Is.
+// ErrAdmission is the cause wrapped into the pre-failed handle Go returns
+// for a spawn rejected by admission control (RejectOnFull with the session
+// or global in-flight budget exhausted); SessionStats.Refused counts every
+// rejected spawn, Task and Go alike. Match with errors.Is.
 var ErrAdmission = errors.New("ompss: admission limit reached")
 
 // AdmissionMode selects what a spawn does when the session's (or the
@@ -28,9 +29,10 @@ const (
 	// headroom, helping to execute ready tasks meanwhile — backpressure
 	// that keeps the submitter productive, as taskwait does.
 	BlockOnFull AdmissionMode = iota
-	// RejectOnFull returns a pre-failed Handle whose Err wraps
-	// ErrAdmission; nothing is submitted. Load-shedding for servers that
-	// prefer a fast 429 over queueing.
+	// RejectOnFull refuses the spawn: nothing is submitted, Go returns a
+	// pre-failed Handle whose Err wraps ErrAdmission, and the session's
+	// Refused count goes up. Load-shedding for servers that prefer a fast
+	// 429 over queueing.
 	RejectOnFull
 )
 
@@ -72,9 +74,9 @@ func Admission(m AdmissionMode) Option { return func(c *config) { c.admission = 
 // per-request server).
 type API interface {
 	Register(key any) *Datum
-	Task(body func(*TC), clauses ...Clause) *Handle
+	Task(body func(*TC), clauses ...Clause)
 	Go(body func(*TC) error, clauses ...Clause) *Handle
-	TaskLoop(n, chunk int, body func(tc *TC, lo, hi int), clauses ...Clause) []*Handle
+	TaskLoop(n, chunk int, body func(tc *TC, lo, hi int), clauses ...Clause)
 	Taskwait()
 	TaskwaitCtx(ctx context.Context) error
 	TaskwaitOn(keys ...any)
@@ -92,7 +94,7 @@ var (
 // class, and a request-scoped arena — Close drops the dependence records
 // the session created, version chains included, wholesale, and with them
 // the last holds on its task records, which go back to the runtime's pool.
-// Handles are objects of their own and outlive the session.
+// Go's handles are objects of their own and outlive the session.
 //
 // Obtain one with Runtime.NewSession per request; the runtime hosts any
 // number of concurrent sessions. Failure isolation is structural: a
@@ -212,9 +214,7 @@ func (s *Session) Stats() SessionStats {
 func (s *Session) Register(key any) *Datum { return s.rt.register(key, s.dom) }
 
 // Task spawns a task in this session's scope (see TC.Task).
-func (s *Session) Task(body func(*TC), clauses ...Clause) *Handle {
-	return s.tc.Task(body, clauses...)
-}
+func (s *Session) Task(body func(*TC), clauses ...Clause) { s.tc.Task(body, clauses...) }
 
 // Go spawns an error-returning task in this session's scope (see TC.Go).
 func (s *Session) Go(body func(*TC) error, clauses ...Clause) *Handle {
@@ -223,8 +223,8 @@ func (s *Session) Go(body func(*TC) error, clauses ...Clause) *Handle {
 
 // TaskLoop spawns chunked loop tasks in this session's scope (see
 // TC.TaskLoop).
-func (s *Session) TaskLoop(n, chunk int, body func(tc *TC, lo, hi int), clauses ...Clause) []*Handle {
-	return s.tc.TaskLoop(n, chunk, body, clauses...)
+func (s *Session) TaskLoop(n, chunk int, body func(tc *TC, lo, hi int), clauses ...Clause) {
+	s.tc.TaskLoop(n, chunk, body, clauses...)
 }
 
 // Taskwait blocks until the session's direct children have finished,
@@ -259,16 +259,19 @@ func (s *Session) cancelWith(cause error) {
 	}
 }
 
-// Close ends the session: new spawns are refused (pre-failed handles
-// wrapping ErrSessionClosed), every task that has not started is cancelled
-// with ErrSessionClosed, the session drains (the closing thread helps
-// execute), and the session's arena — the dependence records it created,
-// version chains included — is dropped wholesale; handles stay valid and
-// keep reporting their task's final outcome. Returns the first failure
-// among the session's children (cancellation skips included), nil when
-// everything succeeded. Idempotent; call Taskwait first if remaining work
-// should complete rather than be cancelled. On the default session Close
-// is a no-op returning nil.
+// Close ends the session: new spawns are refused (Go returns pre-failed
+// handles wrapping ErrSessionClosed), every task that has not started is
+// cancelled with ErrSessionClosed, the session drains (the closing thread
+// helps execute), and the session's arena — the dependence records it
+// created, version chains included — is dropped wholesale; Go's handles stay
+// valid and keep reporting their task's final outcome. Returns the first
+// failure among the session's children (cancellation skips included, and a
+// Task's failure, which has no handle to report it), nil when everything
+// succeeded. A spawn refused by admission or after Close never became a
+// child: it is not reported here, and a refused Task leaves no handle
+// either — SessionStats.Refused counts the admission refusals. Idempotent;
+// call Taskwait first if remaining work should complete rather than be
+// cancelled. On the default session Close is a no-op returning nil.
 func (s *Session) Close() error {
 	if !s.ephemeral {
 		return nil

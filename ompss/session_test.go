@@ -66,10 +66,10 @@ func TestSessionCloseSkipsPending(t *testing.T) {
 	var x int
 	release := make(chan struct{})
 	started := make(chan struct{})
-	head := s.Task(func(*ompss.TC) { close(started); <-release }, ompss.InOut(&x))
+	head := s.Go(func(*ompss.TC) error { close(started); <-release; return nil }, ompss.InOut(&x))
 	var deps []*ompss.Handle
 	for i := 0; i < 8; i++ {
-		deps = append(deps, s.Task(func(*ompss.TC) { x++ }, ompss.InOut(&x)))
+		deps = append(deps, s.Go(func(*ompss.TC) error { x++; return nil }, ompss.InOut(&x)))
 	}
 	// The head must be RUNNING when Close cancels, so it finishes cleanly
 	// and only the queued chain is skipped.
@@ -132,7 +132,7 @@ func TestSessionSpawnAfterClose(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	h := s.Task(func(*ompss.TC) { x = 2 }, ompss.Out(&x))
+	h := s.Go(func(*ompss.TC) error { x = 2; return nil }, ompss.Out(&x))
 	if err := h.Err(); !errors.Is(err, ompss.ErrSessionClosed) {
 		t.Fatalf("post-close Task err = %v, want ErrSessionClosed", err)
 	}
@@ -181,14 +181,14 @@ func TestSessionAdmissionReject(t *testing.T) {
 	ran := make(chan struct{})
 	s.Task(func(*ompss.TC) { close(ran); <-release })
 	<-ran
-	rejected := s.Task(func(*ompss.TC) {})
+	rejected := s.Go(func(*ompss.TC) error { return nil })
 	if err := rejected.Err(); !errors.Is(err, ompss.ErrAdmission) {
 		t.Fatalf("over-budget spawn err = %v, want ErrAdmission", err)
 	}
 	close(release)
 	s.Taskwait()
 	// Budget freed: the next spawn is admitted.
-	ok := s.Task(func(*ompss.TC) {})
+	ok := s.Go(func(*ompss.TC) error { return nil })
 	s.Taskwait()
 	if err := ok.Err(); err != nil {
 		t.Fatalf("post-drain spawn err = %v, want nil", err)
@@ -214,7 +214,7 @@ func TestGlobalAdmission(t *testing.T) {
 	ran := make(chan struct{})
 	a.Task(func(*ompss.TC) { close(ran); <-release })
 	<-ran
-	h := b.Task(func(*ompss.TC) {})
+	h := b.Go(func(*ompss.TC) error { return nil })
 	if err := h.Err(); !errors.Is(err, ompss.ErrAdmission) {
 		t.Fatalf("cross-session over-budget spawn err = %v, want ErrAdmission", err)
 	}
@@ -243,20 +243,21 @@ func TestTenantPriority(t *testing.T) {
 
 	var order []string
 	var mu sync.Mutex
-	note := func(s string) func(*ompss.TC) {
-		return func(*ompss.TC) {
+	note := func(s string) func(*ompss.TC) error {
+		return func(*ompss.TC) error {
 			mu.Lock()
 			order = append(order, s)
 			mu.Unlock()
+			return nil
 		}
 	}
 	gate := make(chan struct{})
 	started := make(chan struct{})
-	busy := bronze.Task(func(*ompss.TC) { close(started); <-gate })
+	busy := bronze.Go(func(*ompss.TC) error { close(started); <-gate; return nil })
 	<-started
 	// Both queue behind the busy worker; priority decides the pop order.
-	lo := bronze.Task(note("bronze"))
-	hi := gold.Task(note("gold"))
+	lo := bronze.Go(note("bronze"))
+	hi := gold.Go(note("gold"))
 	close(gate)
 	// Wait on handles without helping (helping would let this thread pop in
 	// arbitrary order and confound the worker's priority dispatch).
@@ -290,10 +291,10 @@ func TestCrossSessionErrorIsolation(t *testing.T) {
 		return fmt.Errorf("session A failure")
 	}, ompss.InOut(&shared))
 	// A's own dependent must skip (same domain)...
-	aDep := a.Task(func(*ompss.TC) {}, ompss.InOut(&shared))
+	aDep := a.Go(func(*ompss.TC) error { return nil }, ompss.InOut(&shared))
 	// ...but B's dependent, wired to the same failing writer, must run.
 	bRan := false
-	bDep := b.Task(func(*ompss.TC) { bRan = true }, ompss.InOut(&shared))
+	bDep := b.Go(func(*ompss.TC) error { bRan = true; return nil }, ompss.InOut(&shared))
 	close(release)
 	b.Taskwait()
 
@@ -417,7 +418,7 @@ func TestSessionOnErrorOverride(t *testing.T) {
 	skip := rt.NewSession() // inherits SkipDependents
 	ran = false
 	skip.Go(func(*ompss.TC) error { return fmt.Errorf("boom") }, ompss.InOut(&x))
-	h := skip.Task(func(*ompss.TC) { ran = true }, ompss.InOut(&x))
+	h := skip.Go(func(*ompss.TC) error { ran = true; return nil }, ompss.InOut(&x))
 	skip.Taskwait()
 	if ran || !errors.Is(h.Err(), ompss.ErrSkipped) {
 		t.Fatalf("inherited SkipDependents did not skip (ran=%v err=%v)", ran, h.Err())
@@ -537,7 +538,7 @@ func TestSessionsSim(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			a.Task(func(*ompss.TC) { av++ }, ompss.InOut(&av))
 			b.Task(func(*ompss.TC) { bv++ }, ompss.InOut(&bv))
-			ph = append(ph, p.Task(func(*ompss.TC) { pv++ }, ompss.InOut(&pv)))
+			ph = append(ph, p.Go(func(*ompss.TC) error { pv++; return nil }, ompss.InOut(&pv)))
 		}
 		a.Taskwait()
 		b.Taskwait()
@@ -624,9 +625,9 @@ func TestHandleOutlivesSession(t *testing.T) {
 	s := rt.NewSession()
 	var x int
 	d := s.Register(&x)
-	ok := s.Task(func(*ompss.TC) { x++ }, d.AsInOut())
+	ok := s.Go(func(*ompss.TC) error { x++; return nil }, d.AsInOut())
 	bad := s.Go(func(*ompss.TC) error { return boom }, d.AsInOut())
-	dep := s.Task(func(*ompss.TC) { x++ }, d.AsInOut())
+	dep := s.Go(func(*ompss.TC) error { x++; return nil }, d.AsInOut())
 	if err := s.TaskwaitCtx(context.Background()); !errors.Is(err, boom) {
 		t.Fatalf("TaskwaitCtx = %v, want the failing child's error", err)
 	}

@@ -173,13 +173,16 @@ func autoProgram(rt *Runtime, hold func(*TC), release func()) autoRun {
 	}
 	rt.Task(func(tc *TC) { hold(tc); *tc.Data(d).(*int64) += 100 }, InOut(d))
 	rt.Task(func(tc *TC) { seen.Add(*tc.Data(d).(*int64)) }, In(d))
-	r.chunks = len(rt.TaskLoop(len(r.hits), Auto, func(_ *TC, lo, hi int) {
+	var chunks atomic.Int32
+	rt.TaskLoop(len(r.hits), Auto, func(_ *TC, lo, hi int) {
+		chunks.Add(1)
 		for i := lo; i < hi; i++ {
 			atomic.AddInt32(&r.hits[i], 1)
 		}
-	}))
+	})
 	release()
 	rt.Taskwait()
+	r.chunks = int(chunks.Load())
 	r.cell += seen.Load() // the readers saw 0, 0, 0 and then 100
 	r.graph = rt.Stats().Graph
 	return r
