@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test equiv census flake race bench bench-submit alloc-budget pairs examples lint lint-lifecycle lint-core trace dist-trace serve serve-smoke dist-race fuzz-frames soak ci
+.PHONY: all build test equiv census flake race bench bench-submit alloc-budget pairs examples lint lint-lifecycle lint-core lint-dist trace dist-trace serve serve-smoke dist-race fuzz-frames soak ci
 
 all: build test
 
@@ -32,9 +32,10 @@ equiv:
 
 # API census (the CI verify job runs it as its own step): every exported
 # name of ompss, internal/core, internal/vm, internal/obs, internal/obs/metrics,
-# internal/dist and pthread must have a non-test caller in the module or
-# benchmark/, or a reasoned entry on its package's capped allowlist. -v
-# prints each package's table, the ones DESIGN.md publishes.
+# internal/dist, internal/serve, internal/suite/distkern and pthread must
+# have a non-test caller in the module or benchmark/, or a reasoned entry on
+# its package's capped allowlist. -v prints each package's table, the ones
+# DESIGN.md publishes.
 census:
 	$(GO) test ./ompss -run '^TestAPICensus$$' -count=1 -v
 
@@ -154,7 +155,7 @@ examples:
 # local and CI checks stay in lockstep. staticcheck and govulncheck are
 # installed on demand by CI; locally they are skipped with a hint when not
 # on PATH.
-lint: lint-lifecycle lint-core
+lint: lint-lifecycle lint-core lint-dist
 	$(GO) vet ./...
 	@! grep -rl --include='*.go' '"encoding/gob"' . || { echo "encoding/gob is imported above; the dist wire codec is hand-written (internal/dist/proto.go)" >&2; exit 1; }
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -191,5 +192,17 @@ lint-core:
 	@! grep -l --include='*.go' --exclude='*_test.go' -r '"reflect"' internal/core || { echo "lint: internal/core imports reflect; datums are homed by registration ordinal, not by hashing keys" >&2; exit 1; }
 	@n=$$(grep -rhE --include='*.go' --exclude='*_test.go' '^[[:space:]]*(var[[:space:]]+)?[[:alnum:]_]+[[:space:]]+map\[(any|interface\{\})\]' internal/core | wc -l); \
 	if [ $$n -gt 1 ]; then echo "lint: $$n map[any] declarations in non-test internal/core (want 1: the graph's intern table)" >&2; exit 1; fi
+
+# One listening socket per distributed run: the coordinator's rendezvous
+# (listenRendezvous in internal/dist/transport.go). Workers only dial out —
+# the coordinator holds every datum version and ships each read a worker
+# lacks inline in its task frame, so no worker serves another. Non-test
+# internal/dist may call net.Listen* nowhere else. The CI verify job runs
+# this target.
+lint-dist:
+	@bad=$$(awk '/^func /{fn=$$0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/\(.*/, "", fn)} \
+		/net\.Listen[[:alnum:]]*\(/{print FILENAME ":" FNR ": " fn}' \
+		$$(ls internal/dist/*.go | grep -v '_test\.go$$') | grep -v '^internal/dist/transport\.go:[0-9]*: listenRendezvous$$'); \
+	if [ -n "$$bad" ]; then echo "lint: net.Listen outside listenRendezvous in non-test internal/dist (workers only dial out):" >&2; echo "$$bad" >&2; exit 1; fi
 
 ci: build lint test equiv census flake race bench bench-submit alloc-budget serve-smoke dist-race dist-trace soak examples

@@ -1,9 +1,6 @@
 package dist
 
-import (
-	"sort"
-	"sync"
-)
+import "sort"
 
 // centry is one mirrored cache entry: the coordinator's record that a
 // worker holds the bytes of one (datum, version) pair.
@@ -128,48 +125,33 @@ func (m *mirror) insert(k CacheKey, size int64) {
 
 // wcache is the worker-side real cache: a dumb map that applies the
 // coordinator's orders. No sizes, no policy — policy lives in the mirror.
-// The mutex exists for the peer-fetch server: other workers' fetch
-// connections read entries concurrently with the task loop's inserts and
-// evictions. Payload slices are immutable once cached (kernels receive
-// them read-only), so handing them out under a read lock is safe.
+// Only the worker's task loop touches it, so it takes no lock.
 //
-// A shipped or fetched entry is a view into the frame it arrived in
-// (ReadFrame), so it keeps that frame's one buffer alive: its own bytes,
-// a few dozen bytes of header, and the other payloads shipped in the same
-// frame — the rest of one task's copy-in set, since only the first link of
-// a chain ships anything. The mirror charges each key its own size, so a
-// worker's real footprint can exceed the mirror's total by the evicted
-// frame-mates of entries still resident, at most one task's copy-in set
-// per resident shipped entry; frame-mates enter the LRU on consecutive
-// ticks and so normally leave together. Task outputs are the worker's own
-// buffers and pin nothing.
+// A shipped entry is a view into the frame it arrived in (ReadFrame), so
+// it keeps that frame's one buffer alive: its own bytes, a few dozen bytes
+// of header, and the other payloads shipped in the same frame — the rest
+// of one task's copy-in set, since only the first link of a chain ships
+// anything. The mirror charges each key its own size, so a worker's real
+// footprint can exceed the mirror's total by the evicted frame-mates of
+// entries still resident, at most one task's copy-in set per resident
+// shipped entry; frame-mates enter the LRU on consecutive ticks and so
+// normally leave together. Task outputs are the worker's own buffers and
+// pin nothing.
 type wcache struct {
-	mu      sync.RWMutex
 	entries map[CacheKey][]byte
 }
 
 func newWCache() *wcache { return &wcache{entries: make(map[CacheKey][]byte)} }
 
 func (c *wcache) get(k CacheKey) ([]byte, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	b, ok := c.entries[k]
 	return b, ok
 }
 
-func (c *wcache) put(k CacheKey, b []byte) {
-	c.mu.Lock()
-	c.entries[k] = b
-	c.mu.Unlock()
-}
+func (c *wcache) put(k CacheKey, b []byte) { c.entries[k] = b }
 
 func (c *wcache) applyEvict(keys []CacheKey) {
-	if len(keys) == 0 {
-		return
-	}
-	c.mu.Lock()
 	for _, k := range keys {
 		delete(c.entries, k)
 	}
-	c.mu.Unlock()
 }

@@ -37,7 +37,6 @@ type config struct {
 	exitKill   time.Duration
 	respawn    bool
 	chainLimit int
-	noForward  bool
 	slowExit   time.Duration // test hook: worker sleeps this long before exiting
 	traceCap   int           // per-worker trace ring capacity; >0 turns on worker-side tracing
 	traceSink  func(*obs.Trace)
@@ -82,10 +81,6 @@ func respawnLostWorkers() Option { return func(c *config) { c.respawn = true } }
 // worker-side chain (default DefaultChainLimit). Values below 2 disable
 // chaining.
 func chainLimit(n int) Option { return func(c *config) { c.chainLimit = n } }
-
-// noForwarding disables direct worker-to-worker datum forwarding: every
-// transfer relays through the coordinator, as in the original design.
-func noForwarding() Option { return func(c *config) { c.noForward = true } }
 
 // TraceWorkers turns on worker-side tracing: every spawned worker process
 // records its own kernel-execution stream into a ring of `capacity`
@@ -147,12 +142,10 @@ type Stats struct {
 	ChainedTasks int // tasks that rode a chain as a non-first link
 	ChainDepth   int // deepest chain, in tasks
 
-	// Forwards counts worker-to-worker forwarding directives issued in
-	// place of coordinator-relayed bytes; BytesForwarded is what peers
-	// actually copied directly, and ForwardFallbacks counts directives
-	// that fell back to a coordinator relay (those bytes land in
-	// BytesToWorkers, where they in fact travelled).
-	Forwards         int
+	// BytesForwarded and ForwardFallbacks are always 0: every read a
+	// worker lacks travels inline from the coordinator and is counted in
+	// BytesToWorkers. They stay only while benchmark/dist.go still reads
+	// them, and go with those reads.
 	BytesForwarded   int64
 	ForwardFallbacks int
 
@@ -210,14 +203,11 @@ type outBinding struct {
 	payload []byte
 }
 
-// inflight is one task dispatched to a worker and not yet completed. fwd
-// holds the payloads of this task's forwarded reads, so the relay
-// fallback can serve them if the peer fetch fails.
+// inflight is one task dispatched to a worker and not yet completed.
 type inflight struct {
 	t    *core.Task
 	info *taskInfo
 	outs []outBinding
-	fwd  map[CacheKey][]byte
 }
 
 // workerState is the coordinator's view of one worker process. queue is
@@ -226,17 +216,16 @@ type inflight struct {
 // every (re)admission, so a stale reader of a previous connection cannot
 // kill a rejoined worker.
 type workerState struct {
-	slot      int
-	cmd       *exec.Cmd
-	conn      *conn
-	gen       int
-	mir       *mirror
-	queue     []*inflight
-	dead      bool
-	fetchAddr string
-	sent      int // dispatch frames sent, for killWorkerAfter
-	wstats    WorkerStats
-	tb        *traceBucket // current incarnation's shipped-trace bucket (nil unless tracing)
+	slot   int
+	cmd    *exec.Cmd
+	conn   *conn
+	gen    int
+	mir    *mirror
+	queue  []*inflight
+	dead   bool
+	sent   int // dispatch frames sent, for killWorkerAfter
+	wstats WorkerStats
+	tb     *traceBucket // current incarnation's shipped-trace bucket (nil unless tracing)
 }
 
 // taskInfo carries the dist-level description of a submitted task (the
@@ -639,27 +628,16 @@ func (rt *RT) buildTaskLocked(w *workerState, t *core.Task, info *taskInfo,
 				rt.rec.Emit(w.slot, obs.EvXferHit, t.ID, uint64(wr.Size))
 			}
 		default:
-			if p := rt.forwardSourceLocked(r.key, w); p != nil {
-				// Forwarding directive: the peer holds it, so point the
-				// worker there instead of relaying the bytes. Keep the
-				// payload at hand for the relay fallback.
-				wr.From = p.fetchAddr
-				p.mir.touch(r.key)
-				if inf.fwd == nil {
-					inf.fwd = make(map[CacheKey][]byte)
-				}
-				inf.fwd[r.key] = r.data
-				w.mir.insert(r.key, wr.Size)
-				rt.stats.Forwards++
-			} else {
-				wr.Bytes = r.data
-				w.mir.insert(r.key, wr.Size)
-				rt.stats.Transfers++
-				rt.stats.BytesToWorkers += wr.Size
-				w.wstats.BytesIn += wr.Size
-				if rt.rec != nil {
-					rt.rec.Emit(w.slot, obs.EvXfer, t.ID, uint64(wr.Size))
-				}
+			// Ship it inline. The coordinator holds every version's bytes
+			// (handleDone imports each output before Finish), so a copy
+			// resident on another worker would save no hop.
+			wr.Bytes = r.data
+			w.mir.insert(r.key, wr.Size)
+			rt.stats.Transfers++
+			rt.stats.BytesToWorkers += wr.Size
+			w.wstats.BytesIn += wr.Size
+			if rt.rec != nil {
+				rt.rec.Emit(w.slot, obs.EvXfer, t.ID, uint64(wr.Size))
 			}
 		}
 		msg.Reads = append(msg.Reads, wr)
@@ -672,21 +650,6 @@ func (rt *RT) buildTaskLocked(w *workerState, t *core.Task, info *taskInfo,
 		rt.rec.Emit(w.slot, obs.EvStart, t.ID, 0)
 	}
 	return msg, inf
-}
-
-// forwardSourceLocked picks the worker to forward a read from: live,
-// rejoined-or-original with a fetch address, holding the key, and not the
-// destination itself. Lowest slot wins for determinism.
-func (rt *RT) forwardSourceLocked(k CacheKey, not *workerState) *workerState {
-	if rt.cfg.noForward {
-		return nil
-	}
-	for _, p := range rt.workers {
-		if p != not && !p.dead && p.fetchAddr != "" && p.mir.has(k) {
-			return p
-		}
-	}
-	return nil
 }
 
 // transmit writes dispatched frames outside the coordinator lock; a send
@@ -738,47 +701,12 @@ func (rt *RT) reader(w *workerState, gen int) {
 		switch {
 		case f.Done != nil:
 			rt.handleDone(w, gen, f.Done)
-		case f.Fetch != nil:
-			rt.handleFetch(w, gen, c, f.Fetch)
 		case f.Trace != nil:
 			rt.handleTrace(w, gen, f.Trace)
 		default:
 			rt.workerLost(w, gen, fmt.Errorf("unexpected frame from worker"))
 			return
 		}
-	}
-}
-
-// handleFetch serves a worker's relay-fallback request from the payloads
-// stashed with its in-flight tasks. The worker only asks mid-task, and
-// the coordinator never dispatches to a busy worker, so the Data answer
-// is the next frame the worker reads.
-func (rt *RT) handleFetch(w *workerState, gen int, c *conn, m *FetchMsg) {
-	k := CacheKey{Datum: m.Datum, Ver: m.Ver}
-	var b []byte
-	rt.mu.Lock()
-	if w.gen == gen {
-		var task uint64
-		for _, inf := range w.queue {
-			if bb, ok := inf.fwd[k]; ok {
-				b = bb
-				task = inf.t.ID
-				break
-			}
-		}
-		if b != nil {
-			// The forward fell back to a relay: these bytes did go through
-			// the coordinator after all.
-			rt.stats.BytesToWorkers += int64(len(b))
-			w.wstats.BytesIn += int64(len(b))
-			if rt.rec != nil {
-				rt.rec.Emit(w.slot, obs.EvXfer, task, uint64(len(b)))
-			}
-		}
-	}
-	rt.mu.Unlock()
-	if err := c.send(&Frame{Data: &DataMsg{Datum: m.Datum, Ver: m.Ver, Found: b != nil, Bytes: b}}); err != nil {
-		rt.workerLost(w, gen, err)
 	}
 }
 
@@ -825,8 +753,6 @@ func (rt *RT) handleDone(w *workerState, gen int, d *DoneMsg) {
 				rt.rec.Emit(w.slot, obs.EvXfer, inf.t.ID, uint64(n))
 			}
 		}
-		rt.stats.BytesForwarded += d.FetchedBytes
-		rt.stats.ForwardFallbacks += d.FetchFallbacks
 	}
 	if rt.rec != nil {
 		rt.rec.Emit(w.slot, obs.EvEnd, inf.t.ID, 0)
@@ -870,7 +796,6 @@ func (rt *RT) workerLost(w *workerState, gen int, cause error) {
 	rt.stats.WorkersLost++
 	w.conn.Close()
 	w.mir = newMirror(rt.cfg.cacheBytes) // its cache died with it
-	w.fetchAddr = ""
 	queue := w.queue
 	w.queue = nil
 	for _, inf := range queue {
@@ -934,7 +859,6 @@ func (rt *RT) rejoin(a admitted) {
 	w.gen++
 	w.dead = false
 	w.mir = newMirror(rt.cfg.cacheBytes)
-	w.fetchAddr = a.hello.FetchAddr
 	w.queue = nil
 	rt.stats.Rejoins++
 	rt.openBucketLocked(w, a)
@@ -1046,7 +970,7 @@ func Run(workers int, program func(*RT) error, opts ...Option) (Stats, error) {
 	rt.mu.Unlock()
 	for i := 0; i < workers; i++ {
 		w := &workerState{slot: i, cmd: cmds[i], conn: adm[i].conn,
-			gen: 1, mir: newMirror(cfg.cacheBytes), fetchAddr: adm[i].hello.FetchAddr}
+			gen: 1, mir: newMirror(cfg.cacheBytes)}
 		rt.openBucketLocked(w, adm[i])
 		rt.workers = append(rt.workers, w)
 	}

@@ -144,12 +144,13 @@ func TestDistWorkerLostMidChain(t *testing.T) {
 	}
 }
 
-// --- direct worker-to-worker forwarding ---
+// --- reads the destination worker lacks ---
 
-// TestDistForwarding: with the producing worker busy, a reader placed on
-// the other worker must receive a forwarding directive and copy the bytes
-// peer-to-peer instead of having the coordinator relay them.
-func TestDistForwarding(t *testing.T) {
+// TestDistPeerHeldReadIsRelayed: a version resident only on the other
+// worker reaches a reader through the coordinator, which holds every
+// version's bytes: the read ships inline, BytesToWorkers counts it, and
+// the result is right.
+func TestDistPeerHeldReadIsRelayed(t *testing.T) {
 	const n = 1 << 12
 	gate := newGate(t)
 	var x, y []byte
@@ -163,9 +164,9 @@ func TestDistForwarding(t *testing.T) {
 		}
 		// Worker 0 (affinity) is held inside the first reader until the
 		// second has been placed — Task places a ready task before it
-		// returns — so the second cannot land on worker 0 too.
+		// returns — so the second lands on worker 1, whose cache lacks a.
 		rt.Task("test.gated-add", gate, In(a), In(a), Out(dx))
-		rt.Task("test.add", nil, In(a), In(a), Out(dy)) // worker 1: a arrives by forward
+		rt.Task("test.add", nil, In(a), In(a), Out(dy))
 		if err := openGate(gate); err != nil {
 			return err
 		}
@@ -183,79 +184,11 @@ func TestDistForwarding(t *testing.T) {
 			t.Fatalf("results wrong at %d: x=%d y=%d, want 10", i, x[i], y[i])
 		}
 	}
-	if stats.Forwards < 1 {
-		t.Fatalf("no forwarding directive issued: %+v", stats)
-	}
-	if stats.BytesForwarded < n && stats.ForwardFallbacks == 0 {
-		t.Fatalf("forwarded read neither fetched from peer nor fell back: %+v", stats)
-	}
-	// The forwarded read must not count as coordinator-shipped unless it
-	// actually fell back to the relay. (Nothing else ships here: fill's
-	// output is produced worker-side and a stays resident on worker 0.)
-	if stats.ForwardFallbacks == 0 && stats.BytesToWorkers != 0 {
-		t.Fatalf("BytesToWorkers = %d, want 0 — the forward must bypass the coordinator", stats.BytesToWorkers)
-	}
-}
-
-// TestDistNoForwardingOption: noForwarding must restore relay-everything.
-func TestDistNoForwardingOption(t *testing.T) {
-	const n = 1 << 10
-	stats, err := Run(2, func(rt *RT) error {
-		a := rt.Register(make([]byte, n))
-		dx := rt.Register(make([]byte, n))
-		dy := rt.Register(make([]byte, n))
-		rt.Task("test.fill", []byte{5}, Out(a))
-		if err := rt.Taskwait(); err != nil {
-			return err
-		}
-		rt.Task("test.add", nil, In(a), In(a), Out(dx))
-		rt.Task("test.add", nil, In(a), In(a), Out(dy))
-		return rt.Taskwait()
-	}, noForwarding())
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if stats.Forwards != 0 || stats.BytesForwarded != 0 {
-		t.Fatalf("noForwarding still forwarded: %+v", stats)
-	}
-}
-
-// TestDistForwardRelayFallback exercises the worker's fallback path in
-// isolation: a forwarding directive naming an unreachable peer must turn
-// into a Fetch round-trip with the coordinator and still succeed.
-func TestDistForwardRelayFallback(t *testing.T) {
-	us, them := net.Pipe()
-	defer us.Close()
-	defer them.Close()
-	w := &wproc{slot: 0, cache: newWCache(), peers: make(map[string]net.Conn), c: us}
-
-	payload := []byte{1, 2, 3, 4}
-	go func() {
-		f, err := ReadFrame(them)
-		if err != nil || f.Fetch == nil {
-			return
-		}
-		WriteFrame(them, &Frame{Data: &DataMsg{
-			Datum: f.Fetch.Datum, Ver: f.Fetch.Ver, Found: true, Bytes: payload,
-		}})
-	}()
-
-	done := w.execTask(&TaskMsg{
-		ID: 1, Kernel: "test.inc", NIn: 0,
-		Reads:  []WireRef{{Datum: 7, Ver: 1, Size: 4, From: "unix:/nonexistent/peer.sock"}},
-		Writes: []WireOut{{Datum: 7, Ver: 2, Size: 4, SeedFrom: 0}},
-	})
-	if done.Err != "" {
-		t.Fatalf("task failed: %s", done.Err)
-	}
-	if done.FetchFallbacks != 1 {
-		t.Fatalf("FetchFallbacks = %d, want 1", done.FetchFallbacks)
-	}
-	want := []byte{2, 3, 4, 5}
-	for i, b := range done.Outputs[0] {
-		if b != want[i] {
-			t.Fatalf("output[%d] = %d, want %d", i, b, want[i])
-		}
+	// a ships once, to worker 1 (its second In resolves as a cache hit);
+	// nothing else ships: fill's output is produced on worker 0.
+	if stats.BytesToWorkers != n || stats.PerWorker[1].BytesIn != n || stats.PerWorker[0].BytesIn != 0 {
+		t.Fatalf("BytesToWorkers = %d (per worker %d, %d), want %d, all to worker 1",
+			stats.BytesToWorkers, stats.PerWorker[0].BytesIn, stats.PerWorker[1].BytesIn, n)
 	}
 }
 
@@ -321,7 +254,7 @@ func TestDistHandshakeRefusesBadSecret(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	if err := answerChallenge(bad, []byte("wrong-secret"), 0, "", nil, time.Second); err != nil {
+	if err := answerChallenge(bad, []byte("wrong-secret"), 0, nil, time.Second); err != nil {
 		t.Fatalf("sending the (bad) hello should succeed locally: %v", err)
 	}
 	bad.SetReadDeadline(time.Now().Add(2 * time.Second))
@@ -341,12 +274,12 @@ func TestDistHandshakeRefusesBadSecret(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer good.Close()
-	if err := answerChallenge(good, secret, 3, "tcp:127.0.0.1:9", nil, time.Second); err != nil {
+	if err := answerChallenge(good, secret, 3, nil, time.Second); err != nil {
 		t.Fatalf("handshake: %v", err)
 	}
 	select {
 	case a := <-admit:
-		if a.hello.Worker != 3 || a.hello.FetchAddr != "tcp:127.0.0.1:9" {
+		if a.hello.Worker != 3 {
 			t.Fatalf("admitted hello = %+v", a.hello)
 		}
 		a.conn.Close()
@@ -499,7 +432,7 @@ func TestDistExitKillDeadline(t *testing.T) {
 // TestDistWorkerRejectsSeedOutOfRange: a frame whose write seeds from a
 // read index that does not exist must fail the task, not the worker.
 func TestDistWorkerRejectsSeedOutOfRange(t *testing.T) {
-	w := &wproc{slot: 0, cache: newWCache(), peers: make(map[string]net.Conn)}
+	w := &wproc{slot: 0, cache: newWCache()}
 	done := w.execTask(&TaskMsg{
 		ID: 1, Kernel: "test.inc",
 		Writes: []WireOut{{Datum: 1, Ver: 1, Size: 8, SeedFrom: 3}},
@@ -513,7 +446,7 @@ func TestDistWorkerRejectsSeedOutOfRange(t *testing.T) {
 // declared output size used to silently leave a zero tail in the seeded
 // buffer; it must now fail the task with a descriptive error.
 func TestDistWorkerRejectsSeedSizeMismatch(t *testing.T) {
-	w := &wproc{slot: 0, cache: newWCache(), peers: make(map[string]net.Conn)}
+	w := &wproc{slot: 0, cache: newWCache()}
 	done := w.execTask(&TaskMsg{
 		ID: 2, Kernel: "test.inc",
 		Reads:  []WireRef{{Datum: 1, Ver: 1, Size: 4, Bytes: []byte{1, 2, 3, 4}}},
@@ -527,7 +460,7 @@ func TestDistWorkerRejectsSeedSizeMismatch(t *testing.T) {
 // TestDistWorkerRejectsShortRead: shipped bytes disagreeing with the
 // declared size are a protocol violation, rejected before caching.
 func TestDistWorkerRejectsShortRead(t *testing.T) {
-	w := &wproc{slot: 0, cache: newWCache(), peers: make(map[string]net.Conn)}
+	w := &wproc{slot: 0, cache: newWCache()}
 	done := w.execTask(&TaskMsg{
 		ID: 3, Kernel: "test.inc", NIn: 1,
 		Reads:  []WireRef{{Datum: 1, Ver: 1, Size: 8, Bytes: []byte{1, 2}}},

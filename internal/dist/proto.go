@@ -42,17 +42,14 @@ import (
 // before any decoding work happens.
 const MaxFrame = 256 << 20
 
-// Hello is the worker's first frame on any connection: which worker slot
-// it claims, authenticated by MAC — the HMAC-SHA256 of the server's
-// Challenge nonce and the slot under the run's shared secret. A listener
-// refuses a Hello whose MAC does not verify. FetchAddr is the worker's
-// own peer-fetch listener ("net:addr"), where other workers may dial in
-// to copy cached datum versions directly (see WireRef.From).
+// Hello is the worker's first frame on its coordinator connection: which
+// worker slot it claims, authenticated by MAC — the HMAC-SHA256 of the
+// coordinator's Challenge nonce and the slot under the run's shared
+// secret. The coordinator refuses a Hello whose MAC does not verify.
 type Hello struct {
-	Worker    int
-	PID       int
-	MAC       []byte
-	FetchAddr string
+	Worker int
+	PID    int
+	MAC    []byte
 	// Now is the worker's monotonic clock reading (nanoseconds since its
 	// own trace epoch) sampled while composing this Hello. The server side
 	// timestamps the challenge round-trip around it, which yields an
@@ -61,33 +58,26 @@ type Hello struct {
 	Now int64
 }
 
-// Challenge is the server's first frame on any inbound connection: a
-// fresh random nonce the dialing side must MAC in its Hello. Both the
-// coordinator's listener and every worker's peer-fetch listener speak it,
-// so no unauthenticated peer can submit work, claim a slot, or read
-// cached payloads.
+// Challenge is the coordinator's first frame on every inbound connection:
+// a fresh random nonce the dialing worker must MAC in its Hello, so no
+// unauthenticated peer can claim a slot or receive work.
 type Challenge struct {
 	Nonce []byte
 }
 
-// WireRef names one datum version a task observes, in one of three modes
-// the wire carries explicitly (see the ref* constants): cached — Bytes nil
-// and From empty, the worker already holds the (Datum, Ver) pair in its
-// version cache (the coordinator mirrors every worker's cache
-// deterministically, so it knows); shipped — Bytes non-nil, the content
-// rides in this frame (a zero-length datum ships an empty, non-nil Bytes
-// and decodes as one); forward — From non-empty, the pair is resident on
-// the peer worker whose fetch address From names, and the worker should
-// copy it from there directly instead of having the coordinator relay the
-// payload. If the peer is gone or has since dropped the pair, the worker
-// falls back to a Fetch round-trip with the coordinator, which always
-// holds the content.
+// WireRef names one datum version a task observes, in one of two modes
+// the wire carries explicitly (see the ref* constants): cached — Bytes
+// nil, the worker already holds the (Datum, Ver) pair in its version cache
+// (the coordinator mirrors every worker's cache deterministically, so it
+// knows); shipped — Bytes non-nil, the content rides in this frame (a
+// zero-length datum ships an empty, non-nil Bytes and decodes as one). The
+// coordinator holds the bytes of every version, so whatever the worker's
+// cache lacks it ships itself.
 type WireRef struct {
 	Datum uint64
 	Ver   uint64
 	Size  int64
 	Bytes []byte
-	From  string
 }
 
 // WireOut names one datum version a task produces. The worker allocates
@@ -136,40 +126,15 @@ type ChainMsg struct {
 	Tasks []*TaskMsg
 }
 
-// FetchMsg asks the receiving side for the bytes of one cached datum
-// version. Worker→coordinator it is the relay fallback of a forwarding
-// directive whose peer went away; worker→worker (on a peer-fetch
-// connection) it is the forward itself.
-type FetchMsg struct {
-	Datum uint64
-	Ver   uint64
-}
-
-// DataMsg answers a FetchMsg. Found is false when the responder no longer
-// holds the pair (a peer that evicted it between the coordinator's plan
-// and the fetch); the coordinator's relay always finds it.
-type DataMsg struct {
-	Datum uint64
-	Ver   uint64
-	Found bool
-	Bytes []byte
-}
-
 // DoneMsg reports one task's completion. Outputs carries the produced
 // bytes, one per TaskMsg.Writes entry, empty when Err is set (a failed
 // writer's output is undefined and never leaves the worker — the wire
-// form of the poisoned-writer rule). FetchedBytes and Fetches account the
-// payload bytes this task's reads pulled directly from peer workers;
-// FetchFallbacks counts forwarding directives that fell back to a
-// coordinator relay.
+// form of the poisoned-writer rule).
 type DoneMsg struct {
-	ID             uint64
-	Err            string
-	Panic          bool
-	Outputs        [][]byte
-	Fetches        int
-	FetchedBytes   int64
-	FetchFallbacks int
+	ID      uint64
+	Err     string
+	Panic   bool
+	Outputs [][]byte
 	// Events piggybacks the worker-side trace batch recorded since the
 	// previous Done (empty when the worker is not tracing). Timestamps are
 	// on the worker's own clock; the coordinator realigns them with the
@@ -196,8 +161,6 @@ type Frame struct {
 	Challenge *Challenge
 	Task      *TaskMsg
 	Chain     *ChainMsg
-	Fetch     *FetchMsg
-	Data      *DataMsg
 	Done      *DoneMsg
 	Trace     *TraceMsg
 	Shutdown  bool
@@ -210,26 +173,26 @@ type Frame struct {
 // 0/1 byte, byte strings and strings as a uvarint length and the bytes, a
 // slice as a uvarint count and its elements. Nothing is self-describing
 // and nothing is optional, so both sides are straight-line code over the
-// nine message kinds.
+// seven message kinds. Tags 5 and 6 are retired: decoders refuse them,
+// and no new kind may take them.
 const (
 	tagHello byte = iota + 1
 	tagChallenge
 	tagTask
 	tagChain
-	tagFetch
-	tagData
+	_ // 5, retired
+	_ // 6, retired
 	tagDone
 	tagTrace
 	tagShutdown
 )
 
 // A WireRef's mode byte follows its Datum, Ver and Size: refShipped is
-// followed by the content, refForward by the peer's fetch address,
-// refCached by nothing.
+// followed by the content, refCached by nothing. Mode 2 is retired and
+// refused.
 const (
 	refCached byte = iota
 	refShipped
-	refForward
 )
 
 // inlineMax is the largest payload WriteFrame copies into its header
@@ -331,14 +294,10 @@ func (e *encoder) task(m *TaskMsg) {
 		e.uvarint(r.Datum)
 		e.uvarint(r.Ver)
 		e.varint(r.Size)
-		switch { // the order the worker resolves a ref in
-		case r.Bytes != nil:
+		if r.Bytes != nil {
 			e.byte(refShipped)
 			e.bytes(r.Bytes)
-		case r.From != "":
-			e.byte(refForward)
-			e.str(r.From)
-		default:
+		} else {
 			e.byte(refCached)
 		}
 	}
@@ -364,7 +323,6 @@ func (e *encoder) frame(f *Frame) error {
 		e.varint(int64(m.Worker))
 		e.varint(int64(m.PID))
 		e.bytes(m.MAC)
-		e.str(m.FetchAddr)
 		e.varint(m.Now)
 	case f.Challenge != nil:
 		e.byte(tagChallenge)
@@ -381,17 +339,6 @@ func (e *encoder) frame(f *Frame) error {
 			}
 			e.task(m)
 		}
-	case f.Fetch != nil:
-		e.byte(tagFetch)
-		e.uvarint(f.Fetch.Datum)
-		e.uvarint(f.Fetch.Ver)
-	case f.Data != nil:
-		m := f.Data
-		e.byte(tagData)
-		e.uvarint(m.Datum)
-		e.uvarint(m.Ver)
-		e.bool(m.Found)
-		e.bytes(m.Bytes)
 	case f.Done != nil:
 		m := f.Done
 		e.byte(tagDone)
@@ -402,9 +349,6 @@ func (e *encoder) frame(f *Frame) error {
 		for _, o := range m.Outputs {
 			e.bytes(o)
 		}
-		e.varint(int64(m.Fetches))
-		e.varint(m.FetchedBytes)
-		e.varint(int64(m.FetchFallbacks))
 		e.events(m.Events)
 		e.uvarint(m.EventsDropped)
 	case f.Trace != nil:
@@ -595,8 +539,6 @@ func (d *decoder) task() *TaskMsg {
 			case refCached:
 			case refShipped:
 				r.Bytes = d.view()
-			case refForward:
-				r.From = d.str()
 			default:
 				d.fail(errMode)
 			}
@@ -627,7 +569,7 @@ func decodeFrame(b []byte) (*Frame, error) {
 	f := &Frame{}
 	switch d.byte() {
 	case tagHello:
-		f.Hello = &Hello{Worker: d.int(), PID: d.int(), MAC: d.bytes(), FetchAddr: d.str(), Now: d.varint()}
+		f.Hello = &Hello{Worker: d.int(), PID: d.int(), MAC: d.bytes(), Now: d.varint()}
 	case tagChallenge:
 		f.Challenge = &Challenge{Nonce: d.bytes()}
 	case tagTask:
@@ -643,10 +585,6 @@ func decodeFrame(b []byte) (*Frame, error) {
 			}
 		}
 		f.Chain = m
-	case tagFetch:
-		f.Fetch = &FetchMsg{Datum: d.uvarint(), Ver: d.uvarint()}
-	case tagData:
-		f.Data = &DataMsg{Datum: d.uvarint(), Ver: d.uvarint(), Found: d.bool(), Bytes: d.bytes()}
 	case tagDone:
 		m := &DoneMsg{ID: d.uvarint(), Err: d.str(), Panic: d.bool()}
 		if n := d.count(minBytes); n > 0 {
@@ -655,9 +593,6 @@ func decodeFrame(b []byte) (*Frame, error) {
 				m.Outputs[i] = d.bytes()
 			}
 		}
-		m.Fetches = d.int()
-		m.FetchedBytes = d.varint()
-		m.FetchFallbacks = d.int()
 		m.Events = d.events()
 		m.EventsDropped = d.uvarint()
 		f.Done = m

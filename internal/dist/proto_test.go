@@ -20,7 +20,7 @@ var big = bytes.Repeat([]byte{0xab}, 3*inlineMax)
 
 // validFrames is one frame (at least) per tag with every field set to
 // something a lossy codec would get wrong: the extremes of each integer,
-// negative signed fields, all three ref modes, payloads on both sides of
+// negative signed fields, both ref modes, payloads on both sides of
 // inlineMax, labelled events. Slices are in decoded form (empty is nil,
 // except a shipped ref's Bytes), so a round trip must be DeepEqual.
 func validFrames() []*Frame {
@@ -29,7 +29,7 @@ func validFrames() []*Frame {
 		{Seq: math.MaxUint64, At: math.MaxInt64, Worker: math.MinInt32, Kind: obs.EvXferHit},
 	}
 	return []*Frame{
-		{Hello: &Hello{Worker: 3, PID: 4242, MAC: []byte{0xa, 0xb}, FetchAddr: "unix:/tmp/w3.sock", Now: -17}},
+		{Hello: &Hello{Worker: 3, PID: 4242, MAC: []byte{0xa, 0xb}, Now: -17}},
 		{Hello: &Hello{Worker: math.MinInt64, PID: math.MaxInt64, Now: math.MaxInt64}},
 		{Challenge: &Challenge{Nonce: []byte{1, 2, 3, 4}}},
 		{Task: &TaskMsg{
@@ -40,7 +40,6 @@ func validFrames() []*Frame {
 			Reads: []WireRef{
 				{Datum: 1, Ver: 2, Size: 3, Bytes: []byte{9, 8, 7}},
 				{Datum: 4, Ver: 1, Size: 2},
-				{Datum: 5, Ver: 9, Size: 64, From: "tcp:127.0.0.1:4000"},
 				{Datum: 6, Ver: 1, Size: 0, Bytes: []byte{}},
 				{Datum: math.MaxUint64, Ver: math.MaxUint64, Size: int64(len(big)), Bytes: big},
 			},
@@ -53,12 +52,8 @@ func validFrames() []*Frame {
 			{ID: 11, Kernel: "b", NIn: -1, Reads: []WireRef{{Datum: 2, Ver: 3, Size: 1}}},
 		}}},
 		{Chain: &ChainMsg{}},
-		{Fetch: &FetchMsg{Datum: 5, Ver: 6}},
-		{Data: &DataMsg{Datum: 5, Ver: 6, Found: true, Bytes: []byte{1}}},
-		{Data: &DataMsg{Datum: 5, Ver: 7}},
-		{Done: &DoneMsg{ID: 7, Outputs: [][]byte{{5, 5}, nil, big}, Fetches: 1, FetchedBytes: 2, FetchFallbacks: 1,
-			Events: evs, EventsDropped: 12}},
-		{Done: &DoneMsg{ID: 8, Err: "kernel exploded", Panic: true, Fetches: -1, FetchedBytes: math.MinInt64}},
+		{Done: &DoneMsg{ID: 7, Outputs: [][]byte{{5, 5}, nil, big}, Events: evs, EventsDropped: 12}},
+		{Done: &DoneMsg{ID: 8, Err: "kernel exploded", Panic: true}},
 		{Trace: &TraceMsg{Slot: 2, Events: evs, Dropped: 99}},
 		{Trace: &TraceMsg{Slot: -1}},
 		{Shutdown: true},
@@ -153,7 +148,7 @@ func TestFramePrefixesError(t *testing.T) {
 // TestFrameHugeClaims puts a count or a length of 2^60 at every place the
 // format has one. Each must be refused on the bytes that remain, before
 // anything is sized by it: the decode allocates the Frame, the message
-// struct and, in the two ref cases, the genuine one-element Reads slice in
+// struct and, in the ref case, the genuine one-element Reads slice in
 // front of the claim — nothing else.
 func TestFrameHugeClaims(t *testing.T) {
 	const huge = 1 << 60
@@ -165,12 +160,11 @@ func TestFrameHugeClaims(t *testing.T) {
 	taskHead := func(e *encoder) { e.uvarint(1); e.str("k"); e.bytes(nil); e.varint(0) }
 	doneHead := func(e *encoder) { e.uvarint(1); e.str(""); e.bool(false) }
 	cases := map[string][]byte{
-		"hello mac":  body(func(e *encoder) { e.byte(tagHello); e.varint(0); e.varint(0); e.uvarint(huge) }),
-		"hello addr": body(func(e *encoder) { e.byte(tagHello); e.varint(0); e.varint(0); e.bytes(nil); e.uvarint(huge) }),
-		"nonce":      body(func(e *encoder) { e.byte(tagChallenge); e.uvarint(huge) }),
-		"kernel":     body(func(e *encoder) { e.byte(tagTask); e.uvarint(1); e.uvarint(huge) }),
-		"args":       body(func(e *encoder) { e.byte(tagTask); e.uvarint(1); e.str("k"); e.uvarint(huge) }),
-		"reads":      body(func(e *encoder) { e.byte(tagTask); taskHead(e); e.uvarint(huge) }),
+		"hello mac": body(func(e *encoder) { e.byte(tagHello); e.varint(0); e.varint(0); e.uvarint(huge) }),
+		"nonce":     body(func(e *encoder) { e.byte(tagChallenge); e.uvarint(huge) }),
+		"kernel":    body(func(e *encoder) { e.byte(tagTask); e.uvarint(1); e.uvarint(huge) }),
+		"args":      body(func(e *encoder) { e.byte(tagTask); e.uvarint(1); e.str("k"); e.uvarint(huge) }),
+		"reads":     body(func(e *encoder) { e.byte(tagTask); taskHead(e); e.uvarint(huge) }),
 		"ref bytes": body(func(e *encoder) {
 			e.byte(tagTask)
 			taskHead(e)
@@ -181,31 +175,12 @@ func TestFrameHugeClaims(t *testing.T) {
 			e.byte(refShipped)
 			e.uvarint(huge)
 		}),
-		"ref from": body(func(e *encoder) {
-			e.byte(tagTask)
-			taskHead(e)
-			e.uvarint(1)
-			e.uvarint(1)
-			e.uvarint(1)
-			e.varint(0)
-			e.byte(refForward)
-			e.uvarint(huge)
-		}),
-		"writes":   body(func(e *encoder) { e.byte(tagTask); taskHead(e); e.uvarint(0); e.uvarint(huge) }),
-		"evict":    body(func(e *encoder) { e.byte(tagTask); taskHead(e); e.uvarint(0); e.uvarint(0); e.uvarint(huge) }),
-		"chain":    body(func(e *encoder) { e.byte(tagChain); e.uvarint(huge) }),
-		"data":     body(func(e *encoder) { e.byte(tagData); e.uvarint(1); e.uvarint(1); e.bool(true); e.uvarint(huge) }),
-		"done err": body(func(e *encoder) { e.byte(tagDone); e.uvarint(1); e.uvarint(huge) }),
-		"outputs":  body(func(e *encoder) { e.byte(tagDone); doneHead(e); e.uvarint(huge) }),
-		"done events": body(func(e *encoder) {
-			e.byte(tagDone)
-			doneHead(e)
-			e.uvarint(0)
-			e.varint(0)
-			e.varint(0)
-			e.varint(0)
-			e.uvarint(huge)
-		}),
+		"writes":         body(func(e *encoder) { e.byte(tagTask); taskHead(e); e.uvarint(0); e.uvarint(huge) }),
+		"evict":          body(func(e *encoder) { e.byte(tagTask); taskHead(e); e.uvarint(0); e.uvarint(0); e.uvarint(huge) }),
+		"chain":          body(func(e *encoder) { e.byte(tagChain); e.uvarint(huge) }),
+		"done err":       body(func(e *encoder) { e.byte(tagDone); e.uvarint(1); e.uvarint(huge) }),
+		"outputs":        body(func(e *encoder) { e.byte(tagDone); doneHead(e); e.uvarint(huge) }),
+		"done events":    body(func(e *encoder) { e.byte(tagDone); doneHead(e); e.uvarint(0); e.uvarint(huge) }),
 		"trace events":   body(func(e *encoder) { e.byte(tagTrace); e.varint(0); e.uvarint(huge) }),
 		"count just off": body(func(e *encoder) { e.byte(tagTask); taskHead(e); e.uvarint(1) }), // 3 bytes cannot hold a 4-byte ref
 	}
@@ -220,7 +195,31 @@ func TestFrameHugeClaims(t *testing.T) {
 	}
 }
 
+// retiredBodies are frame bodies of the worker-to-worker forwarding
+// protocol that is gone: its two frame kinds, in their old encoding, and a
+// ref in the forward mode naming a peer. Nothing can encode them any more;
+// the decoder must refuse each.
+var retiredBodies = []struct {
+	name string
+	body []byte
+	want error
+}{
+	{"retired tag 5 (fetch)", []byte{5, 5, 6}, errTag},
+	{"retired tag 6 (data)", []byte{6, 5, 6, 1, 1, 1}, errTag},
+	// id 1, kernel "k", no args, nin 0, one ref (1, 1, size 0) of mode 2 naming peer "x"
+	{"ref mode 2 (forward)", []byte{tagTask, 1, 1, 'k', 0, 0, 1, 1, 1, 0, 2, 1, 'x', 0, 0}, errMode},
+}
+
 func TestFrameRefusals(t *testing.T) {
+	// The live kinds keep the tag values they had beside the retired ones.
+	if tagChain != 4 || tagDone != 7 || tagTrace != 8 || tagShutdown != 9 {
+		t.Fatalf("frame tags renumbered: chain %d, done %d, trace %d, shutdown %d", tagChain, tagDone, tagTrace, tagShutdown)
+	}
+	for _, c := range retiredBodies {
+		if _, err := decodeFrame(c.body); !errors.Is(err, c.want) {
+			t.Errorf("%s: got %v, want %v", c.name, err, c.want)
+		}
+	}
 	overInt32 := binary.AppendVarint(nil, math.MaxInt32+1)
 	for name, c := range map[string]struct {
 		body []byte
@@ -230,7 +229,8 @@ func TestFrameRefusals(t *testing.T) {
 		"tag past end": {[]byte{tagShutdown + 1}, errTag},
 		// id 1, kernel "k", no args, nin 0, one ref (1, 1, size 0) of mode 3
 		"ref mode 3": {[]byte{tagTask, 1, 1, 'k', 0, 0, 1, 1, 1, 0, 3, 0, 0}, errMode},
-		"bool 2":     {[]byte{tagData, 1, 1, 2, 0}, errBool},
+		// id 1, no error text, a Panic byte of 2
+		"bool 2": {[]byte{tagDone, 1, 0, 2}, errBool},
 		// slot 0, one event whose worker lane does not fit an int32
 		"event lane": {append(append([]byte{tagTrace, 0, 1, 1, 0, 1, 1, 1}, overInt32...), 0, 0, 0), errRange},
 	} {
@@ -371,6 +371,9 @@ func FuzzFrameDecode(f *testing.F) {
 		all = append(all, enc...)
 	}
 	f.Add(all)
+	for _, c := range retiredBodies { // length-prefixed, as on the wire
+		f.Add(append(binary.BigEndian.AppendUint32(nil, uint32(len(c.body))), c.body...))
+	}
 	f.Add([]byte{0, 0, 0, 1, 0xff})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -76,8 +76,7 @@ func (rt *RT) mergedTrace() *obs.Trace {
 // ReconcileTrace cross-checks a merged distributed trace against the
 // run's coordinator-side Stats: every remotely executed task appears
 // exactly once on a worker track, and the worker-observed transfer,
-// forward, cache-hit, and chain accounting matches what the coordinator
-// booked. It is exact for clean runs; a run with lost workers or failed
+// cache-hit, and chain accounting matches what the coordinator booked. It is exact for clean runs; a run with lost workers or failed
 // tasks legitimately under-reports worker-side events (a dead worker's
 // batches never arrive), so those checks are skipped. A truncated trace
 // cannot be reconciled and is reported as such.
@@ -94,8 +93,8 @@ func ReconcileTrace(tr *obs.Trace, st Stats) error {
 
 	starts := make(map[uint64]int)
 	ends := make(map[uint64]int)
-	var xferBytes, fwdBytes int64
-	var fwds, hits, chains, chainLinks int
+	var xferBytes int64
+	var hits, chains, chainLinks int
 	for i := range tr.Events {
 		ev := &tr.Events[i]
 		if !workerLane[ev.Worker] {
@@ -108,9 +107,6 @@ func ReconcileTrace(tr *obs.Trace, st Stats) error {
 			ends[ev.Task]++
 		case obs.EvXfer:
 			xferBytes += int64(ev.Arg)
-		case obs.EvForward:
-			fwds++
-			fwdBytes += int64(ev.Arg)
 		case obs.EvXferHit:
 			hits++
 		case obs.EvChain:
@@ -133,13 +129,6 @@ func ReconcileTrace(tr *obs.Trace, st Stats) error {
 	}
 	if xferBytes != st.BytesToWorkers {
 		return fmt.Errorf("dist: worker tracks saw %d transferred bytes, stats booked %d", xferBytes, st.BytesToWorkers)
-	}
-	if fwds != st.Forwards-st.ForwardFallbacks {
-		return fmt.Errorf("dist: worker tracks saw %d direct forwards, stats booked %d (%d issued - %d fallbacks)",
-			fwds, st.Forwards-st.ForwardFallbacks, st.Forwards, st.ForwardFallbacks)
-	}
-	if fwdBytes != st.BytesForwarded {
-		return fmt.Errorf("dist: worker tracks saw %d forwarded bytes, stats booked %d", fwdBytes, st.BytesForwarded)
 	}
 	if hits != st.TransfersAvoided {
 		return fmt.Errorf("dist: worker tracks saw %d cache hits, stats booked %d", hits, st.TransfersAvoided)

@@ -8,8 +8,8 @@ import (
 )
 
 // runTraced runs a two-worker workload that exercises every traced path —
-// shipped transfers, cache hits, chains, and (workers permitting) peer
-// forwards — and returns the merged trace with the run's stats.
+// shipped transfers, cache hits and chains — and returns the merged trace
+// with the run's stats.
 func runTraced(t *testing.T, workers int, opts ...Option) (*obs.Trace, Stats) {
 	t.Helper()
 	const n = 1 << 10
@@ -87,19 +87,6 @@ func TestDistMergedTrace(t *testing.T) {
 	a := obs.Analyze(tr)
 	if a.Executed == 0 {
 		t.Fatalf("analysis saw no execution: %+v", a)
-	}
-}
-
-// TestDistMergedTraceNoForwarding pins the relay path: with forwarding
-// off every cross-worker read relays through the coordinator, and the
-// worker-side EvXfer accounting still reconciles bytes exactly.
-func TestDistMergedTraceNoForwarding(t *testing.T) {
-	tr, stats := runTraced(t, 2, noForwarding())
-	if stats.Forwards != 0 {
-		t.Fatalf("forwards = %d with forwarding disabled", stats.Forwards)
-	}
-	if err := ReconcileTrace(tr, stats); err != nil {
-		t.Fatalf("ReconcileTrace: %v", err)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -35,8 +34,9 @@ const (
 // exchange. It is also the default exit-kill deadline (exitKillDelay).
 const DefaultHandshakeTimeout = 30 * time.Second
 
-// conn wraps one worker connection with a send mutex: the dispatch path,
-// the relay-fallback path, and the shutdown path all write frames, and
+// conn wraps one worker connection with a send mutex: dispatches go out
+// from the submitting goroutine and from every connection's reader (a
+// completion dispatches what it released), the drain order from Run, and
 // frames must not interleave.
 type conn struct {
 	net.Conn
@@ -113,8 +113,8 @@ func challengeConn(c net.Conn, secret []byte, timeout time.Duration) (*Hello, cl
 // answerChallenge runs the dialer half: read the server's nonce and send
 // the authenticated Hello. A non-nil clock is sampled right before the
 // Hello is composed and rides in Hello.Now for the server's clock
-// alignment; nil leaves Now zero (peer-fetch connections don't trace).
-func answerChallenge(c net.Conn, secret []byte, slot int, fetchAddr string, clock func() int64, timeout time.Duration) error {
+// alignment; nil (a worker that does not trace) leaves Now zero.
+func answerChallenge(c net.Conn, secret []byte, slot int, clock func() int64, timeout time.Duration) error {
 	c.SetDeadline(time.Now().Add(timeout))
 	defer c.SetDeadline(time.Time{})
 	f, err := ReadFrame(c)
@@ -129,19 +129,19 @@ func answerChallenge(c net.Conn, secret []byte, slot int, fetchAddr string, cloc
 		now = clock()
 	}
 	return WriteFrame(c, &Frame{Hello: &Hello{
-		Worker:    slot,
-		PID:       os.Getpid(),
-		MAC:       computeMAC(secret, f.Challenge.Nonce, slot),
-		FetchAddr: fetchAddr,
-		Now:       now,
+		Worker: slot,
+		PID:    os.Getpid(),
+		MAC:    computeMAC(secret, f.Challenge.Nonce, slot),
+		Now:    now,
 	}})
 }
 
 // listenRendezvous creates the coordinator's rendezvous listener on the
-// chosen transport. For the Unix transport the socket lives in a fresh
-// short-named temp directory (socket paths have a low length limit);
-// cleanup removes it. For TCP it is a loopback port. addr is what workers
-// dial ("net:address" form via dialAddr).
+// chosen transport — the one listening socket of a run: workers only dial
+// out. For the Unix transport the socket lives in a fresh short-named temp
+// directory (socket paths have a low length limit); cleanup removes it.
+// For TCP it is a loopback port. addr is what workers dial on that
+// transport.
 func listenRendezvous(transport string) (l net.Listener, addr string, cleanup func(), err error) {
 	switch transport {
 	case TransportUnix:
@@ -164,18 +164,6 @@ func listenRendezvous(transport string) (l net.Listener, addr string, cleanup fu
 		return l, l.Addr().String(), func() {}, nil
 	}
 	return nil, "", nil, fmt.Errorf("dist: unknown transport %q", transport)
-}
-
-// dialAddr splits a "net:addr" fetch/rendezvous address. A bare address
-// (no prefix) is a Unix socket path for compatibility.
-func dialAddr(s string) (network, addr string) {
-	if rest, ok := strings.CutPrefix(s, "tcp:"); ok {
-		return "tcp", rest
-	}
-	if rest, ok := strings.CutPrefix(s, "unix:"); ok {
-		return "unix", rest
-	}
-	return "unix", s
 }
 
 // spawnWorker re-executes the current binary as worker `slot`. MaybeWorker

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"path/filepath"
 	"strconv"
 	"sync"
 	"time"
@@ -87,13 +86,13 @@ func MaybeWorker() {
 	os.Exit(0)
 }
 
-// wproc is one worker process's state: the coordinator connection, the
-// version cache, the peer-fetch server, and pooled connections to peers.
+// wproc is one worker process's state: the coordinator connection and the
+// version cache. A worker only dials out: everything it reads arrives on
+// the coordinator connection.
 type wproc struct {
-	slot   int
-	secret []byte
-	c      net.Conn
-	cache  *wcache
+	slot  int
+	c     net.Conn
+	cache *wcache
 
 	// Worker-side tracing (enabled by OMPSS_DIST_TRACE): a single-lane
 	// recorder over kernel execution, cache traffic, and idle gaps, on a
@@ -101,14 +100,6 @@ type wproc struct {
 	// the tail drains in a final Trace frame at shutdown.
 	rec   *obs.Recorder
 	epoch time.Time
-
-	peerMu sync.Mutex
-	peers  map[string]net.Conn // fetch address -> authenticated connection
-
-	// per-task fetch accounting, reported on the next DoneMsg
-	fetches        int
-	fetchedBytes   int64
-	fetchFallbacks int
 }
 
 // clockFn returns the recorder's epoch-relative clock, nil when not
@@ -128,25 +119,12 @@ func (w *wproc) emit(k obs.Kind, task, arg uint64) {
 }
 
 func workerMain(network, addr string, slot int, secret []byte) error {
-	w := &wproc{
-		slot:   slot,
-		secret: secret,
-		cache:  newWCache(),
-		peers:  make(map[string]net.Conn),
-	}
+	w := &wproc{slot: slot, cache: newWCache()}
 	if cap, _ := strconv.Atoi(os.Getenv(envTrace)); cap > 0 {
 		w.epoch = time.Now()
 		w.rec = obs.NewRecorder(obs.Capacity(cap))
 		w.rec.Attach(1, "dist-worker", false, w.clockFn())
 	}
-
-	// Peer-fetch server: other workers dial here to copy cached datum
-	// versions directly instead of round-tripping through the coordinator.
-	fetchAddr, stopFetch, err := w.serveFetch(network)
-	if err != nil {
-		return fmt.Errorf("fetch listener: %w", err)
-	}
-	defer stopFetch()
 
 	c, err := net.Dial(network, addr)
 	if err != nil {
@@ -154,7 +132,7 @@ func workerMain(network, addr string, slot int, secret []byte) error {
 	}
 	defer c.Close()
 	w.c = c
-	if err := answerChallenge(c, secret, slot, fetchAddr, w.clockFn(), DefaultHandshakeTimeout); err != nil {
+	if err := answerChallenge(c, secret, slot, w.clockFn(), DefaultHandshakeTimeout); err != nil {
 		return fmt.Errorf("handshake: %w", err)
 	}
 
@@ -243,21 +221,18 @@ func (w *wproc) execTask(msg *TaskMsg) *DoneMsg {
 
 func (w *wproc) execTaskBody(msg *TaskMsg) *DoneMsg {
 	done := &DoneMsg{ID: msg.ID}
-	w.fetches, w.fetchedBytes, w.fetchFallbacks = 0, 0, 0
 	// Coordinator-directed eviction first: the Evict list was computed
 	// against the cache state before this task's inserts.
 	w.cache.applyEvict(msg.Evict)
 
 	// Resolve the read set by the ref's wire mode: shipped bytes (non-nil,
-	// possibly empty) enter the cache as views into this task's frame,
-	// forwarding directives are fetched from the named peer (coordinator
-	// relay as fallback), and cached refs must already be resident (the
-	// coordinator's mirror said so).
+	// possibly empty) enter the cache as views into this task's frame, and
+	// cached refs must already be resident (the coordinator's mirror said
+	// so).
 	reads := make([][]byte, len(msg.Reads))
 	for i, r := range msg.Reads {
 		k := CacheKey{Datum: r.Datum, Ver: r.Ver}
-		switch {
-		case r.Bytes != nil:
+		if r.Bytes != nil {
 			if int64(len(r.Bytes)) != r.Size {
 				done.Err = fmt.Sprintf("read %d: got %d bytes, want %d", i, len(r.Bytes), r.Size)
 				return done
@@ -265,23 +240,15 @@ func (w *wproc) execTaskBody(msg *TaskMsg) *DoneMsg {
 			w.cache.put(k, r.Bytes)
 			reads[i] = r.Bytes
 			w.emit(obs.EvXfer, msg.ID, uint64(len(r.Bytes)))
-		case r.From != "":
-			b, err := w.fetchRef(r, msg.ID)
-			if err != nil {
-				done.Err = fmt.Sprintf("read %d: fetch (datum %d, ver %d): %v", i, r.Datum, r.Ver, err)
-				return done
-			}
-			w.cache.put(k, b)
-			reads[i] = b
-		default:
-			b, ok := w.cache.get(k)
-			if !ok {
-				done.Err = fmt.Sprintf("read %d: (datum %d, ver %d) not cached", i, r.Datum, r.Ver)
-				return done
-			}
-			reads[i] = b
-			w.emit(obs.EvXferHit, msg.ID, uint64(len(b)))
+			continue
 		}
+		b, ok := w.cache.get(k)
+		if !ok {
+			done.Err = fmt.Sprintf("read %d: (datum %d, ver %d) not cached", i, r.Datum, r.Ver)
+			return done
+		}
+		reads[i] = b
+		w.emit(obs.EvXferHit, msg.ID, uint64(len(b)))
 	}
 
 	// Build the output buffers, seeding InOut ones from their copy-in. A
@@ -324,158 +291,7 @@ func (w *wproc) execTaskBody(msg *TaskMsg) *DoneMsg {
 		w.cache.put(CacheKey{Datum: wo.Datum, Ver: wo.Ver}, outs[i])
 	}
 	done.Outputs = outs
-	done.Fetches = w.fetches
-	done.FetchedBytes = w.fetchedBytes
-	done.FetchFallbacks = w.fetchFallbacks
 	return done
-}
-
-// fetchRef resolves a forwarding directive: copy the pair from the peer
-// named in the ref, falling back to a coordinator relay when the peer is
-// unreachable or no longer holds it. The coordinator always holds the
-// content of any version it forwards, so the fallback cannot miss.
-func (w *wproc) fetchRef(r WireRef, task uint64) ([]byte, error) {
-	if b, err := w.fetchFromPeer(r.From, CacheKey{Datum: r.Datum, Ver: r.Ver}); err == nil {
-		if int64(len(b)) != r.Size {
-			return nil, fmt.Errorf("peer sent %d bytes, want %d", len(b), r.Size)
-		}
-		w.fetches++
-		w.fetchedBytes += r.Size
-		w.emit(obs.EvForward, task, uint64(r.Size))
-		return b, nil
-	}
-	// Relay fallback: ask the coordinator. The task loop owns the
-	// connection while a task executes, and the coordinator dispatches
-	// nothing to a busy worker, so the next frame is the Data answer.
-	w.fetchFallbacks++
-	if err := WriteFrame(w.c, &Frame{Fetch: &FetchMsg{Datum: r.Datum, Ver: r.Ver}}); err != nil {
-		return nil, fmt.Errorf("relay request: %w", err)
-	}
-	f, err := ReadFrame(w.c)
-	if err != nil {
-		return nil, fmt.Errorf("relay read: %w", err)
-	}
-	if f.Data == nil || !f.Data.Found {
-		return nil, fmt.Errorf("coordinator relay miss")
-	}
-	if int64(len(f.Data.Bytes)) != r.Size {
-		return nil, fmt.Errorf("relay sent %d bytes, want %d", len(f.Data.Bytes), r.Size)
-	}
-	w.emit(obs.EvXfer, task, uint64(r.Size))
-	return f.Data.Bytes, nil
-}
-
-// fetchFromPeer copies one cached pair from another worker's fetch
-// server, pooling one authenticated connection per peer. Any error drops
-// the pooled connection so a restarted peer gets a fresh dial.
-func (w *wproc) fetchFromPeer(fetchAddr string, k CacheKey) ([]byte, error) {
-	w.peerMu.Lock()
-	defer w.peerMu.Unlock()
-	c, ok := w.peers[fetchAddr]
-	if !ok {
-		network, addr := dialAddr(fetchAddr)
-		var err error
-		c, err = net.DialTimeout(network, addr, 5*time.Second)
-		if err != nil {
-			return nil, err
-		}
-		if err := answerChallenge(c, w.secret, w.slot, "", nil, 5*time.Second); err != nil {
-			c.Close()
-			return nil, err
-		}
-		w.peers[fetchAddr] = c
-	}
-	fail := func(err error) ([]byte, error) {
-		c.Close()
-		delete(w.peers, fetchAddr)
-		return nil, err
-	}
-	c.SetDeadline(time.Now().Add(10 * time.Second))
-	defer c.SetDeadline(time.Time{})
-	if err := WriteFrame(c, &Frame{Fetch: &FetchMsg{Datum: k.Datum, Ver: k.Ver}}); err != nil {
-		return fail(err)
-	}
-	f, err := ReadFrame(c)
-	if err != nil {
-		return fail(err)
-	}
-	if f.Data == nil {
-		return fail(fmt.Errorf("peer answered with a non-Data frame"))
-	}
-	if !f.Data.Found {
-		return nil, fmt.Errorf("peer no longer holds the pair")
-	}
-	return f.Data.Bytes, nil
-}
-
-// serveFetch starts the worker's peer-fetch listener: each inbound
-// connection is challenged with the run secret, then served Fetch→Data
-// until it closes. Returns the advertised "net:addr" and a stopper.
-func (w *wproc) serveFetch(network string) (string, func(), error) {
-	var l net.Listener
-	var cleanup func()
-	switch network {
-	case TransportUnix:
-		dir, err := os.MkdirTemp("", "ompss-dw-")
-		if err != nil {
-			return "", nil, err
-		}
-		path := filepath.Join(dir, "fetch.sock")
-		l, err = net.Listen("unix", path)
-		if err != nil {
-			os.RemoveAll(dir)
-			return "", nil, err
-		}
-		cleanup = func() { os.RemoveAll(dir) }
-	default:
-		var err error
-		l, err = net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return "", nil, err
-		}
-		cleanup = func() {}
-	}
-	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go w.servePeer(c)
-		}
-	}()
-	addr := network + ":" + fetchAddrOf(l, network)
-	return addr, func() { l.Close(); cleanup() }, nil
-}
-
-func fetchAddrOf(l net.Listener, network string) string {
-	return l.Addr().String()
-}
-
-// servePeer answers one peer connection: authenticate, then serve cached
-// pairs. A miss answers Found=false (the peer falls back to the
-// coordinator); any transport error closes the connection.
-func (w *wproc) servePeer(c net.Conn) {
-	defer c.Close()
-	if _, _, err := challengeConn(c, w.secret, 10*time.Second); err != nil {
-		return
-	}
-	for {
-		f, err := ReadFrame(c)
-		if err != nil {
-			return
-		}
-		if f.Fetch == nil {
-			return
-		}
-		k := CacheKey{Datum: f.Fetch.Datum, Ver: f.Fetch.Ver}
-		b, ok := w.cache.get(k)
-		if err := WriteFrame(c, &Frame{Data: &DataMsg{
-			Datum: k.Datum, Ver: k.Ver, Found: ok, Bytes: b,
-		}}); err != nil {
-			return
-		}
-	}
 }
 
 // runKernel isolates the recover so a panicking kernel poisons the task

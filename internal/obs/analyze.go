@@ -117,11 +117,6 @@ type Analysis struct {
 	Chains       int
 	ChainedTasks int
 
-	// Worker-to-worker direct transfers (EvForward): payloads pulled
-	// straight from the producing peer, bypassing the coordinator.
-	Forwards     int
-	ForwardBytes int64
-
 	// DroppedEvents is the exact number of ring-overwritten events; when
 	// non-zero the reports cover a truncated stream (Truncated is set,
 	// WriteReport says so and suggests SuggestedCapacity — the smallest
@@ -250,9 +245,6 @@ func Analyze(tr *Trace) *Analysis {
 		case EvChain:
 			a.Chains++
 			a.ChainedTasks += int(ev.Arg)
-		case EvForward:
-			a.Forwards++
-			a.ForwardBytes += int64(ev.Arg)
 		}
 	}
 	sort.Slice(a.Order, func(i, j int) bool { return a.Order[i] < a.Order[j] })
@@ -505,10 +497,6 @@ func (a *Analysis) WriteReport(w io.Writer, topN int) error {
 	if a.Transfers > 0 || a.TransferHits > 0 {
 		fmt.Fprintf(w, "transfers: %d moved %d bytes, %d avoided by version caches (%d bytes)\n",
 			a.Transfers, a.TransferBytes, a.TransferHits, a.BytesAvoided)
-	}
-	if a.Forwards > 0 {
-		fmt.Fprintf(w, "forwards: %d worker-to-worker transfers (%d bytes bypassed the coordinator)\n",
-			a.Forwards, a.ForwardBytes)
 	}
 	if a.Chains > 0 {
 		fmt.Fprintf(w, "chains: %d dispatch frames covering %d tasks\n", a.Chains, a.ChainedTasks)

@@ -168,10 +168,6 @@ func WriteChromeTrace(w io.Writer, tr *Trace) error {
 			add(chromeEvent{Name: "chain", Cat: "dist", Phase: "i", Scope: "t",
 				TS: us(ev.At), PID: pid, TID: tid,
 				Args: map[string]any{"task": ev.Task, "tasks": ev.Arg}})
-		case EvForward:
-			add(chromeEvent{Name: "forward", Cat: "dist", Phase: "i", Scope: "t",
-				TS: us(ev.At), PID: pid, TID: tid,
-				Args: map[string]any{"task": ev.Task, "bytes": ev.Arg}})
 		}
 	}
 	enc := json.NewEncoder(w)

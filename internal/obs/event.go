@@ -73,11 +73,6 @@ const (
 	// a single dispatch frame: Task is the chain's first link, Arg the
 	// number of tasks in the chain, Worker the executing lane.
 	EvChain
-	// EvForward records a worker-to-worker direct transfer: the recording
-	// worker pulled a (datum, version) payload straight from the peer that
-	// produced it, bypassing the coordinator. Task is the served task, Arg
-	// the byte count.
-	EvForward
 
 	numKinds = iota
 )
@@ -86,7 +81,6 @@ var kindNames = [numKinds]string{
 	"submit", "edge", "ready", "start", "end", "skip", "steal",
 	"idle-enter", "idle-exit", "taskwait-enter", "taskwait-exit",
 	"rename", "writeback", "xfer", "xfer-hit", "chain",
-	"forward",
 }
 
 func (k Kind) String() string {

@@ -77,8 +77,8 @@ func TestKernelEndpoints(t *testing.T) {
 		}
 		seen[resp.Session] = true
 	}
-	if srv.Served() != 3 || srv.Violations() != 0 {
-		t.Fatalf("served=%d violations=%d, want 3 0", srv.Served(), srv.Violations())
+	if srv.served.Load() != 3 || srv.Violations() != 0 {
+		t.Fatalf("served=%d violations=%d, want 3 0", srv.served.Load(), srv.Violations())
 	}
 }
 
@@ -215,8 +215,8 @@ func TestFaultEndpoint(t *testing.T) {
 	if resp.Skipped != 4 {
 		t.Fatalf("fault skipped %d tasks, want the 4 dependents", resp.Skipped)
 	}
-	if srv.Faulted() != 1 || srv.Violations() != 0 {
-		t.Fatalf("faulted=%d violations=%d, want 1 0", srv.Faulted(), srv.Violations())
+	if srv.faulted.Load() != 1 || srv.Violations() != 0 {
+		t.Fatalf("faulted=%d violations=%d, want 1 0", srv.faulted.Load(), srv.Violations())
 	}
 	// The runtime stays healthy for the next request.
 	if rec, _ := do(t, srv, "/v1/rotate", ""); rec.Code != http.StatusOK {
@@ -261,9 +261,9 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 	if v := srv.Violations(); v != 0 {
 		t.Fatalf("%d isolation violations under mixed traffic", v)
 	}
-	if srv.Served() != clients*(perClient-1) || srv.Faulted() != clients {
+	if srv.served.Load() != clients*(perClient-1) || srv.faulted.Load() != clients {
 		t.Fatalf("served=%d faulted=%d, want %d %d",
-			srv.Served(), srv.Faulted(), clients*(perClient-1), clients)
+			srv.served.Load(), srv.faulted.Load(), clients*(perClient-1), clients)
 	}
 }
 
@@ -349,8 +349,11 @@ func TestDrain(t *testing.T) {
 	defer drainCancel()
 	drained := make(chan error, 1)
 	go func() { drained <- srv.Drain(drainCtx) }()
-	for !srv.Draining() {
+	for draining := false; !draining; {
 		time.Sleep(time.Millisecond)
+		srv.liveMu.Lock()
+		draining = srv.draining
+		srv.liveMu.Unlock()
 	}
 
 	// While draining, kernel and fault endpoints refuse with 503 and a

@@ -43,14 +43,14 @@ type Config struct {
 	Recorder *obs.Recorder
 }
 
-// Runner is one kernel endpoint. Its input — the seeded source image of
+// runner is one kernel endpoint. Its input — the seeded source image of
 // rotate and rgbcmy, the encoded h264 bitstream — is fixed per server and
 // built once; New hands every request a private instance over it: a clone of
 // the image, a fresh parse of the read-only bitstream. The clone is what
 // keeps request data request-private: a Session drops the records of every
 // key it registered at Close, so concurrent sessions must never register
 // the same &Pix[0].
-type Runner struct {
+type runner struct {
 	Name string
 	New  func() suite.Instance
 }
@@ -112,11 +112,11 @@ func New(rt *ompss.Runtime, cfg Config) *Server {
 // h264 bitstream is encoded here (expensive) and re-parsed per request
 // (cheap). The two source images are built on their endpoint's first
 // request, so a server starts no slower for them.
-func runners() map[string]Runner {
+func runners() map[string]runner {
 	rw, cw, hw := serveRotate(), serveRGBCMY(), serveH264()
 	rotSrc, cmySrc := lazyImage(rw.W, rw.H, rw.Seed), lazyImage(cw.W, cw.H, cw.Seed)
 	bs := h264dec.New(hw).Stream()
-	return map[string]Runner{
+	return map[string]runner{
 		"/v1/rotate": {Name: "rotate", New: func() suite.Instance {
 			return rotate.NewFromImage(rw, rotSrc().Clone())
 		}},
@@ -137,7 +137,7 @@ func lazyImage(w, h int, seed int64) func() *img.RGB {
 // register mounts r at path. The endpoint's sequential reference is
 // computed once, on its first request, from the same cached input; the
 // endpoints wait on no lock of each other's.
-func (s *Server) register(path string, r Runner) {
+func (s *Server) register(path string, r runner) {
 	ref := sync.OnceValue(func() uint64 { return r.New().RunSeq() })
 	s.mux.HandleFunc(path, func(w http.ResponseWriter, req *http.Request) {
 		s.handleKernel(w, req, r, ref)
@@ -167,13 +167,6 @@ func (s *Server) endRequest() {
 		s.liveCond.Broadcast()
 	}
 	s.liveMu.Unlock()
-}
-
-// Draining reports whether the server has stopped admitting new sessions.
-func (s *Server) Draining() bool {
-	s.liveMu.Lock()
-	defer s.liveMu.Unlock()
-	return s.draining
 }
 
 // Drain flips the server into draining mode — new session-bearing requests
@@ -211,12 +204,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	return nil
 }
-
-// Served returns the number of 2xx kernel responses so far.
-func (s *Server) Served() uint64 { return s.served.Load() }
-
-// Faulted returns the number of deliberate /v1/fault failures so far.
-func (s *Server) Faulted() uint64 { return s.faulted.Load() }
 
 // Violations returns the number of isolation violations observed so far: a
 // kernel response whose checksum diverged from the sequential reference, or
@@ -261,7 +248,7 @@ func (s *Server) sessionOpts(tenant int) []ompss.Option {
 	return opts
 }
 
-func (s *Server) handleKernel(w http.ResponseWriter, req *http.Request, r Runner, ref func() uint64) {
+func (s *Server) handleKernel(w http.ResponseWriter, req *http.Request, r runner, ref func() uint64) {
 	tenant := tenantClass(req.Header.Get("X-Tenant"))
 	if !s.beginRequest() {
 		s.tenants[tenant].rejections.Inc()

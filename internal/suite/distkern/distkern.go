@@ -15,7 +15,6 @@ package distkern
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 
 	"ompssgo/internal/blocks"
@@ -369,19 +368,4 @@ func Default() []Workload {
 			func(rt *dist.RT) (uint64, error) { return RunKMeans(rt, kmeans.Default()) },
 			func() uint64 { return kmeans.New(kmeans.Default()).RunSeq() }},
 	}
-}
-
-// Verify runs every workload in ws on rt and checks each checksum against
-// its sequential reference, returning a descriptive error on mismatch.
-func Verify(rt *dist.RT, ws []Workload) error {
-	for _, w := range ws {
-		got, err := w.Run(rt)
-		if err != nil {
-			return fmt.Errorf("%s: %w", w.Name, err)
-		}
-		if want := w.Seq(); got != want {
-			return fmt.Errorf("%s: checksum %#x != sequential reference %#x", w.Name, got, want)
-		}
-	}
-	return nil
 }

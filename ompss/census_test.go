@@ -81,6 +81,8 @@ var censusPackages = []censusPackage{
 	{path: "internal/obs", ownCallers: true},
 	{path: "internal/obs/metrics", ownCallers: true},
 	{path: "internal/dist", ownCallers: true},
+	{path: "internal/serve", ownCallers: true},
+	{path: "internal/suite/distkern", ownCallers: true},
 	{path: "pthread", ownCallers: true},
 }
 
