@@ -65,11 +65,12 @@ bench-submit:
 	$(GO) test ./internal/bench -run='^$$' -bench=BenchmarkSubmit -benchmem -benchtime=300000x
 
 # Allocation regression guard: fails when any submit benchmark exceeds the
-# allocs/op ceiling in internal/bench/testdata/alloc_budget.json, or when one
-# of the simulator's three commonest dispatches allocates at all (the CI
-# bench-smoke job runs this).
+# allocs/op ceiling in internal/bench/testdata/alloc_budget.json, when one
+# of the simulator's three commonest dispatches allocates at all, or when a
+# served kernel request allocates more bytes than its endpoint's ceiling in
+# TestRequestAllocBudget (the CI bench-smoke job runs this).
 alloc-budget:
-	$(GO) test ./internal/bench -run='^(TestSubmitAllocBudget|TestVMEventAllocs)$$' -count=1 -v
+	$(GO) test ./internal/bench ./internal/serve -run='^(TestSubmitAllocBudget|TestVMEventAllocs|TestRequestAllocBudget)$$' -count=1 -v
 
 # Alternating parent/change pairs for a perf claim (not part of `make ci`):
 # builds the benchmark binary at BASE and at the working tree, runs them N

@@ -277,20 +277,22 @@ type RT struct {
 	closed         bool
 }
 
-// Register creates a distributed datum holding a copy of content. The
-// coordinator owns canonical storage; version instances migrate to
-// workers on demand. Size is fixed for the datum's lifetime.
+// Register creates a distributed datum over content, which becomes the
+// datum's canonical storage: the caller gives content up and must neither
+// read nor write it afterwards (Read returns a copy of the datum's value
+// once a Taskwait has drained it). Adopting the slice instead of copying it
+// keeps one coordinator copy of every registered byte, not two. Version
+// instances migrate to workers on demand. Size is fixed for the datum's
+// lifetime.
 func (rt *RT) Register(content []byte) *Datum {
-	buf := make([]byte, len(content))
-	copy(buf, content)
-	d := &Datum{buf: buf}
+	d := &Datum{buf: content}
 	rt.mu.Lock()
 	rt.nextID++
 	d.id = rt.nextID
 	rt.mu.Unlock()
 	d.cd = rt.g.Register(d)
-	n := len(buf)
-	d.cd.EnableRenaming(buf,
+	n := len(content)
+	d.cd.EnableRenaming(content,
 		func() any { return make([]byte, n) },
 		func(dst, src any) { copy(dst.([]byte), src.([]byte)) })
 	return d

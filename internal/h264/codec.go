@@ -122,6 +122,10 @@ func (p *PIB) Fetch() *PicInfo {
 // Release returns an entry to the pool.
 func (p *PIB) Release(pi *PicInfo) { pi.InUse = false }
 
+// Reset puts every entry back in the state NewPIB leaves it in: free, with
+// a zero header.
+func (p *PIB) Reset() { clear(p.entries) }
+
 // Free counts available entries (tests).
 func (p *PIB) Free() int {
 	n := 0
@@ -176,6 +180,15 @@ func (d *DPB) Release(pic *Picture) {
 		panic("h264: DPB release without reference")
 	}
 	pic.refs--
+}
+
+// Reset puts every picture back in the state NewDPB leaves it in:
+// unreferenced, numbered 0, every pixel zero.
+func (d *DPB) Reset() {
+	for _, pic := range d.pool {
+		pic.Num, pic.refs = 0, 0
+		clear(pic.Img.Pix)
+	}
 }
 
 // Retain adds one reference.

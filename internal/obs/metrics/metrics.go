@@ -13,10 +13,10 @@
 package metrics
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"math/bits"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -92,9 +92,10 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 func (h *Histogram) SumNS() int64 { return h.sumNS.Load() }
 
 // series is one registered time series: exactly one of the value sources
-// is set.
+// is set. Its labels are rendered once, at registration, as the escaped
+// k="v" pairs between the braces ("" when it has none).
 type series struct {
-	labels []Label
+	labels string
 	c      *Counter
 	gf     func() float64
 	h      *Histogram
@@ -116,6 +117,7 @@ type Registry struct {
 	mu       sync.Mutex
 	families []*family
 	byName   map[string]*family
+	lastLen  atomic.Int64 // the previous scrape's length: the next one's buffer size
 }
 
 // NewRegistry returns an empty registry.
@@ -139,27 +141,27 @@ func (r *Registry) add(name, help, typ string, s *series) {
 // handle.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	c := &Counter{}
-	r.add(name, help, "counter", &series{labels: labels, c: c})
+	r.add(name, help, "counter", &series{labels: renderLabels(labels), c: c})
 	return c
 }
 
 // GaugeFunc registers a gauge sampled at scrape time — the bridge to state
 // the runtime already keeps (stats snapshots) without a feed path.
 func (r *Registry) GaugeFunc(name, help string, f func() float64, labels ...Label) {
-	r.add(name, help, "gauge", &series{labels: labels, gf: f})
+	r.add(name, help, "gauge", &series{labels: renderLabels(labels), gf: f})
 }
 
 // CounterFunc registers a counter sampled at scrape time, for monotonic
 // values another component already maintains (engine stat counters, ring
 // drop counts). The caller guarantees monotonicity.
 func (r *Registry) CounterFunc(name, help string, f func() float64, labels ...Label) {
-	r.add(name, help, "counter", &series{labels: labels, gf: f})
+	r.add(name, help, "counter", &series{labels: renderLabels(labels), gf: f})
 }
 
 // Histogram registers a latency histogram series.
 func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 	h := &Histogram{}
-	r.add(name, help, "histogram", &series{labels: labels, h: h})
+	r.add(name, help, "histogram", &series{labels: renderLabels(labels), h: h})
 	return h
 }
 
@@ -170,92 +172,122 @@ func escapeLabel(v string) string {
 	return strings.ReplaceAll(v, `"`, `\"`)
 }
 
-// renderLabels renders {k="v",...} including extra pairs, or "" when empty.
-func renderLabels(labels []Label, extra ...Label) string {
-	all := make([]Label, 0, len(labels)+len(extra))
-	all = append(all, labels...)
-	all = append(all, extra...)
-	if len(all) == 0 {
-		return ""
-	}
+// renderLabels renders labels as the k="v" pairs a series line carries
+// between its braces, values escaped, or "" when there are none.
+func renderLabels(labels []Label) string {
 	var b strings.Builder
-	b.WriteByte('{')
-	for i, l := range all {
+	for i, l := range labels {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, `%s="%s"`, l.Key, escapeLabel(l.Value))
+		b.WriteString(l.Key)
+		b.WriteString(`="`)
+		b.WriteString(escapeLabel(l.Value))
+		b.WriteByte('"')
 	}
-	b.WriteByte('}')
 	return b.String()
 }
 
-// fmtFloat renders a float the way Prometheus expects.
-func fmtFloat(v float64) string {
+// leBounds holds each finite bucket's rendered upper bound in seconds.
+var leBounds = func() (le [numBuckets]string) {
+	for i := range le {
+		le[i] = string(appendFloat(nil, float64(int64(bucketBaseNS)<<i)/1e9))
+	}
+	return le
+}()
+
+// appendFloat renders a float the way Prometheus expects: integral values
+// as integers, +Inf spelled out, anything else in shortest %g form.
+func appendFloat(b []byte, v float64) []byte {
 	if math.IsInf(v, +1) {
-		return "+Inf"
+		return append(b, "+Inf"...)
 	}
 	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		return fmt.Sprintf("%d", int64(v))
+		return strconv.AppendInt(b, int64(v), 10)
 	}
-	return fmt.Sprintf("%g", v)
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
+}
+
+// appendName appends a series line's name and label set: name+suffix, then
+// the series' labels and le (when not "") in braces, then the space before
+// the value.
+func appendName(b []byte, f *family, suffix string, s *series, le string) []byte {
+	b = append(b, f.name...)
+	b = append(b, suffix...)
+	if s.labels != "" || le != "" {
+		b = append(b, '{')
+		b = append(b, s.labels...)
+		if le != "" {
+			if s.labels != "" {
+				b = append(b, ',')
+			}
+			b = append(b, `le="`...)
+			b = append(b, le...)
+			b = append(b, '"')
+		}
+		b = append(b, '}')
+	}
+	return append(b, ' ')
 }
 
 // WritePrometheus renders every registered family in the text exposition
-// format. Sampling each series is a point-in-time atomic read; the output
-// is consistent per series, not across the whole scrape.
+// format into one buffer, sized by the previous scrape, and writes it with
+// a single Write. The registry lock is held only to snapshot the families;
+// the sampling callbacks and the Write run outside it. Sampling each series
+// is a point-in-time atomic read; the output is consistent per series, not
+// across the whole scrape.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
-	fams := make([]*family, len(r.families))
-	copy(fams, r.families)
+	fams := make([]family, len(r.families))
+	for i, f := range r.families {
+		fams[i] = *f
+	}
 	r.mu.Unlock()
-	for _, f := range fams {
+	b := make([]byte, 0, r.lastLen.Load())
+	for i := range fams {
+		f := &fams[i]
 		if f.help != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help); err != nil {
-				return err
-			}
+			b = append(b, "# HELP "...)
+			b = append(b, f.name...)
+			b = append(b, ' ')
+			b = append(b, f.help...)
+			b = append(b, '\n')
 		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ); err != nil {
-			return err
-		}
+		b = append(b, "# TYPE "...)
+		b = append(b, f.name...)
+		b = append(b, ' ')
+		b = append(b, f.typ...)
+		b = append(b, '\n')
 		for _, s := range f.ser {
-			if err := writeSeries(w, f, s); err != nil {
-				return err
-			}
+			b = appendSeries(b, f, s)
 		}
 	}
-	return nil
+	r.lastLen.Store(int64(len(b)))
+	_, err := w.Write(b)
+	return err
 }
 
-func writeSeries(w io.Writer, f *family, s *series) error {
+func appendSeries(b []byte, f *family, s *series) []byte {
 	switch {
 	case s.c != nil:
-		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, renderLabels(s.labels), s.c.Value())
-		return err
+		b = strconv.AppendUint(appendName(b, f, "", s, ""), s.c.Value(), 10)
 	case s.gf != nil:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, renderLabels(s.labels), fmtFloat(s.gf()))
-		return err
+		b = appendFloat(appendName(b, f, "", s, ""), s.gf())
 	case s.h != nil:
 		var cum uint64
 		for i := 0; i < numBuckets; i++ {
 			cum += s.h.buckets[i].Load()
-			le := float64(int64(bucketBaseNS)<<i) / 1e9
-			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-				f.name, renderLabels(s.labels, Label{"le", fmtFloat(le)}), cum); err != nil {
-				return err
-			}
+			b = strconv.AppendUint(appendName(b, f, "_bucket", s, leBounds[i]), cum, 10)
+			b = append(b, '\n')
 		}
 		count := s.h.Count()
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-			f.name, renderLabels(s.labels, Label{"le", "+Inf"}), count); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum%s %s\n",
-			f.name, renderLabels(s.labels), fmtFloat(float64(s.h.SumNS())/1e9)); err != nil {
-			return err
-		}
-		_, err := fmt.Fprintf(w, "%s_count%s %d\n", f.name, renderLabels(s.labels), count)
-		return err
+		b = strconv.AppendUint(appendName(b, f, "_bucket", s, "+Inf"), count, 10)
+		b = append(b, '\n')
+		b = appendFloat(appendName(b, f, "_sum", s, ""), float64(s.h.SumNS())/1e9)
+		b = append(b, '\n')
+		b = strconv.AppendUint(appendName(b, f, "_count", s, ""), count, 10)
+	default:
+		return b
 	}
-	return nil
+	return append(b, '\n')
 }

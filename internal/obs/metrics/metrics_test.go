@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"math"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -156,5 +158,60 @@ func TestCounterFunc(t *testing.T) {
 	out := b.String()
 	if !strings.Contains(out, "# TYPE sampled_total counter\n") || !strings.Contains(out, "sampled_total 42\n") {
 		t.Fatalf("bad CounterFunc exposition:\n%s", out)
+	}
+}
+
+// goldenRegistry is a registry exercising every rendering path: labelled and
+// bare series, escaped label values, several series per family, integral,
+// fractional, huge, negative, infinite and NaN samples, and histograms whose
+// observations land in the first, a middle, the last finite and the +Inf
+// bucket.
+func goldenRegistry() *Registry {
+	reg := NewRegistry()
+	gold := Label{Key: "tenant", Value: "gold"}
+	odd := Label{Key: "tenant", Value: "a\\b\n\"c\""}
+	for i, l := range []Label{gold, odd} {
+		c := reg.Counter("req_total", "Requests, by tenant.", l)
+		for range 3 + i {
+			c.Inc()
+		}
+	}
+	reg.Counter("bare_total", "")
+	for i, v := range []float64{0, 3, -2.5, 0.1, 1.5e-7, 1e20, 123456789.25, 1e15, math.Inf(1), math.Inf(-1), math.NaN()} {
+		reg.GaugeFunc("sample", "Samples of every shape.", func() float64 { return v },
+			Label{Key: "i", Value: strconv.Itoa(i)})
+	}
+	reg.CounterFunc("sampled_total", "Sampled.", func() float64 { return 42 })
+	h := reg.Histogram("lat_seconds", "Latency.", gold, Label{Key: "phase", Value: "run"})
+	for _, ns := range []int64{0, 999, 1000, 1001, 3_000_000, 123_456_789, bucketBaseNS << (numBuckets - 1), 1 << 62} {
+		h.Observe(ns)
+	}
+	reg.Histogram("lat_seconds", "Latency.", odd, Label{Key: "phase", Value: "run"})
+	bare := reg.Histogram("bare_seconds", "")
+	bare.Observe(2500)
+	return reg
+}
+
+// TestExpositionGolden pins the rendered text byte for byte against
+// testdata/exposition.golden, which was recorded from the fmt-based
+// renderer this one replaced: scrapers parse the text, so a faster
+// renderer may not change a single byte of it.
+func TestExpositionGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/exposition.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := goldenRegistry().WritePrometheus(&b); err != nil {
+		t.Fatalf("WritePrometheus: %v", err)
+	}
+	if got := b.String(); got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("line %d differs:\n got  %q\n want %q", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("rendered %d lines, golden has %d", len(gl), len(wl))
 	}
 }

@@ -101,14 +101,16 @@ func TestRepeatedRequestsRecycle(t *testing.T) {
 	}
 }
 
-// TestRequestInputsArePrivate checks the input each request gets: rotate
-// and rgbcmy images built once per server, cloned per request. Two requests
-// must not share a Pix backing array (a Session's Close drops the records
-// of every key it registered, &Pix[0] among them), and each clone must equal
-// the image rotate.New / rgbcmy.New synthesize — the benchmark's mirror
-// parts check the server's answers against those.
+// TestRequestInputsArePrivate checks the input each request holds: rotate
+// and rgbcmy images built once per server and cloned once per instance. Two
+// instances held at once — one recycled from a healthy request, one built
+// because the free list was empty — must not share a Pix backing array (a
+// Session's Close drops the records of every key it registered, &Pix[0]
+// among them), and each must equal the image rotate.New / rgbcmy.New
+// synthesize, the recycled one after its kernel ran too: the benchmark's
+// mirror parts check the server's answers against those.
 func TestRequestInputsArePrivate(t *testing.T) {
-	rs := runners()
+	srv, _ := newTestServer(t)
 	rw, cw := serveRotate(), serveRGBCMY()
 	cases := []struct {
 		path string
@@ -121,15 +123,100 @@ func TestRequestInputsArePrivate(t *testing.T) {
 			func(in suite.Instance) *img.RGB { return in.(*rgbcmy.Instance).Source() }},
 	}
 	for _, c := range cases {
-		a, b := c.src(rs[c.path].New()), c.src(rs[c.path].New())
+		if rec, resp := do(t, srv, c.path, ""); rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d (%s)", c.path, rec.Code, resp.Error)
+		}
+		r := srv.kernels[c.path]
+		if n := len(r.free); n != 1 {
+			t.Fatalf("%s: %d idle instances after one healthy request, want 1", c.path, n)
+		}
+		x, y := r.take(), r.take()
+		a, b := c.src(x), c.src(y)
 		if &a.Pix[0] == &b.Pix[0] {
-			t.Errorf("%s: two requests share one Pix backing array", c.path)
+			t.Errorf("%s: two instances held at once share one Pix backing array", c.path)
 		}
 		for i, im := range []*img.RGB{a, b} {
 			if im.W != c.want.W || im.H != c.want.H || !bytes.Equal(im.Pix, c.want.Pix) {
-				t.Errorf("%s: request %d's image differs from media.Image of the workload", c.path, i)
+				t.Errorf("%s: instance %d's image differs from media.Image of the workload", c.path, i)
 			}
 		}
+		r.keep(x)
+		r.keep(y)
+	}
+}
+
+// faulty is a kernel instance whose OmpSs run goes wrong: it panics, or it
+// returns a checksum off by one, which the server answers as a violation.
+type faulty struct {
+	suite.Instance
+	panics bool
+}
+
+func (f faulty) RunOmpSs(api ompss.API) uint64 {
+	if f.panics {
+		panic("deliberate kernel fault")
+	}
+	return f.Instance.RunOmpSs(api) + 1
+}
+
+// TestUnhealthyRequestsDropTheirInstance checks that only a healthy 200
+// puts a request's instance back on its endpoint's free list. A request
+// whose spawns admission refused (429), one whose kernel answered a wrong
+// checksum (500) and one whose kernel panicked each drop theirs: their
+// buffers are in an unknown state and must not serve a later request.
+func TestUnhealthyRequestsDropTheirInstance(t *testing.T) {
+	paths := []string{"/v1/rotate", "/v1/rgbcmy", "/v1/h264dec"}
+
+	t.Run("refused", func(t *testing.T) {
+		rt := ompss.New(ompss.Workers(2))
+		t.Cleanup(rt.Shutdown)
+		srv := New(rt, Config{SessionInFlight: 2, Admission: ompss.RejectOnFull})
+		started, release := make(chan struct{}), make(chan struct{})
+		rt.Task(func(*ompss.TC) { close(started); <-release })
+		t.Cleanup(func() { close(release) }) // before the runtime's Shutdown
+		<-started
+		for _, path := range paths {
+			if rec, resp := do(t, srv, path, ""); rec.Code != http.StatusTooManyRequests {
+				t.Fatalf("%s: status %d (%s), want 429", path, rec.Code, resp.Error)
+			}
+			if n := len(srv.kernels[path].free); n != 0 {
+				t.Errorf("%s: a refused request put its instance back (%d idle)", path, n)
+			}
+		}
+	})
+
+	for _, panics := range []bool{false, true} {
+		t.Run(fmt.Sprintf("panics=%v", panics), func(t *testing.T) {
+			srv, _ := newTestServer(t)
+			for _, path := range paths {
+				r := srv.kernels[path]
+				healthy := r.build
+				r.build = func() suite.Instance { return faulty{healthy(), panics} }
+				rec := httptest.NewRecorder()
+				func() {
+					defer func() {
+						if p := recover(); (p != nil) != panics {
+							t.Errorf("%s: handler panic %v, want a panic: %v", path, p, panics)
+						}
+					}()
+					srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+				}()
+				if !panics && rec.Code != http.StatusInternalServerError {
+					t.Errorf("%s: status %d for a wrong checksum, want 500", path, rec.Code)
+				}
+				if n := len(r.free); n != 0 {
+					t.Errorf("%s: a failed request put its instance back (%d idle)", path, n)
+				}
+				// The control: a healthy request's instance goes back.
+				r.build = healthy
+				if rec, resp := do(t, srv, path, ""); rec.Code != http.StatusOK {
+					t.Fatalf("%s: status %d (%s) after the fault", path, rec.Code, resp.Error)
+				}
+				if n := len(r.free); n != 1 {
+					t.Errorf("%s: %d idle instances after a healthy request, want 1", path, n)
+				}
+			}
+		})
 	}
 }
 

@@ -43,23 +43,66 @@ type Config struct {
 	Recorder *obs.Recorder
 }
 
+// freeInstances bounds each endpoint's free list: how many idle instances
+// it keeps for later requests. It matches the load generator's default
+// client count (ompss-serve -conc); a burst wider than that builds the extra
+// instances and drops them when it ends.
+const freeInstances = 8
+
 // runner is one kernel endpoint. Its input — the seeded source image of
 // rotate and rgbcmy, the encoded h264 bitstream — is fixed per server and
-// built once; New hands every request a private instance over it: a clone of
-// the image, a fresh parse of the read-only bitstream. The clone is what
-// keeps request data request-private: a Session drops the records of every
-// key it registered at Close, so concurrent sessions must never register
-// the same &Pix[0].
+// built once; build makes an instance over it: a clone of the image, a fresh
+// parse of the read-only bitstream. A request takes an idle instance from
+// the free list, or builds one, and holds it alone: only its session
+// registers the instance's &Pix[0], and Close drops that record, so
+// concurrent sessions never register the same key. The instance goes back
+// on the list only after a healthy 200, and the next request reuses its
+// image clone and its OmpSs buffers, which the kernel resets at the start of
+// every run. A request that was refused, panicked or answered a violation
+// drops its instance. The free list is a buffered channel, not a sync.Pool:
+// a Pool empties at every GC, so what it retains — and the server's resident
+// set with it — would follow the collector instead of the traffic.
 type runner struct {
-	Name string
-	New  func() suite.Instance
+	name  string
+	build func() suite.Instance
+	free  chan suite.Instance
+	ref   func() uint64 // the sequential reference, computed on first use
+}
+
+func newRunner(name string, build func() suite.Instance) *runner {
+	return &runner{
+		name:  name,
+		build: build,
+		free:  make(chan suite.Instance, freeInstances),
+		ref:   sync.OnceValue(func() uint64 { return build().RunSeq() }),
+	}
+}
+
+// take returns an idle instance, or a new one when none is idle.
+func (r *runner) take() suite.Instance {
+	select {
+	case in := <-r.free:
+		return in
+	default:
+		return r.build()
+	}
+}
+
+// keep puts the instance of a healthy request back on the free list, or
+// drops it when the list is full.
+func (r *runner) keep(in suite.Instance) {
+	select {
+	case r.free <- in:
+	default:
+	}
 }
 
 // Server is the HTTP front end over one shared runtime.
 type Server struct {
-	rt  *ompss.Runtime
-	cfg Config
-	mux *http.ServeMux
+	rt      *ompss.Runtime
+	cfg     Config
+	mux     *http.ServeMux
+	kernels map[string]*runner // by path
 
 	served     atomic.Uint64 // 2xx responses
 	faulted    atomic.Uint64 // deliberate /v1/fault 5xx responses
@@ -95,9 +138,11 @@ func serveH264() h264dec.Workload { return h264dec.Small() }
 // New builds a Server over rt. The runtime is shared and long-lived; the
 // caller owns its lifecycle (Shutdown after the listener stops).
 func New(rt *ompss.Runtime, cfg Config) *Server {
-	s := &Server{rt: rt, cfg: cfg, mux: http.NewServeMux()}
-	for path, r := range runners() {
-		s.register(path, r)
+	s := &Server{rt: rt, cfg: cfg, mux: http.NewServeMux(), kernels: runners()}
+	for path, r := range s.kernels {
+		s.mux.HandleFunc(path, func(w http.ResponseWriter, req *http.Request) {
+			s.handleKernel(w, req, r)
+		})
 	}
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	s.mux.HandleFunc("/v1/fault", s.handleFault)
@@ -109,39 +154,31 @@ func New(rt *ompss.Runtime, cfg Config) *Server {
 }
 
 // runners builds the kernel endpoints by path, each over its own input. The
-// h264 bitstream is encoded here (expensive) and re-parsed per request
+// h264 bitstream is encoded here (expensive) and parsed per instance
 // (cheap). The two source images are built on their endpoint's first
-// request, so a server starts no slower for them.
-func runners() map[string]runner {
+// request, so a server starts no slower for them. Each endpoint's sequential
+// reference is computed on its first request too; the endpoints wait on no
+// lock of each other's.
+func runners() map[string]*runner {
 	rw, cw, hw := serveRotate(), serveRGBCMY(), serveH264()
 	rotSrc, cmySrc := lazyImage(rw.W, rw.H, rw.Seed), lazyImage(cw.W, cw.H, cw.Seed)
 	bs := h264dec.New(hw).Stream()
-	return map[string]runner{
-		"/v1/rotate": {Name: "rotate", New: func() suite.Instance {
+	return map[string]*runner{
+		"/v1/rotate": newRunner("rotate", func() suite.Instance {
 			return rotate.NewFromImage(rw, rotSrc().Clone())
-		}},
-		"/v1/rgbcmy": {Name: "rgbcmy", New: func() suite.Instance {
+		}),
+		"/v1/rgbcmy": newRunner("rgbcmy", func() suite.Instance {
 			return rgbcmy.NewFromImage(cw, cmySrc().Clone())
-		}},
-		"/v1/h264dec": {Name: "h264dec", New: func() suite.Instance {
+		}),
+		"/v1/h264dec": newRunner("h264dec", func() suite.Instance {
 			return h264dec.NewFromStream(hw, bs)
-		}},
+		}),
 	}
 }
 
 // lazyImage returns the seeded source image, built on the first call.
 func lazyImage(w, h int, seed int64) func() *img.RGB {
 	return sync.OnceValue(func() *img.RGB { return media.Image(w, h, seed) })
-}
-
-// register mounts r at path. The endpoint's sequential reference is
-// computed once, on its first request, from the same cached input; the
-// endpoints wait on no lock of each other's.
-func (s *Server) register(path string, r runner) {
-	ref := sync.OnceValue(func() uint64 { return r.New().RunSeq() })
-	s.mux.HandleFunc(path, func(w http.ResponseWriter, req *http.Request) {
-		s.handleKernel(w, req, r, ref)
-	})
 }
 
 // Handler returns the server's HTTP handler (also usable in-process — the
@@ -248,7 +285,7 @@ func (s *Server) sessionOpts(tenant int) []ompss.Option {
 	return opts
 }
 
-func (s *Server) handleKernel(w http.ResponseWriter, req *http.Request, r runner, ref func() uint64) {
+func (s *Server) handleKernel(w http.ResponseWriter, req *http.Request, r *runner) {
 	tenant := tenantClass(req.Header.Get("X-Tenant"))
 	if !s.beginRequest() {
 		s.tenants[tenant].rejections.Inc()
@@ -260,8 +297,8 @@ func (s *Server) handleKernel(w http.ResponseWriter, req *http.Request, r runner
 	ts.requests.Inc()
 	var marks phaseMarks
 	marks[phaseInput] = time.Now()
-	want := ref()
-	in := r.New()
+	want := r.ref()
+	in := r.take()
 
 	marks[phaseRun] = time.Now()
 	sess := s.rt.NewSession(s.sessionOpts(tenant)...)
@@ -275,7 +312,7 @@ func (s *Server) handleKernel(w http.ResponseWriter, req *http.Request, r runner
 	ts.latency.Observe(elapsed.Nanoseconds())
 
 	resp := Response{
-		Bench:     r.Name,
+		Bench:     r.name,
 		Session:   sess.ID(),
 		Tenant:    tenant,
 		Checksum:  fmt.Sprintf("%#x", got),
@@ -303,6 +340,7 @@ func (s *Server) handleKernel(w http.ResponseWriter, req *http.Request, r runner
 		writeJSON(w, http.StatusInternalServerError, resp)
 	default:
 		s.served.Add(1)
+		r.keep(in)
 		writeJSON(w, http.StatusOK, resp)
 	}
 	marks[numPhases] = time.Now()

@@ -57,13 +57,58 @@ func Small() Workload {
 		NBuf: 3, GroupRows: 2, Seed: 12}
 }
 
-// Instance is a prepared benchmark instance: the encoded bitstream.
+// Instance is a prepared benchmark instance: the encoded bitstream, and the
+// OmpSs variant's working buffers once it has run.
 type Instance struct {
 	W       Workload
 	p       h264.Params
 	bs      []byte
 	nframes int
 	off     int
+	bufs    *pipelineBufs
+}
+
+// pipelineBufs is the OmpSs variant's working set: the entropy-decode ring
+// and the picture pools. It is allocated on the instance's first run and
+// reused by every later one.
+type pipelineBufs struct {
+	fds []*h264.FrameData
+	pib *h264.PIB
+	dpb *h264.DPB
+}
+
+// buffers returns the OmpSs variant's working set in the state a fresh
+// allocation has: frame data zeroed, every PIB entry and DPB picture free,
+// every pixel zero. A run that failed or was cancelled leaves references
+// held and stale pixels behind; the next run must see neither.
+func (in *Instance) buffers() *pipelineBufs {
+	n := in.W.NBuf
+	if in.bufs == nil {
+		b := &pipelineBufs{fds: make([]*h264.FrameData, n)}
+		for i := range b.fds {
+			b.fds[i] = h264.NewFrameData(in.p)
+		}
+		// The parse stage can run ahead of the output stage by up to ~3N
+		// iterations in the worst legal schedule: parses are throttled (via
+		// the header-slot WAR) by entropy decodes N frames back, those (via
+		// the frame-data WAR) by reconstructions another N back, and those
+		// (via the slot-recycle gate) by outputs another N back. The
+		// PicInfo pool must cover that whole depth — a PicInfo is fetched at
+		// parse and released at output. Pictures are bounded by the
+		// slot-recycle gate directly.
+		b.pib = h264.NewPIB(3*n + 2)
+		b.dpb = h264.NewDPB(n+2, in.p)
+		in.bufs = b
+		return b
+	}
+	b := in.bufs
+	for _, fd := range b.fds {
+		fd.Hdr = h264.Header{}
+		clear(fd.MBs)
+	}
+	b.pib.Reset()
+	b.dpb.Reset()
+	return b
 }
 
 // New synthesizes a video and encodes it.
@@ -353,12 +398,12 @@ func (in *Instance) RunOmpSs(rt ompss.API) uint64 {
 	payloads := make([][]byte, n)
 	hdrs := make([]h264.Header, n)
 	brs := make([]*h264.BitReader, n)
-	fds := make([]*h264.FrameData, n)
+	bufs := in.buffers()
+	fds := bufs.fds
 	payloadD := make([]*ompss.Datum, n)
 	hdrD := make([]*ompss.Datum, n)
 	fdD := make([]*ompss.Datum, n)
 	for i := range fds {
-		fds[i] = h264.NewFrameData(p)
 		payloadD[i] = rt.Register(&payloads[i])
 		hdrD[i] = rt.Register(&hdrs[i])
 		fdD[i] = rt.Register(fds[i])
@@ -394,15 +439,7 @@ func (in *Instance) RunOmpSs(rt ompss.API) uint64 {
 	doneRefs := make([]*h264.Picture, n)
 	donePis := make([]*h264.PicInfo, n)
 
-	// The parse stage can run ahead of the output stage by up to ~3N
-	// iterations in the worst legal schedule: parses are throttled (via the
-	// header-slot WAR) by entropy decodes N frames back, those (via the
-	// frame-data WAR) by reconstructions another N back, and those (via the
-	// slot-recycle gate) by outputs another N back. The PicInfo pool must
-	// cover that whole depth — a PicInfo is fetched at parse and released
-	// at output. Pictures are bounded by the slot-recycle gate directly.
-	pib := h264.NewPIB(3*n + 2)
-	dpb := h264.NewDPB(n+2, p)
+	pib, dpb := bufs.pib, bufs.dpb
 	sr := h264.NewStreamReader(in.bs, in.off)
 	sums := make([]uint64, nf)
 	var lastPic *h264.Picture

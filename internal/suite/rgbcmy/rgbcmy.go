@@ -36,6 +36,7 @@ func Small() Workload { return Workload{W: 96, H: 64, Iters: 5, Seed: 5, RowBloc
 type Instance struct {
 	W   Workload
 	src *img.RGB
+	cmy *kern.CMY // the OmpSs variant's planes, reused across runs
 }
 
 // New generates the source image.
@@ -43,12 +44,27 @@ func New(w Workload) *Instance { return &Instance{W: w, src: media.Image(w.W, w.
 
 // NewFromImage builds an instance around an existing w.W×w.H source image.
 // The instance reads src and registers &src.Pix[0] as a dependence key, so
-// concurrent sessions need images of their own (the serving path builds
-// the image once and hands each request a clone).
+// instances held by concurrent sessions need images of their own (the
+// serving path builds the image once and gives each instance it keeps a
+// clone).
 func NewFromImage(w Workload, src *img.RGB) *Instance { return &Instance{W: w, src: src} }
 
 // Source returns the instance's source image.
 func (in *Instance) Source() *img.RGB { return in.src }
+
+// ompssCMY returns the OmpSs variant's output planes, allocated on the
+// first run and zeroed on every later one, so a block no task wrote reads
+// zero, as in fresh planes, and never last run's answer.
+func (in *Instance) ompssCMY() *kern.CMY {
+	if in.cmy == nil {
+		in.cmy = kern.NewCMY(in.W.W, in.W.H)
+	} else {
+		clear(in.cmy.C.Pix)
+		clear(in.cmy.M.Pix)
+		clear(in.cmy.Y.Pix)
+	}
+	return in.cmy
+}
 
 // Name returns the Table 1 row name.
 func (in *Instance) Name() string { return "rgbcmy" }
@@ -93,7 +109,7 @@ func (in *Instance) RunPthreads(main *pthread.Thread) uint64 {
 // RunOmpSs spawns row-block tasks per iteration and separates iterations
 // with a polling taskwait (the OmpSs task barrier).
 func (in *Instance) RunOmpSs(rt ompss.API) uint64 {
-	dst := kern.NewCMY(in.W.W, in.W.H)
+	dst := in.ompssCMY()
 	bl := blocks.Ranges(in.W.H, in.W.RowBlock)
 	// The source and the per-block destination keys recur every iteration:
 	// register them once and submit through the handles.

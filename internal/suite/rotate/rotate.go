@@ -31,6 +31,7 @@ func Small() Workload { return Workload{W: 96, H: 64, Angle: 0.5, Seed: 4, RowBl
 type Instance struct {
 	W   Workload
 	src *img.RGB
+	dst *img.RGB // the OmpSs variants' destination, reused across runs
 }
 
 // New generates the source image.
@@ -38,12 +39,25 @@ func New(w Workload) *Instance { return &Instance{W: w, src: media.Image(w.W, w.
 
 // NewFromImage builds an instance around an existing w.W×w.H source image.
 // The instance reads src and registers &src.Pix[0] as a dependence key, so
-// concurrent sessions need images of their own (the serving path builds
-// the image once and hands each request a clone).
+// instances held by concurrent sessions need images of their own (the
+// serving path builds the image once and gives each instance it keeps a
+// clone).
 func NewFromImage(w Workload, src *img.RGB) *Instance { return &Instance{W: w, src: src} }
 
 // Source returns the instance's source image.
 func (in *Instance) Source() *img.RGB { return in.src }
+
+// ompssDst returns the OmpSs variants' destination image, allocated on the
+// first run and zeroed on every later one, so a row no task wrote reads
+// black, as in a fresh image, and never last run's answer.
+func (in *Instance) ompssDst() *img.RGB {
+	if in.dst == nil {
+		in.dst = img.NewRGB(in.W.W, in.W.H)
+	} else {
+		clear(in.dst.Pix)
+	}
+	return in.dst
+}
 
 // Name returns the Table 1 row name.
 func (in *Instance) Name() string { return "rotate" }
@@ -79,7 +93,7 @@ func (in *Instance) RunPthreads(main *pthread.Thread) uint64 {
 // source image is a registered data handle: every block task reads it, so
 // the handle takes the key hash and shard lookup off each submission.
 func (in *Instance) RunOmpSs(rt ompss.API) uint64 {
-	dst := img.NewRGB(in.W.W, in.W.H)
+	dst := in.ompssDst()
 	src := rt.Register(&in.src.Pix[0])
 	for _, b := range blocks.Ranges(in.W.H, in.W.RowBlock) {
 		lo, hi := b[0], b[1]
@@ -104,7 +118,7 @@ func (in *Instance) LoopUnits() int { return in.W.H }
 // memory costs are charged per chunk through the task context, since Cost
 // clauses cannot vary across a TaskLoop's chunks.
 func (in *Instance) RunOmpSsLoop(rt ompss.API, chunk int) uint64 {
-	dst := img.NewRGB(in.W.W, in.W.H)
+	dst := in.ompssDst()
 	rt.TaskLoop(in.W.H, chunk, func(tc *ompss.TC, lo, hi int) {
 		kern.Rows(dst, in.src, in.W.Angle, lo, hi)
 		tc.Compute(kern.RowsCost((hi - lo) * in.W.W))

@@ -23,8 +23,12 @@ import (
 	sstreamcluster "ompssgo/internal/suite/streamcluster"
 )
 
-// Instance is one prepared benchmark: immutable inputs, three runnable
-// variants returning a result checksum.
+// Instance is one prepared benchmark: its inputs and three runnable
+// variants returning a result checksum. An instance runs one variant at a
+// time: the OmpSs variants of rotate, rgbcmy and h264dec keep their working
+// buffers on the instance and reuse them across runs, resetting them at the
+// start of each to the state a fresh allocation has, so a task that did not
+// run leaves zeros behind, never an earlier run's answer.
 type Instance interface {
 	// Name is the Table 1 row label.
 	Name() string

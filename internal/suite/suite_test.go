@@ -109,3 +109,48 @@ func TestClassesMatchPaper(t *testing.T) {
 		}
 	}
 }
+
+// TestRecycledInstanceCannotMaskASkippedTask pins the reuse contract of the
+// OmpSs variants that keep their buffers on the instance (rotate, rgbcmy,
+// h264dec). After a healthy run, the same instance runs in a session
+// cancelled before the kernel spawns, so every task is released without
+// running: that run must not report the reference checksum — the reused
+// buffers start zeroed, not holding the previous answer — and h264dec may
+// instead panic on its failed pipeline. The run after it must report the
+// reference again: the reset also frees what the skipped run left held.
+func TestRecycledInstanceCannotMaskASkippedTask(t *testing.T) {
+	rt := ompss.New(ompss.Workers(2))
+	defer rt.Shutdown()
+	for _, name := range []string{"rotate", "rgbcmy", "h264dec"} {
+		t.Run(name, func(t *testing.T) {
+			in, err := New(name, Small)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := in.RunSeq()
+			run := func(cancelled bool) (sum uint64, closeErr error, panicked any) {
+				sess := rt.NewSession()
+				defer func() { closeErr = sess.Close() }()
+				defer func() { panicked = recover() }()
+				if cancelled {
+					sess.Cancel(nil)
+				}
+				return in.RunOmpSs(sess), nil, nil
+			}
+			for i, cancelled := range []bool{false, true, false} {
+				sum, err, p := run(cancelled)
+				switch {
+				case cancelled && p == nil && sum == want:
+					t.Fatalf("run %d: every task skipped, yet the checksum is the reference %#x", i, want)
+				case cancelled && (p == nil || name == "h264dec"):
+				case cancelled:
+					t.Fatalf("run %d: cancelled run panicked: %v", i, p)
+				case p != nil || err != nil:
+					t.Fatalf("run %d: healthy run panicked %v, closed with %v", i, p, err)
+				case sum != want:
+					t.Fatalf("run %d: checksum %#x, reference %#x", i, sum, want)
+				}
+			}
+		})
+	}
+}
