@@ -14,10 +14,10 @@
 //	    violation
 //	ompss-serve -load -target http://host:8080 ...
 //	    same, against a remote ompss-serve over real HTTP
-//	ompss-serve -load -reject -session-inflight 8 ...
-//	    load shedding: a request whose spawns admission control refused
-//	    answers 429 with Retry-After, reported as rejected — not as an
-//	    error or a violation
+//	ompss-serve -load -reject -max-inflight 16 ...
+//	    load shedding: a request that arrives while the run-ahead window
+//	    is full answers 429 with Retry-After before its session opens,
+//	    reported as rejected — not as an error or a violation
 //
 // Tenancy: requests carry X-Tenant: gold|silver|bronze; the server maps the
 // class onto the scheduler's priority lanes via the session's Tenant option.
@@ -52,7 +52,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "runtime worker threads (0 = NumCPU)")
 		sessLimit  = flag.Int("session-inflight", 256, "per-session MaxInFlight budget (0 = unlimited)")
 		globLimit  = flag.Int("max-inflight", 0, "runtime-wide run-ahead window across all sessions, in tasks (0 = the default, 64 per worker; negative = unlimited)")
-		reject     = flag.Bool("reject", false, "RejectOnFull admission for request sessions (default BlockOnFull)")
+		reject     = flag.Bool("reject", false, "answer 429 to a request that arrives while the -max-inflight window is full (default: admit it, and its spawns wait for room)")
 		blocking   = flag.Bool("blocking", true, "Blocking wait mode (idle workers park; -blocking=false polls)")
 		out        = flag.String("o", "", "write the load report JSON here")
 		tracePath  = flag.String("trace", "", "record an observability trace of the load run here (filter per session with ompss-trace analyze -session)")

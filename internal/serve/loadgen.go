@@ -65,7 +65,7 @@ type ServeReport struct {
 	Requests   int64  `json:"requests"`
 	OK2xx      int64  `json:"ok_2xx"`
 	Faults5xx  int64  `json:"faults_5xx"` // deliberate /v1/fault responses
-	Rejected   int64  `json:"rejected"`   // 429: admission control refused a spawn
+	Rejected   int64  `json:"rejected"`   // 429: refused at the door, window full
 	Errors     int64  `json:"errors"`     // unexpected non-2xx / transport errors
 	Violations uint64 `json:"violations"`
 

@@ -64,7 +64,7 @@ func (s *Server) initMetrics() {
 		t.violations = reg.Counter("ompss_violations_total",
 			"Isolation violations observed (checksum mismatch or leaked skip), by tenant class.", l)
 		t.rejections = reg.Counter("ompss_rejections_total",
-			"Requests answered 503 while draining or 429 after admission control refused a spawn, by tenant class.", l)
+			"Requests refused at the door, by tenant class: 503 while draining, 429 while the run-ahead window is full (RejectOnFull).", l)
 		t.faults = reg.Counter("ompss_faults_total",
 			"Deliberate /v1/fault requests served, by tenant class.", l)
 		t.latency = reg.Histogram("ompss_request_seconds",

@@ -147,51 +147,86 @@ func TestRequestInputsArePrivate(t *testing.T) {
 
 // faulty is a kernel instance whose OmpSs run goes wrong: it panics, or it
 // returns a checksum off by one, which the server answers as a violation.
+// Before it panics it spawns one task over a key of its own, so the
+// request's session holds a dependence record and, on a runtime whose lone
+// thread has not helped yet, an unstarted task. held, if set, receives the
+// session.
 type faulty struct {
 	suite.Instance
 	panics bool
+	held   **ompss.Session
 }
 
 func (f faulty) RunOmpSs(api ompss.API) uint64 {
 	if f.panics {
+		var x int
+		api.Task(func(*ompss.TC) { x++ }, ompss.Out(&x))
+		if f.held != nil {
+			*f.held = api.(*ompss.Session)
+		}
 		panic("deliberate kernel fault")
 	}
 	return f.Instance.RunOmpSs(api) + 1
 }
 
+// holdWindow fills rt's run-ahead window, MaxInFlight(1) at New, with a
+// gated task running on its background worker, until release is called or
+// the test ends.
+func holdWindow(t *testing.T, rt *ompss.Runtime) (release func()) {
+	t.Helper()
+	started, gate := make(chan struct{}), make(chan struct{})
+	rt.Task(func(*ompss.TC) { close(started); <-gate })
+	release = sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release) // before the runtime's Shutdown
+	<-started
+	return release
+}
+
 // TestUnhealthyRequestsDropTheirInstance checks that only a healthy 200
 // puts a request's instance back on its endpoint's free list. A request
-// whose spawns admission refused (429), one whose kernel answered a wrong
-// checksum (500) and one whose kernel panicked each drop theirs: their
-// buffers are in an unknown state and must not serve a later request.
+// refused at the door (429) builds none, and one whose kernel answered a
+// wrong checksum (500) or panicked drops its own: its buffers are in an
+// unknown state and must not serve a later request. A failed request's
+// session is closed all the same, a panicking kernel's too: no task stays in
+// flight and no dependence record outlives the request.
 func TestUnhealthyRequestsDropTheirInstance(t *testing.T) {
 	paths := []string{"/v1/rotate", "/v1/rgbcmy", "/v1/h264dec"}
 
 	t.Run("refused", func(t *testing.T) {
-		rt := ompss.New(ompss.Workers(2))
+		rt := ompss.New(ompss.Workers(2), ompss.MaxInFlight(1))
 		t.Cleanup(rt.Shutdown)
 		srv := New(rt, Config{SessionInFlight: 2, Admission: ompss.RejectOnFull})
-		started, release := make(chan struct{}), make(chan struct{})
-		rt.Task(func(*ompss.TC) { close(started); <-release })
-		t.Cleanup(func() { close(release) }) // before the runtime's Shutdown
-		<-started
+		holdWindow(t, rt)
 		for _, path := range paths {
+			r := srv.kernels[path]
+			built := 0
+			healthy := r.build
+			r.build = func() suite.Instance { built++; return healthy() }
 			if rec, resp := do(t, srv, path, ""); rec.Code != http.StatusTooManyRequests {
 				t.Fatalf("%s: status %d (%s), want 429", path, rec.Code, resp.Error)
 			}
-			if n := len(srv.kernels[path].free); n != 0 {
-				t.Errorf("%s: a refused request put its instance back (%d idle)", path, n)
+			if built != 0 {
+				t.Errorf("%s: a refused request built %d instances", path, built)
+			}
+			if n := len(r.free); n != 0 {
+				t.Errorf("%s: a refused request put an instance on the free list (%d idle)", path, n)
 			}
 		}
 	})
 
 	for _, panics := range []bool{false, true} {
 		t.Run(fmt.Sprintf("panics=%v", panics), func(t *testing.T) {
-			srv, _ := newTestServer(t)
+			// The runtime's one thread runs no task until somebody waits, so
+			// a panicking kernel's task is still unstarted when the panic
+			// leaves the handler: only its session's Close skips it and drops
+			// its dependence record.
+			srv, rt := newTestServer(t, ompss.Workers(1))
+			base := rt.DepRecords()
 			for _, path := range paths {
 				r := srv.kernels[path]
 				healthy := r.build
-				r.build = func() suite.Instance { return faulty{healthy(), panics} }
+				var sess *ompss.Session
+				r.build = func() suite.Instance { return faulty{Instance: healthy(), panics: panics, held: &sess} }
 				rec := httptest.NewRecorder()
 				func() {
 					defer func() {
@@ -207,6 +242,12 @@ func TestUnhealthyRequestsDropTheirInstance(t *testing.T) {
 				if n := len(r.free); n != 0 {
 					t.Errorf("%s: a failed request put its instance back (%d idle)", path, n)
 				}
+				if sess != nil && sess.Stats().InFlight != 0 {
+					t.Errorf("%s: the panicking request's session has %d tasks in flight", path, sess.Stats().InFlight)
+				}
+				if n := rt.DepRecords(); n != base {
+					t.Errorf("%s: %d dependence records live after the failed request, %d before", path, n, base)
+				}
 				// The control: a healthy request's instance goes back.
 				r.build = healthy
 				if rec, resp := do(t, srv, path, ""); rec.Code != http.StatusOK {
@@ -220,31 +261,33 @@ func TestUnhealthyRequestsDropTheirInstance(t *testing.T) {
 	}
 }
 
-// TestAdmissionRefusalsAnswer429 runs every kernel endpoint under
-// RejectOnFull with a two-task session budget. A request whose spawns were
-// refused has an incomplete answer by construction: it must be answered
-// 429 with a Retry-After and counted as a rejection, never as an isolation
-// violation, and a kernel body that panics on its short pipeline (h264dec)
-// must not take the handler down. The first leg makes every request refuse:
-// the runtime's one background worker is held by a gated task, so a
-// request's third spawn finds its first two unfinished. The second leg runs
-// the endpoints concurrently with the worker free, where either answer is
-// legitimate.
+// TestAdmissionRefusalsAnswer429 is the door under RejectOnFull. In the
+// first leg a gated task holds the runtime's one-task run-ahead window, so
+// every kernel endpoint and /v1/fault must answer 429 with a Retry-After
+// before it builds an instance or opens a session: no task is submitted, the
+// refusal is counted as a rejection and never as an isolation violation.
+// Once the gate opens and the task drains, every endpoint answers 200. The
+// second leg runs the endpoints concurrently on a small window, where either
+// answer is legitimate.
 func TestAdmissionRefusalsAnswer429(t *testing.T) {
 	paths := []string{"/v1/rotate", "/v1/rgbcmy", "/v1/h264dec"}
-	newServer := func() *Server {
-		rt := ompss.New(ompss.Workers(2))
+	newServer := func(window int) *Server {
+		rt := ompss.New(ompss.Workers(2), ompss.MaxInFlight(window))
 		t.Cleanup(rt.Shutdown)
-		return New(rt, Config{SessionInFlight: 2, Admission: ompss.RejectOnFull})
+		return New(rt, Config{SessionInFlight: 64, Admission: ompss.RejectOnFull})
 	}
 
 	t.Run("worker-held", func(t *testing.T) {
-		srv := newServer()
-		started, release := make(chan struct{}), make(chan struct{})
-		srv.rt.Task(func(*ompss.TC) { close(started); <-release })
-		t.Cleanup(func() { close(release) }) // before the runtime's Shutdown
-		<-started
+		srv := newServer(1)
+		release := holdWindow(t, srv.rt)
+		submitted := srv.rt.Stats().Graph.Submitted
+		built := 0
 		for _, path := range paths {
+			r := srv.kernels[path]
+			healthy := r.build
+			r.build = func() suite.Instance { built++; return healthy() }
+		}
+		for _, path := range append(paths, "/v1/fault") {
 			rec, resp := do(t, srv, path, "gold")
 			if rec.Code != http.StatusTooManyRequests {
 				t.Fatalf("%s: status %d (%s), want 429", path, rec.Code, resp.Error)
@@ -252,21 +295,37 @@ func TestAdmissionRefusalsAnswer429(t *testing.T) {
 			if rec.Header().Get("Retry-After") == "" {
 				t.Errorf("%s: 429 without Retry-After", path)
 			}
-			if !strings.Contains(resp.Error, ompss.ErrAdmission.Error()) {
-				t.Errorf("%s: 429 error %q does not name the admission refusal", path, resp.Error)
+		}
+		if n := srv.rt.Stats().Graph.Submitted; n != submitted {
+			t.Errorf("refused requests submitted %d tasks", n-submitted)
+		}
+		if built != 0 {
+			t.Errorf("refused requests built %d instances", built)
+		}
+		for _, path := range paths {
+			if n := len(srv.kernels[path].free); n != 0 {
+				t.Errorf("%s: %d idle instances after refusals", path, n)
 			}
 		}
 		m := scrape(t, srv)
-		if got := m[`ompss_rejections_total{tenant="gold"}`]; got != float64(len(paths)) {
-			t.Errorf(`rejections_total{tenant="gold"} = %v, want %d`, got, len(paths))
+		if got := m[`ompss_rejections_total{tenant="gold"}`]; got != float64(len(paths)+1) {
+			t.Errorf(`rejections_total{tenant="gold"} = %v, want %d`, got, len(paths)+1)
 		}
 		if v := srv.Violations(); v != 0 || m[`ompss_violations_total{tenant="gold"}`] != 0 {
 			t.Errorf("refusals counted as %d isolation violations", v)
 		}
+
+		release()
+		srv.rt.Taskwait()
+		for _, path := range paths {
+			if rec, resp := do(t, srv, path, "gold"); rec.Code != http.StatusOK {
+				t.Errorf("%s: status %d (%s) after the window drained, want 200", path, rec.Code, resp.Error)
+			}
+		}
 	})
 
 	t.Run("concurrent", func(t *testing.T) {
-		srv := newServer()
+		srv := newServer(4)
 		var wg sync.WaitGroup
 		for c := 0; c < 6; c++ {
 			wg.Add(1)
@@ -426,7 +485,7 @@ func TestDrain(t *testing.T) {
 	srv, _ := newTestServer(t)
 
 	// A live "session": admission taken directly, as a handler would.
-	if !srv.beginRequest() {
+	if !srv.beginRequest(httptest.NewRecorder(), 0) {
 		t.Fatal("beginRequest refused before any drain")
 	}
 

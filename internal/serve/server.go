@@ -7,8 +7,7 @@
 // as the isolation oracle: a foreign failure cascade, a leaked cancellation,
 // or a dependence-record mixup shows up as a wrong answer or a nonzero skip
 // count in an innocent request, which the server counts as a violation. A
-// request whose spawns admission control refused (RejectOnFull) has an
-// incomplete answer by construction; it is answered 429, not checked.
+// request refused at the door (RejectOnFull, window full) runs no task.
 package serve
 
 import (
@@ -36,7 +35,8 @@ type Config struct {
 	// SessionInFlight is the per-request-session MaxInFlight budget
 	// (0 = unlimited).
 	SessionInFlight int
-	// Admission selects the full-budget behavior of request sessions.
+	// Admission is the door policy while the runtime's run-ahead window is
+	// full: BlockOnFull admits, RejectOnFull answers 429 (beginRequest).
 	Admission ompss.AdmissionMode
 	// Recorder is the trace recorder the hosting runtime was built with
 	// (ompss.Observe), if any. The metrics plane reads its ring-drop count.
@@ -58,10 +58,10 @@ const freeInstances = 8
 // concurrent sessions never register the same key. The instance goes back
 // on the list only after a healthy 200, and the next request reuses its
 // image clone and its OmpSs buffers, which the kernel resets at the start of
-// every run. A request that was refused, panicked or answered a violation
-// drops its instance. The free list is a buffered channel, not a sync.Pool:
-// a Pool empties at every GC, so what it retains — and the server's resident
-// set with it — would follow the collector instead of the traffic.
+// every run. A request that panicked or answered a violation drops its
+// instance. The free list is a buffered channel, not a sync.Pool: a Pool
+// empties at every GC, so what it retains — and the server's resident set
+// with it — would follow the collector instead of the traffic.
 type runner struct {
 	name  string
 	build func() suite.Instance
@@ -185,16 +185,29 @@ func lazyImage(w, h int, seed int64) func() *img.RGB {
 // load generator drives it without a listener).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// beginRequest admits one session-bearing request. It returns false once
-// the server is draining — the caller answers 503 and opens no session.
-func (s *Server) beginRequest() bool {
+// beginRequest is the door of every session-bearing request: it counts the
+// request live, or answers the refusal itself and returns false — 503 while
+// the server drains, 429 under RejectOnFull while the runtime's run-ahead
+// window is full. A refused request takes no instance and opens no session.
+func (s *Server) beginRequest(w http.ResponseWriter, tenant int) bool {
+	full := s.cfg.Admission == ompss.RejectOnFull && s.rt.WindowFull()
 	s.liveMu.Lock()
-	defer s.liveMu.Unlock()
-	if s.draining {
-		return false
+	draining := s.draining
+	if !draining && !full {
+		s.liveN++
 	}
-	s.liveN++
-	return true
+	s.liveMu.Unlock()
+	switch {
+	case draining:
+		s.writeUnavailable(w)
+	case full:
+		w.Header().Set("Retry-After", "1")
+		writeJSON(w, http.StatusTooManyRequests, map[string]string{"status": "run-ahead window full"})
+	default:
+		return true
+	}
+	s.tenants[tenant].rejections.Inc()
+	return false
 }
 
 func (s *Server) endRequest() {
@@ -278,7 +291,7 @@ func tenantClass(h string) int {
 }
 
 func (s *Server) sessionOpts(tenant int) []ompss.Option {
-	opts := []ompss.Option{ompss.Tenant(tenant), ompss.Admission(s.cfg.Admission)}
+	opts := []ompss.Option{ompss.Tenant(tenant)}
 	if s.cfg.SessionInFlight > 0 {
 		opts = append(opts, ompss.MaxInFlight(s.cfg.SessionInFlight))
 	}
@@ -287,9 +300,7 @@ func (s *Server) sessionOpts(tenant int) []ompss.Option {
 
 func (s *Server) handleKernel(w http.ResponseWriter, req *http.Request, r *runner) {
 	tenant := tenantClass(req.Header.Get("X-Tenant"))
-	if !s.beginRequest() {
-		s.tenants[tenant].rejections.Inc()
-		s.writeUnavailable(w)
+	if !s.beginRequest(w, tenant) {
 		return
 	}
 	defer s.endRequest()
@@ -302,8 +313,9 @@ func (s *Server) handleKernel(w http.ResponseWriter, req *http.Request, r *runne
 
 	marks[phaseRun] = time.Now()
 	sess := s.rt.NewSession(s.sessionOpts(tenant)...)
+	defer sess.Close() // idempotent; closes the session of a panicking kernel
 	start := time.Now()
-	got := runOmpSs(in, sess)
+	got := in.RunOmpSs(sess)
 	marks[phaseClose] = time.Now()
 	err := sess.Close()
 	marks[phaseEncode] = time.Now()
@@ -321,13 +333,6 @@ func (s *Server) handleKernel(w http.ResponseWriter, req *http.Request, r *runne
 		ElapsedNS: elapsed.Nanoseconds(),
 	}
 	switch {
-	case st.Refused > 0:
-		// Refused spawns leave the kernel's output incomplete: load
-		// shedding, answered like a full queue, not checked.
-		ts.rejections.Inc()
-		resp.Error = fmt.Sprintf("%v: %d spawns refused", ompss.ErrAdmission, st.Refused)
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, resp)
 	case got != want:
 		s.violations.Add(1)
 		ts.violations.Inc()
@@ -347,28 +352,13 @@ func (s *Server) handleKernel(w http.ResponseWriter, req *http.Request, r *runne
 	ts.observePhases(&marks)
 }
 
-// runOmpSs runs in's OmpSs body in sess. A body whose spawns admission
-// control refused may panic on its incomplete pipeline (h264dec does, at
-// its final barrier): that is load shedding, which the caller answers 429
-// from the refusal count. Any other panic is a bug and propagates.
-func runOmpSs(in suite.Instance, sess *ompss.Session) (sum uint64) {
-	defer func() {
-		if p := recover(); p != nil && sess.Stats().Refused == 0 {
-			panic(p)
-		}
-	}()
-	return in.RunOmpSs(sess)
-}
-
 // handleFault is the deliberate-failure endpoint: a small dependence chain
 // whose head fails, so the session's SkipDependents cascade skips the rest.
 // The request answers 500 by design — concurrent kernel requests returning
 // correct checksums while this endpoint fires is the isolation demo.
 func (s *Server) handleFault(w http.ResponseWriter, req *http.Request) {
 	tenant := tenantClass(req.Header.Get("X-Tenant"))
-	if !s.beginRequest() {
-		s.tenants[tenant].rejections.Inc()
-		s.writeUnavailable(w)
+	if !s.beginRequest(w, tenant) {
 		return
 	}
 	defer s.endRequest()

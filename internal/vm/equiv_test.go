@@ -182,7 +182,7 @@ func lifecycleCases() []streamCase {
 	blocking := ompss.Wait(ompss.Blocking)
 
 	admission := func(rt *ompss.Runtime) {
-		s := rt.NewSession(ompss.MaxInFlight(4), ompss.Admission(ompss.BlockOnFull))
+		s := rt.NewSession(ompss.MaxInFlight(4))
 		var cells [4]int
 		for i := 0; i < 32; i++ {
 			c := &cells[i%len(cells)]

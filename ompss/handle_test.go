@@ -374,8 +374,7 @@ func TestInlineTaskHandle(t *testing.T) {
 }
 
 // TestTaskFailureWithoutHandle pins the failure story of a Task, which
-// returns no Handle: a panicking body still reaches every error surface, and
-// a refusal still reaches the session's accounting.
+// returns no Handle: a panicking body still reaches every error surface.
 func TestTaskFailureWithoutHandle(t *testing.T) {
 	isBoom := func(err error) bool {
 		var tp *TaskPanic
@@ -454,21 +453,6 @@ func TestTaskFailureWithoutHandle(t *testing.T) {
 			t.Errorf("TaskwaitCtx = %v, want a skip wrapping %v", err, cause)
 		}
 		_ = s.Close()
-	})
-
-	t.Run("refused", func(t *testing.T) {
-		rt := New(Workers(1))
-		defer rt.Shutdown()
-		s := rt.NewSession(MaxInFlight(1), Admission(RejectOnFull))
-		s.Task(func(*TC) {}) // unstarted: Workers(1) runs nothing until a wait
-		s.Task(func(*TC) { t.Error("a refused Task ran") })
-		if got := s.Stats().Refused; got != 1 {
-			t.Errorf("Refused = %d, want 1", got)
-		}
-		s.Taskwait()
-		if err := s.Close(); err != nil {
-			t.Errorf("Close = %v: a refused Task leaves no failure behind", err)
-		}
 	})
 }
 

@@ -77,11 +77,11 @@ const (
 )
 
 // config collects runtime options. The session-relevant subset — policy,
-// rec, tenant, maxInFlight, admission — is accepted uniformly at New and
-// NewSession: NewSession starts from a copy of the runtime's config and
-// applies its own options on top, so session values override runtime
-// defaults field by field. Scheduling/renaming knobs live in the Tuning
-// profile (tuning.go), which only the runtime's config consults.
+// rec, tenant, maxInFlight — is accepted uniformly at New and NewSession:
+// NewSession starts from a copy of the runtime's config and applies its own
+// options on top, so session values override runtime defaults field by
+// field. Scheduling/renaming knobs live in the Tuning profile (tuning.go),
+// which only the runtime's config consults.
 type config struct {
 	workers     int
 	wait        WaitMode
@@ -91,7 +91,6 @@ type config struct {
 	policy      ErrorPolicy
 	tenant      int
 	maxInFlight int
-	admission   AdmissionMode
 }
 
 // schedPolicy assembles the core scheduling policy the lifecycle hands to
@@ -348,6 +347,15 @@ func (rt *Runtime) DepRecords() int {
 	return rt.lc.graph.Records()
 }
 
+// WindowFull reports whether the run-ahead window (MaxInFlight at New) is
+// full: a creator outside a task body would be held at its next spawn. A
+// server reads it at the door to refuse a whole request before it opens a
+// session (AdmissionMode). Approximate under concurrent spawners, like the
+// window itself.
+func (rt *Runtime) WindowFull() bool {
+	return rt.lc.room != nil && !rt.lc.room()
+}
+
 // Shutdown drains all outstanding tasks (the implicit end-of-program
 // barrier) and stops the workers. The native runtime requires it; RunSim
 // calls it automatically when the program returns. Idempotent.
@@ -445,9 +453,8 @@ func (tc *TC) spawn(r *taskRec) {
 	switch s := tc.sess; {
 	case !r.enabled:
 		tc.spawnInline(r)
-	case s != nil && s.managed():
-		// Request sessions (and a default session that refuses on a full
-		// window) route through admission control.
+	case s != nil && s.ephemeral:
+		// Request sessions route through their budget and close gate.
 		s.spawnManaged(tc, r)
 	default:
 		if s != nil {

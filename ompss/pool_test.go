@@ -102,15 +102,7 @@ func TestRetainedHandlesSurviveRecordReuse(t *testing.T) {
 	})
 	keep("If(false)", rt.Go(func(*TC) error { return errInline }, If(false)), is(errInline))
 
-	// The gated task holds the session's one slot: nothing runs the gate on
-	// this goroutine before it is opened, as the spawns in between are
-	// refused without waiting.
-	s := rt.NewSession(MaxInFlight(1), Admission(RejectOnFull))
-	gate := make(chan struct{})
-	s.Task(func(*TC) { <-gate })
-	keep("admission", s.Go(func(*TC) error { return nil }), is(ErrAdmission))
-	close(gate)
-	s.Taskwait()
+	s := rt.NewSession()
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}

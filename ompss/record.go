@@ -237,7 +237,7 @@ func (r *taskRec) run() (err error) {
 // nil check for a handle-less Task stays in one place. A refused Task has no
 // handle, so Settle drops the SkipError built here: one allocation per
 // refusal, accepted because only a refused spawn pays it. Nothing reports a
-// refused Task but the session's Refused count (for ErrAdmission).
+// refused Task: it was spawned into a closed or cancelled session.
 func (r *taskRec) refuse(cause error) { r.Settle(&SkipError{Label: r.t.Label, Cause: cause}) }
 
 // commutativeKeys collects the keys of a task's Commutative accesses.

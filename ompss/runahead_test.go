@@ -1,7 +1,6 @@
 package ompss
 
 import (
-	"errors"
 	"sync/atomic"
 	"testing"
 
@@ -85,39 +84,6 @@ func TestNestedTaskwaitHoldingEveryWindowSlot(t *testing.T) {
 				t.Fatalf("sim wait=%d window=%d: %v", wait, window, err)
 			}
 		}
-	}
-}
-
-// TestRejectOnFullRefusesAtTheWindow: with Admission(RejectOnFull) a full
-// runtime-level window refuses the spawn — on the default session and on a
-// request session alike — where BlockOnFull would have the creator execute
-// the held task. Workers(1) and an unstarted task keep the window full for as
-// long as the master does not help.
-func TestRejectOnFullRefusesAtTheWindow(t *testing.T) {
-	rt := New(Workers(1), MaxInFlight(1), Admission(RejectOnFull))
-	defer rt.Shutdown()
-	ran := false
-	first := rt.Go(func(*TC) error { ran = true; return nil })
-	if err := rt.Go(func(*TC) error { return nil }).Err(); !errors.Is(err, ErrAdmission) {
-		t.Fatalf("default session over the window: err = %v, want ErrAdmission", err)
-	}
-	s := rt.NewSession()
-	if err := s.Go(func(*TC) error { return nil }).Err(); !errors.Is(err, ErrAdmission) {
-		t.Fatalf("request session over the window: err = %v, want ErrAdmission", err)
-	}
-	if ran {
-		t.Fatal("a refused spawn executed the task holding the window")
-	}
-	rt.Taskwait()
-	if err := first.Err(); err != nil || !ran {
-		t.Fatalf("first.Err = %v, ran = %v", err, ran)
-	}
-	if err := rt.Go(func(*TC) error { return nil }).Err(); err != nil {
-		t.Fatalf("spawn after the drain: %v", err)
-	}
-	rt.Taskwait()
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
 	}
 }
 

@@ -14,25 +14,21 @@ import (
 // Go returns for spawns attempted after Close. Match with errors.Is.
 var ErrSessionClosed = errors.New("ompss: session closed")
 
-// ErrAdmission is the cause wrapped into the pre-failed handle Go returns
-// for a spawn rejected by admission control (RejectOnFull with the session
-// or global in-flight budget exhausted); SessionStats.Refused counts every
-// rejected spawn, Task and Go alike. Match with errors.Is.
-var ErrAdmission = errors.New("ompss: admission limit reached")
-
-// AdmissionMode selects what a spawn does when the session's (or the
-// runtime's global) in-flight budget is exhausted.
+// AdmissionMode is a server's door policy for a request that arrives while
+// the runtime's run-ahead window is full (Runtime.WindowFull): internal/serve
+// reads it once per request, before it opens the request's session. Inside a
+// session, spawns never refuse; a full budget holds the creator, which helps
+// execute ready tasks meanwhile.
 type AdmissionMode int
 
 const (
-	// BlockOnFull (the default) makes the spawning thread wait for
-	// headroom, helping to execute ready tasks meanwhile — backpressure
-	// that keeps the submitter productive, as taskwait does.
+	// BlockOnFull (the default) admits the request anyway: its session's
+	// spawns wait for room, helping to execute ready tasks meanwhile —
+	// backpressure that keeps the submitter productive, as taskwait does.
 	BlockOnFull AdmissionMode = iota
-	// RejectOnFull refuses the spawn: nothing is submitted, Go returns a
-	// pre-failed Handle whose Err wraps ErrAdmission, and the session's
-	// Refused count goes up. Load-shedding for servers that prefer a fast
-	// 429 over queueing.
+	// RejectOnFull refuses the whole request at the door (HTTP 429 with
+	// Retry-After): it opens no session and runs no task. Load-shedding for
+	// servers that prefer a fast 429 over queueing.
 	RejectOnFull
 )
 
@@ -50,9 +46,8 @@ func Tenant(class int) Option { return func(c *config) { c.tenant = class } }
 // the bound, and unset (or 0) is the default of 64 tasks per worker. A
 // creator outside any task body — the runtime's master or a session's — that
 // finds the window full stops creating and executes ready tasks until there
-// is room (Admission(RejectOnFull) refuses instead); a creator inside a task
-// body is never held, since its parent may be waiting for the very child it
-// is about to create. It follows that a task body must not wait for
+// is room; a creator inside a task body is never held, since its parent may
+// be waiting for the very child it is about to create. It follows that a task body must not wait for
 // something its creator does only later in program order (a channel the
 // creator closes after further spawns, say) unless the window covers those
 // spawns: the creator may be executing that very body. Under concurrent
@@ -63,9 +58,6 @@ func Tenant(class int) Option { return func(c *config) { c.tenant = class } }
 // every spawn of the session; unset (or n <= 0) means none. Both may be
 // active — a spawn needs headroom in both.
 func MaxInFlight(n int) Option { return func(c *config) { c.maxInFlight = n } }
-
-// Admission selects the full-budget behavior (default BlockOnFull).
-func Admission(m AdmissionMode) Option { return func(c *config) { c.admission = m } }
 
 // API is the task-spawning surface shared by *Runtime and *Session:
 // programs written against it run unchanged on the runtime's default
@@ -135,13 +127,11 @@ type Session struct {
 	// admu serializes the session's budget check-then-charge, making the
 	// per-session budget exact under concurrent spawners.
 	admu sync.Mutex
-
-	refused atomic.Uint64 // spawns admission control refused (ErrAdmission)
 }
 
 // NewSession opens a request-scoped session. Session-relevant options —
-// OnError, Observe, Tenant, MaxInFlight, Admission — are accepted here with
-// the same constructors New takes; a session value overrides the runtime
+// OnError, Observe, Tenant, MaxInFlight — are accepted here with the same
+// constructors New takes; a session value overrides the runtime
 // default, anything not set is inherited (see DESIGN.md for the precedence
 // table). Observe(nil) mutes the session's per-task events in the
 // runtime's recorder; attaching a different recorder than the runtime's
@@ -192,7 +182,6 @@ type SessionStats struct {
 	Failed    uint64 // finished with a non-nil outcome (includes skipped)
 	Skipped   uint64 // released without running
 	InFlight  int64  // submitted but not yet finished
-	Refused   uint64 // spawns refused by admission control, never submitted
 }
 
 // Stats returns the session's task accounting counters.
@@ -204,7 +193,6 @@ func (s *Session) Stats() SessionStats {
 		Failed:    d.Failed,
 		Skipped:   d.Skipped,
 		InFlight:  d.InFlight,
-		Refused:   s.refused.Load(),
 	}
 }
 
@@ -267,11 +255,10 @@ func (s *Session) cancelWith(cause error) {
 // valid and keep reporting their task's final outcome. Returns the first
 // failure among the session's children (cancellation skips included, and a
 // Task's failure, which has no handle to report it), nil when everything
-// succeeded. A spawn refused by admission or after Close never became a
-// child: it is not reported here, and a refused Task leaves no handle
-// either — SessionStats.Refused counts the admission refusals. Idempotent;
-// call Taskwait first if remaining work should complete rather than be
-// cancelled. On the default session Close is a no-op returning nil.
+// succeeded. A spawn refused after Close never became a child: it is not
+// reported here. Idempotent; call Taskwait first if remaining work should
+// complete rather than be cancelled. On the default session Close is a no-op
+// returning nil.
 func (s *Session) Close() error {
 	if !s.ephemeral {
 		return nil
@@ -296,36 +283,21 @@ func (s *Session) Close() error {
 	return s.tc.ctx.TakeErr()
 }
 
-// managed reports whether spawns must go through the admission path: every request session, and the default session when it refuses on a
-// full window. Otherwise the default session's only bound is the run-ahead
-// window, which lifecycle.submit checks without this path's locks.
-func (s *Session) managed() bool {
-	return s.ephemeral || s.cfg.admission == RejectOnFull
-}
-
-// limit returns the session-private in-flight budget (<= 0: none). The
-// default session has none — the runtime's MaxInFlight is the lifecycle's
-// run-ahead window.
-func (s *Session) limit() int {
-	if s.ephemeral {
-		return s.cfg.maxInFlight
-	}
-	return 0
-}
-
-// headroom reports whether the session's budget and the runtime's run-ahead
-// window both admit one more task from tc.
+// headroom reports whether the session's private budget (MaxInFlight at
+// NewSession; <= 0: none) and the runtime's run-ahead window both admit one
+// more task from tc. Only request sessions come here: the default session's
+// only bound is the window, which lifecycle.submit checks itself.
 func (s *Session) headroom(tc *TC) bool {
-	if lim := s.limit(); lim > 0 && s.dom.InFlight() >= int64(lim) {
+	if lim := s.cfg.maxInFlight; lim > 0 && s.dom.InFlight() >= int64(lim) {
 		return false
 	}
 	return !s.rt.lc.held(tc)
 }
 
-// admit waits for (BlockOnFull) or probes (RejectOnFull) budget headroom
-// and charges the session for one task. ok=false reports the refusal cause
-// (ErrAdmission, ErrSessionClosed, or the session's cancellation cause);
-// nothing is charged then.
+// admit waits for budget headroom, helping execute meanwhile, and charges
+// the session for one task. ok=false reports the refusal cause
+// (ErrSessionClosed, or the session's cancellation cause); nothing is
+// charged then.
 func (s *Session) admit(tc *TC) (ok bool, cause error) {
 	for {
 		if s.closedFlag.Load() {
@@ -341,9 +313,6 @@ func (s *Session) admit(tc *TC) (ok bool, cause error) {
 			return true, nil
 		}
 		s.admu.Unlock()
-		if s.cfg.admission == RejectOnFull {
-			return false, ErrAdmission
-		}
 		// Backpressure: help execute until a finish frees budget, the
 		// session is cancelled, or it closes.
 		s.rt.lc.waitFor(tc, parkFinish, func() bool {
@@ -352,13 +321,10 @@ func (s *Session) admit(tc *TC) (ok bool, cause error) {
 	}
 }
 
-// spawnManaged is the admission-controlled spawn path of managed sessions
+// spawnManaged is the admission-controlled spawn path of request sessions
 // (TC.spawn routes here).
 func (s *Session) spawnManaged(tc *TC, r *taskRec) {
 	if ok, cause := s.admit(tc); !ok {
-		if cause == ErrAdmission {
-			s.refused.Add(1)
-		}
 		r.refuse(cause)
 		return
 	}

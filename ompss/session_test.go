@@ -169,65 +169,37 @@ func TestSessionAdmissionBlock(t *testing.T) {
 	}
 }
 
-// TestSessionAdmissionReject checks RejectOnFull: a spawn over budget
-// returns a pre-failed ErrAdmission handle without submitting, and the
-// budget frees on finish.
-func TestSessionAdmissionReject(t *testing.T) {
-	rt := ompss.New(ompss.Workers(2))
-	defer rt.Shutdown()
-
-	s := rt.NewSession(ompss.MaxInFlight(1), ompss.Admission(ompss.RejectOnFull))
-	release := make(chan struct{})
-	ran := make(chan struct{})
-	s.Task(func(*ompss.TC) { close(ran); <-release })
-	<-ran
-	rejected := s.Go(func(*ompss.TC) error { return nil })
-	if err := rejected.Err(); !errors.Is(err, ompss.ErrAdmission) {
-		t.Fatalf("over-budget spawn err = %v, want ErrAdmission", err)
-	}
-	close(release)
-	s.Taskwait()
-	// Budget freed: the next spawn is admitted.
-	ok := s.Go(func(*ompss.TC) error { return nil })
-	s.Taskwait()
-	if err := ok.Err(); err != nil {
-		t.Fatalf("post-drain spawn err = %v, want nil", err)
-	}
-	if st := s.Stats(); st.Refused != 1 || st.Submitted != 2 {
-		t.Fatalf("stats %+v, want 1 refused beside 2 submitted", st)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-}
-
-// TestGlobalAdmission checks the runtime-wide limiter: with the global
-// budget held by one session's running task, another session's RejectOnFull
-// spawn is refused.
+// TestGlobalAdmission checks the door probe a server consults before it
+// opens a request's session: Runtime.WindowFull reports the run-ahead window
+// full while one session's running task holds it, and not full after that
+// task drains.
 func TestGlobalAdmission(t *testing.T) {
 	rt := ompss.New(ompss.Workers(2), ompss.MaxInFlight(1))
 	defer rt.Shutdown()
 
+	if rt.WindowFull() {
+		t.Fatal("WindowFull on an idle runtime")
+	}
 	a := rt.NewSession()
-	b := rt.NewSession(ompss.Admission(ompss.RejectOnFull))
 	release := make(chan struct{})
 	ran := make(chan struct{})
 	a.Task(func(*ompss.TC) { close(ran); <-release })
 	<-ran
-	h := b.Go(func(*ompss.TC) error { return nil })
-	if err := h.Err(); !errors.Is(err, ompss.ErrAdmission) {
-		t.Fatalf("cross-session over-budget spawn err = %v, want ErrAdmission", err)
-	}
-	if ra, rb := a.Stats().Refused, b.Stats().Refused; ra != 0 || rb != 1 {
-		t.Fatalf("refused a=%d b=%d, want 0 1: the refusal is the spawning session's", ra, rb)
+	if !rt.WindowFull() {
+		t.Fatal("WindowFull = false while another session's task holds the one-task window")
 	}
 	close(release)
 	a.Taskwait()
-	if err := a.Close(); err != nil {
-		t.Fatalf("Close a: %v", err)
+	if rt.WindowFull() {
+		t.Fatal("WindowFull = true after the holding task drained")
 	}
-	if err := b.Close(); err != nil {
-		t.Fatalf("Close b: %v", err)
+	if err := a.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	unbounded := ompss.New(ompss.Workers(1), ompss.MaxInFlight(-1))
+	defer unbounded.Shutdown()
+	if unbounded.WindowFull() {
+		t.Fatal("WindowFull on an unbounded window")
 	}
 }
 
