@@ -119,18 +119,30 @@ dist-trace:
 serve:
 	$(GO) run ./cmd/ompss-serve -addr :8080
 
-# Short load burst against the in-process handler (the CI serve-smoke job
-# also drives a booted server over real HTTP): concurrent mixed-tenant
-# clients with fault injection; exits nonzero on zero 2xx responses or any
-# cross-session isolation violation. The latency report is a by-product
-# under /tmp; the measured numbers are the benchmark's serve-mix workload.
-# The second leg sheds load: with a 16-task run-ahead window, RejectOnFull
-# answers 429 at the door to every request that arrives while the window is
-# full — never a violation — and admits the rest, which answer 200 (on 2
-# CPUs about 3,000 of each kind in 3 s, beside about 12,000 429s).
+# The CI serve-smoke job's legs, in order. (1) Boot ompss-serve, run the
+# smoke against it over HTTP, then scrape its /metrics and check the scrape
+# (scripts/serve-metrics.sh: every tenant class counted, 0 violations each).
+# (2) The smoke against the process's own server on a loopback listener.
+# (3) Load shedding: with a 16-task run-ahead window, -reject answers 429
+# with Retry-After at the door to a request that arrives while the window is
+# full, and the smoke's client waits as asked. (4) SIGTERM a live server: it
+# drains and exits 0. The smoke exits 1 on any unexpected answer (a kernel
+# 500 is an isolation violation) or when no kernel request answered 200; the
+# tally it prints is a by-product, the measured service numbers are the
+# benchmark's serve-mix workload.
+SMOKE_BIN = /tmp/ompss-serve
 serve-smoke:
-	$(GO) run ./cmd/ompss-serve -load -duration 5s -conc 8 -fault-every 7 -o /tmp/serve_load.json
-	$(GO) run ./cmd/ompss-serve -load -reject -max-inflight 16 -duration 3s -conc 8
+	$(GO) build -o $(SMOKE_BIN) ./cmd/ompss-serve
+	$(SMOKE_BIN) -addr 127.0.0.1:18080 -workers 2 & pid=$$!; \
+	for i in $$(seq 1 50); do curl -fsS http://127.0.0.1:18080/healthz >/dev/null 2>&1 && break; sleep 0.2; done; \
+	$(SMOKE_BIN) -load -target http://127.0.0.1:18080 -duration 5s && \
+	curl -fsS http://127.0.0.1:18080/metrics -o /tmp/metrics.prom && \
+	scripts/serve-metrics.sh /tmp/metrics.prom; st=$$?; kill $$pid; wait $$pid; exit $$st
+	$(SMOKE_BIN) -load -duration 5s
+	$(SMOKE_BIN) -load -reject -max-inflight 16 -duration 3s
+	$(SMOKE_BIN) -addr 127.0.0.1:18081 -workers 2 -drain-timeout 10s & pid=$$!; \
+	for i in $$(seq 1 50); do curl -fsS http://127.0.0.1:18081/healthz >/dev/null 2>&1 && break; sleep 0.2; done; \
+	kill -TERM $$pid; wait $$pid
 
 # The distributed coordinator and suite adapters under the race detector,
 # including the worker-kill fault-confinement leg.

@@ -3,21 +3,21 @@
 // request-scoped ompss.Session per request (internal/serve).
 //
 //	ompss-serve -addr :8080
-//	    serve /healthz, /v1/rotate, /v1/rgbcmy, /v1/h264dec, /v1/fault,
-//	    /v1/stats until interrupted; on SIGINT/SIGTERM the server drains —
+//	    serve /healthz, /metrics, /v1/rotate, /v1/rgbcmy, /v1/h264dec and
+//	    /v1/fault until interrupted; on SIGINT/SIGTERM the server drains —
 //	    new session-bearing requests answer 503, live sessions finish
 //	    (bounded by -drain-timeout), and the process exits 0
-//	ompss-serve -load -duration 5s -conc 8 -o /tmp/load.json
-//	    drive the handler in-process with concurrent clients and record
-//	    p50/p90/p99 latency, requests/s, tasks/s, and the isolation
-//	    violation count; exits 1 on zero successful responses or any
-//	    violation
-//	ompss-serve -load -target http://host:8080 ...
-//	    same, against a remote ompss-serve over real HTTP
-//	ompss-serve -load -reject -max-inflight 16 ...
+//	ompss-serve -load -duration 5s
+//	    the smoke: eight closed-loop clients of mixed tenants, a /v1/fault
+//	    every seventh request, over loopback HTTP to this process's
+//	    server; exits 1 on any unexpected answer (a kernel 500 is an
+//	    isolation violation) or when no kernel request answered 200
+//	ompss-serve -load -target http://host:8080 -duration 5s
+//	    the same smoke against a running ompss-serve
+//	ompss-serve -load -reject -max-inflight 16
 //	    load shedding: a request that arrives while the run-ahead window
-//	    is full answers 429 with Retry-After before its session opens,
-//	    reported as rejected — not as an error or a violation
+//	    is full answers 429 with Retry-After before its session opens; the
+//	    smoke counts it as refused and waits as asked
 //
 // Tenancy: requests carry X-Tenant: gold|silver|bronze; the server maps the
 // class onto the scheduler's priority lanes via the session's Tenant option.
@@ -28,10 +28,10 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
@@ -42,33 +42,32 @@ import (
 
 func main() {
 	var (
-		addr       = flag.String("addr", ":8080", "listen address (serve mode)")
-		load       = flag.Bool("load", false, "run the load generator instead of serving")
-		duration   = flag.Duration("duration", 3*time.Second, "load duration")
-		conc       = flag.Int("conc", 8, "concurrent load clients")
-		mix        = flag.String("mix", "rotate,rgbcmy,h264dec", "endpoint mix the clients cycle")
-		faultEvery = flag.Int("fault-every", 7, "inject a /v1/fault request every Nth request per client (0 = none)")
-		target     = flag.String("target", "", "load a remote server at this base URL instead of in-process")
-		workers    = flag.Int("workers", 0, "runtime worker threads (0 = NumCPU)")
-		sessLimit  = flag.Int("session-inflight", 256, "per-session MaxInFlight budget (0 = unlimited)")
-		globLimit  = flag.Int("max-inflight", 0, "runtime-wide run-ahead window across all sessions, in tasks (0 = the default, 64 per worker; negative = unlimited)")
-		reject     = flag.Bool("reject", false, "answer 429 to a request that arrives while the -max-inflight window is full (default: admit it, and its spawns wait for room)")
-		blocking   = flag.Bool("blocking", true, "Blocking wait mode (idle workers park; -blocking=false polls)")
-		out        = flag.String("o", "", "write the load report JSON here")
-		tracePath  = flag.String("trace", "", "record an observability trace of the load run here (filter per session with ompss-trace analyze -session)")
-		drainT     = flag.Duration("drain-timeout", 10*time.Second, "deadline for draining live sessions on SIGINT/SIGTERM (serve mode)")
+		addr      = flag.String("addr", ":8080", "listen address (serve mode)")
+		load      = flag.Bool("load", false, "run the smoke instead of serving")
+		duration  = flag.Duration("duration", 3*time.Second, "smoke duration")
+		target    = flag.String("target", "", "smoke a running server at this base URL instead of this process's own")
+		workers   = flag.Int("workers", 0, "runtime worker threads (0 = NumCPU)")
+		sessLimit = flag.Int("session-inflight", 256, "per-session MaxInFlight budget (0 = unlimited)")
+		globLimit = flag.Int("max-inflight", 0, "runtime-wide run-ahead window across all sessions, in tasks (0 = the default, 64 per worker; negative = unlimited)")
+		reject    = flag.Bool("reject", false, "answer 429 to a request that arrives while the -max-inflight window is full (default: admit it, and its spawns wait for room)")
+		blocking  = flag.Bool("blocking", true, "Blocking wait mode (idle workers park; -blocking=false polls)")
+		tracePath = flag.String("trace", "", "record an observability trace of this process's server during the smoke here (filter per session with ompss-trace analyze -session)")
+		drainT    = flag.Duration("drain-timeout", 10*time.Second, "deadline for draining live sessions on SIGINT/SIGTERM (serve mode)")
 	)
 	flag.Parse()
-	if err := run(*addr, *load, *duration, *conc, *mix, *faultEvery, *target,
-		*workers, *sessLimit, *globLimit, *reject, *blocking, *out, *tracePath, *drainT); err != nil {
+	if err := run(*addr, *load, *duration, *target, *workers, *sessLimit, *globLimit,
+		*reject, *blocking, *tracePath, *drainT); err != nil {
 		fmt.Fprintf(os.Stderr, "ompss-serve: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, load bool, duration time.Duration, conc int, mix string,
-	faultEvery int, target string, workers, sessLimit, globLimit int,
-	reject, blocking bool, out, tracePath string, drainT time.Duration) error {
+func run(addr string, load bool, duration time.Duration, target string,
+	workers, sessLimit, globLimit int, reject, blocking bool, tracePath string,
+	drainT time.Duration) error {
+	if load && target != "" {
+		return serve.Smoke(os.Stdout, target, duration)
+	}
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
@@ -95,33 +94,9 @@ func run(addr string, load bool, duration time.Duration, conc int, mix string,
 		return serveUntilSignalled(addr, workers, sessLimit, drainT, srv)
 	}
 
-	var paths []string
-	for _, m := range strings.Split(mix, ",") {
-		if m = strings.TrimSpace(m); m != "" {
-			paths = append(paths, "/v1/"+m)
-		}
-	}
-	rep := serve.RunLoad(srv, serve.LoadOptions{
-		Duration:   duration,
-		Conc:       conc,
-		Mix:        paths,
-		FaultEvery: faultEvery,
-		Target:     target,
-	}, workers, globLimit)
-	rep.WriteTable(os.Stdout)
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
+	ts := httptest.NewServer(srv.Handler())
+	err := serve.Smoke(os.Stdout, ts.URL, duration)
+	ts.Close()
 	if tracePath != "" {
 		f, err := os.Create(tracePath)
 		if err != nil {
@@ -135,13 +110,7 @@ func run(addr string, load bool, duration time.Duration, conc int, mix string,
 			return err
 		}
 	}
-	if rep.OK2xx == 0 {
-		return fmt.Errorf("load run produced no successful responses")
-	}
-	if rep.Violations > 0 {
-		return fmt.Errorf("load run observed %d isolation violations", rep.Violations)
-	}
-	return nil
+	return err
 }
 
 // serveUntilSignalled listens until SIGINT/SIGTERM, then drains: the server

@@ -3,7 +3,7 @@ package serve
 // Server tests: per-endpoint correctness against the sequential reference,
 // the deliberate-fault endpoint's containment accounting, concurrent
 // mixed-tenant traffic with fault injection (zero violations is the
-// isolation contract), and a short in-process load-generator run.
+// isolation contract). The smoke's tests are in smoke_test.go.
 
 import (
 	"bytes"
@@ -77,8 +77,9 @@ func TestKernelEndpoints(t *testing.T) {
 		}
 		seen[resp.Session] = true
 	}
-	if srv.served.Load() != 3 || srv.Violations() != 0 {
-		t.Fatalf("served=%d violations=%d, want 3 0", srv.served.Load(), srv.Violations())
+	m := scrape(t, srv)
+	if got := m[`ompss_requests_total{tenant="gold"}`]; got != 3 || srv.Violations() != 0 {
+		t.Fatalf(`requests_total{tenant="gold"}=%v violations=%d, want 3 0`, got, srv.Violations())
 	}
 }
 
@@ -361,8 +362,9 @@ func TestFaultEndpoint(t *testing.T) {
 	if resp.Skipped != 4 {
 		t.Fatalf("fault skipped %d tasks, want the 4 dependents", resp.Skipped)
 	}
-	if srv.faulted.Load() != 1 || srv.Violations() != 0 {
-		t.Fatalf("faulted=%d violations=%d, want 1 0", srv.faulted.Load(), srv.Violations())
+	m := scrape(t, srv)
+	if got := m[`ompss_faults_total{tenant="bronze"}`]; got != 1 || srv.Violations() != 0 {
+		t.Fatalf(`faults_total{tenant="bronze"}=%v violations=%d, want 1 0`, got, srv.Violations())
 	}
 	// The runtime stays healthy for the next request.
 	if rec, _ := do(t, srv, "/v1/rotate", ""); rec.Code != http.StatusOK {
@@ -407,13 +409,20 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 	if v := srv.Violations(); v != 0 {
 		t.Fatalf("%d isolation violations under mixed traffic", v)
 	}
-	if srv.served.Load() != clients*(perClient-1) || srv.faulted.Load() != clients {
-		t.Fatalf("served=%d faulted=%d, want %d %d",
-			srv.served.Load(), srv.faulted.Load(), clients*(perClient-1), clients)
+	m := scrape(t, srv)
+	var requests, faults float64
+	for _, tenant := range tenants {
+		requests += m[`ompss_requests_total{tenant="`+tenant+`"}`]
+		faults += m[`ompss_faults_total{tenant="`+tenant+`"}`]
+	}
+	if requests != clients*(perClient-1) || faults != clients {
+		t.Fatalf("requests_total=%v faults_total=%v, want %d %d",
+			requests, faults, clients*(perClient-1), clients)
 	}
 }
 
-// TestStatsAndHealth checks the operational endpoints.
+// TestStatsAndHealth checks the operational endpoints: /healthz answers,
+// and the server's counts are on /metrics (there is no /v1/stats).
 func TestStatsAndHealth(t *testing.T) {
 	srv, _ := newTestServer(t)
 	do(t, srv, "/v1/rotate", "")
@@ -425,54 +434,10 @@ func TestStatsAndHealth(t *testing.T) {
 		t.Fatalf("healthz status %d", rec.Code)
 	}
 
-	req = httptest.NewRequest(http.MethodGet, "/v1/stats", nil)
-	rec = httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, req)
-	var st statsBody
-	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-		t.Fatalf("stats body: %v", err)
-	}
-	if st.Served != 1 || st.TasksFinished == 0 {
-		t.Fatalf("stats %+v, want served=1 and nonzero tasks", st)
-	}
-}
-
-// TestRunLoadSmoke runs the in-process load generator briefly and checks
-// the report invariants the CI smoke job gates on.
-func TestRunLoadSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("load smoke needs wall-clock time")
-	}
-	srv, _ := newTestServer(t)
-	// FaultEvery=2 faults each client's second request: under -race a
-	// client may only complete a handful of requests in the window, and
-	// the fault leg must still fire.
-	rep := RunLoad(srv, LoadOptions{
-		Duration:   500 * time.Millisecond,
-		Conc:       3,
-		Mix:        []string{"/v1/rotate", "/v1/rgbcmy"},
-		FaultEvery: 2,
-	}, 2, 0)
-	if rep.OK2xx == 0 {
-		t.Fatal("load run produced no successful responses")
-	}
-	if rep.Violations != 0 {
-		t.Fatalf("load run observed %d violations", rep.Violations)
-	}
-	if rep.Faults5xx == 0 {
-		t.Fatal("fault injection produced no 5xx")
-	}
-	if rep.Errors != 0 {
-		t.Fatalf("%d transport errors in-process", rep.Errors)
-	}
-	if rep.P50NS <= 0 || rep.P99NS < rep.P50NS {
-		t.Fatalf("latency percentiles implausible: p50=%d p99=%d", rep.P50NS, rep.P99NS)
-	}
-	if rep.TasksPerSec <= 0 {
-		t.Fatalf("tasks/s = %v, want > 0", rep.TasksPerSec)
-	}
-	if len(rep.PerEndpoint) != 3 { // the two mix endpoints plus /v1/fault
-		t.Fatalf("per-endpoint rows = %d, want 3", len(rep.PerEndpoint))
+	m := scrape(t, srv)
+	if m[`ompss_requests_total{tenant="bronze"}`] != 1 || m[`ompss_tasks_finished_total`] == 0 {
+		t.Fatalf(`requests_total{tenant="bronze"}=%v tasks_finished_total=%v, want 1 and nonzero`,
+			m[`ompss_requests_total{tenant="bronze"}`], m[`ompss_tasks_finished_total`])
 	}
 }
 

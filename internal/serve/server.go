@@ -6,8 +6,9 @@
 // sequential reference, and closes the session. The checksum check doubles
 // as the isolation oracle: a foreign failure cascade, a leaked cancellation,
 // or a dependence-record mixup shows up as a wrong answer or a nonzero skip
-// count in an innocent request, which the server counts as a violation. A
-// request refused at the door (RejectOnFull, window full) runs no task.
+// count in an innocent request, which the server counts as a violation and
+// answers 500. A request refused at the door (RejectOnFull, window full)
+// runs no task. Smoke is the HTTP client that gates on all of this.
 package serve
 
 import (
@@ -44,9 +45,9 @@ type Config struct {
 }
 
 // freeInstances bounds each endpoint's free list: how many idle instances
-// it keeps for later requests. It matches the load generator's default
-// client count (ompss-serve -conc); a burst wider than that builds the extra
-// instances and drops them when it ends.
+// it keeps for later requests. It matches the smoke's client count
+// (smokeClients); a burst wider than that builds the extra instances and
+// drops them when it ends.
 const freeInstances = 8
 
 // runner is one kernel endpoint. Its input — the seeded source image of
@@ -104,8 +105,6 @@ type Server struct {
 	mux     *http.ServeMux
 	kernels map[string]*runner // by path
 
-	served     atomic.Uint64 // 2xx responses
-	faulted    atomic.Uint64 // deliberate /v1/fault 5xx responses
 	violations atomic.Uint64 // checksum mismatches / unexpected skips
 
 	// Live metrics plane (metrics.go): the registry behind GET /metrics and
@@ -146,7 +145,6 @@ func New(rt *ompss.Runtime, cfg Config) *Server {
 	}
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	s.mux.HandleFunc("/v1/fault", s.handleFault)
-	s.mux.HandleFunc("/v1/stats", s.handleStats)
 	s.liveCond = sync.NewCond(&s.liveMu)
 	s.initMetrics()
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
@@ -182,7 +180,7 @@ func lazyImage(w, h int, seed int64) func() *img.RGB {
 }
 
 // Handler returns the server's HTTP handler (also usable in-process — the
-// load generator drives it without a listener).
+// benchmark drives it without a listener).
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // beginRequest is the door of every session-bearing request: it counts the
@@ -262,10 +260,6 @@ func (s *Server) Drain(ctx context.Context) error {
 // neither — so any skip means another session's cascade leaked in).
 func (s *Server) Violations() uint64 { return s.violations.Load() }
 
-// TasksFinished returns the shared graph's finished-task count (all
-// sessions), for throughput accounting.
-func (s *Server) TasksFinished() uint64 { return s.rt.Stats().Graph.Finished }
-
 // Response is the JSON body of a kernel endpoint.
 type Response struct {
 	Bench     string `json:"bench"`
@@ -344,7 +338,6 @@ func (s *Server) handleKernel(w http.ResponseWriter, req *http.Request, r *runne
 		resp.Error = fmt.Sprintf("isolation violation: healthy session closed with err=%v skipped=%d", err, st.Skipped)
 		writeJSON(w, http.StatusInternalServerError, resp)
 	default:
-		s.served.Add(1)
 		r.keep(in)
 		writeJSON(w, http.StatusOK, resp)
 	}
@@ -378,7 +371,6 @@ func (s *Server) handleFault(w http.ResponseWriter, req *http.Request) {
 	err := sess.TaskwaitCtx(context.Background())
 	sess.Close()
 	st := sess.Stats()
-	s.faulted.Add(1)
 	writeJSON(w, http.StatusInternalServerError, Response{
 		Bench:     "fault",
 		Session:   sess.ID(),
@@ -392,26 +384,6 @@ func (s *Server) handleFault(w http.ResponseWriter, req *http.Request) {
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// statsBody is the /v1/stats JSON document.
-type statsBody struct {
-	Served        uint64 `json:"served"`
-	Faulted       uint64 `json:"faulted"`
-	Violations    uint64 `json:"violations"`
-	TasksFinished uint64 `json:"tasks_finished"`
-	Steals        uint64 `json:"steals"`
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	st := s.rt.Stats()
-	writeJSON(w, http.StatusOK, statsBody{
-		Served:        s.served.Load(),
-		Faulted:       s.faulted.Load(),
-		Violations:    s.violations.Load(),
-		TasksFinished: st.Graph.Finished,
-		Steals:        st.Sched.Steals,
-	})
 }
 
 // maxRetryAfter caps the drain-derived Retry-After hint: past this, a load

@@ -144,9 +144,9 @@ func suiteCases(t testing.TB) []streamCase {
 			name := fmt.Sprintf("%s/p%d/", app, p)
 			cs = append(cs,
 				streamCase{name + "ompss-polling", omp(mc)},
-				// h264dec/p1 deadlocks here (a Blocking master parks in
-				// taskwait-on with nobody to run the task): its error text
-				// is part of the record.
+				// On one core a Blocking master helps in taskwait-on
+				// instead of parking, so h264dec/p1 records the polling
+				// case's stream exactly (178 events, 2,131,115 ns).
 				streamCase{name + "ompss-blocking", omp(mc, ompss.Wait(ompss.Blocking))},
 				streamCase{name + "pthreads", pth(mc, p)},
 			)
