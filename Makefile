@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test equiv census flake race bench bench-submit alloc-budget pairs examples lint lint-lifecycle lint-core lint-dist trace dist-trace serve serve-smoke dist-race fuzz-frames soak ci
+.PHONY: all build test equiv census flake race bench bench-submit alloc-budget pairs lint lint-lifecycle lint-core lint-dist trace dist-trace serve serve-smoke dist-race fuzz-frames soak ci
 
 all: build test
 
@@ -31,11 +31,9 @@ equiv:
 		echo "equiv: TestEventStreamsMatchRecorded skipped on amd64" >&2; exit 1; fi
 
 # API census (the CI verify job runs it as its own step): every exported
-# name of ompss, internal/core, internal/vm, internal/obs, internal/obs/metrics,
-# internal/dist, internal/serve, internal/suite/distkern and pthread must
-# have a non-test caller in the module or benchmark/, or a reasoned entry on
-# its package's capped allowlist. -v prints each package's table, the ones
-# DESIGN.md publishes.
+# name of every non-main package of the module must have a non-test caller
+# in the module or benchmark/, or a reasoned entry on its package's capped
+# allowlist. -v prints each package's table, the ones DESIGN.md publishes.
 census:
 	$(GO) test ./ompss -run '^TestAPICensus$$' -count=1 -v
 
@@ -161,10 +159,6 @@ fuzz-frames:
 soak:
 	$(GO) test ./internal/serve -run 'TestSoakSessionChurn' -soak -count=1 -v
 
-# Run every example end-to-end (the CI examples-smoke job).
-examples:
-	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d || exit 1; done
-
 # Mirrors the CI `lint` job (plus the verify job's vet/gofmt steps) so
 # local and CI checks stay in lockstep. staticcheck and govulncheck are
 # installed on demand by CI; locally they are skipped with a hint when not
@@ -219,4 +213,4 @@ lint-dist:
 		$$(ls internal/dist/*.go | grep -v '_test\.go$$') | grep -v '^internal/dist/transport\.go:[0-9]*: listenRendezvous$$'); \
 	if [ -n "$$bad" ]; then echo "lint: net.Listen outside listenRendezvous in non-test internal/dist (workers only dial out):" >&2; echo "$$bad" >&2; exit 1; fi
 
-ci: build lint test equiv census flake race bench bench-submit alloc-budget serve-smoke dist-race dist-trace soak examples
+ci: build lint test equiv census flake race bench bench-submit alloc-budget serve-smoke dist-race dist-trace soak

@@ -102,8 +102,7 @@ func main() {
 	rt.Shutdown()
 
 	want := sequential()
-	fmt.Printf("pipeline over %d elements: %d tasks, %d dependence edges\n",
-		n, st.Graph.Finished, st.Graph.Edges)
+	fmt.Printf("pipeline over %d elements: %d tasks\n", n, st.Graph.Finished)
 	fmt.Printf("histogram total = %d (want %d), data[last] = %.1f (want %.1f)\n",
 		*total, n, data[n-1], want)
 	if *total != n || data[n-1] != want {

@@ -126,8 +126,8 @@ func (p *PIB) Release(pi *PicInfo) { pi.InUse = false }
 // a zero header.
 func (p *PIB) Reset() { clear(p.entries) }
 
-// Free counts available entries (tests).
-func (p *PIB) Free() int {
+// free counts available entries (tests).
+func (p *PIB) free() int {
 	n := 0
 	for i := range p.entries {
 		if !p.entries[i].InUse {
@@ -191,11 +191,8 @@ func (d *DPB) Reset() {
 	}
 }
 
-// Retain adds one reference.
-func (d *DPB) Retain(pic *Picture) { pic.refs++ }
-
-// Free counts available pictures (tests).
-func (d *DPB) Free() int {
+// free counts available pictures (tests).
+func (d *DPB) free() int {
 	n := 0
 	for _, pic := range d.pool {
 		if pic.refs == 0 {

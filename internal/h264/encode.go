@@ -115,10 +115,6 @@ func (e *Encoder) EncodeFrame(src *img.Gray) ([]byte, error) {
 	return w.Bytes(), nil
 }
 
-// Rec exposes the current reconstruction (tests compare it against the
-// decoder's output).
-func (e *Encoder) Rec() *img.Gray { return e.rec }
-
 func sadBlock(src *img.Gray, x0, y0 int, pred *[MBSize * MBSize]uint8) int {
 	var sad int
 	for y := 0; y < MBSize; y++ {

@@ -134,8 +134,8 @@ func TestPIBFetchRelease(t *testing.T) {
 	if p.Fetch() == nil {
 		t.Fatal("released entry should be reusable")
 	}
-	if p.Free() != 0 {
-		t.Fatalf("free = %d", p.Free())
+	if p.free() != 0 {
+		t.Fatalf("free = %d", p.free())
 	}
 }
 
@@ -145,17 +145,17 @@ func TestDPBRefcounting(t *testing.T) {
 	if a == nil {
 		t.Fatal("fetch failed")
 	}
-	if d.Free() != 1 {
-		t.Fatalf("free = %d", d.Free())
+	if d.free() != 1 {
+		t.Fatalf("free = %d", d.free())
 	}
 	d.Release(a)
-	if d.Free() != 1 {
+	if d.free() != 1 {
 		t.Fatal("picture still referenced")
 	}
-	d.Retain(a)
+	a.refs++
 	d.Release(a)
 	d.Release(a)
-	if d.Free() != 2 {
+	if d.free() != 2 {
 		t.Fatal("picture should be free after all releases")
 	}
 	defer func() {
@@ -215,7 +215,7 @@ func TestDecoderMatchesEncoderReconstruction(t *testing.T) {
 			t.Fatal(err)
 		}
 		units = append(units, payload)
-		recs = append(recs, enc.Rec().Checksum())
+		recs = append(recs, enc.rec.Checksum())
 	}
 	// Frame the units as EncodeSequence would.
 	hw := NewBitWriter()

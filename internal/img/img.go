@@ -1,14 +1,12 @@
 // Package img provides the planar image types shared by the benchmark
-// kernels (ray tracing, rotation, color conversion, video coding), plus
-// PPM/PGM serialization and content checksums used to verify that the
-// sequential, Pthreads, and OmpSs variants of every benchmark compute
-// identical results.
+// kernels (ray tracing, rotation, color conversion, video coding), plus the
+// content checksums used to verify that the sequential, Pthreads, and OmpSs
+// variants of every benchmark compute identical results.
 package img
 
 import (
 	"fmt"
 	"hash/fnv"
-	"io"
 	"math"
 )
 
@@ -49,15 +47,6 @@ func (im *RGB) Checksum() uint64 {
 	fmt.Fprintf(h, "%dx%d:", im.W, im.H)
 	h.Write(im.Pix)
 	return h.Sum64()
-}
-
-// WritePPM serializes the image as binary PPM (P6).
-func (im *RGB) WritePPM(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "P6\n%d %d\n255\n", im.W, im.H); err != nil {
-		return err
-	}
-	_, err := w.Write(im.Pix)
-	return err
 }
 
 // Gray is an 8-bit single-channel image (1 byte per pixel, row-major). The

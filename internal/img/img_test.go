@@ -1,9 +1,7 @@
 package img
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -44,20 +42,6 @@ func TestGrayCloneIndependent(t *testing.T) {
 	b.Set(0, 0, 99)
 	if a.At(0, 0) == 99 {
 		t.Fatal("clone must not share storage")
-	}
-}
-
-func TestWritePPMHeader(t *testing.T) {
-	im := NewRGB(2, 3)
-	var buf bytes.Buffer
-	if err := im.WritePPM(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), "P6\n2 3\n255\n") {
-		t.Fatalf("bad PPM header: %q", buf.String()[:12])
-	}
-	if buf.Len() != 11+2*3*3 {
-		t.Fatalf("PPM size = %d", buf.Len())
 	}
 }
 

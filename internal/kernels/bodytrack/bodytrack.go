@@ -216,9 +216,9 @@ func (f *Filter) Estimate() []float64 {
 	return est
 }
 
-// TrackSequential runs the filter over a frame sequence (reference
+// trackSequential runs the filter over a frame sequence (reference
 // variant), returning per-frame pose estimates.
-func TrackSequential(m *Model, frames []*img.Gray) [][]float64 {
+func trackSequential(m *Model, frames []*img.Gray) [][]float64 {
 	f := NewFilter(m)
 	out := make([][]float64, len(frames))
 	for fi, obs := range frames {

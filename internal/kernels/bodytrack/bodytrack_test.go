@@ -67,7 +67,7 @@ func TestTrackingBeatsStaticGuess(t *testing.T) {
 	for i, p := range truth {
 		obs[i] = m.RenderSilhouette(p)
 	}
-	est := TrackSequential(m, obs)
+	est := trackSequential(m, obs)
 	var tracked, static float64
 	zero := make([]float64, DOF)
 	for i := range truth {
@@ -85,7 +85,7 @@ func TestFilterDeterministic(t *testing.T) {
 	run := func() []float64 {
 		m := DefaultModel(64, 64, 40, 2, 7)
 		obs := media.Video(3, 64, 64, 7)
-		est := TrackSequential(m, obs)
+		est := trackSequential(m, obs)
 		return est[len(est)-1]
 	}
 	a, b := run(), run()

@@ -283,9 +283,9 @@ func (s *State) TotalCost() float64 {
 	return cost
 }
 
-// RunSequential executes the full stream sequentially (reference variant):
+// runSequential executes the full stream sequentially (reference variant):
 // absorb each chunk, then one local-search round per chunk.
-func (p *Problem) RunSequential() *State {
+func (p *Problem) runSequential() *State {
 	s := p.NewState()
 	for s.Limit < p.N {
 		s.AbsorbChunk()

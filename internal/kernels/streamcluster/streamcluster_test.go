@@ -93,7 +93,7 @@ func TestLocalSearchImprovesOverSpeedy(t *testing.T) {
 	for speedyOnly.Limit < p.N {
 		speedyOnly.AbsorbChunk()
 	}
-	refined := p.RunSequential()
+	refined := p.runSequential()
 	if refined.TotalCost() > speedyOnly.TotalCost() {
 		t.Fatalf("local search should not be worse: %.1f vs %.1f",
 			refined.TotalCost(), speedyOnly.TotalCost())
@@ -101,8 +101,8 @@ func TestLocalSearchImprovesOverSpeedy(t *testing.T) {
 }
 
 func TestDeterministicReplay(t *testing.T) {
-	a := problem(300, 5).RunSequential()
-	b := problem(300, 5).RunSequential()
+	a := problem(300, 5).runSequential()
+	b := problem(300, 5).runSequential()
 	if a.TotalCost() != b.TotalCost() || len(a.Open) != len(b.Open) {
 		t.Fatalf("nondeterministic: %.3f/%d vs %.3f/%d",
 			a.TotalCost(), len(a.Open), b.TotalCost(), len(b.Open))

@@ -57,9 +57,6 @@ func New(w Workload) *Instance {
 // Name returns the Table 1 row name.
 func (in *Instance) Name() string { return "bodytrack" }
 
-// Class returns the paper's classification.
-func (in *Instance) Class() string { return "application" }
-
 // track runs the filter, with weigh phases delegated to `weigh`, which must
 // evaluate WeighRange over every chunk and synchronize before returning.
 func (in *Instance) track(f *kern.Filter, weigh func(obs *img.Gray)) uint64 {

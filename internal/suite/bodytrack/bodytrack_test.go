@@ -39,7 +39,7 @@ func TestTrackedErrorBeatsStatic(t *testing.T) {
 
 func TestNameAndClass(t *testing.T) {
 	in := New(Small())
-	if in.Name() != "bodytrack" || in.Class() != "application" {
-		t.Fatalf("identity: %s/%s", in.Name(), in.Class())
+	if in.Name() != "bodytrack" {
+		t.Fatalf("name: %s", in.Name())
 	}
 }

@@ -45,9 +45,6 @@ func New(w Workload) *Instance {
 // Name returns the Table 1 row name.
 func (in *Instance) Name() string { return "c-ray" }
 
-// Class returns the paper's benchmark classification.
-func (in *Instance) Class() string { return "kernel" }
-
 // blockCost models the heterogeneous per-block work: rows covered by sphere
 // projections pay extra shading and reflections, which is what makes static
 // partitions imbalanced.

@@ -40,7 +40,7 @@ func TestSeqMatchesAcrossScales(t *testing.T) {
 
 func TestNameAndClass(t *testing.T) {
 	in := New(Small())
-	if in.Name() != "c-ray" || in.Class() != "kernel" {
-		t.Fatalf("identity: %s/%s", in.Name(), in.Class())
+	if in.Name() != "c-ray" {
+		t.Fatalf("name: %s", in.Name())
 	}
 }

@@ -143,9 +143,6 @@ func (in *Instance) Stream() []byte { return in.bs }
 // Name returns the Table 1 row name.
 func (in *Instance) Name() string { return "h264dec" }
 
-// Class returns the paper's classification.
-func (in *Instance) Class() string { return "application" }
-
 // RunSeq decodes with the reference sequential decoder.
 func (in *Instance) RunSeq() uint64 {
 	frames, err := h264.Decode(in.bs)

@@ -46,9 +46,6 @@ func New(w Workload) *Instance {
 // Name returns the Table 1 row name.
 func (in *Instance) Name() string { return "kmeans" }
 
-// Class returns the paper's classification.
-func (in *Instance) Class() string { return "workload" }
-
 type state struct {
 	centroids []float64
 	assign    []int

@@ -55,7 +55,7 @@ func TestChunkStructureIndependentOfThreads(t *testing.T) {
 
 func TestNameAndClass(t *testing.T) {
 	in := New(Small())
-	if in.Name() != "kmeans" || in.Class() != "workload" {
-		t.Fatalf("identity: %s/%s", in.Name(), in.Class())
+	if in.Name() != "kmeans" {
+		t.Fatalf("name: %s", in.Name())
 	}
 }

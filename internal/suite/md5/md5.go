@@ -38,9 +38,6 @@ func New(w Workload) *Instance {
 // Name returns the Table 1 row name.
 func (in *Instance) Name() string { return "md5" }
 
-// Class returns the paper's classification.
-func (in *Instance) Class() string { return "kernel" }
-
 func (in *Instance) fold(digests [][kern.Size]byte) uint64 {
 	sums := make([]uint64, len(digests))
 	for i := range digests {

@@ -57,9 +57,6 @@ func New(w Workload) *Instance {
 // Name returns the Table 1 row name.
 func (in *Instance) Name() string { return "ray-rot" }
 
-// Class returns the paper's classification.
-func (in *Instance) Class() string { return "workload" }
-
 func (in *Instance) frameBytes() int64 { return int64(3 * in.W.W * in.W.H) }
 
 // rotReadBytes is the rotate kernel's declared input traffic: the diagonal

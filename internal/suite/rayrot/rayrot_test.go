@@ -33,7 +33,7 @@ func TestOutputCountsAndDeterminism(t *testing.T) {
 
 func TestNameAndClass(t *testing.T) {
 	in := New(Small())
-	if in.Name() != "ray-rot" || in.Class() != "workload" {
-		t.Fatalf("identity: %s/%s", in.Name(), in.Class())
+	if in.Name() != "ray-rot" {
+		t.Fatalf("name: %s", in.Name())
 	}
 }

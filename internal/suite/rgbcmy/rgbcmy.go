@@ -69,9 +69,6 @@ func (in *Instance) ompssCMY() *kern.CMY {
 // Name returns the Table 1 row name.
 func (in *Instance) Name() string { return "rgbcmy" }
 
-// Class returns the paper's classification.
-func (in *Instance) Class() string { return "kernel" }
-
 // RunSeq converts sequentially, Iters times.
 func (in *Instance) RunSeq() uint64 {
 	dst := kern.NewCMY(in.W.W, in.W.H)

@@ -27,7 +27,7 @@ func TestRowBlocksCoverImage(t *testing.T) {
 
 func TestNameAndClass(t *testing.T) {
 	in := New(Small())
-	if in.Name() != "rgbcmy" || in.Class() != "kernel" {
-		t.Fatalf("identity: %s/%s", in.Name(), in.Class())
+	if in.Name() != "rgbcmy" {
+		t.Fatalf("name: %s", in.Name())
 	}
 }

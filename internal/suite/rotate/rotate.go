@@ -62,9 +62,6 @@ func (in *Instance) ompssDst() *img.RGB {
 // Name returns the Table 1 row name.
 func (in *Instance) Name() string { return "rotate" }
 
-// Class returns the paper's classification.
-func (in *Instance) Class() string { return "kernel" }
-
 // RunSeq rotates sequentially.
 func (in *Instance) RunSeq() uint64 {
 	dst := img.NewRGB(in.W.W, in.W.H)

@@ -46,9 +46,6 @@ func New(w Workload) *Instance {
 // Name returns the Table 1 row name.
 func (in *Instance) Name() string { return "rot-cc" }
 
-// Class returns the paper's classification.
-func (in *Instance) Class() string { return "workload" }
-
 func (in *Instance) fold(out []*kcolor.CMYK) uint64 {
 	sums := make([]uint64, len(out))
 	for i, p := range out {

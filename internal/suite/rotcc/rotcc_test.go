@@ -26,7 +26,7 @@ func TestPipelineMatchesManualComposition(t *testing.T) {
 
 func TestNameAndClass(t *testing.T) {
 	in := New(Small())
-	if in.Name() != "rot-cc" || in.Class() != "workload" {
-		t.Fatalf("identity: %s/%s", in.Name(), in.Class())
+	if in.Name() != "rot-cc" {
+		t.Fatalf("name: %s", in.Name())
 	}
 }

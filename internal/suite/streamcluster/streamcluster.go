@@ -56,9 +56,6 @@ func New(w Workload) *Instance { return &Instance{W: w} }
 // Name returns the Table 1 row name.
 func (in *Instance) Name() string { return "streamcluster" }
 
-// Class returns the paper's classification.
-func (in *Instance) Class() string { return "application" }
-
 func (in *Instance) problem() *kern.Problem {
 	pts, _ := media.Points(in.W.N, in.W.Dim, 16, in.W.Seed)
 	return &kern.Problem{

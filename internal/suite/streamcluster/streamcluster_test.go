@@ -32,8 +32,8 @@ func TestDeterministicAcrossInstances(t *testing.T) {
 
 func TestNameAndClass(t *testing.T) {
 	in := New(Small())
-	if in.Name() != "streamcluster" || in.Class() != "application" {
-		t.Fatalf("identity: %s/%s", in.Name(), in.Class())
+	if in.Name() != "streamcluster" {
+		t.Fatalf("name: %s", in.Name())
 	}
 }
 

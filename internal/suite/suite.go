@@ -32,9 +32,6 @@ import (
 type Instance interface {
 	// Name is the Table 1 row label.
 	Name() string
-	// Class is the paper's classification: kernel, workload, or
-	// application.
-	Class() string
 	// RunSeq runs the sequential reference.
 	RunSeq() uint64
 	// RunPthreads runs the manual-threading variant on the given main
@@ -137,17 +134,4 @@ func New(name string, s Scale) (Instance, error) {
 		return sh264dec.New(sh264dec.Default()), nil
 	}
 	return nil, fmt.Errorf("suite: unknown benchmark %q", name)
-}
-
-// All prepares the whole suite in Table 1 order.
-func All(s Scale) []Instance {
-	var out []Instance
-	for _, name := range Names() {
-		in, err := New(name, s)
-		if err != nil {
-			panic(err)
-		}
-		out = append(out, in)
-	}
-	return out
 }

@@ -96,20 +96,6 @@ func TestSimMakespansPositive(t *testing.T) {
 	}
 }
 
-// TestClassesMatchPaper pins the benchmark classification table.
-func TestClassesMatchPaper(t *testing.T) {
-	want := map[string]string{
-		"c-ray": "kernel", "rotate": "kernel", "rgbcmy": "kernel", "md5": "kernel",
-		"kmeans": "workload", "ray-rot": "workload", "rot-cc": "workload",
-		"streamcluster": "application", "bodytrack": "application", "h264dec": "application",
-	}
-	for _, in := range All(Small) {
-		if in.Class() != want[in.Name()] {
-			t.Errorf("%s classified %s, want %s", in.Name(), in.Class(), want[in.Name()])
-		}
-	}
-}
-
 // TestRecycledInstanceCannotMaskASkippedTask pins the reuse contract of the
 // OmpSs variants that keep their buffers on the instance (rotate, rgbcmy,
 // h264dec). After a healthy run, the same instance runs in a session

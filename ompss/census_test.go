@@ -34,12 +34,11 @@ var censusAllow = map[string]string{
 	"TaskPanic":        "errors.As target a panicking body is wrapped into (TestTaskPanicBecomesHandleError, TestCommutativePanicReleasesLocks)",
 }
 
-// censusPackage is one censused package. Its allowlist names the exported
-// names that stay without a non-test caller outside the package, each with
-// the test or contract it serves; the census fails on any other uncalled
-// name, on an entry that has gained a caller, and on a list longer than max.
+// censusPackage is how one package is censused. Its allowlist names the
+// exported names that stay without a non-test caller, each with the test or
+// contract it serves; the census fails on any other uncalled name, on an
+// entry that has gained a caller, and on a list longer than max.
 type censusPackage struct {
-	path  string // below the module
 	allow map[string]string
 	max   int
 
@@ -50,11 +49,11 @@ type censusPackage struct {
 	// of its own, in use only where a composite literal outside the
 	// package sets it.
 	knobs string
-	// ownCallers counts the package's own non-test code as a caller of
-	// its functions, methods, variables and constants (not of its types,
-	// which every method declaration names, and not a function's use of
-	// itself). Without it only other packages call.
-	ownCallers bool
+	// outsideOnly counts only other packages as callers. Without it the
+	// package's own non-test code calls its functions, methods, variables
+	// and constants too (not its types, which every method declaration
+	// names, and not a function's use of itself).
+	outsideOnly bool
 }
 
 // censusAllowVM keeps the simulator primitives that only the recorded event
@@ -72,18 +71,53 @@ var censusAllowVM = map[string]string{
 	"Thread.VM":              "TestVMEventAllocs (internal/bench) wakes its spinner on the machine from inside a virtual thread",
 }
 
-var censusPackages = []censusPackage{
+// censusRules holds the packages censused other than by the default rule,
+// the zero censusPackage: own code calls, and the allowlist is empty. Every
+// other non-main package of the module is censused by the default rule, so
+// a new package joins the census as it lands.
+var censusRules = map[string]censusPackage{
 	// The master thread of a runtime, of a session, and the inside of a
 	// task body: Runtime and Session hand-forward to TC.
-	{path: "ompss", allow: censusAllow, max: 11, scopes: []string{"Runtime", "Session", "TC"}, knobs: "Tuning"},
-	{path: "internal/core", ownCallers: true},
-	{path: "internal/vm", allow: censusAllowVM, max: 6, ownCallers: true},
-	{path: "internal/obs", ownCallers: true},
-	{path: "internal/obs/metrics", ownCallers: true},
-	{path: "internal/dist", ownCallers: true},
-	{path: "internal/serve", ownCallers: true},
-	{path: "internal/suite/distkern", ownCallers: true},
-	{path: "pthread", ownCallers: true},
+	"ompss":       {allow: censusAllow, max: 11, scopes: []string{"Runtime", "Session", "TC"}, knobs: "Tuning", outsideOnly: true},
+	"internal/vm": {allow: censusAllowVM, max: 6},
+
+	// The references and probes below serve tests of other packages: each
+	// is what such a test compares a variant against, or how it watches
+	// the runtime.
+	"internal/img": {max: 1, allow: map[string]string{
+		"PSNR": "the decoder's quality floor (h264dec TestDecodedQuality, h264 TestEncodeDecodeRoundtrip)",
+	}},
+	"internal/kernels/bodytrack": {max: 1, allow: map[string]string{
+		"PoseError": "the tracking-quality measure of suite/bodytrack TestTrackedErrorBeatsStatic",
+	}},
+	"internal/kernels/kmeans": {max: 2, allow: map[string]string{
+		"Problem.Run":  "the single-centroid reference of suite/kmeans TestClusteringQuality",
+		"Problem.Cost": "the clustering cost suite/kmeans TestClusteringQuality compares",
+	}},
+	"internal/suite/rotate": {max: 3, allow: map[string]string{
+		"Instance.Source":       "TestRequestInputsArePrivate (internal/serve) checks no two held instances share an input",
+		"Instance.LoopUnits":    "the TaskLoop surface TestAutotuneAblation (internal/bench) runs at Auto",
+		"Instance.RunOmpSsLoop": "the TaskLoop surface TestAutotuneAblation (internal/bench) runs at Auto",
+	}},
+	"internal/suite/rgbcmy": {max: 1, allow: map[string]string{
+		"Instance.Source": "TestRequestInputsArePrivate (internal/serve) checks no two held instances share an input",
+	}},
+	"internal/suite": {max: 1, allow: map[string]string{
+		"LoopInstance": "the TaskLoop surface TestAutotuneAblation (internal/bench) selects",
+	}},
+	"internal/suite/cray": {max: 2, allow: map[string]string{
+		"Instance.LoopUnits":    "the TaskLoop surface TestAutotuneAblation (internal/bench) runs at Auto",
+		"Instance.RunOmpSsLoop": "the TaskLoop surface TestAutotuneAblation (internal/bench) runs at Auto",
+	}},
+	"internal/suite/md5": {max: 2, allow: map[string]string{
+		"Instance.LoopUnits":    "the TaskLoop surface TestAutotuneAblation (internal/bench) runs at Auto",
+		"Instance.RunOmpSsLoop": "the TaskLoop surface TestAutotuneAblation (internal/bench) runs at Auto",
+	}},
+	"internal/poolcheck": {max: 3, allow: map[string]string{
+		"Install":     "the ompss, internal/serve and internal/suite test binaries install the poisoning probe in TestMain",
+		"Probe.Await": "the record books of TestSessionChurnReturnsMemory (ompss) and TestSoakSessionChurn (internal/serve)",
+		"Probe.Made":  "the pool refills the allocation pins of ompss pool_test.go net out under -race",
+	}},
 }
 
 // censusProtocols are methods the standard library calls through an
@@ -107,9 +141,9 @@ type censusEntry struct {
 }
 
 // TestAPICensus type-checks every non-test package of the module and of the
-// nested benchmark module and requires each exported identifier and method
-// of every censused package to be in use among them, or to carry a reasoned
-// allowlist entry. In use means: named or called by a caller — another
+// nested benchmark module, and censuses every one of them that is not a
+// command: each exported identifier and method must be in use among them,
+// or carry a reasoned allowlist entry. In use means: named or called by a caller — another
 // package, and for all but ompss the package's own code too; or the
 // implementation of a module interface's method that a caller calls
 // through that interface; or the same method called on another
@@ -129,13 +163,24 @@ func TestAPICensus(t *testing.T) {
 	for _, path := range paths {
 		c.load(path)
 	}
-	for _, cp := range censusPackages {
-		t.Run(cp.path, func(t *testing.T) { c.check(t, cp, paths) })
+	censused := map[string]bool{}
+	for _, path := range paths {
+		short := strings.TrimPrefix(path, modulePath+"/")
+		if c.pkgs[path].Name() == "main" {
+			continue // a command is only a caller: nothing imports it
+		}
+		censused[short] = true
+		t.Run(short, func(t *testing.T) { c.check(t, path, censusRules[short], paths) })
+	}
+	for short := range censusRules {
+		if !censused[short] {
+			t.Errorf("census rule for %s names no non-main package of the module", short)
+		}
 	}
 }
 
-func (c *census) check(t *testing.T, cp censusPackage, paths []string) {
-	api := c.load(modulePath + "/" + cp.path)
+func (c *census) check(t *testing.T, path string, cp censusPackage, paths []string) {
+	api := c.load(path)
 	scope := api.Scope()
 
 	surface := map[string]*censusEntry{}
@@ -183,7 +228,7 @@ func (c *census) check(t *testing.T, cp censusPackage, paths []string) {
 	// Direct uses.
 	for _, path := range paths {
 		own := path == api.Path()
-		if own && !cp.ownCallers {
+		if own && cp.outsideOnly {
 			continue
 		}
 		short := strings.TrimPrefix(path, modulePath+"/")
@@ -318,7 +363,7 @@ func (c *census) check(t *testing.T, cp censusPackage, paths []string) {
 		case !live(k):
 			t.Errorf("exported %s.%s has no non-test caller in the module or benchmark/: delete it (with the code only it reaches) or give it a reasoned allowlist entry", pkg, k)
 		case allowed && (e.sites > 0 || e.via != ""):
-			t.Errorf("%s allowlist entry %q is stale: %d call sites %s", cp.path, k, e.sites, e.via)
+			t.Errorf("%s allowlist entry %q is stale: %d call sites %s", api.Path(), k, e.sites, e.via)
 		}
 		note := e.via
 		if e.sites > 0 {
@@ -335,11 +380,11 @@ func (c *census) check(t *testing.T, cp censusPackage, paths []string) {
 	}
 	for k := range cp.allow {
 		if surface[k] == nil {
-			t.Errorf("%s allowlist entry %q names nothing %s exports", cp.path, k, pkg)
+			t.Errorf("%s allowlist entry %q names nothing %s exports", api.Path(), k, pkg)
 		}
 	}
 	if n := len(cp.allow); n > cp.max {
-		t.Errorf("%s allowlist has %d entries, at most %d: delete names instead of listing them", cp.path, n, cp.max)
+		t.Errorf("%s allowlist has %d entries, at most %d: delete names instead of listing them", api.Path(), n, cp.max)
 	}
 	t.Logf("%d exported names and methods, %d on the allowlist\n%s", len(names), len(cp.allow), table.String())
 }
