@@ -33,7 +33,9 @@ equiv:
 # API census (the CI verify job runs it as its own step): every exported
 # name of every non-main package of the module must have a non-test caller
 # in the module or benchmark/, or a reasoned entry on its package's capped
-# allowlist. -v prints each package's table, the ones DESIGN.md publishes.
+# allowlist; every function and method a command (cmd/*, examples/*)
+# declares must be referenced by non-test code. -v prints each package's
+# table.
 census:
 	$(GO) test ./ompss -run '^TestAPICensus$$' -count=1 -v
 
@@ -60,15 +62,15 @@ bench:
 # any-key compatibility path (the CI bench-smoke job runs this with
 # -benchmem so handle-path regressions show up in the log).
 bench-submit:
-	$(GO) test ./internal/bench -run='^$$' -bench=BenchmarkSubmit -benchmem -benchtime=300000x
+	$(GO) test ./ompss -run='^$$' -bench=BenchmarkSubmit -benchmem -benchtime=300000x
 
 # Allocation regression guard: fails when any submit benchmark exceeds the
-# allocs/op ceiling in internal/bench/testdata/alloc_budget.json, when one
+# allocs/op ceiling in ompss/testdata/alloc_budget.json, when one
 # of the simulator's three commonest dispatches allocates at all, or when a
 # served kernel request allocates more bytes than its endpoint's ceiling in
 # TestRequestAllocBudget (the CI bench-smoke job runs this).
 alloc-budget:
-	$(GO) test ./internal/bench ./internal/serve -run='^(TestSubmitAllocBudget|TestVMEventAllocs|TestRequestAllocBudget)$$' -count=1 -v
+	$(GO) test ./ompss ./internal/vm ./internal/serve -run='^(TestSubmitAllocBudget|TestVMEventAllocs|TestRequestAllocBudget)$$' -count=1 -v
 
 # Alternating parent/change pairs for a perf claim (not part of `make ci`):
 # builds the benchmark binary at BASE and at the working tree, runs them N

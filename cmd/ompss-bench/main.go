@@ -24,7 +24,6 @@ import (
 	"strconv"
 	"strings"
 
-	"ompssgo/internal/bench"
 	"ompssgo/internal/suite"
 )
 
@@ -45,7 +44,7 @@ func main() {
 	if *small {
 		scale = suite.Small
 	}
-	cores := bench.PaperCores
+	cores := paperCores
 	if *coresFlag != "" {
 		cores = nil
 		for _, tok := range strings.Split(*coresFlag, ",") {
@@ -63,29 +62,29 @@ func main() {
 
 	switch {
 	case *usability:
-		rows, err := bench.MeasureUsability("internal/suite")
+		rows, err := measureUsability("internal/suite")
 		if err != nil {
 			fatalf("usability: %v (run from the repository root)", err)
 		}
-		bench.WriteUsability(rows, os.Stdout)
+		writeUsability(rows, os.Stdout)
 	case *table1:
-		t, err := bench.RunTable1(scale, cores, progress)
+		t, err := runTable1(scale, cores, progress)
 		if err != nil {
 			fatalf("table1: %v", err)
 		}
 		fmt.Println("Table 1: speedup factors of OmpSs over Pthreads (simulated 4-socket cc-NUMA)")
-		t.Write(os.Stdout, *withPaper)
+		t.write(os.Stdout, *withPaper)
 	case *ablation != "":
 		var err error
 		switch *ablation {
 		case "barrier":
-			err = bench.BarrierAblation(scale, cores, os.Stdout)
+			err = barrierAblation(scale, cores, os.Stdout)
 		case "locality":
-			err = bench.LocalityAblation(scale, cores, os.Stdout)
+			err = localityAblation(scale, cores, os.Stdout)
 		case "granularity":
-			err = bench.GranularityAblation(scale, cores, os.Stdout)
+			err = granularityAblation(scale, cores, os.Stdout)
 		case "occupancy":
-			err = bench.OccupancyAblation(scale, os.Stdout)
+			err = occupancyAblation(scale, os.Stdout)
 		default:
 			fatalf("unknown ablation %q", *ablation)
 		}
@@ -99,12 +98,12 @@ func main() {
 		}
 		fmt.Printf("%-13s %5s %14s %14s %8s\n", "benchmark", "cores", "pthreads", "ompss", "factor")
 		for _, p := range cores {
-			cell, err := bench.MeasureCell(in, p)
+			c, err := measureCell(in, p)
 			if err != nil {
 				fatalf("%v", err)
 			}
 			fmt.Printf("%-13s %5d %14v %14v %8.2f\n",
-				cell.Bench, p, cell.Pthreads, cell.OmpSs, cell.Factor())
+				in.Name(), p, c.pthreads, c.ompss, c.factor())
 		}
 	default:
 		flag.Usage()

@@ -1,4 +1,4 @@
-package bench
+package main
 
 import (
 	"bytes"
@@ -25,11 +25,11 @@ func TestGeomean(t *testing.T) {
 }
 
 func TestCellFactor(t *testing.T) {
-	c := Cell{Pthreads: 200, OmpSs: 100}
-	if c.Factor() != 2 {
-		t.Fatalf("factor = %f", c.Factor())
+	c := cell{pthreads: 200, ompss: 100}
+	if c.factor() != 2 {
+		t.Fatalf("factor = %f", c.factor())
 	}
-	if (Cell{}).Factor() != 0 {
+	if (cell{}).factor() != 0 {
 		t.Fatal("zero cell should not divide by zero")
 	}
 }
@@ -39,14 +39,14 @@ func TestMeasureCellSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell, err := MeasureCell(in, 4)
+	c, err := measureCell(in, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cell.Pthreads <= 0 || cell.OmpSs <= 0 {
-		t.Fatalf("non-positive makespans: %+v", cell)
+	if c.pthreads <= 0 || c.ompss <= 0 {
+		t.Fatalf("non-positive makespans: %+v", c)
 	}
-	if f := cell.Factor(); f < 0.2 || f > 5 {
+	if f := c.factor(); f < 0.2 || f > 5 {
 		t.Fatalf("implausible factor %f", f)
 	}
 }
@@ -54,32 +54,32 @@ func TestMeasureCellSmall(t *testing.T) {
 func TestTable1SmallTwoBenchmarks(t *testing.T) {
 	// A reduced Table 1 (2 benchmarks × 2 core counts) exercises the whole
 	// pipeline: measurement, means, rendering.
-	tb := &Table1{Cores: []int{1, 4}, Rows: []string{"c-ray", "md5"}, Cells: map[string]map[int]Cell{}}
-	for _, name := range tb.Rows {
+	tb := &table{cores: []int{1, 4}, rows: []string{"c-ray", "md5"}, cells: map[string]map[int]cell{}}
+	for _, name := range tb.rows {
 		in, err := suite.New(name, suite.Small)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tb.Cells[name] = map[int]Cell{}
-		for _, p := range tb.Cores {
-			cell, err := MeasureCell(in, p)
+		tb.cells[name] = map[int]cell{}
+		for _, p := range tb.cores {
+			c, err := measureCell(in, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tb.Cells[name][p] = cell
+			tb.cells[name][p] = c
 		}
 	}
-	if m := tb.RowMean("c-ray"); m <= 0 {
+	if m := tb.rowMean("c-ray"); m <= 0 {
 		t.Fatalf("row mean %f", m)
 	}
-	if m := tb.ColMean(4); m <= 0 {
+	if m := tb.colMean(4); m <= 0 {
 		t.Fatalf("col mean %f", m)
 	}
-	if m := tb.OverallMean(); m <= 0 {
+	if m := tb.overallMean(); m <= 0 {
 		t.Fatalf("overall mean %f", m)
 	}
 	var buf bytes.Buffer
-	tb.Write(&buf, true)
+	tb.write(&buf, true)
 	out := buf.String()
 	for _, want := range []string{"Benchmark", "c-ray", "md5", "Mean", "(paper)"} {
 		if !strings.Contains(out, want) {
@@ -90,31 +90,31 @@ func TestTable1SmallTwoBenchmarks(t *testing.T) {
 
 func TestPaperTable1Reference(t *testing.T) {
 	// Pin the transcription of the paper's numbers.
-	if len(PaperTable1) != 10 {
-		t.Fatalf("paper table rows = %d", len(PaperTable1))
+	if len(paperTable1) != 10 {
+		t.Fatalf("paper table rows = %d", len(paperTable1))
 	}
-	for name, row := range PaperTable1 {
+	for name, row := range paperTable1 {
 		if len(row) != 5 {
 			t.Fatalf("%s: %d columns", name, len(row))
 		}
 	}
-	if PaperTable1["h264dec"][4] != 0.42 || PaperTable1["rgbcmy"][4] != 1.53 {
+	if paperTable1["h264dec"][4] != 0.42 || paperTable1["rgbcmy"][4] != 1.53 {
 		t.Fatal("headline cells mistranscribed")
 	}
 }
 
 func TestAblationsSmall(t *testing.T) {
 	var buf bytes.Buffer
-	if err := BarrierAblation(suite.Small, []int{4}, &buf); err != nil {
+	if err := barrierAblation(suite.Small, []int{4}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := LocalityAblation(suite.Small, []int{4}, &buf); err != nil {
+	if err := localityAblation(suite.Small, []int{4}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := GranularityAblation(suite.Small, []int{4}, &buf); err != nil {
+	if err := granularityAblation(suite.Small, []int{4}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := OccupancyAblation(suite.Small, &buf); err != nil {
+	if err := occupancyAblation(suite.Small, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -1,4 +1,4 @@
-package bench
+package main
 
 import (
 	"fmt"
@@ -19,18 +19,18 @@ import (
 // constructs it needs (dependence clauses for OmpSs; explicit
 // synchronization calls for Pthreads).
 
-// VariantMetrics quantifies one benchmark variant's implementation.
-type VariantMetrics struct {
-	Lines      int // source lines of the variant's functions
-	Constructs int // model-specific constructs (clauses / sync calls)
+// variantMetrics quantifies one benchmark variant's implementation.
+type variantMetrics struct {
+	lines      int // source lines of the variant's functions
+	constructs int // model-specific constructs (clauses / sync calls)
 }
 
-// UsabilityRow is one benchmark's comparison.
-type UsabilityRow struct {
-	Bench    string
-	Seq      VariantMetrics
-	Pthreads VariantMetrics
-	OmpSs    VariantMetrics
+// usabilityRow is one benchmark's comparison.
+type usabilityRow struct {
+	bench    string
+	seq      variantMetrics
+	pthreads variantMetrics
+	ompss    variantMetrics
 }
 
 // ompssConstructs are the OmpSs-model annotations counted for RunOmpSs.
@@ -49,14 +49,14 @@ var pthreadConstructs = map[string]bool{
 	"Load": true, "WaitGE": true, "Parallel": true, "Spawn": true, "Join": true,
 }
 
-// MeasureUsability parses the suite sources under dir (the repository's
+// measureUsability parses the suite sources under dir (the repository's
 // internal/suite) and extracts per-variant metrics.
-func MeasureUsability(dir string) ([]UsabilityRow, error) {
+func measureUsability(dir string) ([]usabilityRow, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("usability: %w", err)
 	}
-	var rows []UsabilityRow
+	var rows []usabilityRow
 	for _, e := range entries {
 		if !e.IsDir() {
 			continue
@@ -69,11 +69,11 @@ func MeasureUsability(dir string) ([]UsabilityRow, error) {
 			rows = append(rows, *row)
 		}
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Bench < rows[j].Bench })
+	sort.Slice(rows, func(i, j int) bool { return rows[i].bench < rows[j].bench })
 	return rows, nil
 }
 
-func measurePackage(dir string) (*UsabilityRow, error) {
+func measurePackage(dir string) (*usabilityRow, error) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -81,7 +81,7 @@ func measurePackage(dir string) (*UsabilityRow, error) {
 	if err != nil {
 		return nil, fmt.Errorf("usability: parse %s: %w", dir, err)
 	}
-	row := &UsabilityRow{}
+	row := &usabilityRow{}
 	found := false
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
@@ -93,16 +93,16 @@ func measurePackage(dir string) (*UsabilityRow, error) {
 				switch fn.Name.Name {
 				case "Name":
 					if lit := returnString(fn); lit != "" {
-						row.Bench = lit
+						row.bench = lit
 					}
 				case "RunSeq":
-					row.Seq = merge(row.Seq, measureFunc(fset, fn, nil))
+					row.seq = merge(row.seq, measureFunc(fset, fn, nil))
 					found = true
 				case "RunPthreads":
-					row.Pthreads = merge(row.Pthreads, measureFunc(fset, fn, pthreadConstructs))
+					row.pthreads = merge(row.pthreads, measureFunc(fset, fn, pthreadConstructs))
 					found = true
 				case "RunOmpSs":
-					row.OmpSs = merge(row.OmpSs, measureFunc(fset, fn, ompssConstructs))
+					row.ompss = merge(row.ompss, measureFunc(fset, fn, ompssConstructs))
 					found = true
 				}
 			}
@@ -114,16 +114,16 @@ func measurePackage(dir string) (*UsabilityRow, error) {
 	return row, nil
 }
 
-func merge(a, b VariantMetrics) VariantMetrics {
-	return VariantMetrics{Lines: a.Lines + b.Lines, Constructs: a.Constructs + b.Constructs}
+func merge(a, b variantMetrics) variantMetrics {
+	return variantMetrics{lines: a.lines + b.lines, constructs: a.constructs + b.constructs}
 }
 
-func measureFunc(fset *token.FileSet, fn *ast.FuncDecl, constructs map[string]bool) VariantMetrics {
+func measureFunc(fset *token.FileSet, fn *ast.FuncDecl, constructs map[string]bool) variantMetrics {
 	start := fset.Position(fn.Body.Lbrace).Line
 	end := fset.Position(fn.Body.Rbrace).Line
-	m := VariantMetrics{Lines: end - start - 1}
-	if m.Lines < 0 {
-		m.Lines = 0
+	m := variantMetrics{lines: end - start - 1}
+	if m.lines < 0 {
+		m.lines = 0
 	}
 	if constructs == nil {
 		return m
@@ -134,7 +134,7 @@ func measureFunc(fset *token.FileSet, fn *ast.FuncDecl, constructs map[string]bo
 			return true
 		}
 		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && constructs[sel.Sel.Name] {
-			m.Constructs++
+			m.constructs++
 		}
 		return true
 	})
@@ -152,21 +152,21 @@ func returnString(fn *ast.FuncDecl) string {
 	return ""
 }
 
-// WriteUsability renders the comparison table.
-func WriteUsability(rows []UsabilityRow, w io.Writer) {
+// writeUsability renders the comparison table.
+func writeUsability(rows []usabilityRow, w io.Writer) {
 	fmt.Fprintf(w, "Parallel-variant implementation effort (suite sources, go/parser)\n")
 	fmt.Fprintf(w, "%-14s %10s | %10s %10s | %10s %10s\n",
 		"benchmark", "seq-lines", "pth-lines", "pth-sync", "omp-lines", "omp-clauses")
 	totS, totPL, totPC, totOL, totOC := 0, 0, 0, 0, 0
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-14s %10d | %10d %10d | %10d %10d\n",
-			r.Bench, r.Seq.Lines, r.Pthreads.Lines, r.Pthreads.Constructs,
-			r.OmpSs.Lines, r.OmpSs.Constructs)
-		totS += r.Seq.Lines
-		totPL += r.Pthreads.Lines
-		totPC += r.Pthreads.Constructs
-		totOL += r.OmpSs.Lines
-		totOC += r.OmpSs.Constructs
+			r.bench, r.seq.lines, r.pthreads.lines, r.pthreads.constructs,
+			r.ompss.lines, r.ompss.constructs)
+		totS += r.seq.lines
+		totPL += r.pthreads.lines
+		totPC += r.pthreads.constructs
+		totOL += r.ompss.lines
+		totOC += r.ompss.constructs
 	}
 	fmt.Fprintf(w, "%-14s %10d | %10d %10d | %10d %10d\n",
 		"total", totS, totPL, totPC, totOL, totOC)

@@ -1,4 +1,4 @@
-package bench
+package main
 
 import (
 	"bytes"
@@ -38,45 +38,45 @@ func TestOmpssConstructsExist(t *testing.T) {
 }
 
 func TestMeasureUsability(t *testing.T) {
-	rows, err := MeasureUsability("../suite")
+	rows, err := measureUsability("../../internal/suite")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 10 {
 		t.Fatalf("benchmarks measured = %d, want 10", len(rows))
 	}
-	byName := map[string]UsabilityRow{}
+	byName := map[string]usabilityRow{}
 	for _, r := range rows {
-		byName[r.Bench] = r
-		if r.Bench == "" {
+		byName[r.bench] = r
+		if r.bench == "" {
 			t.Fatal("missing benchmark name")
 		}
-		if r.Seq.Lines <= 0 || r.Pthreads.Lines <= 0 || r.OmpSs.Lines <= 0 {
-			t.Fatalf("%s: empty variant metrics: %+v", r.Bench, r)
+		if r.seq.lines <= 0 || r.pthreads.lines <= 0 || r.ompss.lines <= 0 {
+			t.Fatalf("%s: empty variant metrics: %+v", r.bench, r)
 		}
-		if r.OmpSs.Constructs == 0 {
-			t.Fatalf("%s: OmpSs variant uses no clauses?", r.Bench)
+		if r.ompss.constructs == 0 {
+			t.Fatalf("%s: OmpSs variant uses no clauses?", r.bench)
 		}
-		if r.Pthreads.Constructs == 0 {
-			t.Fatalf("%s: Pthreads variant uses no sync?", r.Bench)
+		if r.pthreads.constructs == 0 {
+			t.Fatalf("%s: Pthreads variant uses no sync?", r.bench)
 		}
 	}
 	// Both parallel variants must exceed the sequential baseline — the
 	// paper's point is about *which* parallel expression is cheaper.
 	for name, r := range byName {
-		if r.Pthreads.Lines < r.Seq.Lines {
+		if r.pthreads.lines < r.seq.lines {
 			t.Errorf("%s: pthreads smaller than sequential?", name)
 		}
 	}
 	// The qualitative claim of §3: the dataflow expression of the complex
 	// pipelined/irregular benchmarks is substantially leaner than the
 	// manual one.
-	if sc := byName["streamcluster"]; sc.OmpSs.Lines >= sc.Pthreads.Lines {
+	if sc := byName["streamcluster"]; sc.ompss.lines >= sc.pthreads.lines {
 		t.Errorf("streamcluster: OmpSs (%d lines) should be leaner than Pthreads (%d)",
-			sc.OmpSs.Lines, sc.Pthreads.Lines)
+			sc.ompss.lines, sc.pthreads.lines)
 	}
 	var buf bytes.Buffer
-	WriteUsability(rows, &buf)
+	writeUsability(rows, &buf)
 	if !strings.Contains(buf.String(), "total") {
 		t.Fatal("rendered table missing total row")
 	}

@@ -1,15 +1,31 @@
-package bench
+package suite
 
 import (
 	"testing"
 
-	"ompssgo/internal/suite"
 	"ompssgo/machine"
 	"ompssgo/ompss"
 )
 
-// autotuneBenches are the loop-surfaced suite benchmarks (suite.LoopInstance)
-// the grain ablation sweeps.
+// LoopInstance is the flat-loop surface of a benchmark: the same computation
+// as RunOmpSs, but expressed as one TaskLoop over a flat iteration space so
+// chunking is the runtime's decision rather than the benchmark's. It is the
+// grain-ablation surface — RunOmpSsLoop with a static chunk sweeps the
+// granularity axis, and chunk == ompss.Auto hands the choice to the runtime
+// (n/(4·workers), or a pinned Tuning Grain). Results are bit-identical to
+// RunSeq/RunOmpSs for every chunk.
+type LoopInstance interface {
+	Instance
+	// LoopUnits returns the iteration-space size of the loop variant
+	// (rows, buffers, ...).
+	LoopUnits() int
+	// RunOmpSsLoop runs the task-dataflow variant as a single TaskLoop of
+	// LoopUnits iterations with the given chunk size.
+	RunOmpSsLoop(rt ompss.API, chunk int) uint64
+}
+
+// autotuneBenches are the loop-surfaced suite benchmarks (LoopInstance) the
+// grain ablation sweeps.
 var autotuneBenches = []string{"rotate", "c-ray", "md5"}
 
 // staticChunkLadder is the swept grain axis: from fully fine (chunk 1,
@@ -48,11 +64,11 @@ func TestAutotuneAblation(t *testing.T) {
 	t.Run("sim", func(t *testing.T) {
 		mc := machine.Config{Cores: 4, Sockets: 2}
 		for _, name := range autotuneBenches {
-			ref, err := suite.New(name, suite.Small)
+			ref, err := New(name, Small)
 			if err != nil {
 				t.Fatal(err)
 			}
-			li := ref.(suite.LoopInstance)
+			li := ref.(LoopInstance)
 			want := ref.RunSeq()
 			units := li.LoopUnits()
 

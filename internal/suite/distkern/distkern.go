@@ -7,7 +7,7 @@
 // encodes float64/int64 values with math.Float64bits round-trips, which
 // preserve every bit.
 //
-// Any binary that drives these workloads (tests, cmd/ompss-bench) must
+// Any binary that drives these workloads (tests, cmd/ompss-trace) must
 // import this package in the worker path too — the same import registers
 // the kernels in the spawned worker processes, since they re-exec the
 // same binary.

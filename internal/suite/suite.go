@@ -45,23 +45,6 @@ type Instance interface {
 	RunOmpSs(ompss.API) uint64
 }
 
-// LoopInstance is the optional flat-loop surface of a benchmark: the same
-// computation as RunOmpSs, but expressed as one TaskLoop over a flat
-// iteration space so chunking is the runtime's decision rather than the
-// benchmark's. It is the grain-ablation surface — RunOmpSsLoop with a
-// static chunk sweeps the granularity axis, and chunk == ompss.Auto hands
-// the choice to the runtime (n/(4·workers), or a pinned Tuning Grain).
-// Results are bit-identical to RunSeq/RunOmpSs for every chunk.
-type LoopInstance interface {
-	Instance
-	// LoopUnits returns the iteration-space size of the loop variant
-	// (rows, buffers, ...).
-	LoopUnits() int
-	// RunOmpSsLoop runs the task-dataflow variant as a single TaskLoop of
-	// LoopUnits iterations with the given chunk size.
-	RunOmpSsLoop(rt ompss.API, chunk int) uint64
-}
-
 // Scale selects workload sizing.
 type Scale int
 

@@ -353,7 +353,7 @@ func TestBlockWakePendingIsSaved(t *testing.T) {
 	})
 	v.Go("waker", 1, func(th *Thread) {
 		th.Compute(Millisecond)
-		th.VM().WakeAt(target, th.vm.now)
+		th.vm.WakeAt(target, th.vm.now)
 	})
 	if _, err := v.Run(); err != nil {
 		t.Fatal(err)

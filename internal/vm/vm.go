@@ -498,9 +498,6 @@ func (t *Thread) awaitToken() {
 // yield gives up the token until an event resumes t, which runs the event loop meanwhile.
 func (t *Thread) yield() { t.vm.dispatch(t) }
 
-// VM returns the owning machine.
-func (t *Thread) VM() *VM { return t.vm }
-
 // Charge accrues a small cost without an immediate context interaction. The
 // accumulated amount is folded into the next Compute, blocking operation, or
 // Flush. Use it for cheap bookkeeping costs (uncontended lock/unlock, queue

@@ -1,4 +1,4 @@
-package bench
+package ompss_test
 
 import (
 	"fmt"

@@ -1,8 +1,9 @@
-package bench
+package ompss_test
 
 import (
 	"testing"
 
+	"ompssgo/internal/obs"
 	"ompssgo/ompss"
 )
 
@@ -109,4 +110,21 @@ func BenchmarkSubmitDatumInt(b *testing.B) {
 		}
 		return func(i int) ompss.Clause { return ds[i%submitKeys].AsInOut() }
 	})
+}
+
+// BenchmarkSubmitDatumPtrObserved is BenchmarkSubmitDatumPtr with a
+// recorder attached: the full submit-path event set (submit, edge, ready,
+// start, end) rides along on every task.
+func BenchmarkSubmitDatumPtrObserved(b *testing.B) {
+	benchSubmit(b, datumPtrChains, ompss.Observe(obs.NewRecorder()))
+}
+
+// BenchmarkNativeTaskwait measures the empty-graph taskwait fast path.
+func BenchmarkNativeTaskwait(b *testing.B) {
+	rt := ompss.New(ompss.Workers(2))
+	defer rt.Shutdown()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rt.Taskwait()
+	}
 }

@@ -231,3 +231,16 @@ func TestNativeVsSimSameResults(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkNativePthreadBarrier measures the native blocking barrier
+// round-trip with 4 threads.
+func BenchmarkNativePthreadBarrier(b *testing.B) {
+	api := Native(4)
+	bar := api.NewBarrier(4)
+	b.ResetTimer()
+	api.Main().Parallel(func(t *Thread) {
+		for i := 0; i < b.N; i++ {
+			t.Barrier(bar)
+		}
+	})
+}
