@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test equiv census flake race bench bench-submit alloc-budget pairs lint lint-lifecycle lint-core lint-dist trace dist-trace serve serve-smoke dist-race fuzz-frames soak ci
+.PHONY: all build test equiv census flake race bench bench-submit alloc-budget escape pairs lint lint-lifecycle lint-core lint-dist trace dist-trace serve serve-smoke dist-race fuzz-frames soak ci
 
 all: build test
 
@@ -71,6 +71,13 @@ bench-submit:
 # TestRequestAllocBudget (the CI bench-smoke job runs this).
 alloc-budget:
 	$(GO) test ./ompss ./internal/vm ./internal/serve -run='^(TestSubmitAllocBudget|TestVMEventAllocs|TestRequestAllocBudget)$$' -count=1 -v
+
+# Clause escape guard (the CI bench-smoke job runs it): every clause
+# constructor of package ompss must inline, and no clause record or clause
+# key slice built inside a for loop of internal/suite may escape to the heap
+# (scripts/escape.sh reads go build -gcflags=-m and names the file:line).
+escape:
+	GO=$(GO) sh scripts/escape.sh
 
 # Alternating parent/change pairs for a perf claim (not part of `make ci`):
 # builds the benchmark binary at BASE and at the working tree, runs them N
@@ -215,4 +222,4 @@ lint-dist:
 		$$(ls internal/dist/*.go | grep -v '_test\.go$$') | grep -v '^internal/dist/transport\.go:[0-9]*: listenRendezvous$$'); \
 	if [ -n "$$bad" ]; then echo "lint: net.Listen outside listenRendezvous in non-test internal/dist (workers only dial out):" >&2; echo "$$bad" >&2; exit 1; fi
 
-ci: build lint test equiv census flake race bench bench-submit alloc-budget serve-smoke dist-race dist-trace soak
+ci: build lint test equiv census flake race bench bench-submit alloc-budget escape serve-smoke dist-race dist-trace soak

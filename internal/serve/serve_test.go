@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -80,6 +81,16 @@ func TestKernelEndpoints(t *testing.T) {
 	m := scrape(t, srv)
 	if got := m[`ompss_requests_total{tenant="gold"}`]; got != 3 || srv.Violations() != 0 {
 		t.Fatalf(`requests_total{tenant="gold"}=%v violations=%d, want 3 0`, got, srv.Violations())
+	}
+}
+
+// TestHexChecksumMatchesFmt pins the response's checksum string to fmt's %#x,
+// which clients compare byte for byte.
+func TestHexChecksumMatchesFmt(t *testing.T) {
+	for _, v := range []uint64{0, 1, 0xdeadbeef, math.MaxUint64} {
+		if got, want := hexChecksum(v), fmt.Sprintf("%#x", v); got != want {
+			t.Errorf("hexChecksum(%d) = %q, want %q", v, got, want)
+		}
 	}
 }
 

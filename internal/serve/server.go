@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -321,7 +322,7 @@ func (s *Server) handleKernel(w http.ResponseWriter, req *http.Request, r *runne
 		Bench:     r.name,
 		Session:   sess.ID(),
 		Tenant:    tenant,
-		Checksum:  fmt.Sprintf("%#x", got),
+		Checksum:  hexChecksum(got),
 		Tasks:     st.Finished,
 		Skipped:   st.Skipped,
 		ElapsedNS: elapsed.Nanoseconds(),
@@ -343,6 +344,13 @@ func (s *Server) handleKernel(w http.ResponseWriter, req *http.Request, r *runne
 	}
 	marks[numPhases] = time.Now()
 	ts.observePhases(&marks)
+}
+
+// hexChecksum formats a checksum as fmt's %#x does ("0x" and lower-case hex
+// digits, "0x0" for zero), without fmt's boxing and state on every response.
+func hexChecksum(v uint64) string {
+	var buf [18]byte
+	return string(strconv.AppendUint(append(buf[:0], "0x"...), v, 16))
 }
 
 // handleFault is the deliberate-failure endpoint: a small dependence chain
@@ -415,7 +423,7 @@ func (s *Server) retryAfter() int {
 // writeUnavailable is the draining answer: 503 with a Retry-After so load
 // balancers and polite clients move on without treating it as a fault.
 func (s *Server) writeUnavailable(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", fmt.Sprintf("%d", s.retryAfter()))
+	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
 	writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 }
 

@@ -6,7 +6,6 @@
 package bodytrack
 
 import (
-	"ompssgo/internal/blocks"
 	"ompssgo/internal/check"
 	"ompssgo/internal/img"
 	kern "ompssgo/internal/kernels/bodytrack"
@@ -75,10 +74,10 @@ func (in *Instance) track(f *kern.Filter, weigh func(obs *img.Gray)) uint64 {
 // RunSeq tracks sequentially over the same chunk structure.
 func (in *Instance) RunSeq() uint64 {
 	f := kern.NewFilter(in.model)
-	ranges := blocks.Ranges(in.W.Particles, in.W.Chunk)
+	n, ch := in.W.Particles, max(in.W.Chunk, 1)
 	return in.track(f, func(obs *img.Gray) {
-		for _, r := range ranges {
-			f.WeighRange(obs, r[0], r[1])
+		for lo := 0; lo < n; lo += ch {
+			f.WeighRange(obs, lo, min(lo+ch, n))
 		}
 	})
 }
@@ -90,7 +89,7 @@ func (in *Instance) RunPthreads(main *pthread.Thread) uint64 {
 	f := kern.NewFilter(in.model)
 	api := main.API()
 	bar := api.NewBarrier(api.Threads())
-	ranges := blocks.Ranges(in.W.Particles, in.W.Chunk)
+	n, ch := in.W.Particles, max(in.W.Chunk, 1)
 	chunkCost := in.model.RangeCost(in.W.Chunk)
 	var out uint64
 	var current *img.Gray // observation being weighed; set by thread 0 between barriers
@@ -102,8 +101,8 @@ func (in *Instance) RunPthreads(main *pthread.Thread) uint64 {
 			out = in.track(f, func(obs *img.Gray) {
 				current = obs
 				t.Barrier(bar) // release the team into the weigh phase
-				for i := 0; i < len(ranges); i += nt {
-					f.WeighRange(obs, ranges[i][0], ranges[i][1])
+				for lo := 0; lo < n; lo += nt * ch {
+					f.WeighRange(obs, lo, min(lo+ch, n))
 					t.Compute(chunkCost)
 					t.Touch(&obs.Pix[0], int64(len(obs.Pix)), false)
 				}
@@ -119,8 +118,8 @@ func (in *Instance) RunPthreads(main *pthread.Thread) uint64 {
 			if obs == nil {
 				return
 			}
-			for i := t.ID(); i < len(ranges); i += nt {
-				f.WeighRange(obs, ranges[i][0], ranges[i][1])
+			for lo := t.ID() * ch; lo < n; lo += nt * ch {
+				f.WeighRange(obs, lo, min(lo+ch, n))
 				t.Compute(chunkCost)
 				t.Touch(&obs.Pix[0], int64(len(obs.Pix)), false)
 			}
@@ -130,28 +129,30 @@ func (in *Instance) RunPthreads(main *pthread.Thread) uint64 {
 	return out
 }
 
-// RunOmpSs spawns one weigh task per chunk per layer and taskwaits before
-// the serial resample.
+// RunOmpSs spawns one weigh task per chunk per layer on the master TC and
+// taskwaits before the serial resample.
 func (in *Instance) RunOmpSs(rt ompss.API) uint64 {
 	f := kern.NewFilter(in.model)
-	ranges := blocks.Ranges(in.W.Particles, in.W.Chunk)
+	n, ch := in.W.Particles, max(in.W.Chunk, 1)
 	chunkCost := in.model.RangeCost(in.W.Chunk)
 	// The per-chunk weight keys recur every frame: register them once.
-	weights := make([]*ompss.Datum, len(ranges))
-	for i, r := range ranges {
-		weights[i] = rt.Register(&f.Weights[r[0]])
+	weights := make([]*ompss.Datum, 0, (n+ch-1)/ch)
+	for lo := 0; lo < n; lo += ch {
+		weights = append(weights, rt.Register(&f.Weights[lo]))
 	}
+	tc := rt.Master()
 	return in.track(f, func(obs *img.Gray) {
 		// One handle per observation frame, shared by all chunk tasks.
 		obsD := rt.Register(&obs.Pix[0])
-		for i, r := range ranges {
-			r := r
-			rt.Task(func(*ompss.TC) { f.WeighRange(obs, r[0], r[1]) },
+		for i, w := range weights {
+			lo := i * ch
+			hi := min(lo+ch, n)
+			tc.Task(func(*ompss.TC) { f.WeighRange(obs, lo, hi) },
 				ompss.InSized(obsD, int64(len(obs.Pix))),
-				ompss.OutSized(weights[i], int64(8*(r[1]-r[0]))),
+				ompss.OutSized(w, int64(8*(hi-lo))),
 				ompss.Cost(chunkCost),
 				ompss.Label("weigh"))
 		}
-		rt.Taskwait()
+		tc.Taskwait()
 	})
 }

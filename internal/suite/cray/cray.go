@@ -7,7 +7,6 @@ package cray
 import (
 	"time"
 
-	"ompssgo/internal/blocks"
 	"ompssgo/internal/img"
 	kern "ompssgo/internal/kernels/cray"
 	"ompssgo/ompss"
@@ -64,11 +63,11 @@ func (in *Instance) RunSeq() uint64 {
 // the uneven per-block costs.
 func (in *Instance) RunPthreads(main *pthread.Thread) uint64 {
 	im := img.NewRGB(in.W.W, in.W.H)
-	bl := blocks.Ranges(in.W.H, in.W.RowBlock)
+	rb := max(in.W.RowBlock, 1)
 	main.Parallel(func(t *pthread.Thread) {
 		p := t.API().Threads()
-		for b := t.ID(); b < len(bl); b += p {
-			lo, hi := bl[b][0], bl[b][1]
+		for lo := t.ID() * rb; lo < in.W.H; lo += p * rb {
+			hi := min(lo+rb, in.W.H)
 			in.scene.RenderRows(im, lo, hi)
 			t.Compute(in.blockCost(lo, hi))
 			t.Touch(&im.Pix[3*lo*in.W.W], int64(3*(hi-lo)*in.W.W), true)
@@ -77,18 +76,20 @@ func (in *Instance) RunPthreads(main *pthread.Thread) uint64 {
 	return im.Checksum()
 }
 
-// RunOmpSs renders with one task per row block; the runtime's queues and
-// stealing balance the uneven blocks dynamically.
+// RunOmpSs renders with one task per row block, spawned on the master TC;
+// the runtime's queues and stealing balance the uneven blocks dynamically.
 func (in *Instance) RunOmpSs(rt ompss.API) uint64 {
 	im := img.NewRGB(in.W.W, in.W.H)
-	for _, b := range blocks.Ranges(in.W.H, in.W.RowBlock) {
-		lo, hi := b[0], b[1]
-		rt.Task(func(*ompss.TC) { in.scene.RenderRows(im, lo, hi) },
+	tc := rt.Master()
+	rb := max(in.W.RowBlock, 1)
+	for lo := 0; lo < in.W.H; lo += rb {
+		hi := min(lo+rb, in.W.H)
+		tc.Task(func(*ompss.TC) { in.scene.RenderRows(im, lo, hi) },
 			ompss.OutSized(&im.Pix[3*lo*in.W.W], int64(3*(hi-lo)*in.W.W)),
 			ompss.Cost(in.blockCost(lo, hi)),
 			ompss.Label("render"))
 	}
-	rt.Taskwait()
+	tc.Taskwait()
 	return im.Checksum()
 }
 
@@ -101,7 +102,7 @@ func (in *Instance) LoopUnits() int { return in.W.H }
 // a Cost clause cannot vary across a TaskLoop's chunks.
 func (in *Instance) RunOmpSsLoop(rt ompss.API, chunk int) uint64 {
 	im := img.NewRGB(in.W.W, in.W.H)
-	rt.TaskLoop(in.W.H, chunk, func(tc *ompss.TC, lo, hi int) {
+	rt.Master().TaskLoop(in.W.H, chunk, func(tc *ompss.TC, lo, hi int) {
 		in.scene.RenderRows(im, lo, hi)
 		tc.Compute(in.blockCost(lo, hi))
 		tc.Touch(&im.Pix[3*lo*in.W.W], int64(3*(hi-lo)*in.W.W), true)

@@ -17,7 +17,6 @@ import (
 	"encoding/binary"
 	"math"
 
-	"ompssgo/internal/blocks"
 	"ompssgo/internal/check"
 	"ompssgo/internal/dist"
 	"ompssgo/internal/img"
@@ -194,21 +193,22 @@ func init() {
 func RunRotate(rt *dist.RT, w rotate.Workload) (uint64, error) {
 	src := media.Image(w.W, w.H, w.Seed)
 	srcD := rt.Register(src.Pix)
-	bl := blocks.Ranges(w.H, w.RowBlock)
-	dstD := make([]*dist.Datum, len(bl))
-	for i, b := range bl {
-		lo, hi := b[0], b[1]
+	rb := max(w.RowBlock, 1)
+	dstD := make([]*dist.Datum, 0, (w.H+rb-1)/rb)
+	for lo := 0; lo < w.H; lo += rb {
+		hi := min(lo+rb, w.H)
 		args := putU32(putU32(putU32(putU32(nil, uint32(w.W)), uint32(w.H)), uint32(lo)), uint32(hi))
 		args = putF64(args, w.Angle)
-		dstD[i] = rt.Register(make([]byte, 3*(hi-lo)*w.W))
-		rt.Task("suite.rotate", args, dist.In(srcD), dist.Out(dstD[i]))
+		d := rt.Register(make([]byte, 3*(hi-lo)*w.W))
+		dstD = append(dstD, d)
+		rt.Task("suite.rotate", args, dist.In(srcD), dist.Out(d))
 	}
 	if err := rt.Taskwait(); err != nil {
 		return 0, err
 	}
 	dst := img.NewRGB(w.W, w.H)
-	for i, b := range bl {
-		copy(dst.Pix[3*b[0]*w.W:], rt.Read(dstD[i]))
+	for i, d := range dstD {
+		copy(dst.Pix[3*i*rb*w.W:], rt.Read(d))
 	}
 	return dst.Checksum(), nil
 }
@@ -220,33 +220,34 @@ func RunRotate(rt *dist.RT, w rotate.Workload) (uint64, error) {
 func RunRGBCMY(rt *dist.RT, w rgbcmy.Workload) (uint64, error) {
 	src := media.Image(w.W, w.H, w.Seed)
 	srcD := rt.Register(src.Pix)
-	bl := blocks.Ranges(w.H, w.RowBlock)
+	rb := max(w.RowBlock, 1)
 	type planes struct{ c, m, y *dist.Datum }
-	pl := make([]planes, len(bl))
-	for i, b := range bl {
-		n := (b[1] - b[0]) * w.W
-		pl[i] = planes{
+	pl := make([]planes, 0, (w.H+rb-1)/rb)
+	for lo := 0; lo < w.H; lo += rb {
+		n := (min(lo+rb, w.H) - lo) * w.W
+		pl = append(pl, planes{
 			c: rt.Register(make([]byte, n)),
 			m: rt.Register(make([]byte, n)),
 			y: rt.Register(make([]byte, n)),
-		}
+		})
 	}
 	for it := 0; it < w.Iters; it++ {
-		for i, b := range bl {
-			args := putU32(putU32(putU32(putU32(nil, uint32(w.W)), uint32(w.H)), uint32(b[0])), uint32(b[1]))
+		for i, p := range pl {
+			lo := i * rb
+			args := putU32(putU32(putU32(putU32(nil, uint32(w.W)), uint32(w.H)), uint32(lo)), uint32(min(lo+rb, w.H)))
 			rt.Task("suite.rgbcmy", args,
-				dist.In(srcD), dist.Out(pl[i].c), dist.Out(pl[i].m), dist.Out(pl[i].y))
+				dist.In(srcD), dist.Out(p.c), dist.Out(p.m), dist.Out(p.y))
 		}
 	}
 	if err := rt.Taskwait(); err != nil {
 		return 0, err
 	}
 	dst := colorkern.NewCMY(w.W, w.H)
-	for i, b := range bl {
-		a := b[0] * w.W
-		copy(dst.C.Pix[a:], rt.Read(pl[i].c))
-		copy(dst.M.Pix[a:], rt.Read(pl[i].m))
-		copy(dst.Y.Pix[a:], rt.Read(pl[i].y))
+	for i, p := range pl {
+		a := i * rb * w.W
+		copy(dst.C.Pix[a:], rt.Read(p.c))
+		copy(dst.M.Pix[a:], rt.Read(p.m))
+		copy(dst.Y.Pix[a:], rt.Read(p.y))
 	}
 	return dst.Checksum(), nil
 }
@@ -281,14 +282,17 @@ func RunKMeans(rt *dist.RT, w kmeans.Workload) (uint64, error) {
 	prob := &kmkern.Problem{Points: pts, N: w.N, Dim: w.Dim, K: w.K}
 	centD := rt.Register(encodeFloats(prob.InitCentroids()))
 	movedD := rt.Register(make([]byte, 8))
-	ranges := blocks.Ranges(w.N, w.Chunk)
+	ch := max(w.Chunk, 1)
+	nc := (w.N + ch - 1) / ch
+	size := func(c int) int { return min((c+1)*ch, w.N) - c*ch } // points in chunk c
 
-	ptsD := make([]*dist.Datum, len(ranges))
-	assignD := make([]*dist.Datum, len(ranges))
-	partD := make([]*dist.Datum, len(ranges))
-	for c, r := range ranges {
-		ptsD[c] = rt.Register(encodeFloats(pts[r[0]*w.Dim : r[1]*w.Dim]))
-		init := make([]int, r[1]-r[0])
+	ptsD := make([]*dist.Datum, nc)
+	assignD := make([]*dist.Datum, nc)
+	partD := make([]*dist.Datum, nc)
+	for c := range ptsD {
+		lo := c * ch
+		ptsD[c] = rt.Register(encodeFloats(pts[lo*w.Dim : (lo+size(c))*w.Dim]))
+		init := make([]int, size(c))
 		for i := range init {
 			init[i] = -1
 		}
@@ -298,13 +302,13 @@ func RunKMeans(rt *dist.RT, w kmeans.Workload) (uint64, error) {
 
 	redArgs := putU32(putU32(nil, uint32(w.K)), uint32(w.Dim))
 	for it := 0; it < w.MaxIter; it++ {
-		for c, r := range ranges {
-			args := putU32(putU32(putU32(nil, uint32(w.K)), uint32(w.Dim)), uint32(r[1]-r[0]))
+		for c := range ptsD {
+			args := putU32(putU32(putU32(nil, uint32(w.K)), uint32(w.Dim)), uint32(size(c)))
 			rt.Task("suite.kmeans-assign", args,
 				dist.In(centD), dist.In(ptsD[c]), dist.InOut(assignD[c]), dist.Out(partD[c]))
 		}
-		clauses := make([]dist.Clause, 0, len(ranges)+2)
-		for c := range ranges {
+		clauses := make([]dist.Clause, 0, nc+2)
+		for c := range partD {
 			clauses = append(clauses, dist.In(partD[c]))
 		}
 		clauses = append(clauses, dist.InOut(centD), dist.Out(movedD))
@@ -320,7 +324,7 @@ func RunKMeans(rt *dist.RT, w kmeans.Workload) (uint64, error) {
 
 	cent := decodeFloats(rt.Read(centD))
 	assign := make([]int, 0, w.N)
-	for c := range ranges {
+	for c := range assignD {
 		assign = append(assign, decodeInts(rt.Read(assignD[c]))...)
 	}
 	return check.Floats(cent) ^ check.Ints(assign), nil

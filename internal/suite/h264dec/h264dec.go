@@ -451,15 +451,17 @@ func (in *Instance) RunOmpSs(rt ompss.API) uint64 {
 	}
 	frameBytes := int64(p.W * p.H)
 
+	// Every stage spawns on the master TC, a concrete receiver, so the
+	// clauses built in each call stay on this stack.
+	master := rt.Master()
 	for k := 0; k < nf; k++ {
-		k := k
 		slot := k % n
 		prevSlot := (k - 1 + n) % n
 
 		// Read stage. Error-returning spawn: a truncated stream becomes the
 		// task's outcome and skips the dependent stages instead of
 		// panicking the worker.
-		rt.Go(func(tc *ompss.TC) error {
+		master.Go(func(tc *ompss.TC) error {
 			payload, ok, err := sr.Next()
 			if err != nil {
 				return fmt.Errorf("h264dec: read stage: %w", err)
@@ -473,7 +475,7 @@ func (in *Instance) RunOmpSs(rt ompss.API) uint64 {
 		}, ompss.InOut(rc), ompss.Out(payloadD[slot]), ompss.Label("read"))
 
 		// Parse stage: header + PIB fetch under critical.
-		rt.Go(func(tc *ompss.TC) error {
+		master.Go(func(tc *ompss.TC) error {
 			hdr, br, err := h264.DecodeFrameHeader(payloads[slot])
 			if err != nil {
 				return err
@@ -493,7 +495,7 @@ func (in *Instance) RunOmpSs(rt ompss.API) uint64 {
 			ompss.Cost(h264.ParseCost()), ompss.Label("parse"))
 
 		// Entropy decode stage (serial chain via ec).
-		rt.Go(func(tc *ompss.TC) error {
+		master.Go(func(tc *ompss.TC) error {
 			if err := h264.EntropyDecodeFrame(p, brs[slot], hdrs[slot], fds[slot]); err != nil {
 				return err
 			}
@@ -504,28 +506,27 @@ func (in *Instance) RunOmpSs(rt ompss.API) uint64 {
 
 		// Reconstruction: ng row-group tasks forming the wavefront.
 		for g := 0; g < ng; g++ {
-			g := g
-			clauses := []ompss.Clause{
+			// The previous group of this frame; for group 0, DPB
+			// backpressure: the output that recycles this slot's previous
+			// picture (see slotFreeD above).
+			prev := slotFreeD[slot]
+			if g > 0 {
+				prev = grpKeys[slot][g-1]
+			}
+			// An array, not appends: an appended clause escapes to the heap.
+			clauses := [6]ompss.Clause{
 				ompss.In(fdD[slot]),
 				ompss.OutSized(grpKeys[slot][g], frameBytes/int64(ng)),
 				ompss.Cost(groupCost(g)),
 				ompss.Label("recon"),
+				ompss.In(prev),
 			}
-			if g == 0 {
-				// DPB backpressure: wait for the output that recycles this
-				// slot's previous picture (see slotFreeD above).
-				clauses = append(clauses, ompss.In(slotFreeD[slot]))
-			} else {
-				clauses = append(clauses, ompss.In(grpKeys[slot][g-1]))
-			}
+			nc := 5
 			if k > 0 {
-				gref := g + 1
-				if gref > ng-1 {
-					gref = ng - 1
-				}
-				clauses = append(clauses, ompss.In(grpKeys[prevSlot][gref]))
+				clauses[nc] = ompss.In(grpKeys[prevSlot][min(g+1, ng-1)])
+				nc++
 			}
-			rt.Task(func(tc *ompss.TC) {
+			master.Task(func(tc *ompss.TC) {
 				if g == 0 {
 					tc.Critical("dpb", func() {
 						pic := dpb.Fetch(k, 2)
@@ -556,11 +557,11 @@ func (in *Instance) RunOmpSs(rt ompss.API) uint64 {
 					doneRefs[slot] = refUsed[slot]
 					donePis[slot] = pisED[slot]
 				}
-			}, clauses...)
+			}, clauses[:nc]...)
 		}
 
 		// Output stage.
-		rt.Task(func(tc *ompss.TC) {
+		master.Task(func(tc *ompss.TC) {
 			pic := donePics[slot]
 			sums[k] = pic.Img.Checksum()
 			tc.Critical("dpb", func() {
@@ -578,12 +579,12 @@ func (in *Instance) RunOmpSs(rt ompss.API) uint64 {
 
 		// Listing 1's loop gate: the read stage must have completed before
 		// the next iteration's EOF check.
-		rt.TaskwaitOn(rc)
+		master.TaskwaitOn(rc)
 	}
 	// Context-aware barrier: a stage error (bad stream, exhausted pool)
 	// propagated through the graph by skipping the dependent stages; it
 	// surfaces here instead of unwinding a worker mid-pipeline.
-	if err := rt.TaskwaitCtx(context.Background()); err != nil {
+	if err := master.TaskwaitCtx(context.Background()); err != nil {
 		panic(fmt.Sprintf("h264dec: pipeline failed: %v", err))
 	}
 	if lastPic != nil {

@@ -9,7 +9,6 @@
 package kmeans
 
 import (
-	"ompssgo/internal/blocks"
 	"ompssgo/internal/check"
 	kern "ompssgo/internal/kernels/kmeans"
 	"ompssgo/internal/media"
@@ -51,7 +50,7 @@ type state struct {
 	assign    []int
 	partials  []*kern.Partial
 	merged    *kern.Partial
-	ranges    [][2]int
+	chunk     int // points per chunk, at least 1; chunk c has partials[c]
 }
 
 func (in *Instance) newState() *state {
@@ -59,16 +58,22 @@ func (in *Instance) newState() *state {
 		centroids: in.prob.InitCentroids(),
 		assign:    make([]int, in.W.N),
 		merged:    in.prob.NewPartial(),
-		ranges:    blocks.Ranges(in.W.N, in.W.Chunk),
+		chunk:     max(in.W.Chunk, 1),
 	}
 	for i := range s.assign {
 		s.assign[i] = -1
 	}
-	s.partials = make([]*kern.Partial, len(s.ranges))
+	s.partials = make([]*kern.Partial, (in.W.N+s.chunk-1)/s.chunk)
 	for i := range s.partials {
 		s.partials[i] = in.prob.NewPartial()
 	}
 	return s
+}
+
+// span is chunk c's point range [lo, hi).
+func (s *state) span(c int) (lo, hi int) {
+	lo = c * s.chunk
+	return lo, min(lo+s.chunk, len(s.assign))
 }
 
 // reduce merges partials in chunk order and updates centroids; returns
@@ -89,9 +94,10 @@ func (in *Instance) result(s *state) uint64 {
 func (in *Instance) RunSeq() uint64 {
 	s := in.newState()
 	for it := 0; it < in.W.MaxIter; it++ {
-		for c, r := range s.ranges {
+		for c := range s.partials {
+			lo, hi := s.span(c)
 			s.partials[c].Reset()
-			in.prob.AssignRange(s.centroids, s.assign, s.partials[c], r[0], r[1])
+			in.prob.AssignRange(s.centroids, s.assign, s.partials[c], lo, hi)
 		}
 		if in.reduce(s) == 0 {
 			break
@@ -115,18 +121,18 @@ func (in *Instance) RunPthreads(main *pthread.Thread) uint64 {
 			if t.Load(done) != 0 {
 				break
 			}
-			for c := t.ID(); c < len(s.ranges); c += p {
+			for c := t.ID(); c < len(s.partials); c += p {
+				lo, hi := s.span(c)
 				s.partials[c].Reset()
-				in.prob.AssignRange(s.centroids, s.assign, s.partials[c], s.ranges[c][0], s.ranges[c][1])
+				in.prob.AssignRange(s.centroids, s.assign, s.partials[c], lo, hi)
 				t.Compute(chunkCost)
-				t.Touch(&in.prob.Points[s.ranges[c][0]*in.W.Dim],
-					int64(8*(s.ranges[c][1]-s.ranges[c][0])*in.W.Dim), false)
+				t.Touch(&in.prob.Points[lo*in.W.Dim], int64(8*(hi-lo)*in.W.Dim), false)
 			}
 			if t.Barrier(bar) {
 				if in.reduce(s) == 0 {
 					t.Store(done, 1)
 				}
-				t.Compute(kern.RangeCost(len(s.ranges)*in.W.K, 1, in.W.Dim))
+				t.Compute(kern.RangeCost(len(s.partials)*in.W.K, 1, in.W.Dim))
 			}
 			t.Barrier(bar)
 		}
@@ -134,8 +140,9 @@ func (in *Instance) RunPthreads(main *pthread.Thread) uint64 {
 	return in.result(s)
 }
 
-// RunOmpSs spawns one assignment task per chunk each iteration, taskwaits,
-// and reduces on the master (the task barrier separating iterations).
+// RunOmpSs spawns one assignment task per chunk each iteration on the master
+// TC, taskwaits, and reduces on the master (the task barrier separating
+// iterations).
 func (in *Instance) RunOmpSs(rt ompss.API) uint64 {
 	s := in.newState()
 	chunkCost := kern.RangeCost(in.W.Chunk, in.W.K, in.W.Dim)
@@ -144,43 +151,40 @@ func (in *Instance) RunOmpSs(rt ompss.API) uint64 {
 	// working set once, then submit through handles only.
 	cent := rt.Register(&s.centroids[0])
 	partials := make([]*ompss.Datum, len(s.partials))
-	points := make([]*ompss.Datum, len(s.ranges))
-	for c, r := range s.ranges {
+	points := make([]*ompss.Datum, len(s.partials))
+	for c := range s.partials {
+		lo, _ := s.span(c)
 		partials[c] = rt.Register(s.partials[c])
-		points[c] = rt.Register(&in.prob.Points[r[0]*in.W.Dim])
+		points[c] = rt.Register(&in.prob.Points[lo*in.W.Dim])
 	}
+	// The reduction's clauses are the same every iteration: build them once.
+	reduceClauses := []ompss.Clause{cent.AsInOut(), ompss.Label("reduce")}
+	for _, d := range partials {
+		reduceClauses = append(reduceClauses, d.AsIn())
+	}
+	master := rt.Master()
 	for it := 0; it < in.W.MaxIter; it++ {
-		for c := range s.ranges {
-			c := c
-			r := s.ranges[c]
-			rt.Task(func(*ompss.TC) {
+		for c := range s.partials {
+			lo, hi := s.span(c)
+			master.Task(func(*ompss.TC) {
 				s.partials[c].Reset()
-				in.prob.AssignRange(s.centroids, s.assign, s.partials[c], r[0], r[1])
+				in.prob.AssignRange(s.centroids, s.assign, s.partials[c], lo, hi)
 			},
 				ompss.In(cent),
-				ompss.InSized(points[c], int64(8*(r[1]-r[0])*in.W.Dim)),
+				ompss.InSized(points[c], int64(8*(hi-lo)*in.W.Dim)),
 				ompss.OutSized(partials[c], int64(8*in.W.K*in.W.Dim)),
 				ompss.Cost(chunkCost),
 				ompss.Label("assign"))
 		}
 		moved := -1
-		rt.Task(func(tc *ompss.TC) {
+		master.Task(func(tc *ompss.TC) {
 			moved = in.reduce(s)
-			tc.Compute(kern.RangeCost(len(s.ranges)*in.W.K, 1, in.W.Dim))
-		}, append([]ompss.Clause{ompss.InOut(cent), ompss.Label("reduce")},
-			insOf(partials)...)...)
-		rt.Taskwait()
+			tc.Compute(kern.RangeCost(len(s.partials)*in.W.K, 1, in.W.Dim))
+		}, reduceClauses...)
+		master.Taskwait()
 		if moved == 0 {
 			break
 		}
 	}
 	return in.result(s)
-}
-
-func insOf(ds []*ompss.Datum) []ompss.Clause {
-	cs := make([]ompss.Clause, len(ds))
-	for i, d := range ds {
-		cs[i] = ompss.In(d)
-	}
-	return cs
 }

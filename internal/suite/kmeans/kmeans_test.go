@@ -12,9 +12,10 @@ func TestClusteringQuality(t *testing.T) {
 	in := New(w)
 	s := in.newState()
 	for it := 0; it < w.MaxIter; it++ {
-		for c, r := range s.ranges {
+		for c := range s.partials {
+			lo, hi := s.span(c)
 			s.partials[c].Reset()
-			in.prob.AssignRange(s.centroids, s.assign, s.partials[c], r[0], r[1])
+			in.prob.AssignRange(s.centroids, s.assign, s.partials[c], lo, hi)
 		}
 		if in.reduce(s) == 0 {
 			break
@@ -48,7 +49,7 @@ func TestChunkStructureIndependentOfThreads(t *testing.T) {
 	// function of the workload.
 	a, b := New(Small()), New(Small())
 	sa, sb := a.newState(), b.newState()
-	if len(sa.ranges) != len(sb.ranges) {
+	if len(sa.partials) != len(sb.partials) || sa.chunk != sb.chunk {
 		t.Fatal("chunking not deterministic")
 	}
 }

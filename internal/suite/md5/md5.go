@@ -69,18 +69,18 @@ func (in *Instance) RunPthreads(main *pthread.Thread) uint64 {
 	return in.fold(digests)
 }
 
-// RunOmpSs hashes with one task per buffer.
+// RunOmpSs hashes with one task per buffer, spawned on the master TC.
 func (in *Instance) RunOmpSs(rt ompss.API) uint64 {
 	digests := make([][kern.Size]byte, len(in.bufs))
+	tc := rt.Master()
 	for i := range in.bufs {
-		i := i
-		rt.Task(func(*ompss.TC) { digests[i] = kern.Sum(in.bufs[i]) },
+		tc.Task(func(*ompss.TC) { digests[i] = kern.Sum(in.bufs[i]) },
 			ompss.InSized(&in.bufs[i][0], int64(len(in.bufs[i]))),
 			ompss.OutSized(&digests[i], int64(kern.Size)),
 			ompss.Cost(kern.BufferCost(len(in.bufs[i]))),
 			ompss.Label("md5"))
 	}
-	rt.Taskwait()
+	tc.Taskwait()
 	return in.fold(digests)
 }
 
@@ -93,7 +93,7 @@ func (in *Instance) LoopUnits() int { return in.W.NBuf }
 // the task context.
 func (in *Instance) RunOmpSsLoop(rt ompss.API, chunk int) uint64 {
 	digests := make([][kern.Size]byte, len(in.bufs))
-	rt.TaskLoop(len(in.bufs), chunk, func(tc *ompss.TC, lo, hi int) {
+	rt.Master().TaskLoop(len(in.bufs), chunk, func(tc *ompss.TC, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			digests[i] = kern.Sum(in.bufs[i])
 			tc.Compute(kern.BufferCost(len(in.bufs[i])))

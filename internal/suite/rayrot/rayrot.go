@@ -124,13 +124,13 @@ func (in *Instance) RunPthreads(main *pthread.Thread) uint64 {
 	return in.fold(rot)
 }
 
-// RunOmpSs spawns a render task per frame and its dependent rotate tasks;
-// the runtime's locality policy chains the consumers onto the producer's
-// core while the frame is still cache-resident.
+// RunOmpSs spawns a render task per frame and its dependent rotate tasks on
+// the master TC; the runtime's locality policy chains the consumers onto the
+// producer's core while the frame is still cache-resident.
 func (in *Instance) RunOmpSs(rt ompss.API) uint64 {
 	src, rot := in.newFrames()
+	tc := rt.Master()
 	for f := 0; f < in.W.Frames; f++ {
-		f := f
 		// One registered handle per source frame: the producing render and
 		// its Rots consumers all submit through it.
 		frame := rt.Register(&src[f].Pix[0])
@@ -139,15 +139,14 @@ func (in *Instance) RunOmpSs(rt ompss.API) uint64 {
 		// when the render finishes — either chain on the producing core
 		// (locality policy) or return to the frame's home (affinity policy
 		// with locality off), so the chain reads warm data either way.
-		rt.Task(func(*ompss.TC) { in.scenes[f].Render(src[f]) },
+		tc.Task(func(*ompss.TC) { in.scenes[f].Render(src[f]) },
 			ompss.OutSized(frame, in.frameBytes()),
 			ompss.Cost(kcray.RowsCost(in.W.W*in.W.H, in.W.Spheres)),
 			ompss.Affinity(frame),
 			ompss.Label("render"))
 		for j := 0; j < in.W.Rots; j++ {
-			j := j
 			i := f*in.W.Rots + j
-			rt.Task(func(*ompss.TC) { krot.Rotate(rot[i], src[f], in.angle(j)) },
+			tc.Task(func(*ompss.TC) { krot.Rotate(rot[i], src[f], in.angle(j)) },
 				ompss.InSized(frame, in.rotReadBytes()),
 				ompss.OutSized(&rot[i].Pix[0], in.frameBytes()),
 				ompss.Cost(krot.RowsCost(in.W.W*in.W.H)),
@@ -155,6 +154,6 @@ func (in *Instance) RunOmpSs(rt ompss.API) uint64 {
 				ompss.Label("rotate"))
 		}
 	}
-	rt.Taskwait()
+	tc.Taskwait()
 	return in.fold(rot)
 }

@@ -7,7 +7,6 @@
 package rgbcmy
 
 import (
-	"ompssgo/internal/blocks"
 	"ompssgo/internal/img"
 	kern "ompssgo/internal/kernels/color"
 	"ompssgo/internal/media"
@@ -85,15 +84,15 @@ func (in *Instance) RunPthreads(main *pthread.Thread) uint64 {
 	dst := kern.NewCMY(in.W.W, in.W.H)
 	api := main.API()
 	bar := api.NewBarrier(api.Threads())
-	bl := blocks.Ranges(in.W.H, in.W.RowBlock)
+	rb := max(in.W.RowBlock, 1)
 	// The working set (a few hundred KB) is LLC-resident after the first
 	// iteration, so the kernel cost already includes its memory time and
 	// no cold-traffic footprints are declared.
 	main.Parallel(func(t *pthread.Thread) {
 		p := t.API().Threads()
 		for it := 0; it < in.W.Iters; it++ {
-			for b := t.ID(); b < len(bl); b += p {
-				lo, hi := bl[b][0], bl[b][1]
+			for lo := t.ID() * rb; lo < in.W.H; lo += p * rb {
+				hi := min(lo+rb, in.W.H)
 				kern.RGBToCMYRows(dst, in.src, lo, hi)
 				t.Compute(kern.RowsCost((hi - lo) * in.W.W))
 			}
@@ -103,29 +102,30 @@ func (in *Instance) RunPthreads(main *pthread.Thread) uint64 {
 	return dst.Checksum()
 }
 
-// RunOmpSs spawns row-block tasks per iteration and separates iterations
-// with a polling taskwait (the OmpSs task barrier).
+// RunOmpSs spawns row-block tasks per iteration on the master TC and
+// separates iterations with a polling taskwait (the OmpSs task barrier).
 func (in *Instance) RunOmpSs(rt ompss.API) uint64 {
 	dst := in.ompssCMY()
-	bl := blocks.Ranges(in.W.H, in.W.RowBlock)
+	rb := max(in.W.RowBlock, 1)
 	// The source and the per-block destination keys recur every iteration:
 	// register them once and submit through the handles.
 	src := rt.Register(&in.src.Pix[0])
-	rowKeys := make([]*ompss.Datum, len(bl))
-	for i, b := range bl {
-		rowKeys[i] = rt.Register(&dst.C.Pix[b[0]*in.W.W])
+	rowKeys := make([]*ompss.Datum, 0, (in.W.H+rb-1)/rb)
+	for lo := 0; lo < in.W.H; lo += rb {
+		rowKeys = append(rowKeys, rt.Register(&dst.C.Pix[lo*in.W.W]))
 	}
+	tc := rt.Master()
 	for it := 0; it < in.W.Iters; it++ {
-		for i, b := range bl {
-			lo, hi := b[0], b[1]
-			rows := hi - lo
-			rt.Task(func(*ompss.TC) { kern.RGBToCMYRows(dst, in.src, lo, hi) },
+		for i, key := range rowKeys {
+			lo := i * rb
+			hi := min(lo+rb, in.W.H)
+			tc.Task(func(*ompss.TC) { kern.RGBToCMYRows(dst, in.src, lo, hi) },
 				ompss.In(src),
-				ompss.Out(rowKeys[i]),
-				ompss.Cost(kern.RowsCost(rows*in.W.W)),
+				ompss.Out(key),
+				ompss.Cost(kern.RowsCost((hi-lo)*in.W.W)),
 				ompss.Label("rgbcmy"))
 		}
-		rt.Taskwait()
+		tc.Taskwait()
 	}
 	return dst.Checksum()
 }

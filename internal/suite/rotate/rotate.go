@@ -5,7 +5,6 @@
 package rotate
 
 import (
-	"ompssgo/internal/blocks"
 	"ompssgo/internal/img"
 	kern "ompssgo/internal/kernels/rotate"
 	"ompssgo/internal/media"
@@ -72,11 +71,11 @@ func (in *Instance) RunSeq() uint64 {
 // RunPthreads rotates with a static interleaved row-block partition.
 func (in *Instance) RunPthreads(main *pthread.Thread) uint64 {
 	dst := img.NewRGB(in.W.W, in.W.H)
-	bl := blocks.Ranges(in.W.H, in.W.RowBlock)
+	rb := max(in.W.RowBlock, 1)
 	main.Parallel(func(t *pthread.Thread) {
 		p := t.API().Threads()
-		for b := t.ID(); b < len(bl); b += p {
-			lo, hi := bl[b][0], bl[b][1]
+		for lo := t.ID() * rb; lo < in.W.H; lo += p * rb {
+			hi := min(lo+rb, in.W.H)
 			kern.Rows(dst, in.src, in.W.Angle, lo, hi)
 			t.Compute(kern.RowsCost((hi - lo) * in.W.W))
 			t.Touch(&in.src.Pix[0], int64(3*(hi-lo)*in.W.W), false)
@@ -86,22 +85,25 @@ func (in *Instance) RunPthreads(main *pthread.Thread) uint64 {
 	return dst.Checksum()
 }
 
-// RunOmpSs rotates with one task per destination row block. The shared
-// source image is a registered data handle: every block task reads it, so
-// the handle takes the key hash and shard lookup off each submission.
+// RunOmpSs rotates with one task per destination row block, spawned on the
+// master TC. The shared source image is a registered data handle: every
+// block task reads it, so the handle takes the key hash and shard lookup
+// off each submission.
 func (in *Instance) RunOmpSs(rt ompss.API) uint64 {
 	dst := in.ompssDst()
 	src := rt.Register(&in.src.Pix[0])
-	for _, b := range blocks.Ranges(in.W.H, in.W.RowBlock) {
-		lo, hi := b[0], b[1]
+	tc := rt.Master()
+	rb := max(in.W.RowBlock, 1)
+	for lo := 0; lo < in.W.H; lo += rb {
+		hi := min(lo+rb, in.W.H)
 		rows := hi - lo
-		rt.Task(func(*ompss.TC) { kern.Rows(dst, in.src, in.W.Angle, lo, hi) },
+		tc.Task(func(*ompss.TC) { kern.Rows(dst, in.src, in.W.Angle, lo, hi) },
 			ompss.InSized(src, int64(3*rows*in.W.W)),
 			ompss.OutSized(&dst.Pix[3*lo*in.W.W], int64(3*rows*in.W.W)),
 			ompss.Cost(kern.RowsCost(rows*in.W.W)),
 			ompss.Label("rotate"))
 	}
-	rt.Taskwait()
+	tc.Taskwait()
 	return dst.Checksum()
 }
 
@@ -116,7 +118,7 @@ func (in *Instance) LoopUnits() int { return in.W.H }
 // clauses cannot vary across a TaskLoop's chunks.
 func (in *Instance) RunOmpSsLoop(rt ompss.API, chunk int) uint64 {
 	dst := in.ompssDst()
-	rt.TaskLoop(in.W.H, chunk, func(tc *ompss.TC, lo, hi int) {
+	rt.Master().TaskLoop(in.W.H, chunk, func(tc *ompss.TC, lo, hi int) {
 		kern.Rows(dst, in.src, in.W.Angle, lo, hi)
 		tc.Compute(kern.RowsCost((hi - lo) * in.W.W))
 		tc.Touch(&in.src.Pix[0], int64(3*(hi-lo)*in.W.W), false)

@@ -98,25 +98,26 @@ func (in *Instance) RunPthreads(main *pthread.Thread) uint64 {
 	return in.fold(out)
 }
 
-// RunOmpSs chains rotate→convert task pairs per frame.
+// RunOmpSs chains rotate→convert task pairs per frame, spawned on the
+// master TC.
 func (in *Instance) RunOmpSs(rt ompss.API) uint64 {
 	rot, out := in.newFrames()
 	frameBytes := int64(3 * in.W.W * in.W.H)
+	tc := rt.Master()
 	for f := 0; f < in.W.Frames; f++ {
-		f := f
 		// The intermediate frame links producer to consumer: one handle
 		// serves both ends of the chain.
 		mid := rt.Register(&rot[f].Pix[0])
-		rt.Task(func(*ompss.TC) { krot.Rotate(rot[f], in.srcs[f], in.W.Angle) },
+		tc.Task(func(*ompss.TC) { krot.Rotate(rot[f], in.srcs[f], in.W.Angle) },
 			ompss.OutSized(mid, frameBytes),
 			ompss.Cost(krot.RowsCost(in.W.W*in.W.H)),
 			ompss.Label("rotate"))
-		rt.Task(func(*ompss.TC) { kcolor.RGBToCMYK(out[f], rot[f]) },
+		tc.Task(func(*ompss.TC) { kcolor.RGBToCMYK(out[f], rot[f]) },
 			ompss.InSized(mid, frameBytes),
 			ompss.OutSized(&out[f].C.Pix[0], int64(4*in.W.W*in.W.H)),
 			ompss.Cost(kcolor.RowsCost(in.W.W*in.W.H)),
 			ompss.Label("cmyk"))
 	}
-	rt.Taskwait()
+	tc.Taskwait()
 	return in.fold(out)
 }

@@ -15,7 +15,6 @@
 package streamcluster
 
 import (
-	"ompssgo/internal/blocks"
 	"ompssgo/internal/check"
 	kern "ompssgo/internal/kernels/streamcluster"
 	"ompssgo/internal/media"
@@ -83,14 +82,15 @@ func mergeInOrder(dst *kern.GainPartial, parts []*kern.GainPartial) {
 func (in *Instance) RunSeq() uint64 {
 	p := in.problem()
 	s := p.NewState()
+	ec := max(in.W.EvalChunk, 1)
 	for s.Limit < p.N {
 		s.AbsorbChunk()
 		for _, c := range s.PickCandidates() {
-			ranges := blocks.Ranges(s.Limit, in.W.EvalChunk)
-			parts := make([]*kern.GainPartial, len(ranges))
-			for i, r := range ranges {
-				parts[i] = s.NewGainPartial()
-				s.EvalCandidateRange(c, parts[i], r[0], r[1])
+			parts := make([]*kern.GainPartial, 0, (s.Limit+ec-1)/ec)
+			for lo := 0; lo < s.Limit; lo += ec {
+				part := s.NewGainPartial()
+				s.EvalCandidateRange(c, part, lo, min(lo+ec, s.Limit))
+				parts = append(parts, part)
 			}
 			merged := s.NewGainPartial()
 			mergeInOrder(merged, parts)
@@ -113,16 +113,6 @@ func (in *Instance) splitPrescan(k0 int) bool {
 	return k0*in.W.EvalChunk*in.W.Dim >= minPrescanWork
 }
 
-// prescanRanges splits the chunk [lo, hi) into EvalChunk-point pieces.
-func (in *Instance) prescanRanges(lo, hi int) [][2]int {
-	rs := blocks.Ranges(hi-lo, in.W.EvalChunk)
-	for i := range rs {
-		rs[i][0] += lo
-		rs[i][1] += lo
-	}
-	return rs
-}
-
 // RunPthreads keeps one SPMD team alive for the whole stream, looping over
 // one shape: thread 0 runs the serial step, a barrier releases the team
 // into its static share of the phase the step set up, and a second barrier
@@ -134,11 +124,13 @@ func (in *Instance) RunPthreads(main *pthread.Thread) uint64 {
 	s := p.NewState()
 	api := main.API()
 	bar := api.NewBarrier(api.Threads())
+	ec := max(in.W.EvalChunk, 1)
 	var (
 		candidates []int
 		cand       int
-		ranges     [][2]int
-		parts      []*kern.GainPartial // nil while ranges are a prescan
+		from, to   int                 // the phase's points, split into ec-point pieces
+		prescan    bool                // the phase is the prescan of [lo, hi)
+		parts      []*kern.GainPartial // one per piece of a gain evaluation; nil while prescanning
 		lo, hi, k0 int                 // the chunk being prescanned
 		finished   bool
 	)
@@ -154,7 +146,7 @@ func (in *Instance) RunPthreads(main *pthread.Thread) uint64 {
 			mergeInOrder(merged, parts)
 			s.ApplyCandidate(cand, merged)
 			t.Compute(kern.RangeEvalCost(s.Limit/8+1, in.W.Dim))
-		case ranges != nil:
+		case prescan:
 			s.CommitChunk(lo, hi, k0)
 			candidates = s.PickCandidates()
 		}
@@ -165,7 +157,7 @@ func (in *Instance) RunPthreads(main *pthread.Thread) uint64 {
 			}
 			lo, hi, k0 = s.BeginChunk()
 			if in.splitPrescan(k0) {
-				ranges, parts = in.prescanRanges(lo, hi), nil
+				from, to, prescan, parts = lo, hi, true, nil
 				return
 			}
 			s.PrescanRange(lo, hi, k0)
@@ -175,8 +167,8 @@ func (in *Instance) RunPthreads(main *pthread.Thread) uint64 {
 		}
 		cand = candidates[0]
 		candidates = candidates[1:]
-		ranges = blocks.Ranges(s.Limit, in.W.EvalChunk)
-		parts = make([]*kern.GainPartial, len(ranges))
+		from, to, prescan = 0, s.Limit, false
+		parts = make([]*kern.GainPartial, (to+ec-1)/ec)
 		for i := range parts {
 			parts[i] = s.NewGainPartial()
 		}
@@ -191,16 +183,16 @@ func (in *Instance) RunPthreads(main *pthread.Thread) uint64 {
 			if finished {
 				return
 			}
-			for i := t.ID(); i < len(ranges); i += nt {
-				r := ranges[i]
-				if parts == nil {
-					s.PrescanRange(r[0], r[1], k0)
-					t.Compute(kern.RangeEvalCost(r[1]-r[0], in.W.Dim))
+			for a := from + t.ID()*ec; a < to; a += nt * ec {
+				b := min(a+ec, to)
+				if prescan {
+					s.PrescanRange(a, b, k0)
+					t.Compute(kern.RangeEvalCost(b-a, in.W.Dim))
 					continue
 				}
-				s.EvalCandidateRange(cand, parts[i], r[0], r[1])
+				s.EvalCandidateRange(cand, parts[(a-from)/ec], a, b)
 				t.Compute(evalCost)
-				t.Touch(&p.Points[r[0]*p.Dim], int64(8*(r[1]-r[0])*p.Dim), false)
+				t.Touch(&p.Points[a*p.Dim], int64(8*(b-a)*p.Dim), false)
 			}
 			t.Barrier(bar)
 		}
@@ -209,7 +201,8 @@ func (in *Instance) RunPthreads(main *pthread.Thread) uint64 {
 }
 
 // RunOmpSs has the master absorb the stream and, per candidate, spawn gain
-// tasks over the chunks plus a dependent apply task, separated by taskwait.
+// tasks on the master TC over the chunks plus a dependent apply task,
+// separated by taskwait.
 // A chunk that splitPrescan admits is prescanned by one task per
 // EvalChunk-point piece, each writing only its own Assign and DistTo range;
 // after a taskwait the master commits the chunk.
@@ -228,41 +221,42 @@ func (in *Instance) RunOmpSs(rt ompss.API) uint64 {
 		}
 		return d
 	}
+	tc := rt.Master()
+	ec := max(in.W.EvalChunk, 1)
 	for s.Limit < p.N {
 		lo, hi, k0 := s.BeginChunk()
 		if in.splitPrescan(k0) {
-			for _, r := range in.prescanRanges(lo, hi) {
-				rt.Task(func(*ompss.TC) { s.PrescanRange(r[0], r[1], k0) },
-					ompss.Out(&s.Assign[r[0]]), ompss.Out(&s.DistTo[r[0]]),
-					ompss.Cost(kern.RangeEvalCost(r[1]-r[0], in.W.Dim)),
+			for a := lo; a < hi; a += ec {
+				b := min(a+ec, hi)
+				tc.Task(func(*ompss.TC) { s.PrescanRange(a, b, k0) },
+					ompss.Out(&s.Assign[a]), ompss.Out(&s.DistTo[a]),
+					ompss.Cost(kern.RangeEvalCost(b-a, in.W.Dim)),
 					ompss.Label("prescan"))
 			}
-			rt.Taskwait()
+			tc.Taskwait()
 		} else {
 			s.PrescanRange(lo, hi, k0)
-			rt.Task(func(tc *ompss.TC) {}, ompss.Cost(kern.RangeEvalCost(p.ChunkSize, in.W.Dim)),
+			tc.Task(func(*ompss.TC) {}, ompss.Cost(kern.RangeEvalCost(p.ChunkSize, in.W.Dim)),
 				ompss.Label("absorb"), ompss.If(false)) // absorb is serial master work; charge it inline
 		}
 		s.CommitChunk(lo, hi, k0)
 		for _, c := range s.PickCandidates() {
-			c := c
-			ranges := blocks.Ranges(s.Limit, in.W.EvalChunk)
-			parts := make([]*kern.GainPartial, len(ranges))
-			for i := range parts {
-				i := i
-				r := ranges[i]
-				parts[i] = s.NewGainPartial()
-				rt.Task(func(*ompss.TC) { s.EvalCandidateRange(c, parts[i], r[0], r[1]) },
-					ompss.OutSized(parts[i], int64(8*(1+len(parts[i].CloseSave)))),
-					ompss.InSized(pointsAt(r[0]), int64(8*(r[1]-r[0])*p.Dim)),
+			parts := make([]*kern.GainPartial, 0, (s.Limit+ec-1)/ec)
+			for a := 0; a < s.Limit; a += ec {
+				b := min(a+ec, s.Limit)
+				part := s.NewGainPartial()
+				parts = append(parts, part)
+				tc.Task(func(*ompss.TC) { s.EvalCandidateRange(c, part, a, b) },
+					ompss.OutSized(part, int64(8*(1+len(part.CloseSave)))),
+					ompss.InSized(pointsAt(a), int64(8*(b-a)*p.Dim)),
 					ompss.Cost(evalCost),
 					ompss.Label("pgain"))
 			}
-			rt.Taskwait()
+			tc.Taskwait()
 			merged := s.NewGainPartial()
 			mergeInOrder(merged, parts)
 			s.ApplyCandidate(c, merged)
-			rt.Task(func(*ompss.TC) {}, ompss.Cost(kern.RangeEvalCost(s.Limit/8+1, in.W.Dim)),
+			tc.Task(func(*ompss.TC) {}, ompss.Cost(kern.RangeEvalCost(s.Limit/8+1, in.W.Dim)),
 				ompss.Label("apply"), ompss.If(false)) // serial apply charged inline
 		}
 	}

@@ -72,6 +72,10 @@ func TestSubmitAllocBudget(t *testing.T) {
 		"BenchmarkSubmitDatumPtr":  BenchmarkSubmitDatumPtr,
 		"BenchmarkSubmitAnyKeyInt": BenchmarkSubmitAnyKeyInt,
 		"BenchmarkSubmitDatumInt":  BenchmarkSubmitDatumInt,
+		// Clauses built in a spawn on a concrete *TC cost nothing; through
+		// the API interface, only the escaping []Clause.
+		"BenchmarkSubmitInline": BenchmarkSubmitInline,
+		"BenchmarkSubmitAPI":    BenchmarkSubmitAPI,
 		// The default run-ahead window binding on every spawn: the
 		// ready-queue node, nothing for the throttle.
 		"BenchmarkSubmitThrottled": BenchmarkSubmitThrottled,

@@ -18,35 +18,42 @@ import (
 // recognize it. Raw any-key clauses remain supported as sugar: the runtime
 // interns the key at submission into the same record, so handle-based and
 // key-based accesses to one datum stay mutually ordered.
+//
+// A clause is a pointer to a record of what it declares (see Clause): In(d)
+// built in the call to a concrete *TC stays on the caller's stack, and
+// AsIn, AsOut and AsInOut return records the handle keeps, for a clause
+// that outlives the call.
 type Datum struct {
 	c *core.Datum
-	// Cached clause closures: one closure and one access value per mode,
-	// built at registration, so d.AsIn() etc. add zero allocations to a
-	// submission (the package-level In(d) constructors allocate a variadic
-	// slice and a fresh closure per call).
-	asIn, asOut, asInOut Clause
+	// as holds the clause records AsIn, AsOut and AsInOut hand out, indexed
+	// by mode: each is built on its first call, so a handle that never
+	// calls them costs only the Datum, and every later call returns the
+	// same record.
+	as [core.InOut + 1]atomic.Pointer[clause]
 }
 
-// AsIn returns the handle's pre-built In clause (see In). The clause is
-// constructed once at registration: using it adds no per-submit work.
-func (d *Datum) AsIn() Clause { return d.asIn }
+// AsIn returns the handle's In clause (see In). The clause record is built
+// once per handle, so a clause that must be passed through a []Clause that
+// escapes — an API interface call — adds no allocation of its own.
+func (d *Datum) AsIn() Clause { return d.modeClause(core.In) }
 
-// AsOut returns the handle's pre-built Out clause (see Out).
-func (d *Datum) AsOut() Clause { return d.asOut }
+// AsOut returns the handle's Out clause (see Out and AsIn).
+func (d *Datum) AsOut() Clause { return d.modeClause(core.Out) }
 
-// AsInOut returns the handle's pre-built InOut clause (see InOut).
-func (d *Datum) AsInOut() Clause { return d.asInOut }
+// AsInOut returns the handle's InOut clause (see InOut and AsIn).
+func (d *Datum) AsInOut() Clause { return d.modeClause(core.InOut) }
 
-// newDatum wraps a core handle and pre-builds its clause closures.
-func newDatum(c *core.Datum) *Datum {
-	d := &Datum{c: c}
-	accIn := core.Access{Key: c.Key, Mode: core.In, Datum: c}
-	accOut := core.Access{Key: c.Key, Mode: core.Out, Datum: c}
-	accInOut := core.Access{Key: c.Key, Mode: core.InOut, Datum: c}
-	d.asIn = func(r *taskRec) { r.t.Accesses = append(r.t.Accesses, accIn) }
-	d.asOut = func(r *taskRec) { r.t.Accesses = append(r.t.Accesses, accOut) }
-	d.asInOut = func(r *taskRec) { r.t.Accesses = append(r.t.Accesses, accInOut) }
-	return d
+// modeClause returns the handle's clause record for m, building it on first
+// use. Concurrent first calls may each build one; all but the first
+// published are dropped, so every caller sees the same record.
+func (d *Datum) modeClause(m core.Mode) Clause {
+	p := &d.as[m]
+	c := p.Load()
+	if c == nil {
+		p.CompareAndSwap(nil, &clause{op: opKey, mode: m, key: d})
+		c = p.Load()
+	}
+	return Clause{c}
 }
 
 // Register interns key's dependence record and returns a reusable handle:
@@ -65,7 +72,7 @@ func (rt *Runtime) register(key any, dom *core.Domain) *Datum {
 	if d, ok := key.(*Datum); ok && d.c.Owner() == rt.lc.graph {
 		return d
 	}
-	return newDatum(rt.intern(key, dom))
+	return &Datum{c: rt.intern(key, dom)}
 }
 
 // intern resolves a raw key, or a handle from any runtime, to this

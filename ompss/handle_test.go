@@ -11,10 +11,61 @@ import (
 	"testing"
 	"time"
 
+	"ompssgo/internal/core"
 	"ompssgo/machine"
 )
 
 // --- Datum handles -----------------------------------------------------------
+
+// TestDatumClausesBuiltOnce checks that a handle's AsIn/AsOut/AsInOut
+// records are built on first use, once, even under concurrent first calls,
+// and that a Register that never asks for them allocates only the Datum.
+func TestDatumClausesBuiltOnce(t *testing.T) {
+	rt := New(Workers(1))
+	defer rt.Shutdown()
+	var x int
+	d := rt.Register(&x)
+	if a := testing.AllocsPerRun(100, func() { _ = rt.Register(&x) }); a != 1 {
+		t.Errorf("Register of an interned key: %v allocs, want 1 (the Datum)", a)
+	}
+	got := make([]Clause, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = d.AsInOut()
+		}()
+	}
+	wg.Wait()
+	for i, c := range got {
+		if c != got[0] {
+			t.Fatalf("AsInOut call %d returned another record", i)
+		}
+	}
+	if c := got[0].c; c.op != opKey || c.mode != core.InOut || c.key != d {
+		t.Fatalf("AsInOut record %+v, want an InOut access on the handle", *c)
+	}
+	if d.AsIn() == got[0] || d.AsIn() != d.AsIn() || d.AsOut() == d.AsIn() {
+		t.Fatal("each mode must have one record of its own")
+	}
+}
+
+// TestMultiKeyClauseCopiesKeys checks that a clause over several keys keeps
+// a copy of them: the caller's slice may change once the clause is built.
+func TestMultiKeyClauseCopiesKeys(t *testing.T) {
+	rt := New(Workers(1))
+	defer rt.Shutdown()
+	var a, b, z int
+	keys := []any{&a, &b}
+	c := In(keys...)
+	keys[0] = &z
+	r := rt.main.newRec([]Clause{c})
+	defer r.t.Drop()
+	if len(r.t.Accesses) != 2 || r.t.Accesses[0].Key != &a || r.t.Accesses[1].Key != &b {
+		t.Fatalf("accesses %+v, want In on &a then &b", r.t.Accesses)
+	}
+}
 
 func TestDatumChainOrdering(t *testing.T) {
 	// A RAW chain declared purely through registered handles must

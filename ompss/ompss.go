@@ -292,6 +292,11 @@ type RunStats struct {
 	Sched core.SchedStats
 }
 
+// Master returns the master thread's TC, the one that the runtime's Task, Go,
+// TaskLoop and waits act on. Spawning on it directly, a concrete receiver,
+// lets clauses built in the call stay on the caller's stack (see Clause).
+func (rt *Runtime) Master() *TC { return rt.main }
+
 // Task spawns a task from the master thread (see TC.Task). The body runs
 // once its dependences (declared via In/Out/InOut clauses) are satisfied.
 func (rt *Runtime) Task(body func(*TC), clauses ...Clause) { rt.main.Task(body, clauses...) }

@@ -10,8 +10,8 @@ import (
 // taskRec is the engine's record behind a spawn: the engine's task node, the
 // context the body runs in (a TC plus the core.Context counting the body's
 // own children), the body in either form, and the clause scratchpad —
-// clauses write straight into the record, accesses into the inline array
-// first. A Go spawn's future is a Handle of its own (see Handle), and a Task
+// newRec applies each clause straight into the record (taskRec.apply),
+// accesses into the inline array first. A Go spawn's future is a Handle of its own (see Handle), and a Task
 // spawn has none, so a record is only ever read by the runtime, and records
 // are recycled: each goes back to the pool (putRec) once nothing can touch
 // it any more. Every holder that may touch a record after its task finishes
@@ -176,7 +176,7 @@ func (tc *TC) newRec(clauses []Clause) *taskRec {
 	r.ctx.Depth = tc.ctx.Depth + 1
 	r.tc = TC{rt: tc.rt, ctx: &r.ctx, task: &r.t, sess: s}
 	for _, c := range clauses {
-		c(r)
+		r.apply(c.c)
 	}
 	if s != nil {
 		// The tenant class boosts the task onto the matching priority lane.

@@ -66,6 +66,7 @@ func MaxInFlight(n int) Option { return func(c *config) { c.maxInFlight = n } }
 // per-request server).
 type API interface {
 	Register(key any) *Datum
+	Master() *TC
 	Task(body func(*TC), clauses ...Clause)
 	Go(body func(*TC) error, clauses ...Clause) *Handle
 	TaskLoop(n, chunk int, body func(tc *TC, lo, hi int), clauses ...Clause)
@@ -200,6 +201,11 @@ func (s *Session) Stats() SessionStats {
 // it creates belongs to the session and Close drops it. See Runtime.Register
 // for handle semantics.
 func (s *Session) Register(key any) *Datum { return s.rt.register(key, s.dom) }
+
+// Master returns the TC that the session's Task, Go, TaskLoop and waits act
+// on. Spawning on it directly, a concrete receiver, lets clauses built in
+// the call stay on the caller's stack (see Clause).
+func (s *Session) Master() *TC { return s.tc }
 
 // Task spawns a task in this session's scope (see TC.Task).
 func (s *Session) Task(body func(*TC), clauses ...Clause) { s.tc.Task(body, clauses...) }

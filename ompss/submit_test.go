@@ -2,6 +2,7 @@ package ompss_test
 
 import (
 	"testing"
+	"time"
 
 	"ompssgo/internal/obs"
 	"ompssgo/ompss"
@@ -21,8 +22,9 @@ import (
 // Run with -benchmem (CI's bench-smoke job does): the Datum variants must
 // allocate no more and run no slower per task than their AnyKey twins. A
 // Task spawn allocates no Handle and takes its record from the pool, so a
-// Datum row allocates nothing per task, and an AnyKey row only what
-// interning its key costs.
+// Datum row allocates nothing per task, and an AnyKey row what interning
+// its key costs plus the clause record it builds per task (see
+// benchSubmit).
 
 const submitKeys = 64
 
@@ -34,16 +36,29 @@ const submitKeys = 64
 // run-ahead window is pinned to the drain period, so it never binds and the
 // rows measure the wiring path: a task submitted behind an unfinished chain
 // link. BenchmarkSubmitThrottled is the row with the default window.
+//
+// The chooser returns its clause through a closure, so in these rows the
+// clause escapes by construction: a raw-key clause costs its heap record
+// there, which a clause built in the spawn call does not
+// (BenchmarkSubmitInline).
 func benchSubmit(b *testing.B, setup func(rt *ompss.Runtime) func(i int) ompss.Clause, opts ...ompss.Option) {
+	benchSpawn(b, func(rt *ompss.Runtime) func(i int) {
+		clause := setup(rt)
+		return func(i int) { rt.Task(emptyBody, clause(i)) }
+	}, opts...)
+}
+
+// benchSpawn is benchSubmit over a spawner of its own: setup returns the
+// function that spawns task i.
+func benchSpawn(b *testing.B, setup func(rt *ompss.Runtime) func(i int), opts ...ompss.Option) {
 	opts = append([]ompss.Option{ompss.Workers(1), ompss.MaxInFlight(submitDrainEvery)}, opts...)
 	rt := ompss.New(opts...)
 	defer rt.Shutdown()
-	clause := setup(rt)
-	body := func(*ompss.TC) {}
+	spawn := setup(rt)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt.Task(body, clause(i))
+		spawn(i)
 		if i%submitDrainEvery == submitDrainEvery-1 {
 			rt.Taskwait()
 		}
@@ -51,10 +66,12 @@ func benchSubmit(b *testing.B, setup func(rt *ompss.Runtime) func(i int) ompss.C
 	rt.Taskwait()
 }
 
+func emptyBody(*ompss.TC) {}
+
 const submitDrainEvery = 4096
 
 // datumPtrChains is the setup the DatumPtr rows share: submitKeys pointer-keyed
-// InOut chains through registered handles and their pre-built clauses.
+// InOut chains through registered handles and their AsInOut clauses.
 func datumPtrChains(rt *ompss.Runtime) func(i int) ompss.Clause {
 	ds := make([]*ompss.Datum, submitKeys)
 	for i := range ds {
@@ -76,8 +93,8 @@ func BenchmarkSubmitAnyKeyPtr(b *testing.B) {
 }
 
 // BenchmarkSubmitDatumPtr submits the same pointer-keyed chains through
-// registered handles, using the pre-built AsInOut clause (zero clause
-// construction per task).
+// registered handles, using each handle's AsInOut clause, a record built on
+// its first use (zero clause construction per task).
 func BenchmarkSubmitDatumPtr(b *testing.B) {
 	benchSubmit(b, datumPtrChains)
 }
@@ -117,6 +134,39 @@ func BenchmarkSubmitDatumInt(b *testing.B) {
 // start, end) rides along on every task.
 func BenchmarkSubmitDatumPtrObserved(b *testing.B) {
 	benchSubmit(b, datumPtrChains, ompss.Observe(obs.NewRecorder()))
+}
+
+// BenchmarkSubmitInline spawns on the master TC, a concrete receiver, with
+// raw-key clauses built in the call, the shape of the suite's apps. The
+// clause records and the variadic slices around them stay on this stack, so
+// a spawn allocates nothing, though its key is raw.
+func BenchmarkSubmitInline(b *testing.B) {
+	benchSpawn(b, func(rt *ompss.Runtime) func(i int) {
+		keys := new([submitKeys]int64)
+		tc, c := rt.Master(), time.Microsecond
+		return func(i int) {
+			tc.Task(emptyBody, ompss.InOut(&keys[i%submitKeys]), ompss.Cost(c), ompss.Label("x"))
+		}
+	})
+}
+
+// BenchmarkSubmitAPI spawns through the ompss.API interface with a handle's
+// AsInOut clause and a Cost clause built once, the shape of the benchmark's
+// fine-chains program. The interface call makes the []Clause of the spawn
+// escape, which costs a pointer-sized Clause 8 bytes apiece.
+func BenchmarkSubmitAPI(b *testing.B) {
+	benchSpawn(b, func(rt *ompss.Runtime) func(i int) {
+		return chainsOn(rt, datumPtrChains(rt))
+	})
+}
+
+// chainsOn keeps api an interface: inlined where api is known to be a
+// *Runtime, the compiler could turn its Task back into a direct call.
+//
+//go:noinline
+func chainsOn(api ompss.API, clause func(i int) ompss.Clause) func(i int) {
+	cost := ompss.Cost(time.Microsecond)
+	return func(i int) { api.Task(emptyBody, clause(i), cost) }
 }
 
 // BenchmarkNativeTaskwait measures the empty-graph taskwait fast path.
