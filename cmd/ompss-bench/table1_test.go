@@ -7,6 +7,9 @@ import (
 	"testing"
 
 	"ompssgo/internal/suite"
+	srayrot "ompssgo/internal/suite/rayrot"
+	"ompssgo/machine"
+	"ompssgo/ompss"
 )
 
 func TestGeomean(t *testing.T) {
@@ -122,5 +125,27 @@ func TestAblationsSmall(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("ablation output missing %q", want)
 		}
+	}
+}
+
+// TestLocalityBeatsFIFOOnRayRot pins the mechanism the paper's §4 credits
+// for ray-rot's OmpSs lead: on the 32-core machine the Default workload
+// finishes sooner when a released rotate runs on the core that rendered its
+// frame than when it joins the global FIFO. Virtual time, so the verdict is
+// deterministic.
+func TestLocalityBeatsFIFOOnRayRot(t *testing.T) {
+	in := srayrot.New(srayrot.Default())
+	run := func(rt *ompss.Runtime) { in.RunOmpSs(rt) }
+	mc := machine.Paper(32)
+	loc, err := ompss.RunSim(mc, run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fifo, err := ompss.RunSim(mc, run, ompss.WithTuning(ompss.Tuning{Locality: ompss.Off}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loc.Makespan >= fifo.Makespan {
+		t.Fatalf("ray-rot on 32 cores: locality %v, FIFO %v; locality must be faster", loc.Makespan, fifo.Makespan)
 	}
 }

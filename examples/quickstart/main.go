@@ -50,9 +50,9 @@ func main() {
 	fmt.Printf("native: y = %d (consume err = %v)\n", *y, consume.Err())
 
 	// Error-returning tasks: Go makes the body's error the task outcome.
-	// Under the default SkipDependents policy a failure skips the tasks
-	// depending on it (each wrapping the root cause), and the first
-	// failure of the batch surfaces at the context-aware barrier.
+	// A failure skips the tasks depending on it (each wrapping the root
+	// cause), and the first failure of the batch surfaces at the
+	// context-aware barrier.
 	bad := rt.Go(func(*ompss.TC) error { return fmt.Errorf("no input frame") },
 		ompss.Out(dx), ompss.Label("bad-producer"))
 	dep := rt.Go(func(*ompss.TC) error { *y = *x; return nil },

@@ -514,18 +514,18 @@ func indexOf(keys []any, k any) int {
 	return -1
 }
 
-// TestInternHomesByOrdinal: a datum's shard — its affinity home — comes
-// from the order in which the graph first saw the key, not from the key, so
-// two graphs registering different fresh allocations in the same order home
-// them identically; and equal keys of every kind the engine meets intern to
-// one datum, which a raw-key access resolves to as well.
+// TestInternHomesByOrdinal: a datum's shard — the lock stripe that guards
+// it — comes from the order in which the graph first saw the key, not from
+// the key, so two graphs registering different fresh allocations in the same
+// order home them identically; and equal keys of every kind the engine
+// meets intern to one datum, which a raw-key access resolves to as well.
 func TestInternHomesByOrdinal(t *testing.T) {
 	homes := func(pad int) []uint32 {
 		g := NewGraph()
 		sink := make([]byte, pad) // shift the allocations that follow
 		var out []uint32
 		for i := 0; i < 128; i++ {
-			out = append(out, g.Register(new([4]int64)).Shard())
+			out = append(out, g.Register(new([4]int64)).shard)
 		}
 		_ = sink
 		return out
@@ -552,8 +552,8 @@ func TestInternHomesByOrdinal(t *testing.T) {
 		if g.Register(p[1]) != d {
 			t.Fatalf("equal keys %#v and %#v interned to different datums", p[0], p[1])
 		}
-		if d.Shard() >= numShards {
-			t.Fatalf("key %#v shard %d out of range", p[0], d.Shard())
+		if d.shard >= numShards {
+			t.Fatalf("key %#v shard %d out of range", p[0], d.shard)
 		}
 		if seen[d] {
 			t.Fatalf("key %#v shares a datum with a different key", p[0])

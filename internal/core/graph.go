@@ -25,9 +25,9 @@ type GraphStats struct {
 
 // Datum is the dependence record of one datum, interned once per graph: every
 // access to the datum — through a handle from Register, or by its raw key,
-// which Submit interns — resolves to this one object. Its shard, and so its
-// affinity home, come from the order in which the graph first saw the key,
-// never from the key's value or address, so placement repeats exactly from
+// which Submit interns — resolves to this one object. Its shard, the lock
+// stripe that guards it, comes from the order in which the graph first saw
+// the key, never from the key's value or address, so it repeats exactly from
 // run to run. Datums are safe for concurrent use and valid until the domain
 // that interned them is released (see Graph.Release); those interned for no
 // scoped domain live as long as the graph.
@@ -142,10 +142,6 @@ func (a *accessors) take() accessors {
 
 // Owner returns the graph this datum was interned on.
 func (d *Datum) Owner() *Graph { return d.owner }
-
-// Shard returns the dependence shard the datum is homed on (its affinity
-// home, see Policy.HomeLane).
-func (d *Datum) Shard() uint32 { return d.shard }
 
 // Graph tracks dataflow dependences between tasks. It is safe for
 // concurrent use. Every key is interned once into a Datum (one map, under

@@ -11,26 +11,14 @@ package core
 // back-to-back on one core while the produced data is cache-resident (the
 // ray-rot effect). Off, released tasks go to the global FIFO.
 //
-// Two mechanisms are not knobs. A task carrying an affinity hint (the
-// ompss.Affinity clause) is always submitted to the mailbox of its datum's
-// home lane, so work lands where its data lives; and an idle worker steals
-// from a flat, randomly rotated ring of victims.
+// Victim selection is not a knob: an idle worker steals from a flat,
+// randomly rotated ring of victims.
 type Policy struct {
 	Locality bool
 }
 
 // DefaultPolicy matches the paper's OmpSs runtime: locality scheduling on.
 func DefaultPolicy() Policy { return Policy{Locality: true} }
-
-// HomeLane maps a dependence shard to the worker lane that is the shard's
-// home: affinity-hinted tasks are mailed there. The mapping is stable for
-// the lifetime of a scheduler, so all tasks over one datum share a home.
-func (p Policy) HomeLane(shard uint32, workers int) int {
-	if workers <= 0 {
-		return 0
-	}
-	return int(shard) % workers
-}
 
 // Victim returns the lane of the i-th steal probe for `worker` (or -1 once
 // the order is exhausted): the ring of lanes rotated by rnd, so concurrent

@@ -39,54 +39,6 @@ func TestVictimOrderCoversEveryOtherWorker(t *testing.T) {
 	}
 }
 
-func TestHomeLaneStableAndInRange(t *testing.T) {
-	p := DefaultPolicy()
-	for shard := uint32(0); shard < numShards; shard++ {
-		l := p.HomeLane(shard, 5)
-		if l < 0 || l >= 5 {
-			t.Fatalf("HomeLane(%d, 5) = %d out of range", shard, l)
-		}
-		if l != p.HomeLane(shard, 5) {
-			t.Fatal("HomeLane must be deterministic")
-		}
-	}
-}
-
-func TestAffinityMailboxPlacement(t *testing.T) {
-	const workers = 4
-	s := NewSched(workers, DefaultPolicy(), 1)
-	tk := &Task{Label: "pinned"}
-	tk.SetAffinity(7)
-	home := s.pol.HomeLane(7, workers)
-	s.PushSubmit(tk)
-	// The home lane finds it as a mailbox pop, without stealing.
-	if got := s.Pop(home); got != tk {
-		t.Fatalf("home lane %d did not pop the pinned task, got %v", home, got)
-	}
-	st := s.Stats()
-	if st.AffinityPops != 1 {
-		t.Fatalf("affinity pops = %d, want 1", st.AffinityPops)
-	}
-}
-
-func TestAffinityMailboxStealable(t *testing.T) {
-	// A pinned task must not starve when its home lane never polls: any
-	// other lane steals it from the mailbox.
-	const workers = 4
-	s := NewSched(workers, DefaultPolicy(), 1)
-	tk := &Task{}
-	tk.SetAffinity(2)
-	home := s.pol.HomeLane(2, workers)
-	s.PushSubmit(tk)
-	thief := (home + 1) % workers
-	if got := s.Pop(thief); got != tk {
-		t.Fatalf("thief %d could not steal from mailbox of %d", thief, home)
-	}
-	if st := s.Stats(); st.Steals != 1 {
-		t.Fatalf("steals = %d, want 1", st.Steals)
-	}
-}
-
 func TestPriorityReleaseLandsOnPrioLane(t *testing.T) {
 	s := NewSched(2, DefaultPolicy(), 1)
 	lo := &Task{Label: "lo"}

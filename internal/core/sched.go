@@ -7,34 +7,37 @@ import (
 
 // SchedStats counts scheduler activity.
 type SchedStats struct {
-	LocalPops    uint64 // own-deque pops (locality chains)
-	PrioPops     uint64 // own high-priority lane pops
-	AffinityPops uint64 // own-mailbox pops (affinity-homed tasks)
-	GlobalPops   uint64 // global FIFO + priority side-queue pops
-	Steals       uint64 // successful steals
-	StealTries   uint64 // victim probes (successful or not)
+	LocalPops  uint64 // own-deque pops (locality chains)
+	PrioPops   uint64 // own high-priority lane pops
+	GlobalPops uint64 // global FIFO + priority side-queue pops
+	Steals     uint64 // successful steals
+	StealTries uint64 // victim probes (successful or not)
+
+	// AffinityPops is always 0: the per-lane affinity mailboxes it counted
+	// are gone. It stays only while benchmark/native.go still reads it, and
+	// goes with that read.
+	AffinityPops uint64
 }
 
 // Sched is the ready-task scheduler: per worker, a Chase–Lev work-stealing
-// deque, a high-priority LIFO lane, and an affinity mailbox; globally, a
-// lock-free FIFO spawn queue plus a priority-ordered side queue. Placement
-// and victim selection are decided by the shared Policy (policy.go), so the
-// native executor and the simulator exercise identical scheduling code.
+// deque and a high-priority LIFO lane; globally, a lock-free FIFO spawn
+// queue plus a priority-ordered side queue. Placement and victim selection
+// are decided by the shared Policy (policy.go), so the native executor and
+// the simulator exercise identical scheduling code.
 //
 // Dispatch order for a worker (Pop):
 //
 //  1. own high-priority lane (LIFO — priority successors released here)
 //  2. own deque bottom (LIFO — locality chains)
 //  3. priority-ordered global side queue (priority submissions)
-//  4. own mailbox (FIFO — affinity-hinted tasks homed on this lane)
-//  5. global FIFO (breadth-first spawn order, the Nanos++ default)
-//  6. steal, probing victims in the Policy's rotated ring; per victim the
-//     priority lane is tried first, then the mailbox, then the deque top.
+//  4. global FIFO (breadth-first spawn order, the Nanos++ default)
+//  5. steal, probing victims in the Policy's rotated ring; per victim the
+//     priority lane is tried first, then the deque top.
 //
 // Concurrency model: every path is safe from any goroutine. Deque owner
 // operations are guarded by a per-lane TryLock (uncontended in the normal
 // one-thread-per-lane case; aliased lanes spill to the global queue instead
-// of blocking); steals, mailbox and global-queue operations are lock-free;
+// of blocking); steals and global-queue operations are lock-free;
 // the rare Priority>0 submissions go through a small mutex-ordered side
 // queue. The simulator drives the same scheduler from its serialized event
 // loop, where all the atomics are uncontended and behavior is deterministic
@@ -57,17 +60,15 @@ type Sched struct {
 type laneState struct {
 	deque    wsDeque    // locality chains: owner LIFO, stolen from the top
 	prioLane wsDeque    // high-priority successors: owner LIFO, stealable
-	mailbox  mpmcQueue  // affinity-homed submissions: FIFO, drainable by thieves
 	owner    sync.Mutex // serializes owner ops on both deques; TryLock only, never blocks
 
 	rng atomic.Uint64 // xorshift64* state; racy updates only cost randomness
 
-	localPops    atomic.Uint64
-	prioPops     atomic.Uint64
-	affinityPops atomic.Uint64
-	globalPops   atomic.Uint64
-	steals       atomic.Uint64
-	stealTries   atomic.Uint64
+	localPops  atomic.Uint64
+	prioPops   atomic.Uint64
+	globalPops atomic.Uint64
+	steals     atomic.Uint64
+	stealTries atomic.Uint64
 
 	_ [64]byte
 }
@@ -96,7 +97,6 @@ func NewSched(workers int, pol Policy, seed int64) *Sched {
 	for i := range s.lanes {
 		s.lanes[i].deque.init()
 		s.lanes[i].prioLane.init()
-		s.lanes[i].mailbox.init()
 		r := mix64(uint64(seed) ^ mix64(uint64(i)+1))
 		if r == 0 {
 			r = 0x9e3779b97f4a7c15
@@ -122,7 +122,6 @@ func (s *Sched) Stats() SchedStats {
 		l := &s.lanes[i]
 		st.LocalPops += l.localPops.Load()
 		st.PrioPops += l.prioPops.Load()
-		st.AffinityPops += l.affinityPops.Load()
 		st.GlobalPops += l.globalPops.Load()
 		st.Steals += l.steals.Load()
 		st.StealTries += l.stealTries.Load()
@@ -136,7 +135,7 @@ func (s *Sched) Stats() SchedStats {
 func (s *Sched) Ready() int {
 	n := int(s.prioN.Load()) + s.global.length()
 	for i := 0; i < s.workers; i++ {
-		n += s.lanes[i].deque.size() + s.lanes[i].prioLane.size() + s.lanes[i].mailbox.length()
+		n += s.lanes[i].deque.size() + s.lanes[i].prioLane.size()
 	}
 	if n < 0 {
 		return 0
@@ -145,16 +144,11 @@ func (s *Sched) Ready() int {
 }
 
 // PushSubmit enqueues a task that was ready at submission. Priority tasks
-// jump to the priority-ordered side queue; affinity-hinted tasks are mailed
-// to their home lane; everything else joins the global FIFO in
-// breadth-first spawn order.
+// jump to the priority-ordered side queue; everything else joins the global
+// FIFO in breadth-first spawn order.
 func (s *Sched) PushSubmit(t *Task) {
 	if t.Priority > 0 {
 		s.pushPrioGlobal(t)
-		return
-	}
-	if shard, ok := t.AffinityShard(); ok && s.workers > 0 {
-		s.lanes[s.pol.HomeLane(shard, s.workers)].mailbox.enqueue(t)
 		return
 	}
 	s.global.enqueue(t)
@@ -178,8 +172,8 @@ func (s *Sched) pushPrioGlobal(t *Task) {
 // PushReady enqueues a task released by a finishing task on `worker`.
 // Priority successors land on that worker's high-priority lane; under the
 // locality policy, ordinary successors land on its deque bottom so they are
-// the next task popped there; affinity hints on released tasks re-route to
-// the home mailbox when locality is off.
+// the next task popped there; with locality off they take the submission
+// path.
 func (s *Sched) PushReady(t *Task, worker int) {
 	if worker < 0 || worker >= s.workers {
 		s.PushSubmit(t)
@@ -246,19 +240,13 @@ func (s *Sched) Pop(worker int) *Task {
 			return t
 		}
 	}
-	if worker >= 0 && worker < s.workers {
-		if t := s.lanes[worker].mailbox.dequeue(); t != nil {
-			ln.affinityPops.Add(1)
-			return t
-		}
-	}
 	if t := s.global.dequeue(); t != nil {
 		ln.globalPops.Add(1)
 		return t
 	}
 	// Steal: probe every other worker once, in the policy's rotated ring,
 	// iterated arithmetically so the idle spin path allocates nothing at any
-	// worker count. Per victim: priority lane, mailbox, deque.
+	// worker count. Per victim: priority lane, then deque.
 	if s.workers > 0 {
 		rnd := ln.nextRand()
 		for i := 0; ; i++ {
@@ -280,7 +268,7 @@ func (s *Sched) Pop(worker int) *Task {
 }
 
 // stealFrom takes one task from victim lane v: its priority lane first, then
-// its mailbox, then the top (oldest task) of its deque.
+// the top (oldest task) of its deque.
 func (s *Sched) stealFrom(v int) *Task {
 	l := &s.lanes[v]
 	t, retry := l.prioLane.steal()
@@ -288,9 +276,6 @@ func (s *Sched) stealFrom(v int) *Task {
 		t, retry = l.prioLane.steal()
 	}
 	if t != nil {
-		return t
-	}
-	if t := l.mailbox.dequeue(); t != nil {
 		return t
 	}
 	t, retry = l.deque.steal()

@@ -21,11 +21,10 @@ type gshard struct {
 // share one.
 var _ [0]struct{} = [unsafe.Sizeof(gshard{}) - 64]struct{}{}
 
-// homeShard maps a datum's registration ordinal to its shard — also its
-// affinity home (Policy.HomeLane). The ordinal is mixed rather than masked:
-// raw keys draw ordinals too, so datums registered between runs of raw-key
-// tasks sit at a regular stride, which a plain mask would fold onto a few
-// home lanes.
+// homeShard maps a datum's registration ordinal to its shard. The ordinal
+// is mixed rather than masked: raw keys draw ordinals too, so datums
+// registered between runs of raw-key tasks sit at a regular stride, which a
+// plain mask would fold onto a few shards.
 func homeShard(ordinal uint64) uint32 {
 	return uint32(mix64(ordinal)) & (numShards - 1)
 }

@@ -119,10 +119,6 @@ type Task struct {
 	// refs counts the holders that may still touch the task (see Hold);
 	// only a task with an Owner is counted.
 	refs atomic.Int32
-	// affinity is the task's placement hint, encoded as home shard + 1 so
-	// the zero value (struct-literal construction) means "no hint". Set via
-	// SetAffinity; the scheduler reads it through AffinityShard.
-	affinity uint32
 	// skipped records that the executor released this task without running
 	// its body (failure policy or cancellation).
 	skipped atomic.Bool
@@ -198,18 +194,6 @@ func (t *Task) Reset() {
 	b := t.bindings[:0]
 	*t = Task{}
 	t.bindings = b
-}
-
-// SetAffinity hints that the task should execute near the data of the given
-// dependence shard (see Policy.HomeLane). Call before submission.
-func (t *Task) SetAffinity(shard uint32) { t.affinity = shard + 1 }
-
-// AffinityShard returns the task's affinity hint and whether one was set.
-func (t *Task) AffinityShard() (uint32, bool) {
-	if t.affinity == 0 {
-		return 0, false
-	}
-	return t.affinity - 1, true
 }
 
 // bindRead records that the task observes version v of the chain. Called

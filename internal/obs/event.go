@@ -39,7 +39,7 @@ const (
 	// EvEnd records completion (body returned, or skip-release finished).
 	EvEnd
 	// EvSkip records that the executor released the task without running
-	// its body (upstream failure under SkipDependents, or cancellation).
+	// its body (upstream failure or cancellation).
 	EvSkip
 	// EvSteal records a successful steal by the recording worker; Arg is
 	// the victim lane.

@@ -354,7 +354,7 @@ func hexChecksum(v uint64) string {
 }
 
 // handleFault is the deliberate-failure endpoint: a small dependence chain
-// whose head fails, so the session's SkipDependents cascade skips the rest.
+// whose head fails, so the session's skip cascade skips the rest.
 // The request answers 500 by design — concurrent kernel requests returning
 // correct checksums while this endpoint fires is the isolation demo.
 func (s *Server) handleFault(w http.ResponseWriter, req *http.Request) {

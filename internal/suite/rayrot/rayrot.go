@@ -134,15 +134,9 @@ func (in *Instance) RunOmpSs(rt ompss.API) uint64 {
 		// One registered handle per source frame: the producing render and
 		// its Rots consumers all submit through it.
 		frame := rt.Register(&src[f].Pix[0])
-		// Affinity pins each frame's chain near the frame's home lane: the
-		// render is mailed there at submission, and its rotates — released
-		// when the render finishes — either chain on the producing core
-		// (locality policy) or return to the frame's home (affinity policy
-		// with locality off), so the chain reads warm data either way.
 		tc.Task(func(*ompss.TC) { in.scenes[f].Render(src[f]) },
 			ompss.OutSized(frame, in.frameBytes()),
 			ompss.Cost(kcray.RowsCost(in.W.W*in.W.H, in.W.Spheres)),
-			ompss.Affinity(frame),
 			ompss.Label("render"))
 		for j := 0; j < in.W.Rots; j++ {
 			i := f*in.W.Rots + j
@@ -150,7 +144,6 @@ func (in *Instance) RunOmpSs(rt ompss.API) uint64 {
 				ompss.InSized(frame, in.rotReadBytes()),
 				ompss.OutSized(&rot[i].Pix[0], in.frameBytes()),
 				ompss.Cost(krot.RowsCost(in.W.W*in.W.H)),
-				ompss.Affinity(frame),
 				ompss.Label("rotate"))
 		}
 	}

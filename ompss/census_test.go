@@ -23,11 +23,10 @@ import (
 // non-test caller outside the package, each with the contract it serves.
 var censusAllow = map[string]string{
 	"Priority":         "the tenant boost pays rent: serve's gold p50 1.0-1.3 ms vs bronze 2.2-2.9 ms with it, every tenant 1.3-1.7 ms without (EXPERIMENTS.md, tenant boost); the clause is the only way onto the priority lanes (TestTenantPriority, schedfuzz)",
-	"OnError":          "selects the failure-propagation policy the handle tests pin (TestRunThroughPolicy, TestSessionOnErrorOverride)",
 	"Fixed":            "only constructor for the numeric Tuning fields (Grain, StealBackoff)",
 	"Seed":             "fixes the steal-victim RNG; the schedule fuzzers sweep it so a failing schedule can be replayed",
 	"Session.Cancel":   "failure-confinement contract: cancels one session and no other (TestSessionCancelIsolation)",
-	"Runtime.Err":      "first runtime-level failure, and what disarms the Shutdown panic valve (TestUnobservedPanicResurfacesAtShutdown, TestRunThroughPolicy)",
+	"Runtime.Err":      "first runtime-level failure, and what disarms the Shutdown panic valve (TestUnobservedPanicResurfacesAtShutdown, TestTaskPanicBecomesHandleError, TestTaskFailureWithoutHandle)",
 	"Handle.Done":      "the future's completion channel: per-task select/timeout (TestHandleDoneRace, TestHandleOutlivesSession)",
 	"ErrSessionClosed": "errors.Is target of spawns refused or skipped by Session.Close (TestSessionCloseSkipsPending)",
 	"SkipError":        "errors.As target carrying the label and cause of a skipped task; ErrSkipped, which has callers, only matches it",
@@ -77,7 +76,7 @@ var censusAllowVM = map[string]string{
 var censusRules = map[string]censusPackage{
 	// The master thread of a runtime, of a session, and the inside of a
 	// task body: Runtime and Session hand-forward to TC.
-	"ompss":       {allow: censusAllow, max: 11, scopes: []string{"Runtime", "Session", "TC"}, knobs: "Tuning", outsideOnly: true},
+	"ompss":       {allow: censusAllow, max: 9, scopes: []string{"Runtime", "Session", "TC"}, knobs: "Tuning", outsideOnly: true},
 	"internal/vm": {allow: censusAllowVM, max: 5},
 
 	// The references and probes below serve tests of other packages: each

@@ -23,7 +23,6 @@ const (
 	opKey                      // mode on key, with a footprint of n bytes
 	opCost                     // n nanoseconds of simulated computation
 	opPriority                 // priority n
-	opAffinity                 // placement at key's home
 	opLabel                    // label
 	opIf                       // deferred unless n is 0
 )
@@ -106,17 +105,6 @@ func Cost(d time.Duration) Clause { return Clause{&clause{op: opCost, n: int64(d
 // at submission jump the global FIFO through a priority-ordered side queue.
 func Priority(p int) Clause { return Clause{&clause{op: opPriority, n: int64(p)}} }
 
-// Affinity hints that the task should execute near the home of the given
-// datum: the task is submitted to the mailbox of the lane its dependence
-// shard maps to, so work lands where its data lives; an idle lane may still
-// steal it from there.
-// The key may be a registered *Datum handle or any raw dependence key, which
-// is interned like a raw-key access of the task. A datum's home is fixed by
-// the order in which the runtime first saw its key, so placement repeats
-// exactly from run to run. A later Affinity clause overrides an earlier one.
-// The hint never affects correctness, only placement.
-func Affinity(key any) Clause { return Clause{&clause{op: opAffinity, key: key}} }
-
 // Label names the task in traces and their exports.
 func Label(l string) Clause { return Clause{&clause{op: opLabel, label: l}} }
 
@@ -147,8 +135,6 @@ func (r *taskRec) apply(c *clause) {
 		r.t.CPUCost = c.n
 	case opPriority:
 		r.t.Priority = int(c.n)
-	case opAffinity:
-		r.t.SetAffinity(r.tc.rt.intern(c.key, r.t.Domain).Shard())
 	case opLabel:
 		r.t.Label = c.label
 	case opIf:

@@ -80,8 +80,8 @@ func TestTaskPanicBecomesHandleError(t *testing.T) {
 	if tp.Label != "bad" || tp.Value != "boom" {
 		t.Fatalf("panic details: %+v", tp)
 	}
-	// Default SkipDependents policy: the dependent is released without
-	// running, its error wraps the panic, and the graph drains.
+	// The dependent is released without running, its error wraps the
+	// panic, and the graph drains.
 	if err := dep.Err(); !errors.Is(err, ErrSkipped) || !errors.As(err, &tp) {
 		t.Fatalf("dependent err = %v, want skip wrapping the panic", err)
 	}

@@ -67,24 +67,15 @@ func (d *Datum) modeClause(m core.Mode) Clause {
 func (rt *Runtime) Register(key any) *Datum { return rt.register(key, nil) }
 
 // register interns key on behalf of dom (nil: the runtime's own, never
-// released).
+// released). A handle from another runtime stands for its key.
 func (rt *Runtime) register(key any, dom *core.Domain) *Datum {
-	if d, ok := key.(*Datum); ok && d.c.Owner() == rt.lc.graph {
-		return d
-	}
-	return &Datum{c: rt.intern(key, dom)}
-}
-
-// intern resolves a raw key, or a handle from any runtime, to this
-// runtime's datum, interning it on behalf of dom when it is new.
-func (rt *Runtime) intern(key any, dom *core.Domain) *core.Datum {
 	if d, ok := key.(*Datum); ok {
 		if d.c.Owner() == rt.lc.graph {
-			return d.c
+			return d
 		}
 		key = d.c.Key
 	}
-	return rt.lc.graph.Intern(key, dom)
+	return &Datum{c: rt.lc.graph.Intern(key, dom)}
 }
 
 // EnableRenaming makes the datum renameable (see Tuning.Renaming):
@@ -111,7 +102,7 @@ func (d *Datum) EnableRenaming(canonical any, alloc func() any, cp func(dst, src
 // skipped. Err is nil until then; afterwards it reports the task's outcome:
 // nil on success, the body's returned error, a *TaskPanic if the body
 // panicked, or a *SkipError if the runtime released the task without
-// running it (failure policy, cancellation, session close, or admission
+// running it (upstream failure, cancellation, session close, or admission
 // rejection).
 //
 // A Handle is an object of its own, settled once when its task finishes, so
@@ -185,31 +176,15 @@ func (h *Handle) settle(err error) {
 	}
 }
 
-// ErrorPolicy selects what happens to the dependents of a failed task.
-type ErrorPolicy int
-
-const (
-	// SkipDependents (the default) releases the dependents of a failed
-	// task without running their bodies: each finishes with a *SkipError
-	// wrapping the upstream failure, and the error keeps propagating along
-	// dependence edges until the graph drains.
-	SkipDependents ErrorPolicy = iota
-	// RunThrough runs dependents of failed tasks anyway: a task that
-	// succeeds stops the propagation. Use it when tasks can tolerate — or
-	// want to observe — missing predecessor results.
-	RunThrough
-)
-
-// OnError selects the failure-propagation policy (default SkipDependents).
-func OnError(p ErrorPolicy) Option { return func(c *config) { c.policy = p } }
-
 // ErrSkipped is the sentinel matched (via errors.Is) by every *SkipError.
 var ErrSkipped = errors.New("ompss: task skipped")
 
 // SkipError is the outcome of a task the runtime released without running:
-// its cause is the upstream task failure (SkipDependents policy) or the
-// cancellation error (TaskwaitCtx / RunSimCtx). Causes chain, so the root
-// failure of a skipped subgraph is reachable through errors.As/Unwrap.
+// its cause is the upstream task failure or the cancellation error
+// (TaskwaitCtx / RunSimCtx). The dependents of a failed task are always
+// skipped, and the error keeps propagating along dependence edges until the
+// graph drains. Causes chain, so the root failure of a skipped subgraph is
+// reachable through errors.As/Unwrap.
 type SkipError struct {
 	Label string // the skipped task's Label clause, if any
 	Cause error  // the upstream failure or cancellation that induced the skip

@@ -213,8 +213,8 @@ func TestGoErrorOnHandle(t *testing.T) {
 }
 
 func TestDiamondErrorPropagation(t *testing.T) {
-	// top fails; under SkipDependents both arms and the join are skipped,
-	// each wrapping the root cause.
+	// top fails; both arms and the join are skipped, each wrapping the
+	// root cause.
 	rt := New(Workers(4))
 	defer rt.Shutdown()
 	x, y, z := new(int), new(int), new(int)
@@ -243,29 +243,6 @@ func TestDiamondErrorPropagation(t *testing.T) {
 	st := rt.Stats()
 	if st.Graph.Skipped != 3 || st.Graph.Failed != 4 {
 		t.Fatalf("stats: skipped=%d failed=%d, want 3/4", st.Graph.Skipped, st.Graph.Failed)
-	}
-}
-
-func TestRunThroughPolicy(t *testing.T) {
-	// Under RunThrough, dependents of a failed task still run; a
-	// succeeding dependent stops the propagation.
-	rt := New(Workers(4), OnError(RunThrough))
-	defer rt.Shutdown()
-	x, y := new(int), new(int)
-	boom := errors.New("boom")
-	var ran atomic.Int32
-	rt.Go(func(*TC) error { return boom }, Out(x))
-	mid := rt.Go(func(*TC) error { ran.Add(1); return nil }, In(x), Out(y))
-	leaf := rt.Go(func(*TC) error { ran.Add(1); return nil }, In(y))
-	rt.Taskwait()
-	if ran.Load() != 2 {
-		t.Fatalf("RunThrough should run dependents, ran=%d", ran.Load())
-	}
-	if mid.Err() != nil || leaf.Err() != nil {
-		t.Fatalf("successful dependents carry errors: %v / %v", mid.Err(), leaf.Err())
-	}
-	if !errors.Is(rt.Err(), boom) {
-		t.Fatalf("Runtime.Err = %v", rt.Err())
 	}
 }
 

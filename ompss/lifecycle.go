@@ -219,7 +219,7 @@ func (l *lifecycle) runTask(t *core.Task, lane int) {
 	if err != nil {
 		// Skip-release: the task finishes without running — no body, no
 		// modeled compute or memory traffic — its dependents still release
-		// (and inherit the error under SkipDependents), so the graph always
+		// (and inherit the error, so they skip too), so the graph always
 		// drains, a cancelled one in (almost) zero virtual time.
 		t.MarkSkipped()
 		l.graph.CountSkipped()

@@ -39,9 +39,9 @@
 //     an OmpSs task is: dependences, Taskwait and TaskwaitOn order them,
 //     and their failures reach Runtime.Err, TaskwaitCtx and Session.Close.
 //     Go spawns error-returning bodies; a failure (returned error or
-//     wrapped panic, see TaskPanic) propagates along dependence edges under the runtime's
-//     ErrorPolicy (OnError): SkipDependents releases dependents without
-//     running them, RunThrough runs them anyway. TaskwaitCtx and RunSimCtx
+//     wrapped panic, see TaskPanic) propagates along dependence edges: its
+//     dependents are released without running, each finishing with a
+//     *SkipError that wraps the failure. TaskwaitCtx and RunSimCtx
 //     add context-aware waiting — cancellation drains the graph by
 //     skipping every task that has not started.
 //
@@ -76,8 +76,8 @@ const (
 	Blocking
 )
 
-// config collects runtime options. The session-relevant subset — policy,
-// rec, tenant, maxInFlight — is accepted uniformly at New and NewSession:
+// config collects runtime options. The session-relevant subset — rec,
+// tenant, maxInFlight — is accepted uniformly at New and NewSession:
 // NewSession starts from a copy of the runtime's config and applies its own
 // options on top, so session values override runtime defaults field by
 // field. Scheduling/renaming knobs live in the Tuning profile (tuning.go),
@@ -88,7 +88,6 @@ type config struct {
 	tun         Tuning
 	seed        int64
 	rec         *obs.Recorder
-	policy      ErrorPolicy
 	tenant      int
 	maxInFlight int
 }
@@ -261,26 +260,19 @@ func (rt *Runtime) cancelCause() error {
 }
 
 // skipReason decides, at dispatch, whether t must be released without
-// running: always after a runtime-wide or session cancellation, and under
-// the owning session's SkipDependents policy when an upstream failure
-// reached it. Returns the error to finish the task with.
+// running: after a runtime-wide or session cancellation, or when an
+// upstream failure reached it. Returns the error to finish the task with.
 func (rt *Runtime) skipReason(t *core.Task) error {
 	if ce := rt.cancelCause(); ce != nil {
 		return &SkipError{Label: t.Label, Cause: ce}
 	}
-	pol := rt.cfg.policy
 	if d := t.Domain; d != nil {
 		if ce := d.CancelCause(); ce != nil {
 			return &SkipError{Label: t.Label, Cause: ce}
 		}
-		if s, ok := d.Owner.(*Session); ok {
-			pol = s.cfg.policy
-		}
 	}
-	if pol == SkipDependents {
-		if ue := t.Upstream(); ue != nil {
-			return &SkipError{Label: t.Label, Cause: ue}
-		}
+	if ue := t.Upstream(); ue != nil {
+		return &SkipError{Label: t.Label, Cause: ue}
 	}
 	return nil
 }
@@ -303,7 +295,7 @@ func (rt *Runtime) Task(body func(*TC), clauses ...Clause) { rt.main.Task(body, 
 
 // Go spawns an error-returning task from the master thread: the body's
 // returned error becomes the task's outcome (Handle.Err) and propagates to
-// dependents under the runtime's ErrorPolicy.
+// dependents, which are skipped.
 func (rt *Runtime) Go(body func(*TC) error, clauses ...Clause) *Handle {
 	return rt.main.Go(body, clauses...)
 }
@@ -440,8 +432,7 @@ func (tc *TC) Task(body func(*TC), clauses ...Clause) {
 
 // Go spawns an error-returning nested task and returns its Handle, the
 // one future-bearing spawn: the body's returned error becomes the task's
-// outcome (Handle.Err) and propagates to dependents under the runtime's
-// ErrorPolicy.
+// outcome (Handle.Err) and propagates to dependents, which are skipped.
 func (tc *TC) Go(body func(*TC) error, clauses ...Clause) *Handle {
 	r := tc.newRec(clauses)
 	r.bodyErr = body

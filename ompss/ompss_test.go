@@ -186,21 +186,23 @@ func TestNativeCriticalMutualExclusion(t *testing.T) {
 // backends.
 func TestCriticalPanicReleasesLock(t *testing.T) {
 	run := func(rt *Runtime) (sawSecond bool) {
-		d := rt.Register(new(int))
 		h := rt.Go(func(tc *TC) error {
 			tc.Critical("leaky", func() { panic("boom inside critical") })
 			return nil
-		}, d.AsInOut())
+		})
+		// Spawned once the panicking task has finished, and depending on
+		// nothing, so the failure does not skip it.
+		rt.Taskwait()
 		rt.Task(func(tc *TC) {
 			tc.Critical("leaky", func() { sawSecond = true })
-		}, d.AsInOut())
+		})
 		rt.Taskwait()
 		if err := h.Err(); err == nil {
 			t.Error("panicking critical body should surface as the task's error")
 		}
 		return sawSecond
 	}
-	rt := New(Workers(2), OnError(RunThrough))
+	rt := New(Workers(2))
 	if !run(rt) {
 		t.Fatal("native: second critical section never ran — lock leaked by the panic")
 	}
@@ -209,7 +211,7 @@ func TestCriticalPanicReleasesLock(t *testing.T) {
 	var simSecond bool
 	_, err := RunSim(machine.Paper(2), func(rt *Runtime) {
 		simSecond = run(rt)
-	}, OnError(RunThrough))
+	})
 	if err == nil {
 		t.Error("sim should report the task panic")
 	}

@@ -40,7 +40,7 @@ func TestRecordResetCoversEveryField(t *testing.T) {
 	defer rt.Shutdown()
 	var x int
 	d := rt.Register(&x)
-	r := rt.main.newRec([]Clause{InOut(d), Commutative(&x), Label("l"), Priority(2), Cost(5), Affinity(d)})
+	r := rt.main.newRec([]Clause{InOut(d), Commutative(&x), Label("l"), Priority(2), Cost(5)})
 	r.body = func(*TC) {}
 	r.bodyErr = func(*TC) error { return nil }
 	r.parent = &r.t

@@ -153,10 +153,9 @@ func (r *taskRec) Recycle() {
 
 // newRec is the one place a task context is made: it binds a pooled record
 // to the spawning scope — parent context, session domain, and the child TC
-// the body will see — runs the clauses over it (an Affinity clause on a raw
-// key interns it on behalf of the domain), then adds the session's tenant
-// boost. The record comes with the spawner's reference. Deferred and inline
-// spawns both start here.
+// the body will see — runs the clauses over it, then adds the session's
+// tenant boost. The record comes with the spawner's reference. Deferred and
+// inline spawns both start here.
 func (tc *TC) newRec(clauses []Clause) *taskRec {
 	r := getRec()
 	if p := poolcheck.Active(); p != nil {

@@ -50,13 +50,13 @@ type fuzzAccess struct {
 type fuzzTask struct {
 	accesses []fuzzAccess
 	priority int
-	affinity int // key index to pin near, or -1
 }
 
 // fuzzProg is one generated program: groups are submitted in order, task by
 // task, so program order equals generation order. (Groups of several tasks
-// date from a bulk-submission API; the generator keeps drawing them so each
-// seed still builds the DAG it always built.)
+// date from a bulk-submission API, and a key draw per third task from a
+// retired placement hint; the generator keeps drawing both so each seed
+// still builds the DAG it always built.)
 type fuzzProg struct {
 	seed      int64
 	nKeys     int
@@ -88,12 +88,12 @@ func genProg(seed int64, maxGroups int) *fuzzProg {
 		}
 		var group []fuzzTask
 		for i := 0; i < size; i++ {
-			t := fuzzTask{affinity: -1}
+			var t fuzzTask
 			if rng.Intn(4) == 0 {
 				t.priority = 1 + rng.Intn(3)
 			}
 			if rng.Intn(3) == 0 {
-				t.affinity = rng.Intn(p.nKeys)
+				rng.Intn(p.nKeys) // the retired placement hint's key
 			}
 			nAcc := 1 + rng.Intn(3)
 			used := map[int]bool{}
@@ -198,9 +198,6 @@ func fuzzClauses(t fuzzTask, keys []*ompss.Datum) []ompss.Clause {
 	}
 	if t.priority > 0 {
 		cl = append(cl, ompss.Priority(t.priority))
-	}
-	if t.affinity >= 0 {
-		cl = append(cl, ompss.Affinity(keys[t.affinity]))
 	}
 	return cl
 }

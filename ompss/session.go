@@ -91,7 +91,7 @@ var (
 //
 // Obtain one with Runtime.NewSession per request; the runtime hosts any
 // number of concurrent sessions. Failure isolation is structural: a
-// session's SkipDependents cascade, TaskwaitCtx cancellation, or Cancel
+// session's skip cascade after a failure, TaskwaitCtx cancellation, or Cancel
 // never skips another session's tasks, even across shared-data dependence
 // edges (cross-session edges order execution but never carry errors).
 //
@@ -131,7 +131,7 @@ type Session struct {
 }
 
 // NewSession opens a request-scoped session. Session-relevant options —
-// OnError, Observe, Tenant, MaxInFlight — are accepted here with the same
+// Observe, Tenant, MaxInFlight — are accepted here with the same
 // constructors New takes; a session value overrides the runtime
 // default, anything not set is inherited (see DESIGN.md for the precedence
 // table). Observe(nil) mutes the session's per-task events in the

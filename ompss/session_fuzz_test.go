@@ -3,7 +3,7 @@ package ompss_test
 // Concurrent-session isolation fuzz: N seeded fuzz programs (the same
 // generator the schedule fuzz uses) run simultaneously on ONE runtime, each
 // inside its own session, alongside a poison session whose head task fails
-// (triggering a SkipDependents cascade) and a session cancelled mid-flight.
+// (triggering a skip cascade) and a session cancelled mid-flight.
 // The isolation contract under test: a session's failure or cancellation
 // must never skip, reorder, or corrupt another session's tasks. Each
 // healthy program must drain to the sequential model with zero

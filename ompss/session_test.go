@@ -370,30 +370,20 @@ func TestSessionTaskwaitCtx(t *testing.T) {
 	other.Close()
 }
 
-// TestSessionOnErrorOverride checks per-session failure-policy override in
-// both directions against the runtime default.
-func TestSessionOnErrorOverride(t *testing.T) {
-	rt := ompss.New(ompss.Workers(2)) // default SkipDependents
+// TestSessionSkipsDependents checks that a session task depending on a
+// failed one is skipped, not run.
+func TestSessionSkipsDependents(t *testing.T) {
+	rt := ompss.New(ompss.Workers(2))
 	defer rt.Shutdown()
 
-	run := rt.NewSession(ompss.OnError(ompss.RunThrough))
+	skip := rt.NewSession()
 	var x int
 	ran := false
-	run.Go(func(*ompss.TC) error { return fmt.Errorf("boom") }, ompss.InOut(&x))
-	run.Task(func(*ompss.TC) { ran = true }, ompss.InOut(&x))
-	run.Taskwait()
-	if !ran {
-		t.Fatal("RunThrough session skipped the dependent")
-	}
-	run.Close()
-
-	skip := rt.NewSession() // inherits SkipDependents
-	ran = false
 	skip.Go(func(*ompss.TC) error { return fmt.Errorf("boom") }, ompss.InOut(&x))
 	h := skip.Go(func(*ompss.TC) error { ran = true; return nil }, ompss.InOut(&x))
 	skip.Taskwait()
 	if ran || !errors.Is(h.Err(), ompss.ErrSkipped) {
-		t.Fatalf("inherited SkipDependents did not skip (ran=%v err=%v)", ran, h.Err())
+		t.Fatalf("the dependent of a failed task was not skipped (ran=%v err=%v)", ran, h.Err())
 	}
 	skip.Close()
 }
@@ -712,8 +702,8 @@ func TestSessionChurnReturnsMemory(t *testing.T) {
 
 // TestSessionCloseReleasesOwnRecords pins the ownership contract of the
 // session arena: Close drops exactly the dependence records the session
-// created — K, registered by the session, K2, first touched by one of its
-// raw-key clauses, and A, first named by an Affinity hint — and leaves R, which the runtime registered before
+// created — K, registered by the session, and K2, first touched by one of
+// its raw-key clauses — and leaves R, which the runtime registered before
 // the session touched it, with its record and its ordering history: a
 // runtime writer on R's handle still pending across the Close orders a later
 // raw-key reader of R. Workers(1) runs nothing before the final wait, and
@@ -721,17 +711,17 @@ func TestSessionChurnReturnsMemory(t *testing.T) {
 func TestSessionCloseReleasesOwnRecords(t *testing.T) {
 	rt := ompss.New(ompss.Workers(1))
 	defer rt.Shutdown()
-	var r, k, k2, a int
+	var r, k, k2 int
 	rd := rt.Register(&r)
 	base := rt.DepRecords()
 
 	s := rt.NewSession()
 	kd := s.Register(&k)
 	s.Task(func(*ompss.TC) { k = r + 1 }, kd.AsOut(), ompss.In(&r))
-	s.Task(func(*ompss.TC) { k2 = k }, ompss.In(kd), ompss.Out(&k2), ompss.Affinity(&a))
+	s.Task(func(*ompss.TC) { k2 = k }, ompss.In(kd), ompss.Out(&k2))
 	s.Taskwait()
-	if n := rt.DepRecords(); n != base+3 {
-		t.Fatalf("DepRecords = %d with the session open, want %d (+K, +K2, +A)", n, base+3)
+	if n := rt.DepRecords(); n != base+2 {
+		t.Fatalf("DepRecords = %d with the session open, want %d (+K, +K2)", n, base+2)
 	}
 
 	var order []string

@@ -430,14 +430,13 @@ func TestSimNativeEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// TestSimAffinityHomesRepeat runs an Affinity-tagged, ray-rot-shaped program
-// (a registered frame per render task, raw-key outputs for its rotates, every
-// task hinted at its frame) three times with a differently sized heap
-// padding allocated first, so every frame lands at a different address each
-// run. Affinity homes come from registration order, not addresses, so the
-// three simulations must agree exactly: makespan, event count, and the lane
-// every task started on.
-func TestSimAffinityHomesRepeat(t *testing.T) {
+// TestSimRayRotShapeRepeats runs a ray-rot-shaped program (a registered
+// frame per render task, raw-key outputs for its rotates) three times with a
+// differently sized heap padding allocated first, so every frame lands at a
+// different address each run. Nothing the simulated schedule depends on may
+// come from an address, so the three simulations must agree exactly:
+// makespan, event count, and the lane every task started on.
+func TestSimRayRotShapeRepeats(t *testing.T) {
 	const frames, rots, px = 12, 4, 1 << 14
 	program := func(rt *Runtime) {
 		src := make([][]byte, frames)
@@ -446,13 +445,13 @@ func TestSimAffinityHomesRepeat(t *testing.T) {
 			src[f] = make([]byte, px)
 			frame := rt.Register(&src[f][0])
 			rt.Task(func(*TC) { src[f][0] = byte(f) },
-				OutSized(frame, px), Cost(300*time.Microsecond), Affinity(frame), Label("render"))
+				OutSized(frame, px), Cost(300*time.Microsecond), Label("render"))
 			for j := 0; j < rots; j++ {
 				i := f*rots + j
 				rot[i] = make([]byte, px)
 				rt.Task(func(*TC) { rot[i][0] = src[f][0] },
 					InSized(frame, px), OutSized(&rot[i][0], px),
-					Cost(100*time.Microsecond), Affinity(frame), Label("rotate"))
+					Cost(100*time.Microsecond), Label("rotate"))
 			}
 		}
 		rt.Taskwait()

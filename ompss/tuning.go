@@ -82,9 +82,9 @@ type Tuning struct {
 	// the single decision path in the dependence tracker, so native and
 	// simulated runs stay value-identical either way.
 	//
-	// Failure propagation (OnError) follows the edges that remain: a
-	// renamed writer does not consume the earlier tasks' output, so under
-	// SkipDependents it runs (and publishes) even when a program-order
+	// Failure propagation follows the edges that remain: a renamed writer
+	// does not consume the earlier tasks' output, so it runs (and
+	// publishes) rather than being skipped when a program-order
 	// predecessor it never depended on fails. A renamed InOut keeps its
 	// true RAW edge and still inherits the previous writer's failure.
 	Renaming Setting

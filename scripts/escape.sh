@@ -22,7 +22,7 @@ set -eu
 cd "$(dirname "$0")/.."
 GO=${GO:-go}
 
-ctors='In Out InOut Commutative InSized OutSized Cost Priority Affinity Label If'
+ctors='In Out InOut Commutative InSized OutSized Cost Priority Label If'
 out=$($GO build -gcflags=-m ./ompss 2>&1) || { echo "$out" >&2; exit 1; }
 for c in $ctors; do
 	echo "$out" | grep -Eq "^ompss/clause\.go:[0-9]+:[0-9]+: can inline $c\$" ||
