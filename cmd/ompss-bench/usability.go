@@ -38,7 +38,7 @@ var ompssConstructs = map[string]bool{
 	"In": true, "Out": true, "InOut": true, "Commutative": true,
 	"InSized": true, "OutSized": true,
 	"Taskwait": true, "TaskwaitOn": true, "TaskwaitCtx": true, "Critical": true,
-	"Task": true, "TaskLoop": true, "Go": true,
+	"Task": true, "Go": true,
 	"Register": true,
 }
 

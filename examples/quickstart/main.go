@@ -38,26 +38,28 @@ func main() {
 
 	// Tasks declare how they touch data; the runtime orders them. These
 	// three form a chain through x. Task is fire-and-forget, as in OmpSs;
-	// Go also returns a *Handle — a future with Done and Err.
-	rt.Task(func(*ompss.TC) { *x = 40 }, ompss.Out(dx), ompss.Label("produce"))
-	rt.Task(func(*ompss.TC) { *x += 2 }, ompss.InOut(dx), ompss.Label("update"))
-	consume := rt.Go(func(*ompss.TC) error { *y = *x; return nil },
+	// Go also returns a *Handle — a future with Done and Err. Both are
+	// spawned on the master thread's task context, rt.Master().
+	tc := rt.Master()
+	tc.Task(func(*ompss.TC) { *x = 40 }, ompss.Out(dx), ompss.Label("produce"))
+	tc.Task(func(*ompss.TC) { *x += 2 }, ompss.InOut(dx), ompss.Label("update"))
+	consume := tc.Go(func(*ompss.TC) error { *y = *x; return nil },
 		ompss.In(dx), ompss.Out(dy), ompss.Label("consume"))
 
 	// Taskwait is the task barrier: the calling thread helps execute ready
 	// tasks while waiting, as the OmpSs master thread does.
-	rt.Taskwait()
+	tc.Taskwait()
 	fmt.Printf("native: y = %d (consume err = %v)\n", *y, consume.Err())
 
 	// Error-returning tasks: Go makes the body's error the task outcome.
 	// A failure skips the tasks depending on it (each wrapping the root
 	// cause), and the first failure of the batch surfaces at the
 	// context-aware barrier.
-	bad := rt.Go(func(*ompss.TC) error { return fmt.Errorf("no input frame") },
+	bad := tc.Go(func(*ompss.TC) error { return fmt.Errorf("no input frame") },
 		ompss.Out(dx), ompss.Label("bad-producer"))
-	dep := rt.Go(func(*ompss.TC) error { *y = *x; return nil },
+	dep := tc.Go(func(*ompss.TC) error { *y = *x; return nil },
 		ompss.In(dx), ompss.Label("stranded"))
-	err := rt.TaskwaitCtx(context.Background())
+	err := tc.TaskwaitCtx(context.Background())
 	fmt.Printf("native: barrier err = %v\n", err)
 	fmt.Printf("native: bad.Err = %v; dep skipped = %v\n",
 		bad.Err(), errors.Is(dep.Err(), ompss.ErrSkipped))
@@ -65,8 +67,8 @@ func main() {
 	// taskwait on(...) waits only for the last writer of one datum — the
 	// idiom Listing 1 uses to gate a pipelined loop on its read stage.
 	done := rt.Register(new(int))
-	rt.Task(func(*ompss.TC) { time.Sleep(time.Millisecond) }, ompss.Out(done))
-	rt.TaskwaitOn(done)
+	tc.Task(func(*ompss.TC) { time.Sleep(time.Millisecond) }, ompss.Out(done))
+	tc.TaskwaitOn(done)
 	rt.Shutdown()
 
 	// --- The same model on the simulated 32-core cc-NUMA machine. -------

@@ -1,6 +1,6 @@
-// Vectorops: per-block data handles, taskloop and a commutative reduction —
-// the OmpSs features beyond the paper's Listing 1, shown on a blocked
-// vector pipeline.
+// Vectorops: per-block data handles, a loop of tasks and a commutative
+// reduction — the OmpSs features beyond the paper's Listing 1, shown on a
+// blocked vector pipeline.
 //
 // Run with: go run ./examples/vectorops
 //
@@ -40,14 +40,16 @@ func main() {
 	}
 	histD := rt.Register(&hist[0])
 
-	// Stage 1: taskloop fill, one block per chunk.
-	rt.TaskLoop(n, bs, func(_ *ompss.TC, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			data[i] = float64(i % 97)
-		}
-	})
-	// TaskLoop tasks above carry no clauses (chunks are independent);
-	// stage 2 must wait for them, so use an explicit barrier here.
+	// Stage 1: fill, one task per block. The tasks carry no clauses (the
+	// blocks are independent); stage 2 must wait for them, so use an
+	// explicit barrier here.
+	for lo := 0; lo < n; lo += bs {
+		rt.Task(func(*ompss.TC) {
+			for i := lo; i < lo+bs; i++ {
+				data[i] = float64(i % 97)
+			}
+		})
+	}
 	rt.Taskwait()
 
 	// Stage 2: per-block scale.

@@ -367,16 +367,18 @@ func (s *Server) handleFault(w http.ResponseWriter, req *http.Request) {
 	sess := s.rt.NewSession(s.sessionOpts(tenant)...)
 	start := time.Now()
 	var x int
-	sess.Go(func(*ompss.TC) error {
+	tc := sess.Master()
+	tc.Go(func(*ompss.TC) error {
 		return fmt.Errorf("injected fault")
 	}, ompss.Out(&x), ompss.Label("fault-head"))
 	for i := 0; i < 4; i++ {
-		sess.Task(func(*ompss.TC) { x++ }, ompss.InOut(&x), ompss.Label("fault-dep"))
+		tc.Task(func(*ompss.TC) { x++ }, ompss.InOut(&x), ompss.Label("fault-dep"))
 	}
 	// TaskwaitCtx drains the session and reports the round's failure (a
 	// plain Taskwait would consume the round and leave Close nothing to
-	// return); Close then releases a clean session.
-	err := sess.TaskwaitCtx(context.Background())
+	// return); Close then releases a clean session. On the session's TC,
+	// the context would cancel this session only.
+	err := tc.TaskwaitCtx(context.Background())
 	sess.Close()
 	st := sess.Stats()
 	writeJSON(w, http.StatusInternalServerError, Response{

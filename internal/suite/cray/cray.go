@@ -92,21 +92,3 @@ func (in *Instance) RunOmpSs(rt ompss.API) uint64 {
 	tc.Taskwait()
 	return im.Checksum()
 }
-
-// LoopUnits returns the flat iteration-space size (image rows).
-func (in *Instance) LoopUnits() int { return in.W.H }
-
-// RunOmpSsLoop renders as one TaskLoop over image rows; the chunk argument
-// decides granularity (ompss.Auto defers to the runtime). The
-// heterogeneous per-block cost is charged through the task context, since
-// a Cost clause cannot vary across a TaskLoop's chunks.
-func (in *Instance) RunOmpSsLoop(rt ompss.API, chunk int) uint64 {
-	im := img.NewRGB(in.W.W, in.W.H)
-	rt.Master().TaskLoop(in.W.H, chunk, func(tc *ompss.TC, lo, hi int) {
-		in.scene.RenderRows(im, lo, hi)
-		tc.Compute(in.blockCost(lo, hi))
-		tc.Touch(&im.Pix[3*lo*in.W.W], int64(3*(hi-lo)*in.W.W), true)
-	}, ompss.Label("render"))
-	rt.Taskwait()
-	return im.Checksum()
-}

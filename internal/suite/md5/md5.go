@@ -83,23 +83,3 @@ func (in *Instance) RunOmpSs(rt ompss.API) uint64 {
 	tc.Taskwait()
 	return in.fold(digests)
 }
-
-// LoopUnits returns the flat iteration-space size (buffer count).
-func (in *Instance) LoopUnits() int { return in.W.NBuf }
-
-// RunOmpSsLoop hashes as one TaskLoop over the buffer set; the chunk
-// argument decides how many buffers one task hashes (ompss.Auto defers to
-// the runtime). Simulated costs are charged per buffer through
-// the task context.
-func (in *Instance) RunOmpSsLoop(rt ompss.API, chunk int) uint64 {
-	digests := make([][kern.Size]byte, len(in.bufs))
-	rt.Master().TaskLoop(len(in.bufs), chunk, func(tc *ompss.TC, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			digests[i] = kern.Sum(in.bufs[i])
-			tc.Compute(kern.BufferCost(len(in.bufs[i])))
-			tc.Touch(&in.bufs[i][0], int64(len(in.bufs[i])), false)
-		}
-	}, ompss.Label("md5"))
-	rt.Taskwait()
-	return in.fold(digests)
-}

@@ -106,24 +106,3 @@ func (in *Instance) RunOmpSs(rt ompss.API) uint64 {
 	tc.Taskwait()
 	return dst.Checksum()
 }
-
-// LoopUnits returns the flat iteration-space size (destination rows).
-func (in *Instance) LoopUnits() int { return in.W.H }
-
-// RunOmpSsLoop rotates as one TaskLoop over destination rows: the chunk
-// argument — not the workload's RowBlock — decides task granularity, which
-// is what the grain-ablation harness sweeps (chunk == ompss.Auto hands the
-// decision to the runtime). Simulated compute and
-// memory costs are charged per chunk through the task context, since Cost
-// clauses cannot vary across a TaskLoop's chunks.
-func (in *Instance) RunOmpSsLoop(rt ompss.API, chunk int) uint64 {
-	dst := in.ompssDst()
-	rt.Master().TaskLoop(in.W.H, chunk, func(tc *ompss.TC, lo, hi int) {
-		kern.Rows(dst, in.src, in.W.Angle, lo, hi)
-		tc.Compute(kern.RowsCost((hi - lo) * in.W.W))
-		tc.Touch(&in.src.Pix[0], int64(3*(hi-lo)*in.W.W), false)
-		tc.Touch(&dst.Pix[3*lo*in.W.W], int64(3*(hi-lo)*in.W.W), true)
-	}, ompss.Label("rotate"))
-	rt.Taskwait()
-	return dst.Checksum()
-}

@@ -164,7 +164,7 @@ func suiteCases(t testing.TB) []streamCase {
 // lifecycleCases are small programs on 4 cores that reach the task-lifecycle
 // paths c-ray and h264dec do not: admission backpressure and a session Close
 // that drains by skipping, named and commutative locks, a cancellation drain,
-// TaskLoop Auto chunks beside a renamed datum, nested spawn + taskwait, an
+// a chunked loop beside a renamed datum, nested spawn + taskwait, an
 // inline task, and recorder emission (which must not move virtual time:
 // observedTwin checks the pair).
 func lifecycleCases() []streamCase {
@@ -221,9 +221,11 @@ func lifecycleCases() []streamCase {
 			func() any { return new(cell) },
 			func(dst, src any) { *dst.(*cell) = *src.(*cell) })
 		for round := 0; round < 3; round++ {
-			rt.TaskLoop(96, ompss.Auto, func(tc *ompss.TC, lo, hi int) {
-				tc.Compute(time.Duration(hi-lo) * 2 * us)
-			}, ompss.Label("loop"))
+			// 96 iterations in chunks of 6: the 96/(4·4 cores) the retired
+			// TaskLoop(96, Auto) chose, so the recorded streams still hold.
+			for lo := 0; lo < 96; lo += 6 {
+				rt.Master().Task(func(tc *ompss.TC) { tc.Compute(6 * 2 * us) }, ompss.Label("loop"))
+			}
 			for w := 0; w < 12; w++ {
 				for r := 0; r < 2; r++ {
 					rt.Task(func(tc *ompss.TC) { _ = tc.Data(d).(*cell).v }, d.AsIn(), ompss.Cost(6*us), ompss.Label("read"))

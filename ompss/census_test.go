@@ -13,7 +13,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -23,7 +22,6 @@ import (
 // non-test caller outside the package, each with the contract it serves.
 var censusAllow = map[string]string{
 	"Priority":         "the tenant boost pays rent: serve's gold p50 1.0-1.3 ms vs bronze 2.2-2.9 ms with it, every tenant 1.3-1.7 ms without (EXPERIMENTS.md, tenant boost); the clause is the only way onto the priority lanes (TestTenantPriority, schedfuzz)",
-	"Fixed":            "only constructor for the numeric Tuning fields (Grain, StealBackoff)",
 	"Seed":             "fixes the steal-victim RNG; the schedule fuzzers sweep it so a failing schedule can be replayed",
 	"Session.Cancel":   "failure-confinement contract: cancels one session and no other (TestSessionCancelIsolation)",
 	"Runtime.Err":      "first runtime-level failure, and what disarms the Shutdown panic valve (TestUnobservedPanicResurfacesAtShutdown, TestTaskPanicBecomesHandleError, TestTaskFailureWithoutHandle)",
@@ -41,9 +39,6 @@ type censusPackage struct {
 	allow map[string]string
 	max   int
 
-	// scopes are receivers that hand-forward one capability to each other:
-	// a method uncalled on one is in use when it is called on another.
-	scopes []string
 	// knobs names a struct each exported field of which counts as a name
 	// of its own, in use only where a composite literal outside the
 	// package sets it.
@@ -74,9 +69,7 @@ var censusAllowVM = map[string]string{
 // other non-main package of the module is censused by the default rule, so
 // a new package joins the census as it lands.
 var censusRules = map[string]censusPackage{
-	// The master thread of a runtime, of a session, and the inside of a
-	// task body: Runtime and Session hand-forward to TC.
-	"ompss":       {allow: censusAllow, max: 9, scopes: []string{"Runtime", "Session", "TC"}, knobs: "Tuning", outsideOnly: true},
+	"ompss":       {allow: censusAllow, max: 8, knobs: "Tuning", outsideOnly: true},
 	"internal/vm": {allow: censusAllowVM, max: 5},
 
 	// The references and probes below serve tests of other packages: each
@@ -92,21 +85,11 @@ var censusRules = map[string]censusPackage{
 		"Problem.Run":  "the single-centroid reference of suite/kmeans TestClusteringQuality",
 		"Problem.Cost": "the clustering cost suite/kmeans TestClusteringQuality compares",
 	}},
-	"internal/suite/rotate": {max: 3, allow: map[string]string{
-		"Instance.Source":       "TestRequestInputsArePrivate (internal/serve) checks no two held instances share an input",
-		"Instance.LoopUnits":    "the TaskLoop surface TestAutotuneAblation (internal/suite) runs at Auto",
-		"Instance.RunOmpSsLoop": "the TaskLoop surface TestAutotuneAblation (internal/suite) runs at Auto",
+	"internal/suite/rotate": {max: 1, allow: map[string]string{
+		"Instance.Source": "TestRequestInputsArePrivate (internal/serve) checks no two held instances share an input",
 	}},
 	"internal/suite/rgbcmy": {max: 1, allow: map[string]string{
 		"Instance.Source": "TestRequestInputsArePrivate (internal/serve) checks no two held instances share an input",
-	}},
-	"internal/suite/cray": {max: 2, allow: map[string]string{
-		"Instance.LoopUnits":    "the TaskLoop surface TestAutotuneAblation (internal/suite) runs at Auto",
-		"Instance.RunOmpSsLoop": "the TaskLoop surface TestAutotuneAblation (internal/suite) runs at Auto",
-	}},
-	"internal/suite/md5": {max: 2, allow: map[string]string{
-		"Instance.LoopUnits":    "the TaskLoop surface TestAutotuneAblation (internal/suite) runs at Auto",
-		"Instance.RunOmpSsLoop": "the TaskLoop surface TestAutotuneAblation (internal/suite) runs at Auto",
 	}},
 	"internal/poolcheck": {max: 3, allow: map[string]string{
 		"Install":     "the ompss, internal/serve and internal/suite test binaries install the poisoning probe in TestMain",
@@ -143,8 +126,7 @@ type censusEntry struct {
 // or carry a reasoned allowlist entry. In use means: named or called by a caller — another
 // package, and for all but ompss the package's own code too; or the
 // implementation of a module interface's method that a caller calls
-// through that interface; or the same method called on another
-// spawning scope; or a type in the signature of a live function, a field
+// through that interface; or a type in the signature of a live function, a field
 // type of a live struct, a constant of a live type, or a protocol method
 // (Error, Unwrap, Is, String) of a live type. Each exported field of
 // ompss.Tuning is a knob and counts as a name of its own: it is in use only
@@ -361,21 +343,6 @@ func (c *census) check(t *testing.T, path string, cp censusPackage, paths []stri
 		names = append(names, k)
 	}
 	sort.Strings(names)
-
-	// One capability across the spawning scopes.
-	for _, key := range names {
-		e := surface[key]
-		recv, method, ok := strings.Cut(key, ".")
-		if !ok || e.sites > 0 || !slices.Contains(cp.scopes, recv) {
-			continue
-		}
-		for _, other := range cp.scopes {
-			if o := surface[other+"."+method]; o != nil && o.sites > 0 {
-				e.via = "same capability as " + other + "." + method
-				break
-			}
-		}
-	}
 
 	// Liveness closure over signatures, fields, constants and protocols.
 	live := func(key string) bool {

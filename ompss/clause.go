@@ -11,7 +11,7 @@ import (
 // one pointer to a record of what it declares, which the spawn applies to
 // its task in declaration order (TC.newRec). The constructors inline, so a
 // clause built in the argument list of a concrete receiver's spawn — a *TC's
-// Task, Go or TaskLoop, such as API.Master returns — stays on the spawner's
+// Task or Go, such as API.Master returns — stays on the spawner's
 // stack and costs no allocation.
 type Clause struct{ c *clause }
 

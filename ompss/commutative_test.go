@@ -70,8 +70,8 @@ func TestTaskPanicBecomesHandleError(t *testing.T) {
 	rt := New(Workers(2))
 	defer rt.Shutdown()
 	x := new(int)
-	h := rt.Go(func(*TC) error { panic("boom") }, Label("bad"), Out(x))
-	dep := rt.Go(func(*TC) error { return nil }, In(x)) // dependent of the panicker
+	h := rt.Master().Go(func(*TC) error { panic("boom") }, Label("bad"), Out(x))
+	dep := rt.Master().Go(func(*TC) error { return nil }, In(x)) // dependent of the panicker
 	rt.Taskwait()
 	var tp *TaskPanic
 	if err := h.Err(); !errors.As(err, &tp) {

@@ -37,7 +37,7 @@ func ExampleTC_TaskwaitOn() {
 	frames := 0
 	for k := 0; k < 3; k++ {
 		rt.Task(func(*ompss.TC) { frames++ }, ompss.InOut(readCtx))
-		rt.TaskwaitOn(readCtx) // the read stage of iteration k has finished
+		rt.Master().TaskwaitOn(readCtx) // the read stage of iteration k has finished
 	}
 	fmt.Println(frames)
 	// Output: 3

@@ -95,8 +95,8 @@ func (d *Datum) EnableRenaming(canonical any, alloc func() any, cp func(dst, src
 }
 
 // Handle is the future returned by Go: a first-class completion and outcome
-// token for one spawned task. Task and TaskLoop return none — a task spawned
-// with them costs no Handle — so spawn with Go to hold one task's outcome.
+// token for one spawned task. Task returns none — a task spawned with it
+// costs no Handle — so spawn with Go to hold one task's outcome.
 //
 // Done is closed when the task finishes — successfully, with an error, or
 // skipped. Err is nil until then; afterwards it reports the task's outcome:

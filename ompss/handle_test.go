@@ -113,7 +113,7 @@ func TestRegisterIsIdempotent(t *testing.T) {
 	a, b := rt.Register(key), rt.Register(key)
 	ran := 0
 	rt.Task(func(*TC) { ran++ }, Out(a))
-	w2 := rt.Go(func(*TC) error { ran++; return nil }, Out(b))
+	w2 := rt.Master().Go(func(*TC) error { ran++; return nil }, Out(b))
 	rt.Taskwait()
 	if ran != 2 {
 		t.Fatalf("ran=%d", ran)
@@ -160,7 +160,7 @@ func TestTaskwaitOnDatum(t *testing.T) {
 	d := rt.Register(new(int))
 	done := false
 	rt.Task(func(*TC) { time.Sleep(time.Millisecond); done = true }, Out(d))
-	rt.TaskwaitOn(d)
+	rt.Master().TaskwaitOn(d)
 	if !done {
 		t.Fatal("TaskwaitOn(datum) returned before the writer finished")
 	}
@@ -176,8 +176,8 @@ func TestTaskwaitOnSettlesWriterHandle(t *testing.T) {
 	d := rt.Register(new(int))
 	boom := errors.New("boom")
 	for i := 0; i < 2000; i++ {
-		h := rt.Go(func(*TC) error { return boom }, d.AsOut())
-		rt.TaskwaitOn(d)
+		h := rt.Master().Go(func(*TC) error { return boom }, d.AsOut())
+		rt.Master().TaskwaitOn(d)
 		select {
 		case <-h.Done():
 		default:
@@ -196,8 +196,8 @@ func TestGoErrorOnHandle(t *testing.T) {
 	rt := New(Workers(2))
 	defer rt.Shutdown()
 	boom := errors.New("boom")
-	h := rt.Go(func(*TC) error { return boom })
-	ok := rt.Go(func(*TC) error { return nil })
+	h := rt.Master().Go(func(*TC) error { return boom })
+	ok := rt.Master().Go(func(*TC) error { return nil })
 	rt.Taskwait()
 	if !errors.Is(h.Err(), boom) {
 		t.Fatalf("Handle.Err = %v, want boom", h.Err())
@@ -220,10 +220,10 @@ func TestDiamondErrorPropagation(t *testing.T) {
 	x, y, z := new(int), new(int), new(int)
 	boom := errors.New("boom")
 	var armRan, joinRan atomic.Int32
-	top := rt.Go(func(*TC) error { return boom }, Label("top"), Out(x))
-	l := rt.Go(func(*TC) error { armRan.Add(1); return nil }, Label("l"), In(x), Out(y))
-	r := rt.Go(func(*TC) error { armRan.Add(1); return nil }, Label("r"), In(x), Out(z))
-	join := rt.Go(func(*TC) error { joinRan.Add(1); return nil }, Label("join"), In(y), In(z))
+	top := rt.Master().Go(func(*TC) error { return boom }, Label("top"), Out(x))
+	l := rt.Master().Go(func(*TC) error { armRan.Add(1); return nil }, Label("l"), In(x), Out(y))
+	r := rt.Master().Go(func(*TC) error { armRan.Add(1); return nil }, Label("r"), In(x), Out(z))
+	join := rt.Master().Go(func(*TC) error { joinRan.Add(1); return nil }, Label("join"), In(y), In(z))
 	rt.Taskwait()
 	if !errors.Is(top.Err(), boom) {
 		t.Fatalf("top err = %v", top.Err())
@@ -250,14 +250,14 @@ func TestTaskwaitCtxReportsFirstChildError(t *testing.T) {
 	rt := New(Workers(2))
 	defer rt.Shutdown()
 	boom := errors.New("boom")
-	rt.Go(func(*TC) error { return boom })
+	rt.Master().Go(func(*TC) error { return boom })
 	rt.Task(func(*TC) {})
-	if err := rt.TaskwaitCtx(context.Background()); !errors.Is(err, boom) {
+	if err := rt.Master().TaskwaitCtx(context.Background()); !errors.Is(err, boom) {
 		t.Fatalf("TaskwaitCtx = %v, want boom", err)
 	}
 	// A second wait over a clean scope reports nil.
 	rt.Task(func(*TC) {})
-	if err := rt.TaskwaitCtx(context.Background()); err != nil {
+	if err := rt.Master().TaskwaitCtx(context.Background()); err != nil {
 		t.Fatalf("TaskwaitCtx after clean round = %v", err)
 	}
 }
@@ -272,14 +272,14 @@ func TestCancellationDrainsBySkipping(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var tailRan atomic.Int32
-	head := rt.Go(func(*TC) error {
+	head := rt.Master().Go(func(*TC) error {
 		close(started)
 		<-release
 		return nil
 	}, Out(x))
 	var tail []*Handle
 	for i := 0; i < 32; i++ {
-		tail = append(tail, rt.Go(func(*TC) error { tailRan.Add(1); return nil }, InOut(x)))
+		tail = append(tail, rt.Master().Go(func(*TC) error { tailRan.Add(1); return nil }, InOut(x)))
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -293,7 +293,7 @@ func TestCancellationDrainsBySkipping(t *testing.T) {
 		}
 		release <- struct{}{}
 	}()
-	err := rt.TaskwaitCtx(ctx)
+	err := rt.Master().TaskwaitCtx(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("TaskwaitCtx = %v, want context.Canceled", err)
 	}
@@ -309,7 +309,7 @@ func TestCancellationDrainsBySkipping(t *testing.T) {
 		}
 	}
 	// The runtime stays cancelled: later spawns are skipped too.
-	late := rt.Go(func(*TC) error { tailRan.Add(1); return nil })
+	late := rt.Master().Go(func(*TC) error { tailRan.Add(1); return nil })
 	rt.Taskwait()
 	if err := late.Err(); !errors.Is(err, ErrSkipped) {
 		t.Fatalf("post-cancel spawn err = %v, want skipped", err)
@@ -323,8 +323,8 @@ func TestCommutativePanicReleasesLocks(t *testing.T) {
 	rt := New(Workers(2))
 	defer rt.Shutdown()
 	x, y := new(int), new(int)
-	bad := rt.Go(func(*TC) error { panic("boom") }, Commutative(x, y))
-	after := rt.Go(func(*TC) error { *x++; return nil }, Commutative(x, y))
+	bad := rt.Master().Go(func(*TC) error { panic("boom") }, Commutative(x, y))
+	after := rt.Master().Go(func(*TC) error { *x++; return nil }, Commutative(x, y))
 	rt.Taskwait()
 	var tp *TaskPanic
 	if !errors.As(bad.Err(), &tp) {
@@ -343,10 +343,10 @@ func TestFinishedPredecessorErrorStillSkips(t *testing.T) {
 	defer rt.Shutdown()
 	boom := errors.New("boom")
 	x := rt.Register(new(int))
-	h := rt.Go(func(*TC) error { return boom }, Out(x))
+	h := rt.Master().Go(func(*TC) error { return boom }, Out(x))
 	<-h.Done() // predecessor fully finished before the dependent submits
 	ran := false
-	dep := rt.Go(func(*TC) error { ran = true; return nil }, In(x))
+	dep := rt.Master().Go(func(*TC) error { ran = true; return nil }, In(x))
 	rt.Taskwait()
 	if err := dep.Err(); !errors.Is(err, ErrSkipped) || !errors.Is(err, boom) {
 		t.Fatalf("dep err = %v, want skip wrapping boom", err)
@@ -360,8 +360,8 @@ func TestInlineErrorReportedByTaskwaitCtx(t *testing.T) {
 	rt := New(Workers(1))
 	defer rt.Shutdown()
 	boom := errors.New("boom")
-	rt.Go(func(*TC) error { return boom }, If(false))
-	if err := rt.TaskwaitCtx(context.Background()); !errors.Is(err, boom) {
+	rt.Master().Go(func(*TC) error { return boom }, If(false))
+	if err := rt.Master().TaskwaitCtx(context.Background()); !errors.Is(err, boom) {
 		t.Fatalf("TaskwaitCtx = %v, want inline error", err)
 	}
 }
@@ -371,10 +371,10 @@ func TestTaskwaitClosesErrorRound(t *testing.T) {
 	// TaskwaitCtx must not report a stale error from the earlier round.
 	rt := New(Workers(2))
 	defer rt.Shutdown()
-	rt.Go(func(*TC) error { return errors.New("round one") })
+	rt.Master().Go(func(*TC) error { return errors.New("round one") })
 	rt.Taskwait()
 	rt.Task(func(*TC) {})
-	if err := rt.TaskwaitCtx(context.Background()); err != nil {
+	if err := rt.Master().TaskwaitCtx(context.Background()); err != nil {
 		t.Fatalf("stale scope error leaked across Taskwait: %v", err)
 	}
 }
@@ -384,7 +384,7 @@ func TestInlineTaskHandle(t *testing.T) {
 	defer rt.Shutdown()
 	boom := errors.New("boom")
 	ran := false
-	h := rt.Go(func(*TC) error { ran = true; return boom }, If(false))
+	h := rt.Master().Go(func(*TC) error { ran = true; return boom }, If(false))
 	if !ran {
 		t.Fatal("If(false) task must run undeferred")
 	}
@@ -415,8 +415,8 @@ func TestTaskFailureWithoutHandle(t *testing.T) {
 		defer rt.Shutdown()
 		x := rt.Register(new(int))
 		rt.Task(bad, Label("bad"), x.AsOut())
-		dep := rt.Go(func(*TC) error { t.Error("a dependent of the failed Task ran"); return nil }, x.AsIn())
-		if err := rt.TaskwaitCtx(context.Background()); !isBoom(err) {
+		dep := rt.Master().Go(func(*TC) error { t.Error("a dependent of the failed Task ran"); return nil }, x.AsIn())
+		if err := rt.Master().TaskwaitCtx(context.Background()); !isBoom(err) {
 			t.Errorf("TaskwaitCtx = %v, want the Task's panic", err)
 		}
 		if err := dep.Err(); !errors.Is(err, ErrSkipped) || !isBoom(err) {
@@ -433,7 +433,7 @@ func TestTaskFailureWithoutHandle(t *testing.T) {
 		s := rt.NewSession()
 		var y int
 		s.Task(bad, Label("bad"), Out(&y))
-		dep := s.Go(func(*TC) error { return nil }, In(&y))
+		dep := s.Master().Go(func(*TC) error { return nil }, In(&y))
 		<-dep.Done() // both finished, and no Taskwait consumed the round
 		if err := s.Close(); !isBoom(err) {
 			t.Errorf("Session.Close = %v, want the Task's panic", err)
@@ -477,29 +477,11 @@ func TestTaskFailureWithoutHandle(t *testing.T) {
 		cause := errors.New("request gone")
 		s.Cancel(cause)
 		s.Task(func(*TC) { t.Error("a cancelled inline Task ran") }, If(false))
-		if err := s.TaskwaitCtx(context.Background()); !errors.Is(err, ErrSkipped) || !errors.Is(err, cause) {
+		if err := s.Master().TaskwaitCtx(context.Background()); !errors.Is(err, ErrSkipped) || !errors.Is(err, cause) {
 			t.Errorf("TaskwaitCtx = %v, want a skip wrapping %v", err, cause)
 		}
 		_ = s.Close()
 	})
-}
-
-// TestTaskLoopChunks checks that TaskLoop splits [0, n) into ceil(n/chunk)
-// chunk tasks that cover every iteration once and succeed.
-func TestTaskLoopChunks(t *testing.T) {
-	rt := New(Workers(4))
-	defer rt.Shutdown()
-	var n, chunks atomic.Int32
-	rt.TaskLoop(100, 32, func(_ *TC, lo, hi int) { chunks.Add(1); n.Add(int32(hi - lo)) })
-	if err := rt.TaskwaitCtx(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if chunks.Load() != 4 {
-		t.Fatalf("%d chunk tasks, want 4", chunks.Load())
-	}
-	if n.Load() != 100 {
-		t.Fatalf("n=%d", n.Load())
-	}
 }
 
 // --- Simulated backend -------------------------------------------------------
@@ -513,8 +495,8 @@ func TestSimGoErrorSurfacesAsRunError(t *testing.T) {
 		// the dependent is submitted, exercising the live-edge propagation
 		// path (an already-finished predecessor would propagate through
 		// its recorded outcome instead).
-		rt.Go(func(*TC) error { return boom }, Out(x), Label("bad"), Cost(time.Millisecond))
-		dep = rt.Go(func(*TC) error { return nil }, In(x))
+		rt.Master().Go(func(*TC) error { return boom }, Out(x), Label("bad"), Cost(time.Millisecond))
+		dep = rt.Master().Go(func(*TC) error { return nil }, In(x))
 		rt.Taskwait()
 	})
 	if !errors.Is(err, boom) {
@@ -604,7 +586,7 @@ func TestHandleDoneRace(t *testing.T) {
 	for _, finish := range []string{"before", "during", "after"} {
 		for iter := 0; iter < 30; iter++ {
 			release := make(chan struct{})
-			h := rt.Go(func(*TC) error { <-release; return boom })
+			h := rt.Master().Go(func(*TC) error { <-release; return boom })
 
 			var asked, wg sync.WaitGroup
 			asked.Add(callers)
@@ -674,7 +656,7 @@ func TestRetainedHandleDoesNotPinChain(t *testing.T) {
 	// The head holds the chain back until every link is wired behind it, so
 	// each task really has its successor in the inline slot.
 	gate := make(chan struct{})
-	first := rt.Go(func(*TC) error { <-gate; x++; return nil }, d.AsInOut())
+	first := rt.Master().Go(func(*TC) error { <-gate; x++; return nil }, d.AsInOut())
 	for i := 1; i < n; i++ {
 		rt.Task(body, d.AsInOut())
 	}

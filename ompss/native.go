@@ -16,16 +16,12 @@ import (
 type nativeClock struct {
 	epoch    time.Time
 	blocking bool
-	sleepCap time.Duration // Polling idle sleep cap (spin)
 	gate     idleGate
 	l        *lifecycle // its scheduler: ready work ends a park
 }
 
 func newNativeClock(cfg config) *nativeClock {
-	c := &nativeClock{epoch: time.Now(), blocking: cfg.wait == Blocking, sleepCap: spinSleepCap}
-	if v, ok := cfg.tun.StealBackoff.value(); ok && v > 0 {
-		c.sleepCap = time.Duration(v) * time.Microsecond
-	}
+	c := &nativeClock{epoch: time.Now(), blocking: cfg.wait == Blocking}
 	c.gate.cond = sync.NewCond(&c.gate.mu)
 	return c
 }
@@ -66,17 +62,17 @@ const (
 
 // spin is the Polling-mode idle throttle: a thread that keeps missing
 // yields its slice for a while, then sleeps with linearly growing duration
-// (capped at 100µs, or the pinned Tuning StealBackoff). Without it,
-// oversubscribed polling threads — 32 lanes on a 2-core host — spin the
-// cores bare and starve the lanes doing real work; with it, release latency
-// stays in the tens of microseconds, which is the polling-vs-blocking gap
-// the paper's §4 measures.
+// (capped at spinSleepCap). Without it, oversubscribed polling threads —
+// 32 lanes on a 2-core host — spin the cores bare and starve the lanes
+// doing real work; with it, release latency stays in the tens of
+// microseconds, which is the polling-vs-blocking gap the paper's §4
+// measures.
 func (c *nativeClock) spin(misses int) {
 	if misses <= spinYields {
 		runtime.Gosched()
 		return
 	}
-	time.Sleep(min(time.Duration(misses-spinYields)*time.Microsecond, c.sleepCap))
+	time.Sleep(min(time.Duration(misses-spinYields)*time.Microsecond, spinSleepCap))
 }
 
 func (c *nativeClock) park(_ int, _ any, misses int, cond func() bool) {

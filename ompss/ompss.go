@@ -35,9 +35,9 @@
 //     OmpSs. Raw any-typed keys remain supported as sugar: the runtime
 //     interns them at submission into the same records.
 //   - *Handle, the future returned by Go: Done is closed at completion and
-//     Err reports the outcome. Task and TaskLoop are fire-and-forget, as
-//     an OmpSs task is: dependences, Taskwait and TaskwaitOn order them,
-//     and their failures reach Runtime.Err, TaskwaitCtx and Session.Close.
+//     Err reports the outcome. Task is fire-and-forget, as an OmpSs task
+//     is: dependences, Taskwait and TaskwaitOn order it, and its failures
+//     reach Runtime.Err, TaskwaitCtx and Session.Close.
 //     Go spawns error-returning bodies; a failure (returned error or
 //     wrapped panic, see TaskPanic) propagates along dependence edges: its
 //     dependents are released without running, each finishing with a
@@ -205,7 +205,7 @@ func (rt *Runtime) notePanic(err error) {
 
 // noteTaskErr records a finished task's failure on the right error surface.
 // Request-session tasks fail into their session's domain — Handle.Err,
-// Session.TaskwaitCtx, and Close report them — and do NOT become the
+// the session's TaskwaitCtx, and Close report them — and do NOT become the
 // runtime-global first error: a multi-tenant server's rt.Err must not
 // answer with one tenant's private failure, and RunSim must not fail a
 // whole simulation over a session-contained error. Panics still arm the Shutdown valve
@@ -226,7 +226,7 @@ func (rt *Runtime) noteTaskErr(t *core.Task, err error) {
 
 // Err returns the first task failure recorded on this runtime (nil when
 // every finished task succeeded so far). Failures inside request sessions
-// are session-scoped — consult Handle.Err, Session.TaskwaitCtx, or
+// are session-scoped — consult Handle.Err, the session's TaskwaitCtx, or
 // Session.Close — and never appear here. Calling Err marks the runtime's
 // failures as observed, disarming the Shutdown panic valve.
 func (rt *Runtime) Err() error {
@@ -284,49 +284,22 @@ type RunStats struct {
 	Sched core.SchedStats
 }
 
-// Master returns the master thread's TC, the one that the runtime's Task, Go,
-// TaskLoop and waits act on. Spawning on it directly, a concrete receiver,
-// lets clauses built in the call stay on the caller's stack (see Clause).
+// Master returns the master thread's TC, the one that the runtime's Task
+// and Taskwait act on. Go, TaskwaitCtx, TaskwaitOn and Critical are called
+// on it. Spawning on it directly, a concrete receiver, lets clauses built
+// in the call stay on the caller's stack (see Clause).
 func (rt *Runtime) Master() *TC { return rt.main }
 
 // Task spawns a task from the master thread (see TC.Task). The body runs
 // once its dependences (declared via In/Out/InOut clauses) are satisfied.
 func (rt *Runtime) Task(body func(*TC), clauses ...Clause) { rt.main.Task(body, clauses...) }
 
-// Go spawns an error-returning task from the master thread: the body's
-// returned error becomes the task's outcome (Handle.Err) and propagates to
-// dependents, which are skipped.
-func (rt *Runtime) Go(body func(*TC) error, clauses ...Clause) *Handle {
-	return rt.main.Go(body, clauses...)
-}
-
 // Taskwait blocks until all tasks spawned by the master thread (and not by
 // nested tasks) have finished. The master helps execute ready tasks while
-// waiting (polling mode), as the OmpSs master thread does. Use TaskwaitCtx
-// to also observe failures or bound the wait by a context.
+// waiting (polling mode), as the OmpSs master thread does. Use
+// Master().TaskwaitCtx to also observe failures or bound the wait by a
+// context.
 func (rt *Runtime) Taskwait() { rt.main.Taskwait() }
-
-// TaskwaitCtx is Taskwait with a completion story: it blocks until all
-// tasks spawned by the master thread have finished, or until ctx is
-// cancelled — cancellation drains the graph by skipping every task that
-// has not started yet. It returns ctx's error after a cancellation,
-// otherwise the first failure among the awaited children (nil when all
-// succeeded).
-func (rt *Runtime) TaskwaitCtx(ctx context.Context) error { return rt.main.TaskwaitCtx(ctx) }
-
-// TaskwaitOn blocks until the current last writer of each key has finished —
-// the `#pragma omp taskwait on(...)` of Listing 1, used to let the EOF
-// condition of a pipelined loop depend on the read stage only.
-func (rt *Runtime) TaskwaitOn(keys ...any) { rt.main.TaskwaitOn(keys...) }
-
-// Critical runs f under the named global lock (`#pragma omp critical`).
-func (rt *Runtime) Critical(name string, f func()) { rt.main.Critical(name, f) }
-
-// TaskLoop spawns chunked loop tasks from the master thread (see
-// TC.TaskLoop).
-func (rt *Runtime) TaskLoop(n, chunk int, body func(tc *TC, lo, hi int), clauses ...Clause) {
-	rt.main.TaskLoop(n, chunk, body, clauses...)
-}
 
 // Stats returns engine activity counters. Call after a Taskwait for a
 // consistent snapshot.
@@ -442,8 +415,8 @@ func (tc *TC) Go(body func(*TC) error, clauses ...Clause) *Handle {
 	return h
 }
 
-// spawn is the common deferred/undeferred spawn path behind Task, Go and
-// TaskLoop. It drops the spawner's reference on the record last: until then
+// spawn is the common deferred/undeferred spawn path behind Task and Go.
+// It drops the spawner's reference on the record last: until then
 // the record is readable, however fast the task runs and finishes.
 func (tc *TC) spawn(r *taskRec) {
 	switch s := tc.sess; {
@@ -487,8 +460,9 @@ func (tc *TC) spawnInline(r *taskRec) {
 		}
 	}
 	tc.Compute(time.Duration(r.t.CPUCost))
+	clk := tc.rt.lc.clk
 	for _, a := range r.t.Accesses {
-		tc.Touch(a.Key, a.Bytes, a.Writes())
+		clk.charge(tc.worker, costCompute, clk.touch(tc.worker, a.Key, a.Bytes, a.Writes()))
 	}
 	r.tc.worker = tc.worker
 	err := r.exec()
@@ -503,59 +477,6 @@ func (tc *TC) spawnInline(r *taskRec) {
 	r.Settle(err)
 }
 
-// TaskLoop partitions the iteration space [0, n) into chunks of at most
-// `chunk` iterations and spawns one task per chunk — the OmpSs/OpenMP
-// taskloop construct. The clauses apply to every chunk task (for independent
-// chunks no clauses are needed).
-// TaskLoop does not wait and, like Task, returns no future: pair it with
-// Taskwait, or TaskwaitCtx to see a chunk's failure.
-//
-// chunk == Auto asks the runtime to size the chunks: the pinned
-// Tuning{Grain: Fixed(v)} value, or a workers-derived heuristic otherwise.
-// Exactly Auto means runtime-chosen; every other non-positive chunk keeps
-// the historical clamp to 1, so e.g. a computed chunk that underflows to 0
-// still means "one iteration per task", not "auto".
-func (tc *TC) TaskLoop(n, chunk int, body func(tc *TC, lo, hi int), clauses ...Clause) {
-	if chunk == Auto {
-		chunk = tc.autoChunk(n)
-	}
-	if chunk < 1 {
-		chunk = 1
-	}
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		lo, hi := lo, hi
-		r := tc.newRec(clauses)
-		r.body = func(c *TC) { body(c, lo, hi) }
-		tc.spawn(r)
-	}
-}
-
-// autoChunk resolves a TaskLoop's Auto chunk: the pinned Grain value, or the
-// static heuristic (about four chunks per worker — enough slack for stealing
-// without drowning in per-task cost).
-func (tc *TC) autoChunk(n int) int {
-	if n <= 1 {
-		return 1
-	}
-	cfg := tc.rt.cfg
-	if v, ok := cfg.tun.Grain.value(); ok && v > 0 {
-		return v
-	}
-	w := cfg.workers
-	if w < 1 {
-		w = 1
-	}
-	ch := n / (4 * w)
-	if ch < 1 {
-		ch = 1
-	}
-	return ch
-}
-
 // Taskwait blocks until this context's direct children have finished,
 // helping to execute ready tasks meanwhile. Failures do not resurface
 // here — consult TaskwaitCtx, Handle.Err, or Runtime.Err. Like
@@ -568,9 +489,11 @@ func (tc *TC) Taskwait() {
 
 // TaskwaitCtx blocks until this context's direct children have finished or
 // ctx is cancelled. Cancellation drains the graph by skipping every task
-// that has not started yet (runtime-wide — a cancelled runtime skips all
-// later submissions too); the wait still returns only after the children
-// drained, so no awaited task is left in flight. It returns ctx's error
+// that has not started yet, later submissions included. Its scope is the
+// session: on a request session's TC it cancels that session only (other
+// sessions are untouched), and on the runtime's master TC, or a TC inside
+// one of its tasks, it cancels the runtime. The wait still returns only
+// after the children drained, so no awaited task is left in flight. It returns ctx's error
 // after a cancellation, otherwise the first failure among this context's
 // children (nil when all succeeded).
 func (tc *TC) TaskwaitCtx(ctx context.Context) error {
@@ -597,8 +520,10 @@ func (tc *TC) TaskwaitCtx(ctx context.Context) error {
 	return scopeErr
 }
 
-// TaskwaitOn blocks until the last writer task of each key has finished.
-// Keys may be raw dependence keys or registered *Datum handles.
+// TaskwaitOn blocks until the last writer task of each key has finished —
+// the `#pragma omp taskwait on(...)` of Listing 1, used to let the EOF
+// condition of a pipelined loop depend on the read stage only. Keys may be
+// raw dependence keys or registered *Datum handles.
 func (tc *TC) TaskwaitOn(keys ...any) {
 	resolved := make([]any, len(keys))
 	for i, k := range keys {
@@ -611,7 +536,8 @@ func (tc *TC) TaskwaitOn(keys ...any) {
 	tc.rt.lc.taskwaitOn(tc, resolved)
 }
 
-// Critical runs f under the named global lock.
+// Critical runs f under the named runtime-global lock (`#pragma omp
+// critical`).
 func (tc *TC) Critical(name string, f func()) { tc.rt.lc.critical(tc, name, f) }
 
 // Compute charges d of computation to the executing thread on the simulated
@@ -621,14 +547,6 @@ func (tc *TC) Compute(d time.Duration) {
 	if d > 0 {
 		tc.rt.lc.clk.charge(tc.worker, costCompute, int64(d))
 	}
-}
-
-// Touch charges the simulated memory-system cost of streaming `bytes` of the
-// datum identified by key (warmth/NUMA-dependent). Native execution ignores
-// it.
-func (tc *TC) Touch(key any, bytes int64, write bool) {
-	clk := tc.rt.lc.clk
-	clk.charge(tc.worker, costCompute, clk.touch(tc.worker, key, bytes, write))
 }
 
 // Data resolves the instance of a renameable datum this task is bound to:

@@ -2,6 +2,7 @@ package ompss
 
 import (
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -61,11 +62,11 @@ func TestNativeTaskwaitOn(t *testing.T) {
 	fast := new(int)
 	rt.Task(func(*TC) { time.Sleep(5 * time.Millisecond); *slow = 1 }, Out(slow))
 	rt.Task(func(*TC) { *fast = 1 }, Out(fast))
-	rt.TaskwaitOn(fast)
+	rt.Master().TaskwaitOn(fast)
 	if *fast != 1 {
 		t.Fatal("taskwait on(fast) returned before the fast task finished")
 	}
-	rt.TaskwaitOn(slow)
+	rt.Master().TaskwaitOn(slow)
 	if *slow != 1 {
 		t.Fatal("taskwait on(slow) returned before the slow task finished")
 	}
@@ -74,7 +75,7 @@ func TestNativeTaskwaitOn(t *testing.T) {
 func TestNativeTaskwaitOnUntracked(t *testing.T) {
 	rt := New(Workers(2))
 	defer rt.Shutdown()
-	rt.TaskwaitOn(new(int)) // never written: must not hang
+	rt.Master().TaskwaitOn(new(int)) // never written: must not hang
 }
 
 func TestNativeTaskwaitOnRegion(t *testing.T) {
@@ -95,11 +96,11 @@ func TestNativeTaskwaitOnRegion(t *testing.T) {
 			data[i] = 2
 		}
 	}, Out(upper))
-	rt.TaskwaitOn(upper)
+	rt.Master().TaskwaitOn(upper)
 	if data[31] != 2 {
 		t.Fatal("taskwait on the upper half returned before its writer finished")
 	}
-	rt.TaskwaitOn(lower, upper) // now both
+	rt.Master().TaskwaitOn(lower, upper) // now both
 	if data[0] != 1 {
 		t.Fatal("taskwait on both halves missed the first writer")
 	}
@@ -186,7 +187,7 @@ func TestNativeCriticalMutualExclusion(t *testing.T) {
 // backends.
 func TestCriticalPanicReleasesLock(t *testing.T) {
 	run := func(rt *Runtime) (sawSecond bool) {
-		h := rt.Go(func(tc *TC) error {
+		h := rt.Master().Go(func(tc *TC) error {
 			tc.Critical("leaky", func() { panic("boom inside critical") })
 			return nil
 		})
@@ -431,4 +432,28 @@ func contains(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+func TestWriteTimeline(t *testing.T) {
+	rec := obs.NewRecorder()
+	rt := New(Workers(2), Observe(rec))
+	x := new(int)
+	rt.Task(func(*TC) { *x = 1 }, Out(x), Label("produce"))
+	rt.Task(func(*TC) { _ = *x }, In(x), Label("consume"))
+	rt.Taskwait()
+	rt.Shutdown()
+	var sb strings.Builder
+	if err := obs.WriteParaverCSV(&sb, rec.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	if n := strings.Count(out, "\nrunning,"); n != 2 {
+		t.Fatalf("timeline has %d running rows, want one per task:\n%s", n, out)
+	}
+	if !strings.HasPrefix(out, "record,worker,task,label") {
+		t.Fatalf("missing header:\n%s", out)
+	}
+	if !strings.Contains(out, `"produce"`) || !strings.Contains(out, `"consume"`) {
+		t.Fatalf("labels missing:\n%s", out)
+	}
 }

@@ -91,32 +91,32 @@ func TestRetainedHandlesSurviveRecordReuse(t *testing.T) {
 
 	var x int
 	d := rt.Register(&x)
-	keep("success", rt.Go(func(*TC) error { return nil }), func(err error) bool { return err == nil })
-	keep("body error", rt.Go(func(*TC) error { return errBody }, d.AsOut()), is(errBody))
-	keep("skip cascade", rt.Go(func(*TC) error { return nil }, d.AsIn()), func(err error) bool {
+	keep("success", rt.Master().Go(func(*TC) error { return nil }), func(err error) bool { return err == nil })
+	keep("body error", rt.Master().Go(func(*TC) error { return errBody }, d.AsOut()), is(errBody))
+	keep("skip cascade", rt.Master().Go(func(*TC) error { return nil }, d.AsIn()), func(err error) bool {
 		return errors.Is(err, ErrSkipped) && errors.Is(err, errBody)
 	})
-	keep("panic", rt.Go(func(*TC) error { panic("boom") }), func(err error) bool {
+	keep("panic", rt.Master().Go(func(*TC) error { panic("boom") }), func(err error) bool {
 		var p *TaskPanic
 		return errors.As(err, &p) && p.Value == "boom"
 	})
-	keep("If(false)", rt.Go(func(*TC) error { return errInline }, If(false)), is(errInline))
+	keep("If(false)", rt.Master().Go(func(*TC) error { return errInline }, If(false)), is(errInline))
 
 	s := rt.NewSession()
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	keep("session closed", s.Go(func(*TC) error { return nil }), is(ErrSessionClosed))
+	keep("session closed", s.Master().Go(func(*TC) error { return nil }), is(ErrSessionClosed))
 
 	c := rt.NewSession()
 	var y int
 	hold := make(chan struct{})
 	c.Task(func(*TC) { <-hold }, InOut(&y))
-	keep("cancelled in the graph", c.Go(func(*TC) error { return nil }, In(&y)), is(cancelled))
+	keep("cancelled in the graph", c.Master().Go(func(*TC) error { return nil }, In(&y)), is(cancelled))
 	c.Cancel(cancelled)
 	close(hold)
 	c.Taskwait()
-	keep("cancelled at spawn", c.Go(func(*TC) error { return nil }), is(cancelled))
+	keep("cancelled at spawn", c.Master().Go(func(*TC) error { return nil }), is(cancelled))
 	_ = c.Close() // reports the cancellation
 	rt.Taskwait()
 
@@ -125,7 +125,7 @@ func TestRetainedHandlesSurviveRecordReuse(t *testing.T) {
 		if i%2 == 0 {
 			rt.Task(func(*TC) {}, Label("later"))
 		} else {
-			rt.Go(func(*TC) error { return later }, Label("later"))
+			rt.Master().Go(func(*TC) error { return later }, Label("later"))
 		}
 	}
 	rt.Taskwait()
@@ -183,8 +183,8 @@ func TestCriticalAndTaskwaitAllocs(t *testing.T) {
 	defer rt.Shutdown()
 	n := 0
 	f := func() { n++ }
-	rt.Critical("c", f) // the name's first use creates its lock
-	if a := testing.AllocsPerRun(100, func() { rt.Critical("c", f) }); a != 0 {
+	rt.Master().Critical("c", f) // the name's first use creates its lock
+	if a := testing.AllocsPerRun(100, func() { rt.Master().Critical("c", f) }); a != 0 {
 		t.Errorf("Critical: %v allocs, want 0", a)
 	}
 	var x int

@@ -152,11 +152,11 @@ func TestRenameFailedWriterSkipsWriteback(t *testing.T) {
 		<-gate
 		_ = tc.Data(d).(*tile).sum()
 	}, ompss.In(d))
-	h := rt.Go(func(tc *ompss.TC) error {
+	h := rt.Master().Go(func(tc *ompss.TC) error {
 		tc.Data(d).(*tile).fill(99)
 		return boom
 	}, ompss.Out(d))
-	dep := rt.Go(func(tc *ompss.TC) error { return nil }, ompss.In(d))
+	dep := rt.Master().Go(func(tc *ompss.TC) error { return nil }, ompss.In(d))
 	close(gate)
 	rt.Taskwait()
 	if got := rt.Stats().Graph.Renamed; got != 1 {
@@ -186,7 +186,7 @@ func TestRenameTaskwaitOnFlushes(t *testing.T) {
 		i := i
 		rt.Task(func(tc *ompss.TC) { tc.Data(d).(*tile).fill(int64(i)) }, ompss.Out(d))
 	}
-	rt.TaskwaitOn(d)
+	rt.Master().TaskwaitOn(d)
 	if cell.v[0] != 9 {
 		t.Fatalf("after TaskwaitOn canonical = %d, want 9 (flush incomplete)", cell.v[0])
 	}

@@ -63,17 +63,13 @@ func MaxInFlight(n int) Option { return func(c *config) { c.maxInFlight = n } }
 // programs written against it run unchanged on the runtime's default
 // session or on a request-scoped session (the suite's kernels take an API,
 // which is how one benchmark body serves both the batch harness and the
-// per-request server).
+// per-request server). The suite spawns on Master; Task and Taskwait stay
+// because the programs of benchmark/ call them through API.
 type API interface {
 	Register(key any) *Datum
 	Master() *TC
 	Task(body func(*TC), clauses ...Clause)
-	Go(body func(*TC) error, clauses ...Clause) *Handle
-	TaskLoop(n, chunk int, body func(tc *TC, lo, hi int), clauses ...Clause)
 	Taskwait()
-	TaskwaitCtx(ctx context.Context) error
-	TaskwaitOn(keys ...any)
-	Critical(name string, f func())
 }
 
 var (
@@ -82,7 +78,7 @@ var (
 )
 
 // Session is a request-scoped task graph on a shared runtime: it owns its
-// own spawning surface (Register/Task/Go/Taskwait...), its own
+// own spawning surface (Register, Master), its own
 // error and cancellation domain, its own admission budget and tenant
 // class, and a request-scoped arena — Close drops the dependence records
 // the session created, version chains included, wholesale, and with them
@@ -202,41 +198,18 @@ func (s *Session) Stats() SessionStats {
 // for handle semantics.
 func (s *Session) Register(key any) *Datum { return s.rt.register(key, s.dom) }
 
-// Master returns the TC that the session's Task, Go, TaskLoop and waits act
-// on. Spawning on it directly, a concrete receiver, lets clauses built in
-// the call stay on the caller's stack (see Clause).
+// Master returns the TC that the session's Task and Taskwait act on. Go,
+// TaskwaitCtx (cancelling this session only), TaskwaitOn and Critical are
+// called on it. Spawning on it directly, a concrete receiver, lets clauses
+// built in the call stay on the caller's stack (see Clause).
 func (s *Session) Master() *TC { return s.tc }
 
 // Task spawns a task in this session's scope (see TC.Task).
 func (s *Session) Task(body func(*TC), clauses ...Clause) { s.tc.Task(body, clauses...) }
 
-// Go spawns an error-returning task in this session's scope (see TC.Go).
-func (s *Session) Go(body func(*TC) error, clauses ...Clause) *Handle {
-	return s.tc.Go(body, clauses...)
-}
-
-// TaskLoop spawns chunked loop tasks in this session's scope (see
-// TC.TaskLoop).
-func (s *Session) TaskLoop(n, chunk int, body func(tc *TC, lo, hi int), clauses ...Clause) {
-	s.tc.TaskLoop(n, chunk, body, clauses...)
-}
-
 // Taskwait blocks until the session's direct children have finished,
 // helping to execute ready tasks meanwhile (see TC.Taskwait).
 func (s *Session) Taskwait() { s.tc.Taskwait() }
-
-// TaskwaitCtx is Taskwait bounded by a context. Unlike the runtime-level
-// TaskwaitCtx, cancellation is session-scoped: it cancels this session
-// only (every not-yet-started task of the session is skipped; other
-// sessions are untouched). See TC.TaskwaitCtx for the returned error.
-func (s *Session) TaskwaitCtx(ctx context.Context) error { return s.tc.TaskwaitCtx(ctx) }
-
-// TaskwaitOn blocks until the current last writer of each key has
-// finished (see TC.TaskwaitOn).
-func (s *Session) TaskwaitOn(keys ...any) { s.tc.TaskwaitOn(keys...) }
-
-// Critical runs f under the named runtime-global lock (see TC.Critical).
-func (s *Session) Critical(name string, f func()) { s.tc.Critical(name, f) }
 
 // Cancel puts the session into cancellation drain: every task of this
 // session that has not started yet — including later submissions — is

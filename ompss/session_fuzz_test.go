@@ -58,11 +58,11 @@ func sessionFuzzSchedules() []fuzzSchedule {
 func runPoisonSession(rt *ompss.Runtime, nDeps int) (uint64, error) {
 	s := rt.NewSession(ompss.Tenant(1))
 	var cell int
-	s.Go(func(*ompss.TC) error { return fmt.Errorf("poison head") }, ompss.InOut(&cell))
+	s.Master().Go(func(*ompss.TC) error { return fmt.Errorf("poison head") }, ompss.InOut(&cell))
 	for i := 0; i < nDeps; i++ {
 		s.Task(func(*ompss.TC) { cell++ }, ompss.InOut(&cell))
 	}
-	err := s.TaskwaitCtx(context.Background())
+	err := s.Master().TaskwaitCtx(context.Background())
 	skipped := s.Stats().Skipped
 	if cerr := s.Close(); cerr != nil {
 		return skipped, fmt.Errorf("clean close after consumed round: %w", cerr)
@@ -219,7 +219,7 @@ func TestSessionFuzzSim(t *testing.T) {
 			}
 			poison := rt.NewSession()
 			var pCell int
-			poison.Go(func(*ompss.TC) error { return fmt.Errorf("poison head") },
+			poison.Master().Go(func(*ompss.TC) error { return fmt.Errorf("poison head") },
 				ompss.InOut(&pCell))
 
 			for g := 0; g < maxGroups; g++ {
@@ -244,7 +244,7 @@ func TestSessionFuzzSim(t *testing.T) {
 				results[i].violations = cells[i].violations
 				cells[i].mu.Unlock()
 			}
-			poisonErr = poison.TaskwaitCtx(context.Background())
+			poisonErr = poison.Master().TaskwaitCtx(context.Background())
 			poisonSkipped = poison.Stats().Skipped
 			poisonClose = poison.Close()
 		}, ompss.MaxInFlight(l.window))

@@ -66,10 +66,10 @@ func TestSessionCloseSkipsPending(t *testing.T) {
 	var x int
 	release := make(chan struct{})
 	started := make(chan struct{})
-	head := s.Go(func(*ompss.TC) error { close(started); <-release; return nil }, ompss.InOut(&x))
+	head := s.Master().Go(func(*ompss.TC) error { close(started); <-release; return nil }, ompss.InOut(&x))
 	var deps []*ompss.Handle
 	for i := 0; i < 8; i++ {
-		deps = append(deps, s.Go(func(*ompss.TC) error { x++; return nil }, ompss.InOut(&x)))
+		deps = append(deps, s.Master().Go(func(*ompss.TC) error { x++; return nil }, ompss.InOut(&x)))
 	}
 	// The head must be RUNNING when Close cancels, so it finishes cleanly
 	// and only the queued chain is skipped.
@@ -132,7 +132,7 @@ func TestSessionSpawnAfterClose(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	h := s.Go(func(*ompss.TC) error { x = 2; return nil }, ompss.Out(&x))
+	h := s.Master().Go(func(*ompss.TC) error { x = 2; return nil }, ompss.Out(&x))
 	if err := h.Err(); !errors.Is(err, ompss.ErrSessionClosed) {
 		t.Fatalf("post-close Task err = %v, want ErrSessionClosed", err)
 	}
@@ -225,11 +225,11 @@ func TestTenantPriority(t *testing.T) {
 	}
 	gate := make(chan struct{})
 	started := make(chan struct{})
-	busy := bronze.Go(func(*ompss.TC) error { close(started); <-gate; return nil })
+	busy := bronze.Master().Go(func(*ompss.TC) error { close(started); <-gate; return nil })
 	<-started
 	// Both queue behind the busy worker; priority decides the pop order.
-	lo := bronze.Go(note("bronze"))
-	hi := gold.Go(note("gold"))
+	lo := bronze.Master().Go(note("bronze"))
+	hi := gold.Master().Go(note("gold"))
 	close(gate)
 	// Wait on handles without helping (helping would let this thread pop in
 	// arbitrary order and confound the worker's priority dispatch).
@@ -258,15 +258,15 @@ func TestCrossSessionErrorIsolation(t *testing.T) {
 	b := rt.NewSession()
 
 	release := make(chan struct{})
-	a.Go(func(*ompss.TC) error {
+	a.Master().Go(func(*ompss.TC) error {
 		<-release
 		return fmt.Errorf("session A failure")
 	}, ompss.InOut(&shared))
 	// A's own dependent must skip (same domain)...
-	aDep := a.Go(func(*ompss.TC) error { return nil }, ompss.InOut(&shared))
+	aDep := a.Master().Go(func(*ompss.TC) error { return nil }, ompss.InOut(&shared))
 	// ...but B's dependent, wired to the same failing writer, must run.
 	bRan := false
-	bDep := b.Go(func(*ompss.TC) error { bRan = true; return nil }, ompss.InOut(&shared))
+	bDep := b.Master().Go(func(*ompss.TC) error { bRan = true; return nil }, ompss.InOut(&shared))
 	close(release)
 	b.Taskwait()
 
@@ -357,7 +357,7 @@ func TestSessionTaskwaitCtx(t *testing.T) {
 	// chain but still waits for the head. Release the head once the context
 	// has expired so the wait can complete and report the cancellation.
 	go func() { <-ctx.Done(); close(release) }()
-	if err := slow.TaskwaitCtx(ctx); err == nil {
+	if err := slow.Master().TaskwaitCtx(ctx); err == nil {
 		t.Fatal("TaskwaitCtx = nil, want cancellation")
 	}
 
@@ -379,8 +379,8 @@ func TestSessionSkipsDependents(t *testing.T) {
 	skip := rt.NewSession()
 	var x int
 	ran := false
-	skip.Go(func(*ompss.TC) error { return fmt.Errorf("boom") }, ompss.InOut(&x))
-	h := skip.Go(func(*ompss.TC) error { ran = true; return nil }, ompss.InOut(&x))
+	skip.Master().Go(func(*ompss.TC) error { return fmt.Errorf("boom") }, ompss.InOut(&x))
+	h := skip.Master().Go(func(*ompss.TC) error { ran = true; return nil }, ompss.InOut(&x))
 	skip.Taskwait()
 	if ran || !errors.Is(h.Err(), ompss.ErrSkipped) {
 		t.Fatalf("the dependent of a failed task was not skipped (ran=%v err=%v)", ran, h.Err())
@@ -404,12 +404,12 @@ func TestSessionRenamingOverride(t *testing.T) {
 		// host's timing.
 		submitted := make(chan struct{})
 		for round := 0; round < 6; round++ {
-			api.Go(func(tc *ompss.TC) error {
+			api.Master().Go(func(tc *ompss.TC) error {
 				*tc.Data(d).(*int64)++
 				return nil
 			}, ompss.InOut(d))
 			for r := 0; r < 2; r++ {
-				api.Go(func(tc *ompss.TC) error {
+				api.Master().Go(func(tc *ompss.TC) error {
 					<-submitted
 					_ = *tc.Data(d).(*int64)
 					return nil
@@ -494,13 +494,13 @@ func TestSessionsSim(t *testing.T) {
 		p := rt.NewSession()
 		var av, bv, pv int
 		var ph []*ompss.Handle
-		ph = append(ph, p.Go(func(*ompss.TC) error {
+		ph = append(ph, p.Master().Go(func(*ompss.TC) error {
 			return fmt.Errorf("poison")
 		}, ompss.InOut(&pv)))
 		for i := 0; i < 8; i++ {
 			a.Task(func(*ompss.TC) { av++ }, ompss.InOut(&av))
 			b.Task(func(*ompss.TC) { bv++ }, ompss.InOut(&bv))
-			ph = append(ph, p.Go(func(*ompss.TC) error { pv++; return nil }, ompss.InOut(&pv)))
+			ph = append(ph, p.Master().Go(func(*ompss.TC) error { pv++; return nil }, ompss.InOut(&pv)))
 		}
 		a.Taskwait()
 		b.Taskwait()
@@ -515,7 +515,7 @@ func TestSessionsSim(t *testing.T) {
 		// TaskwaitCtx drains the poison session — the head is guaranteed to
 		// run and fail, cascading skips through the chain — and reports the
 		// round's failure (plain Taskwait would consume the round silently).
-		if err := p.TaskwaitCtx(context.Background()); err == nil {
+		if err := p.Master().TaskwaitCtx(context.Background()); err == nil {
 			t.Error("poison session drained without reporting its failure")
 		}
 		pStats = p.Stats()
@@ -587,10 +587,10 @@ func TestHandleOutlivesSession(t *testing.T) {
 	s := rt.NewSession()
 	var x int
 	d := s.Register(&x)
-	ok := s.Go(func(*ompss.TC) error { x++; return nil }, d.AsInOut())
-	bad := s.Go(func(*ompss.TC) error { return boom }, d.AsInOut())
-	dep := s.Go(func(*ompss.TC) error { x++; return nil }, d.AsInOut())
-	if err := s.TaskwaitCtx(context.Background()); !errors.Is(err, boom) {
+	ok := s.Master().Go(func(*ompss.TC) error { x++; return nil }, d.AsInOut())
+	bad := s.Master().Go(func(*ompss.TC) error { return boom }, d.AsInOut())
+	dep := s.Master().Go(func(*ompss.TC) error { x++; return nil }, d.AsInOut())
+	if err := s.Master().TaskwaitCtx(context.Background()); !errors.Is(err, boom) {
 		t.Fatalf("TaskwaitCtx = %v, want the failing child's error", err)
 	}
 	if err := s.Close(); err != nil {
@@ -667,7 +667,7 @@ func TestSessionChurnReturnsMemory(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			s.Task(func(*ompss.TC) { x++ }, d.AsInOut())
 		}
-		if err := s.TaskwaitCtx(context.Background()); err != nil {
+		if err := s.Master().TaskwaitCtx(context.Background()); err != nil {
 			t.Fatalf("TaskwaitCtx: %v", err)
 		}
 		if x != 50 {

@@ -239,7 +239,7 @@ func TestSimTaskwaitOnPipeline(t *testing.T) {
 				InOut(rc), OutSized(slot, 4096), Cost(50*time.Microsecond), Label("read"))
 			rt.Task(func(*TC) { consumed += *slot },
 				InOut(oc), In(slot), Cost(80*time.Microsecond), Label("output"))
-			rt.TaskwaitOn(rc)
+			rt.Master().TaskwaitOn(rc)
 			if produced != k+1 {
 				t.Errorf("iteration %d: taskwait on(rc) returned with produced=%d", k, produced)
 			}
@@ -265,7 +265,7 @@ func TestSimBlockingTaskwaitOnSingleWorker(t *testing.T) {
 	x, ran := new(int), false
 	st, err := RunSim(machine.Paper(1), func(rt *Runtime) {
 		rt.Task(func(*TC) { *x = 42 }, Out(x), Cost(10*time.Microsecond))
-		rt.TaskwaitOn(x)
+		rt.Master().TaskwaitOn(x)
 		ran = *x == 42
 	}, Wait(Blocking))
 	if err != nil {
@@ -486,5 +486,25 @@ func TestSimRayRotShapeRepeats(t *testing.T) {
 		if !slices.Equal(lanes, lanes0) {
 			t.Fatalf("padding %d B: tasks started on different lanes than in the first run", pad)
 		}
+	}
+}
+
+// TestTaskLoopSimParallelizes runs a loop of 32 independent 1 ms tasks on
+// the simulated machine: 8 cores must finish it at least 5× faster than 1.
+func TestTaskLoopSimParallelizes(t *testing.T) {
+	measure := func(cores int) time.Duration {
+		st, err := RunSim(machine.Paper(cores), func(rt *Runtime) {
+			for i := 0; i < 32; i++ {
+				rt.Master().Task(func(*TC) {}, Cost(time.Millisecond))
+			}
+			rt.Taskwait()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Makespan
+	}
+	if sp := float64(measure(1)) / float64(measure(8)); sp < 5 {
+		t.Fatalf("task loop speedup %.1f on 8 cores", sp)
 	}
 }

@@ -1,55 +1,33 @@
 package ompss
 
-// Auto is the "let the runtime decide" sentinel, usable in two places:
-//
-//   - as the chunk argument of TaskLoop (rt.TaskLoop(n, ompss.Auto, ...)):
-//     the chunk size is the pinned Tuning Grain, or a workers-derived
-//     heuristic otherwise. Only exactly Auto means runtime-chosen; any other
-//     non-positive chunk keeps the historical clamp-to-1 behavior.
-//   - as a Tuning profile field (Tuning{Grain: Auto, ...}): the knob takes
-//     its static default.
-//
-// It is an untyped constant so it converts to both int and Setting.
+// Auto is the "let the runtime decide" sentinel of a Tuning field
+// (Tuning{Grain: Auto, ...}): the knob takes its static default. It is an
+// untyped constant so it converts to Setting.
 const Auto = -1
 
 // Setting is one knob of a Tuning profile. The zero value means "unset —
-// the runtime default", Auto asks for the static default, and Fixed(v)
-// pins it. For boolean knobs use On / Off (aliases of Fixed(1) / Fixed(0)).
+// the runtime default", Auto asks for the static default, and On / Off pin
+// a boolean knob.
 type Setting int
 
 const (
-	// Off pins a boolean knob false (= Fixed(0)).
+	// Off pins a boolean knob false.
 	Off Setting = 1
-	// On pins a boolean knob true (= Fixed(1)).
+	// On pins a boolean knob true.
 	On Setting = 2
 )
 
-// Fixed pins a knob to a static value v (v ≥ 0). Values are stored shifted
-// by one so that Fixed(0) is distinguishable from the unset zero Setting.
-func Fixed(v int) Setting {
-	if v < 0 {
-		v = 0
-	}
-	return Setting(v + 1)
-}
-
-// isSet reports whether the knob was set at all (Auto or Fixed).
+// isSet reports whether the knob was set at all (Auto, On or Off).
 func (s Setting) isSet() bool { return s != 0 }
 
-// value returns the pinned value and true for a Fixed setting; (0, false)
-// for unset or Auto.
-func (s Setting) value() (int, bool) {
-	if s <= 0 {
-		return 0, false
-	}
-	return int(s) - 1, true
-}
-
-// boolOr resolves a boolean knob: the pinned truth value when set (any
-// Fixed value > 0 counts as on), def when unset or Auto.
+// boolOr resolves a boolean knob: true for On, false for Off, def when
+// unset or Auto.
 func (s Setting) boolOr(def bool) bool {
-	if v, ok := s.value(); ok {
-		return v != 0
+	switch s {
+	case On:
+		return true
+	case Off:
+		return false
 	}
 	return def
 }
@@ -60,14 +38,13 @@ func (s Setting) boolOr(def bool) bool {
 // to the field's static default. The profile is fixed for the runtime's
 // lifetime: NewSession ignores WithTuning.
 type Tuning struct {
-	// Grain governs TaskLoop chunk sizing for chunk == Auto call sites.
-	// Fixed(v): Auto call sites use chunk v. Unset or Auto: about four
-	// chunks per worker (n/(4·workers)).
+	// Grain is ignored: a program sizes its own loop chunks. Leave it
+	// unset or Auto. It stays only while benchmark/serve.go names it
+	// (ROADMAP 22(a)).
 	Grain Setting
-	// StealBackoff governs the polling idle throttle (native runtimes only —
-	// the simulator's idle waiting is event-driven and this knob is a no-op
-	// there). Fixed(v): the idle sleep cap is pinned to v microseconds.
-	// Unset or Auto: the static default throttle.
+	// StealBackoff is ignored: the polling idle throttle's sleep cap is a
+	// constant. Leave it unset or Auto. It stays only while
+	// benchmark/serve.go names it (ROADMAP 22(a)).
 	StealBackoff Setting
 	// Renaming toggles dependence renaming (data versioning), the
 	// StarSs/OmpSs mechanism that eliminates WAR/WAW stalls: a writer on
@@ -96,14 +73,9 @@ type Tuning struct {
 	Locality Setting
 }
 
-// merge overlays src's set fields onto dst (unset src fields inherit).
+// merge overlays src's set knobs onto dst (unset src fields inherit).
+// Grain and StealBackoff are ignored, so they are not carried.
 func (dst *Tuning) merge(src Tuning) {
-	if src.Grain.isSet() {
-		dst.Grain = src.Grain
-	}
-	if src.StealBackoff.isSet() {
-		dst.StealBackoff = src.StealBackoff
-	}
 	if src.Renaming.isSet() {
 		dst.Renaming = src.Renaming
 	}

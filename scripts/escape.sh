@@ -3,7 +3,7 @@
 #
 #   scripts/escape.sh
 #
-# A clause built in the call to a concrete *TC's Task, Go or TaskLoop costs
+# A clause built in the call to a concrete *TC's Task or Go costs
 # no allocation only while the compiler inlines its constructor and proves
 # that the clause record (&ompss.clause{...}) and the variadic key slice of
 # In/Out/InOut/Commutative do not outlive the call. An interface call, a

@@ -12,8 +12,9 @@
 # seed i mod len(SEEDS) of the space-separated SEEDS list on both sides.
 # Every run lasts BENCHMARK.json's run_seconds, the length the benchmark's
 # own comparison uses (the binary's -seconds default differs).
-# Last, it prints METRIC's value on each side of every pair, and on how
-# many pairs the candidate read lower and higher.
+# Last, it prints METRIC's value on each side of every pair for every
+# workload the runs reported (W=all runs six), and per workload on how many
+# pairs the candidate read lower and higher.
 #
 # Defaults: N=10, SEEDS=1, METRIC=bytes_moved. `make pairs BASE=<rev>
 # W=<workload>` calls it.
@@ -39,7 +40,9 @@ go build -C "$root/benchmark" -o "$tmp/head" .
 rm -f "$outdir/pairs.base.json" "$outdir/pairs.head.json"
 
 # run SIDE SEED: one run of a side's binary, appended to its result file;
-# prints METRIC's value, read from the run's last line (one JSON object).
+# prints one "WORKLOAD VALUE" line per workload of the run. The benchmark
+# prints each workload's report under a "== WORKLOAD" header and ends it
+# with one JSON object, the line METRIC is read from ("-" when absent).
 run() {
 	(cd "$tmp" && "$tmp/$1" -workload "$workload" -seed "$2" -seconds "$seconds" \
 		-o "$outdir/pairs.$1.json" >"$tmp/$1.log" 2>&1) || {
@@ -47,33 +50,58 @@ run() {
 		cat "$tmp/$1.log" >&2
 		exit 1
 	}
-	tail -n 1 "$tmp/$1.log" | sed -n "s/.*\"$metric\":{\"value\":\([^,}]*\).*/\1/p"
+	awk -v m="$metric" '
+		/^== / { w = $2 }
+		/^\{/ {
+			v = "-"
+			if (match($0, "\"" m "\":\\{\"value\":[^,}]*")) {
+				v = substr($0, RSTART, RLENGTH)
+				sub(/.*:/, "", v)
+			}
+			print w, v
+		}' "$tmp/$1.log"
 }
 
 nseeds=$(echo $seeds | wc -w)
 i=0
-rows=""
+: >"$tmp/rows"
 while [ "$i" -lt "$n" ]; do
 	seed=$(echo $seeds | cut -d' ' -f$((i % nseeds + 1)))
 	if [ $(( i % 2 )) -eq 0 ]; then
-		a=$(run base "$seed")
-		b=$(run head "$seed")
+		run base "$seed" >"$tmp/a"
+		run head "$seed" >"$tmp/b"
 	else
-		b=$(run head "$seed")
-		a=$(run base "$seed")
+		run head "$seed" >"$tmp/b"
+		run base "$seed" >"$tmp/a"
 	fi
-	echo "pair $((i + 1))/$n seed $seed: $metric base $a head $b" >&2
-	rows="$rows$((i + 1)) $seed $a $b
-"
+	# One row per workload: pair seed workload base head.
+	paste -d' ' "$tmp/a" "$tmp/b" | awk -v p=$((i + 1)) -v s="$seed" '
+		$1 != $3 { print "pairs: pair " p ": base reported " $1 " where head reported " $3 > "/dev/stderr"; exit 1 }
+		{ print p, s, $1, $2, $4 }' >"$tmp/pair"
+	awk -v n="$n" -v m="$metric" '{ printf "pair %d/%d seed %s %s: %s base %s head %s\n", $1, n, $2, $3, m, $4, $5 }' "$tmp/pair" >&2
+	cat "$tmp/pair" >>"$tmp/rows"
 	i=$((i + 1))
 done
 
 echo "== -compare pairs.base.json pairs.head.json"
 status=0
 "$tmp/head" -compare "$outdir/pairs.base.json" "$outdir/pairs.head.json" || status=$?
-echo "== $metric per pair ($workload, base $base vs working tree)"
-printf '%s' "$rows" | awk -v m="$metric" '
-	{ printf "pair %2d  seed %-4s  base %-14s  head %-14s  %+.1f%%\n", $1, $2, $3, $4, ($3 != 0 ? ($4 - $3) / $3 * 100 : 0)
-	  if ($4 < $3) lower++; else if ($4 > $3) higher++ }
-	END { printf "%s: head lower in %d of %d pairs, higher in %d\n", m, lower, NR, higher }'
+echo "== $metric per pair and workload ($workload, base $base vs working tree)"
+awk -v m="$metric" '
+	!($3 in pairs) { order[++k] = $3 }
+	{
+		pairs[$3]++
+		d = ($4 == "-" || $5 == "-") ? "n/a" : sprintf("%+.1f%%", ($4 != 0 ? ($5 - $4) / $4 * 100 : 0))
+		printf "pair %2d  seed %-4s  %-13s  base %-14s  head %-14s  %s\n", $1, $2, $3, $4, $5, d
+		if (d != "n/a") {
+			if ($5 + 0 < $4 + 0) lower[$3]++
+			else if ($5 + 0 > $4 + 0) higher[$3]++
+		}
+	}
+	END {
+		for (j = 1; j <= k; j++) {
+			w = order[j]
+			printf "%-13s  %s: head lower in %d of %d pairs, higher in %d\n", w, m, lower[w], pairs[w], higher[w]
+		}
+	}' "$tmp/rows"
 exit "$status"
