@@ -65,10 +65,12 @@ bench-submit:
 	$(GO) test ./ompss -run='^$$' -bench=BenchmarkSubmit -benchmem -benchtime=300000x
 
 # Allocation regression guard: fails when any submit benchmark exceeds the
-# allocs/op ceiling in ompss/testdata/alloc_budget.json, when one
-# of the simulator's three commonest dispatches allocates at all, or when a
-# served kernel request allocates more bytes than its endpoint's ceiling in
-# TestRequestAllocBudget (the CI bench-smoke job runs this).
+# allocs/op ceiling in ompss/testdata/alloc_budget.json (the wide-task row,
+# BenchmarkSubmitWide, at 0: six accesses whose lists the pooled record
+# keeps), when one of the simulator's three commonest dispatches allocates
+# at all, or when a served kernel request allocates more bytes than its
+# endpoint's ceiling in TestRequestAllocBudget (7, 17 and 32 KB for rotate,
+# rgbcmy and h264dec; the CI bench-smoke job runs this).
 alloc-budget:
 	$(GO) test ./ompss ./internal/vm ./internal/serve -run='^(TestSubmitAllocBudget|TestVMEventAllocs|TestRequestAllocBudget)$$' -count=1 -v
 

@@ -54,7 +54,8 @@ type Datum struct {
 // shares the writer's — so a finished task stays readable, and a failed one
 // still hands its error to a later reader, until the record lets go of it.
 // The methods below are the only writers of the slots, so the counting
-// lives here. Guarded by the owning shard lock.
+// lives here. A full reader or commuter list first sheds the tasks that
+// finished successfully (see shed). Guarded by the owning shard lock.
 type accessors struct {
 	lastWriter *Task
 	readers    []*Task
@@ -104,12 +105,43 @@ func (a *accessors) addReader(t *Task) {
 	if t != a.lastWriter {
 		t.Hold()
 	}
+	if len(a.readers) == cap(a.readers) {
+		a.readers = shed(a.readers, a.lastWriter)
+	}
 	a.readers = append(a.readers, t)
 }
 
 func (a *accessors) addCommuter(t *Task) {
 	t.Hold()
+	if len(a.commuters) == cap(a.commuters) {
+		a.commuters = shed(a.commuters, nil)
+	}
 	a.commuters = append(a.commuters, t)
+}
+
+// shed unlinks from a full reader or commuter list every task that finished
+// successfully, dropping its slot's reference, so a datum read by many
+// short tasks reuses its list instead of growing it. Such a task adds no
+// edge and hands no error to a later accessor, so the edges, Preds and the
+// failure cascade stay as they were; a failed or skipped task stays, for
+// the next writer to inherit its error. A reader that is also the last
+// writer (shared) shares the writer's reference, as in clear. Only a full
+// list is shed, and one left more than half full grows at once, so each
+// shed is paid for by at least half a list of appends since the last one.
+func shed(ts []*Task, shared *Task) []*Task {
+	kept := ts[:0]
+	for _, t := range ts {
+		if !t.Finished() || t.outcome != nil {
+			kept = append(kept, t)
+		} else if t != shared {
+			t.Drop()
+		}
+	}
+	clear(ts[len(kept):])
+	if len(kept) > cap(ts)/2 {
+		kept = slices.Grow(kept, cap(ts))
+	}
+	return kept
 }
 
 // clear empties the record. The lists are truncated, not dropped: an InOut
@@ -405,10 +437,12 @@ func (g *Graph) MarkRunning(t *Task, worker int) {
 // per-task succ lock decides each edge race, and the atomic npred decrement
 // means exactly one finisher (or the submitter) releases each successor.
 //
-// The result is t's detached successor list compacted in place — for a
-// single successor, the slot inside t itself. Consume it at once, and clear
-// it afterwards if t may stay reachable (a retained future), or t would pin
-// every task released behind it.
+// The result is t's detached successor list compacted in place, in an array
+// t itself keeps: the inline slot of a single successor, or, for a task
+// with an Owner, the array Task.Reset keeps for the task's next use.
+// Consume it at once, and clear it before the owner's last Drop or while t
+// may stay reachable (a retained future), or t would pin every task
+// released behind it.
 func (g *Graph) Finish(t *Task, err error) (newlyReady []*Task) {
 	t.outcome = err
 	// Release version bindings (and run any resulting writeback) BEFORE

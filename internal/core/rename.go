@@ -25,8 +25,8 @@ package core
 // version is one instance of a renameable datum: a payload plus the
 // dependence record of the tasks accessing exactly this instance. refs
 // counts submitted-but-unfinished accessors; the record holds the same tasks
-// (it is never pruned before the version drains, and addPred skips
-// finished entries).
+// (it sheds only tasks that finished successfully before the version
+// drains, and addPred skips finished entries).
 type version struct {
 	payload any
 	// vid is the chain-unique version number of the instance's current

@@ -123,7 +123,10 @@ type Task struct {
 	// its body (failure policy or cancellation).
 	skipped atomic.Bool
 	succMu  sync.Mutex // guards succs and done against the add-successor/Done vs. finish race
-	succs   []*Task    // tasks waiting on this one; the first lives in succBuf
+	// succs lists the tasks waiting on this one; the first lives in succBuf.
+	// Finish empties it, and only a task with an Owner keeps its array (see
+	// Reset).
+	succs   []*Task
 	succBuf [1]*Task
 	// done is created by Done for a caller that actually selects on it; a
 	// task nobody waits on by channel never has one.
@@ -188,12 +191,29 @@ func (t *Task) Drop() {
 }
 
 // Reset zeroes t for reuse by its owner once its last reference is dropped.
-// Only the capacity of the binding list survives, so a reused task pins
-// nothing of its previous life.
+// Only the arrays of its lists survive, emptied, so a reused task pins
+// nothing of its previous life and grows none of them again: the access
+// list (which Reset clears, so the owner must own its array), Preds, the
+// successor list and the binding list. An array of more than keptCap
+// entries is dropped instead.
 func (t *Task) Reset() {
-	b := t.bindings[:0]
+	acc, preds, succs, b := t.Accesses, t.Preds, t.succs, t.bindings
 	*t = Task{}
-	t.bindings = b
+	t.Accesses, t.Preds, t.succs, t.bindings = keep(acc), keep(preds), keep(succs), keep(b)
+}
+
+// keptCap bounds the arrays Reset keeps, so one wide task cannot park a
+// large array in its owner's pool.
+const keptCap = 64
+
+// keep returns s emptied, with its entries cleared, if its array is small
+// enough to keep; nil otherwise.
+func keep[S ~[]E, E any](s S) S {
+	if cap(s) > keptCap {
+		return nil
+	}
+	clear(s)
+	return s[:0]
 }
 
 // bindRead records that the task observes version v of the chain. Called
@@ -282,7 +302,8 @@ func (t *Task) addSucc(s *Task) bool {
 }
 
 // takeSuccsAndFinish settles t's owner with its outcome, then atomically
-// marks t finished and detaches its successor list and completion channel.
+// marks t finished and detaches its successor list and completion channel
+// (an owned task keeps the list's array, emptied, for Reset).
 // The owner settles first, so a wait on t (Writers, Finished, Done) that
 // returns finds the owner settled too. After it returns, addSucc refuses new
 // edges, so Finish decrements exactly the successors that were wired, and
@@ -296,6 +317,11 @@ func (t *Task) takeSuccsAndFinish(err error) (succs []*Task, done chan struct{})
 	atomic.StoreInt32(&t.state, stateFinished)
 	succs, done = t.succs, t.done
 	t.succs = nil
+	if t.Owner != nil {
+		// Kept for Reset: addSucc refuses edges from here on, so nothing
+		// appends to the array while Finish's caller reads it.
+		t.succs = succs[:0]
+	}
 	t.succMu.Unlock()
 	return succs, done
 }

@@ -76,6 +76,9 @@ func TestSubmitAllocBudget(t *testing.T) {
 		// the API interface, only the escaping []Clause.
 		"BenchmarkSubmitInline": BenchmarkSubmitInline,
 		"BenchmarkSubmitAPI":    BenchmarkSubmitAPI,
+		// A six-access task: its access list, preds and successor lists
+		// outgrow their inline buffers, and the pooled record keeps them.
+		"BenchmarkSubmitWide": BenchmarkSubmitWide,
 		// The default run-ahead window binding on every spawn: the
 		// ready-queue node, nothing for the throttle.
 		"BenchmarkSubmitThrottled": BenchmarkSubmitThrottled,

@@ -19,7 +19,7 @@ type Clause struct{ c *clause }
 type clauseOp uint8
 
 const (
-	opKeys     clauseOp = iota // mode on every key of keys
+	opKeys     clauseOp = iota // mode on every key of the []any in key
 	opKey                      // mode on key, with a footprint of n bytes
 	opCost                     // n nanoseconds of simulated computation
 	opPriority                 // priority n
@@ -28,12 +28,13 @@ const (
 )
 
 // clause is a Clause's record. Its fields stay apart rather than sharing one
-// any: a label or an int64 boxed into an interface would allocate.
+// any: a label or an int64 boxed into an interface would allocate. Only the
+// rare multi-key list is boxed, in key, so the record is 56 bytes and an
+// escaping clause takes the 64-byte size class.
 type clause struct {
 	op    clauseOp
 	mode  core.Mode
 	key   any
-	keys  []any
 	label string
 	n     int64
 }
@@ -57,7 +58,7 @@ func accesses(m core.Mode, keys []any) Clause {
 	if len(keys) == 1 {
 		return Clause{&clause{op: opKey, mode: m, key: keys[0]}}
 	}
-	return Clause{&clause{op: opKeys, mode: m, keys: append([]any(nil), keys...)}}
+	return Clause{&clause{op: opKeys, mode: m, key: append([]any(nil), keys...)}}
 }
 
 // In declares read (input) dependences on the given keys. A key identifies
@@ -124,7 +125,7 @@ func If(cond bool) Clause {
 func (r *taskRec) apply(c *clause) {
 	switch c.op {
 	case opKeys:
-		for _, k := range c.keys {
+		for _, k := range c.key.([]any) {
 			r.t.Accesses = append(r.t.Accesses, access(k, c.mode, 0))
 		}
 		r.commutative = r.commutative || c.mode == core.Commutative

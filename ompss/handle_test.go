@@ -675,12 +675,16 @@ func TestRetainedHandleDoesNotPinChain(t *testing.T) {
 // none, the last size class whose pointers the allocator describes with a
 // bitmap in the span), and the Handle — the one object a Go spawn allocates,
 // and a Task spawn does not — within 32. A field added to taskRec, TC, core.Task or core.Context has to
-// fit or displace one; so does a field added to Handle.
+// fit or displace one; so does a field added to Handle. A clause record,
+// which an escaping clause allocates, stays within the 64-byte size class.
 func TestTaskRecordSizeClass(t *testing.T) {
 	if size := reflect.TypeOf((*taskRec)(nil)).Elem().Size(); size > 512 {
 		t.Errorf("taskRec is %d bytes, want <= 512", size)
 	}
 	if size := reflect.TypeOf((*Handle)(nil)).Elem().Size(); size > 32 {
 		t.Errorf("Handle is %d bytes, want <= 32", size)
+	}
+	if size := reflect.TypeOf(clause{}).Size(); size > 64 {
+		t.Errorf("a clause record is %d bytes, want <= 64", size)
 	}
 }

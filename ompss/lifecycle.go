@@ -252,8 +252,9 @@ func (l *lifecycle) runTask(t *core.Task, lane int) {
 	}
 	n := len(ready)
 	l.clk.charge(lane, costRelease, int64(n))
-	// ready may be t's own successor slot (see Graph.Finish): a retained
-	// Handle must not pin the tasks released behind it.
+	// ready is an array t keeps (see Graph.Finish): cleared before t's last
+	// Drop hands it to the record's next task, and so that a retained Handle
+	// does not pin the tasks released behind it.
 	clear(ready)
 	// Idle workers for the released tasks, and any waiter t's completion
 	// may have let go.

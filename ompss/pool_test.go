@@ -25,7 +25,7 @@ func TestMain(m *testing.M) {
 // added to the record must be cleared by reset, and listed here, or a pooled
 // record could pin what its last task referenced. A record that carried a
 // task must come out of reset zero but for its drain predicate and the
-// capacity of its binding list.
+// arrays of its task's lists, which stay empty and cleared.
 func TestRecordResetCoversEveryField(t *testing.T) {
 	typ := reflect.TypeOf(taskRec{})
 	var names []string
@@ -38,9 +38,10 @@ func TestRecordResetCoversEveryField(t *testing.T) {
 
 	rt := New(Workers(1))
 	defer rt.Shutdown()
-	var x int
+	var x, y, z int
 	d := rt.Register(&x)
-	r := rt.main.newRec([]Clause{InOut(d), Commutative(&x), Label("l"), Priority(2), Cost(5)})
+	// Four accesses: one more than acc holds, so the access list grows.
+	r := rt.main.newRec([]Clause{InOut(d), Commutative(&x), In(&y, &z), Label("l"), Priority(2), Cost(5)})
 	r.body = func(*TC) {}
 	r.bodyErr = func(*TC) error { return nil }
 	r.parent = &r.t
@@ -57,8 +58,16 @@ func TestRecordResetCoversEveryField(t *testing.T) {
 			}
 		case "t":
 			for j := 0; j < f.NumField(); j++ {
-				if tf := f.Field(j); f.Type().Field(j).Name != "bindings" && !tf.IsZero() {
-					t.Errorf("reset left t.%s set", f.Type().Field(j).Name)
+				tf, tname := f.Field(j), f.Type().Field(j).Name
+				switch tname {
+				case "Accesses", "Preds", "succs", "bindings":
+					if tf.Len() != 0 || !allZero(tf.Slice(0, tf.Cap())) {
+						t.Errorf("reset left t.%s with entries", tname)
+					}
+				default:
+					if !tf.IsZero() {
+						t.Errorf("reset left t.%s set", tname)
+					}
 				}
 			}
 		default:
@@ -67,7 +76,20 @@ func TestRecordResetCoversEveryField(t *testing.T) {
 			}
 		}
 	}
+	if cap(r.t.Accesses) < 4 {
+		t.Errorf("reset dropped the grown access list (cap %d)", cap(r.t.Accesses))
+	}
 	r.Recycle()
+}
+
+// allZero reports whether every element of the slice s is its zero value.
+func allZero(s reflect.Value) bool {
+	for i := 0; i < s.Len(); i++ {
+		if !s.Index(i).IsZero() {
+			return false
+		}
+	}
+	return true
 }
 
 // TestRetainedHandlesSurviveRecordReuse retains the Handle of every kind of
@@ -170,6 +192,90 @@ func TestPoolBalance(t *testing.T) {
 	rt.Shutdown()
 	if got := p.Outstanding() - base; got != 0 {
 		t.Errorf("%d records still out after Shutdown", got)
+	}
+}
+
+// TestReadOnlySessionRecyclesMidSession reads one datum from 20,000 tasks of
+// one session: the datum sheds its finished readers as its list fills, so
+// their records go back to the pool while the session is still open, and
+// the records out and the records made stay bounded instead of growing with
+// the session's task count. (Under -race sync.Pool drops what it is given
+// at random, so the pool refills and only the records out are bounded.)
+func TestReadOnlySessionRecyclesMidSession(t *testing.T) {
+	const n = 20000
+	p := poolcheck.Active()
+	rt := New(Workers(2))
+	defer rt.Shutdown()
+	s := rt.NewSession()
+	var src int
+	d := s.Register(&src)
+	s.Task(func(*TC) {}, d.AsOut())
+	out, made := p.Outstanding(), func() int64 { r, _ := p.Made(); return r }
+	base := made()
+	for i := 0; i < n; i++ {
+		s.Task(func(*TC) {}, d.AsIn())
+	}
+	s.Taskwait()
+	t.Logf("%d readers: %d records out before Close, %d made", n, p.Outstanding()-out, made()-base)
+	if got := p.Outstanding() - out; got > n/10 {
+		t.Errorf("%d records out after %d finished readers, before Close", got, n)
+	}
+	if got := made() - base; !raceDetector && got > n/10 {
+		t.Errorf("%d records made for %d readers: finished readers are not recycled mid-session", got, n)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestKeptListsReuseCleanly grows every list of many records — six
+// accesses, their preds and successors all past the inline buffers — then
+// spawns one-access tasks without dependences on those records: a record
+// that comes back with a kept array must show its new task alone, with no
+// stale access, pred or successor from the old one in or past its length.
+func TestKeptListsReuseCleanly(t *testing.T) {
+	rt := New(Workers(1))
+	defer rt.Shutdown()
+	var a [6]*Datum
+	for i := range a {
+		a[i] = rt.Register(new(int))
+	}
+	tc := rt.Master()
+	for k := 0; k < 300; k++ {
+		tc.Task(func(*TC) {}, a[k%6].AsInOut(), a[(k+1)%6].AsIn(), a[(k+2)%6].AsIn(),
+			a[(k+3)%6].AsIn(), a[(k+4)%6].AsIn(), a[(k+5)%6].AsIn())
+	}
+	rt.Taskwait()
+
+	keys := make([]int, 300)
+	var keptAcc, keptPreds int
+	for i := range keys {
+		tc.Task(func(tc *TC) {
+			task := tc.task
+			if cap(task.Accesses) > 3 {
+				keptAcc++
+			}
+			if cap(task.Preds) > 2 {
+				keptPreds++
+			}
+			if len(task.Accesses) != 1 || task.Accesses[0].Key != &keys[i] {
+				t.Errorf("task %d reads accesses %v", i, task.Accesses)
+			}
+			if !allZero(reflect.ValueOf(task.Accesses[1:cap(task.Accesses)])) {
+				t.Errorf("task %d: its access array holds a stale access past its length", i)
+			}
+			if len(task.Preds) != 0 || !allZero(reflect.ValueOf(task.Preds[:cap(task.Preds)])) {
+				t.Errorf("task %d: preds %v, stale entries in %v", i, task.Preds, task.Preds[:cap(task.Preds)])
+			}
+			if succs := task.Succs(); len(succs) != 0 {
+				t.Errorf("task %d lists %d successors", i, len(succs))
+			}
+		}, Out(&keys[i]))
+	}
+	rt.Taskwait()
+	t.Logf("%d of %d records came back with a kept access array, %d with a kept pred array", keptAcc, len(keys), keptPreds)
+	if !raceDetector && (keptAcc == 0 || keptPreds == 0) { // -race may drop every such record
+		t.Errorf("no record came back with a kept list (%d access, %d pred arrays)", keptAcc, keptPreds)
 	}
 }
 

@@ -121,8 +121,9 @@ func putRec(r *taskRec) {
 	openBins.Put(b)
 }
 
-// reset clears everything but drained and the capacity of the task's
-// binding list, so a pooled record pins no body, key, domain or handle.
+// reset clears everything but drained and the arrays core.Task.Reset keeps
+// (a grown access list among them, which newRec then fills instead of acc),
+// so a pooled record pins no body, key, domain or handle.
 func (r *taskRec) reset() {
 	r.tc, r.body, r.bodyErr, r.enabled, r.commutative = TC{}, nil, nil, false, false
 	r.t.Reset()
@@ -163,7 +164,9 @@ func (tc *TC) newRec(clauses []Clause) *taskRec {
 		r.reset() // it may carry poison
 	}
 	r.enabled = true
-	r.t.Accesses = r.acc[:0]
+	if r.t.Accesses == nil {
+		r.t.Accesses = r.acc[:0]
+	}
 	r.t.Owner = r
 	r.t.Parent = tc.ctx
 	r.parent = tc.task

@@ -150,6 +150,25 @@ func BenchmarkSubmitInline(b *testing.B) {
 	})
 }
 
+// BenchmarkSubmitWide spawns on the master TC tasks of six handle accesses —
+// an InOut on one of six datums and In on the other five, in rotation — so
+// that each task's access list, its preds and its predecessors' successor
+// lists all pass their inline buffers. Pooled records keep those arrays,
+// and a datum's reader list is reused, so a spawn allocates nothing.
+func BenchmarkSubmitWide(b *testing.B) {
+	benchSpawn(b, func(rt *ompss.Runtime) func(i int) {
+		var d [6]*ompss.Datum
+		for i := range d {
+			d[i] = rt.Register(new(int64))
+		}
+		tc := rt.Master()
+		return func(i int) {
+			tc.Task(emptyBody, d[i%6].AsInOut(), d[(i+1)%6].AsIn(), d[(i+2)%6].AsIn(),
+				d[(i+3)%6].AsIn(), d[(i+4)%6].AsIn(), d[(i+5)%6].AsIn())
+		}
+	})
+}
+
 // BenchmarkSubmitAPI spawns through the ompss.API interface with a handle's
 // AsInOut clause and a Cost clause built once, the shape of the benchmark's
 // fine-chains program. The interface call makes the []Clause of the spawn
