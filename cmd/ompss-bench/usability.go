@@ -35,7 +35,7 @@ type usabilityRow struct {
 
 // ompssConstructs are the OmpSs-model annotations counted for RunOmpSs.
 var ompssConstructs = map[string]bool{
-	"In": true, "Out": true, "InOut": true, "Commutative": true,
+	"In": true, "Out": true, "InOut": true,
 	"InSized": true, "OutSized": true,
 	"Taskwait": true, "TaskwaitOn": true, "TaskwaitCtx": true, "Critical": true,
 	"Task": true, "Go": true,

@@ -1,6 +1,6 @@
-// Vectorops: per-block data handles, a loop of tasks and a commutative
-// reduction — the OmpSs features beyond the paper's Listing 1, shown on a
-// blocked vector pipeline.
+// Vectorops: per-block data handles, a loop of tasks and a reduction into
+// one shared histogram — the OmpSs features beyond the paper's Listing 1,
+// shown on a blocked vector pipeline.
 //
 // Run with: go run ./examples/vectorops
 //
@@ -8,9 +8,10 @@
 // combine) annotated with one registered handle per block: disjoint blocks
 // parallelize, and stage 3's read of the left neighbour's last element is an
 // In on that neighbour's block, which chains the blocks left to right. A
-// commutative histogram accumulation runs on the side: order-free, mutually
-// exclusive, still ordered against the final reader. The program checks its
-// result against a sequential recomputation and exits non-zero on mismatch.
+// histogram accumulation runs on the side: each block's update is an InOut
+// on the histogram, so the updates chain one after another in program order
+// and the final reader waits for the last. The program checks its result
+// against a sequential recomputation and exits non-zero on mismatch.
 package main
 
 import (
@@ -82,15 +83,15 @@ func main() {
 		}, clauses...)
 	}
 
-	// Side channel: commutative histogram updates (order-free, mutually
-	// exclusive) over the final blocks.
+	// Side channel: histogram updates over the final blocks, chained on the
+	// histogram's handle.
 	for b := 0; b < n/bs; b++ {
 		lo, hi := b*bs, (b+1)*bs
 		rt.Task(func(*ompss.TC) {
 			for i := lo; i < hi; i++ {
 				hist[int(data[i])%len(hist)]++
 			}
-		}, ompss.In(blockD[b]), ompss.Commutative(histD))
+		}, ompss.In(blockD[b]), ompss.InOut(histD))
 	}
 
 	total := new(int)

@@ -73,6 +73,15 @@ func pos(order []*Task, t *Task) int {
 	return -1
 }
 
+func TestModeStrings(t *testing.T) {
+	want := map[Mode]string{In: "in", Out: "out", InOut: "inout", Mode(99): "?"}
+	for m, s := range want {
+		if m.String() != s {
+			t.Errorf("%d.String() = %q, want %q", m, m.String(), s)
+		}
+	}
+}
+
 func TestIndependentTasksAllReady(t *testing.T) {
 	m := newMiniExec(4, true, 1)
 	var tasks []*Task
@@ -481,7 +490,7 @@ func TestDataflowEquivalenceProperty(t *testing.T) {
 			tk.Owner = testBody(func() error {
 				for _, a := range accs {
 					di := indexOf(keys, a.Key)
-					if a.Mode == In || a.Mode == InOut || a.Mode == Commutative {
+					if a.Mode == In || a.Mode == InOut {
 						if *data[di] != expected[di] {
 							ok = false
 						}

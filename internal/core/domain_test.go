@@ -166,3 +166,22 @@ func TestGraphRelease(t *testing.T) {
 	}
 	m.runAll()
 }
+
+// TestReleaseDropsRecord: releasing the domain that interned a key erases
+// the key's dependence history — the next access interns a fresh datum.
+// (An executor releases only drained domains; the engine itself just
+// forgets, so the writer is left in flight here to make the erasure
+// observable.)
+func TestReleaseDropsRecord(t *testing.T) {
+	m := newMiniExec(1, true, 24)
+	dom := &Domain{Scoped: true}
+	x := new(int)
+	m.submit(&Task{Domain: dom, Accesses: []Access{{Key: x, Mode: Out}}})
+	m.g.Release(dom)
+	b := &Task{Accesses: []Access{{Key: x, Mode: Out}}}
+	m.submit(b)
+	if b.NPred() != 0 {
+		t.Fatal("Release should erase the dependence history")
+	}
+	m.runAll()
+}

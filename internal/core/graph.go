@@ -48,18 +48,17 @@ type Datum struct {
 
 // accessors is the dependence record of a datum, or of one instance of a
 // renameable datum: the task that last (program-order) wrote it, and the
-// tasks that read it or commutatively updated it since that write. The
-// record holds a reference on each task it names (Task.Hold) — one per
-// slot, except that a reader which is also the last writer (an InOut)
-// shares the writer's — so a finished task stays readable, and a failed one
-// still hands its error to a later reader, until the record lets go of it.
-// The methods below are the only writers of the slots, so the counting
-// lives here. A full reader or commuter list first sheds the tasks that
-// finished successfully (see shed). Guarded by the owning shard lock.
+// tasks that read it since that write. The record holds a reference on each
+// task it names (Task.Hold) — one per slot, except that a reader which is
+// also the last writer (an InOut) shares the writer's — so a finished task
+// stays readable, and a failed one still hands its error to a later reader,
+// until the record lets go of it. The methods below are the only writers of
+// the slots, so the counting lives here. A full reader list first sheds the
+// tasks that finished successfully (see shed). Guarded by the owning shard
+// lock.
 type accessors struct {
 	lastWriter *Task
 	readers    []*Task
-	commuters  []*Task
 }
 
 // wire adds the dependence edges of t's access in mode against the record,
@@ -68,23 +67,11 @@ func (a *accessors) wire(t *Task, mode Mode, addPred func(*Task)) {
 	switch mode {
 	case In:
 		addPred(a.lastWriter)
-		for _, c := range a.commuters {
-			addPred(c) // commutative updaters may write: RAW
-		}
 		a.addReader(t)
-	case Commutative:
-		addPred(a.lastWriter)
-		for _, r := range a.readers {
-			addPred(r) // WAR against plain readers
-		}
-		a.addCommuter(t)
 	case Out, InOut:
 		addPred(a.lastWriter)
 		for _, r := range a.readers {
 			addPred(r)
-		}
-		for _, c := range a.commuters {
-			addPred(c)
 		}
 		a.setWriter(t)
 		if mode == InOut {
@@ -94,7 +81,7 @@ func (a *accessors) wire(t *Task, mode Mode, addPred func(*Task)) {
 }
 
 // setWriter makes t the last writer, evicting the previous one and every
-// reader and commuter since it.
+// reader since it.
 func (a *accessors) setWriter(t *Task) {
 	t.Hold()
 	a.clear()
@@ -106,34 +93,27 @@ func (a *accessors) addReader(t *Task) {
 		t.Hold()
 	}
 	if len(a.readers) == cap(a.readers) {
-		a.readers = shed(a.readers, a.lastWriter)
+		a.shed()
 	}
 	a.readers = append(a.readers, t)
 }
 
-func (a *accessors) addCommuter(t *Task) {
-	t.Hold()
-	if len(a.commuters) == cap(a.commuters) {
-		a.commuters = shed(a.commuters, nil)
-	}
-	a.commuters = append(a.commuters, t)
-}
-
-// shed unlinks from a full reader or commuter list every task that finished
+// shed unlinks from the full reader list every task that finished
 // successfully, dropping its slot's reference, so a datum read by many
 // short tasks reuses its list instead of growing it. Such a task adds no
 // edge and hands no error to a later accessor, so the edges, Preds and the
 // failure cascade stay as they were; a failed or skipped task stays, for
 // the next writer to inherit its error. A reader that is also the last
-// writer (shared) shares the writer's reference, as in clear. Only a full
-// list is shed, and one left more than half full grows at once, so each
-// shed is paid for by at least half a list of appends since the last one.
-func shed(ts []*Task, shared *Task) []*Task {
+// writer shares the writer's reference, as in clear. Only a full list is
+// shed, and one left more than half full grows at once, so each shed is
+// paid for by at least half a list of appends since the last one.
+func (a *accessors) shed() {
+	ts := a.readers
 	kept := ts[:0]
 	for _, t := range ts {
 		if !t.Finished() || t.outcome != nil {
 			kept = append(kept, t)
-		} else if t != shared {
+		} else if t != a.lastWriter {
 			t.Drop()
 		}
 	}
@@ -141,7 +121,7 @@ func shed(ts []*Task, shared *Task) []*Task {
 	if len(kept) > cap(ts)/2 {
 		kept = slices.Grow(kept, cap(ts))
 	}
-	return kept
+	a.readers = kept
 }
 
 // clear empties the record. The lists are truncated, not dropped: an InOut
@@ -154,12 +134,8 @@ func (a *accessors) clear() {
 			r.Drop()
 		}
 	}
-	for _, c := range a.commuters {
-		c.Drop()
-	}
 	clear(a.readers)
-	clear(a.commuters)
-	a.lastWriter, a.readers, a.commuters = nil, a.readers[:0], a.commuters[:0]
+	a.lastWriter, a.readers = nil, a.readers[:0]
 	if w != nil {
 		w.Drop()
 	}

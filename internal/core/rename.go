@@ -53,13 +53,11 @@ func (v *version) anyUnfinished(self *Task) bool {
 	if w := v.lastWriter; w != nil && w != self && !w.Finished() {
 		return true
 	}
-	return anyUnfinishedIn(v.readers, self) || anyUnfinishedIn(v.commuters, self)
+	return v.anyUnfinishedReader(self)
 }
 
-func (v *version) anyUnfinishedReader(self *Task) bool { return anyUnfinishedIn(v.readers, self) }
-
-func anyUnfinishedIn(ts []*Task, self *Task) bool {
-	for _, t := range ts {
+func (v *version) anyUnfinishedReader(self *Task) bool {
+	for _, t := range v.readers {
 		if t != self && !t.Finished() {
 			return true
 		}
@@ -73,9 +71,6 @@ func anyUnfinishedIn(ts []*Task, self *Task) bool {
 func (v *version) addAccessors(addPred func(*Task)) {
 	addPred(v.lastWriter)
 	for _, t := range v.readers {
-		addPred(t)
-	}
-	for _, t := range v.commuters {
 		addPred(t)
 	}
 }
@@ -241,8 +236,7 @@ func (g *Graph) shouldRename(ch *verChain, t *Task, mode Mode) bool {
 
 // wireChained wires one access of t against a chained datum's current
 // version, renaming write-mode accesses when shouldRename approves. Called
-// with the owning shard lock held. Commutative updaters mutate the current
-// instance in place and keep their ordinary edge semantics.
+// with the owning shard lock held.
 func (g *Graph) wireChained(ch *verChain, t *Task, mode Mode, addPred func(*Task)) {
 	cur := ch.cur
 	if (mode == Out || mode == InOut) && g.shouldRename(ch, t, mode) {
@@ -254,9 +248,6 @@ func (g *Graph) wireChained(ch *verChain, t *Task, mode Mode, addPred func(*Task
 			// keep reading the old instance while this task writes the
 			// new one (seeded by copy-in at first PayloadFor).
 			addPred(cur.lastWriter)
-			for _, c := range cur.commuters {
-				addPred(c)
-			}
 			nv.addReader(t)
 			t.bindRename(ch, cur, nv, true)
 		} else {
@@ -273,7 +264,7 @@ func (g *Graph) wireChained(ch *verChain, t *Task, mode Mode, addPred func(*Task
 	readVID := cur.vid
 	cur.wire(t, mode, addPred)
 	switch mode {
-	case In, Commutative:
+	case In:
 		t.bindRead(ch, cur)
 	case Out, InOut:
 		// The in-place write produces new content in the same payload: the

@@ -21,49 +21,42 @@ func submitDone(tb testing.TB, g *Graph, t *Task, err error) {
 	g.Finish(t, err)
 }
 
-// TestShedBoundsAccessorLists reads (and commutatively updates) one datum
+// TestShedBoundsAccessorLists reads one datum
 // with 10,000 tasks that finish as they go, inflight of them unfinished at
 // a time: the list keeps at most the unfinished ones plus the slack of a
 // list that doubles only while more than half of it is live, and every
 // task shed from it has had its slot's reference dropped.
 func TestShedBoundsAccessorLists(t *testing.T) {
-	for _, mode := range []Mode{In, Commutative} {
-		t.Run(mode.String(), func(t *testing.T) {
-			const n, inflight = 10000, 8
-			g := NewGraph()
-			x := new(int)
-			d := g.Register(x)
-			own := &countOwner{}
-			var live []*Task
-			longest := 0
-			for i := 0; i < n; i++ {
-				r := &Task{Owner: own, Accesses: []Access{{Key: x, Mode: mode, Datum: d}}}
-				if !g.Submit(r) {
-					t.Fatalf("task %d waits on a predecessor", i)
-				}
-				live = append(live, r)
-				if len(live) > inflight {
-					g.Finish(live[0], nil)
-					live = live[1:]
-				}
-				list := d.readers
-				if mode == Commutative {
-					list = d.commuters
-				}
-				longest = max(longest, len(list))
+	t.Run("in", func(t *testing.T) {
+		const n, inflight = 10000, 8
+		g := NewGraph()
+		x := new(int)
+		d := g.Register(x)
+		own := &countOwner{}
+		var live []*Task
+		longest := 0
+		for i := 0; i < n; i++ {
+			r := &Task{Owner: own, Accesses: []Access{{Key: x, Mode: In, Datum: d}}}
+			if !g.Submit(r) {
+				t.Fatalf("task %d waits on a predecessor", i)
 			}
-			if longest > 4*inflight {
-				t.Errorf("the %s list reached %d entries with %d tasks in flight", mode, longest, inflight)
+			live = append(live, r)
+			if len(live) > inflight {
+				g.Finish(live[0], nil)
+				live = live[1:]
 			}
-			if min := n - longest - inflight; own.recycled < min {
-				t.Errorf("%d tasks recycled, want at least %d: a shed task kept its reference", own.recycled, min)
-			}
-		})
-	}
+			longest = max(longest, len(d.readers))
+		}
+		if longest > 4*inflight {
+			t.Errorf("the reader list reached %d entries with %d tasks in flight", longest, inflight)
+		}
+		if min := n - longest - inflight; own.recycled < min {
+			t.Errorf("%d tasks recycled, want at least %d: a shed task kept its reference", own.recycled, min)
+		}
+	})
 }
 
-// TestShedKeepsFailedAccessors fails (or skips) one reader or commutative
-// updater of a datum, then runs enough successful ones after it that the
+// TestShedKeepsFailedAccessors fails (or skips) one reader of a datum, then runs enough successful ones after it that the
 // list sheds several times: the failed one must still be listed, so that
 // the next writer of its domain inherits its error, while a writer of
 // another domain still does not.
@@ -72,22 +65,20 @@ func TestShedKeepsFailedAccessors(t *testing.T) {
 	dom, other := &Domain{ID: 1}, &Domain{ID: 2}
 	for _, c := range []struct {
 		name    string
-		mode    Mode
 		err     error
 		skipped bool
 	}{
-		{"failed reader", In, boom, false},
-		{"skipped reader", In, skip, true},
-		{"failed commuter", Commutative, boom, false},
+		{"failed reader", boom, false},
+		{"skipped reader", skip, true},
 	} {
-		// history gives a fresh datum the failed accessor, then 100
-		// successful ones of the same mode that finish as they go.
+		// history gives a fresh datum the failed reader, then 100
+		// successful ones that finish as they go.
 		history := func(t *testing.T) (*Graph, *Datum) {
 			g := NewGraph()
 			x := new(int)
 			d := g.Register(x)
 			own := &countOwner{}
-			access := []Access{{Key: x, Mode: c.mode, Datum: d}}
+			access := []Access{{Key: x, Mode: In, Datum: d}}
 			bad := &Task{Owner: own, Domain: dom, Label: "bad", Accesses: access}
 			if c.skipped {
 				bad.MarkSkipped()
@@ -96,12 +87,8 @@ func TestShedKeepsFailedAccessors(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				submitDone(t, g, &Task{Owner: own, Domain: dom, Accesses: access}, nil)
 			}
-			list := d.readers
-			if c.mode == Commutative {
-				list = d.commuters
-			}
-			if len(list) > 8 || own.recycled == 0 {
-				t.Fatalf("the list holds %d entries and %d tasks were recycled: nothing was shed", len(list), own.recycled)
+			if len(d.readers) > 8 || own.recycled == 0 {
+				t.Fatalf("the list holds %d entries and %d tasks were recycled: nothing was shed", len(d.readers), own.recycled)
 			}
 			return g, d
 		}

@@ -10,7 +10,7 @@ import (
 
 // TestEngineConcurrentStress drives Graph+Sched the way the native executor
 // does — from real goroutines with no external lock: S submitters wire
-// dependent tasks over shared data with mixed In/Out/InOut/Commutative
+// dependent tasks over shared data with mixed In/Out/InOut
 // accesses while W workers pop, steal, execute, and finish.
 // The invariants checked are the ones a lost race would break: every task
 // runs exactly once, Submitted == Finished, and no ready task is stranded
@@ -31,7 +31,7 @@ func TestEngineConcurrentStress(t *testing.T) {
 	for i := range keys {
 		keys[i] = new(int64)
 	}
-	modes := []Mode{In, Out, InOut, Commutative}
+	modes := []Mode{In, Out, InOut}
 
 	runCount := make([]atomic.Int32, total)
 	var finished atomic.Int64

@@ -38,7 +38,7 @@ import (
 )
 
 // Mode is the dependence mode of one task argument, mirroring the OmpSs
-// pragma clauses input/output/inout (plus the commutative extension).
+// pragma clauses input/output/inout.
 type Mode int
 
 const (
@@ -50,12 +50,6 @@ const (
 	Out
 	// InOut declares the task reads and writes the datum.
 	InOut
-	// Commutative declares the task updates the datum in an order-free
-	// but mutually exclusive way: commutative tasks on the same datum are
-	// unordered among themselves (the executor serializes their bodies
-	// with a per-datum lock), while ordinary readers and writers are
-	// ordered against all of them.
-	Commutative
 )
 
 func (m Mode) String() string {
@@ -66,8 +60,6 @@ func (m Mode) String() string {
 		return "out"
 	case InOut:
 		return "inout"
-	case Commutative:
-		return "commutative"
 	}
 	return "?"
 }
@@ -173,9 +165,9 @@ type Owner interface {
 
 // Hold takes a reference on t for one holder that may touch it after it
 // finishes. The engine holds one per tracker slot that names t (a datum's or
-// an instance's last writer, readers and commuters) and one per task
-// returned by Writers; the executor holds the others. A no-op for a task
-// without an Owner.
+// an instance's last writer and readers) and one per task returned by
+// Writers; the executor holds the others. A no-op for a task without an
+// Owner.
 func (t *Task) Hold() {
 	if t.Owner != nil {
 		t.refs.Add(1)

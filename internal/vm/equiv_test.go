@@ -163,7 +163,7 @@ func suiteCases(t testing.TB) []streamCase {
 
 // lifecycleCases are small programs on 4 cores that reach the task-lifecycle
 // paths c-ray and h264dec do not: admission backpressure and a session Close
-// that drains by skipping, named and commutative locks, a cancellation drain,
+// that drains by skipping, nested named locks, a cancellation drain,
 // a chunked loop beside a renamed datum, nested spawn + taskwait, an
 // inline task, and recorder emission (which must not move virtual time:
 // observedTwin checks the pair).
@@ -194,9 +194,11 @@ func lifecycleCases() []streamCase {
 		var sum, hits int
 		for i := 0; i < 24; i++ {
 			rt.Task(func(tc *ompss.TC) {
-				sum += i
-				tc.Critical("hits", func() { hits++; tc.Compute(3 * us) })
-			}, ompss.Commutative(&sum), ompss.Cost(time.Duration(10+i%4)*us))
+				tc.Critical("sum", func() {
+					sum += i
+					tc.Critical("hits", func() { hits++; tc.Compute(3 * us) })
+				})
+			}, ompss.Cost(time.Duration(10+i%4)*us))
 		}
 		rt.Taskwait()
 	}

@@ -50,10 +50,9 @@ func access(k any, m core.Mode, bytes int64) core.Access {
 	return core.Access{Key: k, Mode: m, Bytes: bytes}
 }
 
-// accesses is the clause of In, Out, InOut and Commutative. The record never
-// keeps the variadic slice itself, so that slice stays on the caller's
-// stack: one key, the usual case, moves into the record, and several are
-// copied.
+// accesses is the clause of In, Out and InOut. The record never keeps the
+// variadic slice itself, so that slice stays on the caller's stack: one key,
+// the usual case, moves into the record, and several are copied.
 func accesses(m core.Mode, keys []any) Clause {
 	if len(keys) == 1 {
 		return Clause{&clause{op: opKey, mode: m, key: keys[0]}}
@@ -74,16 +73,6 @@ func Out(keys ...any) Clause { return accesses(core.Out, keys) }
 // InOut declares read-write (inout) dependences on the given keys (raw keys
 // or *Datum handles).
 func InOut(keys ...any) Clause { return accesses(core.InOut, keys) }
-
-// Commutative declares order-free but mutually exclusive updates (the OmpSs
-// commutative extension): commutative tasks on the same key may execute in
-// any order but never simultaneously — the runtime serializes their bodies
-// with a per-key lock — while ordinary readers and writers are ordered
-// against all of them. Keys may be raw keys or *Datum handles. Declaration
-// order does not matter: the runtime acquires multi-key lock sets in a
-// globally consistent order, so tasks listing the same keys in different
-// orders cannot deadlock.
-func Commutative(keys ...any) Clause { return accesses(core.Commutative, keys) }
 
 // InSized is In with a byte footprint for the simulated memory model.
 func InSized(key any, bytes int64) Clause {
@@ -128,10 +117,8 @@ func (r *taskRec) apply(c *clause) {
 		for _, k := range c.key.([]any) {
 			r.t.Accesses = append(r.t.Accesses, access(k, c.mode, 0))
 		}
-		r.commutative = r.commutative || c.mode == core.Commutative
 	case opKey:
 		r.t.Accesses = append(r.t.Accesses, access(c.key, c.mode, c.n))
-		r.commutative = r.commutative || c.mode == core.Commutative
 	case opCost:
 		r.t.CPUCost = c.n
 	case opPriority:

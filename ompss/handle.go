@@ -12,8 +12,8 @@ import (
 // Datum is a pre-registered data handle: the clause-expression analogue of
 // the paper's compiler-resolved dependence expressions. Registering a key
 // (Runtime.Register) interns it once into its dependence record, so every
-// later In/Out/InOut/Commutative clause built from the handle reaches the
-// record with no lookup on the submit hot path. Pass a *Datum anywhere a
+// later In/Out/InOut clause built from the handle reaches the record with
+// no lookup on the submit hot path. Pass a *Datum anywhere a
 // dependence key is accepted — the clause constructors and TaskwaitOn
 // recognize it. Raw any-key clauses remain supported as sugar: the runtime
 // interns the key at submission into the same record, so handle-based and

@@ -316,22 +316,88 @@ func TestCancellationDrainsBySkipping(t *testing.T) {
 	}
 }
 
-func TestCommutativePanicReleasesLocks(t *testing.T) {
-	// Regression: a panic inside a commutative body must not leak the
-	// per-key locks (they are released via defer), or every later
-	// commutative task on the key would deadlock.
+func TestTaskPanicBecomesHandleError(t *testing.T) {
 	rt := New(Workers(2))
 	defer rt.Shutdown()
-	x, y := new(int), new(int)
-	bad := rt.Master().Go(func(*TC) error { panic("boom") }, Commutative(x, y))
-	after := rt.Master().Go(func(*TC) error { *x++; return nil }, Commutative(x, y))
+	x := new(int)
+	h := rt.Master().Go(func(*TC) error { panic("boom") }, Label("bad"), Out(x))
+	dep := rt.Master().Go(func(*TC) error { return nil }, In(x)) // dependent of the panicker
 	rt.Taskwait()
 	var tp *TaskPanic
-	if !errors.As(bad.Err(), &tp) {
-		t.Fatalf("bad err = %v", bad.Err())
+	if err := h.Err(); !errors.As(err, &tp) {
+		t.Fatalf("Handle.Err = %v, want *TaskPanic", err)
 	}
-	if after.Err() != nil || *x != 1 {
-		t.Fatalf("commutative task after panic: err=%v x=%d", after.Err(), *x)
+	if tp.Label != "bad" || tp.Value != "boom" {
+		t.Fatalf("panic details: %+v", tp)
+	}
+	// The dependent is released without running, its error wraps the
+	// panic, and the graph drains.
+	if err := dep.Err(); !errors.Is(err, ErrSkipped) || !errors.As(err, &tp) {
+		t.Fatalf("dependent err = %v, want skip wrapping the panic", err)
+	}
+	if err := rt.Err(); !errors.As(err, &tp) {
+		t.Fatalf("Runtime.Err = %v, want the panic", err)
+	}
+}
+
+func TestUnobservedPanicResurfacesAtShutdown(t *testing.T) {
+	// The safety valve: a program that never consults the error surface
+	// still crashes loudly when a task panicked.
+	rt := New(Workers(2))
+	rt.Task(func(*TC) { panic("boom") }, Label("bad"))
+	rt.Taskwait()
+	defer func() {
+		tp, ok := recover().(*TaskPanic)
+		if !ok || tp.Value != "boom" {
+			t.Fatalf("Shutdown should re-panic with *TaskPanic, got %v", tp)
+		}
+	}()
+	rt.Shutdown()
+	t.Fatal("Shutdown should have panicked")
+}
+
+func TestTaskPanicSurfacesAsSimError(t *testing.T) {
+	_, err := RunSim(machine.Paper(4), func(rt *Runtime) {
+		rt.Task(func(*TC) { panic("sim-boom") }, Label("bad"))
+		// No explicit taskwait: the implicit shutdown drain captures it.
+	})
+	var tp *TaskPanic
+	if !errors.As(err, &tp) {
+		t.Fatalf("RunSim error = %v, want *TaskPanic", err)
+	}
+	if tp.Value != "sim-boom" {
+		t.Fatalf("panic value %v", tp.Value)
+	}
+}
+
+// TestCommutativePanicReleasesLocks keeps the two-lock leg of the retired
+// commutative clause's panic regression, on nested Critical sections: a
+// body that panics while it holds two named locks must release both, or
+// every later task entering either section would deadlock.
+func TestCommutativePanicReleasesLocks(t *testing.T) {
+	rt := New(Workers(2))
+	x := 0
+	bad := rt.Master().Go(func(tc *TC) error {
+		tc.Critical("x", func() { tc.Critical("y", func() { panic("boom") }) })
+		return nil
+	})
+	rt.Taskwait()
+	after := rt.Master().Go(func(tc *TC) error {
+		tc.Critical("x", func() { tc.Critical("y", func() { x++ }) })
+		return nil
+	})
+	select {
+	case <-after.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("task after the panic never entered the sections: a lock leaked")
+	}
+	defer rt.Shutdown()
+	var tp *TaskPanic
+	if !errors.As(bad.Err(), &tp) {
+		t.Fatalf("bad err = %v, want a *TaskPanic", bad.Err())
+	}
+	if after.Err() != nil || x != 1 {
+		t.Fatalf("critical task after panic: err=%v x=%d", after.Err(), x)
 	}
 }
 

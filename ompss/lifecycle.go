@@ -6,6 +6,7 @@ import (
 
 	"ompssgo/internal/core"
 	"ompssgo/internal/obs"
+	"ompssgo/internal/vm"
 )
 
 // cost names what the lifecycle charges to the executing thread. Natively
@@ -69,6 +70,14 @@ type clock interface {
 	cancelWake()
 }
 
+// rtLock is the lock of a Critical section: host is taken by a goroutine
+// natively, virt by a virtual thread under simulation (see the clock's
+// lock/unlock); a runtime only ever uses one of the two.
+type rtLock struct {
+	host sync.Mutex
+	virt vm.Mutex
+}
+
 // lifecycle is the life of a task — submit → dispatch → run → finish → wait —
 // written once over the shared engine (internal/core) and the clock. With
 // Workers(n), n−1 dedicated workers run lanes 0..n−2 and the program's
@@ -92,9 +101,10 @@ type lifecycle struct {
 	// unbounded). Built once, so a throttled spawn allocates no predicate.
 	room func() bool
 
-	locks lockTable // Critical names and Commutative keys
-	stop  atomic.Bool
-	drain sync.Once
+	locksMu sync.Mutex         // guards locks, never held while bodies run
+	locks   map[string]*rtLock // Critical sections, each made at its name's first use
+	stop    atomic.Bool
+	drain   sync.Once
 }
 
 func newLifecycle(rt *Runtime, cfg config, clk clock, virtual bool) *lifecycle {
@@ -310,35 +320,23 @@ func (l *lifecycle) taskwaitOn(from *TC, keys []any) {
 	}
 }
 
-// critName keys a Critical section's lock in the table Commutative keys share.
-type critName string
-
-// critical runs f under the named lock: one lock, so no rank order to
-// resolve and nothing allocated per call.
+// critical runs f under the named lock; only a name's first use allocates.
 func (l *lifecycle) critical(from *TC, name string, f func()) {
-	lane, m := from.worker, l.locks.named(name)
-	l.clk.lock(lane, m)
-	// Deferred so a panicking f cannot leak the lock (see commutative).
-	defer l.clk.unlock(lane, m)
-	f()
-}
-
-// commutative runs f holding the lock of every listed key, acquired in
-// ascending rank order (see lockTable), released in reverse. Under
-// simulation execution is serialized, but virtual threads still block on
-// the locks, so the same ordering discipline applies.
-func (l *lifecycle) commutative(from *TC, keys []any, f func()) {
-	lane, held := from.worker, l.locks.resolve(keys)
-	for _, m := range held {
-		l.clk.lock(lane, m)
-	}
-	// Deferred so a panicking body (recovered into a task error above us)
-	// cannot leak the locks and deadlock every later user of them.
-	defer func() {
-		for i := len(held) - 1; i >= 0; i-- {
-			l.clk.unlock(lane, held[i])
+	l.locksMu.Lock()
+	m := l.locks[name]
+	if m == nil {
+		if l.locks == nil {
+			l.locks = make(map[string]*rtLock)
 		}
-	}()
+		m = new(rtLock)
+		l.locks[name] = m
+	}
+	l.locksMu.Unlock()
+	lane := from.worker
+	l.clk.lock(lane, m)
+	// Deferred so a panicking f (recovered into a task error above us)
+	// cannot leak the lock and deadlock every later user of it.
+	defer l.clk.unlock(lane, m)
 	f()
 }
 

@@ -180,6 +180,24 @@ func TestNativeCriticalMutualExclusion(t *testing.T) {
 	}
 }
 
+// TestCommutativeMutualExclusion keeps the guarantee of the retired
+// commutative clause on what its accumulators declare now, InOut (as the
+// vectorops histogram does): 200 unsynchronized updates of one counter on
+// 4 workers do not race, because the dependence chain orders the bodies,
+// and every one of them lands.
+func TestCommutativeMutualExclusion(t *testing.T) {
+	rt := New(Workers(4))
+	defer rt.Shutdown()
+	counter := 0
+	for i := 0; i < 200; i++ {
+		rt.Task(func(*TC) { counter++ }, InOut(&counter))
+	}
+	rt.Taskwait()
+	if counter != 200 {
+		t.Fatalf("inout counter = %d, want 200", counter)
+	}
+}
+
 // TestCriticalPanicReleasesLock pins the fix for the h264dec pipeline hang:
 // a body that panics inside a named critical section becomes a *TaskPanic,
 // and the critical lock must be released on the way out — a later task

@@ -32,7 +32,7 @@ func TestRecordResetCoversEveryField(t *testing.T) {
 	for i := 0; i < typ.NumField(); i++ {
 		names = append(names, typ.Field(i).Name)
 	}
-	if got, want := fmt.Sprint(names), "[tc body bodyErr enabled commutative t h parent ctx acc drained]"; got != want {
+	if got, want := fmt.Sprint(names), "[tc body bodyErr enabled t h parent ctx acc drained]"; got != want {
 		t.Fatalf("taskRec fields %s, want %s: clear the new field in reset and update this list", got, want)
 	}
 
@@ -41,7 +41,7 @@ func TestRecordResetCoversEveryField(t *testing.T) {
 	var x, y, z int
 	d := rt.Register(&x)
 	// Four accesses: one more than acc holds, so the access list grows.
-	r := rt.main.newRec([]Clause{InOut(d), Commutative(&x), In(&y, &z), Label("l"), Priority(2), Cost(5)})
+	r := rt.main.newRec([]Clause{InOut(d), Out(&x), In(&y, &z), Label("l"), Priority(2), Cost(5)})
 	r.body = func(*TC) {}
 	r.bodyErr = func(*TC) error { return nil }
 	r.parent = &r.t

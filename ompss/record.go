@@ -22,9 +22,9 @@ import (
 //     last time;
 //   - the executing lane, from submission until runTask's last use of it;
 //   - every slot of the dependence tracker that names the task (a datum's
-//     or an instance's last writer, readers and commuters), until the slot
-//     lets go of it — so a failed predecessor stays readable for a later
-//     reader that inherits its error;
+//     or an instance's last writer and readers), until the slot lets go
+//     of it — so a failed predecessor stays readable for a later reader
+//     that inherits its error;
 //   - each unfinished child, whose Parent points into the record's ctx;
 //   - each taskwait on a key, for the writers it waits for.
 //
@@ -35,11 +35,10 @@ type taskRec struct {
 	// first and together.
 	tc TC // what the body receives: tc.ctx is &ctx, tc.task is &t
 	// Exactly one is set: Task spawns body, Go spawns bodyErr.
-	body        func(*TC)
-	bodyErr     func(*TC) error
-	enabled     bool // If clause: false runs the task inline in the spawner
-	commutative bool // some access is Commutative: exec takes the key locks
-	t           core.Task
+	body    func(*TC)
+	bodyErr func(*TC) error
+	enabled bool // If clause: false runs the task inline in the spawner
+	t       core.Task
 
 	h      *Handle        // Go's future; nil for a Task, which returns none
 	parent *core.Task     // the spawning task (nil at a master): held while t is unfinished
@@ -125,7 +124,7 @@ func putRec(r *taskRec) {
 // (a grown access list among them, which newRec then fills instead of acc),
 // so a pooled record pins no body, key, domain or handle.
 func (r *taskRec) reset() {
-	r.tc, r.body, r.bodyErr, r.enabled, r.commutative = TC{}, nil, nil, false, false
+	r.tc, r.body, r.bodyErr, r.enabled = TC{}, nil, nil, false
 	r.t.Reset()
 	r.h, r.parent, r.ctx, r.acc = nil, nil, core.Context{}, [3]core.Access{}
 }
@@ -192,33 +191,13 @@ func (tc *TC) newRec(clauses []Clause) *taskRec {
 	return r
 }
 
-// exec runs the body on the record's own context, under the commutative
-// locks its accesses call for.
+// exec runs the body on the record's own context.
 func (r *taskRec) exec() error {
-	if r.commutative {
-		if keys := commutativeKeys(r.t.Accesses); len(keys) > 0 {
-			return r.execCommutative(keys)
-		}
-	}
-	return r.call()
-}
-
-func (r *taskRec) call() error {
 	if r.bodyErr != nil {
 		return r.bodyErr(&r.tc)
 	}
 	r.body(&r.tc)
 	return nil
-}
-
-// execCommutative is exec's slow path, apart so that the closure (and the
-// err it captures, which escapes) costs the common path nothing. The
-// lifecycle acquires the per-key locks in a globally consistent order (see
-// lifecycle.commutative), so tasks declaring the same keys in different
-// clause orders cannot deadlock.
-func (r *taskRec) execCommutative(keys []any) (err error) {
-	r.tc.rt.lc.commutative(&r.tc, keys, func() { err = r.call() })
-	return err
 }
 
 // run dispatches a deferred task on the lane MarkRunning recorded: the one
@@ -241,14 +220,3 @@ func (r *taskRec) run() (err error) {
 // refusal, accepted because only a refused spawn pays it. Nothing reports a
 // refused Task: it was spawned into a closed or cancelled session.
 func (r *taskRec) refuse(cause error) { r.Settle(&SkipError{Label: r.t.Label, Cause: cause}) }
-
-// commutativeKeys collects the keys of a task's Commutative accesses.
-func commutativeKeys(accesses []core.Access) []any {
-	var keys []any
-	for _, a := range accesses {
-		if a.Mode == core.Commutative {
-			keys = append(keys, a.Key)
-		}
-	}
-	return keys
-}

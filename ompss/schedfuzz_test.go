@@ -3,7 +3,7 @@ package ompss_test
 // Schedule fuzzing: seeded random task DAGs run under both backends across
 // many schedules (worker counts, wait modes, policy knobs, RNG seeds),
 // asserting — inside the task bodies — that the runtime established
-// happens-before for every In/Out and commutative pair, and — after the
+// happens-before for every In/Out pair, and — after the
 // drain — that the final state is identical across every schedule and equal
 // to the sequential model.
 //
@@ -29,7 +29,6 @@ const (
 	fzIn = iota
 	fzOut
 	fzInOut
-	fzCommutative
 )
 
 type fuzzAccess struct {
@@ -37,12 +36,8 @@ type fuzzAccess struct {
 	mode int
 	// expectVal is the value the task must observe in vals[key]: the write
 	// index of its program-order last writer (checked for every mode — all
-	// four are ordered after the last writer).
+	// three are ordered after the last writer).
 	expectVal int64
-	// expectComm is the commutative-increment count the task must observe
-	// in comms[key]; -1 for commutative accesses (unordered among
-	// themselves, so the intermediate count is schedule-dependent).
-	expectComm int64
 	// writeVal is the value a writer stores into vals[key]; 0 for readers.
 	writeVal int64
 }
@@ -54,16 +49,16 @@ type fuzzTask struct {
 
 // fuzzProg is one generated program: groups are submitted in order, task by
 // task, so program order equals generation order. (Groups of several tasks
-// date from a bulk-submission API, and a key draw per third task from a
-// retired placement hint; the generator keeps drawing both so each seed
-// still builds the DAG it always built.)
+// date from a bulk-submission API, a key draw per third task from a
+// retired placement hint, and a fourth mode draw from a retired access mode,
+// now an InOut; the generator keeps drawing all three so each seed still
+// builds its keys and task count.)
 type fuzzProg struct {
-	seed      int64
-	nKeys     int
-	groups    [][]fuzzTask
-	finalVal  []int64 // model: last write index per key
-	finalComm []int64 // model: commutative task count per key
-	nTasks    int
+	seed     int64
+	nKeys    int
+	groups   [][]fuzzTask
+	finalVal []int64 // model: last write index per key
+	nTasks   int
 }
 
 // genProg deterministically generates the program for a seed, truncated to
@@ -75,7 +70,6 @@ func genProg(seed int64, maxGroups int) *fuzzProg {
 		nKeys: 3 + rng.Intn(5),
 	}
 	lastVal := make([]int64, p.nKeys)
-	commCnt := make([]int64, p.nKeys)
 	widx := make([]int64, p.nKeys)
 	nGroups := 12 + rng.Intn(14)
 	if nGroups > maxGroups {
@@ -103,18 +97,12 @@ func genProg(seed int64, maxGroups int) *fuzzProg {
 					continue
 				}
 				used[k] = true
-				acc := fuzzAccess{key: k, mode: rng.Intn(4), expectVal: lastVal[k]}
-				switch acc.mode {
-				case fzIn:
-					acc.expectComm = commCnt[k]
-				case fzOut, fzInOut:
-					acc.expectComm = commCnt[k]
+				// A draw of 3, the retired mode, is an InOut.
+				acc := fuzzAccess{key: k, mode: min(rng.Intn(4), fzInOut), expectVal: lastVal[k]}
+				if acc.mode != fzIn {
 					widx[k]++
 					acc.writeVal = widx[k]
 					lastVal[k] = widx[k]
-				case fzCommutative:
-					acc.expectComm = -1
-					commCnt[k]++
 				}
 				t.accesses = append(t.accesses, acc)
 			}
@@ -124,7 +112,6 @@ func genProg(seed int64, maxGroups int) *fuzzProg {
 		p.groups = append(p.groups, group)
 	}
 	p.finalVal = lastVal
-	p.finalComm = commCnt
 	return p
 }
 
@@ -132,8 +119,7 @@ func genProg(seed int64, maxGroups int) *fuzzProg {
 // each cell on its own cache line so the only cross-task interactions are
 // the intended ones.
 type fuzzCells struct {
-	vals  []paddedCell
-	comms []paddedCell
+	vals []paddedCell
 
 	mu         sync.Mutex
 	violations []string
@@ -145,7 +131,7 @@ type paddedCell struct {
 }
 
 func newFuzzCells(nKeys int) *fuzzCells {
-	return &fuzzCells{vals: make([]paddedCell, nKeys), comms: make([]paddedCell, nKeys)}
+	return &fuzzCells{vals: make([]paddedCell, nKeys)}
 }
 
 func (c *fuzzCells) violate(format string, args ...any) {
@@ -164,17 +150,8 @@ func (c *fuzzCells) body(t fuzzTask, taskIdx int) func(*ompss.TC) {
 				c.violate("task %d key %d (%d): saw write %d, program order requires %d",
 					taskIdx, a.key, a.mode, got, a.expectVal)
 			}
-			if a.expectComm >= 0 {
-				if got := c.comms[a.key].v; got != a.expectComm {
-					c.violate("task %d key %d (%d): saw %d commutative updates, program order requires %d",
-						taskIdx, a.key, a.mode, got, a.expectComm)
-				}
-			}
-			switch a.mode {
-			case fzOut, fzInOut:
+			if a.mode != fzIn {
 				c.vals[a.key].v = a.writeVal
-			case fzCommutative:
-				c.comms[a.key].v++ // mutual exclusion is the runtime's job
 			}
 		}
 	}
@@ -192,8 +169,6 @@ func fuzzClauses(t fuzzTask, keys []*ompss.Datum) []ompss.Clause {
 			cl = append(cl, ompss.Out(keys[a.key]))
 		case fzInOut:
 			cl = append(cl, ompss.InOut(keys[a.key]))
-		case fzCommutative:
-			cl = append(cl, ompss.Commutative(keys[a.key]))
 		}
 	}
 	if t.priority > 0 {
@@ -240,9 +215,6 @@ func (c *fuzzCells) checkFinal(p *fuzzProg) {
 	for k := 0; k < p.nKeys; k++ {
 		if c.vals[k].v != p.finalVal[k] {
 			c.violate("final vals[%d] = %d, model %d", k, c.vals[k].v, p.finalVal[k])
-		}
-		if c.comms[k].v != p.finalComm[k] {
-			c.violate("final comms[%d] = %d, model %d", k, c.comms[k].v, p.finalComm[k])
 		}
 	}
 }
@@ -418,28 +390,22 @@ func TestScheduleFuzz(t *testing.T) {
 // bodyVersioned is the rename-aware task body: accesses resolve their
 // bound instance through tc.Data, so the same program is value-correct
 // whether or not the runtime renames. Two checks are dropped relative to
-// body, because renaming legitimately invalidates them: an Out writer
-// starts on a fresh private instance (there is no prior value for it to
-// observe), and commutative-counter expectations order across instances
-// (readers of an old instance are deliberately unordered against updaters
-// of a newer one). The final-state check in checkFinal — canonical values
-// after writeback against the sequential model — covers both modes.
+// body, because renaming legitimately invalidates it: an Out writer starts
+// on a fresh private instance (there is no prior value for it to observe).
+// The final-state check in checkFinal — canonical values after writeback
+// against the sequential model — covers both modes.
 func (c *fuzzCells) bodyVersioned(t fuzzTask, taskIdx int, keys []*ompss.Datum) func(*ompss.TC) {
 	return func(tc *ompss.TC) {
 		for _, a := range t.accesses {
 			cell := tc.Data(keys[a.key]).(*paddedCell)
-			switch a.mode {
-			case fzIn, fzInOut, fzCommutative:
+			if a.mode != fzOut {
 				if got := cell.v; got != a.expectVal {
 					c.violate("task %d key %d (%d): saw write %d, program order requires %d",
 						taskIdx, a.key, a.mode, got, a.expectVal)
 				}
 			}
-			switch a.mode {
-			case fzOut, fzInOut:
+			if a.mode != fzIn {
 				cell.v = a.writeVal
-			case fzCommutative:
-				c.comms[a.key].v++ // mutual exclusion is the runtime's job
 			}
 		}
 	}
@@ -486,7 +452,7 @@ func runRenameSchedule(p *fuzzProg, sc fuzzSchedule, renaming bool) (violations 
 	}
 	cells.checkFinal(p)
 	for k := 0; k < p.nKeys; k++ {
-		finals = append(finals, cells.vals[k].v, cells.comms[k].v)
+		finals = append(finals, cells.vals[k].v)
 	}
 	cells.mu.Lock()
 	defer cells.mu.Unlock()

@@ -1,6 +1,7 @@
 package ompss
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -276,25 +277,70 @@ func TestSimBlockingTaskwaitOnSingleWorker(t *testing.T) {
 	}
 }
 
+// TestSimCriticalSerializes runs 16 tasks of 200µs critical work on 8
+// cores: under one name they serialize, and each under its own name they
+// overlap, finishing in under a quarter of the one-name makespan — the
+// locks are per name, not one global lock.
 func TestSimCriticalSerializes(t *testing.T) {
-	st, err := RunSim(machine.Paper(8), func(rt *Runtime) {
-		counter := 0
-		for i := 0; i < 16; i++ {
-			rt.Task(func(tc *TC) {
-				tc.Critical("c", func() { counter++; tc.Compute(200 * time.Microsecond) })
-			}, Cost(10*time.Microsecond))
+	run := func(oneName bool) time.Duration {
+		st, err := RunSim(machine.Paper(8), func(rt *Runtime) {
+			counter := 0
+			for i := 0; i < 16; i++ {
+				name := "c"
+				if !oneName {
+					name = fmt.Sprint("c", i)
+				}
+				rt.Task(func(tc *TC) {
+					tc.Critical(name, func() { counter++; tc.Compute(200 * time.Microsecond) })
+				}, Cost(10*time.Microsecond))
+			}
+			rt.Taskwait()
+			if counter != 16 {
+				t.Errorf("counter = %d, want 16", counter)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		rt.Taskwait()
-		if counter != 16 {
-			t.Errorf("counter = %d, want 16", counter)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
+		return st.Makespan
 	}
+	one, distinct := run(true), run(false)
 	// 16 × 200µs of serialized critical work bounds the makespan below.
-	if st.Makespan < 3200*time.Microsecond {
-		t.Fatalf("critical sections did not serialize: makespan %v", st.Makespan)
+	if one < 3200*time.Microsecond {
+		t.Fatalf("critical sections did not serialize: makespan %v", one)
+	}
+	if distinct*4 >= one {
+		t.Fatalf("distinct names should not exclude each other: one name %v, distinct names %v", one, distinct)
+	}
+}
+
+// TestCommutativeSimOverlapsDistinctKeys keeps the overlap check of the
+// retired commutative clause on what its callers declare now, InOut: in
+// the simulator, 8 tasks of 1ms on distinct keys run in parallel and on
+// one key they serialize, so the one-key makespan is at least 4× the
+// distinct-key one.
+func TestCommutativeSimOverlapsDistinctKeys(t *testing.T) {
+	run := func(sameKey bool) time.Duration {
+		st, err := RunSim(machine.Paper(8), func(rt *Runtime) {
+			keys := make([]int, 8)
+			for i := range keys {
+				k := &keys[0]
+				if !sameKey {
+					k = &keys[i]
+				}
+				rt.Task(func(tc *TC) { tc.Compute(time.Millisecond) },
+					InOut(k), Cost(time.Microsecond))
+			}
+			rt.Taskwait()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Makespan
+	}
+	same, distinct := run(true), run(false)
+	if float64(same)/float64(distinct) < 4 {
+		t.Fatalf("same-key tasks should serialize and distinct keys overlap: same=%v distinct=%v", same, distinct)
 	}
 }
 

@@ -10,14 +10,14 @@ import (
 // TestNativeConcurrentSubmitStress hits the executor from many goroutines
 // at once — the deployment shape of a server embedding the runtime: N
 // goroutines share the master TC, each submitting dependent task chains
-// with mixed In/Out/InOut/Commutative accesses, interleaved with shared
-// commutative accumulation, then all of them taskwait together. This
+// with mixed In/Out/InOut accesses, interleaved with a shared accumulation
+// under a Critical section, then all of them taskwait together. This
 // exercises lane aliasing (several threads popping the master lane — the
 // scheduler's TryLock spill path), submit-vs-finish release races, and the
 // sharded dependence tracker under cross-goroutine key sharing.
 //
 // Invariants: every per-goroutine InOut chain observes strictly sequential
-// updates (ordering), the commutative total is exact (mutual exclusion +
+// updates (ordering), the critical total is exact (mutual exclusion +
 // no lost tasks), and the graph drains to Submitted == Finished with no
 // ready task stranded (no lost releases). Run under -race in CI.
 func TestNativeConcurrentSubmitStress(t *testing.T) {
@@ -30,7 +30,7 @@ func TestNativeConcurrentSubmitStress(t *testing.T) {
 			rt := New(Workers(workers))
 			defer rt.Shutdown()
 
-			shared := new(int64) // commutative accumulator
+			shared := new(int64) // accumulator, updated under Critical
 			config := new(int64) // read-only datum, In from everyone
 			*config = 7
 			chains := make([]*int64, nGoroutines)
@@ -56,10 +56,10 @@ func TestNativeConcurrentSubmitStress(t *testing.T) {
 							}
 							*c++
 						}, InOut(c), In(config))
-						// Commutative accumulation across goroutines.
-						rt.Task(func(*TC) {
-							*shared += *config
-						}, Commutative(shared), In(config))
+						// Critical accumulation across goroutines.
+						rt.Task(func(tc *TC) {
+							tc.Critical("shared", func() { *shared += *config })
+						}, In(config))
 						// Independent read, Out to a private slot.
 						rt.Task(func(*TC) {
 							reads.Add(*config / 7)
@@ -82,7 +82,7 @@ func TestNativeConcurrentSubmitStress(t *testing.T) {
 				}
 			}
 			if want := int64(nGoroutines * chainLen * 7); *shared != want {
-				t.Fatalf("commutative total %d, want %d", *shared, want)
+				t.Fatalf("critical total %d, want %d", *shared, want)
 			}
 			if got, want := reads.Load(), int64(nGoroutines*chainLen); got != want {
 				t.Fatalf("independent reads %d, want %d", got, want)

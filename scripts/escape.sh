@@ -6,7 +6,7 @@
 # A clause built in the call to a concrete *TC's Task or Go costs
 # no allocation only while the compiler inlines its constructor and proves
 # that the clause record (&ompss.clause{...}) and the variadic key slice of
-# In/Out/InOut/Commutative do not outlive the call. An interface call, a
+# In/Out/InOut do not outlive the call. An interface call, a
 # clause appended to a slice, or a constructor that stops inlining puts them
 # back on the heap, once per spawn. So the script reads the escape analysis
 # of `go build -gcflags=-m` and fails when
@@ -22,7 +22,7 @@ set -eu
 cd "$(dirname "$0")/.."
 GO=${GO:-go}
 
-ctors='In Out InOut Commutative InSized OutSized Cost Priority Label If'
+ctors='In Out InOut InSized OutSized Cost Priority Label If'
 out=$($GO build -gcflags=-m ./ompss 2>&1) || { echo "$out" >&2; exit 1; }
 for c in $ctors; do
 	echo "$out" | grep -Eq "^ompss/clause\.go:[0-9]+:[0-9]+: can inline $c\$" ||
@@ -32,7 +32,7 @@ done
 out=$($GO build -gcflags=-m ./internal/suite/... 2>&1) || { echo "$out" >&2; exit 1; }
 sites=$(echo "$out" | awk '
 	{ at = $0; sub(/: .*/, "", at) }
-	/: inlining call to ompss\.(In|Out|InOut|Commutative)$/ { variadic[at] = 1 }
+	/: inlining call to ompss\.(In|Out|InOut)$/ { variadic[at] = 1 }
 	/: &ompss\.clause\{\.\.\.\} escapes to heap$/ { esc[at] = 1 }
 	/: \.\.\. argument escapes to heap$/ { arg[at] = 1 }
 	END {
