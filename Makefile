@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test equiv census flake race bench bench-submit alloc-budget escape pairs lint lint-lifecycle lint-core lint-dist trace dist-trace serve serve-smoke dist-race fuzz-frames soak ci
+.PHONY: all build test equiv census flake race bench bench-submit alloc-budget escape pairs layout lint lint-lifecycle lint-core lint-dist trace dist-trace serve serve-smoke dist-race fuzz-frames soak ci
 
 all: build test
 
@@ -94,6 +94,14 @@ SEEDS ?= 1
 METRIC ?= bytes_moved
 pairs:
 	sh scripts/pairs.sh '$(BASE)' '$(W)' '$(N)' '$(SEEDS)' '$(METRIC)'
+
+# Code layout of the benchmark binary at BASE beside the working tree: the
+# first text address mod 64 of internal/core, ompss, internal/vm, the md5
+# and rotate kernels and main (scripts/layout.sh; writes nothing here). Run
+# it before believing a reference-ratio or setup_s move the diff cannot
+# reach. Example: make layout BASE=HEAD~1
+layout:
+	sh scripts/layout.sh '$(BASE)'
 
 # Profile one suite app with the observability recorder attached: record a
 # raw trace, print the analyzer report (parallelism profile, critical path,

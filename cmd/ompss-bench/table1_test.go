@@ -131,7 +131,7 @@ func TestAblationsSmall(t *testing.T) {
 // TestLocalityBeatsFIFOOnRayRot pins the mechanism the paper's §4 credits
 // for ray-rot's OmpSs lead: on the 32-core machine the Default workload
 // finishes sooner when a released rotate runs on the core that rendered its
-// frame than when it joins the global FIFO. Virtual time, so the verdict is
+// frame than when it joins the shared FIFO. Virtual time, so the verdict is
 // deterministic.
 func TestLocalityBeatsFIFOOnRayRot(t *testing.T) {
 	in := srayrot.New(srayrot.Default())

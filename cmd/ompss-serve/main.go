@@ -20,7 +20,7 @@
 //	    smoke counts it as refused and waits as asked
 //
 // Tenancy: requests carry X-Tenant: gold|silver|bronze; the server maps the
-// class onto the scheduler's priority lanes via the session's Tenant option.
+// class onto the scheduler's priority levels via the session's Tenant option.
 package main
 
 import (

@@ -7,9 +7,8 @@ import "sync/atomic"
 // steal the oldest task from the top. All operations are lock-free; only
 // the last-element pop and every steal synchronize, through one CAS on
 // `top`. Owner operations (pushBottom, popBottom) must be serialized by the
-// caller — Sched guards them with a per-lane owner TryLock, shared by the
-// lane's locality deque and its high-priority lane, so aliased lanes
-// (several goroutines sharing the master TC) stay safe.
+// caller — Sched guards them with a per-lane owner TryLock, so aliased
+// lanes (several goroutines sharing the master TC) stay safe.
 //
 // The ring grows by doubling; thieves racing a grow keep reading the old
 // ring, whose slots for in-flight indices remain valid (the GC keeps the

@@ -115,70 +115,3 @@ func TestDequeConcurrentStealExactlyOnce(t *testing.T) {
 		}
 	}
 }
-
-// TestMPMCQueueExactlyOnce drives the global FIFO with concurrent producers
-// and consumers: no task lost, none duplicated.
-func TestMPMCQueueExactlyOnce(t *testing.T) {
-	const (
-		nProducers = 4
-		nConsumers = 4
-		perProd    = 5000
-	)
-	var q mpmcQueue
-	q.init()
-	total := nProducers * perProd
-	taken := make([]atomic.Int32, total)
-	var consumed atomic.Int64
-
-	var wg sync.WaitGroup
-	for p := 0; p < nProducers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < perProd; i++ {
-				q.enqueue(&Task{ID: uint64(p*perProd + i)})
-			}
-		}(p)
-	}
-	var cg sync.WaitGroup
-	for c := 0; c < nConsumers; c++ {
-		cg.Add(1)
-		go func() {
-			defer cg.Done()
-			for consumed.Load() < int64(total) {
-				if tk := q.dequeue(); tk != nil {
-					taken[tk.ID].Add(1)
-					consumed.Add(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	cg.Wait()
-	for id := range taken {
-		if n := taken[id].Load(); n != 1 {
-			t.Fatalf("task %d consumed %d times", id, n)
-		}
-	}
-	if q.dequeue() != nil {
-		t.Fatal("queue should be empty")
-	}
-}
-
-// TestMPMCQueueFIFO checks order with a single producer/consumer.
-func TestMPMCQueueFIFO(t *testing.T) {
-	var q mpmcQueue
-	q.init()
-	for i := 0; i < 100; i++ {
-		q.enqueue(&Task{ID: uint64(i)})
-	}
-	if q.length() != 100 {
-		t.Fatalf("length=%d, want 100", q.length())
-	}
-	for i := 0; i < 100; i++ {
-		tk := q.dequeue()
-		if tk == nil || tk.ID != uint64(i) {
-			t.Fatalf("dequeue %d got %v", i, tk)
-		}
-	}
-}

@@ -9,7 +9,7 @@ package core
 // locality. A successor released by a finishing task is pushed to the
 // bottom of the finisher's own deque, so producer→consumer chains run
 // back-to-back on one core while the produced data is cache-resident (the
-// ray-rot effect). Off, released tasks go to the global FIFO.
+// ray-rot effect). Off, released tasks go to the shared ready queue.
 //
 // Victim selection is not a knob: an idle worker steals from a flat,
 // randomly rotated ring of victims.

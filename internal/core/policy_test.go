@@ -39,31 +39,60 @@ func TestVictimOrderCoversEveryOtherWorker(t *testing.T) {
 	}
 }
 
-func TestPriorityReleaseLandsOnPrioLane(t *testing.T) {
-	s := NewSched(2, DefaultPolicy(), 1)
-	lo := &Task{Label: "lo"}
-	hi := &Task{Label: "hi", Priority: 3}
-	s.PushReady(lo, 0) // locality deque
-	s.PushReady(hi, 0) // priority lane
-	// The priority successor is popped before the locality chain.
-	if got := s.Pop(0); got != hi {
-		t.Fatalf("expected priority lane first, got %q", got.Label)
-	}
-	if got := s.Pop(0); got != lo {
-		t.Fatalf("expected locality deque second, got %q", got.Label)
-	}
-	st := s.Stats()
-	if st.PrioPops != 1 || st.LocalPops != 1 {
-		t.Fatalf("stats = %+v, want one prio pop and one local pop", st)
+// TestPriorityReleaseBeatsLocalityChain checks that a released priority
+// successor is popped before the lane's own locality chain, whichever was
+// released first.
+func TestPriorityReleaseBeatsLocalityChain(t *testing.T) {
+	for _, hiFirst := range []bool{false, true} {
+		s := NewSched(2, DefaultPolicy(), 1)
+		lo := &Task{Label: "lo"}
+		hi := &Task{Label: "hi", Priority: 3}
+		if hiFirst {
+			s.PushReady(hi, 0)
+			s.PushReady(lo, 0)
+		} else {
+			s.PushReady(lo, 0)
+			s.PushReady(hi, 0)
+		}
+		if got := s.Pop(0); got != hi {
+			t.Fatalf("hi released first = %v: popped %q before the priority task", hiFirst, got.Label)
+		}
+		if got := s.Pop(0); got != lo {
+			t.Fatalf("hi released first = %v: expected the locality deque second, got %v", hiFirst, got)
+		}
+		if st := s.Stats(); st.PrioPops != 1 || st.LocalPops != 1 || st.GlobalPops != 0 {
+			t.Fatalf("stats = %+v, want one prio pop and one local pop", st)
+		}
 	}
 }
 
-func TestPrioLaneStealable(t *testing.T) {
+// TestPriorityReleaseTakenByAnotherLane checks that a priority successor
+// released on one lane can be taken by another lane's first probe.
+func TestPriorityReleaseTakenByAnotherLane(t *testing.T) {
 	s := NewSched(2, DefaultPolicy(), 1)
 	hi := &Task{Priority: 5}
 	s.PushReady(hi, 0)
 	if got := s.Pop(1); got != hi {
-		t.Fatal("thief should steal from the victim's priority lane")
+		t.Fatal("another lane should take the released priority task")
+	}
+	if st := s.Stats(); st.PrioPops != 1 || st.Steals != 0 {
+		t.Fatalf("stats = %+v, want one prio pop and no steal", st)
+	}
+}
+
+// TestSubmittedPriorityBeatsOwnDeque checks that priority work ready at
+// submission outranks a lane's own deque.
+func TestSubmittedPriorityBeatsOwnDeque(t *testing.T) {
+	s := NewSched(2, DefaultPolicy(), 1)
+	lo := &Task{Label: "lo"}
+	hi := &Task{Label: "hi", Priority: 1}
+	s.PushReady(lo, 0)
+	s.PushSubmit(hi)
+	if got := s.Pop(0); got != hi {
+		t.Fatalf("popped %q before the submitted priority task", got.Label)
+	}
+	if got := s.Pop(0); got != lo {
+		t.Fatalf("expected the locality deque second, got %v", got)
 	}
 }
 

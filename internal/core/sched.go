@@ -8,8 +8,8 @@ import (
 // SchedStats counts scheduler activity.
 type SchedStats struct {
 	LocalPops  uint64 // own-deque pops (locality chains)
-	PrioPops   uint64 // own high-priority lane pops
-	GlobalPops uint64 // global FIFO + priority side-queue pops
+	PrioPops   uint64 // shared-queue pops above level 0 (Priority > 0)
+	GlobalPops uint64 // shared-queue pops at level 0
 	Steals     uint64 // successful steals
 	StealTries uint64 // victim probes (successful or not)
 
@@ -20,47 +20,43 @@ type SchedStats struct {
 }
 
 // Sched is the ready-task scheduler: per worker, a Chase–Lev work-stealing
-// deque and a high-priority LIFO lane; globally, a lock-free FIFO spawn
-// queue plus a priority-ordered side queue. Placement and victim selection
-// are decided by the shared Policy (policy.go), so the native executor and
-// the simulator exercise identical scheduling code.
+// deque; globally, one priority-ordered ready queue under a mutex (the
+// central ready-queue lock of the Nanos++ runtime, and what the simulator
+// prices). Placement and victim selection are decided by the shared Policy
+// (policy.go), so the native executor and the simulator exercise identical
+// scheduling code.
 //
 // Dispatch order for a worker (Pop):
 //
-//  1. own high-priority lane (LIFO — priority successors released here)
+//  1. shared queue above level 0 (Priority > 0, highest level first)
 //  2. own deque bottom (LIFO — locality chains)
-//  3. priority-ordered global side queue (priority submissions)
-//  4. global FIFO (breadth-first spawn order, the Nanos++ default)
-//  5. steal, probing victims in the Policy's rotated ring; per victim the
-//     priority lane is tried first, then the deque top.
+//  3. shared queue level 0 (breadth-first spawn order, the Nanos++ default)
+//  4. steal the top of a victim's deque, probing victims in the Policy's
+//     rotated ring.
+//
+// Where no task has a priority, step 1 is one atomic load and the order is
+// deque → FIFO → steal.
 //
 // Concurrency model: every path is safe from any goroutine. Deque owner
 // operations are guarded by a per-lane TryLock (uncontended in the normal
-// one-thread-per-lane case; aliased lanes spill to the global queue instead
-// of blocking); steals and global-queue operations are lock-free;
-// the rare Priority>0 submissions go through a small mutex-ordered side
-// queue. The simulator drives the same scheduler from its serialized event
-// loop, where all the atomics are uncontended and behavior is deterministic
-// per seed.
+// one-thread-per-lane case; aliased lanes spill to the shared queue instead
+// of blocking); steals are lock-free. The simulator drives the same
+// scheduler from its serialized event loop, where every lock and atomic is
+// uncontended and behavior is deterministic per seed.
 type Sched struct {
 	workers int
 	pol     Policy
 	probe   Probe       // observability hook (SetProbe); nil when detached
 	lanes   []laneState // len workers+1: the extra lane absorbs stats/rng for out-of-range callers
 
-	global mpmcQueue
-
-	prioMu sync.Mutex
-	prio   []*Task // Priority>0 submissions, priority-ordered, FIFO within a level
-	prioN  atomic.Int64
+	ready readyQueue
 }
 
 // laneState is one worker's queues plus its private counters, padded so that
 // per-lane hot counters never share a cache line across lanes.
 type laneState struct {
-	deque    wsDeque    // locality chains: owner LIFO, stolen from the top
-	prioLane wsDeque    // high-priority successors: owner LIFO, stealable
-	owner    sync.Mutex // serializes owner ops on both deques; TryLock only, never blocks
+	deque wsDeque    // locality chains: owner LIFO, stolen from the top
+	owner sync.Mutex // serializes owner ops on the deque; TryLock only, never blocks
 
 	rng atomic.Uint64 // xorshift64* state; racy updates only cost randomness
 
@@ -93,10 +89,8 @@ func NewSched(workers int, pol Policy, seed int64) *Sched {
 		pol:     pol,
 		lanes:   make([]laneState, workers+1),
 	}
-	s.global.init()
 	for i := range s.lanes {
 		s.lanes[i].deque.init()
-		s.lanes[i].prioLane.init()
 		r := mix64(uint64(seed) ^ mix64(uint64(i)+1))
 		if r == 0 {
 			r = 0x9e3779b97f4a7c15
@@ -133,9 +127,9 @@ func (s *Sched) Stats() SchedStats {
 // is quiescent or serialized (the simulator), a close racy estimate under
 // native concurrency — callers only gate idle waiting on it and re-check.
 func (s *Sched) Ready() int {
-	n := int(s.prioN.Load()) + s.global.length()
+	n := int(s.ready.n.Load())
 	for i := 0; i < s.workers; i++ {
-		n += s.lanes[i].deque.size() + s.lanes[i].prioLane.size()
+		n += s.lanes[i].deque.size()
 	}
 	if n < 0 {
 		return 0
@@ -143,59 +137,24 @@ func (s *Sched) Ready() int {
 	return n
 }
 
-// PushSubmit enqueues a task that was ready at submission. Priority tasks
-// jump to the priority-ordered side queue; everything else joins the global
-// FIFO in breadth-first spawn order.
-func (s *Sched) PushSubmit(t *Task) {
-	if t.Priority > 0 {
-		s.pushPrioGlobal(t)
-		return
-	}
-	s.global.enqueue(t)
-}
+// PushSubmit enqueues a task that was ready at submission on the shared
+// queue, at its priority's level.
+func (s *Sched) PushSubmit(t *Task) { s.ready.push(t) }
 
-// pushPrioGlobal inserts t into the priority-ordered side queue, stable
-// within a priority level.
-func (s *Sched) pushPrioGlobal(t *Task) {
-	s.prioMu.Lock()
-	i := 0
-	for i < len(s.prio) && s.prio[i].Priority >= t.Priority {
-		i++
-	}
-	s.prio = append(s.prio, nil)
-	copy(s.prio[i+1:], s.prio[i:])
-	s.prio[i] = t
-	s.prioN.Add(1)
-	s.prioMu.Unlock()
-}
-
-// PushReady enqueues a task released by a finishing task on `worker`.
-// Priority successors land on that worker's high-priority lane; under the
-// locality policy, ordinary successors land on its deque bottom so they are
-// the next task popped there; with locality off they take the submission
-// path.
+// PushReady enqueues a task released by a finishing task on `worker`. Under
+// the locality policy, an ordinary successor lands on that worker's deque
+// bottom, so it is the next task popped there unless priority work waits; a
+// priority successor, any successor with locality off, and one released by
+// an out-of-range caller take the submission path.
 func (s *Sched) PushReady(t *Task, worker int) {
-	if worker < 0 || worker >= s.workers {
+	if t.Priority > 0 || !s.pol.Locality || worker < 0 || worker >= s.workers {
 		s.PushSubmit(t)
 		return
 	}
 	l := &s.lanes[worker]
-	if t.Priority > 0 {
-		if l.owner.TryLock() {
-			l.prioLane.pushBottom(t)
-			l.owner.Unlock()
-			return
-		}
-		s.pushPrioGlobal(t)
-		return
-	}
-	if !s.pol.Locality {
-		s.PushSubmit(t)
-		return
-	}
 	if !l.owner.TryLock() {
 		// Another goroutine is aliasing this lane right now; spill to the
-		// global queue rather than block or corrupt the deque.
+		// shared queue rather than block or corrupt the deque.
 		s.PushSubmit(t)
 		return
 	}
@@ -207,46 +166,33 @@ func (s *Sched) PushReady(t *Task, worker int) {
 // type comment. Returns nil when no work is visible anywhere.
 func (s *Sched) Pop(worker int) *Task {
 	ln := s.lane(worker)
+	if t := s.ready.pop(true); t != nil {
+		ln.prioPops.Add(1)
+		return t
+	}
 	if worker >= 0 && worker < s.workers {
 		l := &s.lanes[worker]
 		if l.owner.TryLock() {
-			t := l.prioLane.popBottom()
-			if t == nil {
-				t = l.deque.popBottom()
-				if t != nil {
-					ln.localPops.Add(1)
-				}
-			} else {
-				ln.prioPops.Add(1)
-			}
+			t := l.deque.popBottom()
 			l.owner.Unlock()
 			if t != nil {
+				ln.localPops.Add(1)
 				return t
 			}
 		}
 	}
-	if s.prioN.Load() > 0 {
-		var t *Task
-		s.prioMu.Lock()
-		if len(s.prio) > 0 {
-			t = s.prio[0]
-			s.prio[0] = nil // the backing array must not keep t reachable
-			s.prio = s.prio[1:]
-			s.prioN.Add(-1)
-		}
-		s.prioMu.Unlock()
-		if t != nil {
+	if t := s.ready.pop(false); t != nil {
+		// Priority work that arrived since the first probe is taken here.
+		if t.Priority > 0 {
+			ln.prioPops.Add(1)
+		} else {
 			ln.globalPops.Add(1)
-			return t
 		}
-	}
-	if t := s.global.dequeue(); t != nil {
-		ln.globalPops.Add(1)
 		return t
 	}
 	// Steal: probe every other worker once, in the policy's rotated ring,
 	// iterated arithmetically so the idle spin path allocates nothing at any
-	// worker count. Per victim: priority lane, then deque.
+	// worker count.
 	if s.workers > 0 {
 		rnd := ln.nextRand()
 		for i := 0; ; i++ {
@@ -267,20 +213,12 @@ func (s *Sched) Pop(worker int) *Task {
 	return nil
 }
 
-// stealFrom takes one task from victim lane v: its priority lane first, then
-// the top (oldest task) of its deque.
+// stealFrom takes the top (oldest task) of victim lane v's deque.
 func (s *Sched) stealFrom(v int) *Task {
-	l := &s.lanes[v]
-	t, retry := l.prioLane.steal()
+	d := &s.lanes[v].deque
+	t, retry := d.steal()
 	for retry {
-		t, retry = l.prioLane.steal()
-	}
-	if t != nil {
-		return t
-	}
-	t, retry = l.deque.steal()
-	for retry {
-		t, retry = l.deque.steal()
+		t, retry = d.steal()
 	}
 	return t
 }

@@ -20,9 +20,9 @@
 //     tiny per-task lock arbitrates the "add successor vs. finish" race.
 //     Whoever decrements npred to zero owns the enqueue.
 //   - Ready tasks (Sched) sit in per-worker Chase–Lev lock-free deques
-//     (owner LIFO bottom, thieves steal the top) plus a Michael–Scott
-//     lock-free global FIFO for breadth-first submissions; statistics are
-//     per-lane padded atomics.
+//     (owner LIFO bottom, thieves steal the top) plus one shared
+//     priority-ordered queue under a mutex, FIFO within a level, for
+//     breadth-first submissions; statistics are per-lane padded atomics.
 //
 // The native executor (package ompss) drives this from goroutines with no
 // lock of its own; the simulated executor drives the same code from

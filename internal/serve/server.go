@@ -273,7 +273,7 @@ type Response struct {
 	Error     string `json:"error,omitempty"`
 }
 
-// tenantClass maps the X-Tenant header onto the scheduler's priority lanes.
+// tenantClass maps the X-Tenant header onto the scheduler's priority levels.
 func tenantClass(h string) int {
 	switch h {
 	case "gold":

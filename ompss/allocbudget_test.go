@@ -79,8 +79,8 @@ func TestSubmitAllocBudget(t *testing.T) {
 		// A six-access task: its access list, preds and successor lists
 		// outgrow their inline buffers, and the pooled record keeps them.
 		"BenchmarkSubmitWide": BenchmarkSubmitWide,
-		// The default run-ahead window binding on every spawn: the
-		// ready-queue node, nothing for the throttle.
+		// The default run-ahead window binding on every spawn: nothing for
+		// the throttle, nothing for the shared ready queue's reused ring.
 		"BenchmarkSubmitThrottled": BenchmarkSubmitThrottled,
 		// Observability ceilings: the raw record path must stay at 0
 		// allocs/op, and a recorder-attached submit must cost no more

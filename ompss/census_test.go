@@ -21,7 +21,7 @@ import (
 // censusAllow lists the exported names of package ompss that stay without a
 // non-test caller outside the package, each with the contract it serves.
 var censusAllow = map[string]string{
-	"Priority":         "the tenant boost pays rent: serve's gold p50 1.0-1.3 ms vs bronze 2.2-2.9 ms with it, every tenant 1.3-1.7 ms without (EXPERIMENTS.md, tenant boost); the clause is the only way onto the priority lanes (TestTenantPriority, schedfuzz)",
+	"Priority":         "per-task priorities: the schedule fuzzers draw them to reorder the one shared ready queue (TestScheduleFuzz), the same Task.Priority the tenant boost sets, which pays rent: serve's gold p50 1.0-1.3 ms vs bronze 2.2-2.9 ms with it, every tenant 1.3-1.7 ms without (EXPERIMENTS.md, tenant boost; TestTenantPriority)",
 	"Seed":             "fixes the steal-victim RNG; the schedule fuzzers sweep it so a failing schedule can be replayed",
 	"Session.Cancel":   "failure-confinement contract: cancels one session and no other (TestSessionCancelIsolation)",
 	"Runtime.Err":      "first runtime-level failure, and what disarms the Shutdown panic valve (TestUnobservedPanicResurfacesAtShutdown, TestTaskPanicBecomesHandleError, TestTaskFailureWithoutHandle)",

@@ -89,10 +89,10 @@ func OutSized(key any, bytes int64) Clause {
 func Cost(d time.Duration) Clause { return Clause{&clause{op: opCost, n: int64(d)}} }
 
 // Priority biases dispatch: ready tasks with higher priority are scheduled
-// before FIFO-ordered peers. On the native runtime, priority tasks released
-// by a finishing task land on that worker's high-priority LIFO lane and are
-// popped before everything else on the lane; priority tasks that are ready
-// at submission jump the global FIFO through a priority-ordered side queue.
+// before FIFO-ordered peers. A task with p > 0 joins the shared ready queue
+// at level p, whether it is ready at submission or released by a finishing
+// task, and every worker takes the highest level's oldest task before its
+// own deque; p ≤ 0 is ordinary work.
 func Priority(p int) Clause { return Clause{&clause{op: opPriority, n: int64(p)}} }
 
 // Label names the task in traces and their exports.

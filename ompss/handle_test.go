@@ -717,7 +717,7 @@ func TestRetainedHandleDoesNotPinChain(t *testing.T) {
 	}
 
 	rt.Task(body, d.AsInOut())
-	rt.Taskwait() // warm-up: queue nodes, deque arrays
+	rt.Taskwait() // warm-up: queue rings, deque arrays
 	base := liveObjects()
 	// The head holds the chain back until every link is wired behind it, so
 	// each task really has its successor in the inline slot.

@@ -280,10 +280,10 @@ func TestKeptListsReuseCleanly(t *testing.T) {
 }
 
 // TestCriticalAndTaskwaitAllocs pins the two per-call costs the record pool
-// leaves: a Critical section allocates nothing, and a task plus the Taskwait
-// that runs it allocate only the global queue's node (the task is ready at
-// submission) — the record comes from the pool, a Task has no Handle, and
-// the wait predicate was built with the scope.
+// leaves: a Critical section allocates nothing, and neither do a task and
+// the Taskwait that runs it — the record comes from the pool, a Task has no
+// Handle, the shared ready queue reuses its ring (the task is ready at
+// submission), and the wait predicate was built with the scope.
 func TestCriticalAndTaskwaitAllocs(t *testing.T) {
 	rt := New(Workers(1))
 	defer rt.Shutdown()
@@ -296,8 +296,8 @@ func TestCriticalAndTaskwaitAllocs(t *testing.T) {
 	var x int
 	in := rt.Register(&x).AsInOut()
 	body := func(*TC) { x++ }
-	if all, net := spawnAllocs(100, func() { rt.Task(body, in); rt.Taskwait() }); net != 1 || (!raceDetector && all != 1) {
-		t.Errorf("Task + Taskwait: %d allocs, %d beside the pool's refills, want 1 (queue node)", all, net)
+	if all, net := spawnAllocs(100, func() { rt.Task(body, in); rt.Taskwait() }); net != 0 || (!raceDetector && all != 0) {
+		t.Errorf("Task + Taskwait: %d allocs, %d beside the pool's refills, want 0", all, net)
 	}
 }
 

@@ -180,7 +180,7 @@ func (tc *TC) newRec(clauses []Clause) *taskRec {
 		r.apply(c.c)
 	}
 	if s != nil {
-		// The tenant class boosts the task onto the matching priority lane.
+		// The tenant class boosts the task onto the matching queue level.
 		r.t.Priority += s.cfg.tenant
 	}
 	// The spawner's reference is the first fenced write, after the plain

@@ -89,9 +89,9 @@ func TestNestedTaskwaitHoldingEveryWindowSlot(t *testing.T) {
 
 // TestWaitPathAllocs pins the two waits that happen per task or per request
 // rather than per program: a Taskwait over a drained scope allocates nothing,
-// and a Task spawn held by the window allocates only the ready queue's node
-// (the held chain link is ready at submission) — no Handle, and nothing for
-// the throttle itself.
+// and neither does a Task spawn held by the window — no Handle, nothing for
+// the throttle itself, and the shared ready queue reuses its ring (the held
+// chain link is ready at submission).
 func TestWaitPathAllocs(t *testing.T) {
 	rt := New(Workers(1), MaxInFlight(1))
 	defer rt.Shutdown()
@@ -102,8 +102,8 @@ func TestWaitPathAllocs(t *testing.T) {
 	in := rt.Register(&x).AsInOut()
 	body := func(*TC) { x++ }
 	rt.Task(body, in) // fills the window: every spawn below is held
-	if all, net := spawnAllocs(100, func() { rt.Task(body, in) }); net != 1 || (!raceDetector && all != 1) {
-		t.Errorf("held spawn: %d allocs, %d beside the pool's refills, want 1 (queue node)", all, net)
+	if all, net := spawnAllocs(100, func() { rt.Task(body, in) }); net != 0 || (!raceDetector && all != 0) {
+		t.Errorf("held spawn: %d allocs, %d beside the pool's refills, want 0", all, net)
 	}
 	rt.Taskwait()
 }

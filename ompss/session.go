@@ -33,9 +33,10 @@ const (
 )
 
 // Tenant assigns the session's tenant class: a priority boost added to
-// every task the session spawns, mapping tenants onto the scheduler's
-// priority lanes (a class-2 session's tasks outrank a class-0 session's
-// ready tasks at every dispatch point). Valid at New (boosting the default
+// every task the session spawns, mapping tenants onto the levels of the
+// scheduler's shared ready queue (a class-2 session's ready tasks outrank a
+// class-0 session's at every dispatch point, a worker's own deque
+// included). Valid at New (boosting the default
 // session) and NewSession; default 0.
 func Tenant(class int) Option { return func(c *config) { c.tenant = class } }
 

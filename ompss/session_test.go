@@ -245,6 +245,49 @@ func TestTenantPriority(t *testing.T) {
 	gold.Close()
 }
 
+// TestTenantPriorityBeatsReleasedSuccessor is the other dispatch point: a
+// bronze successor is released onto the worker's own deque while a gold
+// task waits, ready since its submission. Gold runs first.
+func TestTenantPriorityBeatsReleasedSuccessor(t *testing.T) {
+	rt := ompss.New(ompss.Workers(2)) // one dedicated worker + master
+	defer rt.Shutdown()
+
+	bronze := rt.NewSession() // class 0
+	gold := rt.NewSession(ompss.Tenant(2))
+
+	var order []string
+	var mu sync.Mutex
+	note := func(s string) func(*ompss.TC) error {
+		return func(*ompss.TC) error {
+			mu.Lock()
+			order = append(order, s)
+			mu.Unlock()
+			return nil
+		}
+	}
+	var x int
+	gate := make(chan struct{})
+	started := make(chan struct{})
+	busy := bronze.Master().Go(func(*ompss.TC) error { close(started); <-gate; return nil }, ompss.InOut(&x))
+	<-started
+	// The bronze task waits on the busy one, so the worker releases it onto
+	// its own deque; the gold task is ready at submission.
+	lo := bronze.Master().Go(note("bronze"), ompss.InOut(&x))
+	hi := gold.Master().Go(note("gold"))
+	close(gate)
+	// Wait without helping, as TestTenantPriority does.
+	<-busy.Done()
+	<-lo.Done()
+	<-hi.Done()
+	mu.Lock()
+	defer mu.Unlock()
+	if len(order) != 2 || order[0] != "gold" {
+		t.Fatalf("dispatch order %v, want gold first", order)
+	}
+	bronze.Close()
+	gold.Close()
+}
+
 // TestCrossSessionErrorIsolation wires a dependence edge across sessions —
 // session B's task depends on shared data session A's failing task wrote —
 // and checks the edge orders execution but does not carry the failure: B's

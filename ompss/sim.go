@@ -115,7 +115,8 @@ func (c *simClock) now() int64 { return int64(c.v.Now()) }
 
 // queueOp scales a scheduler-queue cost by the contention factor: the
 // central ready-queue lock serializes under many threads (a known
-// scalability limit of 2012-era task runtimes).
+// scalability limit of 2012-era task runtimes). The native scheduler has
+// that lock too: core.Sched's shared ready queue is one mutex.
 func (c *simClock) queueOp(base vm.Time) vm.Time {
 	return base + vm.Time(float64(base)*c.v.Cost().QueueContention*float64(len(c.lanes)-1))
 }

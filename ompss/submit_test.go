@@ -102,9 +102,9 @@ func BenchmarkSubmitDatumPtr(b *testing.B) {
 // BenchmarkSubmitThrottled submits the same chains under the default
 // run-ahead window (64 tasks at Workers(1)): past the first 64 tasks every
 // spawn finds the window full, so the master executes the oldest chain link
-// first and the new task is ready at submission. It costs only the ready
-// queue's node: a Task spawn has no Handle, its record is pooled, and the
-// throttle itself allocates nothing.
+// first and the new task is ready at submission. It allocates nothing: a
+// Task spawn has no Handle, its record is pooled, the shared ready queue
+// reuses its ring, and the throttle itself allocates nothing.
 func BenchmarkSubmitThrottled(b *testing.B) {
 	benchSubmit(b, datumPtrChains, ompss.MaxInFlight(0)) // 0: back to the default window
 }
