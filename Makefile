@@ -96,10 +96,10 @@ pairs:
 	sh scripts/pairs.sh '$(BASE)' '$(W)' '$(N)' '$(SEEDS)' '$(METRIC)'
 
 # Code layout of the benchmark binary at BASE beside the working tree: the
-# first text address mod 64 of internal/core, ompss, internal/vm, the md5
-# and rotate kernels and main (scripts/layout.sh; writes nothing here). Run
-# it before believing a reference-ratio or setup_s move the diff cannot
-# reach. Example: make layout BASE=HEAD~1
+# first text address mod 64 of internal/core, ompss, internal/vm, the
+# color, md5 and rotate kernels and main (scripts/layout.sh; writes nothing
+# here). Run it before believing a reference-ratio or setup_s move the diff
+# cannot reach. Example: make layout BASE=HEAD~1
 layout:
 	sh scripts/layout.sh '$(BASE)'
 

@@ -28,14 +28,18 @@ func (p *CMY) Checksum() uint64 {
 }
 
 // RGBToCMYRows converts rows [y0, y1): C=255−R, M=255−G, Y=255−B.
+// Each row is re-sliced to its exact length, so the loop checks one bound
+// per pixel rather than six.
 func RGBToCMYRows(dst *CMY, src *img.RGB, y0, y1 int) {
+	w := src.W
 	for y := y0; y < y1; y++ {
-		srow := src.Row(y)
-		crow, mrow, yrow := dst.C.Row(y), dst.M.Row(y), dst.Y.Row(y)
-		for x := 0; x < src.W; x++ {
-			crow[x] = 255 - srow[3*x]
-			mrow[x] = 255 - srow[3*x+1]
-			yrow[x] = 255 - srow[3*x+2]
+		crow := dst.C.Row(y)[:w]
+		mrow, yrow, srow := dst.M.Row(y)[:w], dst.Y.Row(y)[:w], src.Row(y)[:3*w]
+		for x := range crow {
+			s := srow[3*x : 3*x+3 : 3*x+3]
+			crow[x] = 255 - s[0]
+			mrow[x] = 255 - s[1]
+			yrow[x] = 255 - s[2]
 		}
 	}
 }
@@ -60,14 +64,18 @@ func (p *CMYK) Checksum() uint64 {
 
 // RGBToCMYKRows converts rows [y0, y1) with under-color removal: K is the
 // minimum of the CMY components, subtracted from each plane.
+// The rows are re-sliced as in RGBToCMYRows.
 func RGBToCMYKRows(dst *CMYK, src *img.RGB, y0, y1 int) {
+	w := src.W
 	for y := y0; y < y1; y++ {
-		srow := src.Row(y)
-		crow, mrow, yrow, krow := dst.C.Row(y), dst.M.Row(y), dst.Y.Row(y), dst.K.Row(y)
-		for x := 0; x < src.W; x++ {
-			c := 255 - srow[3*x]
-			m := 255 - srow[3*x+1]
-			yy := 255 - srow[3*x+2]
+		crow := dst.C.Row(y)[:w]
+		mrow, yrow, krow := dst.M.Row(y)[:w], dst.Y.Row(y)[:w], dst.K.Row(y)[:w]
+		srow := src.Row(y)[:3*w]
+		for x := range crow {
+			s := srow[3*x : 3*x+3 : 3*x+3]
+			c := 255 - s[0]
+			m := 255 - s[1]
+			yy := 255 - s[2]
 			k := min8(c, min8(m, yy))
 			crow[x], mrow[x], yrow[x], krow[x] = c-k, m-k, yy-k, k
 		}

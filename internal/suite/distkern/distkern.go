@@ -119,9 +119,7 @@ func init() {
 		hi, args := getU32(args)
 		angle := math.Float64frombits(binary.LittleEndian.Uint64(args))
 		src := &img.RGB{W: int(w), H: int(h), Pix: in[0]}
-		dst := img.NewRGB(int(w), int(h))
-		rotkern.Rows(dst, src, angle, int(lo), int(hi))
-		copy(out[0], dst.Pix[3*int(lo)*int(w):3*int(hi)*int(w)])
+		rotkern.RowsInto(out[0], src, angle, int(lo), int(hi))
 		return nil
 	})
 
@@ -129,16 +127,19 @@ func init() {
 	// the C, M, Y plane rows [lo, hi).
 	dist.RegisterKernel("suite.rgbcmy", func(args []byte, in, out [][]byte) error {
 		w, args := getU32(args)
-		h, args := getU32(args)
+		_, args = getU32(args) // h: the views below need rows [lo, hi) only
 		lo, args := getU32(args)
 		hi, _ := getU32(args)
-		src := &img.RGB{W: int(w), H: int(h), Pix: in[0]}
-		dst := colorkern.NewCMY(int(w), int(h))
-		colorkern.RGBToCMYRows(dst, src, int(lo), int(hi))
-		a, b := int(lo)*int(w), int(hi)*int(w)
-		copy(out[0], dst.C.Pix[a:b])
-		copy(out[1], dst.M.Pix[a:b])
-		copy(out[2], dst.Y.Pix[a:b])
+		// The conversion is pointwise, so views of just rows [lo, hi)
+		// convert in place: row 0 of each view is row lo.
+		n := int(hi - lo)
+		src := &img.RGB{W: int(w), H: n, Pix: in[0][3*int(lo)*int(w) : 3*int(hi)*int(w)]}
+		dst := &colorkern.CMY{
+			C: &img.Gray{W: int(w), H: n, Pix: out[0]},
+			M: &img.Gray{W: int(w), H: n, Pix: out[1]},
+			Y: &img.Gray{W: int(w), H: n, Pix: out[2]},
+		}
+		colorkern.RGBToCMYRows(dst, src, 0, n)
 		return nil
 	})
 

@@ -6,8 +6,8 @@
 # Builds the benchmark binary twice, once from the tree committed at BASE
 # (exported with git archive into a temporary directory) and once from the
 # working tree, and prints for each of internal/core, ompss, internal/vm,
-# internal/kernels/md5, internal/kernels/rotate and the benchmark's own
-# main the address of its first text symbol (go tool nm -n -size), that
+# internal/kernels/color, internal/kernels/md5, internal/kernels/rotate and
+# the benchmark's own main the address of its first text symbol (go tool nm -n -size), that
 # address mod 64, and the package's summed text size, BASE beside the
 # working tree. A package whose offset mod 64 moved has hot loops on other
 # cache-line boundaries: a reference-ratio or setup_s move on a workload
@@ -39,7 +39,7 @@ table() {
 			return v
 		}
 		BEGIN {
-			n = split("ompssgo/internal/core ompssgo/ompss ompssgo/internal/vm ompssgo/internal/kernels/md5 ompssgo/internal/kernels/rotate main", pkgs, " ")
+			n = split("ompssgo/internal/core ompssgo/ompss ompssgo/internal/vm ompssgo/internal/kernels/color ompssgo/internal/kernels/md5 ompssgo/internal/kernels/rotate main", pkgs, " ")
 		}
 		$3 == "T" || $3 == "t" {
 			for (i = 1; i <= n; i++) {
