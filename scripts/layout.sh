@@ -7,9 +7,9 @@
 # (exported with git archive into a temporary directory) and once from the
 # working tree, and prints for each of internal/core, ompss, internal/vm,
 # internal/kernels/color, internal/kernels/md5, internal/kernels/rotate and
-# the benchmark's own main the address of its first text symbol (go tool nm -n -size), that
-# address mod 64, and the package's summed text size, BASE beside the
-# working tree. A package whose offset mod 64 moved has hot loops on other
+# the benchmark's own main the address of its first text symbol (go tool
+# nm -n -size), that address mod 64, and the package's summed text size,
+# BASE beside the working tree. A package whose offset mod 64 moved has hot loops on other
 # cache-line boundaries: a reference-ratio or setup_s move on a workload
 # that never runs the changed code is layout until shown otherwise.
 # internal/core links early, so a change there can shift every later one.
